@@ -227,6 +227,8 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
         raise ScenarioError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {trials}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ScenarioError(f"tol must be a positive finite number, got {tol!r}")
     scenario = load_scenario(path)
     slack_tol = tol if tol is not None else (scenario.tolerance or DEFAULT_SLACK_TOL)
 

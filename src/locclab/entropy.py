@@ -83,41 +83,62 @@ class BipartiteEnsemble:
         return [(p, state.marginal(side)) for p, state in self.members]
 
 
-def shannon_entropy(probabilities, tol: float = DEFAULT_TOL) -> float:
-    """-sum p log2 p over a probability vector, with 0 log 0 := 0."""
-    p = np.asarray(probabilities, dtype=float).reshape(-1)
+def shannon_entropies(probabilities, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """-sum p log2 p over the last axis of a stack of probability vectors.
+
+    Every row must be nonnegative within ``tol`` and sum to one within
+    ``tol``; 0 log 0 := 0, with entries below ZERO_EIGENVALUE counted as
+    zeros.
+    """
+    p = np.asarray(probabilities, dtype=float)
     if p.size and p.min() < -tol:
         raise ValueError(f"negative probability {p.min():.3e}")
-    total = float(p.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    p = p[p > ZERO_EIGENVALUE]
-    return float(-(p * np.log2(p)).sum())
+    total = p.sum(axis=-1)
+    deviation = np.abs(total - 1.0)
+    if not deviation.max(initial=0.0) <= tol:
+        raise ValueError(f"probabilities sum to {float(np.extract(~(deviation <= tol), total)[0])!r}, not 1")
+    return -(p * np.log2(np.where(p > ZERO_EIGENVALUE, p, 1.0))).sum(axis=-1)
 
 
-def _spectrum_of(state, tol: float) -> np.ndarray:
-    if isinstance(state, DensityOperator):
-        mat = state.matrix
-    else:
-        mat = np.asarray(state, dtype=complex)
-        herm_dev = np.abs(mat - mat.conj().T).max()
-        if herm_dev > tol:
-            raise ValueError(f"not Hermitian: deviation {herm_dev:.3e}")
-    values = np.linalg.eigvalsh(hermitize(mat))
-    if values[0] < -tol:
-        raise ValueError(f"negative eigenvalue {values[0]:.3e}")
-    return np.clip(values, 0.0, None)
+def shannon_entropy(probabilities, tol: float = DEFAULT_TOL) -> float:
+    """-sum p log2 p over a probability vector, with 0 log 0 := 0."""
+    return float(shannon_entropies(np.asarray(probabilities, dtype=float).reshape(-1), tol))
+
+
+def von_neumann_entropies(matrices, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Entropies of a stack (..., D, D) of PSD unit-trace matrices.
+
+    One ``eigvalsh`` call covers the stack. Each matrix must be Hermitian
+    within ``tol`` and have no eigenvalue below -tol; rounding-level
+    negative eigenvalues count as zeros.
+    """
+    mats = np.asarray(matrices, dtype=complex)
+    herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
+    if not herm_dev.max(initial=0.0) <= tol:
+        worst = herm_dev.max(axis=(-2, -1))
+        raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= tol), worst)[0]:.3e}")
+    values = np.linalg.eigvalsh(hermitize(mats))
+    if not values.min(initial=0.0) >= -tol:
+        lowest = values[..., 0]
+        raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -tol), lowest)[0]:.3e}")
+    return shannon_entropies(np.maximum(values, 0.0), tol=tol)
 
 
 def von_neumann_entropy(state, tol: float = DEFAULT_TOL) -> float:
     """Entropy of a density matrix (DensityOperator or PSD unit-trace array)."""
-    return shannon_entropy(_spectrum_of(state, tol), tol=tol)
+    mat = state.matrix if isinstance(state, DensityOperator) else state
+    return float(von_neumann_entropies(mat, tol))
+
+
+def purities(matrices) -> np.ndarray:
+    """tr(rho^2) of each matrix in a stack (..., D, D)."""
+    mats = np.asarray(matrices, dtype=complex)
+    return np.einsum("...ij,...ji->...", mats, mats).real
 
 
 def purity(state) -> float:
     """tr(rho^2); equals 1 exactly for pure states."""
-    mat = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
-    return float(np.trace(mat @ mat).real)
+    return float(purities(state.matrix if isinstance(state, DensityOperator) else state))
 
 
 def _member_pairs(ensemble) -> list[tuple[float, np.ndarray]]:
@@ -147,9 +168,19 @@ def holevo_chi(ensemble, tol: float = DEFAULT_TOL) -> float:
     return von_neumann_entropy(hermitize(average), tol) - mean_member
 
 
-def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    values, vectors = np.linalg.eigh(hermitize(matrix))
-    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+def _sqrt_psd(matrices: np.ndarray) -> np.ndarray:
+    values, vectors = np.linalg.eigh(hermitize(matrices))
+    roots = np.sqrt(np.maximum(values, 0.0))
+    return (vectors * roots[..., None, :]) @ vectors.swapaxes(-1, -2).conj()
+
+
+def concurrences(matrices) -> np.ndarray:
+    """Wootters concurrence of each two-qubit density matrix in a stack (..., 4, 4)."""
+    rho = np.asarray(matrices, dtype=complex)
+    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
+    lam = np.linalg.svd(_sqrt_psd(rho_tilde) @ _sqrt_psd(rho), compute_uv=False)
+    lam = -np.sort(-lam, axis=-1)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence(state: DensityOperator) -> float:
@@ -161,17 +192,28 @@ def concurrence(state: DensityOperator) -> float:
     """
     if (state.dim_a, state.dim_b) != (2, 2):
         raise ValueError(f"concurrence needs a 2x2 bipartite state, got ({state.dim_a}, {state.dim_b})")
-    rho = state.matrix
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    lam = np.linalg.svd(_sqrt_psd(rho_tilde) @ _sqrt_psd(rho), compute_uv=False)
-    lam = np.sort(lam)[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(concurrences(state.matrix))
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= ZERO_EIGENVALUE or x >= 1.0 - ZERO_EIGENVALUE:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def _binary_entropies(x: np.ndarray) -> np.ndarray:
+    inside = (x > ZERO_EIGENVALUE) & (x < 1.0 - ZERO_EIGENVALUE)
+    safe = np.where(inside, x, 0.5)
+    return np.where(inside, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe), 0.0)
+
+
+def _measure_kinds(purity_values: np.ndarray, dims: tuple[int, int], selector: str) -> np.ndarray:
+    """Measure per state of a stack; "auto" resolves as in resolve_measure."""
+    if selector not in MEASURES:
+        raise ValueError(f"unknown measure selector {selector!r}; expected one of {MEASURES}")
+    if selector != MEASURE_AUTO:
+        return np.full(purity_values.shape, selector, dtype=object)
+    pure = purity_values >= 1.0 - PURITY_TOL
+    if not pure.all() and dims != (2, 2):
+        raise ValueError(
+            f"measure unavailable: mixed state with dims ({dims[0]}, {dims[1]}); "
+            "only pure states or 2x2 mixed states are measurable"
+        )
+    return np.where(pure, MEASURE_PURE, MEASURE_EOF).astype(object)
 
 
 def resolve_measure(state: DensityOperator, selector: str) -> str:
@@ -181,36 +223,42 @@ def resolve_measure(state: DensityOperator, selector: str) -> str:
     entanglement; mixed two-qubit states use the Wootters formula; anything
     else has no measure available.
     """
-    if selector not in MEASURES:
-        raise ValueError(f"unknown measure selector {selector!r}; expected one of {MEASURES}")
-    if selector != MEASURE_AUTO:
+    if selector in MEASURES and selector != MEASURE_AUTO:
         return selector
-    if purity(state) >= 1.0 - PURITY_TOL:
-        return MEASURE_PURE
-    if (state.dim_a, state.dim_b) == (2, 2):
-        return MEASURE_EOF
-    raise ValueError(
-        f"measure unavailable: mixed state with dims ({state.dim_a}, {state.dim_b}); "
-        "only pure states or 2x2 mixed states are measurable"
-    )
+    return str(_measure_kinds(np.array([purity(state)]), (state.dim_a, state.dim_b), selector)[0])
 
 
-def entanglement(state: DensityOperator, selector: str = MEASURE_AUTO) -> float:
-    """Entanglement of a bipartite state in bits.
+def entanglements(matrices, dim_a: int, dim_b: int, selector: str = MEASURE_AUTO) -> np.ndarray:
+    """Entanglement in bits of each state in a stack (N, D, D) of density matrices.
 
     Pure states of any dimensions get the entropy of entanglement
     S(tr_B rho); mixed two-qubit states get the Wootters entanglement of
-    formation h((1 + sqrt(1 - C^2))/2).
+    formation h((1 + sqrt(1 - C^2))/2). ``selector`` applies to every
+    state; "auto" resolves per state.
     """
-    kind = resolve_measure(state, selector)
-    if kind == MEASURE_PURE:
-        if purity(state) < 1.0 - PURITY_TOL:
+    mats = np.asarray(matrices, dtype=complex)
+    purity_values = purities(mats)
+    kinds = _measure_kinds(purity_values, (dim_a, dim_b), selector)
+    out = np.zeros(len(mats))
+    pure = kinds == MEASURE_PURE
+    if pure.any():
+        low = purity_values[pure] < 1.0 - PURITY_TOL
+        if low.any():
             raise ValueError(
-                f"measure unavailable: purity {purity(state):.6f} too low for the pure-state measure"
+                f"measure unavailable: purity {purity_values[pure][low][0]:.6f} too low for the pure-state measure"
             )
-        return von_neumann_entropy(state.marginal("A"))
-    c = concurrence(state)
-    return _binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+        out[pure] = von_neumann_entropies(partial_trace(mats[pure], "A", (dim_a, dim_b)))
+    if not pure.all():
+        if (dim_a, dim_b) != (2, 2):
+            raise ValueError(f"concurrence needs a 2x2 bipartite state, got ({dim_a}, {dim_b})")
+        c = concurrences(mats[~pure])
+        out[~pure] = _binary_entropies((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
+    return out
+
+
+def entanglement(state: DensityOperator, selector: str = MEASURE_AUTO) -> float:
+    """Entanglement of a bipartite state in bits (one-state case of ``entanglements``)."""
+    return float(entanglements(state.matrix[None], state.dim_a, state.dim_b, selector)[0])
 
 
 def is_ppt(state: DensityOperator, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -52,8 +52,12 @@ class HermitianSpectrum:
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dagger)/2, used to scrub rounding residue."""
-    return (matrix + matrix.conj().T) / 2
+    """Hermitian part (M + M^dagger)/2, used to scrub rounding residue.
+
+    Acts on the last two axes, so a stack (..., D, D) is hermitized
+    matrix by matrix.
+    """
+    return (matrix + matrix.swapaxes(-1, -2).conj()) / 2
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -62,12 +66,50 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def validate_densities(matrices, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Check a stack (..., D, D) of density matrices; return the checked stack.
+
+    Each matrix must be Hermitian with unit trace within ``tol`` and have no
+    eigenvalue below -tol. Matrices whose lowest eigenvalue lies in
+    [-tol, 0) get their negative eigenvalues clipped to zero and are
+    renormalized; the others are returned unchanged. One ``eigvalsh`` call
+    covers the whole stack, one ``eigh`` call the clipped matrices.
+    """
+    mats = np.array(matrices, dtype=complex)
+    herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    off = herm_dev > tol
+    if off.any():
+        raise ValueError(
+            f"not Hermitian: max |M - M^dagger| = {np.extract(off, herm_dev)[0]:.3e} exceeds tol {tol:.1e}"
+        )
+    trace_dev = np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0)
+    off = ~(trace_dev <= tol)
+    if off.any():
+        raise ValueError(
+            f"trace deviation: |tr(M) - 1| = {np.extract(off, trace_dev)[0]:.3e} exceeds tol {tol:.1e}"
+        )
+    lowest = np.linalg.eigvalsh(hermitize(mats))[..., 0]
+    off = lowest < -tol
+    if off.any():
+        raise ValueError(f"negative eigenvalue {np.extract(off, lowest)[0]:.3e} below -tol = {-tol:.1e}")
+    clipped = lowest < 0.0
+    if clipped.any():
+        # Clip rounding-level negatives and renormalize back to unit trace.
+        values, vectors = np.linalg.eigh(hermitize(mats[clipped]))
+        values = np.maximum(values, 0.0)
+        rebuilt = (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2).conj()
+        traces = np.trace(rebuilt, axis1=-2, axis2=-1).real
+        mats[clipped] = hermitize(rebuilt / traces[..., None, None])
+    return mats
+
+
 def validate_density(matrix, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> DensityOperator:
     """Check matrix is a density operator on the given bipartite dimensions.
 
     Hermiticity, unit trace, and positivity are enforced within ``tol``.
     Eigenvalues in [-tol, 0) are clipped to zero and the state renormalized;
-    anything below -tol is rejected as unphysical.
+    anything below -tol is rejected as unphysical. This is the one-matrix
+    case of ``validate_densities``.
     """
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
@@ -77,23 +119,7 @@ def validate_density(matrix, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
         raise ValueError(
             f"dimension mismatch: expected {dim}x{dim} for dims ({dim_a}, {dim_b}), got {mat.shape}"
         )
-    herm_dev = np.abs(mat - mat.conj().T).max()
-    if herm_dev > tol:
-        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {tol:.1e}")
-    trace_dev = abs(complex(np.trace(mat)) - 1.0)
-    if trace_dev > tol:
-        raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {tol:.1e}")
-    eigenvalues = np.linalg.eigvalsh(hermitize(mat))
-    lowest = float(eigenvalues[0])
-    if lowest < -tol:
-        raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-tol:.1e}")
-    if lowest < 0.0:
-        # Clip rounding-level negatives and renormalize back to unit trace.
-        values, vectors = np.linalg.eigh(hermitize(mat))
-        values = np.clip(values, 0.0, None)
-        mat = (vectors * values) @ vectors.conj().T
-        mat = hermitize(mat / np.trace(mat).real)
-    return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(mat))
+    return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(validate_densities(mat, tol)))
 
 
 def pure_state_density(vector, dim_a: int, dim_b: int, tol: float = 1e-6) -> DensityOperator:
@@ -121,7 +147,7 @@ def _resolve_dims(state, dims) -> tuple[np.ndarray, int, int]:
         raise ValueError("dims=(dim_a, dim_b) is required for a bare matrix")
     mat = np.asarray(state, dtype=complex)
     dim_a, dim_b = dims
-    if mat.shape != (dim_a * dim_b, dim_a * dim_b):
+    if mat.shape[-2:] != (dim_a * dim_b, dim_a * dim_b):
         raise ValueError(f"dimension mismatch: matrix {mat.shape} vs dims ({dim_a}, {dim_b})")
     return mat, dim_a, dim_b
 
@@ -129,15 +155,15 @@ def _resolve_dims(state, dims) -> tuple[np.ndarray, int, int]:
 def partial_trace(state, keep: str, dims=None) -> np.ndarray:
     """Trace out one subsystem, keeping ``keep`` in {"A", "B"}.
 
-    ``state`` is a DensityOperator, or a bare square matrix together with
-    ``dims=(dim_a, dim_b)``.
+    ``state`` is a DensityOperator, or a bare square matrix, or a stack
+    (..., D, D) of them, together with ``dims=(dim_a, dim_b)``.
     """
     mat, dim_a, dim_b = _resolve_dims(state, dims)
-    tensor = mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    tensor = mat.reshape(mat.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("ijkj->ik", tensor)
+        return np.einsum("...ijkj->...ik", tensor)
     if keep == "B":
-        return np.einsum("ijil->jl", tensor)
+        return np.einsum("...ijil->...jl", tensor)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

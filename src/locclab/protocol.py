@@ -2,9 +2,41 @@
 
 A protocol is a sequence of local measurement rounds with the classical
 record shared after every round. Instruments are Kraus-operator valued so
-posterior ensembles are well defined. The transcript stores, per outcome
-history, the path probability and the conditional ensemble over the source
-hypotheses; every bound of the suite is evaluated from that tree.
+posterior ensembles are well defined. Every bound of the suite is
+evaluated from the protocol's outcome tree.
+
+Level-array layout
+------------------
+The transcript stores the tree level by level as stacked arrays
+(``TreeLevel``). Level k holds one node per surviving outcome history of
+k rounds, N_k nodes over M hypotheses on a D = dim_a * dim_b system:
+
+    prob    (N_k,)           path probabilities
+    q       (N_k, M)         posterior member weights
+    states  (N_k, M, D, D)   normalized posterior member states
+    parent  (N_k,)           index of the node's parent on level k - 1
+    paths   N_k tuples       outcome histories
+
+A level is expanded in one batched pass. The chooser is called once per
+node; the embedded Kraus operators are stacked as (N, K, D, D), nodes with
+fewer outcomes padded with zero operators, and all (node, outcome, member)
+products come from one matmul whose (N, K, M, D, D) buffer lives only
+while its level is expanded. The checks of the one-node update
+(``measure_branch`` is its N = 1 case) are kept: member weights come from
+the trace, posteriors follow Bayes' rule, a hypothesis whose outcome weight
+is at most _MEMBER_EPS keeps its prior state, outcomes below PRUNE_TOL are
+pruned and the survivors renormalized, a node that loses every outcome is
+an error, and every posterior passes ``validate_densities`` (one
+``eigvalsh`` per level; rounding-level negative eigenvalues are clipped,
+larger ones rejected).
+
+``LevelStats`` holds what the bounds and the audit read of a level:
+H(X | Y_1..Y_k), and per side the mean member-marginal entropy, the mean
+average-marginal entropy and the average marginals. ``run_protocol``
+computes it once per level with one stacked ``eigvalsh`` per (level,
+side) and entropy family; ``chain_mutual_information``, ``bound_suite``
+and ``audit_rounds`` only read it. ``ProtocolNode`` is a view of one node,
+built on demand for callers that walk the tree.
 """
 
 from __future__ import annotations
@@ -17,12 +49,11 @@ import numpy as np
 from .entropy import (
     BipartiteEnsemble,
     MEASURE_AUTO,
-    entanglement,
-    holevo_chi,
-    shannon_entropy,
-    von_neumann_entropy,
+    entanglements,
+    shannon_entropies,
+    von_neumann_entropies,
 )
-from .linalg import DEFAULT_TOL, DensityOperator, hermitize, partial_trace, validate_density
+from .linalg import DEFAULT_TOL, DensityOperator, hermitize, partial_trace, validate_densities
 
 PRUNE_TOL = 1e-12
 # Member-conditional outcome weights below this leave the posterior state
@@ -105,34 +136,208 @@ class KrausInstrument:
         return cls(party=party, outcomes=tuple(ops))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class TreeLevel:
+    """One level of the outcome tree as stacked, read-only arrays.
+
+    Node n is one surviving outcome history; member m is the m-th source
+    hypothesis of the root ensemble.
+    """
+
+    prob: np.ndarray  # (N,) path probabilities
+    q: np.ndarray  # (N, M) posterior member weights
+    states: np.ndarray  # (N, M, D, D) normalized posterior member states
+    parent: np.ndarray  # (N,) parent index on the level above; -1 at the root
+    paths: tuple[tuple[str, ...], ...]  # outcome history of each node
+
+    def __post_init__(self):
+        for array in (self.prob, self.q, self.states, self.parent):
+            array.setflags(write=False)
+
+    def ensemble(self, index: int, dim_a: int, dim_b: int) -> BipartiteEnsemble:
+        """Posterior ensemble of node ``index``."""
+        return BipartiteEnsemble(
+            tuple(
+                (p, DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=state))
+                for p, state in zip(self.q[index].tolist(), self.states[index])
+            )
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class LevelStats:
+    """The entropies and average states of one level that the bounds read.
+
+    Every entropy is a mean over the level's nodes weighted by path
+    probability; nodes of probability zero and members of weight zero do
+    not count.
+    """
+
+    conditional_entropy: float  # H(X | Y_1..Y_k)
+    member_entropy: dict[str, float]  # side -> mean of sum_x q_x S(rho_x^side)
+    average_entropy: dict[str, float]  # side -> mean of S(sum_x q_x rho_x^side)
+    averages: np.ndarray  # (N, D, D) average state of each node
+    average_marginals: dict[str, np.ndarray]  # side -> (N, d, d) its marginals
+
+    def chi(self, side: str) -> float:
+        """Mean Holevo quantity of the nodes' marginal ensembles on ``side``."""
+        return self.average_entropy[side] - self.member_entropy[side]
+
+
+def _root_level(ensemble: BipartiteEnsemble) -> TreeLevel:
+    return TreeLevel(
+        prob=np.ones(1),
+        q=ensemble.probabilities()[None],
+        states=np.stack([state.matrix for _, state in ensemble.members])[None],
+        parent=np.array([-1]),
+        paths=((),),
+    )
+
+
+def _expand(
+    level: TreeLevel,
+    instruments: list[KrausInstrument],
+    dims: tuple[int, int],
+    prune_tol: float,
+) -> TreeLevel:
+    """Children of every node of a level; ``instruments[n]`` measures node n.
+
+    All instruments act on the same party.
+    """
+    dim_a, dim_b = dims
+    party = instruments[0].party
+    local_dim = dim_a if party == "A" else dim_b
+    width = max(len(instrument.outcomes) for instrument in instruments)
+    ops = np.zeros((len(instruments), width, local_dim, local_dim), dtype=complex)
+    for n, instrument in enumerate(instruments):
+        if instrument.dim != local_dim:
+            raise ValueError(
+                f"dimension mismatch: instrument on {instrument.party} has size {instrument.dim}, "
+                f"party dimension is {local_dim}"
+            )
+        for k, (_, op) in enumerate(instrument.outcomes):
+            ops[n, k] = op
+    # K (x) I for party A, I (x) K for party B; padded outcomes stay zero.
+    if party == "A":
+        embedded = np.einsum("nkij,ab->nkiajb", ops, np.eye(dim_b))
+    else:
+        embedded = np.einsum("ab,nkij->nkaibj", np.eye(dim_a), ops)
+    dim = dim_a * dim_b
+    embedded = embedded.reshape(len(instruments), width, 1, dim, dim)
+
+    # (N, K, M, D, D): every member of every node under every outcome.
+    raw = embedded @ level.states[:, None] @ embedded.swapaxes(-1, -2).conj()
+    weight = np.trace(raw, axis1=-2, axis2=-1).real
+    defined = weight > _MEMBER_EPS
+    raw[defined] = validate_densities(hermitize(raw[defined] / weight[defined][:, None, None]))
+    raw[~defined] = np.broadcast_to(level.states[:, None], raw.shape)[~defined]
+
+    joint = level.q[:, None, :] * np.maximum(weight, 0.0)
+    p_outcome = joint.sum(axis=-1)
+    kept = p_outcome >= prune_tol
+    if not kept.any(axis=1).all():
+        raise ValueError("all outcomes pruned: instrument annihilates the ensemble")
+    total = np.where(kept, p_outcome, 0.0).sum(axis=1)
+    node, outcome = np.nonzero(kept)
+    p_kept = p_outcome[node, outcome]
+    posterior = np.clip(joint[node, outcome] / p_kept[:, None], 0.0, None)
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    return TreeLevel(
+        prob=level.prob[node] * (p_kept / total[node]),
+        q=posterior,
+        states=raw[node, outcome],
+        parent=node,
+        paths=tuple(
+            level.paths[n] + (instruments[n].outcomes[k][0],)
+            for n, k in zip(node.tolist(), outcome.tolist())
+        ),
+    )
+
+
+def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
+    live = level.prob > 0.0
+    prob = level.prob[live]
+    weights = np.where(level.q > 0.0, level.q, 0.0)
+    counted = live[:, None] & (level.q > 0.0)
+    averages = hermitize(np.einsum("nm,nmij->nij", weights, level.states))
+    member_entropy, average_entropy, average_marginals = {}, {}, {}
+    for side in PARTIES:
+        member = np.zeros(level.q.shape)
+        member[counted] = von_neumann_entropies(partial_trace(level.states[counted], side, dims))
+        member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
+        average_marginals[side] = partial_trace(averages, side, dims)
+        average_entropy[side] = float(prob @ von_neumann_entropies(average_marginals[side][live]))
+    return LevelStats(
+        conditional_entropy=float(prob @ shannon_entropies(level.q[live])),
+        member_entropy=member_entropy,
+        average_entropy=average_entropy,
+        averages=averages,
+        average_marginals=average_marginals,
+    )
+
+
+@dataclass(frozen=True, repr=False)
 class ProtocolNode:
-    """One outcome history: its path probability and conditional ensemble."""
+    """One outcome history of a transcript, as a view built on demand."""
 
-    path: tuple[str, ...]
-    probability: float
-    party: str | None  # party whose measurement produced this node; None at root
-    ensemble: BipartiteEnsemble
-    children: tuple["ProtocolNode", ...]
+    transcript: "ProtocolTranscript"
+    level: int
+    index: int
 
-
-@dataclass(frozen=True)
-class ProtocolTranscript:
-    """Full outcome tree of a protocol, depth = number of rounds."""
-
-    root: ProtocolNode
-    depth: int
-    round_parties: tuple[str, ...]
+    def __repr__(self) -> str:
+        return f"ProtocolNode(path={self.path!r}, probability={self.probability!r})"
 
     @property
-    def root_ensemble(self) -> BipartiteEnsemble:
-        return self.root.ensemble
+    def path(self) -> tuple[str, ...]:
+        return self.transcript.levels[self.level].paths[self.index]
+
+    @property
+    def probability(self) -> float:
+        return float(self.transcript.levels[self.level].prob[self.index])
+
+    @property
+    def party(self) -> str | None:
+        """Party whose measurement produced this node; None at the root."""
+        return self.transcript.round_parties[self.level - 1] if self.level else None
+
+    @property
+    def ensemble(self) -> BipartiteEnsemble:
+        root = self.transcript.root_ensemble
+        if self.level == 0:
+            return root
+        return self.transcript.levels[self.level].ensemble(self.index, root.dim_a, root.dim_b)
+
+    @property
+    def children(self) -> tuple["ProtocolNode", ...]:
+        if self.level == self.transcript.depth:
+            return ()
+        below = self.transcript.levels[self.level + 1]
+        return tuple(
+            ProtocolNode(self.transcript, self.level + 1, int(i))
+            for i in np.flatnonzero(below.parent == self.index)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ProtocolTranscript:
+    """Full outcome tree of a protocol, one ``TreeLevel`` and one
+    ``LevelStats`` per level; depth = number of rounds."""
+
+    levels: tuple[TreeLevel, ...]
+    stats: tuple[LevelStats, ...]
+    round_parties: tuple[str, ...]
+    root_ensemble: BipartiteEnsemble
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
+
+    @property
+    def root(self) -> ProtocolNode:
+        return ProtocolNode(self, 0, 0)
 
     def nodes_at(self, depth: int) -> list[ProtocolNode]:
-        level = [self.root]
-        for _ in range(depth):
-            level = [child for node in level for child in node.children]
-        return level
+        return [ProtocolNode(self, depth, i) for i in range(len(self.levels[depth].prob))]
 
     def leaves(self) -> list[ProtocolNode]:
         return self.nodes_at(self.depth)
@@ -148,45 +353,15 @@ def measure_branch(
     Returns (label, outcome probability, posterior ensemble) per outcome.
     Kraus operators are embedded as K (x) I for party A and I (x) K for
     party B. Outcomes below ``prune_tol`` are pruned and the survivors
-    renormalized; posterior member weights follow Bayes' rule.
+    renormalized; posterior member weights follow Bayes' rule. This is the
+    one-node case of the level expansion in ``run_protocol``.
     """
-    dim_a, dim_b = ensemble.dim_a, ensemble.dim_b
-    local_dim = dim_a if instrument.party == "A" else dim_b
-    if instrument.dim != local_dim:
-        raise ValueError(
-            f"dimension mismatch: instrument on {instrument.party} has size {instrument.dim}, "
-            f"party dimension is {local_dim}"
-        )
-
-    branches = []
-    for label, op in instrument.outcomes:
-        if instrument.party == "A":
-            embedded = np.kron(op, np.eye(dim_b))
-        else:
-            embedded = np.kron(np.eye(dim_a), op)
-        updated = []
-        weights = []
-        for prior_p, state in ensemble.members:
-            raw = embedded @ state.matrix @ embedded.conj().T
-            weight = float(np.trace(raw).real)
-            weights.append(max(weight, 0.0))
-            if weight > _MEMBER_EPS:
-                updated.append(validate_density(hermitize(raw / weight), dim_a, dim_b))
-            else:
-                updated.append(state)
-        joint = np.array([p for p, _ in ensemble.members]) * np.array(weights)
-        p_outcome = float(joint.sum())
-        if p_outcome < prune_tol:
-            continue
-        posterior_probs = np.clip(joint / p_outcome, 0.0, None)
-        posterior_probs /= posterior_probs.sum()
-        posterior = BipartiteEnsemble(tuple(zip(posterior_probs.tolist(), updated)))
-        branches.append((label, p_outcome, posterior))
-
-    if not branches:
-        raise ValueError("all outcomes pruned: instrument annihilates the ensemble")
-    total = sum(p for _, p, _ in branches)
-    return [(label, p / total, post) for label, p, post in branches]
+    dims = (ensemble.dim_a, ensemble.dim_b)
+    children = _expand(_root_level(ensemble), [instrument], dims, prune_tol)
+    return [
+        (path[-1], float(p), children.ensemble(i, *dims))
+        for i, (path, p) in enumerate(zip(children.paths, children.prob))
+    ]
 
 
 def run_protocol(
@@ -194,7 +369,7 @@ def run_protocol(
     chooser: Mapping[tuple[str, ...], KrausInstrument] | Callable[[tuple[str, ...]], KrausInstrument],
     depth: int,
 ) -> ProtocolTranscript:
-    """Build the outcome tree of an adaptive protocol.
+    """Build the outcome tree of an adaptive protocol, one level at a time.
 
     ``chooser`` maps each outcome history (tuple of labels, one per earlier
     round) to the instrument for the next round; a callable models classical
@@ -205,53 +380,31 @@ def run_protocol(
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    if callable(chooser):
-        lookup = chooser
-    else:
-        mapping = chooser
-
-        def lookup(history: tuple[str, ...]) -> KrausInstrument:
-            return mapping[history]
-
-    round_parties: list[str | None] = [None] * depth
-
-    def expand(
-        path: tuple[str, ...],
-        probability: float,
-        ens: BipartiteEnsemble,
-        produced_by: str | None,
-    ) -> ProtocolNode:
-        level = len(path)
-        if level == depth:
-            return ProtocolNode(path, probability, produced_by, ens, ())
-        try:
-            instrument = lookup(path)
-        except KeyError:
-            raise ValueError(f"chooser undefined for history {path!r}") from None
-        if round_parties[level] is None:
-            round_parties[level] = instrument.party
-        elif round_parties[level] != instrument.party:
-            raise ValueError(
-                f"round {level + 1}: party {instrument.party!r} conflicts with "
-                f"{round_parties[level]!r} chosen on another branch"
-            )
-        children = tuple(
-            expand(path + (label,), probability * p, posterior, instrument.party)
-            for label, p, posterior in measure_branch(ens, instrument)
-        )
-        return ProtocolNode(path, probability, produced_by, ens, children)
-
-    root = expand((), 1.0, ensemble, None)
-    return ProtocolTranscript(root=root, depth=depth, round_parties=tuple(round_parties))
-
-
-def _level_conditional_entropy(nodes: list[ProtocolNode]) -> float:
-    """H(X | outcome record) at one tree level."""
-    total = 0.0
-    for node in nodes:
-        if node.probability > 0.0:
-            total += node.probability * shannon_entropy(node.ensemble.probabilities())
-    return total
+    lookup = chooser if callable(chooser) else chooser.__getitem__
+    dims = (ensemble.dim_a, ensemble.dim_b)
+    levels = [_root_level(ensemble)]
+    round_parties: list[str] = []
+    for round_index in range(1, depth + 1):
+        instruments = []
+        for path in levels[-1].paths:
+            try:
+                instrument = lookup(path)
+            except KeyError:
+                raise ValueError(f"chooser undefined for history {path!r}") from None
+            if instruments and instrument.party != instruments[0].party:
+                raise ValueError(
+                    f"round {round_index}: party {instrument.party!r} conflicts with "
+                    f"{instruments[0].party!r} chosen on another branch"
+                )
+            instruments.append(instrument)
+        round_parties.append(instruments[0].party)
+        levels.append(_expand(levels[-1], instruments, dims, PRUNE_TOL))
+    return ProtocolTranscript(
+        levels=tuple(levels),
+        stats=tuple(_level_stats(level, dims) for level in levels),
+        round_parties=tuple(round_parties),
+        root_ensemble=ensemble,
+    )
 
 
 def chain_mutual_information(transcript: ProtocolTranscript) -> tuple[list[float], float]:
@@ -260,34 +413,26 @@ def chain_mutual_information(transcript: ProtocolTranscript) -> tuple[list[float
     Round k contributes I(X; Y_k | Y_1..Y_{k-1}) = H(X|Y_{<k}) - H(X|Y_{<=k});
     the terms telescope to the total I(X; Y_1..Y_n).
     """
-    level_entropy = [
-        _level_conditional_entropy(transcript.nodes_at(k)) for k in range(transcript.depth + 1)
-    ]
+    level_entropy = [stats.conditional_entropy for stats in transcript.stats]
     per_round = [level_entropy[k - 1] - level_entropy[k] for k in range(1, transcript.depth + 1)]
     return per_round, level_entropy[0] - level_entropy[-1]
 
 
-def _leaf_average_state(node: ProtocolNode) -> DensityOperator:
-    ens = node.ensemble
-    return validate_density(ens.average_matrix(), ens.dim_a, ens.dim_b)
-
-
 def average_output_entanglement(transcript: ProtocolTranscript, selector: str = MEASURE_AUTO) -> float:
     """Mean entanglement of the leaf-average states, weighted by path probability."""
-    total = 0.0
-    for leaf in transcript.leaves():
-        if leaf.probability > 0.0:
-            total += leaf.probability * entanglement(_leaf_average_state(leaf), selector)
-    return total
+    leaves = transcript.levels[-1]
+    live = leaves.prob > 0.0
+    root = transcript.root_ensemble
+    states = validate_densities(transcript.stats[-1].averages[live])
+    return float(leaves.prob[live] @ entanglements(states, root.dim_a, root.dim_b, selector))
 
 
 def average_input_entanglement(ensemble: BipartiteEnsemble, selector: str = MEASURE_AUTO) -> float:
     """Probability-weighted entanglement of the initial hypothesis states."""
-    total = 0.0
-    for p, state in ensemble.members:
-        if p > 0.0:
-            total += p * entanglement(state, selector)
-    return total
+    probs = ensemble.probabilities()
+    live = probs > 0.0
+    states = np.stack([state.matrix for _, state in ensemble.members])[live]
+    return float(probs[live] @ entanglements(states, ensemble.dim_a, ensemble.dim_b, selector))
 
 
 @dataclass(frozen=True)
@@ -325,32 +470,6 @@ class BoundReport:
         }
 
 
-def _mean_member_marginal_entropy(nodes: list[ProtocolNode], side: str) -> float:
-    """Average over the level of sum_x p_x S(rho_x^side)."""
-    total = 0.0
-    for node in nodes:
-        if node.probability <= 0.0:
-            continue
-        inner = 0.0
-        for p, state in node.ensemble.members:
-            if p > 0.0:
-                inner += p * von_neumann_entropy(state.marginal(side))
-        total += node.probability * inner
-    return total
-
-
-def _mean_average_marginal_entropy(nodes: list[ProtocolNode], side: str) -> float:
-    """Average over the level of S(sum_x p_x rho_x^side)."""
-    total = 0.0
-    for node in nodes:
-        if node.probability <= 0.0:
-            continue
-        dims = (node.ensemble.dim_a, node.ensemble.dim_b)
-        reduced = partial_trace(node.ensemble.average_matrix(), side, dims)
-        total += node.probability * von_neumann_entropy(reduced)
-    return total
-
-
 def bound_suite(
     transcript: ProtocolTranscript,
     selector_in: str = MEASURE_AUTO,
@@ -371,33 +490,26 @@ def bound_suite(
                       exceed the ensemble's fixed budget.
     """
     root = transcript.root_ensemble
-    dims = (root.dim_a, root.dim_b)
-    average = root.average_matrix()
-    entropy_a = von_neumann_entropy(partial_trace(average, "A", dims))
-    entropy_b = von_neumann_entropy(partial_trace(average, "B", dims))
-
-    root_level = [transcript.root]
-    mean_member_a = _mean_member_marginal_entropy(root_level, "A")
-    mean_member_b = _mean_member_marginal_entropy(root_level, "B")
-    mean_member = {"A": mean_member_a, "B": mean_member_b}
+    top = transcript.stats[0]
+    entropy_a = top.average_entropy["A"]
+    entropy_b = top.average_entropy["B"]
+    mean_member = top.member_entropy
 
     per_round, total_info = chain_mutual_information(transcript)
     e_out = average_output_entanglement(transcript, selector_out)
     e_in = average_input_entanglement(root, selector_in)
     n_qubits = float(np.log2(root.dim_a * root.dim_b))
 
-    local_holevo = entropy_a + entropy_b - max(mean_member_a, mean_member_b)
+    local_holevo = entropy_a + entropy_b - max(mean_member["A"], mean_member["B"])
 
     last_step = None
     next_to_last = None
     if transcript.depth >= 1:
         last_party = transcript.round_parties[-1]
         distant = _other(last_party)
-        leaf_term = _mean_average_marginal_entropy(transcript.leaves(), last_party)
+        leaf_term = transcript.stats[-1].average_entropy[last_party]
         last_step = entropy_a + entropy_b - mean_member[distant] - leaf_term
-        prev_term = _mean_average_marginal_entropy(
-            transcript.nodes_at(transcript.depth - 1), distant
-        )
+        prev_term = transcript.stats[-2].average_entropy[distant]
         next_to_last = entropy_a + entropy_b - mean_member[last_party] - prev_term
 
     return BoundReport(
@@ -438,12 +550,17 @@ class RoundAudit:
     entropy_drop_slack: float
 
 
-def _level_marginal_chi(nodes: list[ProtocolNode], side: str) -> float:
-    total = 0.0
-    for node in nodes:
-        if node.probability > 0.0:
-            total += node.probability * holevo_chi(node.ensemble.marginal_members(side))
-    return total
+def _marginal_deviation(parents: TreeLevel, children: TreeLevel, before: np.ndarray, after: np.ndarray) -> float:
+    """Largest entry change of one side's conditional average state over a round.
+
+    ``before`` holds the parents' marginals, ``after`` the children's; the
+    children of each parent are averaged with their conditional weights.
+    """
+    weights = children.prob / parents.prob[children.parent]
+    averaged = np.zeros_like(before)
+    np.add.at(averaged, children.parent, weights[:, None, None] * after)
+    live = parents.prob > 0.0
+    return float(np.abs(before - averaged)[live].max(initial=0.0))
 
 
 def audit_rounds(transcript: ProtocolTranscript) -> list[RoundAudit]:
@@ -453,32 +570,18 @@ def audit_rounds(transcript: ProtocolTranscript) -> list[RoundAudit]:
     for k in range(1, transcript.depth + 1):
         party = transcript.round_parties[k - 1]
         distant = _other(party)
-        parents = transcript.nodes_at(k - 1)
-        children = transcript.nodes_at(k)
-
-        chi_before = _level_marginal_chi(parents, party)
-        chi_after = _level_marginal_chi(children, party)
+        before, after = transcript.stats[k - 1], transcript.stats[k]
+        chi_before = before.chi(party)
+        chi_after = after.chi(party)
         info = per_round[k - 1]
-
-        deviation = 0.0
-        for parent in parents:
-            if parent.probability <= 0.0:
-                continue
-            dims = (parent.ensemble.dim_a, parent.ensemble.dim_b)
-            before = partial_trace(parent.ensemble.average_matrix(), distant, dims)
-            after = np.zeros_like(before)
-            for child in parent.children:
-                weight = child.probability / parent.probability
-                after += weight * partial_trace(child.ensemble.average_matrix(), distant, dims)
-            deviation = max(deviation, float(np.abs(before - after).max()))
-
-        local_drop = _mean_member_marginal_entropy(parents, party) - _mean_member_marginal_entropy(
-            children, party
+        deviation = _marginal_deviation(
+            transcript.levels[k - 1],
+            transcript.levels[k],
+            before.average_marginals[distant],
+            after.average_marginals[distant],
         )
-        distant_drop = _mean_member_marginal_entropy(parents, distant) - _mean_member_marginal_entropy(
-            children, distant
-        )
-
+        local_drop = before.member_entropy[party] - after.member_entropy[party]
+        distant_drop = before.member_entropy[distant] - after.member_entropy[distant]
         audits.append(
             RoundAudit(
                 round_index=k,

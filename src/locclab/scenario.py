@@ -30,6 +30,7 @@ from .protocol import KrausInstrument
 SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
 INSTRUMENT_FAMILIES = ("projective-random-basis",)
+_INF = float("inf")
 
 
 class ScenarioError(ValueError):
@@ -55,7 +56,11 @@ def _as_list(value, path: str) -> list:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    number = float(value)
+    # Chained comparison: false for NaN as well as for +-inf.
+    if not -_INF < number < _INF:
+        _fail(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -141,9 +146,8 @@ class RandomSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario plus its canonical JSON-able payload."""
+    """Parsed scenario; ``dump_scenario`` gives its canonical JSON form."""
 
-    payload: dict
     kind: str
     name: str
     dim_a: int
@@ -217,6 +221,32 @@ def _instrument_payload(instrument: KrausInstrument) -> dict:
     if projective:
         return {"labels": labels, "projective": [_vector_to_pairs(k) for k in kets]}
     return {"labels": labels, "kraus": [_matrix_to_pairs(op) for op in ops]}
+
+
+def _check_history_key(key: str, steps: list[ProtocolStep], path: str) -> None:
+    """Reject an override key that no outcome history can reach.
+
+    The key of step i lists i comma-separated labels, each an outcome of
+    the instrument that the labels before it select. Only the key's own
+    prefixes are walked, never the whole tree.
+    """
+    labels = key.split(",") if steps else []
+    if ",".join(labels) != key:
+        _fail(path, f"step 1 is reached only by the empty history, got key {key!r}")
+    if len(labels) != len(steps):
+        _fail(path, f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
+    for i, label in enumerate(labels):
+        prefix = tuple(labels[:i])
+        try:
+            outcomes = [name for name, _ in steps[i].for_history(prefix).outcomes]
+        except KeyError:
+            _fail(path, f"no instrument at step {i + 1} for history {','.join(prefix)!r}")
+        if label not in outcomes:
+            _fail(
+                path,
+                f"label {label!r} is not an outcome of step {i + 1} after history "
+                f"{','.join(prefix)!r} (outcomes {outcomes}); no history reaches {key!r}",
+            )
 
 
 def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble:
@@ -334,9 +364,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 )
             overrides = {}
             for key, value in _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides").items():
-                overrides[key] = _parse_instrument(
-                    value, party, (dim_a, dim_b), f"{step_path}.overrides[{key!r}]"
-                )
+                key_path = f"{step_path}.overrides[{key!r}]"
+                _check_history_key(key, steps, key_path)
+                overrides[key] = _parse_instrument(value, party, (dim_a, dim_b), key_path)
             if default is None and not overrides:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
             steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
@@ -363,8 +393,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             n_members=n_members, protocol_depth=depth, dims=(dim_a, dim_b), instrument_family=family
         )
 
-    scenario = Scenario(
-        payload={},
+    return Scenario(
         kind=kind,
         name=name,
         dim_a=dim_a,
@@ -377,8 +406,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         bell=bell,
         random=random_spec,
     )
-    object.__setattr__(scenario, "payload", _canonical_payload(scenario))
-    return scenario
 
 
 def _canonical_payload(s: Scenario) -> dict:
@@ -414,7 +441,7 @@ def _canonical_payload(s: Scenario) -> dict:
 
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical JSON text; byte-stable for identical in-memory values."""
-    return json.dumps(scenario.payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_canonical_payload(scenario), sort_keys=True, indent=2) + "\n"
 
 
 def load_scenario(path) -> Scenario:

@@ -78,3 +78,28 @@ def flat_mutual_information(transcript) -> float:
         px[x] = px.get(x, 0.0) + p
         py[y] = py.get(y, 0.0) + p
     return float(sum(p * np.log2(p / (px[x] * py[y])) for (x, y), p in joint.items()))
+
+
+def json_mismatches(actual, expected, tol: float, path: str = "$") -> list[str]:
+    """Differences between two JSON values; floats compare within ``tol``."""
+    if isinstance(expected, bool) or isinstance(actual, bool):
+        return [] if actual is expected else [f"{path}: {actual!r} != {expected!r}"]
+    if isinstance(expected, float) or isinstance(actual, float):
+        if not isinstance(actual, (int, float)) or not isinstance(expected, (int, float)):
+            return [f"{path}: {actual!r} != {expected!r}"]
+        if np.isfinite(expected) and np.isfinite(actual):
+            return [] if abs(actual - expected) <= tol else [f"{path}: {actual!r} differs from {expected!r}"]
+        return [] if actual == expected else [f"{path}: {actual!r} != {expected!r}"]
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        if actual.keys() != expected.keys():
+            return [f"{path}: keys {sorted(actual)} != {sorted(expected)}"]
+        return [m for k in expected for m in json_mismatches(actual[k], expected[k], tol, f"{path}.{k}")]
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(actual) != len(expected):
+            return [f"{path}: length {len(actual)} != {len(expected)}"]
+        return [
+            m
+            for i, (a, e) in enumerate(zip(actual, expected))
+            for m in json_mismatches(a, e, tol, f"{path}[{i}]")
+        ]
+    return [] if actual == expected else [f"{path}: {actual!r} != {expected!r}"]
