@@ -17,6 +17,7 @@ format only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -25,7 +26,7 @@ import numpy as np
 
 from .distillation import bell_diagonal, distillation_report, spectral_ensemble
 from .entropy import BipartiteEnsemble, entropy_summary
-from .linalg import DensityOperator, validate_density
+from .linalg import DensityOperator, pure_state_density, validate_density
 from .protocol import audit_rounds, bound_suite, chain_mutual_information, run_protocol
 from .scenario import Scenario, ScenarioError, load_scenario, materialize_random
 
@@ -63,8 +64,6 @@ def _scenario_ensemble(scenario: Scenario) -> BipartiteEnsemble:
     if scenario.ensemble is not None:
         return scenario.ensemble
     if scenario.bell is not None:
-        from .linalg import pure_state_density
-
         state = bell_diagonal(scenario.bell)
         members = tuple(
             (weight, pure_state_density(vector, scenario.dim_a, scenario.dim_b))
@@ -180,28 +179,12 @@ def _distill_trial(scenario: Scenario, tol: float, trial: int, seed) -> dict:
         )
     if scenario.bell is not None:
         checks.append(_check("partial_bound_positive", report.closed_form_partial, 0.0, ">="))
-    body = {
-        "entropy": report.entropy,
-        "entropy_a": report.entropy_a,
-        "entropy_b": report.entropy_b,
-        "mean_local_entropy": report.mean_local_entropy,
-        "full_distinguish_bound": report.full_distinguish_bound,
-        "full_distinguish_yield": report.full_distinguish_yield,
-        "partial_distinguish_bound": report.partial_distinguish_bound,
-        "max_keep_fraction": report.max_keep_fraction,
-        "degenerate_spectrum": report.degenerate_spectrum,
-        "ppt": report.ppt,
-        "min_pt_eigenvalue": report.min_pt_eigenvalue,
-        "closed_form_hashing": report.closed_form_hashing,
-        "closed_form_hashing_yield": report.closed_form_hashing_yield,
-        "closed_form_partial": report.closed_form_partial,
-    }
     return {
         "trial": trial,
         "scenario": scenario.name,
         "seed": seed,
         "dims": [scenario.dim_a, scenario.dim_b],
-        "report": body,
+        "report": dataclasses.asdict(report),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

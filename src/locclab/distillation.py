@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ZERO_EIGENVALUE, is_ppt, shannon_entropy, von_neumann_entropy
+from .entropy import (
+    ZERO_EIGENVALUE,
+    is_ppt,
+    shannon_entropy,
+    von_neumann_entropies,
+    von_neumann_entropy,
+)
 from .linalg import (
     DEGENERATE_GAP,
     DensityOperator,
@@ -102,22 +108,22 @@ class DistillationReport:
 
 
 def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
-    """Eigen-ensemble of a state, dropping zero-eigenvalue vectors."""
+    """Eigen-ensemble of a state, dropping zero-eigenvalue vectors.
+
+    Members are ordered by descending weight; equal weights keep the
+    ascending order of ``hermitian_eig``.
+    """
     spectrum = hermitian_eig(rho.matrix)
-    kept = [
-        (float(w), spectrum.eigenvectors[:, i])
-        for i, w in enumerate(spectrum.eigenvalues)
-        if w > ZERO_EIGENVALUE
-    ]
-    kept.sort(key=lambda item: -item[0])
-    weights = [w for w, _ in kept]
-    degenerate = any(
-        abs(weights[i] - weights[i + 1]) < DEGENERATE_GAP for i in range(len(weights) - 1)
-    )
+    kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)
+    kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
+    weights = spectrum.eigenvalues[kept]
+    vectors = spectrum.eigenvectors[:, kept]
+    vectors.setflags(write=False)
+    degenerate = bool((np.abs(np.diff(weights)) < DEGENERATE_GAP).any())
     return SpectralEnsemble(
         dim_a=rho.dim_a,
         dim_b=rho.dim_b,
-        members=tuple(kept),
+        members=tuple((float(w), vectors[:, i]) for i, w in enumerate(weights)),
         degenerate=degenerate,
     )
 
@@ -125,18 +131,52 @@ def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
 def mean_local_entropy(se: SpectralEnsemble) -> float:
     """Weighted mean local entropy of the spectral members.
 
-    For pure members the two sides agree; both are computed and checked
-    against each other before the A-side value is returned.
+    The members are stacked as (M, d_A, d_B) blocks, and one
+    ``von_neumann_entropies`` call per side covers all of them. For pure
+    members the two sides agree; both are computed and checked against
+    each other before the A-side value is returned.
     """
-    total_a = 0.0
-    total_b = 0.0
-    for weight, vector in se.members:
-        block = vector.reshape(se.dim_a, se.dim_b)
-        total_a += weight * von_neumann_entropy(block @ block.conj().T)
-        total_b += weight * von_neumann_entropy(block.conj().T @ block)
+    weights = np.array([w for w, _ in se.members])
+    blocks = np.stack([v for _, v in se.members]).reshape(-1, se.dim_a, se.dim_b)
+    adjoints = blocks.conj().swapaxes(-1, -2)
+    total_a = float(weights @ von_neumann_entropies(blocks @ adjoints))
+    total_b = float(weights @ von_neumann_entropies(adjoints @ blocks))
     if abs(total_a - total_b) > 1e-9:
         raise AssertionError(f"side entropies disagree: {total_a!r} vs {total_b!r}")
     return total_a
+
+
+@dataclass(frozen=True)
+class _Entropies:
+    """The entropies both distinguishing bounds are built from."""
+
+    spectral: SpectralEnsemble
+    entropy: float
+    entropy_a: float
+    entropy_b: float
+    mean_local: float
+
+    @classmethod
+    def of(cls, rho: DensityOperator) -> "_Entropies":
+        """One spectral pass: the ensemble, S, S_A, S_B and the mean local entropy once each."""
+        spectral = spectral_ensemble(rho)
+        return cls(
+            spectral=spectral,
+            entropy=von_neumann_entropy(rho),
+            entropy_a=von_neumann_entropy(rho.marginal("A")),
+            entropy_b=von_neumann_entropy(rho.marginal("B")),
+            mean_local=mean_local_entropy(spectral),
+        )
+
+    def full_bound(self) -> float:
+        return self.entropy_a + self.entropy_b - self.entropy - self.mean_local
+
+    def partial_bound(self) -> tuple[float, float]:
+        denominator = self.entropy + self.mean_local
+        if denominator < _VACUOUS_EPS:
+            return math.inf, math.inf
+        r_max = (self.entropy_a + self.entropy_b - self.mean_local) / denominator
+        return r_max * self.mean_local, r_max
 
 
 def full_distinguish_bound(rho: DensityOperator) -> float:
@@ -147,10 +187,7 @@ def full_distinguish_bound(rho: DensityOperator) -> float:
     H(weights) > log2 d, entangled states included: a negative value does
     not mean the state is separable.
     """
-    entropy = von_neumann_entropy(rho)
-    entropy_a = von_neumann_entropy(rho.marginal("A"))
-    entropy_b = von_neumann_entropy(rho.marginal("B"))
-    return entropy_a + entropy_b - entropy - mean_local_entropy(spectral_ensemble(rho))
+    return _Entropies.of(rho).full_bound()
 
 
 def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
@@ -162,23 +199,25 @@ def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
     yield is bounded by r times the mean local entropy. A pure product
     input makes the constraint vacuous: both values are +inf.
     """
-    entropy = von_neumann_entropy(rho)
-    entropy_a = von_neumann_entropy(rho.marginal("A"))
-    entropy_b = von_neumann_entropy(rho.marginal("B"))
-    mean_local = mean_local_entropy(spectral_ensemble(rho))
-    denominator = entropy + mean_local
-    if denominator < _VACUOUS_EPS:
-        return math.inf, math.inf
-    r_max = (entropy_a + entropy_b - mean_local) / denominator
-    return r_max * mean_local, r_max
+    return _Entropies.of(rho).partial_bound()
 
 
-def _shift_clock(d: int) -> tuple[np.ndarray, np.ndarray]:
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    return shift, clock
+def _bell_matrix(d: int) -> np.ndarray:
+    """The d^2 generalized Bell vectors as the columns of one d^2 x d^2 matrix.
+
+    Column a*d + b is (I (x) Z^a X^b)|Phi_d>: it holds omega^(a*m)/sqrt(d),
+    omega = exp(2 pi i/d), at row j*d + m with m = (j + b) mod d, and zero
+    elsewhere.
+    """
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    j = np.arange(d)[:, None, None]
+    a = np.arange(d)[None, :, None]
+    b = np.arange(d)[None, None, :]
+    m = (j + b) % d
+    basis = np.zeros((d, d, d, d), dtype=complex)
+    basis[j, m, a, b] = np.exp(2j * np.pi * a * m / d) / np.sqrt(d)
+    return basis.reshape(d * d, d * d)
 
 
 def bell_basis(d: int) -> list[np.ndarray]:
@@ -186,26 +225,19 @@ def bell_basis(d: int) -> list[np.ndarray]:
 
     For d = 2 the order is Phi+, Psi+, Phi-, Psi- (up to global phase).
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
-    shift, clock = _shift_clock(d)
-    phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    basis = []
-    for a in range(d):
-        for b in range(d):
-            op = np.kron(np.eye(d), np.linalg.matrix_power(clock, a) @ np.linalg.matrix_power(shift, b))
-            basis.append(op @ phi)
-    return basis
+    return list(_bell_matrix(d).T)
 
 
 def bell_diagonal(spec: BellDiagonalSpec) -> DensityOperator:
-    """Mixture of the generalized Bell states with the given weights."""
-    dim = spec.d * spec.d
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for weight, ket in zip(spec.probs, bell_basis(spec.d)):
-        if weight > 0.0:
-            matrix += weight * np.outer(ket, ket.conj())
-    return validate_density(matrix, spec.d, spec.d)
+    """Mixture of the generalized Bell states with the given weights.
+
+    Built in closed form as (B * p) @ B^dagger, where B holds the Bell
+    vectors as columns and p the weights with rounding-level negatives
+    taken as zero, then checked by ``validate_density``.
+    """
+    basis = _bell_matrix(spec.d)
+    weights = np.maximum(np.array(spec.probs), 0.0)
+    return validate_density((basis * weights) @ basis.conj().T, spec.d, spec.d)
 
 
 def bell_hashing_bound(spec: BellDiagonalSpec) -> tuple[float, float]:
@@ -236,13 +268,9 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     When ``spec`` is given the state is understood as Bell diagonal and the
     closed forms are attached alongside the generic values.
     """
-    se = spectral_ensemble(rho)
-    entropy = von_neumann_entropy(rho)
-    entropy_a = von_neumann_entropy(rho.marginal("A"))
-    entropy_b = von_neumann_entropy(rho.marginal("B"))
-    mean_local = mean_local_entropy(se)
-    full_raw = entropy_a + entropy_b - entropy - mean_local
-    partial, r_max = partial_distinguish_bound(rho)
+    parts = _Entropies.of(rho)
+    full_raw = parts.full_bound()
+    partial, r_max = parts.partial_bound()
     ppt_flag, min_pt = is_ppt(rho)
 
     closed_hashing = closed_hashing_yield = closed_partial = None
@@ -251,15 +279,15 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
         closed_partial = bell_partial_bound(spec)
 
     return DistillationReport(
-        entropy=entropy,
-        entropy_a=entropy_a,
-        entropy_b=entropy_b,
-        mean_local_entropy=mean_local,
+        entropy=parts.entropy,
+        entropy_a=parts.entropy_a,
+        entropy_b=parts.entropy_b,
+        mean_local_entropy=parts.mean_local,
         full_distinguish_bound=full_raw,
         full_distinguish_yield=max(0.0, full_raw),
         partial_distinguish_bound=partial,
         max_keep_fraction=r_max,
-        degenerate_spectrum=se.degenerate,
+        degenerate_spectrum=parts.spectral.degenerate,
         ppt=ppt_flag,
         min_pt_eigenvalue=min_pt,
         closed_form_hashing=closed_hashing,

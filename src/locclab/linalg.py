@@ -180,35 +180,47 @@ def partial_transpose(state, party: str, dims=None) -> np.ndarray:
     return swapped.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
-def _fix_phase(vector: np.ndarray) -> np.ndarray:
-    for component in vector:
-        if abs(component) > _PHASE_EPS:
-            return vector * (component.conjugate() / abs(component))
-    return vector
+def _fix_phase(vectors: np.ndarray) -> np.ndarray:
+    """Scale each column so that its first component above _PHASE_EPS in
+    modulus is real positive; a column without one is left as it is."""
+    magnitudes = np.abs(vectors)
+    first = (magnitudes > _PHASE_EPS).argmax(axis=0)
+    columns = np.arange(vectors.shape[1])
+    component = vectors[first, columns]
+    size = magnitudes[first, columns]
+    found = size > _PHASE_EPS
+    phase = np.ones(len(columns), dtype=complex)
+    phase[found] = component[found].conj() / size[found]
+    return vectors * phase
 
 
 def _cluster_basis(vectors: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of a degenerate eigenspace.
 
     Built from the subspace projector alone (independent of the solver's
-    arbitrary in-cluster choice): project standard basis vectors in index
-    order, Gram-Schmidt, keep those with significant residual norm.
+    arbitrary in-cluster choice): the projector's columns are taken in
+    index order, each is orthogonalised against every vector accepted so
+    far (classical Gram-Schmidt as one matmul, applied twice), kept if its
+    residual norm exceeds _GS_KEEP, and the walk stops once the basis has
+    the cluster's rank.
     """
     dim, rank = vectors.shape
     projector = vectors @ vectors.conj().T
-    basis: list[np.ndarray] = []
+    rows = np.empty((rank, dim), dtype=complex)  # accepted vectors, one per row
+    accepted = 0
     for j in range(dim):
-        candidate = projector[:, j].copy()
-        for accepted in basis:
-            candidate -= accepted * (accepted.conj() @ candidate)
+        candidate = projector[:, j]
+        for _ in range(2):
+            done = rows[:accepted]
+            # The coefficients conj(done) @ c, conjugating vectors only.
+            candidate = candidate - (done @ candidate.conj()).conj() @ done
         norm = float(np.linalg.norm(candidate))
         if norm > _GS_KEEP:
-            basis.append(candidate / norm)
-            if len(basis) == rank:
-                break
-    if len(basis) != rank:
-        raise RuntimeError(f"degenerate cluster basis incomplete: {len(basis)}/{rank}")
-    return np.column_stack(basis)
+            rows[accepted] = candidate / norm
+            accepted += 1
+            if accepted == rank:
+                return rows.T
+    raise RuntimeError(f"degenerate cluster basis incomplete: {accepted}/{rank}")
 
 
 def hermitian_eig(matrix, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
@@ -216,9 +228,11 @@ def hermitian_eig(matrix, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
 
     Eigenvalues are ascending. Within a degenerate cluster (consecutive gap
     below DEGENERATE_GAP) the eigenbasis is rebuilt from the cluster
-    projector so the result does not depend on solver internals; every
-    vector's global phase makes its first significant component real
-    positive.
+    projector by ``_cluster_basis`` so the result does not depend on solver
+    internals; then every vector's global phase makes its first significant
+    component real positive. One ``eigh`` call covers the matrix; the
+    clusters are found from the eigenvalue gaps in one pass and the phases
+    are fixed for all columns at once.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -228,22 +242,17 @@ def hermitian_eig(matrix, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
         raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     values, vectors = np.linalg.eigh(hermitize(mat))
 
-    columns = []
+    # A cluster ends where the gap to the next eigenvalue is not below
+    # DEGENERATE_GAP.
+    ends = [*(np.flatnonzero(~(np.diff(values) < DEGENERATE_GAP)) + 1).tolist(), len(values)]
     start = 0
-    while start < len(values):
-        stop = start + 1
-        while stop < len(values) and values[stop] - values[stop - 1] < DEGENERATE_GAP:
-            stop += 1
+    for stop in ends:
         if stop - start > 1:
-            block = _cluster_basis(vectors[:, start:stop])
-        else:
-            block = vectors[:, start:stop]
-        for i in range(block.shape[1]):
-            columns.append(_fix_phase(block[:, i]))
+            vectors[:, start:stop] = _cluster_basis(vectors[:, start:stop])
         start = stop
     eigenvalues = np.asarray(values, dtype=float)
     eigenvalues.setflags(write=False)
     return HermitianSpectrum(
         eigenvalues=eigenvalues,
-        eigenvectors=_frozen(np.column_stack(columns)),
+        eigenvectors=_frozen(_fix_phase(vectors)),
     )
