@@ -2,6 +2,8 @@
 information-entanglement bounds they obey, plus distillation-yield bounds
 for distinguishing-based protocols."""
 
+from types import ModuleType as _ModuleType
+
 from .linalg import (
     DensityOperator,
     HermitianSpectrum,
@@ -67,57 +69,7 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellDiagonalSpec",
-    "BipartiteEnsemble",
-    "BoundReport",
-    "DensityOperator",
-    "DistillationReport",
-    "HermitianSpectrum",
-    "KrausInstrument",
-    "MEASURE_AUTO",
-    "MEASURE_EOF",
-    "MEASURE_PURE",
-    "ProtocolNode",
-    "ProtocolTranscript",
-    "RoundAudit",
-    "Scenario",
-    "ScenarioError",
-    "SpectralEnsemble",
-    "audit_rounds",
-    "average_input_entanglement",
-    "average_output_entanglement",
-    "bell_basis",
-    "bell_diagonal",
-    "bell_hashing_bound",
-    "bell_partial_bound",
-    "bound_suite",
-    "bundled_scenario_path",
-    "chain_mutual_information",
-    "concurrence",
-    "distillation_report",
-    "dump_scenario",
-    "entanglement",
-    "entropy_summary",
-    "full_distinguish_bound",
-    "hermitian_eig",
-    "holevo_chi",
-    "is_ppt",
-    "load_scenario",
-    "materialize_random",
-    "mean_local_entropy",
-    "measure_branch",
-    "parse_scenario",
-    "partial_distinguish_bound",
-    "partial_trace",
-    "partial_transpose",
-    "pure_state_density",
-    "purity",
-    "random_scenario",
-    "resolve_measure",
-    "run_protocol",
-    "shannon_entropy",
-    "spectral_ensemble",
-    "validate_density",
-    "von_neumann_entropy",
-]
+# Every public name imported above; the submodules themselves are not part of it.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

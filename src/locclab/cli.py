@@ -111,18 +111,7 @@ def _bounds_trial(scenario: Scenario, tol: float, trial: int, seed) -> dict:
         "bounds": report.bounds(),
         "slacks": report.slacks(),
         "audits": [
-            {
-                "round": a.round_index,
-                "party": a.party,
-                "info": a.info,
-                "chi_before": a.chi_before,
-                "chi_after": a.chi_after,
-                "holevo_slack": a.holevo_slack,
-                "distant_marginal_deviation": a.distant_marginal_deviation,
-                "local_entropy_drop": a.local_entropy_drop,
-                "distant_entropy_drop": a.distant_entropy_drop,
-                "entropy_drop_slack": a.entropy_drop_slack,
-            }
+            {("round" if key == "round_index" else key): value for key, value in dataclasses.asdict(a).items()}
             for a in audits
         ],
         "checks": checks,

@@ -75,7 +75,7 @@ class BellDiagonalSpec:
         if min(probs) < -1e-12:
             raise ValueError(f"negative weight {min(probs)}")
         total = sum(probs)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
 
@@ -158,11 +158,15 @@ class _Entropies:
 
     @classmethod
     def of(cls, rho: DensityOperator) -> "_Entropies":
-        """One spectral pass: the ensemble, S, S_A, S_B and the mean local entropy once each."""
+        """One spectral pass: the ensemble, S, S_A, S_B and the mean local entropy once each.
+
+        S is the Shannon entropy of the spectral weights, so rho's spectrum
+        is taken once.
+        """
         spectral = spectral_ensemble(rho)
         return cls(
             spectral=spectral,
-            entropy=von_neumann_entropy(rho),
+            entropy=shannon_entropy([w for w, _ in spectral.members]),
             entropy_a=von_neumann_entropy(rho.marginal("A")),
             entropy_b=von_neumann_entropy(rho.marginal("B")),
             mean_local=mean_local_entropy(spectral),

@@ -56,7 +56,7 @@ class BipartiteEnsemble:
                     f"member {i}: dims ({state.dim_a}, {state.dim_b}) differ from ({dim_a}, {dim_b})"
                 )
             total += p
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 
@@ -161,7 +161,7 @@ def holevo_chi(ensemble, tol: float = DEFAULT_TOL) -> float:
     if not pairs:
         raise ValueError("ensemble needs at least one member")
     total = sum(p for p, _ in pairs)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     average = sum(p * mat for p, mat in pairs if p > 0.0)
     mean_member = sum(p * von_neumann_entropy(mat, tol) for p, mat in pairs if p > 0.0)

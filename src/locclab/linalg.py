@@ -134,7 +134,7 @@ def pure_state_density(vector, dim_a: int, dim_b: int, tol: float = 1e-6) -> Den
             f"dimension mismatch: vector length {vec.size} != dim_a*dim_b = {dim_a * dim_b}"
         )
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise ValueError(f"state vector norm {norm:.6f} deviates from 1 beyond tol {tol:.1e}")
     vec = vec / norm
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(np.outer(vec, vec.conj())))

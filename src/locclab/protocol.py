@@ -41,7 +41,7 @@ built on demand for callers that walk the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -72,11 +72,15 @@ class KrausInstrument:
     """One local measurement step: acting party plus labelled Kraus operators.
 
     The operators act on the party's subsystem alone and must satisfy the
-    completeness relation sum_k K_k^dagger K_k = I within 1e-9.
+    completeness relation sum_k K_k^dagger K_k = I within 1e-9. An
+    instrument built by ``projective`` also keeps its basis kets, one row
+    per outcome, as the read-only ``kets``; every other instrument has
+    ``kets`` None.
     """
 
     party: str
     outcomes: tuple[tuple[str, np.ndarray], ...]
+    kets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.party not in PARTIES:
@@ -104,7 +108,7 @@ class KrausInstrument:
             op.setflags(write=False)
             outcomes.append((label, op))
         completeness = np.abs(accum - np.eye(dim)).max()
-        if completeness > DEFAULT_TOL:
+        if not completeness <= DEFAULT_TOL:
             raise ValueError(
                 f"incomplete instrument: max |sum K^dagger K - I| = {completeness:.3e}"
             )
@@ -118,22 +122,23 @@ class KrausInstrument:
     def projective(cls, party: str, basis, labels=None) -> "KrausInstrument":
         """Rank-one projective instrument from an orthonormal basis.
 
-        ``basis`` holds the basis kets as rows or as matrix columns of a
-        square array; labels default to "0", "1", ...
+        ``basis`` is a square array whose rows are the basis kets; labels
+        default to "0", "1", ...
         """
-        vectors = np.asarray(basis, dtype=complex)
-        if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
-            raise ValueError(f"projective basis must be square, got {vectors.shape}")
-        kets = [np.asarray(v).reshape(-1) for v in vectors]
-        gram = np.array([[kets[i].conj() @ kets[j] for j in range(len(kets))] for i in range(len(kets))])
-        if np.abs(gram - np.eye(len(kets))).max() > 1e-8:
+        kets = np.array(basis, dtype=complex)
+        if kets.ndim != 2 or kets.shape[0] != kets.shape[1]:
+            raise ValueError(f"projective basis must be square, got {kets.shape}")
+        if not np.abs(kets.conj() @ kets.T - np.eye(len(kets))).max() <= 1e-8:
             raise ValueError("projective basis is not orthonormal")
         if labels is None:
             labels = [str(i) for i in range(len(kets))]
         if len(labels) != len(kets):
             raise ValueError(f"{len(labels)} labels for {len(kets)} basis vectors")
-        ops = [(str(lab), np.outer(k, k.conj())) for lab, k in zip(labels, kets)]
-        return cls(party=party, outcomes=tuple(ops))
+        projectors = kets[:, :, None] * kets.conj()[:, None, :]
+        instrument = cls(party=party, outcomes=tuple(zip(map(str, labels), projectors)))
+        kets.setflags(write=False)
+        object.__setattr__(instrument, "kets", kets)
+        return instrument
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,11 +11,17 @@ A scenario is a JSON object describing one of four kinds of input:
                    projective protocols.
 
 Complex numbers are serialized as [re, im] pairs, matrices as row-major
-nested arrays. Parsing is strict and errors carry the offending field path.
+nested arrays. Only ``parse_scenario`` and ``dump_scenario`` know this wire
+format: parsing is strict and errors carry the offending field path, and
+``random_scenario`` builds its typed ``Scenario`` straight from the arrays
+it draws. A projective instrument keeps the kets it was built from, and
+the dump writes them back; any other instrument is dumped as its Kraus
+operators.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +35,8 @@ from .protocol import KrausInstrument
 
 SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
-INSTRUMENT_FAMILIES = ("projective-random-basis",)
+# The one generator family of random scenarios.
+INSTRUMENT_FAMILY = "projective-random-basis"
 _INF = float("inf")
 
 
@@ -107,16 +114,9 @@ def _as_matrix(value, path: str) -> np.ndarray:
     return np.vstack(parsed)
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _vector_to_pairs(v: np.ndarray) -> list:
-    return [_complex_to_pair(complex(x)) for x in np.asarray(v).reshape(-1)]
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [_vector_to_pairs(row) for row in np.asarray(m)]
+def _to_pairs(array: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs, one level per array axis."""
+    return np.stack([array.real, array.imag], axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,6 @@ class RandomSpec:
 
     n_members: tuple[int, int]
     protocol_depth: tuple[int, int]
-    dims: tuple[int, int]
-    instrument_family: str
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ class Scenario:
         return len(self.steps)
 
 
-def _parse_instrument(value, party: str, dims: tuple[int, int], path: str) -> KrausInstrument:
+def _parse_instrument(value, party: str, path: str) -> KrausInstrument:
     obj = _as_dict(value, path)
     labels = None
     if "labels" in obj:
@@ -204,23 +202,9 @@ def _parse_instrument(value, party: str, dims: tuple[int, int], path: str) -> Kr
 
 def _instrument_payload(instrument: KrausInstrument) -> dict:
     labels = [label for label, _ in instrument.outcomes]
-    ops = [op for _, op in instrument.outcomes]
-    # Rank-one projector sets round-trip through the compact projective form.
-    kets = []
-    projective = True
-    for op in ops:
-        values, vectors = np.linalg.eigh(op)
-        if abs(values[-1] - 1.0) < 1e-12 and np.all(np.abs(values[:-1]) < 1e-12):
-            ket = vectors[:, -1]
-            i = int(np.argmax(np.abs(ket) > 1e-8))
-            ket = ket * (ket[i].conjugate() / abs(ket[i]))
-            kets.append(ket)
-        else:
-            projective = False
-            break
-    if projective:
-        return {"labels": labels, "projective": [_vector_to_pairs(k) for k in kets]}
-    return {"labels": labels, "kraus": [_matrix_to_pairs(op) for op in ops]}
+    if instrument.kets is not None:
+        return {"labels": labels, "projective": _to_pairs(instrument.kets)}
+    return {"labels": labels, "kraus": [_to_pairs(op) for _, op in instrument.outcomes]}
 
 
 def _check_history_key(key: str, steps: list[ProtocolStep], path: str) -> None:
@@ -280,7 +264,7 @@ def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble
 
 
 def _member_payload(p: float, state: DensityOperator) -> dict:
-    return {"probability": float(p), "matrix": _matrix_to_pairs(state.matrix)}
+    return {"probability": float(p), "matrix": _to_pairs(state.matrix)}
 
 
 def _parse_range(value, path: str, minimum: int) -> tuple[int, int]:
@@ -359,14 +343,12 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 _fail(f"{step_path}.party", f"party must be 'A' or 'B', got {party!r}")
             default = None
             if step_obj.get("instrument") is not None:
-                default = _parse_instrument(
-                    step_obj["instrument"], party, (dim_a, dim_b), f"{step_path}.instrument"
-                )
+                default = _parse_instrument(step_obj["instrument"], party, f"{step_path}.instrument")
             overrides = {}
             for key, value in _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides").items():
                 key_path = f"{step_path}.overrides[{key!r}]"
                 _check_history_key(key, steps, key_path)
-                overrides[key] = _parse_instrument(value, party, (dim_a, dim_b), key_path)
+                overrides[key] = _parse_instrument(value, party, key_path)
             if default is None and not overrides:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
             steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
@@ -378,10 +360,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         depth = _parse_range(
             _get(rnd, "protocol_depth", f"{source}.random"), f"{source}.random.protocol_depth", 0
         )
-        family = _as_str(
-            rnd.get("instrument_family", INSTRUMENT_FAMILIES[0]), f"{source}.random.instrument_family"
-        )
-        if family not in INSTRUMENT_FAMILIES:
+        family = _as_str(rnd.get("instrument_family", INSTRUMENT_FAMILY), f"{source}.random.instrument_family")
+        if family != INSTRUMENT_FAMILY:
             _fail(f"{source}.random.instrument_family", f"unknown family {family!r}")
         if (dim_a, dim_b) != (2, 2):
             _fail(
@@ -389,9 +369,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 f"random scenarios support dims [2, 2] only (output entanglement is "
                 f"unavailable for mixed states in {dim_a}x{dim_b})",
             )
-        random_spec = RandomSpec(
-            n_members=n_members, protocol_depth=depth, dims=(dim_a, dim_b), instrument_family=family
-        )
+        random_spec = RandomSpec(n_members=n_members, protocol_depth=depth)
 
     return Scenario(
         kind=kind,
@@ -434,7 +412,7 @@ def _canonical_payload(s: Scenario) -> dict:
         payload["random"] = {
             "n_members": list(s.random.n_members),
             "protocol_depth": list(s.random.protocol_depth),
-            "instrument_family": s.random.instrument_family,
+            "instrument_family": INSTRUMENT_FAMILY,
         }
     return payload
 
@@ -461,25 +439,16 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases.conj()
 
 
-def random_scenario(
-    seed: int,
-    n_members=(2, 4),
-    protocol_depth=(1, 3),
-    dims=(2, 2),
-    instrument_family: str = "projective-random-basis",
-    name: str | None = None,
-) -> Scenario:
+def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: str | None = None) -> Scenario:
     """Deterministic random protocol scenario for the given seed.
 
     Members are Haar-like random pure two-qubit states with a random
     probability simplex point; each round gets a uniformly random acting
     party and an independent random projective basis per outcome history
-    (the adaptive case).
+    (the adaptive case). The typed scenario is built from the drawn arrays
+    directly; the constructors still check norms, probability sums and
+    the orthonormality of each basis.
     """
-    if tuple(dims) != (2, 2):
-        raise ValueError(f"random scenarios support dims (2, 2) only, got {tuple(dims)}")
-    if instrument_family not in INSTRUMENT_FAMILIES:
-        raise ValueError(f"unknown instrument family {instrument_family!r}")
     members_lo, members_hi = (n_members, n_members) if isinstance(n_members, int) else tuple(n_members)
     depth_lo, depth_hi = (
         (protocol_depth, protocol_depth) if isinstance(protocol_depth, int) else tuple(protocol_depth)
@@ -498,36 +467,31 @@ def random_scenario(
     for i in range(n):
         vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         vec /= np.linalg.norm(vec)
-        members.append({"probability": float(probs[i]), "vector": _vector_to_pairs(vec)})
+        members.append((float(probs[i]), pure_state_density(vec, 2, 2)))
 
-    protocol = []
+    steps = []
     labels = ("0", "1")
     for level in range(depth):
         party = "A" if rng.integers(2) == 0 else "B"
-        histories = [()]
-        for _ in range(level):
-            histories = [h + (lab,) for h in histories for lab in labels]
-        instruments = {}
-        for history in histories:
-            basis = _haar_unitary(2, rng).T  # rows are the basis kets
-            instruments[",".join(history)] = {
-                "labels": list(labels),
-                "projective": [_vector_to_pairs(basis[0]), _vector_to_pairs(basis[1])],
-            }
-        default = instruments.pop("") if "" in instruments else None
-        protocol.append({"party": party, "instrument": default, "overrides": instruments})
+        instruments = {
+            ",".join(history): KrausInstrument.projective(party, _haar_unitary(2, rng).T, labels)
+            for history in itertools.product(labels, repeat=level)
+        }
+        steps.append(ProtocolStep(party=party, instrument=instruments.pop("", None), overrides=instruments))
 
-    payload = {
-        "schema": SCHEMA,
-        "kind": "protocol" if depth > 0 else "ensemble",
-        "name": name or f"random-{seed}",
-        "dims": [2, 2],
-        "selectors": {"input": "auto", "output": "auto"},
-        "ensemble": members,
-    }
-    if depth > 0:
-        payload["protocol"] = protocol
-    return parse_scenario(payload, source=payload["name"])
+    return Scenario(
+        kind="protocol" if depth > 0 else "ensemble",
+        name=name or f"random-{seed}",
+        dim_a=2,
+        dim_b=2,
+        selector_in=MEASURE_AUTO,
+        selector_out=MEASURE_AUTO,
+        tolerance=None,
+        ensemble=BipartiteEnsemble(tuple(members)),
+        steps=tuple(steps),
+        bell=None,
+        random=None,
+    )
 
 
 def materialize_random(scenario: Scenario, seed: int, trial: int = 0) -> Scenario:
@@ -539,8 +503,6 @@ def materialize_random(scenario: Scenario, seed: int, trial: int = 0) -> Scenari
         seed + trial,
         n_members=spec.n_members,
         protocol_depth=spec.protocol_depth,
-        dims=spec.dims,
-        instrument_family=spec.instrument_family,
         name=f"{scenario.name}-trial{trial}",
     )
 

@@ -2,12 +2,15 @@
 
 The golden reports in ``golden/cli`` were written by the node-by-node
 engine that the level-array engine replaced; every number must agree
-within 1e-12.
+within 1e-12. The golden tables in ``golden/table`` were written by the
+payload-parsing random generator that the typed one replaced; they must
+match character for character once the wall-time suffix is removed.
 """
 
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from locclab import bundled_scenario_path, cli
 from helpers import json_mismatches
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
+GOLDEN_TABLES = Path(__file__).parent / "golden" / "table"
 SCENARIOS = ("bell_diagonal_09", "four_bell_uniform", "maximally_mixed", "phi_mixture_xx", "random_sweep")
 # Options that every golden run of a scenario used.
 EXTRA_ARGS = {"random_sweep": ["--seed", "11", "--trials", "4"]}
@@ -41,6 +45,17 @@ def test_report_matches_golden(command, stem):
     assert code == 0
     expected = json.loads((GOLDEN / f"{stem}.{command}.json").read_text(encoding="utf-8"))
     assert json_mismatches(json.loads(out), expected, 1e-12) == []
+
+
+@pytest.mark.parametrize("stem", SCENARIOS)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_table_matches_golden(command, stem):
+    argv = scenario_argv(command, stem)
+    argv[argv.index("json")] = "table"
+    code, out, _ = run(argv)
+    assert code == 0
+    table = re.sub(r"  \(\d+\.\d+ s\)$", "", out.rstrip("\n"))
+    assert table + "\n" == (GOLDEN_TABLES / f"{stem}.{command}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("stem", SCENARIOS)

@@ -141,5 +141,5 @@ def test_eigensolve_count_does_not_grow_with_d(monkeypatch, kind):
             distillation_report(bell_diagonal(spec), spec)
         counts[d] = calls
     assert counts[3] == counts[6]
-    assert counts[6]["eigvalsh"] <= 8
+    assert counts[6]["eigvalsh"] <= 6
     assert counts[6]["eigh"] <= 1

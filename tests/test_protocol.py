@@ -70,6 +70,18 @@ class TestKrausInstrument:
         total = sum(op.conj().T @ op for _, op in instr.outcomes)
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
+    def test_projective_keeps_its_kets(self):
+        instr = x_instrument("A")
+        assert np.array_equal(instr.kets, X_BASIS)
+        assert not instr.kets.flags.writeable
+        for ket, (_, op) in zip(instr.kets, instr.outcomes):
+            assert np.array_equal(op, np.outer(ket, ket.conj()))
+
+    def test_kets_are_set_only_by_projective(self):
+        assert KrausInstrument(party="A", outcomes=z_instrument("A").outcomes).kets is None
+        with pytest.raises(TypeError):
+            KrausInstrument(party="A", outcomes=z_instrument("A").outcomes, kets=Z_BASIS)
+
 
 class TestMeasureBranch:
     def test_alice_z_collapses_both_hypotheses_identically(self):

@@ -1,21 +1,28 @@
-"""Scenario parsing: field-named errors and the canonical dump."""
+"""Scenario parsing, the typed random generator and the canonical dump."""
 
 import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from locclab import (
+    BellDiagonalSpec,
+    BipartiteEnsemble,
+    KrausInstrument,
     ScenarioError,
     bundled_scenario_path,
     dump_scenario,
+    holevo_chi,
     load_scenario,
     parse_scenario,
+    pure_state_density,
     random_scenario,
 )
 
-from helpers import json_mismatches
+from helpers import PHI_PLUS, Z_BASIS, bell, json_mismatches
+from reference_scenario import reference_random_scenario
 
 GOLDEN_DUMPS = Path(__file__).parent / "golden" / "dump"
 BUNDLED = ("bell_diagonal_09", "four_bell_uniform", "maximally_mixed", "phi_mixture_xx", "random_sweep")
@@ -187,3 +194,74 @@ class TestCanonicalDump:
         assert dumped["protocol"][0]["instrument"]["labels"] == ["weak", "strong"]
         assert "kraus" in dumped["protocol"][0]["instrument"]
         assert dump_scenario(parse_scenario(dumped)) == text
+
+    def test_dump_writes_the_source_kets(self):
+        path = bundled_scenario_path("phi_mixture_xx.json")
+        source = json.loads(path.read_text(encoding="utf-8"))
+        dumped = json.loads(dump_scenario(load_scenario(path)))
+        for step, source_step in zip(dumped["protocol"], source["protocol"]):
+            assert json.dumps(step["instrument"]["projective"]) == json.dumps(source_step["instrument"]["projective"])
+
+    def test_kraus_projectors_dump_as_kraus(self):
+        # Only an instrument built from a basis has kets to write back.
+        z = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+        dumped = json.loads(dump_scenario(parse_scenario(protocol([{"party": "A", "instrument": {"kraus": z}}]))))
+        assert dumped["protocol"][0]["instrument"]["kraus"] == z
+
+    def test_random_dump_keeps_the_drawn_kets(self):
+        scenario = random_scenario(4, n_members=2, protocol_depth=2)
+        dumped = json.loads(dump_scenario(scenario))
+        for step, payload in zip(scenario.steps, dumped["protocol"]):
+            for key, instrument in step.overrides.items():
+                kets = np.array(payload["overrides"][key]["projective"]) @ [1, 1j]
+                assert np.array_equal(kets, instrument.kets)
+
+
+def assert_same_instrument(new: KrausInstrument, old: KrausInstrument) -> None:
+    assert new.party == old.party
+    assert np.array_equal(new.kets, old.kets)
+    assert [label for label, _ in new.outcomes] == [label for label, _ in old.outcomes]
+    for (_, a), (_, b) in zip(new.outcomes, old.outcomes, strict=True):
+        assert np.array_equal(a, b)
+
+
+class TestTypedGenerator:
+    @pytest.mark.parametrize("n_members, depth", [((2, 4), (1, 3)), (1, 0), ((1, 6), (0, 4)), (5, 2)])
+    def test_matches_payload_reference(self, n_members, depth):
+        for seed in range(64):
+            new = random_scenario(seed, n_members=n_members, protocol_depth=depth)
+            old = reference_random_scenario(seed, n_members=n_members, protocol_depth=depth)
+            assert (new.kind, new.name, new.dim_a, new.dim_b) == (old.kind, old.name, old.dim_a, old.dim_b)
+            assert (new.selector_in, new.selector_out, new.tolerance) == (old.selector_in, old.selector_out, old.tolerance)
+            for (p, state), (q, ref) in zip(new.ensemble.members, old.ensemble.members, strict=True):
+                assert p == q
+                assert np.array_equal(state.matrix, ref.matrix)
+            assert len(new.steps) == len(old.steps)
+            for step, ref in zip(new.steps, old.steps):
+                assert step.party == ref.party
+                assert (step.instrument is None) == (ref.instrument is None)
+                if step.instrument is not None:
+                    assert_same_instrument(step.instrument, ref.instrument)
+                assert list(step.overrides) == list(ref.overrides)
+                for key, instrument in step.overrides.items():
+                    assert_same_instrument(instrument, ref.overrides[key])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BipartiteEnsemble(((NAN, bell(PHI_PLUS)), (1.0, bell(PHI_PLUS)))),
+        lambda: BellDiagonalSpec(2, (NAN, 1.0, 0.0, 0.0)),
+        lambda: KrausInstrument(party="A", outcomes=(("0", np.diag([1.0, NAN])),)),
+        lambda: KrausInstrument.projective("A", [[1.0, 0.0], [0.0, NAN]]),
+        lambda: pure_state_density([1.0, 0.0, 0.0, NAN], 2, 2),
+        lambda: holevo_chi(((NAN, Z_BASIS / 2), (1.0, Z_BASIS / 2))),
+    ],
+    ids=["ensemble", "bell_spec", "kraus", "projective", "pure_state", "holevo_chi"],
+)
+def test_nan_is_rejected_by_constructors(build):
+    with pytest.raises(ValueError):
+        build()
