@@ -239,7 +239,11 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
-        return f"{value:.9f}" if np.isfinite(value) else ("inf" if value > 0 else "-inf")
+        if not np.isfinite(value):
+            return "inf" if value > 0 else "-inf"
+        text = f"{value:.9f}"
+        # A rounding-level negative such as -1e-17 prints as zero, unsigned.
+        return text.removeprefix("-") if float(text) == 0.0 else text
     return str(value)
 
 

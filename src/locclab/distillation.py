@@ -51,11 +51,11 @@ class SpectralEnsemble:
         if not self.members:
             raise ValueError("spectral ensemble needs at least one member")
         total = sum(p for p, _ in self.members)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"weights sum to {total!r}, not 1")
         vectors = np.column_stack([v for _, v in self.members])
         gram = vectors.conj().T @ vectors
-        if np.abs(gram - np.eye(len(self.members))).max() > 1e-9:
+        if not np.abs(gram - np.eye(len(self.members))).max() <= 1e-9:
             raise ValueError("spectral ensemble vectors are not orthonormal")
 
 

@@ -12,6 +12,7 @@ from locclab import (
     BipartiteEnsemble,
     KrausInstrument,
     ScenarioError,
+    SpectralEnsemble,
     bundled_scenario_path,
     dump_scenario,
     holevo_chi,
@@ -259,8 +260,10 @@ NAN = float("nan")
         lambda: KrausInstrument.projective("A", [[1.0, 0.0], [0.0, NAN]]),
         lambda: pure_state_density([1.0, 0.0, 0.0, NAN], 2, 2),
         lambda: holevo_chi(((NAN, Z_BASIS / 2), (1.0, Z_BASIS / 2))),
+        lambda: SpectralEnsemble(2, 2, ((NAN, np.array([1.0, 0.0, 0.0, 0.0])),), False),
+        lambda: SpectralEnsemble(2, 2, ((1.0, np.array([NAN, 0.0, 0.0, 0.0])),), False),
     ],
-    ids=["ensemble", "bell_spec", "kraus", "projective", "pure_state", "holevo_chi"],
+    ids=["ensemble", "bell_spec", "kraus", "projective", "pure_state", "holevo_chi", "spectral_weight", "spectral_vector"],
 )
 def test_nan_is_rejected_by_constructors(build):
     with pytest.raises(ValueError):
