@@ -247,6 +247,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _rounded(values) -> list[float]:
+    # round() keeps the sign of a rounding-level negative (-0.0); "or"
+    # replaces any zero by an unsigned one.
+    return [round(v, 9) or 0.0 for v in values]
+
+
 def render_table(report: dict, elapsed: float) -> str:
     lines = [
         f"command: {report['command']}   scenario: {report['scenario']}   "
@@ -295,12 +301,12 @@ def render_table(report: dict, elapsed: float) -> str:
             lines.append(
                 f"  depth {result['depth']}  parties {','.join(result['round_parties']) or '-'}  "
                 f"I_locc={_format_value(result['i_locc'])}  "
-                f"per_round={[round(v, 9) for v in result['per_round_info']]}"
+                f"per_round={_rounded(result['per_round_info'])}"
             )
             for leaf in result["leaves"]:
                 lines.append(
                     f"  leaf {','.join(leaf['path']) or '(root)'}  p={_format_value(leaf['probability'])}  "
-                    f"posterior={[round(v, 9) for v in leaf['member_probabilities']]}"
+                    f"posterior={_rounded(leaf['member_probabilities'])}"
                 )
         else:
             for key in ("entropy_average", "entropy_a", "entropy_b", "holevo", "n_qubits"):
