@@ -9,34 +9,45 @@ Level-array layout
 ------------------
 The transcript stores the tree level by level as stacked arrays
 (``TreeLevel``). Level k holds one node per surviving outcome history of
-k rounds, N_k nodes over M hypotheses on a D = dim_a * dim_b system:
+k rounds, N_k nodes over M hypotheses on a D = dim_a * dim_b system. Each
+member state is stored as a factor V with rho = V V^dagger:
 
-    prob    (N_k,)           path probabilities
-    q       (N_k, M)         posterior member weights
-    states  (N_k, M, D, D)   normalized posterior member states
-    parent  (N_k,)           index of the node's parent on level k - 1
-    paths   N_k tuples       outcome histories
+    prob     (N_k,)           path probabilities
+    q        (N_k, M)         posterior member weights
+    factors  (N_k, M, D, r)   posterior member factors, ||V||_F = 1
+    parent   (N_k,)           index of the node's parent on level k - 1
+    paths    N_k tuples       outcome histories
+
+The root factors come from one stacked ``eigh`` of the member matrices:
+V = U sqrt(Lambda) over the eigenvalues above _RANK_CUT, padded with zero
+columns to r = the largest member rank and renormalized. r = 1 for pure
+members. The cut sits at rounding level, not at DEFAULT_TOL: a genuine
+eigenvalue of 1e-12 dropped at the root moves the reported entropies by
+about as much, past the 1e-12 agreement the engine is held to.
 
 A level is expanded in one batched pass. The chooser is called once per
-node; the embedded Kraus operators are stacked as (N, K, D, D), nodes with
+node; the local Kraus operators are stacked as (N, K, d, d), nodes with
 fewer outcomes padded with zero operators, and all (node, outcome, member)
-products come from one matmul whose (N, K, M, D, D) buffer lives only
-while its level is expanded. The checks of the one-node update
-(``measure_branch`` is its N = 1 case) are kept: member weights come from
-the trace, posteriors follow Bayes' rule, a hypothesis whose outcome weight
-is at most _MEMBER_EPS keeps its prior state, outcomes below PRUNE_TOL are
-pruned and the survivors renormalized, a node that loses every outcome is
-an error, and every posterior passes ``validate_densities`` (one
-``eigvalsh`` per level; rounding-level negative eigenvalues are clipped,
-larger ones rejected).
+products K V come from one matmul on the acting party's index. The rules
+of the one-node update (``measure_branch`` is its N = 1 case) are kept:
+member weights are ||K V||_F^2, posteriors follow Bayes' rule, a
+hypothesis whose outcome weight is at most _MEMBER_EPS keeps its prior
+state, outcomes below PRUNE_TOL are pruned and the survivors renormalized,
+and a node that loses every outcome is an error. A posterior factor is
+K V / ||K V||_F, so its state is PSD with unit trace by construction; the
+only check left on it is that every entry is finite.
 
 ``LevelStats`` holds what the bounds and the audit read of a level:
 H(X | Y_1..Y_k), and per side the mean member-marginal entropy, the mean
-average-marginal entropy and the average marginals. ``run_protocol``
-computes it once per level with one stacked ``eigvalsh`` per (level,
-side) and entropy family; ``chain_mutual_information``, ``bound_suite``
-and ``audit_rounds`` only read it. ``ProtocolNode`` is a view of one node,
-built on demand for callers that walk the tree.
+average-marginal entropy and the average marginals. A member's marginal
+on side A is the Gram X X^dagger of V reshaped to X (dim_a, dim_b * r),
+side B likewise; a node's average marginal is the q-weighted sum of its
+members' Grams. ``run_protocol`` computes the stats once per level with
+one stacked ``eigvalsh`` per (level, side) and entropy family;
+``chain_mutual_information``, ``bound_suite`` and ``audit_rounds`` only
+read them. Dense D x D states are built only on demand: by
+``TreeLevel.states``, by ``ProtocolNode.ensemble`` and for the leaf
+averages whose entanglement ``bound_suite`` reports.
 """
 
 from __future__ import annotations
@@ -53,12 +64,15 @@ from .entropy import (
     shannon_entropies,
     von_neumann_entropies,
 )
-from .linalg import DEFAULT_TOL, DensityOperator, hermitize, partial_trace, validate_densities
+from .linalg import DEFAULT_TOL, DensityOperator
 
 PRUNE_TOL = 1e-12
 # Member-conditional outcome weights below this leave the posterior state
 # undefined (0/0); such hypotheses keep their prior state at weight zero.
 _MEMBER_EPS = 1e-14
+# Root member eigenvalues at or below this are rounding residue and leave
+# the factor; a pure member's spurious eigenvalues stay below 1e-15.
+_RANK_CUT = 1e-14
 
 PARTIES = ("A", "B")
 
@@ -141,6 +155,13 @@ class KrausInstrument:
         return instrument
 
 
+def _gram(factors: np.ndarray) -> np.ndarray:
+    """Read-only V V^dagger of each matrix V in a stack (..., D, r)."""
+    out = factors @ factors.swapaxes(-1, -2).conj()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TreeLevel:
     """One level of the outcome tree as stacked, read-only arrays.
@@ -151,27 +172,42 @@ class TreeLevel:
 
     prob: np.ndarray  # (N,) path probabilities
     q: np.ndarray  # (N, M) posterior member weights
-    states: np.ndarray  # (N, M, D, D) normalized posterior member states
+    factors: np.ndarray  # (N, M, D, r) member factors V, state V V^dagger
     parent: np.ndarray  # (N,) parent index on the level above; -1 at the root
     paths: tuple[tuple[str, ...], ...]  # outcome history of each node
 
     def __post_init__(self):
-        for array in (self.prob, self.q, self.states, self.parent):
+        for array in (self.prob, self.q, self.factors, self.parent):
             array.setflags(write=False)
+
+    @property
+    def states(self) -> np.ndarray:
+        """(N, M, D, D) posterior member states, built from the factors."""
+        return _gram(self.factors)
 
     def ensemble(self, index: int, dim_a: int, dim_b: int) -> BipartiteEnsemble:
         """Posterior ensemble of node ``index``."""
         return BipartiteEnsemble(
             tuple(
                 (p, DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=state))
-                for p, state in zip(self.q[index].tolist(), self.states[index])
+                for p, state in zip(self.q[index].tolist(), _gram(self.factors[index]))
             )
         )
+
+    def averages(self) -> np.ndarray:
+        """(N, D, D) average state sum_x q_x rho_x of each node.
+
+        Built as W W^dagger with W the members' factors, scaled by
+        sqrt(q_x) and set side by side, so it is PSD by construction.
+        """
+        n, m, dim, r = self.factors.shape
+        scale = np.sqrt(np.where(self.q > 0.0, self.q, 0.0))
+        return _gram((self.factors * scale[:, :, None, None]).swapaxes(1, 2).reshape(n, dim, m * r))
 
 
 @dataclass(frozen=True, eq=False)
 class LevelStats:
-    """The entropies and average states of one level that the bounds read.
+    """The entropies and average marginals of one level that the bounds read.
 
     Every entropy is a mean over the level's nodes weighted by path
     probability; nodes of probability zero and members of weight zero do
@@ -181,8 +217,7 @@ class LevelStats:
     conditional_entropy: float  # H(X | Y_1..Y_k)
     member_entropy: dict[str, float]  # side -> mean of sum_x q_x S(rho_x^side)
     average_entropy: dict[str, float]  # side -> mean of S(sum_x q_x rho_x^side)
-    averages: np.ndarray  # (N, D, D) average state of each node
-    average_marginals: dict[str, np.ndarray]  # side -> (N, d, d) its marginals
+    average_marginals: dict[str, np.ndarray]  # side -> (N, d, d) sum_x q_x rho_x^side
 
     def chi(self, side: str) -> float:
         """Mean Holevo quantity of the nodes' marginal ensembles on ``side``."""
@@ -190,10 +225,14 @@ class LevelStats:
 
 
 def _root_level(ensemble: BipartiteEnsemble) -> TreeLevel:
+    values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
+    rank = int((values > _RANK_CUT).sum(axis=1).max())
+    kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
+    factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
     return TreeLevel(
         prob=np.ones(1),
         q=ensemble.probabilities()[None],
-        states=np.stack([state.matrix for _, state in ensemble.members])[None],
+        factors=factors[None],
         parent=np.array([-1]),
         paths=((),),
     )
@@ -222,22 +261,24 @@ def _expand(
             )
         for k, (_, op) in enumerate(instrument.outcomes):
             ops[n, k] = op
-    # K (x) I for party A, I (x) K for party B; padded outcomes stay zero.
+
+    # (N, K, M, D, r): K (x) I or I (x) K applied to every member factor of
+    # every node under every outcome; padded outcomes stay zero.
+    n, m, dim, r = level.factors.shape
+    split = level.factors.reshape(n, 1, m, dim_a, dim_b, r)
     if party == "A":
-        embedded = np.einsum("nkij,ab->nkiajb", ops, np.eye(dim_b))
+        moved = ops[:, :, None] @ split.reshape(n, 1, m, dim_a, dim_b * r)
     else:
-        embedded = np.einsum("ab,nkij->nkaibj", np.eye(dim_a), ops)
-    dim = dim_a * dim_b
-    embedded = embedded.reshape(len(instruments), width, 1, dim, dim)
+        moved = ops[:, :, None, None] @ split
+    moved = moved.reshape(n, width, m, dim, r)
+    weight = np.einsum("nkmis,nkmis->nkm", moved, moved.conj()).real
+    defined = (weight > _MEMBER_EPS)[..., None, None]
+    scale = np.sqrt(np.where(defined, weight[..., None, None], 1.0))
+    posterior_factors = np.where(defined, moved / scale, level.factors[:, None])
+    if not np.isfinite(posterior_factors).all():
+        raise ValueError("non-finite posterior state")
 
-    # (N, K, M, D, D): every member of every node under every outcome.
-    raw = embedded @ level.states[:, None] @ embedded.swapaxes(-1, -2).conj()
-    weight = np.trace(raw, axis1=-2, axis2=-1).real
-    defined = weight > _MEMBER_EPS
-    raw[defined] = validate_densities(hermitize(raw[defined] / weight[defined][:, None, None]))
-    raw[~defined] = np.broadcast_to(level.states[:, None], raw.shape)[~defined]
-
-    joint = level.q[:, None, :] * np.maximum(weight, 0.0)
+    joint = level.q[:, None, :] * weight
     p_outcome = joint.sum(axis=-1)
     kept = p_outcome >= prune_tol
     if not kept.any(axis=1).all():
@@ -250,7 +291,7 @@ def _expand(
     return TreeLevel(
         prob=level.prob[node] * (p_kept / total[node]),
         q=posterior,
-        states=raw[node, outcome],
+        factors=posterior_factors[node, outcome],
         parent=node,
         paths=tuple(
             level.paths[n] + (instruments[n].outcomes[k][0],)
@@ -260,23 +301,31 @@ def _expand(
 
 
 def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
+    dim_a, dim_b = dims
     live = level.prob > 0.0
     prob = level.prob[live]
     weights = np.where(level.q > 0.0, level.q, 0.0)
     counted = live[:, None] & (level.q > 0.0)
-    averages = hermitize(np.einsum("nm,nmij->nij", weights, level.states))
+    n, m, _, r = level.factors.shape
+    split = level.factors.reshape(n, m, dim_a, dim_b, r)
+    # Side A keeps the row index of V reshaped to (dim_a, dim_b * r); side B
+    # swaps the two party indices first.
+    reshaped = {
+        "A": split.reshape(n, m, dim_a, dim_b * r),
+        "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
+    }
     member_entropy, average_entropy, average_marginals = {}, {}, {}
     for side in PARTIES:
+        marginals = _gram(reshaped[side])
         member = np.zeros(level.q.shape)
-        member[counted] = von_neumann_entropies(partial_trace(level.states[counted], side, dims))
+        member[counted] = von_neumann_entropies(marginals[counted])
         member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
-        average_marginals[side] = partial_trace(averages, side, dims)
+        average_marginals[side] = np.einsum("nm,nmij->nij", weights, marginals)
         average_entropy[side] = float(prob @ von_neumann_entropies(average_marginals[side][live]))
     return LevelStats(
         conditional_entropy=float(prob @ shannon_entropies(level.q[live])),
         member_entropy=member_entropy,
         average_entropy=average_entropy,
-        averages=averages,
         average_marginals=average_marginals,
     )
 
@@ -428,7 +477,7 @@ def average_output_entanglement(transcript: ProtocolTranscript, selector: str = 
     leaves = transcript.levels[-1]
     live = leaves.prob > 0.0
     root = transcript.root_ensemble
-    states = validate_densities(transcript.stats[-1].averages[live])
+    states = leaves.averages()[live]
     return float(leaves.prob[live] @ entanglements(states, root.dim_a, root.dim_b, selector))
 
 

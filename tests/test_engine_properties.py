@@ -4,7 +4,8 @@ Every ``BoundReport`` and ``RoundAudit`` field, every transcript node and
 every ``measure_branch`` branch must agree within 1e-12, and both engines
 must raise the same errors. The inputs cover what the random scenario
 generator does not: mixed members, general Kraus instruments with uneven
-outcome counts within one level, non-2x2 dimensions and pruned outcomes.
+outcome counts within one level, non-2x2 dimensions, pruned outcomes and
+members of unequal rank.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from locclab import (
     measure_branch,
     pure_state_density,
     run_protocol,
+    validate_density,
 )
 
 from helpers import random_bipartite_density, random_pure_vector
@@ -85,6 +87,22 @@ def pure_ensemble(rng, n_members: int, dims) -> BipartiteEnsemble:
             for p in probs
         )
     )
+
+
+def unequal_rank_ensemble(rng, dims, k: int) -> BipartiteEnsemble:
+    """A pure member, a rank-2 member with eigenvalues 1 - 10^-k and 10^-k,
+    and a full-rank member, in random order of weight."""
+    dim = dims[0] * dims[1]
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    basis = np.linalg.qr(g)[0][:, :2]
+    small = 10.0**-k
+    rank_two = (basis * [1.0 - small, small]) @ basis.conj().T
+    members = (
+        pure_state_density(random_pure_vector(rng, dim), *dims),
+        validate_density(rank_two, *dims),
+        random_bipartite_density(rng, *dims),
+    )
+    return BipartiteEnsemble(tuple(zip(rng.dirichlet(np.ones(3)).tolist(), members)))
 
 
 def assert_close(actual, expected, where: str):
@@ -172,6 +190,22 @@ def test_pure_members_in_2x3_and_3x2(seed, n_members, depth, dims):
     rng = np.random.default_rng(seed)
     ensemble = pure_ensemble(rng, n_members, dims)
     chooser = make_chooser(seed, dims, parties_for(seed, depth), "projective")
+    compare_engines(ensemble, chooser, depth)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("k", range(8, 16))
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(seed=seeds, depth=st.integers(1, 3))
+def test_members_of_unequal_rank(k, dims, seed, depth):
+    # The root factors are padded to the largest rank, 1 + 2 + full, and a
+    # rank-2 member's eigenvalue 10^-k must survive the rank cut down to
+    # k = 13: a cut at DEFAULT_TOL or at 1e-12 drops it and moves the
+    # entropies past TOL. Outside 2x2 the mixed members have no measure, so
+    # both engines raise on bound_suite and the audits carry the comparison.
+    rng = np.random.default_rng([seed, k])
+    ensemble = unequal_rank_ensemble(rng, dims, k)
+    chooser = make_chooser(seed, dims, parties_for(seed, depth), "kraus")
     compare_engines(ensemble, chooser, depth)
 
 

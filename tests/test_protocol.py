@@ -27,6 +27,7 @@ from helpers import (
     Z_BASIS,
     bell,
     flat_mutual_information,
+    random_pure_ensemble,
 )
 
 
@@ -308,3 +309,36 @@ class TestAuditRounds:
                 assert audit.holevo_slack >= -1e-7, seed
                 assert audit.entropy_drop_slack >= -1e-7, seed
                 assert audit.distant_marginal_deviation <= 1e-9, seed
+
+
+def test_eigensolve_count_is_per_level(monkeypatch):
+    # Depth 8, 8 pure members, a random basis per history and alternating
+    # parties: 511 nodes and 4,088 posterior states. The root is factored
+    # by one eigh; each level's entropies take a fixed number of eigvalsh
+    # calls (member and average marginals on two sides), plus one each for
+    # the input and output entanglement. A solve per posterior would add
+    # thousands.
+    depth = 8
+
+    def chooser(history):
+        rng = np.random.default_rng([len(history), *(int(label) for label in history)])
+        basis = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        return KrausInstrument.projective("AB"[len(history) % 2], basis.T)
+
+    ensemble = random_pure_ensemble(np.random.default_rng(8), 8)
+    calls = {"eigvalsh": 0, "eigh": 0}
+    with monkeypatch.context() as patch:
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            patch.setattr(np.linalg, name, counting)
+        transcript = run_protocol(ensemble, chooser, depth)
+        bound_suite(transcript)
+        audit_rounds(transcript)
+    assert len(transcript.leaves()) == 2**depth
+    assert calls["eigh"] <= 2
+    assert calls["eigvalsh"] <= 4 * (depth + 1) + 2
