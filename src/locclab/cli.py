@@ -239,18 +239,14 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
-        if not np.isfinite(value):
-            return "inf" if value > 0 else "-inf"
-        text = f"{value:.9f}"
-        # A rounding-level negative such as -1e-17 prints as zero, unsigned.
-        return text.removeprefix("-") if float(text) == 0.0 else text
+        return f"{_round9(value):.9f}" if np.isfinite(value) else ("inf" if value > 0 else "-inf")
     return str(value)
 
 
-def _rounded(values) -> list[float]:
-    # round() keeps the sign of a rounding-level negative (-0.0); "or"
-    # replaces any zero by an unsigned one.
-    return [round(v, 9) or 0.0 for v in values]
+def _round9(value: float) -> float:
+    # round() keeps the sign of a rounding-level negative such as -1e-17
+    # (-0.0); "or" turns either zero into an unsigned one.
+    return round(value, 9) or 0.0
 
 
 def render_table(report: dict, elapsed: float) -> str:
@@ -301,12 +297,12 @@ def render_table(report: dict, elapsed: float) -> str:
             lines.append(
                 f"  depth {result['depth']}  parties {','.join(result['round_parties']) or '-'}  "
                 f"I_locc={_format_value(result['i_locc'])}  "
-                f"per_round={_rounded(result['per_round_info'])}"
+                f"per_round={[_round9(v) for v in result['per_round_info']]}"
             )
             for leaf in result["leaves"]:
                 lines.append(
                     f"  leaf {','.join(leaf['path']) or '(root)'}  p={_format_value(leaf['probability'])}  "
-                    f"posterior={_rounded(leaf['member_probabilities'])}"
+                    f"posterior={[_round9(v) for v in leaf['member_probabilities']]}"
                 )
         else:
             for key in ("entropy_average", "entropy_a", "entropy_b", "holevo", "n_qubits"):

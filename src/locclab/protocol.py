@@ -35,7 +35,7 @@ hypothesis whose outcome weight is at most _MEMBER_EPS keeps its prior
 state, outcomes below PRUNE_TOL are pruned and the survivors renormalized,
 and a node that loses every outcome is an error. A posterior factor is
 K V / ||K V||_F, so its state is PSD with unit trace by construction; the
-only check left on it is that every entry is finite.
+only check left on it is that every entry of K V is finite.
 
 ``LevelStats`` holds what the bounds and the audit read of a level:
 H(X | Y_1..Y_k), and per side the mean member-marginal entropy, the mean
@@ -225,6 +225,8 @@ class LevelStats:
 
 
 def _root_level(ensemble: BipartiteEnsemble) -> TreeLevel:
+    """The root node, each member factored as U sqrt(Lambda) over its
+    eigenvalues above _RANK_CUT and padded to the largest rank."""
     values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
     rank = int((values > _RANK_CUT).sum(axis=1).max())
     kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
@@ -271,12 +273,13 @@ def _expand(
     else:
         moved = ops[:, :, None, None] @ split
     moved = moved.reshape(n, width, m, dim, r)
+    # Checked before the keep-prior rule, which would hide a NaN weight.
+    if not np.isfinite(moved).all():
+        raise ValueError("non-finite posterior state")
     weight = np.einsum("nkmis,nkmis->nkm", moved, moved.conj()).real
     defined = (weight > _MEMBER_EPS)[..., None, None]
     scale = np.sqrt(np.where(defined, weight[..., None, None], 1.0))
     posterior_factors = np.where(defined, moved / scale, level.factors[:, None])
-    if not np.isfinite(posterior_factors).all():
-        raise ValueError("non-finite posterior state")
 
     joint = level.q[:, None, :] * weight
     p_outcome = joint.sum(axis=-1)

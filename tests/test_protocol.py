@@ -161,6 +161,15 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="conflicts"):
             run_protocol(phi_mixture(), chooser, 2)
 
+    def test_non_finite_posterior_rejected(self):
+        # KrausInstrument rejects a NaN operator, so the NaN goes in behind
+        # its check: the engine must raise, not let the keep-prior rule and
+        # the pruning absorb it.
+        instrument = x_instrument("A")
+        object.__setattr__(instrument, "outcomes", (("+", np.full((2, 2), np.nan)), instrument.outcomes[1]))
+        with pytest.raises(ValueError, match="non-finite posterior state"):
+            run_protocol(phi_mixture(), lambda h: instrument, 1)
+
     def test_sibling_probabilities_sum_to_parent(self):
         sc = random_scenario(77)
         t = run_protocol(sc.ensemble, sc.chooser, sc.depth)
