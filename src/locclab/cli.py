@@ -249,6 +249,15 @@ def _round9(value: float) -> float:
     return round(value, 9) or 0.0
 
 
+def _format_deviation(value: float) -> str:
+    # A passing deviation prints as its check's threshold: its own digits
+    # (about 1e-16 on the bundled scenarios) follow the engine's rounding.
+    # The JSON report keeps the value.
+    if value <= MARGINAL_DEVIATION_TOL:
+        return f"<={MARGINAL_DEVIATION_TOL:.1e}"
+    return f"={value:.2e}"
+
+
 def render_table(report: dict, elapsed: float) -> str:
     lines = [
         f"command: {report['command']}   scenario: {report['scenario']}   "
@@ -282,7 +291,7 @@ def render_table(report: dict, elapsed: float) -> str:
                     f"  round {audit['round']} ({audit['party']}): info={_format_value(audit['info'])} "
                     f"holevo_slack={_format_value(audit['holevo_slack'])} "
                     f"drop_slack={_format_value(audit['entropy_drop_slack'])} "
-                    f"distant_dev={audit['distant_marginal_deviation']:.2e}  {verdict}"
+                    f"distant_dev{_format_deviation(audit['distant_marginal_deviation'])}  {verdict}"
                 )
         elif "report" in result:
             for key, value in result["report"].items():

@@ -66,50 +66,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_densities(matrices, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check a stack (..., D, D) of density matrices; return the checked stack.
-
-    Each matrix must be Hermitian with unit trace within ``tol`` and have no
-    eigenvalue below -tol. Matrices whose lowest eigenvalue lies in
-    [-tol, 0) get their negative eigenvalues clipped to zero and are
-    renormalized; the others are returned unchanged. One ``eigvalsh`` call
-    covers the whole stack, one ``eigh`` call the clipped matrices.
-    """
-    mats = np.array(matrices, dtype=complex)
-    herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
-    off = herm_dev > tol
-    if off.any():
-        raise ValueError(
-            f"not Hermitian: max |M - M^dagger| = {np.extract(off, herm_dev)[0]:.3e} exceeds tol {tol:.1e}"
-        )
-    trace_dev = np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0)
-    off = ~(trace_dev <= tol)
-    if off.any():
-        raise ValueError(
-            f"trace deviation: |tr(M) - 1| = {np.extract(off, trace_dev)[0]:.3e} exceeds tol {tol:.1e}"
-        )
-    lowest = np.linalg.eigvalsh(hermitize(mats))[..., 0]
-    off = lowest < -tol
-    if off.any():
-        raise ValueError(f"negative eigenvalue {np.extract(off, lowest)[0]:.3e} below -tol = {-tol:.1e}")
-    clipped = lowest < 0.0
-    if clipped.any():
-        # Clip rounding-level negatives and renormalize back to unit trace.
-        values, vectors = np.linalg.eigh(hermitize(mats[clipped]))
-        values = np.maximum(values, 0.0)
-        rebuilt = (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2).conj()
-        traces = np.trace(rebuilt, axis1=-2, axis2=-1).real
-        mats[clipped] = hermitize(rebuilt / traces[..., None, None])
-    return mats
-
-
 def validate_density(matrix, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> DensityOperator:
     """Check matrix is a density operator on the given bipartite dimensions.
 
     Hermiticity, unit trace, and positivity are enforced within ``tol``.
     Eigenvalues in [-tol, 0) are clipped to zero and the state renormalized;
-    anything below -tol is rejected as unphysical. This is the one-matrix
-    case of ``validate_densities``.
+    anything below -tol is rejected as unphysical.
     """
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
@@ -119,7 +81,22 @@ def validate_density(matrix, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
         raise ValueError(
             f"dimension mismatch: expected {dim}x{dim} for dims ({dim_a}, {dim_b}), got {mat.shape}"
         )
-    return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(validate_densities(mat, tol)))
+    herm_dev = np.abs(mat - mat.conj().T).max()
+    if herm_dev > tol:
+        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {tol:.1e}")
+    trace_dev = abs(np.trace(mat) - 1.0)
+    if not trace_dev <= tol:
+        raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {tol:.1e}")
+    lowest = np.linalg.eigvalsh(hermitize(mat))[0]
+    if lowest < -tol:
+        raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-tol:.1e}")
+    if lowest < 0.0:
+        # Clip rounding-level negatives and renormalize back to unit trace.
+        values, vectors = np.linalg.eigh(hermitize(mat))
+        values = np.maximum(values, 0.0)
+        rebuilt = (vectors * values) @ vectors.conj().T
+        mat = hermitize(rebuilt / np.trace(rebuilt).real)
+    return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(mat))
 
 
 def pure_state_density(vector, dim_a: int, dim_b: int, tol: float = 1e-6) -> DensityOperator:

@@ -46,8 +46,8 @@ members' Grams. ``run_protocol`` computes the stats once per level with
 one stacked ``eigvalsh`` per (level, side) and entropy family;
 ``chain_mutual_information``, ``bound_suite`` and ``audit_rounds`` only
 read them. Dense D x D states are built only on demand: by
-``TreeLevel.states``, by ``ProtocolNode.ensemble`` and for the leaf
-averages whose entanglement ``bound_suite`` reports.
+``TreeLevel.ensemble`` (which ``ProtocolNode.ensemble`` calls) and for the
+leaf averages whose entanglement ``bound_suite`` reports.
 """
 
 from __future__ import annotations
@@ -179,11 +179,6 @@ class TreeLevel:
     def __post_init__(self):
         for array in (self.prob, self.q, self.factors, self.parent):
             array.setflags(write=False)
-
-    @property
-    def states(self) -> np.ndarray:
-        """(N, M, D, D) posterior member states, built from the factors."""
-        return _gram(self.factors)
 
     def ensemble(self, index: int, dim_a: int, dim_b: int) -> BipartiteEnsemble:
         """Posterior ensemble of node ``index``."""

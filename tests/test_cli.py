@@ -4,10 +4,7 @@ The golden reports in ``golden/cli`` were written by the node-by-node
 engine that the level-array engine replaced; every number must agree
 within 1e-12. The golden tables in ``golden/table`` were written by the
 payload-parsing random generator that the typed one replaced; they must
-match character for character once the wall-time suffix is removed. Their
-``distant_dev`` column prints a rounding-level deviation (about 1e-16)
-to three digits, so those digits follow the engine's arithmetic: the lines
-that changed with the factored-state engine were rewritten by it.
+match character for character once the wall-time suffix is removed.
 """
 
 import contextlib
@@ -142,3 +139,18 @@ def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command", bundled_scenario_path("phi_mixture_xx.json")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "value, text", [(-1e-17, "0.000000000"), (0.5, "0.500000000"), (-2e-9, "-0.000000002")]
+)
+def test_table_value_prints_rounded_zero_unsigned(value, text):
+    assert cli._format_value(value) == text
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(0.0, "<=1.0e-09"), (2.2e-16, "<=1.0e-09"), (2e-8, "=2.00e-08"), (float("nan"), "=nan")],
+)
+def test_table_deviation_prints_threshold_when_it_passes(value, text):
+    assert cli._format_deviation(value) == text
