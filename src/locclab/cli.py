@@ -239,7 +239,7 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
-        return f"{_round9(value):.9f}" if np.isfinite(value) else ("inf" if value > 0 else "-inf")
+        return f"{_round9(value):.9f}" if np.isfinite(value) else str(value)
     return str(value)
 
 

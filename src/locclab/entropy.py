@@ -78,10 +78,6 @@ class BipartiteEnsemble:
                 out += p * state.matrix
         return hermitize(out)
 
-    def marginal_members(self, side: str) -> list[tuple[float, np.ndarray]]:
-        """Members reduced to one side, keeping the same weights."""
-        return [(p, state.marginal(side)) for p, state in self.members]
-
 
 def shannon_entropies(probabilities, tol: float = DEFAULT_TOL) -> np.ndarray:
     """-sum p log2 p over the last axis of a stack of probability vectors.

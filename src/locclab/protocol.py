@@ -43,7 +43,9 @@ average-marginal entropy and the average marginals. A member's marginal
 on side A is the Gram X X^dagger of V reshaped to X (dim_a, dim_b * r),
 side B likewise; a node's average marginal is the q-weighted sum of its
 members' Grams. ``run_protocol`` computes the stats once per level with
-one stacked ``eigvalsh`` per (level, side) and entropy family;
+one stacked ``eigvalsh`` per (level, side) and entropy family, except
+that pure members (r = 1), whose two marginals share a spectrum, take
+their member entropies on side A only;
 ``chain_mutual_information``, ``bound_suite`` and ``audit_rounds`` only
 read them. Dense D x D states are built only on demand: by
 ``TreeLevel.ensemble`` (which ``ProtocolNode.ensemble`` calls) and for the
@@ -142,17 +144,59 @@ class KrausInstrument:
         kets = np.array(basis, dtype=complex)
         if kets.ndim != 2 or kets.shape[0] != kets.shape[1]:
             raise ValueError(f"projective basis must be square, got {kets.shape}")
-        if not np.abs(kets.conj() @ kets.T - np.eye(len(kets))).max() <= 1e-8:
-            raise ValueError("projective basis is not orthonormal")
         if labels is None:
             labels = [str(i) for i in range(len(kets))]
-        if len(labels) != len(kets):
-            raise ValueError(f"{len(labels)} labels for {len(kets)} basis vectors")
-        projectors = kets[:, :, None] * kets.conj()[:, None, :]
-        instrument = cls(party=party, outcomes=tuple(zip(map(str, labels), projectors)))
-        kets.setflags(write=False)
-        object.__setattr__(instrument, "kets", kets)
-        return instrument
+        return _projective_stack(party, kets[None], [tuple(map(str, labels))])[0]
+
+
+# Largest entry of |<k_i|k_j> - delta_ij| that a projective basis may have.
+_ORTHONORMAL_TOL = 1e-8
+
+
+def _projective_stack(party: str, kets: np.ndarray, labels: list[tuple[str, ...]]) -> list[KrausInstrument]:
+    """Rank-one projective instruments from a stack of square bases.
+
+    ``kets`` is (H, K, K) complex, basis h with its kets as rows, and
+    ``labels[h]`` names the rows of basis h. Each check of a projective
+    instrument runs once over the whole stack, in this order:
+    orthonormality, label count, party, distinct labels, completeness.
+    The first that fails raises a ValueError; with H = 1 it is the message
+    of that check for the one basis. The instruments are then built
+    without ``__post_init__``, whose checks these are: they share the
+    stack's memory, which becomes read-only.
+    """
+    dim = kets.shape[-1]
+    eye = np.eye(dim)
+    overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - eye).max(axis=(1, 2))
+    if not (overlap <= _ORTHONORMAL_TOL).all():
+        raise ValueError("projective basis is not orthonormal")
+    distinct = set(labels)
+    for names in distinct:
+        if len(names) != dim:
+            raise ValueError(f"{len(names)} labels for {dim} basis vectors")
+    if party not in PARTIES:
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    for names in distinct:
+        if len(set(names)) != dim:
+            duplicate = next(label for i, label in enumerate(names) if label in names[:i])
+            raise ValueError(f"duplicate outcome label {duplicate!r}")
+    projectors = kets[..., :, None] * kets.conj()[..., None, :]
+    # sum_k P_k^dagger P_k of every basis.
+    gram = np.einsum("hkji,hkjl->hil", projectors.conj(), projectors)
+    completeness = np.abs(gram - eye).max(axis=(1, 2))
+    if not (completeness <= DEFAULT_TOL).all():
+        raise ValueError(f"incomplete instrument: max |sum K^dagger K - I| = {completeness.max():.3e}")
+    kets.setflags(write=False)
+    projectors.setflags(write=False)
+    ops = list(projectors.reshape(-1, dim, dim))
+    instruments = []
+    for h, (basis, names) in enumerate(zip(list(kets), labels)):
+        instrument = object.__new__(KrausInstrument)
+        object.__setattr__(instrument, "party", party)
+        object.__setattr__(instrument, "outcomes", tuple(zip(names, ops[h * dim : (h + 1) * dim])))
+        object.__setattr__(instrument, "kets", basis)
+        instruments.append(instrument)
+    return instruments
 
 
 def _gram(factors: np.ndarray) -> np.ndarray:
@@ -315,8 +359,10 @@ def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
     member_entropy, average_entropy, average_marginals = {}, {}, {}
     for side in PARTIES:
         marginals = _gram(reshaped[side])
-        member = np.zeros(level.q.shape)
-        member[counted] = von_neumann_entropies(marginals[counted])
+        # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's.
+        if side == "A" or r > 1:
+            member = np.zeros(level.q.shape)
+            member[counted] = von_neumann_entropies(marginals[counted])
         member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
         average_marginals[side] = np.einsum("nm,nmij->nij", weights, marginals)
         average_entropy[side] = float(prob @ von_neumann_entropies(average_marginals[side][live]))

@@ -17,6 +17,17 @@ format: parsing is strict and errors carry the offending field path, and
 it draws. A projective instrument keeps the kets it was built from, and
 the dump writes them back; any other instrument is dumped as its Kraus
 operators.
+
+A step's override table is read in one batch when every entry is a
+projective basis. Its keys are tested against the histories known to
+reach the step. Its kets, nested lists of matching lengths, become one
+(H, K, K, 2) array read with one ``np.array``; one leaf-type test rejects
+booleans and strings and one ``isfinite`` test covers the whole array.
+The orthonormality and completeness checks run once for the stack, whose
+instruments are then built without repeating them. If any of this fails,
+the table is parsed again entry by entry, the path that names the first
+bad field. That path is the only source of error messages, so they do
+not depend on the batch.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import numpy as np
 from .distillation import BellDiagonalSpec
 from .entropy import BipartiteEnsemble, MEASURES, MEASURE_AUTO
 from .linalg import DensityOperator, pure_state_density, validate_density
-from .protocol import KrausInstrument
+from .protocol import KrausInstrument, _projective_stack
 
 SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
@@ -128,9 +139,13 @@ class ProtocolStep:
     overrides: dict[str, KrausInstrument]
 
     def for_history(self, history: tuple[str, ...]) -> KrausInstrument:
-        instrument = self.overrides.get(",".join(history), self.instrument)
+        return self.for_key(",".join(history))
+
+    def for_key(self, key: str) -> KrausInstrument:
+        """Instrument for the history whose labels, comma-joined, are ``key``."""
+        instrument = self.overrides.get(key, self.instrument)
         if instrument is None:
-            raise KeyError(history)
+            raise KeyError(key)
         return instrument
 
 
@@ -205,6 +220,91 @@ def _instrument_payload(instrument: KrausInstrument) -> dict:
     if instrument.kets is not None:
         return {"labels": labels, "projective": _to_pairs(instrument.kets)}
     return {"labels": labels, "kraus": [_to_pairs(op) for _, op in instrument.outcomes]}
+
+
+def _parse_projective_table(table: dict, party: str) -> dict[str, KrausInstrument] | None:
+    """Every override of a step at once, when all are projective and valid.
+
+    The kets of the H overrides are read as one (H, K, K, 2) array of
+    [re, im] pairs, and each check runs once for the whole table: shape,
+    leaf types, finiteness, labels, then ``_projective_stack``'s
+    orthonormality and completeness. Returns None when any check fails or
+    an entry is not a projective object; the caller then parses entry by
+    entry, which names the field.
+    """
+    values = list(table.values())
+    if not all(type(value) is dict and "projective" in value for value in values):
+        return None
+    rows = [value["projective"] for value in values]
+    dim = len(rows[0]) if type(rows[0]) is list else 0
+    if dim == 0:
+        return None
+    # Each level must hold lists of the right length, as the entry parse
+    # requires; np.array alone would also take tuples and arrays.
+    nested = rows
+    for size in (dim, dim, 2):
+        if not all(type(item) is list and len(item) == size for item in nested):
+            return None
+        nested = list(itertools.chain.from_iterable(nested))
+    # np.array(..., dtype=float) would take true as 1.0 and "0.5" as 0.5.
+    if not {type(x) for x in nested} <= {float, int}:
+        return None
+    try:
+        numbers = np.array(nested, dtype=float).reshape(len(rows), dim, dim, 2)
+    except OverflowError:
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    default = tuple(str(i) for i in range(dim))
+    labels = []
+    for value in values:
+        names = value.get("labels", default)
+        if type(names) is not list and names is not default:
+            return None
+        labels.append(tuple(names))
+    try:
+        distinct = set(labels)
+    except TypeError:
+        return None
+    for names in distinct:
+        if not all(type(name) is str and "," not in name for name in names):
+            return None
+    try:
+        # A view of the [re, im] pairs: each ket entry is complex(re, im) bit for bit.
+        return dict(zip(table, _projective_stack(party, numbers.view(complex)[..., 0], labels)))
+    except ValueError:
+        return None
+
+
+def _reaches(key: str, steps: list[ProtocolStep], known: list[set[str]]) -> bool:
+    """Whether an outcome history with comma-joined labels ``key`` reaches
+    step len(steps); the test of ``_check_history_key``, without messages.
+
+    ``known[i]`` holds the keys found to reach step i. The key is cut at its
+    last comma until a known prefix is left, and only the cut-off labels
+    are checked, so over a table each prefix is checked once. The whole
+    set of reachable keys is never built: it can grow as the number of
+    outcomes to the power of the depth.
+    """
+    pending = []
+    depth = len(steps)
+    while key not in known[depth]:
+        if depth == 0:
+            return False
+        parent, comma, label = key.rpartition(",") if depth > 1 else ("", ",", key)
+        if not comma:
+            return False
+        pending.append((depth, key, parent, label))
+        key, depth = parent, depth - 1
+    for depth, key, parent, label in reversed(pending):
+        try:
+            outcomes = steps[depth - 1].for_key(parent).outcomes
+        except KeyError:
+            return False
+        if all(name != label for name, _ in outcomes):
+            return False
+        known[depth].add(key)
+    return True
 
 
 def _check_history_key(key: str, steps: list[ProtocolStep], path: str) -> None:
@@ -335,6 +435,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
+        # known[i]: history keys found to reach step i.
+        known = [{""}]
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path)
@@ -344,14 +446,20 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             default = None
             if step_obj.get("instrument") is not None:
                 default = _parse_instrument(step_obj["instrument"], party, f"{step_path}.instrument")
-            overrides = {}
-            for key, value in _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides").items():
-                key_path = f"{step_path}.overrides[{key!r}]"
-                _check_history_key(key, steps, key_path)
-                overrides[key] = _parse_instrument(value, party, key_path)
+            table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides")
+            overrides = None
+            if table and all(_reaches(key, steps, known) for key in table):
+                overrides = _parse_projective_table(table, party)
+            if overrides is None:
+                overrides = {}
+                for key, value in table.items():
+                    key_path = f"{step_path}.overrides[{key!r}]"
+                    _check_history_key(key, steps, key_path)
+                    overrides[key] = _parse_instrument(value, party, key_path)
             if default is None and not overrides:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
             steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
+            known.append(set())
 
     random_spec = None
     if kind == "random":
@@ -432,11 +540,13 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(data, source=str(path))
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases.conj()
+def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim, dim) Haar unitaries; unitary h draws its real then its
+    imaginary part, so the stream is that of ``count`` draws one by one."""
+    g = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag)).conj()[:, None, :]
 
 
 def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: str | None = None) -> Scenario:
@@ -446,8 +556,9 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     probability simplex point; each round gets a uniformly random acting
     party and an independent random projective basis per outcome history
     (the adaptive case). The typed scenario is built from the drawn arrays
-    directly; the constructors still check norms, probability sums and
-    the orthonormality of each basis.
+    directly, each level's bases from one stacked draw; the constructors
+    still check norms, probability sums, and the orthonormality and
+    completeness of each basis.
     """
     members_lo, members_hi = (n_members, n_members) if isinstance(n_members, int) else tuple(n_members)
     depth_lo, depth_hi = (
@@ -473,10 +584,10 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     labels = ("0", "1")
     for level in range(depth):
         party = "A" if rng.integers(2) == 0 else "B"
-        instruments = {
-            ",".join(history): KrausInstrument.projective(party, _haar_unitary(2, rng).T, labels)
-            for history in itertools.product(labels, repeat=level)
-        }
+        keys = [",".join(history) for history in itertools.product(labels, repeat=level)]
+        # Basis kets are the rows of U^T.
+        kets = np.ascontiguousarray(_haar_unitaries(len(keys), 2, rng).swapaxes(1, 2))
+        instruments = dict(zip(keys, _projective_stack(party, kets, [labels] * len(keys))))
         steps.append(ProtocolStep(party=party, instrument=instruments.pop("", None), overrides=instruments))
 
     return Scenario(

@@ -224,11 +224,16 @@ def bound_suite(transcript, selector_in=MEASURE_AUTO, selector_out=MEASURE_AUTO)
     )
 
 
+def _marginal_members(ensemble, side: str) -> list:
+    """Members reduced to one side, keeping the same weights."""
+    return [(p, state.marginal(side)) for p, state in ensemble.members]
+
+
 def _level_marginal_chi(nodes, side: str) -> float:
     total = 0.0
     for node in nodes:
         if node.probability > 0.0:
-            total += node.probability * holevo_chi(node.ensemble.marginal_members(side))
+            total += node.probability * holevo_chi(_marginal_members(node.ensemble, side))
     return total
 
 

@@ -13,6 +13,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from locclab import bundled_scenario_path, cli
@@ -146,6 +147,12 @@ def test_unknown_command_is_a_usage_error():
 )
 def test_table_value_prints_rounded_zero_unsigned(value, text):
     assert cli._format_value(value) == text
+
+
+@pytest.mark.parametrize("value, text", [(float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf")])
+def test_table_value_prints_non_finite_as_itself(value, text):
+    assert cli._format_value(value) == text
+    assert cli._format_value(np.float64(value)) == text
 
 
 @pytest.mark.parametrize(

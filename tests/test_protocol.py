@@ -78,6 +78,32 @@ class TestKrausInstrument:
         for ket, (_, op) in zip(instr.kets, instr.outcomes):
             assert np.array_equal(op, np.outer(ket, ket.conj()))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_projective_matches_the_checked_constructor(self, dim):
+        # projective builds without __post_init__; its projectors must be
+        # those the general constructor stores, bit for bit.
+        rng = np.random.default_rng(dim)
+        kets = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0].T
+        labels = [f"k{i}" for i in range(dim)]
+        built = KrausInstrument.projective("B", kets, labels)
+        checked = KrausInstrument(party="B", outcomes=tuple(zip(labels, kets[:, :, None] * kets.conj()[:, None, :])))
+        for (label, op), (ref_label, ref) in zip(built.outcomes, checked.outcomes, strict=True):
+            assert label == ref_label
+            assert np.array_equal(op, ref) and not op.flags.writeable
+
+    @pytest.mark.parametrize(
+        "party, basis, labels",
+        [("C", np.eye(2), None), ("A", np.eye(2), ["x", "x"]), ("B", np.eye(3) * (1 + 4e-9), None)],
+        ids=["party", "duplicate", "incomplete"],
+    )
+    def test_projective_errors_match_the_checked_constructor(self, party, basis, labels):
+        labels = labels or [str(i) for i in range(len(basis))]
+        with pytest.raises(ValueError) as expected:
+            KrausInstrument(party=party, outcomes=tuple(zip(labels, basis[:, :, None] * basis[:, None, :])))
+        with pytest.raises(ValueError) as got:
+            KrausInstrument.projective(party, basis, labels)
+        assert str(got.value) == str(expected.value)
+
     def test_kets_are_set_only_by_projective(self):
         assert KrausInstrument(party="A", outcomes=z_instrument("A").outcomes).kets is None
         with pytest.raises(TypeError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from locclab import (
+    MEASURE_AUTO,
     BellDiagonalSpec,
     BipartiteEnsemble,
     KrausInstrument,
@@ -21,6 +22,7 @@ from locclab import (
     pure_state_density,
     random_scenario,
 )
+from locclab.scenario import ProtocolStep, Scenario
 
 from helpers import PHI_PLUS, Z_BASIS, bell, json_mismatches
 from reference_scenario import reference_random_scenario
@@ -159,6 +161,166 @@ class TestOverrideKeys:
         assert parse_error(data).startswith("s.protocol[2].overrides['1,0']: no instrument at step 2 for history '1'")
 
 
+R = 0.7071067811865476
+X = {"labels": ["0", "1"], "projective": [[[R, 0], [R, 0]], [[R, 0], [-R, 0]]]}
+Y = {"labels": ["0", "1"], "projective": [[[R, 0], [0, R]], [[R, 0], [0, -R]]]}
+
+
+def adaptive_table() -> dict:
+    """A protocol whose last step has four projective overrides; fresh dicts
+    on every call, so an edit reaches one override only."""
+    steps = [
+        {"party": "A", "instrument": Z},
+        {"party": "B", "overrides": {"0": X, "1": Y}},
+        {"party": "A", "overrides": {"0,0": Z, "0,1": X, "1,0": Y, "1,1": Z}},
+    ]
+    return json.loads(json.dumps(protocol(steps)))
+
+
+def set_entry(ket, entry, part, value):
+    def edit(table):
+        table["1,0"]["projective"][ket][entry][part] = value
+
+    return edit
+
+
+SCALED_Y = [[[x * (1 + 4e-9) for x in entry] for entry in ket] for ket in Y["projective"]]
+Z_KRAUS = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+INCOMPLETE_KRAUS = {"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}
+
+
+class TestBatchedOverrideParse:
+    """A bad override in an otherwise valid table: the batched read falls
+    back to the entry-by-entry parse, which names the same field with the
+    same text as that parse alone (messages pinned from it)."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (set_entry(0, 1, 0, True), "s.protocol[2].overrides['1,0'].projective[0][1][0]: expected a number, got bool"),
+            (set_entry(1, 0, 1, "0.5"), "s.protocol[2].overrides['1,0'].projective[1][0][1]: expected a number, got str"),
+            (
+                set_entry(1, 1, 0, float("nan")),
+                "s.protocol[2].overrides['1,0'].projective[1][1][0]: expected a finite number, got nan",
+            ),
+            (
+                set_entry(0, 0, 1, float("-inf")),
+                "s.protocol[2].overrides['1,0'].projective[0][0][1]: expected a finite number, got -inf",
+            ),
+            (
+                lambda table: table["1,0"]["projective"][1].pop(),
+                "s.protocol[2].overrides['1,0']: all the input array dimensions except for the concatenation axis "
+                "must match exactly, but along dimension 1, the array at index 0 has size 2 and the array at "
+                "index 1 has size 1",
+            ),
+            (
+                # Not JSON, but parse_scenario takes Python objects too.
+                lambda table: table["1,0"]["projective"].__setitem__(0, tuple(table["1,0"]["projective"][0])),
+                "s.protocol[2].overrides['1,0'].projective[0]: expected an array, got tuple",
+            ),
+            (
+                lambda table: table["1,0"]["projective"].append([[0, 0], [0, 0]]),
+                "s.protocol[2].overrides['1,0']: projective basis must be square, got (3, 2)",
+            ),
+            (
+                lambda table: table["1,0"].update(projective=[[[1, 0], [0, 0]], [[R, 0], [R, 0]]]),
+                "s.protocol[2].overrides['1,0']: projective basis is not orthonormal",
+            ),
+            (
+                lambda table: table["1,0"].update(projective=SCALED_Y),
+                "s.protocol[2].overrides['1,0']: incomplete instrument: max |sum K^dagger K - I| = 1.600e-08",
+            ),
+            (
+                lambda table: table["1,0"].update(labels=["0", "0"]),
+                "s.protocol[2].overrides['1,0']: duplicate outcome label '0'",
+            ),
+            (
+                lambda table: table["1,0"].update(labels=["0", "1,2"]),
+                "s.protocol[2].overrides['1,0'].labels[1]: labels must not contain commas (reserved for history keys)",
+            ),
+            (
+                lambda table: table["1,0"].update(labels=["0"]),
+                "s.protocol[2].overrides['1,0']: 1 labels for 2 basis vectors",
+            ),
+            (
+                lambda table: table.update({"1,2": table.pop("1,1")}),
+                "s.protocol[2].overrides['1,2']: label '2' is not an outcome of step 2 after history '1' "
+                "(outcomes ['0', '1']); no history reaches '1,2'",
+            ),
+            (
+                lambda table: table.update({"0,1": INCOMPLETE_KRAUS}),
+                "s.protocol[2].overrides['0,1']: incomplete instrument: max |sum K^dagger K - I| = 7.500e-01",
+            ),
+        ],
+        ids=[
+            "bool", "string", "nan", "inf", "ragged", "tuple", "non_square", "non_orthonormal", "incomplete",
+            "duplicate_label", "comma_label", "label_count", "unreachable_key", "mixed_kraus",
+        ],
+    )
+    def test_bad_override_keeps_its_message(self, edit, message):
+        data = adaptive_table()
+        edit(data["protocol"][2]["overrides"])
+        assert parse_error(data) == message
+
+    def test_valid_table_matches_entry_parse(self):
+        data = adaptive_table()
+        scenario = parse_scenario(data)
+        step = data["protocol"][2]
+        for key, instrument in scenario.steps[2].overrides.items():
+            single = parse_scenario(protocol([{"party": "A", "instrument": step["overrides"][key]}]))
+            assert_same_instrument(instrument, single.steps[0].instrument)
+
+    def test_mixed_kraus_and_projective_step(self):
+        data = adaptive_table()
+        data["protocol"][2]["overrides"]["0,1"] = {"labels": ["0", "1"], "kraus": Z_KRAUS}
+        overrides = parse_scenario(data).steps[2].overrides
+        assert overrides["0,1"].kets is None
+        assert all(overrides[key].kets is not None for key in ("0,0", "1,0", "1,1"))
+
+
+def adaptive_scenario(depth: int, seed: int) -> Scenario:
+    """Depth-``depth`` adaptive projective protocol built in memory: one
+    random basis per outcome history, with labels that differ per step."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for p in rng.dirichlet(np.ones(3)):
+        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        members.append((float(p), pure_state_density(vec / np.linalg.norm(vec), 2, 2)))
+    steps, histories = [], [()]
+    for level in range(depth):
+        party = "AB"[level % 2]
+        labels = (f"u{level}", f"d{level}")
+        overrides = {}
+        for history in histories:
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            overrides[",".join(history)] = KrausInstrument.projective(party, np.linalg.qr(g)[0].T, labels)
+        default = overrides.pop("") if level == 0 else None
+        steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
+        histories = [history + (label,) for history in histories for label in labels]
+    return Scenario(
+        kind="protocol", name=f"adaptive-{depth}", dim_a=2, dim_b=2, selector_in=MEASURE_AUTO,
+        selector_out=MEASURE_AUTO, tolerance=None, ensemble=BipartiteEnsemble(tuple(members)),
+        steps=tuple(steps), bell=None, random=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: [random_scenario(seed) for seed in range(64)], lambda: [adaptive_scenario(8, 3)]],
+    ids=["random_seeds_0_63", "adaptive_depth_8"],
+)
+def test_instruments_survive_dump_and_parse_exactly(build):
+    for scenario in build():
+        again = parse_scenario(json.loads(dump_scenario(scenario)))
+        for step, ref in zip(again.steps, scenario.steps, strict=True):
+            assert step.party == ref.party
+            assert (step.instrument is None) == (ref.instrument is None)
+            if ref.instrument is not None:
+                assert_same_instrument(step.instrument, ref.instrument)
+            assert step.overrides.keys() == ref.overrides.keys()
+            for key, instrument in step.overrides.items():
+                assert_same_instrument(instrument, ref.overrides[key])
+
+
 class TestCanonicalDump:
     @pytest.mark.parametrize("stem", BUNDLED)
     def test_bundled_dump_is_stable(self, stem):
@@ -218,12 +380,17 @@ class TestCanonicalDump:
                 assert np.array_equal(kets, instrument.kets)
 
 
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    # Unlike array_equal, tells -0.0 from 0.0.
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def assert_same_instrument(new: KrausInstrument, old: KrausInstrument) -> None:
     assert new.party == old.party
-    assert np.array_equal(new.kets, old.kets)
+    assert_same_bits(new.kets, old.kets)
     assert [label for label, _ in new.outcomes] == [label for label, _ in old.outcomes]
     for (_, a), (_, b) in zip(new.outcomes, old.outcomes, strict=True):
-        assert np.array_equal(a, b)
+        assert_same_bits(a, b)
 
 
 class TestTypedGenerator:
