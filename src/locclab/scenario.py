@@ -139,13 +139,9 @@ class ProtocolStep:
     overrides: dict[str, KrausInstrument]
 
     def for_history(self, history: tuple[str, ...]) -> KrausInstrument:
-        return self.for_key(",".join(history))
-
-    def for_key(self, key: str) -> KrausInstrument:
-        """Instrument for the history whose labels, comma-joined, are ``key``."""
-        instrument = self.overrides.get(key, self.instrument)
+        instrument = self.overrides.get(",".join(history), self.instrument)
         if instrument is None:
-            raise KeyError(key)
+            raise KeyError(history)
         return instrument
 
 
@@ -276,50 +272,26 @@ def _parse_projective_table(table: dict, party: str) -> dict[str, KrausInstrumen
         return None
 
 
-def _reaches(key: str, steps: list[ProtocolStep], known: list[set[str]]) -> bool:
-    """Whether an outcome history with comma-joined labels ``key`` reaches
-    step len(steps); the test of ``_check_history_key``, without messages.
-
-    ``known[i]`` holds the keys found to reach step i. The key is cut at its
-    last comma until a known prefix is left, and only the cut-off labels
-    are checked, so over a table each prefix is checked once. The whole
-    set of reachable keys is never built: it can grow as the number of
-    outcomes to the power of the depth.
-    """
-    pending = []
-    depth = len(steps)
-    while key not in known[depth]:
-        if depth == 0:
-            return False
-        parent, comma, label = key.rpartition(",") if depth > 1 else ("", ",", key)
-        if not comma:
-            return False
-        pending.append((depth, key, parent, label))
-        key, depth = parent, depth - 1
-    for depth, key, parent, label in reversed(pending):
-        try:
-            outcomes = steps[depth - 1].for_key(parent).outcomes
-        except KeyError:
-            return False
-        if all(name != label for name, _ in outcomes):
-            return False
-        known[depth].add(key)
-    return True
-
-
-def _check_history_key(key: str, steps: list[ProtocolStep], path: str) -> None:
+def _check_history_key(key: str, steps: list[ProtocolStep], path: str, known: list[set[str]]) -> None:
     """Reject an override key that no outcome history can reach.
 
     The key of step i lists i comma-separated labels, each an outcome of
     the instrument that the labels before it select. Only the key's own
-    prefixes are walked, never the whole tree.
+    prefixes are walked, never the whole tree. ``known[i]`` holds the keys
+    of i labels already found to reach step i; the walk starts after the
+    longest such prefix and adds each prefix that passes, so over a table
+    each prefix is checked once. A known prefix has passed every check, so
+    the message does not depend on ``known``.
     """
     labels = key.split(",") if steps else []
     if ",".join(labels) != key:
         _fail(path, f"step 1 is reached only by the empty history, got key {key!r}")
     if len(labels) != len(steps):
         _fail(path, f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
-    for i, label in enumerate(labels):
+    start = len(labels)
+    while ",".join(labels[:start]) not in known[start]:
+        start -= 1
+    for i, label in enumerate(labels[start:], start):
         prefix = tuple(labels[:i])
         try:
             outcomes = [name for name, _ in steps[i].for_history(prefix).outcomes]
@@ -331,6 +303,7 @@ def _check_history_key(key: str, steps: list[ProtocolStep], path: str) -> None:
                 f"label {label!r} is not an outcome of step {i + 1} after history "
                 f"{','.join(prefix)!r} (outcomes {outcomes}); no history reaches {key!r}",
             )
+        known[i + 1].add(",".join(labels[: i + 1]))
 
 
 def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble:
@@ -448,13 +421,19 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 default = _parse_instrument(step_obj["instrument"], party, f"{step_path}.instrument")
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides")
             overrides = None
-            if table and all(_reaches(key, steps, known) for key in table):
-                overrides = _parse_projective_table(table, party)
+            if table:
+                try:
+                    for key in table:
+                        _check_history_key(key, steps, step_path, known)
+                except ScenarioError:
+                    pass  # the per-entry parse below names the first bad entry
+                else:
+                    overrides = _parse_projective_table(table, party)
             if overrides is None:
                 overrides = {}
                 for key, value in table.items():
                     key_path = f"{step_path}.overrides[{key!r}]"
-                    _check_history_key(key, steps, key_path)
+                    _check_history_key(key, steps, key_path, known)
                     overrides[key] = _parse_instrument(value, party, key_path)
             if default is None and not overrides:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
