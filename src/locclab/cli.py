@@ -8,10 +8,22 @@ protocol-run    emit the transcript summary and chain mutual information.
 distill-report  emit the distillation-yield report for the scenario state.
 entropy         emit S, S_A, S_B and the Holevo quantity of the ensemble.
 
-Exit codes: 0 success, 1 at least one failed check, 2 input or usage error.
-JSON reports are canonical (sorted keys) and contain no timing data, so
-identical inputs produce byte-identical output; wall time goes to the table
-format only.
+``COMMAND_TABLE`` maps each command to a body function and a renderer. The
+body function turns one concrete scenario into the command's report fields and
+its checks, taken from the result dataclasses (``BoundReport``,
+``RoundAudit``, ``DistillationReport``) with ``dataclasses.asdict``;
+``run_scenario`` wraps each trial in the same envelope (trial, scenario,
+seed, dims, checks, passed). The renderer turns one trial into its table
+lines. ``COMMANDS`` and the argparse choices come from the table.
+
+Exit codes: 0 success, 1 at least one failed check, 2 input or usage error,
+141 (128 + SIGPIPE, as a shell reports it) when the reader closes stdout
+early, as ``| head`` does: the rest of the output is dropped without a
+traceback. JSON reports are canonical (sorted keys) and contain no timing
+data, so identical inputs produce byte-identical output; wall time goes to
+the table format only. They are strict JSON: a vacuous bound (+inf, e.g.
+``partial_distinguish_bound`` and ``max_keep_fraction`` of a pure product
+state) is written as ``null``, while the table prints it as ``inf``.
 """
 
 from __future__ import annotations
@@ -19,6 +31,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 import time
 
@@ -33,8 +47,12 @@ from .scenario import Scenario, ScenarioError, load_scenario, materialize_random
 DEFAULT_SLACK_TOL = 1e-7
 MARGINAL_DEVIATION_TOL = 1e-9
 AGREEMENT_TOL = 1e-7
-
-COMMANDS = ("bounds-verify", "protocol-run", "distill-report", "entropy")
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
+# Per-round audit checks, report key -> comparison: a slack must be >= -tol,
+# the distant marginal deviation <= MARGINAL_DEVIATION_TOL.
+_AUDIT_CHECKS = {"holevo_slack": ">=", "entropy_drop_slack": ">=", "distant_marginal_deviation": "<="}
+# Table verdict of a check outcome; None when a bound has no check.
+_VERDICT = {True: "PASS", False: "FAIL", None: "-"}
 
 
 def _check(name: str, value: float, threshold: float, comparison: str) -> dict:
@@ -73,124 +91,120 @@ def _scenario_ensemble(scenario: Scenario) -> BipartiteEnsemble:
     raise ScenarioError(f"{scenario.name}: random scenarios must be materialized before use")
 
 
-def _bounds_trial(scenario: Scenario, tol: float, trial: int, seed) -> dict:
-    ensemble = _scenario_ensemble(scenario)
-    transcript = run_protocol(ensemble, scenario.chooser, scenario.depth)
+def _transcript(scenario: Scenario):
+    """Protocol transcript of the scenario, and the report fields of its tree."""
+    transcript = run_protocol(_scenario_ensemble(scenario), scenario.chooser, scenario.depth)
+    return transcript, {"depth": transcript.depth, "round_parties": list(transcript.round_parties)}
+
+
+def _bounds_body(scenario: Scenario, tol: float):
+    transcript, body = _transcript(scenario)
     report = bound_suite(transcript, scenario.selector_in, scenario.selector_out)
-    audits = audit_rounds(transcript)
+    # The bound_* fields are reported once, under their bounds() names.
+    measured = dataclasses.asdict(report).items()
+    body.update((key, value) for key, value in measured if not key.startswith("bound_"))
+    body["bounds"], body["slacks"] = report.bounds(), report.slacks()
+    body["audits"] = [
+        {("round" if key == "round_index" else key): value for key, value in dataclasses.asdict(a).items()}
+        for a in audit_rounds(transcript)
+    ]
+    checks = [
+        _check(f"slack:{name}", slack, -tol, ">=") for name, slack in body["slacks"].items() if slack is not None
+    ]
+    for row in body["audits"]:
+        for key, comparison in _AUDIT_CHECKS.items():
+            threshold = -tol if comparison == ">=" else MARGINAL_DEVIATION_TOL
+            checks.append(_check(f"round{row['round']}:{key}", row[key], threshold, comparison))
+    return body, checks
 
-    checks = []
-    for bound_name, slack in report.slacks().items():
-        if slack is not None:
-            checks.append(_check(f"slack:{bound_name}", slack, -tol, ">="))
-    for audit in audits:
-        prefix = f"round{audit.round_index}"
-        checks.append(_check(f"{prefix}:holevo_slack", audit.holevo_slack, -tol, ">="))
-        checks.append(_check(f"{prefix}:entropy_drop_slack", audit.entropy_drop_slack, -tol, ">="))
-        checks.append(
-            _check(
-                f"{prefix}:distant_marginal_deviation",
-                audit.distant_marginal_deviation,
-                MARGINAL_DEVIATION_TOL,
-                "<=",
-            )
+
+def _bounds_lines(trial: dict, verdicts: dict) -> list[str]:
+    measured = _format_value(trial["i_locc"])
+    lines = [
+        f"  measured  I_locc={measured}  E_in={_format_value(trial['e_in_avg'])}  "
+        f"E_out={_format_value(trial['e_out_avg'])}  N={_format_value(trial['n_qubits'])}",
+        f"  {'bound':<22}{'value':>14}{'measured':>14}{'slack':>14}  verdict",
+    ]
+    for name, value in trial["bounds"].items():
+        lines.append(
+            f"  {name:<22}{_format_value(value):>14}{measured:>14}"
+            f"{_format_value(trial['slacks'][name]):>14}  {_VERDICT[verdicts.get(f'slack:{name}')]}"
         )
-
-    return {
-        "trial": trial,
-        "scenario": scenario.name,
-        "seed": seed,
-        "dims": [scenario.dim_a, scenario.dim_b],
-        "depth": transcript.depth,
-        "round_parties": list(transcript.round_parties),
-        "i_locc": report.i_locc,
-        "per_round_info": list(report.per_round_info),
-        "e_in_avg": report.e_in_avg,
-        "e_out_avg": report.e_out_avg,
-        "n_qubits": report.n_qubits,
-        "bounds": report.bounds(),
-        "slacks": report.slacks(),
-        "audits": [
-            {("round" if key == "round_index" else key): value for key, value in dataclasses.asdict(a).items()}
-            for a in audits
-        ],
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    for audit in trial["audits"]:
+        passed = all(verdicts[f"round{audit['round']}:{key}"] for key in _AUDIT_CHECKS)
+        lines.append(
+            f"  round {audit['round']} ({audit['party']}): info={_format_value(audit['info'])} "
+            f"holevo_slack={_format_value(audit['holevo_slack'])} "
+            f"drop_slack={_format_value(audit['entropy_drop_slack'])} "
+            f"distant_dev{_format_deviation(audit['distant_marginal_deviation'])}  {_VERDICT[passed]}"
+        )
+    return lines
 
 
-def _protocol_trial(scenario: Scenario, trial: int, seed) -> dict:
-    ensemble = _scenario_ensemble(scenario)
-    transcript = run_protocol(ensemble, scenario.chooser, scenario.depth)
-    per_round, total = chain_mutual_information(transcript)
-    return {
-        "trial": trial,
-        "scenario": scenario.name,
-        "seed": seed,
-        "dims": [scenario.dim_a, scenario.dim_b],
-        "depth": transcript.depth,
-        "round_parties": list(transcript.round_parties),
-        "per_round_info": per_round,
-        "i_locc": total,
-        "leaves": [
-            {
-                "path": list(leaf.path),
-                "probability": leaf.probability,
-                "member_probabilities": leaf.ensemble.probabilities().tolist(),
-            }
-            for leaf in transcript.leaves()
-        ],
-        "checks": [],
-        "passed": True,
-    }
+def _protocol_body(scenario: Scenario, tol: float):
+    transcript, body = _transcript(scenario)
+    body["per_round_info"], body["i_locc"] = chain_mutual_information(transcript)
+    leaves = transcript.levels[-1]
+    body["leaves"] = [
+        {"path": list(path), "probability": p, "member_probabilities": q}
+        for path, p, q in zip(leaves.paths, leaves.prob.tolist(), leaves.q.tolist())
+    ]
+    return body, []
 
 
-def _distill_trial(scenario: Scenario, tol: float, trial: int, seed) -> dict:
-    state = _scenario_state(scenario)
-    report = distillation_report(state, spec=scenario.bell)
+def _protocol_lines(trial: dict, verdicts: dict) -> list[str]:
+    lines = [
+        f"  depth {trial['depth']}  parties {','.join(trial['round_parties']) or '-'}  "
+        f"I_locc={_format_value(trial['i_locc'])}  per_round={[_round9(v) for v in trial['per_round_info']]}"
+    ]
+    for leaf in trial["leaves"]:
+        lines.append(
+            f"  leaf {','.join(leaf['path']) or '(root)'}  p={_format_value(leaf['probability'])}  "
+            f"posterior={[_round9(v) for v in leaf['member_probabilities']]}"
+        )
+    return lines
+
+
+def _distill_body(scenario: Scenario, tol: float):
+    report = distillation_report(_scenario_state(scenario), spec=scenario.bell)
     checks = []
     if scenario.bell is not None and not report.degenerate_spectrum:
-        checks.append(
-            _check(
-                "closed_form_agreement:hashing",
-                abs(report.full_distinguish_bound - report.closed_form_hashing),
-                AGREEMENT_TOL,
-                "<=",
-            )
-        )
-        checks.append(
-            _check(
-                "closed_form_agreement:partial",
-                abs(report.partial_distinguish_bound - report.closed_form_partial),
-                AGREEMENT_TOL,
-                "<=",
-            )
-        )
+        hashing = abs(report.full_distinguish_bound - report.closed_form_hashing)
+        partial = abs(report.partial_distinguish_bound - report.closed_form_partial)
+        checks.append(_check("closed_form_agreement:hashing", hashing, AGREEMENT_TOL, "<="))
+        checks.append(_check("closed_form_agreement:partial", partial, AGREEMENT_TOL, "<="))
     if scenario.bell is not None:
         checks.append(_check("partial_bound_positive", report.closed_form_partial, 0.0, ">="))
-    return {
-        "trial": trial,
-        "scenario": scenario.name,
-        "seed": seed,
-        "dims": [scenario.dim_a, scenario.dim_b],
-        "report": dataclasses.asdict(report),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return {"report": dataclasses.asdict(report)}, checks
 
 
-def _entropy_trial(scenario: Scenario, trial: int, seed) -> dict:
+def _distill_lines(trial: dict, verdicts: dict) -> list[str]:
+    lines = [f"  {key:<28}{_format_value(value)}" for key, value in trial["report"].items()]
+    for check in trial["checks"]:
+        lines.append(
+            f"  check {check['name']}: {_format_value(check['value'])} "
+            f"{check['comparison']} {check['threshold']:.1e}  {_VERDICT[check['passed']]}"
+        )
+    return lines
+
+
+def _entropy_body(scenario: Scenario, tol: float):
     summary = entropy_summary(_scenario_ensemble(scenario))
-    return {
-        "trial": trial,
-        "scenario": scenario.name,
-        "seed": seed,
-        "dims": [scenario.dim_a, scenario.dim_b],
-        **summary,
-        "n_qubits": float(np.log2(scenario.dim_a * scenario.dim_b)),
-        "checks": [],
-        "passed": True,
-    }
+    return {**summary, "n_qubits": float(np.log2(scenario.dim_a * scenario.dim_b))}, []
+
+
+def _entropy_lines(trial: dict, verdicts: dict) -> list[str]:
+    keys = ("entropy_average", "entropy_a", "entropy_b", "holevo", "n_qubits")
+    return [f"  {key:<18}{_format_value(trial[key])}" for key in keys]
+
+
+COMMAND_TABLE = {
+    "bounds-verify": (_bounds_body, _bounds_lines),
+    "protocol-run": (_protocol_body, _protocol_lines),
+    "distill-report": (_distill_body, _distill_lines),
+    "entropy": (_entropy_body, _entropy_lines),
+}
+COMMANDS = tuple(COMMAND_TABLE)
 
 
 def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float | None = None) -> dict:
@@ -211,16 +225,21 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
     else:
         concrete = [(scenario, None)]
 
+    build = COMMAND_TABLE[command][0]
     results = []
     for trial, (instance, trial_seed) in enumerate(concrete):
-        if command == "bounds-verify":
-            results.append(_bounds_trial(instance, slack_tol, trial, trial_seed))
-        elif command == "protocol-run":
-            results.append(_protocol_trial(instance, trial, trial_seed))
-        elif command == "distill-report":
-            results.append(_distill_trial(instance, slack_tol, trial, trial_seed))
-        else:
-            results.append(_entropy_trial(instance, trial, trial_seed))
+        body, checks = build(instance, slack_tol)
+        results.append(
+            {
+                "trial": trial,
+                "scenario": instance.name,
+                "seed": trial_seed,
+                "dims": [instance.dim_a, instance.dim_b],
+                **body,
+                "checks": checks,
+                "passed": all(c["passed"] for c in checks),
+            }
+        )
 
     return {
         "schema": "locclab/report-v1",
@@ -258,67 +277,25 @@ def _format_deviation(value: float) -> str:
     return f"={value:.2e}"
 
 
+def _strict(value):
+    """A report for strict JSON: every +inf, a vacuous bound, becomes None."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return None if value == math.inf else value
+
+
 def render_table(report: dict, elapsed: float) -> str:
+    render = COMMAND_TABLE[report["command"]][1]
     lines = [
         f"command: {report['command']}   scenario: {report['scenario']}   "
         f"seed: {report['seed']}   tol: {report['tolerance']:.1e}"
     ]
-    for result in report["trials"]:
-        lines.append(f"trial {result['trial']}: {result['scenario']}  dims {result['dims']}")
-        if "bounds" in result:
-            lines.append(
-                f"  measured  I_locc={_format_value(result['i_locc'])}  "
-                f"E_in={_format_value(result['e_in_avg'])}  "
-                f"E_out={_format_value(result['e_out_avg'])}  N={_format_value(result['n_qubits'])}"
-            )
-            lines.append(f"  {'bound':<22}{'value':>14}{'measured':>14}{'slack':>14}  verdict")
-            for name, value in result["bounds"].items():
-                slack = result["slacks"][name]
-                verdict = "-"
-                for check in result["checks"]:
-                    if check["name"] == f"slack:{name}":
-                        verdict = "PASS" if check["passed"] else "FAIL"
-                lines.append(
-                    f"  {name:<22}{_format_value(value):>14}{_format_value(result['i_locc']):>14}"
-                    f"{_format_value(slack):>14}  {verdict}"
-                )
-            for audit in result["audits"]:
-                audit_checks = [
-                    c for c in result["checks"] if c["name"].startswith(f"round{audit['round']}:")
-                ]
-                verdict = "PASS" if all(c["passed"] for c in audit_checks) else "FAIL"
-                lines.append(
-                    f"  round {audit['round']} ({audit['party']}): info={_format_value(audit['info'])} "
-                    f"holevo_slack={_format_value(audit['holevo_slack'])} "
-                    f"drop_slack={_format_value(audit['entropy_drop_slack'])} "
-                    f"distant_dev{_format_deviation(audit['distant_marginal_deviation'])}  {verdict}"
-                )
-        elif "report" in result:
-            for key, value in result["report"].items():
-                lines.append(f"  {key:<28}{_format_value(value)}")
-            for check in result["checks"]:
-                lines.append(
-                    f"  check {check['name']}: {_format_value(check['value'])} "
-                    f"{check['comparison']} {check['threshold']:.1e}  "
-                    f"{'PASS' if check['passed'] else 'FAIL'}"
-                )
-        elif "leaves" in result:
-            lines.append(
-                f"  depth {result['depth']}  parties {','.join(result['round_parties']) or '-'}  "
-                f"I_locc={_format_value(result['i_locc'])}  "
-                f"per_round={[_round9(v) for v in result['per_round_info']]}"
-            )
-            for leaf in result["leaves"]:
-                lines.append(
-                    f"  leaf {','.join(leaf['path']) or '(root)'}  p={_format_value(leaf['probability'])}  "
-                    f"posterior={[_round9(v) for v in leaf['member_probabilities']]}"
-                )
-        else:
-            for key in ("entropy_average", "entropy_a", "entropy_b", "holevo", "n_qubits"):
-                lines.append(f"  {key:<18}{_format_value(result[key])}")
-    lines.append(
-        f"overall: {'PASS' if report['passed'] else 'FAIL'}  ({elapsed:.3f} s)"
-    )
+    for trial in report["trials"]:
+        lines.append(f"trial {trial['trial']}: {trial['scenario']}  dims {trial['dims']}")
+        lines += render(trial, {check["name"]: check["passed"] for check in trial["checks"]})
+    lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}  ({elapsed:.3f} s)")
     return "\n".join(lines)
 
 
@@ -345,10 +322,19 @@ def main(argv=None) -> int:
         return 2
     elapsed = time.perf_counter() - started
 
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(render_table(report, elapsed))
+    try:
+        if args.format == "json":
+            print(json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False))
+        else:
+            print(render_table(report, elapsed))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The Python docs' recipe: point stdout at devnull, so that the
+        # flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 0 if report["passed"] else 1
 
 

@@ -87,8 +87,9 @@ class DistillationReport:
     Raw bounds may be negative (meaning: no yield through such protocols);
     ``full_distinguish_yield`` is the zero-clamped value. Infinite
     ``partial_distinguish_bound`` / ``max_keep_fraction`` mark the vacuous
-    pure-product case. Closed forms are present only when the state was
-    built from a BellDiagonalSpec.
+    pure-product case; the CLI's JSON report writes them as ``null``, since
+    strict JSON has no infinity, and its table prints ``inf``. Closed forms
+    are present only when the state was built from a BellDiagonalSpec.
     """
 
     entropy: float

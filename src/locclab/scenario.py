@@ -74,7 +74,10 @@ def _as_list(value, path: str) -> list:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(path, "expected a finite number, got an integer too large for a float")
     # Chained comparison: false for NaN as well as for +-inf.
     if not -_INF < number < _INF:
         _fail(path, f"expected a finite number, got {number!r}")
@@ -179,7 +182,8 @@ class Scenario:
         return len(self.steps)
 
 
-def _parse_instrument(value, party: str, path: str) -> KrausInstrument:
+def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument:
+    """Instrument on ``party``, whose local dimension ``dim`` it must match."""
     obj = _as_dict(value, path)
     labels = None
     if "labels" in obj:
@@ -193,8 +197,8 @@ def _parse_instrument(value, party: str, path: str) -> KrausInstrument:
                 _as_vector(v, f"{path}.projective[{i}]")
                 for i, v in enumerate(_as_list(obj["projective"], f"{path}.projective"))
             ]
-            return KrausInstrument.projective(party, np.vstack(kets), labels=labels)
-        if "kraus" in obj:
+            instrument = KrausInstrument.projective(party, np.vstack(kets), labels=labels)
+        elif "kraus" in obj:
             ops = [
                 _as_matrix(m, f"{path}.kraus[{i}]")
                 for i, m in enumerate(_as_list(obj["kraus"], f"{path}.kraus"))
@@ -203,12 +207,16 @@ def _parse_instrument(value, party: str, path: str) -> KrausInstrument:
                 labels = [str(i) for i in range(len(ops))]
             if len(labels) != len(ops):
                 _fail(f"{path}.labels", f"{len(labels)} labels for {len(ops)} operators")
-            return KrausInstrument(party=party, outcomes=tuple(zip(labels, ops)))
+            instrument = KrausInstrument(party=party, outcomes=tuple(zip(labels, ops)))
+        else:
+            _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list")
     except ScenarioError:
         raise
     except ValueError as exc:
         _fail(path, str(exc))
-    _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list")
+    if instrument.dim != dim:
+        _fail(path, f"instrument on {party} has size {instrument.dim}, party dimension is {dim}")
+    return instrument
 
 
 def _instrument_payload(instrument: KrausInstrument) -> dict:
@@ -218,23 +226,20 @@ def _instrument_payload(instrument: KrausInstrument) -> dict:
     return {"labels": labels, "kraus": [_to_pairs(op) for _, op in instrument.outcomes]}
 
 
-def _parse_projective_table(table: dict, party: str) -> dict[str, KrausInstrument] | None:
+def _parse_projective_table(table: dict, party: str, dim: int) -> dict[str, KrausInstrument] | None:
     """Every override of a step at once, when all are projective and valid.
 
     The kets of the H overrides are read as one (H, K, K, 2) array of
-    [re, im] pairs, and each check runs once for the whole table: shape,
-    leaf types, finiteness, labels, then ``_projective_stack``'s
-    orthonormality and completeness. Returns None when any check fails or
-    an entry is not a projective object; the caller then parses entry by
-    entry, which names the field.
+    [re, im] pairs, K the party's dimension ``dim``, and each check runs
+    once for the whole table: shape, leaf types, finiteness, labels, then
+    ``_projective_stack``'s orthonormality and completeness. Returns None
+    when any check fails or an entry is not a projective object; the caller
+    then parses entry by entry, which names the field.
     """
     values = list(table.values())
     if not all(type(value) is dict and "projective" in value for value in values):
         return None
     rows = [value["projective"] for value in values]
-    dim = len(rows[0]) if type(rows[0]) is list else 0
-    if dim == 0:
-        return None
     # Each level must hold lists of the right length, as the entry parse
     # requires; np.array alone would also take tuples and arrays.
     nested = rows
@@ -416,9 +421,10 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             party = _as_str(_get(step_obj, "party", step_path), f"{step_path}.party")
             if party not in ("A", "B"):
                 _fail(f"{step_path}.party", f"party must be 'A' or 'B', got {party!r}")
+            dim = dim_a if party == "A" else dim_b
             default = None
             if step_obj.get("instrument") is not None:
-                default = _parse_instrument(step_obj["instrument"], party, f"{step_path}.instrument")
+                default = _parse_instrument(step_obj["instrument"], party, dim, f"{step_path}.instrument")
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides")
             overrides = None
             if table:
@@ -428,13 +434,13 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 except ScenarioError:
                     pass  # the per-entry parse below names the first bad entry
                 else:
-                    overrides = _parse_projective_table(table, party)
+                    overrides = _parse_projective_table(table, party, dim)
             if overrides is None:
                 overrides = {}
                 for key, value in table.items():
                     key_path = f"{step_path}.overrides[{key!r}]"
                     _check_history_key(key, steps, key_path, known)
-                    overrides[key] = _parse_instrument(value, party, key_path)
+                    overrides[key] = _parse_instrument(value, party, dim, key_path)
             if default is None and not overrides:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
             steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))

@@ -10,13 +10,14 @@ match character for character once the wall-time suffix is removed.
 import contextlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from locclab import bundled_scenario_path, cli
+from locclab import bundled_scenario_path, cli, load_scenario, run_protocol
 
 from helpers import json_mismatches
 
@@ -134,6 +135,132 @@ def test_unreachable_override_exits_two(tmp_path):
     code, out, err = run(["bounds-verify", path])
     assert code == 2 and out == ""
     assert "protocol[1].overrides['zz']" in err
+
+
+Z = {"projective": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+Z3 = {"projective": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}
+R = 0.7071067811865476
+X = {"projective": [[[R, 0], [R, 0]], [[R, 0], [-R, 0]]]}
+
+
+def ket(index: int) -> list:
+    """Two-qubit basis ket |index> as [re, im] pairs."""
+    return [[1, 0] if i == index else [0, 0] for i in range(4)]
+
+
+def write_protocol(tmp_path, steps, members=((1.0, 0),)) -> Path:
+    scenario = {
+        "kind": "protocol",
+        "dims": [2, 2],
+        "ensemble": [{"probability": p, "vector": ket(i)} for p, i in members],
+        "protocol": steps,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    return path
+
+
+def test_integer_too_large_for_a_float_exits_two(tmp_path):
+    path = write_protocol(tmp_path, [{"party": "A", "instrument": Z}], members=((10**400, 0),))
+    code, out, err = run(["entropy", path])
+    assert code == 2 and out == ""
+    assert "ensemble[0].probability: expected a finite number, got an integer too large for a float" in err
+
+
+def test_integer_too_large_for_a_float_in_override_table_exits_two(tmp_path):
+    huge = {"projective": [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]}
+    steps = [{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z, "1": huge}}]
+    code, out, err = run(["bounds-verify", write_protocol(tmp_path, steps)])
+    assert code == 2 and out == ""
+    assert "protocol[1].overrides['1'].projective[1][1][0]: expected a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "steps, field",
+    [
+        ([{"party": "A", "instrument": Z3}], "protocol[0].instrument"),
+        ([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z, "1": Z3}}], "protocol[1].overrides['1']"),
+    ],
+    ids=["default", "override"],
+)
+def test_instrument_size_mismatch_exits_two(tmp_path, steps, field):
+    code, out, err = run(["bounds-verify", write_protocol(tmp_path, steps)])
+    assert code == 2 and out == ""
+    assert f"{field}: instrument on {steps[-1]['party']} has size 3, party dimension is 2" in err
+
+
+def product_state(tmp_path) -> Path:
+    path = tmp_path / "product.json"
+    path.write_text(
+        json.dumps({"kind": "ensemble", "dims": [2, 2], "ensemble": [{"probability": 1.0, "vector": ket(0)}]}),
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_vacuous_bounds_are_json_null(tmp_path):
+    code, out, _ = run(["distill-report", product_state(tmp_path), "--format", "json"])
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    report = json.loads(out, parse_constant=reject)["trials"][0]["report"]
+    assert report["partial_distinguish_bound"] is None
+    assert report["max_keep_fraction"] is None
+
+
+def test_vacuous_bounds_print_inf_in_table(tmp_path):
+    code, out, _ = run(["distill-report", product_state(tmp_path)])
+    assert code == 0
+    assert "  partial_distinguish_bound   inf\n" in out
+    assert "  max_keep_fraction           inf\n" in out
+
+
+class ClosedPipe(io.TextIOBase):
+    """Standard output whose reader has gone, as after ``| head``."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_broken_pipe_exits_quietly(tmp_path, fmt):
+    with open(tmp_path / "stdout", "w") as stand_in:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe(stand_in.fileno())), contextlib.redirect_stderr(err):
+            code = cli.main(["distill-report", str(bundled_scenario_path("bell_diagonal_09.json")), "--format", fmt])
+        # stdout now points at the null device, so the flush at exit is silent.
+        assert os.path.samestat(os.fstat(stand_in.fileno()), os.stat(os.devnull))
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert err.getvalue() == ""
+
+
+def test_protocol_run_leaves_on_pruned_tree(tmp_path):
+    # |10> has weight zero, so after A reads 1 only |11> is left and B's
+    # outcome 0 has probability zero: leaf (1, 0) is pruned.
+    steps = [{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": X, "1": Z}}]
+    path = write_protocol(tmp_path, steps, members=((0.5, 0), (0.2, 1), (0.0, 2), (0.3, 3)))
+    code, out, _ = run(["protocol-run", path, "--format", "json"])
+    assert code == 0
+    leaves = json.loads(out)["trials"][0]["leaves"]
+    scenario = load_scenario(path)
+    nodes = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth).leaves()
+    assert [leaf["path"] for leaf in leaves] == [["0", "0"], ["0", "1"], ["1", "1"]]
+    assert leaves == [
+        {
+            "path": list(node.path),
+            "probability": node.probability,
+            "member_probabilities": node.ensemble.probabilities().tolist(),
+        }
+        for node in nodes
+    ]
 
 
 def test_unknown_command_is_a_usage_error():

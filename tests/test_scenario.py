@@ -81,6 +81,13 @@ class TestFieldNamedErrors:
         data["ensemble"][0]["probability"] = value
         assert parse_error(data).startswith("s.ensemble[0].probability: expected a finite number")
 
+    def test_integer_too_large_for_a_float(self):
+        data = protocol([{"party": "A", "instrument": Z}])
+        data["ensemble"][0]["probability"] = 10**400
+        assert parse_error(data) == (
+            "s.ensemble[0].probability: expected a finite number, got an integer too large for a float"
+        )
+
     def test_non_finite_vector_entry(self):
         data = protocol([{"party": "A", "instrument": Z}])
         data["ensemble"][1]["vector"][3][1] = float("nan")
@@ -270,12 +277,48 @@ class TestBatchedOverrideParse:
             single = parse_scenario(protocol([{"party": "A", "instrument": step["overrides"][key]}]))
             assert_same_instrument(instrument, single.steps[0].instrument)
 
+    def test_integer_too_large_for_a_float(self):
+        data = adaptive_table()
+        set_entry(1, 0, 0, 10**400)(data["protocol"][2]["overrides"])
+        assert parse_error(data) == (
+            "s.protocol[2].overrides['1,0'].projective[1][0][0]: expected a finite number, "
+            "got an integer too large for a float"
+        )
+
     def test_mixed_kraus_and_projective_step(self):
         data = adaptive_table()
         data["protocol"][2]["overrides"]["0,1"] = {"labels": ["0", "1"], "kraus": Z_KRAUS}
         overrides = parse_scenario(data).steps[2].overrides
         assert overrides["0,1"].kets is None
         assert all(overrides[key].kets is not None for key in ("0,0", "1,0", "1,1"))
+
+
+Z3 = {"projective": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}
+ID3_KRAUS = {"kraus": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]]}
+
+
+class TestInstrumentSize:
+    """An instrument must act on its party's dimension; the parser names it."""
+
+    @pytest.mark.parametrize("instrument", [Z3, ID3_KRAUS], ids=["projective", "kraus"])
+    def test_default_instrument(self, instrument):
+        data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "instrument": instrument}])
+        assert parse_error(data) == "s.protocol[1].instrument: instrument on B has size 3, party dimension is 2"
+
+    @pytest.mark.parametrize("instrument", [Z3, ID3_KRAUS], ids=["projective", "kraus"])
+    def test_override(self, instrument):
+        data = adaptive_table()
+        data["protocol"][2]["overrides"]["1,0"] = instrument
+        assert parse_error(data) == "s.protocol[2].overrides['1,0']: instrument on A has size 3, party dimension is 2"
+
+    def test_each_party_has_its_own_dimension(self):
+        data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z3, "1": Z3}}])
+        data["dims"] = [2, 3]
+        data["ensemble"] = [{"probability": 1.0, "vector": [[1, 0]] + [[0, 0]] * 5}]
+        overrides = parse_scenario(data).steps[1].overrides
+        assert [(instrument.dim, instrument.kets.shape) for instrument in overrides.values()] == [(3, (3, 3))] * 2
+        data["protocol"][0]["party"] = "B"
+        assert parse_error(data) == "s.protocol[0].instrument: instrument on B has size 2, party dimension is 3"
 
 
 def adaptive_scenario(depth: int, seed: int) -> Scenario:
