@@ -15,7 +15,6 @@ from .linalg import (
 )
 from .entropy import (
     BipartiteEnsemble,
-    MEASURE_AUTO,
     MEASURE_EOF,
     MEASURE_PURE,
     concurrence,

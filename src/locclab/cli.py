@@ -16,6 +16,12 @@ its checks, taken from the result dataclasses (``BoundReport``,
 seed, dims, checks, passed). The renderer turns one trial into its table
 lines. ``COMMANDS`` and the argparse choices come from the table.
 
+``--tol`` (default 1e-7) is the one slack tolerance of every check; a
+scenario file sets none, and the entanglement measure follows each state
+(``entropy.resolve_measure``). ``bounds-verify`` rejects a mixed
+Bell-diagonal state with d >= 3 before building any ensemble, naming the
+file's ``bell`` field: its output entanglement has no measure.
+
 Exit codes: 0 success, 1 at least one failed check, 2 input or usage error,
 141 (128 + SIGPIPE, as a shell reports it) when the reader closes stdout
 early, as ``| head`` does: the rest of the output is dropped without a
@@ -38,8 +44,8 @@ import time
 
 import numpy as np
 
-from .distillation import bell_diagonal, distillation_report, spectral_ensemble
-from .entropy import BipartiteEnsemble, entropy_summary
+from .distillation import BellDiagonalSpec, bell_diagonal, distillation_report, spectral_ensemble
+from .entropy import PURITY_TOL, BipartiteEnsemble, entropy_summary
 from .linalg import DensityOperator, pure_state_density, validate_density
 from .protocol import audit_rounds, bound_suite, chain_mutual_information, run_protocol
 from .scenario import Scenario, ScenarioError, load_scenario, materialize_random
@@ -97,9 +103,25 @@ def _transcript(scenario: Scenario):
     return transcript, {"depth": transcript.depth, "round_parties": list(transcript.round_parties)}
 
 
+def _require_measurable(spec: BellDiagonalSpec, path) -> None:
+    """Reject a Bell-diagonal state whose output entanglement has no measure.
+
+    Its spectral members are pure, but the depth-zero tree's one leaf is
+    the state itself: for d >= 3 that is measurable only when pure, and its
+    purity is sum_k p_k^2. Checked before any ensemble is built, which for
+    d = 16 would take seconds and hundreds of MB before failing.
+    """
+    purity = sum(p * p for p in spec.probs)
+    if spec.d >= 3 and purity < 1.0 - PURITY_TOL:
+        raise ScenarioError(
+            f"{path}.bell: measure unavailable: mixed Bell-diagonal state (purity {purity:.6f}) with d = {spec.d}; "
+            "bounds-verify measures only pure states or d = 2"
+        )
+
+
 def _bounds_body(scenario: Scenario, tol: float):
     transcript, body = _transcript(scenario)
-    report = bound_suite(transcript, scenario.selector_in, scenario.selector_out)
+    report = bound_suite(transcript)
     # The bound_* fields are reported once, under their bounds() names.
     measured = dataclasses.asdict(report).items()
     body.update((key, value) for key, value in measured if not key.startswith("bound_"))
@@ -207,16 +229,17 @@ COMMAND_TABLE = {
 COMMANDS = tuple(COMMAND_TABLE)
 
 
-def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float | None = None) -> dict:
+def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float = DEFAULT_SLACK_TOL) -> dict:
     """Execute one command against a scenario file and return the report."""
     if command not in COMMANDS:
         raise ScenarioError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {trials}")
-    if tol is not None and not (np.isfinite(tol) and tol > 0):
+    if not (np.isfinite(tol) and tol > 0):
         raise ScenarioError(f"tol must be a positive finite number, got {tol!r}")
     scenario = load_scenario(path)
-    slack_tol = tol if tol is not None else (scenario.tolerance or DEFAULT_SLACK_TOL)
+    if command == "bounds-verify" and scenario.bell is not None:
+        _require_measurable(scenario.bell, path)
 
     if scenario.kind == "random":
         concrete = [
@@ -228,7 +251,7 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
     build = COMMAND_TABLE[command][0]
     results = []
     for trial, (instance, trial_seed) in enumerate(concrete):
-        body, checks = build(instance, slack_tol)
+        body, checks = build(instance, tol)
         results.append(
             {
                 "trial": trial,
@@ -247,7 +270,7 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
         "scenario": scenario.name,
         "seed": seed,
         "trials": results,
-        "tolerance": slack_tol,
+        "tolerance": tol,
         "passed": all(r["passed"] for r in results),
     }
 
@@ -308,7 +331,7 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", help="path to a scenario JSON file")
     parser.add_argument("--seed", type=int, default=0, help="base seed for random scenarios")
     parser.add_argument("--trials", type=int, default=1, help="trial count for random scenarios")
-    parser.add_argument("--tol", type=float, default=None, help="slack tolerance (default 1e-7)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_SLACK_TOL, help="slack tolerance (default 1e-7)")
     parser.add_argument("--format", choices=("table", "json"), default="table")
     args = parser.parse_args(argv)
 

@@ -24,8 +24,6 @@ PURITY_TOL = 1e-9
 
 MEASURE_PURE = "entropy_of_entanglement"
 MEASURE_EOF = "eof_two_qubit"
-MEASURE_AUTO = "auto"
-MEASURES = (MEASURE_PURE, MEASURE_EOF, MEASURE_AUTO)
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -79,51 +77,51 @@ class BipartiteEnsemble:
         return hermitize(out)
 
 
-def shannon_entropies(probabilities, tol: float = DEFAULT_TOL) -> np.ndarray:
+def shannon_entropies(probabilities) -> np.ndarray:
     """-sum p log2 p over the last axis of a stack of probability vectors.
 
-    Every row must be nonnegative within ``tol`` and sum to one within
-    ``tol``; 0 log 0 := 0, with entries below ZERO_EIGENVALUE counted as
-    zeros.
+    Every row must be nonnegative within DEFAULT_TOL and sum to one within
+    DEFAULT_TOL; 0 log 0 := 0, with entries below ZERO_EIGENVALUE counted
+    as zeros.
     """
     p = np.asarray(probabilities, dtype=float)
-    if p.size and p.min() < -tol:
+    if p.size and p.min() < -DEFAULT_TOL:
         raise ValueError(f"negative probability {p.min():.3e}")
     total = p.sum(axis=-1)
     deviation = np.abs(total - 1.0)
-    if not deviation.max(initial=0.0) <= tol:
-        raise ValueError(f"probabilities sum to {float(np.extract(~(deviation <= tol), total)[0])!r}, not 1")
+    if not deviation.max(initial=0.0) <= DEFAULT_TOL:
+        raise ValueError(f"probabilities sum to {float(np.extract(~(deviation <= DEFAULT_TOL), total)[0])!r}, not 1")
     return -(p * np.log2(np.where(p > ZERO_EIGENVALUE, p, 1.0))).sum(axis=-1)
 
 
-def shannon_entropy(probabilities, tol: float = DEFAULT_TOL) -> float:
+def shannon_entropy(probabilities) -> float:
     """-sum p log2 p over a probability vector, with 0 log 0 := 0."""
-    return float(shannon_entropies(np.asarray(probabilities, dtype=float).reshape(-1), tol))
+    return float(shannon_entropies(np.asarray(probabilities, dtype=float).reshape(-1)))
 
 
-def von_neumann_entropies(matrices, tol: float = DEFAULT_TOL) -> np.ndarray:
+def von_neumann_entropies(matrices) -> np.ndarray:
     """Entropies of a stack (..., D, D) of PSD unit-trace matrices.
 
     One ``eigvalsh`` call covers the stack. Each matrix must be Hermitian
-    within ``tol`` and have no eigenvalue below -tol; rounding-level
-    negative eigenvalues count as zeros.
+    within DEFAULT_TOL and have no eigenvalue below -DEFAULT_TOL;
+    rounding-level negative eigenvalues count as zeros.
     """
     mats = np.asarray(matrices, dtype=complex)
     herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
-    if not herm_dev.max(initial=0.0) <= tol:
+    if not herm_dev.max(initial=0.0) <= DEFAULT_TOL:
         worst = herm_dev.max(axis=(-2, -1))
-        raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= tol), worst)[0]:.3e}")
+        raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= DEFAULT_TOL), worst)[0]:.3e}")
     values = np.linalg.eigvalsh(hermitize(mats))
-    if not values.min(initial=0.0) >= -tol:
+    if not values.min(initial=0.0) >= -DEFAULT_TOL:
         lowest = values[..., 0]
-        raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -tol), lowest)[0]:.3e}")
-    return shannon_entropies(np.maximum(values, 0.0), tol=tol)
+        raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -DEFAULT_TOL), lowest)[0]:.3e}")
+    return shannon_entropies(np.maximum(values, 0.0))
 
 
-def von_neumann_entropy(state, tol: float = DEFAULT_TOL) -> float:
+def von_neumann_entropy(state) -> float:
     """Entropy of a density matrix (DensityOperator or PSD unit-trace array)."""
     mat = state.matrix if isinstance(state, DensityOperator) else state
-    return float(von_neumann_entropies(mat, tol))
+    return float(von_neumann_entropies(mat))
 
 
 def purities(matrices) -> np.ndarray:
@@ -147,7 +145,7 @@ def _member_pairs(ensemble) -> list[tuple[float, np.ndarray]]:
     return pairs
 
 
-def holevo_chi(ensemble, tol: float = DEFAULT_TOL) -> float:
+def holevo_chi(ensemble) -> float:
     """Holevo quantity S(average) - sum_x p_x S(rho_x) of an ensemble.
 
     Accepts a BipartiteEnsemble or any iterable of (probability, state)
@@ -160,8 +158,8 @@ def holevo_chi(ensemble, tol: float = DEFAULT_TOL) -> float:
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     average = sum(p * mat for p, mat in pairs if p > 0.0)
-    mean_member = sum(p * von_neumann_entropy(mat, tol) for p, mat in pairs if p > 0.0)
-    return von_neumann_entropy(hermitize(average), tol) - mean_member
+    mean_member = sum(p * von_neumann_entropy(mat) for p, mat in pairs if p > 0.0)
+    return von_neumann_entropy(hermitize(average)) - mean_member
 
 
 def _sqrt_psd(matrices: np.ndarray) -> np.ndarray:
@@ -197,82 +195,69 @@ def _binary_entropies(x: np.ndarray) -> np.ndarray:
     return np.where(inside, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe), 0.0)
 
 
-def _measure_kinds(purity_values: np.ndarray, dims: tuple[int, int], selector: str) -> np.ndarray:
-    """Measure per state of a stack; "auto" resolves as in resolve_measure."""
-    if selector not in MEASURES:
-        raise ValueError(f"unknown measure selector {selector!r}; expected one of {MEASURES}")
-    if selector != MEASURE_AUTO:
-        return np.full(purity_values.shape, selector, dtype=object)
+def _pure_mask(purity_values: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """True where a state of a stack is pure; a mixed state outside 2x2 has no measure."""
     pure = purity_values >= 1.0 - PURITY_TOL
     if not pure.all() and dims != (2, 2):
         raise ValueError(
             f"measure unavailable: mixed state with dims ({dims[0]}, {dims[1]}); "
             "only pure states or 2x2 mixed states are measurable"
         )
-    return np.where(pure, MEASURE_PURE, MEASURE_EOF).astype(object)
+    return pure
 
 
-def resolve_measure(state: DensityOperator, selector: str) -> str:
-    """Resolve an "auto" selector against a concrete state.
+def resolve_measure(state: DensityOperator) -> str:
+    """The entanglement measure that the state itself fixes.
 
-    Pure states (purity within PURITY_TOL of one) use the entropy of
-    entanglement; mixed two-qubit states use the Wootters formula; anything
-    else has no measure available.
+    MEASURE_PURE (the entropy of entanglement) for a pure state, purity
+    within PURITY_TOL of one; MEASURE_EOF (the Wootters entanglement of
+    formation) for a mixed two-qubit state. A mixed state of any other
+    dimensions has no measure available and raises ValueError.
     """
-    if selector in MEASURES and selector != MEASURE_AUTO:
-        return selector
-    return str(_measure_kinds(np.array([purity(state)]), (state.dim_a, state.dim_b), selector)[0])
+    pure = _pure_mask(np.array([purity(state)]), (state.dim_a, state.dim_b))
+    return MEASURE_PURE if pure[0] else MEASURE_EOF
 
 
-def entanglements(matrices, dim_a: int, dim_b: int, selector: str = MEASURE_AUTO) -> np.ndarray:
+def entanglements(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     """Entanglement in bits of each state in a stack (N, D, D) of density matrices.
 
-    Pure states of any dimensions get the entropy of entanglement
-    S(tr_B rho); mixed two-qubit states get the Wootters entanglement of
-    formation h((1 + sqrt(1 - C^2))/2). ``selector`` applies to every
-    state; "auto" resolves per state.
+    Each state gets the measure ``resolve_measure`` names for it: a pure
+    state of any dimensions the entropy of entanglement S(tr_B rho), a
+    mixed two-qubit state the Wootters entanglement of formation
+    h((1 + sqrt(1 - C^2))/2). A mixed state outside 2x2 raises ValueError.
     """
     mats = np.asarray(matrices, dtype=complex)
-    purity_values = purities(mats)
-    kinds = _measure_kinds(purity_values, (dim_a, dim_b), selector)
+    pure = _pure_mask(purities(mats), (dim_a, dim_b))
     out = np.zeros(len(mats))
-    pure = kinds == MEASURE_PURE
     if pure.any():
-        low = purity_values[pure] < 1.0 - PURITY_TOL
-        if low.any():
-            raise ValueError(
-                f"measure unavailable: purity {purity_values[pure][low][0]:.6f} too low for the pure-state measure"
-            )
         out[pure] = von_neumann_entropies(partial_trace(mats[pure], "A", (dim_a, dim_b)))
     if not pure.all():
-        if (dim_a, dim_b) != (2, 2):
-            raise ValueError(f"concurrence needs a 2x2 bipartite state, got ({dim_a}, {dim_b})")
         c = concurrences(mats[~pure])
         out[~pure] = _binary_entropies((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
     return out
 
 
-def entanglement(state: DensityOperator, selector: str = MEASURE_AUTO) -> float:
+def entanglement(state: DensityOperator) -> float:
     """Entanglement of a bipartite state in bits (one-state case of ``entanglements``)."""
-    return float(entanglements(state.matrix[None], state.dim_a, state.dim_b, selector)[0])
+    return float(entanglements(state.matrix[None], state.dim_a, state.dim_b)[0])
 
 
-def is_ppt(state: DensityOperator, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def is_ppt(state: DensityOperator) -> tuple[bool, float]:
     """Positive-partial-transpose test: (flag, smallest PT eigenvalue)."""
     values = np.linalg.eigvalsh(hermitize(partial_transpose(state, "B")))
     lowest = float(values[0])
-    return lowest >= -tol, lowest
+    return lowest >= -DEFAULT_TOL, lowest
 
 
-def entropy_summary(ensemble, tol: float = DEFAULT_TOL) -> dict[str, float]:
+def entropy_summary(ensemble) -> dict[str, float]:
     """S, S_A, S_B of the average state plus the global Holevo quantity."""
     if not isinstance(ensemble, BipartiteEnsemble):
         raise ValueError("entropy_summary needs a BipartiteEnsemble")
     average = ensemble.average_matrix()
     dims = (ensemble.dim_a, ensemble.dim_b)
     return {
-        "entropy_average": von_neumann_entropy(average, tol),
-        "entropy_a": von_neumann_entropy(partial_trace(average, "A", dims), tol),
-        "entropy_b": von_neumann_entropy(partial_trace(average, "B", dims), tol),
-        "holevo": holevo_chi(ensemble, tol),
+        "entropy_average": von_neumann_entropy(average),
+        "entropy_a": von_neumann_entropy(partial_trace(average, "A", dims)),
+        "entropy_b": von_neumann_entropy(partial_trace(average, "B", dims)),
+        "holevo": holevo_chi(ensemble),
     }

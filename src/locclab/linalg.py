@@ -13,6 +13,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEGENERATE_GAP = 1e-10
+# Largest |norm - 1| of a state vector before it is renormalized.
+NORM_TOL = 1e-6
 
 # Gram-Schmidt candidates below this norm are skipped; unit vectors in
 # dimension <= 64 always leave a candidate of norm >= 1/8, so the basis
@@ -66,12 +68,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_density(matrix, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -> DensityOperator:
+def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
     """Check matrix is a density operator on the given bipartite dimensions.
 
-    Hermiticity, unit trace, and positivity are enforced within ``tol``.
-    Eigenvalues in [-tol, 0) are clipped to zero and the state renormalized;
-    anything below -tol is rejected as unphysical.
+    Hermiticity, unit trace, and positivity are enforced within DEFAULT_TOL.
+    Eigenvalues in [-DEFAULT_TOL, 0) are clipped to zero and the state
+    renormalized; anything lower is rejected as unphysical.
     """
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
@@ -82,14 +84,14 @@ def validate_density(matrix, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
             f"dimension mismatch: expected {dim}x{dim} for dims ({dim_a}, {dim_b}), got {mat.shape}"
         )
     herm_dev = np.abs(mat - mat.conj().T).max()
-    if herm_dev > tol:
-        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {tol:.1e}")
+    if herm_dev > DEFAULT_TOL:
+        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
     trace_dev = abs(np.trace(mat) - 1.0)
-    if not trace_dev <= tol:
-        raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {tol:.1e}")
+    if not trace_dev <= DEFAULT_TOL:
+        raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
     lowest = np.linalg.eigvalsh(hermitize(mat))[0]
-    if lowest < -tol:
-        raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-tol:.1e}")
+    if lowest < -DEFAULT_TOL:
+        raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-DEFAULT_TOL:.1e}")
     if lowest < 0.0:
         # Clip rounding-level negatives and renormalize back to unit trace.
         values, vectors = np.linalg.eigh(hermitize(mat))
@@ -99,11 +101,11 @@ def validate_density(matrix, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL) -
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(mat))
 
 
-def pure_state_density(vector, dim_a: int, dim_b: int, tol: float = 1e-6) -> DensityOperator:
+def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
     """Density operator |psi><psi| from a state vector of length dim_a*dim_b.
 
-    The vector must be normalized within ``tol``; it is renormalized exactly
-    before the outer product is formed.
+    The vector must be normalized within NORM_TOL; it is renormalized
+    exactly before the outer product is formed.
     """
     vec = np.asarray(vector, dtype=complex).reshape(-1)
     if vec.shape != (dim_a * dim_b,):
@@ -111,8 +113,8 @@ def pure_state_density(vector, dim_a: int, dim_b: int, tol: float = 1e-6) -> Den
             f"dimension mismatch: vector length {vec.size} != dim_a*dim_b = {dim_a * dim_b}"
         )
     norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= tol:
-        raise ValueError(f"state vector norm {norm:.6f} deviates from 1 beyond tol {tol:.1e}")
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state vector norm {norm:.6f} deviates from 1 beyond tol {NORM_TOL:.1e}")
     vec = vec / norm
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(np.outer(vec, vec.conj())))
 
@@ -200,7 +202,7 @@ def _cluster_basis(vectors: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"degenerate cluster basis incomplete: {accepted}/{rank}")
 
 
-def hermitian_eig(matrix, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
+def hermitian_eig(matrix) -> HermitianSpectrum:
     """Full eigensystem with a deterministic convention for degeneracies.
 
     Eigenvalues are ascending. Within a degenerate cluster (consecutive gap
@@ -215,8 +217,8 @@ def hermitian_eig(matrix, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     herm_dev = np.abs(mat - mat.conj().T).max()
-    if herm_dev > tol:
-        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {tol:.1e}")
+    if herm_dev > DEFAULT_TOL:
+        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
     values, vectors = np.linalg.eigh(hermitize(mat))
 
     # A cluster ends where the gap to the next eigenvalue is not below

@@ -61,7 +61,6 @@ import numpy as np
 
 from .entropy import (
     BipartiteEnsemble,
-    MEASURE_AUTO,
     entanglements,
     shannon_entropies,
     von_neumann_entropies,
@@ -516,21 +515,21 @@ def chain_mutual_information(transcript: ProtocolTranscript) -> tuple[list[float
     return per_round, level_entropy[0] - level_entropy[-1]
 
 
-def average_output_entanglement(transcript: ProtocolTranscript, selector: str = MEASURE_AUTO) -> float:
+def average_output_entanglement(transcript: ProtocolTranscript) -> float:
     """Mean entanglement of the leaf-average states, weighted by path probability."""
     leaves = transcript.levels[-1]
     live = leaves.prob > 0.0
     root = transcript.root_ensemble
     states = leaves.averages()[live]
-    return float(leaves.prob[live] @ entanglements(states, root.dim_a, root.dim_b, selector))
+    return float(leaves.prob[live] @ entanglements(states, root.dim_a, root.dim_b))
 
 
-def average_input_entanglement(ensemble: BipartiteEnsemble, selector: str = MEASURE_AUTO) -> float:
+def average_input_entanglement(ensemble: BipartiteEnsemble) -> float:
     """Probability-weighted entanglement of the initial hypothesis states."""
     probs = ensemble.probabilities()
     live = probs > 0.0
     states = np.stack([state.matrix for _, state in ensemble.members])[live]
-    return float(probs[live] @ entanglements(states, ensemble.dim_a, ensemble.dim_b, selector))
+    return float(probs[live] @ entanglements(states, ensemble.dim_a, ensemble.dim_b))
 
 
 @dataclass(frozen=True)
@@ -568,11 +567,7 @@ class BoundReport:
         }
 
 
-def bound_suite(
-    transcript: ProtocolTranscript,
-    selector_in: str = MEASURE_AUTO,
-    selector_out: str = MEASURE_AUTO,
-) -> BoundReport:
+def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
     """Evaluate every upper bound on the protocol's mutual information.
 
     local_holevo:     S(rho^A) + S(rho^B) - max over sides of the mean
@@ -586,6 +581,9 @@ def bound_suite(
     complementarity:  total qubits minus average input minus average output
                       entanglement; extracted plus unused information cannot
                       exceed the ensemble's fixed budget.
+
+    Each input member and leaf average is measured as
+    ``entropy.resolve_measure`` names it for that state.
     """
     root = transcript.root_ensemble
     top = transcript.stats[0]
@@ -594,8 +592,8 @@ def bound_suite(
     mean_member = top.member_entropy
 
     per_round, total_info = chain_mutual_information(transcript)
-    e_out = average_output_entanglement(transcript, selector_out)
-    e_in = average_input_entanglement(root, selector_in)
+    e_out = average_output_entanglement(transcript)
+    e_in = average_input_entanglement(root)
     n_qubits = float(np.log2(root.dim_a * root.dim_b))
 
     local_holevo = entropy_a + entropy_b - max(mean_member["A"], mean_member["B"])

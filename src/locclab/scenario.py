@@ -10,6 +10,13 @@ A scenario is a JSON object describing one of four kinds of input:
 ``random``         generator parameters for seeded random ensembles and
                    projective protocols.
 
+The entanglement measure is not set by the file: it follows each state
+(``entropy.resolve_measure``). An optional ``selectors`` object is still
+read, but each of its sides (``input``, ``output``) may only be
+``"auto"``, and the dump always writes both as ``"auto"``. A
+``tolerance`` field is rejected: the slack tolerance of the checks is set
+by the command line's ``--tol`` alone.
+
 Complex numbers are serialized as [re, im] pairs, matrices as row-major
 nested arrays. Only ``parse_scenario`` and ``dump_scenario`` know this wire
 format: parsing is strict and errors carry the offending field path, and
@@ -40,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .distillation import BellDiagonalSpec
-from .entropy import BipartiteEnsemble, MEASURES, MEASURE_AUTO
+from .entropy import BipartiteEnsemble
 from .linalg import DensityOperator, pure_state_density, validate_density
 from .protocol import KrausInstrument, _projective_stack
 
@@ -48,6 +55,8 @@ SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
 # The one generator family of random scenarios.
 INSTRUMENT_FAMILY = "projective-random-basis"
+# The one accepted value of each side of ``selectors``.
+SELECTOR = "auto"
 _INF = float("inf")
 
 
@@ -164,9 +173,6 @@ class Scenario:
     name: str
     dim_a: int
     dim_b: int
-    selector_in: str
-    selector_out: str
-    tolerance: float | None
     ensemble: BipartiteEnsemble | None
     steps: tuple[ProtocolStep, ...]
     bell: BellDiagonalSpec | None
@@ -392,17 +398,13 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             _fail(f"{source}.dims", f"dimensions must be positive, got [{dim_a}, {dim_b}]")
 
     selectors = _as_dict(obj.get("selectors", {}), f"{source}.selectors")
-    selector_in = _as_str(selectors.get("input", MEASURE_AUTO), f"{source}.selectors.input")
-    selector_out = _as_str(selectors.get("output", MEASURE_AUTO), f"{source}.selectors.output")
-    for label, value in (("input", selector_in), ("output", selector_out)):
-        if value not in MEASURES:
-            _fail(f"{source}.selectors.{label}", f"unknown selector {value!r}; expected one of {MEASURES}")
-
-    tolerance = None
+    for side in ("input", "output"):
+        value = _as_str(selectors.get(side, SELECTOR), f"{source}.selectors.{side}")
+        if value != SELECTOR:
+            _fail(f"{source}.selectors.{side}", f"selector {value!r} is not {SELECTOR!r}; the measure follows the state")
     if "tolerance" in obj:
         tolerance = _as_number(obj["tolerance"], f"{source}.tolerance")
-        if tolerance <= 0:
-            _fail(f"{source}.tolerance", f"tolerance must be positive, got {tolerance}")
+        _fail(f"{source}.tolerance", f"a scenario sets no tolerance (got {tolerance!r}); pass it as --tol")
 
     ensemble = None
     if kind in ("ensemble", "protocol"):
@@ -469,9 +471,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         name=name,
         dim_a=dim_a,
         dim_b=dim_b,
-        selector_in=selector_in,
-        selector_out=selector_out,
-        tolerance=tolerance,
         ensemble=ensemble,
         steps=tuple(steps),
         bell=bell,
@@ -485,9 +484,7 @@ def _canonical_payload(s: Scenario) -> dict:
         payload["bell"] = {"d": s.bell.d, "probs": [float(p) for p in s.bell.probs]}
     else:
         payload["dims"] = [s.dim_a, s.dim_b]
-    payload["selectors"] = {"input": s.selector_in, "output": s.selector_out}
-    if s.tolerance is not None:
-        payload["tolerance"] = float(s.tolerance)
+    payload["selectors"] = {"input": SELECTOR, "output": SELECTOR}
     if s.ensemble is not None:
         payload["ensemble"] = [_member_payload(p, state) for p, state in s.ensemble.members]
     if s.steps:
@@ -580,9 +577,6 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
         name=name or f"random-{seed}",
         dim_a=2,
         dim_b=2,
-        selector_in=MEASURE_AUTO,
-        selector_out=MEASURE_AUTO,
-        tolerance=None,
         ensemble=BipartiteEnsemble(tuple(members)),
         steps=tuple(steps),
         bell=None,

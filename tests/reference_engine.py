@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from locclab.entropy import (
-    MEASURE_AUTO,
     BipartiteEnsemble,
     entanglement,
     holevo_chi,
@@ -146,21 +145,21 @@ def chain_mutual_information(transcript):
     return per_round, level_entropy[0] - level_entropy[-1]
 
 
-def average_output_entanglement(transcript, selector=MEASURE_AUTO) -> float:
+def average_output_entanglement(transcript) -> float:
     total = 0.0
     for leaf in transcript.leaves():
         if leaf.probability > 0.0:
             ens = leaf.ensemble
             state = validate_density(ens.average_matrix(), ens.dim_a, ens.dim_b)
-            total += leaf.probability * entanglement(state, selector)
+            total += leaf.probability * entanglement(state)
     return total
 
 
-def average_input_entanglement(ensemble, selector=MEASURE_AUTO) -> float:
+def average_input_entanglement(ensemble) -> float:
     total = 0.0
     for p, state in ensemble.members:
         if p > 0.0:
-            total += p * entanglement(state, selector)
+            total += p * entanglement(state)
     return total
 
 
@@ -188,7 +187,7 @@ def _mean_average_marginal_entropy(nodes, side: str) -> float:
     return total
 
 
-def bound_suite(transcript, selector_in=MEASURE_AUTO, selector_out=MEASURE_AUTO) -> BoundReport:
+def bound_suite(transcript) -> BoundReport:
     root = transcript.root_ensemble
     dims = (root.dim_a, root.dim_b)
     average = root.average_matrix()
@@ -197,8 +196,8 @@ def bound_suite(transcript, selector_in=MEASURE_AUTO, selector_out=MEASURE_AUTO)
     root_level = [transcript.root]
     mean_member = {side: _mean_member_marginal_entropy(root_level, side) for side in "AB"}
     per_round, total_info = chain_mutual_information(transcript)
-    e_out = average_output_entanglement(transcript, selector_out)
-    e_in = average_input_entanglement(root, selector_in)
+    e_out = average_output_entanglement(transcript)
+    e_in = average_input_entanglement(root)
     n_qubits = float(np.log2(root.dim_a * root.dim_b))
     local_holevo = entropy_a + entropy_b - max(mean_member["A"], mean_member["B"])
     last_step = None

@@ -160,6 +160,61 @@ def write_protocol(tmp_path, steps, members=((1.0, 0),)) -> Path:
     return path
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("selectors", {"input": "eof_two_qubit"}, "selectors.input"),
+        ("selectors", {"output": "entropy_of_entanglement"}, "selectors.output"),
+        ("tolerance", 1e-6, "tolerance"),
+    ],
+    ids=["selector_input", "selector_output", "tolerance"],
+)
+def test_removed_scenario_knob_exits_two(tmp_path, field, value, path):
+    scenario_path = write_protocol(tmp_path, [{"party": "A", "instrument": Z}])
+    scenario = json.loads(scenario_path.read_text(encoding="utf-8"))
+    scenario[field] = value
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(["bounds-verify", scenario_path])
+    assert code == 2 and out == ""
+    assert f"{scenario_path}.{path}: " in err
+    if field == "tolerance":
+        assert "--tol" in err
+
+
+def write_bell(tmp_path, d: int, probs) -> Path:
+    path = tmp_path / f"bell-{d}.json"
+    path.write_text(json.dumps({"kind": "bell_diagonal", "bell": {"d": d, "probs": list(probs)}}), encoding="utf-8")
+    return path
+
+
+def test_mixed_bell_diagonal_above_two_qubits_is_rejected_before_any_ensemble(tmp_path, monkeypatch):
+    # Its one leaf, the state itself, is mixed and 4x4: no entanglement
+    # measure applies, so bounds-verify fails before building anything.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the ensemble or the tree was built")
+
+    monkeypatch.setattr(cli, "spectral_ensemble", unreachable)
+    monkeypatch.setattr(cli, "run_protocol", unreachable)
+    path = write_bell(tmp_path, 4, [0.7] + [0.02] * 15)
+    code, out, err = run(["bounds-verify", path])
+    assert code == 2 and out == ""
+    assert f"{path}.bell: measure unavailable" in err
+
+
+def test_pure_bell_diagonal_above_two_qubits_passes_bounds_verify(tmp_path):
+    code, out, _ = run(["bounds-verify", write_bell(tmp_path, 3, [1.0] + [0.0] * 8), "--format", "json"])
+    assert code == 0
+    trial = json.loads(out)["trials"][0]
+    assert trial["e_in_avg"] == pytest.approx(np.log2(3), abs=1e-12)
+    assert trial["e_out_avg"] == pytest.approx(np.log2(3), abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["protocol-run", "entropy"])
+def test_mixed_bell_diagonal_above_two_qubits_other_commands_run(tmp_path, command):
+    code, _, err = run([command, write_bell(tmp_path, 4, [0.7] + [0.02] * 15)])
+    assert code == 0 and err == ""
+
+
 def test_integer_too_large_for_a_float_exits_two(tmp_path):
     path = write_protocol(tmp_path, [{"party": "A", "instrument": Z}], members=((10**400, 0),))
     code, out, err = run(["entropy", path])

@@ -142,12 +142,16 @@ class TestEntanglement:
         assert abs(entanglement(rho) - 0.1176) < 1e-3
 
     def test_wootters_matches_pure_measure_on_pure_states(self):
+        # Wootters EoF h((1 + sqrt(1 - C^2)) / 2) from the concurrence,
+        # against the entropy of entanglement that a pure state resolves to.
         rng = np.random.default_rng(43)
         for _ in range(100):
             psi = pure_state_density(random_pure_vector(rng, 4), 2, 2)
-            eof = entanglement(psi, MEASURE_EOF)
-            pure = entanglement(psi, MEASURE_PURE)
-            assert abs(eof - pure) < 1e-7
+            c = concurrence(psi)
+            x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
+            eof = shannon_entropy([x, 1.0 - x])
+            assert resolve_measure(psi) == MEASURE_PURE
+            assert abs(eof - entanglement(psi)) < 1e-7
 
     def test_mixed_large_dims_unavailable(self):
         rng = np.random.default_rng(47)
@@ -155,17 +159,9 @@ class TestEntanglement:
         with pytest.raises(ValueError, match="measure unavailable"):
             entanglement(rho)
 
-    def test_pure_selector_rejects_mixed(self):
-        with pytest.raises(ValueError, match="measure unavailable"):
-            entanglement(validate_density(np.eye(4) / 4, 2, 2), MEASURE_PURE)
-
     def test_auto_resolution(self):
-        assert resolve_measure(bell(PHI_PLUS), "auto") == MEASURE_PURE
-        assert resolve_measure(validate_density(np.eye(4) / 4, 2, 2), "auto") == MEASURE_EOF
-
-    def test_unknown_selector(self):
-        with pytest.raises(ValueError, match="selector"):
-            entanglement(bell(PHI_PLUS), "nonsense")
+        assert resolve_measure(bell(PHI_PLUS)) == MEASURE_PURE
+        assert resolve_measure(validate_density(np.eye(4) / 4, 2, 2)) == MEASURE_EOF
 
     def test_range_on_random_mixed_two_qubit_states(self):
         rng = np.random.default_rng(53)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from locclab import (
-    MEASURE_AUTO,
     BellDiagonalSpec,
     BipartiteEnsemble,
     KrausInstrument,
@@ -109,15 +108,36 @@ class TestFieldNamedErrors:
         with pytest.raises(ScenarioError, match=r"ensemble\[0\]\.probability: expected a finite number, got nan"):
             load_scenario(path)
 
-    def test_nonpositive_tolerance(self):
+    @pytest.mark.parametrize("value", ["entropy_of_entanglement", "eof_two_qubit"])
+    @pytest.mark.parametrize("side", ["input", "output"])
+    def test_forced_selector_rejected(self, side, value):
         data = protocol([{"party": "A", "instrument": Z}])
-        data["tolerance"] = 0
-        assert parse_error(data).startswith("s.tolerance: tolerance must be positive")
+        data["selectors"] = {"input": "auto", "output": "auto", side: value}
+        assert parse_error(data) == f"s.selectors.{side}: selector {value!r} is not 'auto'; the measure follows the state"
+
+    def test_tolerance_field_rejected(self):
+        data = protocol([{"party": "A", "instrument": Z}])
+        data["tolerance"] = 1e-6
+        message = parse_error(data)
+        assert message.startswith("s.tolerance: ")
+        assert "--tol" in message
 
     def test_incomplete_instrument(self):
         half = {"kraus": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}
         data = protocol([{"party": "A", "instrument": half}])
         assert parse_error(data).startswith("s.protocol[0].instrument: incomplete instrument")
+
+
+@pytest.mark.parametrize(
+    "selectors", [None, {}, {"input": "auto"}, {"output": "auto"}, {"input": "auto", "output": "auto"}]
+)
+def test_omitted_or_auto_selectors_parse(selectors):
+    data = protocol([{"party": "A", "instrument": Z}])
+    if selectors is not None:
+        data["selectors"] = selectors
+    dumped = json.loads(dump_scenario(parse_scenario(data)))
+    assert dumped["selectors"] == {"input": "auto", "output": "auto"}
+    assert "tolerance" not in dumped
 
 
 class TestOverrideKeys:
@@ -341,9 +361,8 @@ def adaptive_scenario(depth: int, seed: int) -> Scenario:
         steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
         histories = [history + (label,) for history in histories for label in labels]
     return Scenario(
-        kind="protocol", name=f"adaptive-{depth}", dim_a=2, dim_b=2, selector_in=MEASURE_AUTO,
-        selector_out=MEASURE_AUTO, tolerance=None, ensemble=BipartiteEnsemble(tuple(members)),
-        steps=tuple(steps), bell=None, random=None,
+        kind="protocol", name=f"adaptive-{depth}", dim_a=2, dim_b=2,
+        ensemble=BipartiteEnsemble(tuple(members)), steps=tuple(steps), bell=None, random=None,
     )
 
 
@@ -443,7 +462,6 @@ class TestTypedGenerator:
             new = random_scenario(seed, n_members=n_members, protocol_depth=depth)
             old = reference_random_scenario(seed, n_members=n_members, protocol_depth=depth)
             assert (new.kind, new.name, new.dim_a, new.dim_b) == (old.kind, old.name, old.dim_a, old.dim_b)
-            assert (new.selector_in, new.selector_out, new.tolerance) == (old.selector_in, old.selector_out, old.tolerance)
             for (p, state), (q, ref) in zip(new.ensemble.members, old.ensemble.members, strict=True):
                 assert p == q
                 assert np.array_equal(state.matrix, ref.matrix)
