@@ -111,8 +111,11 @@ class DistillationReport:
 def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
     """Eigen-ensemble of a state, dropping zero-eigenvalue vectors.
 
-    Members are ordered by descending weight; equal weights keep the
-    ascending order of ``hermitian_eig``.
+    Members are ordered by descending weight (a stable sort). A degenerate
+    cluster has one weight, the mean ``hermitian_eig`` gives it, and keeps
+    the ``_cluster_basis`` order, so the order of its members never
+    follows rounding in the solver. A Bell-diagonal state is solved as d
+    blocks of d (see ``locclab.linalg``).
     """
     spectrum = hermitian_eig(rho.matrix)
     kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)

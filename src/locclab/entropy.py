@@ -14,6 +14,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
+    block_eigvalsh,
     hermitize,
     partial_trace,
     partial_transpose,
@@ -243,8 +244,13 @@ def entanglement(state: DensityOperator) -> float:
 
 
 def is_ppt(state: DensityOperator) -> tuple[bool, float]:
-    """Positive-partial-transpose test: (flag, smallest PT eigenvalue)."""
-    values = np.linalg.eigvalsh(hermitize(partial_transpose(state, "B")))
+    """Positive-partial-transpose test: (flag, smallest PT eigenvalue).
+
+    The partial transpose is solved by ``block_eigvalsh``, block by block
+    along its exact zero pattern (for a d x d Bell-diagonal state, d blocks
+    of d); a NaN or an infinite entry raises ValueError.
+    """
+    values = block_eigvalsh(partial_transpose(state, "B"))
     lowest = float(values[0])
     return lowest >= -DEFAULT_TOL, lowest
 

@@ -3,6 +3,14 @@
 States live on a tensor product H_A (x) H_B with Alice's index slow
 (row-major A(x)B ordering). Everything here is a pure function over
 immutable values; returned arrays are marked read-only.
+
+Every eigensolve of a whole state (``validate_density``,
+``hermitian_eig``, ``block_eigvalsh``) first splits the Hermitian matrix
+into the blocks its exact zero pattern leaves decoupled, and hands LAPACK
+one stack of blocks per block size. A Bell-diagonal state on d x d splits
+into d blocks of d, and so does its partial transpose, so no d^2 x d^2
+solve is made for it. A matrix with a NaN or an infinite entry is rejected
+before any eigensolve.
 """
 
 from __future__ import annotations
@@ -68,12 +76,92 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(mat: np.ndarray) -> None:
+    if not np.isfinite(mat).all():
+        raise ValueError("non-finite entry: the matrix holds a NaN or an infinity")
+
+
+def _blocks(herm: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the blocks that the exact zero pattern of ``herm`` decouples.
+
+    They are the connected components of the graph with an edge wherever
+    an entry is nonzero (the pattern of a Hermitian matrix is symmetric).
+    Each is ascending, and they are ordered by their first index. Every
+    node takes the smallest label among its neighbours and then its label's
+    label, until nothing changes; labels only fall, and at the fixed point
+    each component carries its smallest index.
+    """
+    dim = len(herm)
+    linked = herm != 0
+    np.fill_diagonal(linked, True)
+    labels = linked.argmax(axis=1)
+    while True:
+        lowest = np.where(linked, labels, dim).min(axis=1)
+        lowest = lowest[lowest]
+        if (lowest == labels).all():
+            break
+        labels = lowest
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _block_stacks(herm: np.ndarray, blocks: list[np.ndarray]):
+    """Per distinct block size: the (k, s) row indices and the (k, s, s) stack of blocks."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for rows in blocks:
+        by_size.setdefault(len(rows), []).append(rows)
+    for group in by_size.values():
+        rows = np.array(group)
+        yield rows, herm[rows[:, :, None], rows[:, None, :]]
+
+
+def _eigvalsh_blocks(herm: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, one ``eigvalsh`` per block size."""
+    values = [np.linalg.eigvalsh(stack).reshape(-1) for _, stack in _block_stacks(herm, blocks)]
+    return np.sort(np.concatenate(values), kind="stable")
+
+
+def _eigh_blocks(herm: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of a Hermitian matrix, one ``eigh`` per block size.
+
+    Eigenvalues are ascending over the whole matrix (stable sort); each
+    eigenvector is a full-length column with exact zeros outside its block.
+    """
+    dim = len(herm)
+    values = np.empty(dim)
+    vectors = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for rows, stack in _block_stacks(herm, blocks):
+        stack_values, stack_vectors = np.linalg.eigh(stack)
+        columns = np.arange(start, start + rows.size).reshape(rows.shape)
+        values[columns] = stack_values
+        vectors[rows[:, :, None], columns[:, None, :]] = stack_vectors
+        start += rows.size
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
+
+
+def block_eigvalsh(matrix) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a square matrix.
+
+    The matrix is split into the blocks its exact zero pattern decouples,
+    and LAPACK gets one stack of blocks per block size. A NaN or an
+    infinite entry raises ValueError before any eigensolve.
+    """
+    mat = np.asarray(matrix, dtype=complex)
+    _require_finite(mat)
+    herm = hermitize(mat)
+    return _eigvalsh_blocks(herm, _blocks(herm))
+
+
 def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
     """Check matrix is a density operator on the given bipartite dimensions.
 
-    Hermiticity, unit trace, and positivity are enforced within DEFAULT_TOL.
-    Eigenvalues in [-DEFAULT_TOL, 0) are clipped to zero and the state
-    renormalized; anything lower is rejected as unphysical.
+    Finite entries are required; Hermiticity, unit trace, and positivity are
+    enforced within DEFAULT_TOL. Eigenvalues in [-DEFAULT_TOL, 0) are
+    clipped to zero and the state renormalized; anything lower is rejected
+    as unphysical. The spectrum is solved block by block along the exact
+    zero pattern (see the module docstring).
     """
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
@@ -83,18 +171,20 @@ def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
         raise ValueError(
             f"dimension mismatch: expected {dim}x{dim} for dims ({dim_a}, {dim_b}), got {mat.shape}"
         )
+    _require_finite(mat)
     herm_dev = np.abs(mat - mat.conj().T).max()
     if herm_dev > DEFAULT_TOL:
         raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
     trace_dev = abs(np.trace(mat) - 1.0)
     if not trace_dev <= DEFAULT_TOL:
         raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
-    lowest = np.linalg.eigvalsh(hermitize(mat))[0]
+    lowest = block_eigvalsh(mat)[0]
     if lowest < -DEFAULT_TOL:
         raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-DEFAULT_TOL:.1e}")
     if lowest < 0.0:
         # Clip rounding-level negatives and renormalize back to unit trace.
-        values, vectors = np.linalg.eigh(hermitize(mat))
+        herm = hermitize(mat)
+        values, vectors = _eigh_blocks(herm, _blocks(herm))
         values = np.maximum(values, 0.0)
         rebuilt = (vectors * values) @ vectors.conj().T
         mat = hermitize(rebuilt / np.trace(rebuilt).real)
@@ -173,53 +263,98 @@ def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase
 
 
-def _cluster_basis(vectors: np.ndarray) -> np.ndarray:
+def _gram_schmidt(projector: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt over a projector's columns in index order.
+
+    A column is kept if its residual norm exceeds _GS_KEEP, and the walk
+    stops once ``rank`` vectors are kept; returns them as columns, with the
+    indices of the columns they came from. A chunk holds as many columns
+    as the rank still missing. One matrix product, applied twice, projects
+    it off every vector kept so far; a QR of the chunk then orthogonalises
+    it in index order, |R_kk| being column k's residual norm. The chunk's
+    columns up to the first residual at or below _GS_KEEP are kept, each
+    with the phase Gram-Schmidt leaves it (Q_k R_kk / |R_kk|), and the next
+    chunk starts after that skipped column.
+    """
+    dim = len(projector)
+    basis = np.empty((dim, rank), dtype=complex)
+    sources = np.empty(rank, dtype=int)
+    accepted = 0
+    j = 0
+    while accepted < rank and j < dim:
+        chunk = projector[:, j : j + rank - accepted]
+        done = basis[:, :accepted]
+        for _ in range(2):
+            chunk = chunk - done @ (done.conj().T @ chunk)
+        q, r = np.linalg.qr(chunk)
+        diagonal = np.diagonal(r)
+        residual = np.abs(diagonal)
+        small = np.flatnonzero(~(residual > _GS_KEEP))
+        kept = int(small[0]) if small.size else len(residual)
+        basis[:, accepted : accepted + kept] = q[:, :kept] * (diagonal[:kept] / residual[:kept])
+        sources[accepted : accepted + kept] = np.arange(j, j + kept)
+        accepted += kept
+        j += kept + 1
+    if accepted < rank:
+        raise RuntimeError(f"degenerate cluster basis incomplete: {accepted}/{rank}")
+    return basis, sources
+
+
+def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """Deterministic orthonormal basis of a degenerate eigenspace.
 
     Built from the subspace projector alone (independent of the solver's
-    arbitrary in-cluster choice): the projector's columns are taken in
-    index order, each is orthogonalised against every vector accepted so
-    far (classical Gram-Schmidt as one matmul, applied twice), kept if its
-    residual norm exceeds _GS_KEEP, and the walk stops once the basis has
-    the cluster's rank.
+    arbitrary in-cluster choice): ``_gram_schmidt`` over the projector's
+    columns in index order. No column of ``vectors`` crosses one of the
+    index sets ``blocks``, so the projector is block diagonal along them and
+    a column is orthogonal to every vector from another block. Each block
+    that holds some of the vectors is therefore walked on its own, up to
+    the number of vectors it holds, and the results are merged in the index
+    order of the columns they came from: the basis one walk over the whole
+    projector gives, with exact zeros outside each vector's block.
     """
     dim, rank = vectors.shape
-    projector = vectors @ vectors.conj().T
-    rows = np.empty((rank, dim), dtype=complex)  # accepted vectors, one per row
-    accepted = 0
-    for j in range(dim):
-        candidate = projector[:, j]
-        for _ in range(2):
-            done = rows[:accepted]
-            # The coefficients conj(done) @ c, conjugating vectors only.
-            candidate = candidate - (done @ candidate.conj()).conj() @ done
-        norm = float(np.linalg.norm(candidate))
-        if norm > _GS_KEEP:
-            rows[accepted] = candidate / norm
-            accepted += 1
-            if accepted == rank:
-                return rows.T
-    raise RuntimeError(f"degenerate cluster basis incomplete: {accepted}/{rank}")
+    block_of_row = np.empty(dim, dtype=int)
+    for i, rows in enumerate(blocks):
+        block_of_row[rows] = i
+    owner = block_of_row[np.abs(vectors).argmax(axis=0)]
+    basis = np.zeros((dim, rank), dtype=complex)
+    sources = np.empty(rank, dtype=int)
+    start = 0
+    for i in sorted(set(owner.tolist())):
+        rows = blocks[i]
+        inside = vectors[rows][:, owner == i]
+        stop = start + inside.shape[1]
+        found, came_from = _gram_schmidt(inside @ inside.conj().T, inside.shape[1])
+        basis[rows, start:stop] = found
+        sources[start:stop] = rows[came_from]
+        start = stop
+    return basis[:, np.argsort(sources)]
 
 
 def hermitian_eig(matrix) -> HermitianSpectrum:
     """Full eigensystem with a deterministic convention for degeneracies.
 
-    Eigenvalues are ascending. Within a degenerate cluster (consecutive gap
-    below DEGENERATE_GAP) the eigenbasis is rebuilt from the cluster
-    projector by ``_cluster_basis`` so the result does not depend on solver
-    internals; then every vector's global phase makes its first significant
-    component real positive. One ``eigh`` call covers the matrix; the
-    clusters are found from the eigenvalue gaps in one pass and the phases
-    are fixed for all columns at once.
+    Eigenvalues are ascending. A degenerate cluster (consecutive gap below
+    DEGENERATE_GAP) gets one eigenvalue, the cluster mean, and its
+    eigenbasis is rebuilt from the cluster projector by ``_cluster_basis``,
+    so neither its values nor its vectors depend on solver internals; then
+    every vector's global phase makes its first significant component real
+    positive. The matrix must be finite. It is solved block by block along
+    its exact zero pattern (one ``eigh`` per block size), every eigenvector
+    a full-length column; the clusters are found from the eigenvalue gaps
+    in one pass and the phases are fixed for all columns at once.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    _require_finite(mat)
     herm_dev = np.abs(mat - mat.conj().T).max()
     if herm_dev > DEFAULT_TOL:
         raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
-    values, vectors = np.linalg.eigh(hermitize(mat))
+    herm = hermitize(mat)
+    blocks = _blocks(herm)
+    values, vectors = _eigh_blocks(herm, blocks)
 
     # A cluster ends where the gap to the next eigenvalue is not below
     # DEGENERATE_GAP.
@@ -227,7 +362,8 @@ def hermitian_eig(matrix) -> HermitianSpectrum:
     start = 0
     for stop in ends:
         if stop - start > 1:
-            vectors[:, start:stop] = _cluster_basis(vectors[:, start:stop])
+            values[start:stop] = values[start:stop].mean()
+            vectors[:, start:stop] = _cluster_basis(vectors[:, start:stop], blocks)
         start = stop
     eigenvalues = np.asarray(values, dtype=float)
     eigenvalues.setflags(write=False)

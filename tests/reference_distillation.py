@@ -77,6 +77,7 @@ def hermitian_eig(matrix, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
         while stop < len(values) and values[stop] - values[stop - 1] < DEGENERATE_GAP:
             stop += 1
         if stop - start > 1:
+            values[start:stop] = values[start:stop].mean()
             block = _cluster_basis(vectors[:, start:stop])
         else:
             block = vectors[:, start:stop]
