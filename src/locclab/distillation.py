@@ -4,6 +4,12 @@ Two protocol families are bounded: full distinguishing, where both parties
 learn the entire spectral string of their shared pairs (attained by hashing
 for Bell-diagonal states), and partial distinguishing, where a sacrificial
 group of pairs is spent to identify the rest.
+
+Every entropy both bounds are built from is a root statistic of one tree
+node: the state's spectral ensemble, its kets taken as rank-one member
+factors, goes through ``protocol._level_stats``. S is the node's
+conditional entropy H(weights), S_A and S_B its average-marginal entropies
+and the mean local entropy its side-A member entropy.
 """
 
 from __future__ import annotations
@@ -13,19 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (
-    ZERO_EIGENVALUE,
-    is_ppt,
-    shannon_entropy,
-    von_neumann_entropies,
-    von_neumann_entropy,
-)
+from .entropy import ZERO_EIGENVALUE, is_ppt, shannon_entropy
 from .linalg import (
     DEGENERATE_GAP,
     DensityOperator,
     hermitian_eig,
     validate_density,
 )
+from .protocol import LevelStats, _level_stats, _one_node_level
 
 # Below this the denominator of the partial-distinguishing constraint is
 # degenerate (pure product input) and the bound imposes nothing.
@@ -50,6 +51,12 @@ class SpectralEnsemble:
     def __post_init__(self):
         if not self.members:
             raise ValueError("spectral ensemble needs at least one member")
+        shape = (self.dim_a * self.dim_b,)
+        for i, (p, v) in enumerate(self.members):
+            if p < -1e-12:
+                raise ValueError(f"member {i}: negative weight {p}")
+            if np.shape(v) != shape:
+                raise ValueError(f"member {i}: vector shape {np.shape(v)} is not {shape}")
         total = sum(p for p, _ in self.members)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"weights sum to {total!r}, not 1")
@@ -132,59 +139,37 @@ def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
     )
 
 
+def _spectral_stats(se: SpectralEnsemble) -> LevelStats:
+    """Root statistics of the spectral ensemble as one node of rank-one members.
+
+    The node's conditional entropy H(weights) is S(rho): the members are
+    orthonormal, so the weights are rho's nonzero eigenvalues.
+    """
+    weights = np.array([w for w, _ in se.members])
+    kets = np.stack([v for _, v in se.members])[:, :, None]
+    return _level_stats(_one_node_level(weights, kets), (se.dim_a, se.dim_b))
+
+
 def mean_local_entropy(se: SpectralEnsemble) -> float:
     """Weighted mean local entropy of the spectral members.
 
-    The members are stacked as (M, d_A, d_B) blocks, and one
-    ``von_neumann_entropies`` call per side covers all of them. For pure
-    members the two sides agree; both are computed and checked against
-    each other before the A-side value is returned.
+    The side-A member entropy of the ensemble's one-node level; for pure
+    members S(rho_A) = S(rho_B), so side A stands for both.
     """
-    weights = np.array([w for w, _ in se.members])
-    blocks = np.stack([v for _, v in se.members]).reshape(-1, se.dim_a, se.dim_b)
-    adjoints = blocks.conj().swapaxes(-1, -2)
-    total_a = float(weights @ von_neumann_entropies(blocks @ adjoints))
-    total_b = float(weights @ von_neumann_entropies(adjoints @ blocks))
-    if abs(total_a - total_b) > 1e-9:
-        raise AssertionError(f"side entropies disagree: {total_a!r} vs {total_b!r}")
-    return total_a
+    return _spectral_stats(se).member_entropy["A"]
 
 
-@dataclass(frozen=True)
-class _Entropies:
-    """The entropies both distinguishing bounds are built from."""
-
-    spectral: SpectralEnsemble
-    entropy: float
-    entropy_a: float
-    entropy_b: float
-    mean_local: float
-
-    @classmethod
-    def of(cls, rho: DensityOperator) -> "_Entropies":
-        """One spectral pass: the ensemble, S, S_A, S_B and the mean local entropy once each.
-
-        S is the Shannon entropy of the spectral weights, so rho's spectrum
-        is taken once.
-        """
-        spectral = spectral_ensemble(rho)
-        return cls(
-            spectral=spectral,
-            entropy=shannon_entropy([w for w, _ in spectral.members]),
-            entropy_a=von_neumann_entropy(rho.marginal("A")),
-            entropy_b=von_neumann_entropy(rho.marginal("B")),
-            mean_local=mean_local_entropy(spectral),
-        )
-
-    def full_bound(self) -> float:
-        return self.entropy_a + self.entropy_b - self.entropy - self.mean_local
-
-    def partial_bound(self) -> tuple[float, float]:
-        denominator = self.entropy + self.mean_local
-        if denominator < _VACUOUS_EPS:
-            return math.inf, math.inf
-        r_max = (self.entropy_a + self.entropy_b - self.mean_local) / denominator
-        return r_max * self.mean_local, r_max
+def _bounds(stats: LevelStats) -> tuple[float, float, float]:
+    """(full bound, partial bound, max keep fraction) from the spectral stats."""
+    entropy = stats.conditional_entropy
+    local = stats.average_entropy["A"] + stats.average_entropy["B"]
+    mean_local = stats.member_entropy["A"]
+    full = local - entropy - mean_local
+    denominator = entropy + mean_local
+    if denominator < _VACUOUS_EPS:
+        return full, math.inf, math.inf
+    r_max = (local - mean_local) / denominator
+    return full, r_max * mean_local, r_max
 
 
 def full_distinguish_bound(rho: DensityOperator) -> float:
@@ -195,7 +180,7 @@ def full_distinguish_bound(rho: DensityOperator) -> float:
     H(weights) > log2 d, entangled states included: a negative value does
     not mean the state is separable.
     """
-    return _Entropies.of(rho).full_bound()
+    return _bounds(_spectral_stats(spectral_ensemble(rho)))[0]
 
 
 def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
@@ -207,7 +192,7 @@ def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
     yield is bounded by r times the mean local entropy. A pure product
     input makes the constraint vacuous: both values are +inf.
     """
-    return _Entropies.of(rho).partial_bound()
+    return _bounds(_spectral_stats(spectral_ensemble(rho)))[1:]
 
 
 def _bell_matrix(d: int) -> np.ndarray:
@@ -276,9 +261,9 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     When ``spec`` is given the state is understood as Bell diagonal and the
     closed forms are attached alongside the generic values.
     """
-    parts = _Entropies.of(rho)
-    full_raw = parts.full_bound()
-    partial, r_max = parts.partial_bound()
+    spectral = spectral_ensemble(rho)
+    stats = _spectral_stats(spectral)
+    full_raw, partial, r_max = _bounds(stats)
     ppt_flag, min_pt = is_ppt(rho)
 
     closed_hashing = closed_hashing_yield = closed_partial = None
@@ -287,15 +272,15 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
         closed_partial = bell_partial_bound(spec)
 
     return DistillationReport(
-        entropy=parts.entropy,
-        entropy_a=parts.entropy_a,
-        entropy_b=parts.entropy_b,
-        mean_local_entropy=parts.mean_local,
+        entropy=stats.conditional_entropy,
+        entropy_a=stats.average_entropy["A"],
+        entropy_b=stats.average_entropy["B"],
+        mean_local_entropy=stats.member_entropy["A"],
         full_distinguish_bound=full_raw,
         full_distinguish_yield=max(0.0, full_raw),
         partial_distinguish_bound=partial,
         max_keep_fraction=r_max,
-        degenerate_spectrum=parts.spectral.degenerate,
+        degenerate_spectrum=spectral.degenerate,
         ppt=ppt_flag,
         min_pt_eigenvalue=min_pt,
         closed_form_hashing=closed_hashing,

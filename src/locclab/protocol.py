@@ -47,9 +47,11 @@ one stacked ``eigvalsh`` per (level, side) and entropy family, except
 that pure members (r = 1), whose two marginals share a spectrum, take
 their member entropies on side A only;
 ``chain_mutual_information``, ``bound_suite`` and ``audit_rounds`` only
-read them. Dense D x D states are built only on demand: by
-``TreeLevel.ensemble`` (which ``ProtocolNode.ensemble`` calls) and for the
-leaf averages whose entanglement ``bound_suite`` reports.
+read them, and so does ``locclab.distillation`` for one more level: a
+state's spectral ensemble as one node whose members are its kets. Dense
+D x D states are built only on demand: by ``TreeLevel.ensemble`` (which
+``ProtocolNode.ensemble`` calls) and for the leaf averages whose
+entanglement ``bound_suite`` reports.
 """
 
 from __future__ import annotations
@@ -262,6 +264,17 @@ class LevelStats:
         return self.average_entropy[side] - self.member_entropy[side]
 
 
+def _one_node_level(weights: np.ndarray, factors: np.ndarray) -> TreeLevel:
+    """The one-node level whose members have weights (M,) and factors (M, D, r)."""
+    return TreeLevel(
+        prob=np.ones(1),
+        q=weights[None],
+        factors=factors[None],
+        parent=np.array([-1]),
+        paths=((),),
+    )
+
+
 def _root_level(ensemble: BipartiteEnsemble) -> TreeLevel:
     """The root node, each member factored as U sqrt(Lambda) over its
     eigenvalues above _RANK_CUT and padded to the largest rank."""
@@ -269,13 +282,7 @@ def _root_level(ensemble: BipartiteEnsemble) -> TreeLevel:
     rank = int((values > _RANK_CUT).sum(axis=1).max())
     kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
     factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
-    return TreeLevel(
-        prob=np.ones(1),
-        q=ensemble.probabilities()[None],
-        factors=factors[None],
-        parent=np.array([-1]),
-        paths=((),),
-    )
+    return _one_node_level(ensemble.probabilities(), factors)
 
 
 def _expand(

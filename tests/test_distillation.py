@@ -19,7 +19,14 @@ from locclab import (
     validate_density,
 )
 
-from helpers import PHI_PLUS, PSI_PLUS, bell, shannon_oracle
+from helpers import (
+    PHI_PLUS,
+    PSI_PLUS,
+    bell,
+    pure_entanglement_oracle,
+    random_bipartite_density,
+    shannon_oracle,
+)
 
 # frozen oracle values for the (0.9, 0.1, 0, 0) spec
 FULL_BOUND_09 = 0.5310044064107188
@@ -92,6 +99,15 @@ class TestSpectralEnsemble:
         assert se.degenerate
         np.testing.assert_allclose([w for w, _ in se.members], [0.25] * 4)
 
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ValueError, match=r"member 0: vector shape \(3,\) is not \(4,\)"):
+            SpectralEnsemble(2, 2, ((1.0, [1, 0, 0]),), False)
+
+    def test_negative_weight_rejected(self):
+        members = ((1.5, np.array([1, 0, 0, 0], dtype=complex)), (-0.5, np.array([0, 1, 0, 0], dtype=complex)))
+        with pytest.raises(ValueError, match="member 1: negative weight -0.5"):
+            SpectralEnsemble(2, 2, members, False)
+
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError, match="orthonormal"):
             SpectralEnsemble(
@@ -121,9 +137,12 @@ class TestMeanLocalEntropy:
     def test_sides_agree_on_random_states(self):
         rng = np.random.default_rng(19)
         for _ in range(40):
-            g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            rho = validate_density((g @ g.conj().T) / np.trace(g @ g.conj().T).real, 2, 3)
-            mean_local_entropy(spectral_ensemble(rho))  # internal A/B assert must hold
+            se = spectral_ensemble(random_bipartite_density(rng, 2, 3))
+            side_a = sum(w * pure_entanglement_oracle(v, 2, 3) for w, v in se.members)
+            # The same kets with the parties swapped: B's Schmidt coefficients.
+            side_b = sum(w * pure_entanglement_oracle(v.reshape(2, 3).T.reshape(-1), 3, 2) for w, v in se.members)
+            assert abs(mean_local_entropy(se) - side_a) <= 1e-12
+            assert abs(mean_local_entropy(se) - side_b) <= 1e-12
 
 
 class TestFullDistinguishBound:
