@@ -19,7 +19,6 @@ from .entropy import (
     MEASURE_PURE,
     concurrence,
     entanglement,
-    entropy_summary,
     holevo_chi,
     is_ppt,
     purity,
@@ -38,6 +37,7 @@ from .protocol import (
     average_output_entanglement,
     bound_suite,
     chain_mutual_information,
+    entropy_summary,
     measure_branch,
     run_protocol,
 )

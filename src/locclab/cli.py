@@ -45,9 +45,9 @@ import time
 import numpy as np
 
 from .distillation import BellDiagonalSpec, bell_diagonal, distillation_report, spectral_ensemble
-from .entropy import PURITY_TOL, BipartiteEnsemble, entropy_summary
-from .linalg import DensityOperator, pure_state_density, validate_density
-from .protocol import audit_rounds, bound_suite, chain_mutual_information, run_protocol
+from .entropy import PURITY_TOL, BipartiteEnsemble, SpectralEnsemble
+from .linalg import DensityOperator, validate_density
+from .protocol import audit_rounds, bound_suite, chain_mutual_information, entropy_summary, run_protocol
 from .scenario import Scenario, ScenarioError, load_scenario, materialize_random
 
 DEFAULT_SLACK_TOL = 1e-7
@@ -82,18 +82,13 @@ def _scenario_state(scenario: Scenario) -> DensityOperator:
     raise ScenarioError(f"{scenario.name}: random scenarios must be materialized before use")
 
 
-def _scenario_ensemble(scenario: Scenario) -> BipartiteEnsemble:
-    """Hypothesis ensemble of the scenario; Bell-diagonal states use their
-    spectral decomposition."""
+def _scenario_ensemble(scenario: Scenario) -> BipartiteEnsemble | SpectralEnsemble:
+    """Hypothesis ensemble of the scenario; a Bell-diagonal state's is its
+    spectral ensemble, whose kets the tree takes as they are."""
     if scenario.ensemble is not None:
         return scenario.ensemble
     if scenario.bell is not None:
-        state = bell_diagonal(scenario.bell)
-        members = tuple(
-            (weight, pure_state_density(vector, scenario.dim_a, scenario.dim_b))
-            for weight, vector in spectral_ensemble(state).members
-        )
-        return BipartiteEnsemble(members)
+        return spectral_ensemble(bell_diagonal(scenario.bell))
     raise ScenarioError(f"{scenario.name}: random scenarios must be materialized before use")
 
 
@@ -108,8 +103,8 @@ def _require_measurable(spec: BellDiagonalSpec, path) -> None:
 
     Its spectral members are pure, but the depth-zero tree's one leaf is
     the state itself: for d >= 3 that is measurable only when pure, and its
-    purity is sum_k p_k^2. Checked before any ensemble is built, which for
-    d = 16 would take seconds and hundreds of MB before failing.
+    purity is sum_k p_k^2. Checked before any ensemble is built, so that the
+    error names the file's ``bell`` field.
     """
     purity = sum(p * p for p in spec.probs)
     if spec.d >= 3 and purity < 1.0 - PURITY_TOL:

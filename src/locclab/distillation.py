@@ -5,11 +5,12 @@ learn the entire spectral string of their shared pairs (attained by hashing
 for Bell-diagonal states), and partial distinguishing, where a sacrificial
 group of pairs is spent to identify the rest.
 
-Every entropy both bounds are built from is a root statistic of one tree
-node: the state's spectral ensemble, its kets taken as rank-one member
-factors, goes through ``protocol._level_stats``. S is the node's
-conditional entropy H(weights), S_A and S_B its average-marginal entropies
-and the mean local entropy its side-A member entropy.
+Every entropy both bounds are built from is a root statistic of the
+state's spectral ensemble (``locclab.entropy.SpectralEnsemble``), read by
+``protocol._level_stats`` off the root whose factors are its kets, as
+``run_protocol`` builds it. S is the root's conditional entropy H(weights),
+S_A and S_B its average-marginal entropies and the mean local entropy its
+side-A member entropy.
 """
 
 from __future__ import annotations
@@ -19,51 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ZERO_EIGENVALUE, is_ppt, shannon_entropy
+from .entropy import ZERO_EIGENVALUE, SpectralEnsemble, is_ppt, shannon_entropy
 from .linalg import (
     DEGENERATE_GAP,
     DensityOperator,
     hermitian_eig,
     validate_density,
 )
-from .protocol import LevelStats, _level_stats, _one_node_level
+from .protocol import LevelStats, _level_stats, _root_level
 
 # Below this the denominator of the partial-distinguishing constraint is
 # degenerate (pure product input) and the bound imposes nothing.
 _VACUOUS_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralEnsemble:
-    """Eigendecomposition of a state viewed as a pure-state ensemble.
-
-    Members are (weight, unit vector) pairs with orthonormal vectors,
-    ordered by descending weight. ``degenerate`` flags repeated nonzero
-    eigenvalues, where the decomposition (and hence the mean local entropy)
-    is convention dependent.
-    """
-
-    dim_a: int
-    dim_b: int
-    members: tuple[tuple[float, np.ndarray], ...]
-    degenerate: bool
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("spectral ensemble needs at least one member")
-        shape = (self.dim_a * self.dim_b,)
-        for i, (p, v) in enumerate(self.members):
-            if p < -1e-12:
-                raise ValueError(f"member {i}: negative weight {p}")
-            if np.shape(v) != shape:
-                raise ValueError(f"member {i}: vector shape {np.shape(v)} is not {shape}")
-        total = sum(p for p, _ in self.members)
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        vectors = np.column_stack([v for _, v in self.members])
-        gram = vectors.conj().T @ vectors
-        if not np.abs(gram - np.eye(len(self.members))).max() <= 1e-9:
-            raise ValueError("spectral ensemble vectors are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -140,14 +108,12 @@ def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
 
 
 def _spectral_stats(se: SpectralEnsemble) -> LevelStats:
-    """Root statistics of the spectral ensemble as one node of rank-one members.
+    """Root statistics of the spectral ensemble, its kets the root's factors.
 
-    The node's conditional entropy H(weights) is S(rho): the members are
+    The root's conditional entropy H(weights) is S(rho): the members are
     orthonormal, so the weights are rho's nonzero eigenvalues.
     """
-    weights = np.array([w for w, _ in se.members])
-    kets = np.stack([v for _, v in se.members])[:, :, None]
-    return _level_stats(_one_node_level(weights, kets), (se.dim_a, se.dim_b))
+    return _level_stats(_root_level(se), (se.dim_a, se.dim_b))
 
 
 def mean_local_entropy(se: SpectralEnsemble) -> float:

@@ -78,6 +78,39 @@ class BipartiteEnsemble:
         return hermitize(out)
 
 
+@dataclass(frozen=True)
+class SpectralEnsemble:
+    """Eigendecomposition of a state viewed as a pure-state ensemble.
+
+    Members are (weight, unit vector) pairs with orthonormal vectors,
+    ordered by descending weight. ``degenerate`` flags repeated nonzero
+    eigenvalues, where the decomposition (and hence the mean local entropy)
+    is convention dependent.
+    """
+
+    dim_a: int
+    dim_b: int
+    members: tuple[tuple[float, np.ndarray], ...]
+    degenerate: bool
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("spectral ensemble needs at least one member")
+        shape = (self.dim_a * self.dim_b,)
+        for i, (p, v) in enumerate(self.members):
+            if p < -1e-12:
+                raise ValueError(f"member {i}: negative weight {p}")
+            if np.shape(v) != shape:
+                raise ValueError(f"member {i}: vector shape {np.shape(v)} is not {shape}")
+        total = sum(p for p, _ in self.members)
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"weights sum to {total!r}, not 1")
+        vectors = np.column_stack([v for _, v in self.members])
+        gram = vectors.conj().T @ vectors
+        if not np.abs(gram - np.eye(len(self.members))).max() <= 1e-9:
+            raise ValueError("spectral ensemble vectors are not orthonormal")
+
+
 def shannon_entropies(probabilities) -> np.ndarray:
     """-sum p log2 p over the last axis of a stack of probability vectors.
 
@@ -254,16 +287,3 @@ def is_ppt(state: DensityOperator) -> tuple[bool, float]:
     lowest = float(values[0])
     return lowest >= -DEFAULT_TOL, lowest
 
-
-def entropy_summary(ensemble) -> dict[str, float]:
-    """S, S_A, S_B of the average state plus the global Holevo quantity."""
-    if not isinstance(ensemble, BipartiteEnsemble):
-        raise ValueError("entropy_summary needs a BipartiteEnsemble")
-    average = ensemble.average_matrix()
-    dims = (ensemble.dim_a, ensemble.dim_b)
-    return {
-        "entropy_average": von_neumann_entropy(average),
-        "entropy_a": von_neumann_entropy(partial_trace(average, "A", dims)),
-        "entropy_b": von_neumann_entropy(partial_trace(average, "B", dims)),
-        "holevo": holevo_chi(ensemble),
-    }

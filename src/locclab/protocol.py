@@ -18,12 +18,12 @@ member state is stored as a factor V with rho = V V^dagger:
     parent   (N_k,)           index of the node's parent on level k - 1
     paths    N_k tuples       outcome histories
 
-The root factors come from one stacked ``eigh`` of the member matrices:
-V = U sqrt(Lambda) over the eigenvalues above _RANK_CUT, padded with zero
-columns to r = the largest member rank and renormalized. r = 1 for pure
-members. The cut sits at rounding level, not at DEFAULT_TOL: a genuine
-eigenvalue of 1e-12 dropped at the root moves the reported entropies by
-about as much, past the 1e-12 agreement the engine is held to.
+``_root_level`` alone builds root factors. A ``SpectralEnsemble``'s kets
+are its factors (r = 1, no eigensolve); a ``BipartiteEnsemble``'s come from
+one stacked ``eigh``: V = U sqrt(Lambda) over the eigenvalues above
+_RANK_CUT, padded with zero columns to the largest rank r and renormalized.
+The cut sits at rounding level, not at DEFAULT_TOL: a genuine eigenvalue of
+1e-12 dropped at the root moves the entropies past the 1e-12 agreement.
 
 A level is expanded in one batched pass. The chooser is called once per
 node; the local Kraus operators are stacked as (N, K, d, d), nodes with
@@ -46,12 +46,11 @@ members' Grams. ``run_protocol`` computes the stats once per level with
 one stacked ``eigvalsh`` per (level, side) and entropy family, except
 that pure members (r = 1), whose two marginals share a spectrum, take
 their member entropies on side A only;
-``chain_mutual_information``, ``bound_suite`` and ``audit_rounds`` only
-read them, and so does ``locclab.distillation`` for one more level: a
-state's spectral ensemble as one node whose members are its kets. Dense
+``chain_mutual_information``, ``bound_suite``, ``audit_rounds``,
+``entropy_summary`` and ``locclab.distillation`` only read them. Dense
 D x D states are built only on demand: by ``TreeLevel.ensemble`` (which
-``ProtocolNode.ensemble`` calls) and for the leaf averages whose
-entanglement ``bound_suite`` reports.
+``ProtocolNode.ensemble`` calls), for the root members and leaf averages
+whose entanglement ``bound_suite`` reports, and for the root average.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ import numpy as np
 
 from .entropy import (
     BipartiteEnsemble,
+    SpectralEnsemble,
     entanglements,
     shannon_entropies,
     von_neumann_entropies,
@@ -264,25 +264,20 @@ class LevelStats:
         return self.average_entropy[side] - self.member_entropy[side]
 
 
-def _one_node_level(weights: np.ndarray, factors: np.ndarray) -> TreeLevel:
-    """The one-node level whose members have weights (M,) and factors (M, D, r)."""
-    return TreeLevel(
-        prob=np.ones(1),
-        q=weights[None],
-        factors=factors[None],
-        parent=np.array([-1]),
-        paths=((),),
-    )
-
-
-def _root_level(ensemble: BipartiteEnsemble) -> TreeLevel:
-    """The root node, each member factored as U sqrt(Lambda) over its
-    eigenvalues above _RANK_CUT and padded to the largest rank."""
-    values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
-    rank = int((values > _RANK_CUT).sum(axis=1).max())
-    kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
-    factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
-    return _one_node_level(ensemble.probabilities(), factors)
+def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
+    """The root node. A spectral ensemble's kets are its rank-one factors; a
+    matrix member is factored as U sqrt(Lambda) over its eigenvalues above
+    _RANK_CUT and padded to the largest rank."""
+    if isinstance(ensemble, SpectralEnsemble):
+        weights = np.array([w for w, _ in ensemble.members])
+        factors = np.array([v for _, v in ensemble.members], dtype=complex)[:, :, None]
+    else:
+        values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
+        rank = int((values > _RANK_CUT).sum(axis=1).max())
+        kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
+        factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
+        weights = ensemble.probabilities()
+    return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=np.array([-1]), paths=((),))
 
 
 def _expand(
@@ -407,8 +402,6 @@ class ProtocolNode:
     @property
     def ensemble(self) -> BipartiteEnsemble:
         root = self.transcript.root_ensemble
-        if self.level == 0:
-            return root
         return self.transcript.levels[self.level].ensemble(self.index, root.dim_a, root.dim_b)
 
     @property
@@ -430,7 +423,7 @@ class ProtocolTranscript:
     levels: tuple[TreeLevel, ...]
     stats: tuple[LevelStats, ...]
     round_parties: tuple[str, ...]
-    root_ensemble: BipartiteEnsemble
+    root_ensemble: BipartiteEnsemble | SpectralEnsemble
 
     @property
     def depth(self) -> int:
@@ -448,7 +441,7 @@ class ProtocolTranscript:
 
 
 def measure_branch(
-    ensemble: BipartiteEnsemble,
+    ensemble: BipartiteEnsemble | SpectralEnsemble,
     instrument: KrausInstrument,
     prune_tol: float = PRUNE_TOL,
 ) -> list[tuple[str, float, BipartiteEnsemble]]:
@@ -458,7 +451,7 @@ def measure_branch(
     Kraus operators are embedded as K (x) I for party A and I (x) K for
     party B. Outcomes below ``prune_tol`` are pruned and the survivors
     renormalized; posterior member weights follow Bayes' rule. This is the
-    one-node case of the level expansion in ``run_protocol``.
+    one-node case of ``run_protocol``'s level expansion, for either ensemble.
     """
     dims = (ensemble.dim_a, ensemble.dim_b)
     children = _expand(_root_level(ensemble), [instrument], dims, prune_tol)
@@ -469,12 +462,13 @@ def measure_branch(
 
 
 def run_protocol(
-    ensemble: BipartiteEnsemble,
+    ensemble: BipartiteEnsemble | SpectralEnsemble,
     chooser: Mapping[tuple[str, ...], KrausInstrument] | Callable[[tuple[str, ...]], KrausInstrument],
     depth: int,
 ) -> ProtocolTranscript:
     """Build the outcome tree of an adaptive protocol, one level at a time.
 
+    ``ensemble`` is a ``BipartiteEnsemble`` or a ``SpectralEnsemble``.
     ``chooser`` maps each outcome history (tuple of labels, one per earlier
     round) to the instrument for the next round; a callable models classical
     communication by inspecting the whole history. Every reachable history
@@ -531,12 +525,36 @@ def average_output_entanglement(transcript: ProtocolTranscript) -> float:
     return float(leaves.prob[live] @ entanglements(states, root.dim_a, root.dim_b))
 
 
-def average_input_entanglement(ensemble: BipartiteEnsemble) -> float:
-    """Probability-weighted entanglement of the initial hypothesis states."""
-    probs = ensemble.probabilities()
-    live = probs > 0.0
-    states = np.stack([state.matrix for _, state in ensemble.members])[live]
-    return float(probs[live] @ entanglements(states, ensemble.dim_a, ensemble.dim_b))
+def _member_entanglement(root: TreeLevel, dims: tuple[int, int]) -> float:
+    """Weighted entanglement of the root's members, rebuilt from their factors."""
+    live = root.q[0] > 0.0
+    return float(root.q[0][live] @ entanglements(_gram(root.factors[0][live]), *dims))
+
+
+def average_input_entanglement(ensemble: BipartiteEnsemble | SpectralEnsemble) -> float:
+    """Probability-weighted entanglement of the members of a ``BipartiteEnsemble`` or ``SpectralEnsemble``."""
+    return _member_entanglement(_root_level(ensemble), (ensemble.dim_a, ensemble.dim_b))
+
+
+def entropy_summary(ensemble: BipartiteEnsemble | SpectralEnsemble) -> dict[str, float]:
+    """S, S_A, S_B of the average state plus the global Holevo quantity.
+
+    Reads a ``BipartiteEnsemble`` or a ``SpectralEnsemble`` off its root:
+    S_A and S_B from ``_level_stats``, S from the average state, and each
+    member's entropy from the r x r Gram V^dagger V of its factor.
+    """
+    if not isinstance(ensemble, (BipartiteEnsemble, SpectralEnsemble)):
+        raise ValueError("entropy_summary needs a BipartiteEnsemble or a SpectralEnsemble")
+    root = _root_level(ensemble)
+    stats = _level_stats(root, (ensemble.dim_a, ensemble.dim_b))
+    entropy = float(von_neumann_entropies(root.averages()[0]))
+    members = von_neumann_entropies(_gram(root.factors[0].swapaxes(-1, -2).conj()))
+    return {
+        "entropy_average": entropy,
+        "entropy_a": stats.average_entropy["A"],
+        "entropy_b": stats.average_entropy["B"],
+        "holevo": entropy - float(np.where(root.q[0] > 0.0, root.q[0], 0.0) @ members),
+    }
 
 
 @dataclass(frozen=True)
@@ -600,7 +618,7 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
 
     per_round, total_info = chain_mutual_information(transcript)
     e_out = average_output_entanglement(transcript)
-    e_in = average_input_entanglement(root)
+    e_in = _member_entanglement(transcript.levels[0], (root.dim_a, root.dim_b))
     n_qubits = float(np.log2(root.dim_a * root.dim_b))
 
     local_holevo = entropy_a + entropy_b - max(mean_member["A"], mean_member["B"])

@@ -514,9 +514,10 @@ def dump_scenario(scenario: Scenario) -> str:
 
 def load_scenario(path) -> Scenario:
     """Parse a scenario file, addressing errors by field (or line on bad JSON)."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     return parse_scenario(data, source=str(path))

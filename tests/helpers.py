@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from locclab import BipartiteEnsemble, DensityOperator, pure_state_density, spectral_ensemble, validate_density
+from locclab import (
+    BipartiteEnsemble,
+    DensityOperator,
+    holevo_chi,
+    pure_state_density,
+    spectral_ensemble,
+    validate_density,
+)
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -88,6 +95,25 @@ def distillation_oracle(rho: DensityOperator) -> dict[str, float]:
         "full_distinguish_bound": entropy_a + entropy_b - entropy - mean_local,
         "partial_distinguish_bound": partial,
         "max_keep_fraction": r_max,
+    }
+
+
+def entropy_summary_oracle(ensemble: BipartiteEnsemble) -> dict[str, float]:
+    """Every field of ``entropy_summary`` by other routes.
+
+    S from ``np.linalg.eigvalsh`` of ``average_matrix()``, S_A and S_B from
+    explicit ``einsum`` partial traces of it, and the Holevo quantity from
+    ``holevo_chi``, which solves each member matrix; no tree level and no
+    factors.
+    """
+    dim_a, dim_b = ensemble.dim_a, ensemble.dim_b
+    average = ensemble.average_matrix()
+    tensor = average.reshape(dim_a, dim_b, dim_a, dim_b)
+    return {
+        "entropy_average": shannon_oracle(np.linalg.eigvalsh(average)),
+        "entropy_a": shannon_oracle(np.linalg.eigvalsh(np.einsum("ijkj->ik", tensor))),
+        "entropy_b": shannon_oracle(np.linalg.eigvalsh(np.einsum("ijil->jl", tensor))),
+        "holevo": holevo_chi(ensemble),
     }
 
 

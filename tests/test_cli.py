@@ -105,6 +105,15 @@ def test_invalid_json_exits_two(tmp_path):
     assert "invalid JSON at line 2" in err
 
 
+def test_non_utf8_file_exits_two_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"kind": "ensemble"}')
+    code, out, err = run(["entropy", path])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: not UTF-8: ")
+    assert "can't decode byte 0xff in position 0" in err
+
+
 @pytest.mark.parametrize("command", ["entropy", "bounds-verify"])
 def test_non_finite_probability_exits_two(tmp_path, command):
     path = tmp_path / "nan.json"
