@@ -133,11 +133,36 @@ def shannon_entropy(probabilities) -> float:
     return float(shannon_entropies(np.asarray(probabilities, dtype=float).reshape(-1)))
 
 
+def _qubit_eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack (..., 2, 2) in closed form.
+
+    The matrices are read through their Hermitian part, as ``hermitize``
+    gives it: lambda+- = t +- gap with t = (a + d)/2 and gap =
+    sqrt(((a - d)/2)^2 + |b|^2). The smaller root is det / lambda+, written
+    as a (d / lambda+) - |b| (|b| / lambda+) so that no product overflows;
+    where lambda+ <= 0 (the zero matrix) it is t - gap.
+    """
+    a = mats[..., 0, 0].real
+    d = mats[..., 1, 1].real
+    b = np.abs(0.5 * (mats[..., 0, 1] + mats[..., 1, 0].conj()))
+    t = 0.5 * a + 0.5 * d
+    gap = np.hypot(0.5 * a - 0.5 * d, b)
+    upper = t + gap
+    positive = upper > 0.0
+    safe = np.where(positive, upper, 1.0)
+    lower = np.where(positive, a * (d / safe) - b * (b / safe), t - gap)
+    return np.stack([lower, upper], axis=-1)
+
+
 def von_neumann_entropies(matrices) -> np.ndarray:
     """Entropies of a stack (..., D, D) of PSD unit-trace matrices.
 
-    One ``eigvalsh`` call covers the stack. Each matrix must be Hermitian
-    within DEFAULT_TOL and have no eigenvalue below -DEFAULT_TOL;
+    Two routes give the spectrum: a stack of 2x2 matrices is solved in
+    closed form (``_qubit_eigvalsh``), and any larger D by one
+    ``np.linalg.eigvalsh`` call over the stack. (Pure members of a 2x2
+    outcome tree take a third route, from the determinant of their
+    coefficient matrix, in ``protocol._level_stats``.) Each matrix must be
+    Hermitian within DEFAULT_TOL and have no eigenvalue below -DEFAULT_TOL;
     rounding-level negative eigenvalues count as zeros.
     """
     mats = np.asarray(matrices, dtype=complex)
@@ -145,7 +170,10 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     if not herm_dev.max(initial=0.0) <= DEFAULT_TOL:
         worst = herm_dev.max(axis=(-2, -1))
         raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= DEFAULT_TOL), worst)[0]:.3e}")
-    values = np.linalg.eigvalsh(hermitize(mats))
+    if mats.shape[-1] == 2:
+        values = _qubit_eigvalsh(mats)
+    else:
+        values = np.linalg.eigvalsh(hermitize(mats))
     if not values.min(initial=0.0) >= -DEFAULT_TOL:
         lowest = values[..., 0]
         raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -DEFAULT_TOL), lowest)[0]:.3e}")

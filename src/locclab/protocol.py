@@ -42,15 +42,26 @@ H(X | Y_1..Y_k), and per side the mean member-marginal entropy, the mean
 average-marginal entropy and the average marginals. A member's marginal
 on side A is the Gram X X^dagger of V reshaped to X (dim_a, dim_b * r),
 side B likewise; a node's average marginal is the q-weighted sum of its
-members' Grams. ``run_protocol`` computes the stats once per level with
-one stacked ``eigvalsh`` per (level, side) and entropy family, except
-that pure members (r = 1), whose two marginals share a spectrum, take
-their member entropies on side A only;
+members' Grams. ``run_protocol`` computes the stats once per level, and
+each spectrum takes one of three routes:
+
+- pure members (r = 1) of a 2x2 system: no member Gram is built. A
+  member's marginal spectrum, shared by both sides, comes from the
+  determinant of its 2x2 coefficient matrix, and each side's average
+  marginal is one Gram of the sqrt(q)-scaled coefficient matrices set
+  side by side;
+- every other 2x2 marginal, average marginals included: the closed-form
+  2x2 solve inside ``von_neumann_entropies``;
+- larger marginals: one stacked LAPACK ``eigvalsh`` per (level, side) and
+  entropy family, except that pure members, whose two marginals share a
+  spectrum, take their member entropies on side A only.
+
 ``chain_mutual_information``, ``bound_suite``, ``audit_rounds``,
 ``entropy_summary`` and ``locclab.distillation`` only read them. Dense
 D x D states are built only on demand: by ``TreeLevel.ensemble`` (which
 ``ProtocolNode.ensemble`` calls), for the root members and leaf averages
-whose entanglement ``bound_suite`` reports, and for the root average.
+whose entanglement ``bound_suite`` reports, and for the root average of a
+``BipartiteEnsemble`` in ``entropy_summary``.
 """
 
 from __future__ import annotations
@@ -343,6 +354,34 @@ def _expand(
     )
 
 
+def _pure_qubit_marginals(
+    factors: np.ndarray, weights: np.ndarray, counted: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Member entropies and average marginals of pure members of a 2x2 system.
+
+    No member marginal is built. A member's marginal spectrum is the same on
+    both sides, (t +- sqrt(t^2 - 4 |det psi|^2)) / 2 with psi its 2x2
+    coefficient matrix and t = ||psi||_F^2; the small root is written as
+    2 |det psi|^2 / (t + sqrt(...)). Each side's average marginal is one
+    Gram W W^dagger of the sqrt(q)-scaled coefficient matrices set side by
+    side, psi on side A and psi^T on side B.
+    """
+    n, m = weights.shape
+    psi = factors.reshape(n, m, 2, 2)
+    kept = psi[counted]
+    t = np.einsum("kij,kij->k", kept, kept.conj()).real
+    det = np.abs(kept[:, 0, 0] * kept[:, 1, 1] - kept[:, 0, 1] * kept[:, 1, 0]) ** 2
+    upper = t + np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
+    member = np.zeros(weights.shape)
+    member[counted] = shannon_entropies(np.stack([2.0 * det / upper, 0.5 * upper], axis=-1))
+    scaled = psi * np.sqrt(weights)[:, :, None, None]
+    average_marginals = {
+        "A": _gram(scaled.swapaxes(1, 2).reshape(n, 2, 2 * m)),
+        "B": _gram(scaled.transpose(0, 3, 1, 2).reshape(n, 2, 2 * m)),
+    }
+    return member, average_marginals
+
+
 def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
     dim_a, dim_b = dims
     live = level.prob > 0.0
@@ -350,22 +389,27 @@ def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
     weights = np.where(level.q > 0.0, level.q, 0.0)
     counted = live[:, None] & (level.q > 0.0)
     n, m, _, r = level.factors.shape
-    split = level.factors.reshape(n, m, dim_a, dim_b, r)
-    # Side A keeps the row index of V reshaped to (dim_a, dim_b * r); side B
-    # swaps the two party indices first.
-    reshaped = {
-        "A": split.reshape(n, m, dim_a, dim_b * r),
-        "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
-    }
     member_entropy, average_entropy, average_marginals = {}, {}, {}
+    if r == 1 and dims == (2, 2):
+        member, average_marginals = _pure_qubit_marginals(level.factors, weights, counted)
+        member_entropy["A"] = member_entropy["B"] = float(prob @ (weights * member).sum(axis=1)[live])
+    else:
+        split = level.factors.reshape(n, m, dim_a, dim_b, r)
+        # Side A keeps the row index of V reshaped to (dim_a, dim_b * r); side B
+        # swaps the two party indices first.
+        reshaped = {
+            "A": split.reshape(n, m, dim_a, dim_b * r),
+            "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
+        }
+        for side in PARTIES:
+            marginals = _gram(reshaped[side])
+            # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's.
+            if side == "A" or r > 1:
+                member = np.zeros(level.q.shape)
+                member[counted] = von_neumann_entropies(marginals[counted])
+            member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
+            average_marginals[side] = np.einsum("nm,nmij->nij", weights, marginals)
     for side in PARTIES:
-        marginals = _gram(reshaped[side])
-        # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's.
-        if side == "A" or r > 1:
-            member = np.zeros(level.q.shape)
-            member[counted] = von_neumann_entropies(marginals[counted])
-        member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
-        average_marginals[side] = np.einsum("nm,nmij->nij", weights, marginals)
         average_entropy[side] = float(prob @ von_neumann_entropies(average_marginals[side][live]))
     return LevelStats(
         conditional_entropy=float(prob @ shannon_entropies(level.q[live])),
@@ -539,21 +583,28 @@ def average_input_entanglement(ensemble: BipartiteEnsemble | SpectralEnsemble) -
 def entropy_summary(ensemble: BipartiteEnsemble | SpectralEnsemble) -> dict[str, float]:
     """S, S_A, S_B of the average state plus the global Holevo quantity.
 
-    Reads a ``BipartiteEnsemble`` or a ``SpectralEnsemble`` off its root:
-    S_A and S_B from ``_level_stats``, S from the average state, and each
-    member's entropy from the r x r Gram V^dagger V of its factor.
+    Reads a ``BipartiteEnsemble`` or a ``SpectralEnsemble`` off its root,
+    with S_A and S_B from ``_level_stats``. For a ``BipartiteEnsemble``, S
+    comes from the average state and each member's entropy from the r x r
+    Gram V^dagger V of its factor. A ``SpectralEnsemble``'s kets are
+    orthonormal and pure, so S is the root's H(weights) and equals the
+    Holevo quantity; no D x D matrix is solved.
     """
     if not isinstance(ensemble, (BipartiteEnsemble, SpectralEnsemble)):
         raise ValueError("entropy_summary needs a BipartiteEnsemble or a SpectralEnsemble")
     root = _root_level(ensemble)
     stats = _level_stats(root, (ensemble.dim_a, ensemble.dim_b))
-    entropy = float(von_neumann_entropies(root.averages()[0]))
-    members = von_neumann_entropies(_gram(root.factors[0].swapaxes(-1, -2).conj()))
+    if isinstance(ensemble, SpectralEnsemble):
+        entropy = holevo = stats.conditional_entropy
+    else:
+        entropy = float(von_neumann_entropies(root.averages()[0]))
+        members = von_neumann_entropies(_gram(root.factors[0].swapaxes(-1, -2).conj()))
+        holevo = entropy - float(np.where(root.q[0] > 0.0, root.q[0], 0.0) @ members)
     return {
         "entropy_average": entropy,
         "entropy_a": stats.average_entropy["A"],
         "entropy_b": stats.average_entropy["B"],
-        "holevo": entropy - float(np.where(root.q[0] > 0.0, root.q[0], 0.0) @ members),
+        "holevo": holevo,
     }
 
 

@@ -117,6 +117,17 @@ def entropy_summary_oracle(ensemble: BipartiteEnsemble) -> dict[str, float]:
     }
 
 
+def marginal_entropy_oracle(ensemble: BipartiteEnsemble) -> dict[str, float]:
+    """Per side, sum_x p_x S(rho_x^side) from explicit ``einsum`` partial traces."""
+    dim_a, dim_b = ensemble.dim_a, ensemble.dim_b
+    out = {"A": 0.0, "B": 0.0}
+    for p, state in ensemble.members:
+        tensor = state.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+        out["A"] += p * shannon_oracle(np.linalg.eigvalsh(np.einsum("ijkj->ik", tensor)))
+        out["B"] += p * shannon_oracle(np.linalg.eigvalsh(np.einsum("ijil->jl", tensor)))
+    return out
+
+
 def flat_mutual_information(transcript) -> float:
     """I(X; record) from the flattened joint distribution over leaves.
 

@@ -349,10 +349,11 @@ class TestAuditRounds:
 def test_eigensolve_count_is_per_level(monkeypatch):
     # Depth 8, 8 pure members, a random basis per history and alternating
     # parties: 511 nodes and 4,088 posterior states. The root is factored
-    # by one eigh; each level's entropies take a fixed number of eigvalsh
-    # calls (member and average marginals on two sides), plus one each for
-    # the input and output entanglement. A solve per posterior would add
-    # thousands.
+    # by one eigh. Every other spectrum is 2x2 and none goes to LAPACK: pure
+    # members' marginal spectra come from the determinants of their
+    # coefficient matrices, and the average marginals and the input and
+    # output entanglement from the closed-form 2x2 solve. A solve per
+    # posterior would add thousands.
     depth = 8
 
     def chooser(history):
@@ -376,4 +377,4 @@ def test_eigensolve_count_is_per_level(monkeypatch):
         audit_rounds(transcript)
     assert len(transcript.leaves()) == 2**depth
     assert calls["eigh"] <= 2
-    assert calls["eigvalsh"] <= 4 * (depth + 1) + 2
+    assert calls["eigvalsh"] == 0

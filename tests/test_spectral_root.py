@@ -7,6 +7,8 @@ eigensolve. These tests check that every report field agrees with the dense
 ensemble of the same kets within 1e-12, check ``entropy_summary`` against an
 oracle that shares none of its route, and record the shapes solved for a
 mixed d = 8 Bell-diagonal scenario: no d^2 x d^2 matrix per member.
+``entropy_summary`` of a spectral ensemble solves no d^2 x d^2 matrix at
+all: S is the entropy of its weights.
 """
 
 import contextlib
@@ -139,6 +141,38 @@ def test_entropy_summary_matches_oracle_on_mixed_ensembles(seed, n_members, dims
         weights = (np.array(weights) / sum(weights)).tolist()
     ensemble = BipartiteEnsemble(tuple(zip(weights, states)))
     assert_summaries_agree(entropy_summary(ensemble), entropy_summary_oracle(ensemble))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=seeds, dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), kind=st.sampled_from(["bell", "random"]))
+def test_entropy_summary_reads_a_spectral_ensemble_off_its_weights(seed, dims, kind):
+    # S is H(weights) and equals the Holevo quantity: no D x D solve.
+    rng = np.random.default_rng(seed)
+    if kind == "bell":
+        d = dims[0]
+        probs = rng.dirichlet(np.ones(d * d))
+        probs[rng.random(d * d) < 0.3] = 0.0
+        if probs.sum() == 0.0:
+            probs[0] = 1.0
+        dims = (d, d)
+        rho = bell_diagonal(BellDiagonalSpec(d, tuple((probs / probs.sum()).tolist())))
+    else:
+        rho = random_bipartite_density(rng, *dims)
+    se = spectral_ensemble(rho)
+    shapes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            patch.setattr(np.linalg, name, recording)
+        summary = entropy_summary(se)
+    assert not [shape for shape in shapes if shape[-1] == dims[0] * dims[1]]
+    assert_summaries_agree(summary, entropy_summary_oracle(dense(se)))
+    assert summary["holevo"] == summary["entropy_average"]
 
 
 def test_entropy_summary_names_both_ensemble_kinds():
