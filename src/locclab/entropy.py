@@ -14,6 +14,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
+    _require_finite,
     block_eigvalsh,
     hermitize,
     partial_trace,
@@ -162,12 +163,15 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     ``np.linalg.eigvalsh`` call over the stack. (Pure members of a 2x2
     outcome tree take a third route, from the determinant of their
     coefficient matrix, in ``protocol._level_stats``.) Each matrix must be
+    finite (a NaN or inf fails the Hermiticity test, which then names it),
     Hermitian within DEFAULT_TOL and have no eigenvalue below -DEFAULT_TOL;
     rounding-level negative eigenvalues count as zeros.
     """
     mats = np.asarray(matrices, dtype=complex)
-    herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
     if not herm_dev.max(initial=0.0) <= DEFAULT_TOL:
+        _require_finite(mats)
         worst = herm_dev.max(axis=(-2, -1))
         raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= DEFAULT_TOL), worst)[0]:.3e}")
     if mats.shape[-1] == 2:

@@ -3,6 +3,8 @@
 States live on a tensor product H_A (x) H_B with Alice's index slow
 (row-major A(x)B ordering). Everything here is a pure function over
 immutable values; returned arrays are marked read-only.
+``validate_density`` checks and never rewrites: a state keeps the matrix
+it was given, eigenvalues down to -DEFAULT_TOL counted as zeros downstream.
 
 Every eigensolve of a whole state (``validate_density``,
 ``hermitian_eig``, ``block_eigvalsh``) first splits the Hermitian matrix
@@ -157,11 +159,10 @@ def block_eigvalsh(matrix) -> np.ndarray:
 def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
     """Check matrix is a density operator on the given bipartite dimensions.
 
-    Finite entries are required; Hermiticity, unit trace, and positivity are
-    enforced within DEFAULT_TOL. Eigenvalues in [-DEFAULT_TOL, 0) are
-    clipped to zero and the state renormalized; anything lower is rejected
-    as unphysical. The spectrum is solved block by block along the exact
-    zero pattern (see the module docstring).
+    Returns the matrix as given, read-only, once it is finite, Hermitian
+    and of unit trace within DEFAULT_TOL, with no eigenvalue below
+    -DEFAULT_TOL: nothing is clipped or renormalized. The spectrum is solved
+    block by block along the exact zero pattern (see the module docstring).
     """
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
@@ -181,13 +182,6 @@ def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
     lowest = block_eigvalsh(mat)[0]
     if lowest < -DEFAULT_TOL:
         raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-DEFAULT_TOL:.1e}")
-    if lowest < 0.0:
-        # Clip rounding-level negatives and renormalize back to unit trace.
-        herm = hermitize(mat)
-        values, vectors = _eigh_blocks(herm, _blocks(herm))
-        values = np.maximum(values, 0.0)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        mat = hermitize(rebuilt / np.trace(rebuilt).real)
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(mat))
 
 

@@ -295,7 +295,6 @@ def _expand(
     level: TreeLevel,
     instruments: list[KrausInstrument],
     dims: tuple[int, int],
-    prune_tol: float,
 ) -> TreeLevel:
     """Children of every node of a level; ``instruments[n]`` measures node n.
 
@@ -334,7 +333,7 @@ def _expand(
 
     joint = level.q[:, None, :] * weight
     p_outcome = joint.sum(axis=-1)
-    kept = p_outcome >= prune_tol
+    kept = p_outcome >= PRUNE_TOL
     if not kept.any(axis=1).all():
         raise ValueError("all outcomes pruned: instrument annihilates the ensemble")
     total = np.where(kept, p_outcome, 0.0).sum(axis=1)
@@ -487,18 +486,17 @@ class ProtocolTranscript:
 def measure_branch(
     ensemble: BipartiteEnsemble | SpectralEnsemble,
     instrument: KrausInstrument,
-    prune_tol: float = PRUNE_TOL,
 ) -> list[tuple[str, float, BipartiteEnsemble]]:
     """Apply one local instrument to every hypothesis of an ensemble.
 
     Returns (label, outcome probability, posterior ensemble) per outcome.
     Kraus operators are embedded as K (x) I for party A and I (x) K for
-    party B. Outcomes below ``prune_tol`` are pruned and the survivors
+    party B. Outcomes below PRUNE_TOL are pruned and the survivors
     renormalized; posterior member weights follow Bayes' rule. This is the
     one-node case of ``run_protocol``'s level expansion, for either ensemble.
     """
     dims = (ensemble.dim_a, ensemble.dim_b)
-    children = _expand(_root_level(ensemble), [instrument], dims, prune_tol)
+    children = _expand(_root_level(ensemble), [instrument], dims)
     return [
         (path[-1], float(p), children.ensemble(i, *dims))
         for i, (path, p) in enumerate(zip(children.paths, children.prob))
@@ -540,7 +538,7 @@ def run_protocol(
                 )
             instruments.append(instrument)
         round_parties.append(instruments[0].party)
-        levels.append(_expand(levels[-1], instruments, dims, PRUNE_TOL))
+        levels.append(_expand(levels[-1], instruments, dims))
     return ProtocolTranscript(
         levels=tuple(levels),
         stats=tuple(_level_stats(level, dims) for level in levels),

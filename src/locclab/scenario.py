@@ -23,7 +23,9 @@ format: parsing is strict and errors carry the offending field path, and
 ``random_scenario`` builds its typed ``Scenario`` straight from the arrays
 it draws. A projective instrument keeps the kets it was built from, and
 the dump writes them back; any other instrument is dumped as its Kraus
-operators.
+operators. Parsing keeps every number as written (``validate_density``
+checks a matrix and never rewrites it), so dump -> parse -> dump is
+byte-stable.
 
 A step's override table is read in one batch when every entry is a
 projective basis. Its keys are tested against the histories known to

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,3 +323,11 @@ class TestDistillationReport:
         assert report.closed_form_hashing == pytest.approx(-1.0, abs=1e-12)
         assert report.closed_form_hashing_yield == 0.0
         assert report.full_distinguish_yield == max(0.0, report.full_distinguish_bound)
+
+    def test_state_is_judged_as_given_at_the_tolerance_edge(self):
+        # Trace 1 + 0.9e-9 and an eigenvalue of -0.9e-9 both pass
+        # ``validate_density``, which keeps the matrix as given. The kept
+        # spectral weights then sum to 1 + 1.8e-9, past the weight check.
+        rho = validate_density(np.diag([0.5 + 1.8e-9, 0.5, 0.0, -0.9e-9]), 2, 2)
+        with pytest.raises(ValueError, match=re.escape("weights sum to 1.0000000018")):
+            distillation_report(rho)

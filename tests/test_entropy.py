@@ -99,6 +99,15 @@ class TestVonNeumannEntropy:
                 s_b = von_neumann_entropy(psi.marginal("B"))
                 assert abs(s_a - s_b) < 1e-9
 
+    @pytest.mark.parametrize("dim", [2, 3], ids=["closed_form", "lapack"])
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_non_finite_entry_rejected(self, dim, entry, where):
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[where] = entry
+        with pytest.raises(ValueError, match="^non-finite entry: "):
+            von_neumann_entropy(mat)
+
 
 class TestHolevoChi:
     def test_orthogonal_pure_states(self):

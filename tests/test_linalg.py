@@ -8,6 +8,8 @@ from locclab import (
     pure_state_density,
     validate_density,
 )
+from locclab.distillation import _bell_matrix
+from locclab.linalg import block_eigvalsh
 
 from helpers import PHI_PLUS, bell, random_bipartite_density, random_density, random_hermitian
 
@@ -35,12 +37,32 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             validate_density(np.diag([1.1, -0.1]), 2, 1)
 
-    def test_rounding_negatives_clipped_and_renormalized(self):
+    def test_rounding_negatives_accepted_as_given(self):
         eps = 1e-11
-        rho = validate_density(np.diag([1.0 + eps, -eps]), 2, 1)
-        values = np.linalg.eigvalsh(rho.matrix)
-        assert values.min() >= 0.0
-        assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+        given = np.diag([1.0 + eps, -eps]).astype(complex)
+        rho = validate_density(given, 2, 1)
+        assert rho.matrix.tobytes() == given.tobytes()
+
+    def test_ci_bell16_state_is_checked_without_eigh(self, monkeypatch):
+        # The mixed d = 16 Bell-diagonal state of the CI job, built by
+        # ``bell_diagonal``'s closed form: it has rounding-level negative
+        # eigenvalues, and is checked with ``eigvalsh`` alone.
+        probs = np.random.default_rng(16).dirichlet(np.ones(256))
+        probs[-16:] = 0.0
+        basis = _bell_matrix(16)
+        given = (basis * (probs / probs.sum())) @ basis.conj().T
+        assert block_eigvalsh(given)[0] < 0.0
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rho = validate_density(given, 16, 16)
+        assert calls == []
+        assert rho.matrix.tobytes() == given.tobytes()
 
     def test_matrix_is_read_only(self):
         rho = validate_density(np.eye(2) / 2, 2, 1)

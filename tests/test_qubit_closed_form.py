@@ -22,7 +22,7 @@ from locclab import (
 )
 from locclab import protocol
 from locclab.entropy import ZERO_EIGENVALUE, _qubit_eigvalsh, shannon_entropies, von_neumann_entropies
-from locclab.linalg import DEFAULT_TOL, hermitize
+from locclab.linalg import DEFAULT_TOL, _require_finite, hermitize
 
 from helpers import (
     entropy_summary_oracle,
@@ -40,8 +40,10 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def lapack_entropies(matrices) -> np.ndarray:
     """The LAPACK route of ``von_neumann_entropies``, for every D."""
     mats = np.asarray(matrices, dtype=complex)
-    herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
     if not herm_dev.max(initial=0.0) <= DEFAULT_TOL:
+        _require_finite(mats)
         worst = herm_dev.max(axis=(-2, -1))
         raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= DEFAULT_TOL), worst)[0]:.3e}")
     values = np.linalg.eigvalsh(hermitize(mats))
@@ -137,6 +139,9 @@ def error_message(route, mats) -> str:
         [[1.5, 0.0], [0.0, -0.5]],
         [[0.5, 1.0], [1.0, 0.5]],
         [[0.6, 0.0], [0.0, 0.6]],
+        [[np.inf, 0.0], [0.0, 0.5]],
+        [[0.5, np.inf], [0.0, 0.5]],
+        [[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]],
     ],
 )
 def test_errors_keep_their_messages(bad):

@@ -1,6 +1,8 @@
 """Scenario parsing, the typed random generator and the canonical dump."""
 
+import contextlib
 import copy
+import io
 import json
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from locclab import (
     ScenarioError,
     SpectralEnsemble,
     bundled_scenario_path,
+    cli,
     dump_scenario,
     holevo_chi,
     load_scenario,
@@ -21,6 +24,7 @@ from locclab import (
     pure_state_density,
     random_scenario,
 )
+from locclab.linalg import block_eigvalsh
 from locclab.scenario import ProtocolStep, Scenario
 
 from helpers import PHI_PLUS, Z_BASIS, bell, json_mismatches
@@ -35,6 +39,14 @@ X_AB = {
     "projective": [[[0.7071067811865476, 0], [0.7071067811865476, 0]], [[0.7071067811865476, 0], [-0.7071067811865476, 0]]],
 }
 
+KRAUS = {
+    "labels": ["weak", "strong"],
+    "kraus": [
+        [[[1, 0], [0, 0]], [[0, 0], [0.6, 0]]],
+        [[[0, 0], [0, 0]], [[0, 0], [0.8, 0]]],
+    ],
+}
+
 
 def protocol(steps) -> dict:
     return {
@@ -47,6 +59,35 @@ def protocol(steps) -> dict:
         ],
         "protocol": steps,
     }
+
+
+def rounding_negative_member() -> np.ndarray:
+    """(1 + e)|u><u| - e|v><v| for orthonormal random two-qubit kets u, v
+    and e = 4e-16: a pure state with a rounding-level negative eigenvalue."""
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    u, v = np.linalg.qr(g)[0].T
+    eps = 4e-16
+    return (1 + eps) * np.outer(u, u.conj()) - eps * np.outer(v, v.conj())
+
+
+def clipped_as_before(matrix: np.ndarray) -> np.ndarray:
+    """The rewrite the parser once made of a matrix with an eigenvalue in
+    [-1e-9, 0): the spectrum clipped at zero, the trace reset to 1, and the
+    result hermitized."""
+    values, vectors = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    rebuilt = (vectors * np.maximum(values, 0.0)) @ vectors.conj().T
+    rebuilt /= np.trace(rebuilt).real
+    return (rebuilt + rebuilt.conj().T) / 2
+
+
+def matrix_kraus_scenario(member: np.ndarray) -> dict:
+    """A two-round protocol, Kraus on B then projective on A, over a matrix
+    member and a vector member."""
+    data = protocol([{"party": "B", "instrument": KRAUS}, {"party": "A", "instrument": X_AB}])
+    data["ensemble"][0]["matrix"] = [[[z.real, z.imag] for z in row] for row in member.tolist()]
+    del data["ensemble"][0]["vector"]
+    return data
 
 
 def parse_error(data) -> str:
@@ -394,26 +435,36 @@ class TestCanonicalDump:
         text = dump_scenario(load_scenario(bundled_scenario_path(f"{stem}.json")))
         assert dump_scenario(parse_scenario(json.loads(text))) == text
 
-    @pytest.mark.parametrize("seed", [0, 5, 31])
+    @pytest.mark.parametrize("seed", range(64))
     def test_random_protocol_round_trips(self, seed):
-        # Members generated from vectors are dumped as matrices; reloading a
-        # matrix re-clips its rounding-level negative eigenvalues, so the
-        # numbers agree to rounding rather than byte for byte.
-        scenario = random_scenario(seed, n_members=3, protocol_depth=3)
-        text = dump_scenario(scenario)
-        again = dump_scenario(parse_scenario(json.loads(text)))
-        assert json_mismatches(json.loads(again), json.loads(text), 1e-15) == []
+        # Members generated from vectors are dumped as matrices, whose
+        # rounding-level negative eigenvalues the parser keeps as given.
+        text = dump_scenario(random_scenario(seed, n_members=(1, 6), protocol_depth=(0, 3)))
+        assert dump_scenario(parse_scenario(json.loads(text))) == text
+
+    def test_matrix_member_with_kraus_round_trips(self):
+        member = rounding_negative_member()
+        assert -1e-15 < block_eigvalsh(member)[0] < -1e-16
+        text = dump_scenario(parse_scenario(matrix_kraus_scenario(member)))
+        assert dump_scenario(parse_scenario(json.loads(text))) == text
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_kept_negatives_report_as_the_clipped_state(self, command, tmp_path):
+        member = rounding_negative_member()
+        clipped = clipped_as_before(member)
+        assert not np.array_equal(member, clipped)
+        reports = []
+        for stem, matrix in (("given", member), ("clipped", clipped)):
+            path = tmp_path / f"{stem}.json"
+            path.write_text(json.dumps(matrix_kraus_scenario(matrix)), encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([command, str(path), "--format", "json"]) == 0
+            reports.append(json.loads(out.getvalue()))
+        assert json_mismatches(*reports, 1e-12) == []
 
     def test_kraus_instrument_round_trips(self):
-        s = 0.6
-        kraus = {
-            "labels": ["weak", "strong"],
-            "kraus": [
-                [[[1, 0], [0, 0]], [[0, 0], [s, 0]]],
-                [[[0, 0], [0, 0]], [[0, 0], [0.8, 0]]],
-            ],
-        }
-        data = protocol([{"party": "B", "instrument": kraus}])
+        data = protocol([{"party": "B", "instrument": KRAUS}])
         text = dump_scenario(parse_scenario(copy.deepcopy(data)))
         dumped = json.loads(text)
         assert dumped["protocol"][0]["instrument"]["labels"] == ["weak", "strong"]
