@@ -228,6 +228,8 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
     """Execute one command against a scenario file and return the report."""
     if command not in COMMANDS:
         raise ScenarioError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {trials}")
     if not (np.isfinite(tol) and tol > 0):
@@ -246,7 +248,11 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
     build = COMMAND_TABLE[command][0]
     results = []
     for trial, (instance, trial_seed) in enumerate(concrete):
-        body, checks = build(instance, tol)
+        try:
+            body, checks = build(instance, tol)
+        except ScenarioError as exc:
+            # Scenario.chooser names the step of a protocol gap, not the file.
+            raise ScenarioError(f"{path}.{exc}") from None
         results.append(
             {
                 "trial": trial,

@@ -100,10 +100,11 @@ class KrausInstrument:
     """One local measurement step: acting party plus labelled Kraus operators.
 
     The operators act on the party's subsystem alone and must satisfy the
-    completeness relation sum_k K_k^dagger K_k = I within 1e-9. An
-    instrument built by ``projective`` also keeps its basis kets, one row
-    per outcome, as the read-only ``kets``; every other instrument has
-    ``kets`` None.
+    completeness relation sum_k K_k^dagger K_k = I within 1e-9, checked
+    with party and labels by ``_check_instruments``, which the instruments
+    that ``projective`` builds without ``__post_init__`` ran as well. Those
+    also keep their basis kets, one row per outcome, as the read-only
+    ``kets``; every other instrument has ``kets`` None.
     """
 
     party: str
@@ -111,36 +112,19 @@ class KrausInstrument:
     kets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.party not in PARTIES:
-            raise ValueError(f"party must be 'A' or 'B', got {self.party!r}")
         if not self.outcomes:
             raise ValueError("instrument needs at least one outcome")
-        outcomes = []
-        dim = None
-        accum = None
-        labels = set()
-        for label, op in self.outcomes:
-            label = str(label)
-            if label in labels:
-                raise ValueError(f"duplicate outcome label {label!r}")
-            labels.add(label)
-            op = np.array(op, dtype=complex)
+        labels = tuple(str(label) for label, _ in self.outcomes)
+        ops = [np.asarray(op, dtype=complex) for _, op in self.outcomes]
+        for label, op in zip(labels, ops):
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise ValueError(f"outcome {label!r}: Kraus operator must be square, got {op.shape}")
-            if dim is None:
-                dim = op.shape[0]
-                accum = np.zeros((dim, dim), dtype=complex)
-            elif op.shape[0] != dim:
-                raise ValueError(f"outcome {label!r}: size {op.shape[0]} != {dim}")
-            accum += op.conj().T @ op
-            op.setflags(write=False)
-            outcomes.append((label, op))
-        completeness = np.abs(accum - np.eye(dim)).max()
-        if not completeness <= DEFAULT_TOL:
-            raise ValueError(
-                f"incomplete instrument: max |sum K^dagger K - I| = {completeness:.3e}"
-            )
-        object.__setattr__(self, "outcomes", tuple(outcomes))
+            if op.shape != ops[0].shape:
+                raise ValueError(f"outcome {label!r}: size {op.shape[0]} != {ops[0].shape[0]}")
+        stack = np.stack(ops)
+        _check_instruments(self.party, stack[None], [labels])
+        stack.setflags(write=False)
+        object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
 
     @property
     def dim(self) -> int:
@@ -161,6 +145,32 @@ class KrausInstrument:
         return _projective_stack(party, kets[None], [tuple(map(str, labels))])[0]
 
 
+def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]]) -> None:
+    """Label count, party, distinct labels and completeness, in this order,
+    of a stack of instruments on ``party``: ``ops`` is (H, K, d, d), the K
+    Kraus operators of instrument h, named by ``labels[h]``. The first
+    check that fails raises a ValueError; with H = 1 it is that check's
+    message for the one instrument. Only a projective stack can fail the
+    label count: ``__post_init__`` pairs each label with its operator.
+    """
+    count = ops.shape[1]
+    distinct = set(labels)
+    for names in distinct:
+        if len(names) != count:
+            raise ValueError(f"{len(names)} labels for {count} basis vectors")
+    if party not in PARTIES:
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    for names in distinct:
+        if len(set(names)) != count:
+            duplicate = next(label for i, label in enumerate(names) if label in names[:i])
+            raise ValueError(f"duplicate outcome label {duplicate!r}")
+    # sum_k K_k^dagger K_k of every instrument.
+    gram = np.einsum("hkji,hkjl->hil", ops.conj(), ops)
+    completeness = np.abs(gram - np.eye(ops.shape[-1])).max(axis=(1, 2))
+    if not (completeness <= DEFAULT_TOL).all():
+        raise ValueError(f"incomplete instrument: max |sum K^dagger K - I| = {completeness.max():.3e}")
+
+
 # Largest entry of |<k_i|k_j> - delta_ij| that a projective basis may have.
 _ORTHONORMAL_TOL = 1e-8
 
@@ -169,35 +179,18 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list[tuple[str, ...]
     """Rank-one projective instruments from a stack of square bases.
 
     ``kets`` is (H, K, K) complex, basis h with its kets as rows, and
-    ``labels[h]`` names the rows of basis h. Each check of a projective
-    instrument runs once over the whole stack, in this order:
-    orthonormality, label count, party, distinct labels, completeness.
-    The first that fails raises a ValueError; with H = 1 it is the message
-    of that check for the one basis. The instruments are then built
-    without ``__post_init__``, whose checks these are: they share the
-    stack's memory, which becomes read-only.
+    ``labels[h]`` names the rows of basis h. The whole stack is checked
+    for orthonormality, then its projectors once by ``_check_instruments``,
+    the checker ``__post_init__`` calls. The instruments are then built
+    without ``__post_init__``: they share the stack's memory, which
+    becomes read-only.
     """
     dim = kets.shape[-1]
-    eye = np.eye(dim)
-    overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - eye).max(axis=(1, 2))
+    overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - np.eye(dim)).max(axis=(1, 2))
     if not (overlap <= _ORTHONORMAL_TOL).all():
         raise ValueError("projective basis is not orthonormal")
-    distinct = set(labels)
-    for names in distinct:
-        if len(names) != dim:
-            raise ValueError(f"{len(names)} labels for {dim} basis vectors")
-    if party not in PARTIES:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    for names in distinct:
-        if len(set(names)) != dim:
-            duplicate = next(label for i, label in enumerate(names) if label in names[:i])
-            raise ValueError(f"duplicate outcome label {duplicate!r}")
     projectors = kets[..., :, None] * kets.conj()[..., None, :]
-    # sum_k P_k^dagger P_k of every basis.
-    gram = np.einsum("hkji,hkjl->hil", projectors.conj(), projectors)
-    completeness = np.abs(gram - eye).max(axis=(1, 2))
-    if not (completeness <= DEFAULT_TOL).all():
-        raise ValueError(f"incomplete instrument: max |sum K^dagger K - I| = {completeness.max():.3e}")
+    _check_instruments(party, projectors, labels)
     kets.setflags(write=False)
     projectors.setflags(write=False)
     ops = list(projectors.reshape(-1, dim, dim))

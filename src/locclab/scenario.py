@@ -18,8 +18,10 @@ read, but each of its sides (``input``, ``output``) may only be
 by the command line's ``--tol`` alone.
 
 Complex numbers are serialized as [re, im] pairs, matrices as row-major
-nested arrays. Only ``parse_scenario`` and ``dump_scenario`` know this wire
-format: parsing is strict and errors carry the offending field path, and
+nested arrays; a projective basis is such a matrix, one ket per row,
+read by the same reader as Kraus operators and ``matrix`` members. Only
+``parse_scenario`` and ``dump_scenario`` know this wire format: parsing
+is strict and errors carry the offending field path, and
 ``random_scenario`` builds its typed ``Scenario`` straight from the arrays
 it draws. A projective instrument keeps the kets it was built from, and
 the dump writes them back; any other instrument is dumped as its Kraus
@@ -181,9 +183,17 @@ class Scenario:
     random: RandomSpec | None
 
     def chooser(self, history: tuple[str, ...]) -> KrausInstrument:
+        """Instrument of the step after ``history``. A history that no step
+        covers is a gap in the file: the ScenarioError names the step, and
+        ``cli.run_scenario`` puts the file's path before it."""
         if len(history) >= len(self.steps):
             raise KeyError(history)
-        return self.steps[len(history)].for_history(history)
+        try:
+            return self.steps[len(history)].for_history(history)
+        except KeyError:
+            raise ScenarioError(
+                f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}"
+            ) from None
 
     @property
     def depth(self) -> int:
@@ -201,11 +211,8 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
                 _fail(f"{path}.labels[{i}]", "labels must not contain commas (reserved for history keys)")
     try:
         if "projective" in obj:
-            kets = [
-                _as_vector(v, f"{path}.projective[{i}]")
-                for i, v in enumerate(_as_list(obj["projective"], f"{path}.projective"))
-            ]
-            instrument = KrausInstrument.projective(party, np.vstack(kets), labels=labels)
+            kets = _as_matrix(obj["projective"], f"{path}.projective")
+            instrument = KrausInstrument.projective(party, kets, labels=labels)
         elif "kraus" in obj:
             ops = [
                 _as_matrix(m, f"{path}.kraus[{i}]")
@@ -327,6 +334,8 @@ def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble
     for i, item in enumerate(items):
         obj = _as_dict(item, f"{path}[{i}]")
         p = _as_number(_get(obj, "probability", f"{path}[{i}]"), f"{path}[{i}].probability")
+        if "vector" in obj and "matrix" in obj:
+            _fail(f"{path}[{i}]", "member needs a 'vector' or a 'matrix', not both")
         try:
             if "vector" in obj:
                 state = pure_state_density(

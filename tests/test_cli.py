@@ -92,6 +92,12 @@ def test_bad_tolerance_exits_two(tol):
     assert "tol must be a positive finite number" in err
 
 
+def test_negative_seed_exits_two():
+    code, out, err = run(["bounds-verify", bundled_scenario_path("random_sweep.json"), "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_missing_file_exits_two(tmp_path):
     code, out, err = run(["entropy", tmp_path / "absent.json"])
     assert code == 2 and out == "" and err.startswith("error:")
@@ -251,6 +257,17 @@ def test_instrument_size_mismatch_exits_two(tmp_path, steps, field):
     code, out, err = run(["bounds-verify", write_protocol(tmp_path, steps)])
     assert code == 2 and out == ""
     assert f"{field}: instrument on {steps[-1]['party']} has size 3, party dimension is 2" in err
+
+
+@pytest.mark.parametrize("command", ["bounds-verify", "protocol-run"])
+def test_protocol_gap_names_the_file_and_step(tmp_path, command):
+    # Step 2 has no instrument for the reachable history '1'; the file
+    # parses, and the run names the field the way the parser would.
+    steps = [{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z}}]
+    path = write_protocol(tmp_path, steps, members=((0.5, 0), (0.5, 3)))
+    code, out, err = run([command, path])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}.protocol[1]: no instrument for history '1'\n"
 
 
 def product_state(tmp_path) -> Path:

@@ -48,6 +48,10 @@ def xx_transcript():
     return run_protocol(phi_mixture(), lambda h: x_instrument("A") if not h else x_instrument("B"), 2)
 
 
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
+
+
 class TestKrausInstrument:
     def test_incomplete_set_rejected(self):
         half = np.eye(2) * 0.5
@@ -92,14 +96,59 @@ class TestKrausInstrument:
             assert np.array_equal(op, ref) and not op.flags.writeable
 
     @pytest.mark.parametrize(
+        "party, outcomes, message",
+        [
+            ("C", (("0", P0), ("1", P1)), "party must be 'A' or 'B', got 'C'"),
+            ("A", (), "instrument needs at least one outcome"),
+            ("A", (("x", P0), ("x", P1)), "duplicate outcome label 'x'"),
+            ("A", (("0", np.ones((2, 3))),), "outcome '0': Kraus operator must be square, got (2, 3)"),
+            ("A", (("0", np.ones(2)),), "outcome '0': Kraus operator must be square, got (2,)"),
+            ("B", (("0", P0), ("1", np.eye(3))), "outcome '1': size 3 != 2"),
+            ("A", (("0", np.eye(2) * 0.5),), "incomplete instrument: max |sum K^dagger K - I| = 7.500e-01"),
+            ("A", (("0", np.diag([1.0, np.nan])),), "incomplete instrument: max |sum K^dagger K - I| = nan"),
+        ],
+        ids=["party", "no_outcomes", "duplicate", "non_square", "not_a_matrix", "size", "incomplete", "nan"],
+    )
+    def test_single_fault_message(self, party, outcomes, message):
+        # The scenario parser reports these texts after the field path, so
+        # they are pinned byte for byte.
+        with pytest.raises(ValueError) as exc:
+            KrausInstrument(party=party, outcomes=outcomes)
+        assert str(exc.value) == message
+
+    def test_operators_are_read_only_copies(self):
+        # The checks ran on these values: a later write to the caller's
+        # arrays must not reach them.
+        ops = (P0.astype(complex), P1.astype(complex))
+        instrument = KrausInstrument(party="A", outcomes=(("0", ops[0]), ("1", ops[1])))
+        for (_, op), given in zip(instrument.outcomes, ops, strict=True):
+            assert np.array_equal(op, given)
+            assert not op.flags.writeable and not np.shares_memory(op, given)
+
+    # Every fault class a projective basis can express, alone and in pairs:
+    # both constructors check party, distinct labels and completeness in
+    # that order, with one checker.
+    @pytest.mark.parametrize(
         "party, basis, labels",
-        [("C", np.eye(2), None), ("A", np.eye(2), ["x", "x"]), ("B", np.eye(3) * (1 + 4e-9), None)],
-        ids=["party", "duplicate", "incomplete"],
+        [
+            ("C", np.eye(2), None),
+            ("A", np.eye(2), ["x", "x"]),
+            ("B", np.eye(3) * (1 + 4e-9), None),
+            ("A", np.eye(1) * (1 - 4e-9), None),
+            ("B", np.array([[1, 1j], [1, -1j]]) / np.sqrt(2) * (1 + 4e-9), ["+i", "-i"]),
+            ("C", np.eye(2), ["x", "x"]),
+            ("C", np.eye(2) * (1 + 4e-9), None),
+            ("A", np.eye(3) * (1 + 4e-9), ["0", "1", "0"]),
+        ],
+        ids=[
+            "party", "duplicate", "incomplete", "incomplete_1d", "incomplete_complex",
+            "party_and_duplicate", "party_and_incomplete", "duplicate_and_incomplete",
+        ],
     )
     def test_projective_errors_match_the_checked_constructor(self, party, basis, labels):
         labels = labels or [str(i) for i in range(len(basis))]
         with pytest.raises(ValueError) as expected:
-            KrausInstrument(party=party, outcomes=tuple(zip(labels, basis[:, :, None] * basis[:, None, :])))
+            KrausInstrument(party=party, outcomes=tuple(zip(labels, basis[:, :, None] * basis.conj()[:, None, :])))
         with pytest.raises(ValueError) as got:
             KrausInstrument.projective(party, basis, labels)
         assert str(got.value) == str(expected.value)

@@ -23,6 +23,7 @@ from locclab import (
     parse_scenario,
     pure_state_density,
     random_scenario,
+    run_protocol,
 )
 from locclab.linalg import block_eigvalsh
 from locclab.scenario import ProtocolStep, Scenario
@@ -163,6 +164,26 @@ class TestFieldNamedErrors:
         assert message.startswith("s.tolerance: ")
         assert "--tol" in message
 
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ([[[1, 0], [0, 0]], [[0, 0]]], "s.protocol[0].instrument.projective[1]: row length 1 != 2"),
+            ([[[1, 0]], [[0, 0], [1, 0]]], "s.protocol[0].instrument.projective[1]: row length 2 != 1"),
+            ([], "s.protocol[0].instrument.projective: matrix is empty"),
+            ([[]], "s.protocol[0].instrument.projective[0]: vector is empty"),
+        ],
+        ids=["short_row", "long_row", "empty", "empty_row"],
+    )
+    def test_malformed_projective_basis_names_the_field(self, basis, message):
+        data = protocol([{"party": "A", "instrument": {"projective": basis}}])
+        assert parse_error(data) == message
+
+    def test_member_with_vector_and_matrix(self):
+        data = protocol([{"party": "A", "instrument": Z}])
+        # The matrix is malformed too: it must not be skipped silently.
+        data["ensemble"][1]["matrix"] = [[[1, 0]]]
+        assert parse_error(data) == "s.ensemble[1]: member needs a 'vector' or a 'matrix', not both"
+
     def test_incomplete_instrument(self):
         half = {"kraus": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}
         data = protocol([{"party": "A", "instrument": half}])
@@ -182,6 +203,22 @@ def test_omitted_or_auto_selectors_parse(selectors):
 
 
 class TestOverrideKeys:
+    def test_gap_is_named_at_run_time(self):
+        # Step 2 covers history '0' only; '1' is reachable, so the gap
+        # shows when the tree reaches it, naming the step.
+        scenario = parse_scenario(protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z}}]))
+        with pytest.raises(ScenarioError) as exc:
+            run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
+        assert str(exc.value) == "protocol[1]: no instrument for history '1'"
+
+    def test_gap_on_a_pruned_history_runs(self):
+        data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z}}])
+        data["ensemble"] = data["ensemble"][:1]
+        data["ensemble"][0]["probability"] = 1.0
+        scenario = parse_scenario(data)
+        leaves = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth).levels[-1]
+        assert leaves.paths == (("0", "0"),)
+
     def test_reachable_keys_accepted(self):
         data = protocol(
             [
@@ -277,9 +314,7 @@ class TestBatchedOverrideParse:
             ),
             (
                 lambda table: table["1,0"]["projective"][1].pop(),
-                "s.protocol[2].overrides['1,0']: all the input array dimensions except for the concatenation axis "
-                "must match exactly, but along dimension 1, the array at index 0 has size 2 and the array at "
-                "index 1 has size 1",
+                "s.protocol[2].overrides['1,0'].projective[1]: row length 1 != 2",
             ),
             (
                 # Not JSON, but parse_scenario takes Python objects too.
@@ -289,6 +324,10 @@ class TestBatchedOverrideParse:
             (
                 lambda table: table["1,0"]["projective"].append([[0, 0], [0, 0]]),
                 "s.protocol[2].overrides['1,0']: projective basis must be square, got (3, 2)",
+            ),
+            (
+                lambda table: table["1,0"].update(projective=[]),
+                "s.protocol[2].overrides['1,0'].projective: matrix is empty",
             ),
             (
                 lambda table: table["1,0"].update(projective=[[[1, 0], [0, 0]], [[R, 0], [R, 0]]]),
@@ -321,7 +360,7 @@ class TestBatchedOverrideParse:
             ),
         ],
         ids=[
-            "bool", "string", "nan", "inf", "ragged", "tuple", "non_square", "non_orthonormal", "incomplete",
+            "bool", "string", "nan", "inf", "ragged", "tuple", "non_square", "empty", "non_orthonormal", "incomplete",
             "duplicate_label", "comma_label", "label_count", "unreachable_key", "mixed_kraus",
         ],
     )
