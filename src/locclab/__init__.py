@@ -15,16 +15,8 @@ from .linalg import (
 )
 from .entropy import (
     BipartiteEnsemble,
-    MEASURE_EOF,
-    MEASURE_PURE,
-    concurrence,
-    entanglement,
-    holevo_chi,
     is_ppt,
-    purity,
-    resolve_measure,
     shannon_entropy,
-    von_neumann_entropy,
 )
 from .protocol import (
     BoundReport,
@@ -33,19 +25,16 @@ from .protocol import (
     ProtocolTranscript,
     RoundAudit,
     audit_rounds,
-    average_input_entanglement,
     average_output_entanglement,
     bound_suite,
     chain_mutual_information,
     entropy_summary,
-    measure_branch,
     run_protocol,
 )
 from .distillation import (
     BellDiagonalSpec,
     DistillationReport,
     SpectralEnsemble,
-    bell_basis,
     bell_diagonal,
     bell_hashing_bound,
     bell_partial_bound,

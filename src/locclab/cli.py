@@ -18,7 +18,7 @@ lines. ``COMMANDS`` and the argparse choices come from the table.
 
 ``--tol`` (default 1e-7) is the one slack tolerance of every check; a
 scenario file sets none, and the entanglement measure follows each state
-(``entropy.resolve_measure``). ``bounds-verify`` rejects a mixed
+(``entropy.entanglements``). ``bounds-verify`` rejects a mixed
 Bell-diagonal state with d >= 3 before building any ensemble, naming the
 file's ``bell`` field: its output entanglement has no measure.
 

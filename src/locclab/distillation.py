@@ -166,7 +166,7 @@ def _bell_matrix(d: int) -> np.ndarray:
 
     Column a*d + b is (I (x) Z^a X^b)|Phi_d>: it holds omega^(a*m)/sqrt(d),
     omega = exp(2 pi i/d), at row j*d + m with m = (j + b) mod d, and zero
-    elsewhere.
+    elsewhere. For d = 2 the order is Phi+, Psi+, Phi-, Psi-.
     """
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
@@ -177,14 +177,6 @@ def _bell_matrix(d: int) -> np.ndarray:
     basis = np.zeros((d, d, d, d), dtype=complex)
     basis[j, m, a, b] = np.exp(2j * np.pi * a * m / d) / np.sqrt(d)
     return basis.reshape(d * d, d * d)
-
-
-def bell_basis(d: int) -> list[np.ndarray]:
-    """The d^2 generalized Bell vectors (I (x) Z^a X^b)|Phi_d>, k = a*d + b.
-
-    For d = 2 the order is Phi+, Psi+, Phi-, Psi- (up to global phase).
-    """
-    return list(_bell_matrix(d).T)
 
 
 def bell_diagonal(spec: BellDiagonalSpec) -> DensityOperator:

@@ -1,4 +1,4 @@
-"""Entropies, Holevo quantities, and bipartite entanglement measures.
+"""Ensembles, entropies and bipartite entanglement measures.
 
 All logarithms are base 2; every quantity is in bits. Eigenvalues below
 ZERO_EIGENVALUE are treated as exact zeros inside entropy sums so that
@@ -23,9 +23,6 @@ from .linalg import (
 
 ZERO_EIGENVALUE = 1e-12
 PURITY_TOL = 1e-9
-
-MEASURE_PURE = "entropy_of_entanglement"
-MEASURE_EOF = "eof_two_qubit"
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -184,48 +181,10 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     return shannon_entropies(np.maximum(values, 0.0))
 
 
-def von_neumann_entropy(state) -> float:
-    """Entropy of a density matrix (DensityOperator or PSD unit-trace array)."""
-    mat = state.matrix if isinstance(state, DensityOperator) else state
-    return float(von_neumann_entropies(mat))
-
-
 def purities(matrices) -> np.ndarray:
     """tr(rho^2) of each matrix in a stack (..., D, D)."""
     mats = np.asarray(matrices, dtype=complex)
     return np.einsum("...ij,...ji->...", mats, mats).real
-
-
-def purity(state) -> float:
-    """tr(rho^2); equals 1 exactly for pure states."""
-    return float(purities(state.matrix if isinstance(state, DensityOperator) else state))
-
-
-def _member_pairs(ensemble) -> list[tuple[float, np.ndarray]]:
-    if isinstance(ensemble, BipartiteEnsemble):
-        return [(p, state.matrix) for p, state in ensemble.members]
-    pairs = []
-    for p, state in ensemble:
-        mat = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
-        pairs.append((float(p), mat))
-    return pairs
-
-
-def holevo_chi(ensemble) -> float:
-    """Holevo quantity S(average) - sum_x p_x S(rho_x) of an ensemble.
-
-    Accepts a BipartiteEnsemble or any iterable of (probability, state)
-    pairs, e.g. single-party marginal ensembles.
-    """
-    pairs = _member_pairs(ensemble)
-    if not pairs:
-        raise ValueError("ensemble needs at least one member")
-    total = sum(p for p, _ in pairs)
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    average = sum(p * mat for p, mat in pairs if p > 0.0)
-    mean_member = sum(p * von_neumann_entropy(mat) for p, mat in pairs if p > 0.0)
-    return von_neumann_entropy(hermitize(average)) - mean_member
 
 
 def _sqrt_psd(matrices: np.ndarray) -> np.ndarray:
@@ -235,24 +194,17 @@ def _sqrt_psd(matrices: np.ndarray) -> np.ndarray:
 
 
 def concurrences(matrices) -> np.ndarray:
-    """Wootters concurrence of each two-qubit density matrix in a stack (..., 4, 4)."""
-    rho = np.asarray(matrices, dtype=complex)
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    lam = np.linalg.svd(_sqrt_psd(rho_tilde) @ _sqrt_psd(rho), compute_uv=False)
-    lam = -np.sort(-lam, axis=-1)
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-
-
-def concurrence(state: DensityOperator) -> float:
-    """Wootters concurrence of a two-qubit state.
+    """Wootters concurrence of each two-qubit density matrix in a stack (..., 4, 4).
 
     Computed from the singular values of sqrt(rho_tilde) sqrt(rho), where
     rho_tilde is the spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x
     sigma_y) in the computational basis.
     """
-    if (state.dim_a, state.dim_b) != (2, 2):
-        raise ValueError(f"concurrence needs a 2x2 bipartite state, got ({state.dim_a}, {state.dim_b})")
-    return float(concurrences(state.matrix))
+    rho = np.asarray(matrices, dtype=complex)
+    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
+    lam = np.linalg.svd(_sqrt_psd(rho_tilde) @ _sqrt_psd(rho), compute_uv=False)
+    lam = -np.sort(-lam, axis=-1)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def _binary_entropies(x: np.ndarray) -> np.ndarray:
@@ -261,39 +213,24 @@ def _binary_entropies(x: np.ndarray) -> np.ndarray:
     return np.where(inside, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe), 0.0)
 
 
-def _pure_mask(purity_values: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """True where a state of a stack is pure; a mixed state outside 2x2 has no measure."""
-    pure = purity_values >= 1.0 - PURITY_TOL
-    if not pure.all() and dims != (2, 2):
-        raise ValueError(
-            f"measure unavailable: mixed state with dims ({dims[0]}, {dims[1]}); "
-            "only pure states or 2x2 mixed states are measurable"
-        )
-    return pure
-
-
-def resolve_measure(state: DensityOperator) -> str:
-    """The entanglement measure that the state itself fixes.
-
-    MEASURE_PURE (the entropy of entanglement) for a pure state, purity
-    within PURITY_TOL of one; MEASURE_EOF (the Wootters entanglement of
-    formation) for a mixed two-qubit state. A mixed state of any other
-    dimensions has no measure available and raises ValueError.
-    """
-    pure = _pure_mask(np.array([purity(state)]), (state.dim_a, state.dim_b))
-    return MEASURE_PURE if pure[0] else MEASURE_EOF
-
-
 def entanglements(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     """Entanglement in bits of each state in a stack (N, D, D) of density matrices.
 
-    Each state gets the measure ``resolve_measure`` names for it: a pure
-    state of any dimensions the entropy of entanglement S(tr_B rho), a
-    mixed two-qubit state the Wootters entanglement of formation
-    h((1 + sqrt(1 - C^2))/2). A mixed state outside 2x2 raises ValueError.
+    The measure follows the state. A state whose purity tr(rho^2) is within
+    PURITY_TOL of one is pure and gets, in any dimensions, the entropy of
+    entanglement S(tr_B rho). A mixed two-qubit state gets the Wootters
+    entanglement of formation h((1 + sqrt(1 - C^2))/2), with C its
+    concurrence. A mixed state of any other dimensions has no measure and
+    raises ValueError. ``bound_suite``'s average input and output
+    entanglement take their values from here.
     """
     mats = np.asarray(matrices, dtype=complex)
-    pure = _pure_mask(purities(mats), (dim_a, dim_b))
+    pure = purities(mats) >= 1.0 - PURITY_TOL
+    if not pure.all() and (dim_a, dim_b) != (2, 2):
+        raise ValueError(
+            f"measure unavailable: mixed state with dims ({dim_a}, {dim_b}); "
+            "only pure states or 2x2 mixed states are measurable"
+        )
     out = np.zeros(len(mats))
     if pure.any():
         out[pure] = von_neumann_entropies(partial_trace(mats[pure], "A", (dim_a, dim_b)))
@@ -303,11 +240,6 @@ def entanglements(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     return out
 
 
-def entanglement(state: DensityOperator) -> float:
-    """Entanglement of a bipartite state in bits (one-state case of ``entanglements``)."""
-    return float(entanglements(state.matrix[None], state.dim_a, state.dim_b)[0])
-
-
 def is_ppt(state: DensityOperator) -> tuple[bool, float]:
     """Positive-partial-transpose test: (flag, smallest PT eigenvalue).
 
@@ -315,7 +247,7 @@ def is_ppt(state: DensityOperator) -> tuple[bool, float]:
     along its exact zero pattern (for a d x d Bell-diagonal state, d blocks
     of d); a NaN or an infinite entry raises ValueError.
     """
-    values = block_eigvalsh(partial_transpose(state, "B"))
+    values = block_eigvalsh(partial_transpose(state.matrix, "B", (state.dim_a, state.dim_b)))
     lowest = float(values[0])
     return lowest >= -DEFAULT_TOL, lowest
 

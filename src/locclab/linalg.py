@@ -41,14 +41,6 @@ class DensityOperator:
     dim_b: int
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
-    def marginal(self, keep: str) -> np.ndarray:
-        """Reduced density matrix of subsystem ``keep`` ("A" or "B")."""
-        return partial_trace(self, keep)
-
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
@@ -203,25 +195,20 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(np.outer(vec, vec.conj())))
 
 
-def _resolve_dims(state, dims) -> tuple[np.ndarray, int, int]:
-    if isinstance(state, DensityOperator):
-        return state.matrix, state.dim_a, state.dim_b
-    if dims is None:
-        raise ValueError("dims=(dim_a, dim_b) is required for a bare matrix")
-    mat = np.asarray(state, dtype=complex)
+def _bipartite(matrix, dims: tuple[int, int]) -> np.ndarray:
+    """``matrix`` as a complex array whose last two axes are D x D, D = dim_a * dim_b."""
+    mat = np.asarray(matrix, dtype=complex)
+    dim = dims[0] * dims[1]
+    if mat.shape[-2:] != (dim, dim):
+        raise ValueError(f"dimension mismatch: matrix {mat.shape} vs dims ({dims[0]}, {dims[1]})")
+    return mat
+
+
+def partial_trace(matrix, keep: str, dims: tuple[int, int]) -> np.ndarray:
+    """Trace out one subsystem of a matrix or a stack (..., D, D) of them,
+    keeping ``keep`` in {"A", "B"}; ``dims`` is (dim_a, dim_b)."""
     dim_a, dim_b = dims
-    if mat.shape[-2:] != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(f"dimension mismatch: matrix {mat.shape} vs dims ({dim_a}, {dim_b})")
-    return mat, dim_a, dim_b
-
-
-def partial_trace(state, keep: str, dims=None) -> np.ndarray:
-    """Trace out one subsystem, keeping ``keep`` in {"A", "B"}.
-
-    ``state`` is a DensityOperator, or a bare square matrix, or a stack
-    (..., D, D) of them, together with ``dims=(dim_a, dim_b)``.
-    """
-    mat, dim_a, dim_b = _resolve_dims(state, dims)
+    mat = _bipartite(matrix, dims)
     tensor = mat.reshape(mat.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
         return np.einsum("...ijkj->...ik", tensor)
@@ -230,10 +217,11 @@ def partial_trace(state, keep: str, dims=None) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def partial_transpose(state, party: str, dims=None) -> np.ndarray:
-    """Transpose the indices of one party; output stays Hermitian."""
-    mat, dim_a, dim_b = _resolve_dims(state, dims)
-    tensor = mat.reshape(dim_a, dim_b, dim_a, dim_b)
+def partial_transpose(matrix, party: str, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose the indices of one party of a D x D matrix; ``dims`` is
+    (dim_a, dim_b). A Hermitian matrix stays Hermitian."""
+    dim_a, dim_b = dims
+    tensor = _bipartite(matrix, dims).reshape(dim_a, dim_b, dim_a, dim_b)
     if party == "A":
         swapped = tensor.transpose(2, 1, 0, 3)
     elif party == "B":

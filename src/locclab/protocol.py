@@ -28,8 +28,8 @@ The cut sits at rounding level, not at DEFAULT_TOL: a genuine eigenvalue of
 A level is expanded in one batched pass. The chooser is called once per
 node; the local Kraus operators are stacked as (N, K, d, d), nodes with
 fewer outcomes padded with zero operators, and all (node, outcome, member)
-products K V come from one matmul on the acting party's index. The rules
-of the one-node update (``measure_branch`` is its N = 1 case) are kept:
+products K V come from one matmul on the acting party's index. Every node
+follows the rules of the one-node update (a depth-1 ``run_protocol``):
 member weights are ||K V||_F^2, posteriors follow Bayes' rule, a
 hypothesis whose outcome weight is at most _MEMBER_EPS keeps its prior
 state, outcomes below PRUNE_TOL are pruned and the survivors renormalized,
@@ -41,20 +41,20 @@ only check left on it is that every entry of K V is finite.
 H(X | Y_1..Y_k), and per side the mean member-marginal entropy, the mean
 average-marginal entropy and the average marginals. A member's marginal
 on side A is the Gram X X^dagger of V reshaped to X (dim_a, dim_b * r),
-side B likewise; a node's average marginal is the q-weighted sum of its
-members' Grams. ``run_protocol`` computes the stats once per level, and
-each spectrum takes one of three routes:
+side B likewise. A node's average marginal on a side is one Gram W
+W^dagger, W the sqrt(q)-scaled reshaped factors of its members set side by
+side, as ``TreeLevel.averages`` builds the average state. ``run_protocol``
+computes the stats once per level, and each spectrum takes one of three
+routes:
 
 - pure members (r = 1) of a 2x2 system: no member Gram is built. A
   member's marginal spectrum, shared by both sides, comes from the
-  determinant of its 2x2 coefficient matrix, and each side's average
-  marginal is one Gram of the sqrt(q)-scaled coefficient matrices set
-  side by side;
+  determinant of its 2x2 coefficient matrix;
 - every other 2x2 marginal, average marginals included: the closed-form
   2x2 solve inside ``von_neumann_entropies``;
 - larger marginals: one stacked LAPACK ``eigvalsh`` per (level, side) and
-  entropy family, except that pure members, whose two marginals share a
-  spectrum, take their member entropies on side A only.
+  entropy family. Pure members, whose two marginals share a spectrum,
+  take their member entropies on side A only, and build no side-B Gram.
 
 ``chain_mutual_information``, ``bound_suite``, ``audit_rounds``,
 ``entropy_summary`` and ``locclab.distillation`` only read them. Dense
@@ -78,7 +78,7 @@ from .entropy import (
     shannon_entropies,
     von_neumann_entropies,
 )
-from .linalg import DEFAULT_TOL, DensityOperator
+from .linalg import DEFAULT_TOL, DensityOperator, _require_finite
 
 PRUNE_TOL = 1e-12
 # Member-conditional outcome weights below this leave the posterior state
@@ -119,6 +119,8 @@ class KrausInstrument:
         for label, op in zip(labels, ops):
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise ValueError(f"outcome {label!r}: Kraus operator must be square, got {op.shape}")
+            if not op.size:
+                raise ValueError(f"outcome {label!r}: Kraus operator is empty")
             if op.shape != ops[0].shape:
                 raise ValueError(f"outcome {label!r}: size {op.shape[0]} != {ops[0].shape[0]}")
         stack = np.stack(ops)
@@ -179,13 +181,17 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list[tuple[str, ...]
     """Rank-one projective instruments from a stack of square bases.
 
     ``kets`` is (H, K, K) complex, basis h with its kets as rows, and
-    ``labels[h]`` names the rows of basis h. The whole stack is checked
-    for orthonormality, then its projectors once by ``_check_instruments``,
-    the checker ``__post_init__`` calls. The instruments are then built
-    without ``__post_init__``: they share the stack's memory, which
-    becomes read-only.
+    ``labels[h]`` names the rows of basis h. An empty basis and a NaN or an
+    infinite entry are rejected first, so that neither reaches the Gram.
+    The whole stack is checked for orthonormality, then its projectors once
+    by ``_check_instruments``, the checker ``__post_init__`` calls. The
+    instruments are then built without ``__post_init__``: they share the
+    stack's memory, which becomes read-only.
     """
     dim = kets.shape[-1]
+    if not dim:
+        raise ValueError("projective basis is empty")
+    _require_finite(kets)
     overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - np.eye(dim)).max(axis=(1, 2))
     if not (overlap <= _ORTHONORMAL_TOL).all():
         raise ValueError("projective basis is not orthonormal")
@@ -346,32 +352,23 @@ def _expand(
     )
 
 
-def _pure_qubit_marginals(
-    factors: np.ndarray, weights: np.ndarray, counted: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Member entropies and average marginals of pure members of a 2x2 system.
+def _pure_qubit_marginals(factors: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """Member marginal entropies of pure members of a 2x2 system, (N, M).
 
     No member marginal is built. A member's marginal spectrum is the same on
     both sides, (t +- sqrt(t^2 - 4 |det psi|^2)) / 2 with psi its 2x2
     coefficient matrix and t = ||psi||_F^2; the small root is written as
-    2 |det psi|^2 / (t + sqrt(...)). Each side's average marginal is one
-    Gram W W^dagger of the sqrt(q)-scaled coefficient matrices set side by
-    side, psi on side A and psi^T on side B.
+    2 |det psi|^2 / (t + sqrt(...)). Members that ``counted`` leaves out
+    get 0.
     """
-    n, m = weights.shape
-    psi = factors.reshape(n, m, 2, 2)
-    kept = psi[counted]
+    n, m = counted.shape
+    kept = factors.reshape(n, m, 2, 2)[counted]
     t = np.einsum("kij,kij->k", kept, kept.conj()).real
     det = np.abs(kept[:, 0, 0] * kept[:, 1, 1] - kept[:, 0, 1] * kept[:, 1, 0]) ** 2
     upper = t + np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
-    member = np.zeros(weights.shape)
+    member = np.zeros((n, m))
     member[counted] = shannon_entropies(np.stack([2.0 * det / upper, 0.5 * upper], axis=-1))
-    scaled = psi * np.sqrt(weights)[:, :, None, None]
-    average_marginals = {
-        "A": _gram(scaled.swapaxes(1, 2).reshape(n, 2, 2 * m)),
-        "B": _gram(scaled.transpose(0, 3, 1, 2).reshape(n, 2, 2 * m)),
-    }
-    return member, average_marginals
+    return member
 
 
 def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
@@ -381,27 +378,27 @@ def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
     weights = np.where(level.q > 0.0, level.q, 0.0)
     counted = live[:, None] & (level.q > 0.0)
     n, m, _, r = level.factors.shape
+    split = level.factors.reshape(n, m, dim_a, dim_b, r)
+    # Side A keeps the row index of V reshaped to (dim_a, dim_b * r); side B
+    # swaps the two party indices first.
+    reshaped = {
+        "A": split.reshape(n, m, dim_a, dim_b * r),
+        "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
+    }
+    scale = np.sqrt(weights)[:, :, None, None]
     member_entropy, average_entropy, average_marginals = {}, {}, {}
-    if r == 1 and dims == (2, 2):
-        member, average_marginals = _pure_qubit_marginals(level.factors, weights, counted)
-        member_entropy["A"] = member_entropy["B"] = float(prob @ (weights * member).sum(axis=1)[live])
-    else:
-        split = level.factors.reshape(n, m, dim_a, dim_b, r)
-        # Side A keeps the row index of V reshaped to (dim_a, dim_b * r); side B
-        # swaps the two party indices first.
-        reshaped = {
-            "A": split.reshape(n, m, dim_a, dim_b * r),
-            "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
-        }
-        for side in PARTIES:
-            marginals = _gram(reshaped[side])
-            # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's.
-            if side == "A" or r > 1:
-                member = np.zeros(level.q.shape)
-                member[counted] = von_neumann_entropies(marginals[counted])
-            member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
-            average_marginals[side] = np.einsum("nm,nmij->nij", weights, marginals)
-    for side in PARTIES:
+    qubit_kets = r == 1 and dims == (2, 2)
+    if qubit_kets:
+        member = _pure_qubit_marginals(level.factors, counted)
+    for side, x in reshaped.items():
+        # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's.
+        if (side == "A" and not qubit_kets) or r > 1:
+            member = np.zeros(level.q.shape)
+            member[counted] = von_neumann_entropies(_gram(x)[counted])
+        member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
+        # One Gram of the sqrt(q)-scaled factors set side by side, as in
+        # ``TreeLevel.averages``.
+        average_marginals[side] = _gram((x * scale).swapaxes(1, 2).reshape(n, x.shape[2], -1))
         average_entropy[side] = float(prob @ von_neumann_entropies(average_marginals[side][live]))
     return LevelStats(
         conditional_entropy=float(prob @ shannon_entropies(level.q[live])),
@@ -476,26 +473,6 @@ class ProtocolTranscript:
         return self.nodes_at(self.depth)
 
 
-def measure_branch(
-    ensemble: BipartiteEnsemble | SpectralEnsemble,
-    instrument: KrausInstrument,
-) -> list[tuple[str, float, BipartiteEnsemble]]:
-    """Apply one local instrument to every hypothesis of an ensemble.
-
-    Returns (label, outcome probability, posterior ensemble) per outcome.
-    Kraus operators are embedded as K (x) I for party A and I (x) K for
-    party B. Outcomes below PRUNE_TOL are pruned and the survivors
-    renormalized; posterior member weights follow Bayes' rule. This is the
-    one-node case of ``run_protocol``'s level expansion, for either ensemble.
-    """
-    dims = (ensemble.dim_a, ensemble.dim_b)
-    children = _expand(_root_level(ensemble), [instrument], dims)
-    return [
-        (path[-1], float(p), children.ensemble(i, *dims))
-        for i, (path, p) in enumerate(zip(children.paths, children.prob))
-    ]
-
-
 def run_protocol(
     ensemble: BipartiteEnsemble | SpectralEnsemble,
     chooser: Mapping[tuple[str, ...], KrausInstrument] | Callable[[tuple[str, ...]], KrausInstrument],
@@ -564,11 +541,6 @@ def _member_entanglement(root: TreeLevel, dims: tuple[int, int]) -> float:
     """Weighted entanglement of the root's members, rebuilt from their factors."""
     live = root.q[0] > 0.0
     return float(root.q[0][live] @ entanglements(_gram(root.factors[0][live]), *dims))
-
-
-def average_input_entanglement(ensemble: BipartiteEnsemble | SpectralEnsemble) -> float:
-    """Probability-weighted entanglement of the members of a ``BipartiteEnsemble`` or ``SpectralEnsemble``."""
-    return _member_entanglement(_root_level(ensemble), (ensemble.dim_a, ensemble.dim_b))
 
 
 def entropy_summary(ensemble: BipartiteEnsemble | SpectralEnsemble) -> dict[str, float]:
@@ -649,8 +621,8 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
                       entanglement; extracted plus unused information cannot
                       exceed the ensemble's fixed budget.
 
-    Each input member and leaf average is measured as
-    ``entropy.resolve_measure`` names it for that state.
+    Each input member and leaf average is measured by
+    ``entropy.entanglements``, whose measure follows the state.
     """
     root = transcript.root_ensemble
     top = transcript.stats[0]

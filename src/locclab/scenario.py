@@ -11,7 +11,7 @@ A scenario is a JSON object describing one of four kinds of input:
                    projective protocols.
 
 The entanglement measure is not set by the file: it follows each state
-(``entropy.resolve_measure``). An optional ``selectors`` object is still
+(``entropy.entanglements``). An optional ``selectors`` object is still
 read, but each of its sides (``input``, ``output``) may only be
 ``"auto"``, and the dump always writes both as ``"auto"``. A
 ``tolerance`` field is rejected: the slack tolerance of the checks is set

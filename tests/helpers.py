@@ -5,7 +5,6 @@ import numpy as np
 from locclab import (
     BipartiteEnsemble,
     DensityOperator,
-    holevo_chi,
     pure_state_density,
     spectral_ensemble,
     validate_density,
@@ -68,6 +67,70 @@ def pure_entanglement_oracle(vector, dim_a: int = 2, dim_b: int = 2) -> float:
     return shannon_oracle(s ** 2)
 
 
+def von_neumann_oracle(matrix) -> float:
+    """S(rho) from ``np.linalg.eigvalsh`` called directly."""
+    return shannon_oracle(np.linalg.eigvalsh(np.asarray(matrix, dtype=complex)))
+
+
+def partial_trace_oracle(matrix, keep: str, dim_a: int, dim_b: int) -> np.ndarray:
+    """The marginal on side ``keep`` by an explicit ``einsum``."""
+    tensor = np.asarray(matrix, dtype=complex).reshape(dim_a, dim_b, dim_a, dim_b)
+    return np.einsum("ijkj->ik" if keep == "A" else "ijil->jl", tensor)
+
+
+def holevo_oracle(members) -> float:
+    """S(sum_x p_x rho_x) - sum_x p_x S(rho_x) over (p_x, rho_x) pairs of matrices."""
+    members = [(p, np.asarray(rho, dtype=complex)) for p, rho in members]
+    average = sum(p * rho for p, rho in members)
+    return von_neumann_oracle(average) - sum(p * von_neumann_oracle(rho) for p, rho in members if p > 0.0)
+
+
+def entanglement_oracle(matrix, dim_a: int, dim_b: int) -> float:
+    """Entanglement of a density matrix with the measure its purity fixes.
+
+    A pure state (tr rho^2 within 1e-9 of one) gets the entropy of
+    entanglement S(tr_B rho), from an explicit ``einsum`` partial trace and
+    ``np.linalg.eigvalsh``; the marginal, not the leading eigenvector, so
+    that a state pure only within 1e-9 is measured as given (a ket's
+    Schmidt coefficients are ``pure_entanglement_oracle``). A mixed 2x2
+    state gets Wootters' entanglement of formation, with the concurrence
+    from the eigenvalues of rho rho_tilde (Wootters, PRL 80, 2245, 1998).
+    They are taken on the range P of rho (singular values above 1e-14), as
+    the eigenvalues of (P^dagger rho P)(P^dagger rho_tilde P): a
+    rank-deficient state's zero eigenvalues are then exact zeros, not
+    rounding noise of 1e-17 whose square roots would move C by 1e-9. Any
+    other mixed state raises ValueError("measure unavailable ...").
+    """
+    rho = np.asarray(matrix, dtype=complex)
+    if np.trace(rho @ rho).real >= 1.0 - 1e-9:
+        return von_neumann_oracle(partial_trace_oracle(rho, "A", dim_a, dim_b))
+    if (dim_a, dim_b) != (2, 2):
+        raise ValueError(f"measure unavailable: mixed state with dims ({dim_a}, {dim_b})")
+    flip = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    u, singular, _ = np.linalg.svd(rho)
+    on_range = u[:, singular > 1e-14]
+    rho_on_range = on_range.conj().T @ rho @ on_range
+    flipped_on_range = on_range.conj().T @ flip @ rho.conj() @ flip @ on_range
+    values = np.linalg.eigvals(rho_on_range @ flipped_on_range).real
+    roots = np.sort(np.concatenate([np.sqrt(np.maximum(values, 0.0)), np.zeros(4 - len(values))]))[::-1]
+    c = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
+    return shannon_oracle([x, 1.0 - x])
+
+
+def bell_vectors(d: int) -> list[np.ndarray]:
+    """The d^2 generalized Bell kets (I (x) Z^a X^b)|Phi_d>, k = a*d + b,
+    from ``np.kron`` of powers of the clock Z and the shift X."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
+    return [
+        np.kron(np.eye(d), np.linalg.matrix_power(clock, a) @ np.linalg.matrix_power(shift, b)) @ phi
+        for a in range(d)
+        for b in range(d)
+    ]
+
+
 def distillation_oracle(rho: DensityOperator) -> dict[str, float]:
     """Every entropy field and both bounds of ``distillation_report`` by other routes.
 
@@ -76,10 +139,9 @@ def distillation_oracle(rho: DensityOperator) -> dict[str, float]:
     coefficients (SVD) of each ``spectral_ensemble`` member.
     """
     dim_a, dim_b = rho.dim_a, rho.dim_b
-    tensor = rho.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    entropy = shannon_oracle(np.linalg.eigvalsh(rho.matrix))
-    entropy_a = shannon_oracle(np.linalg.eigvalsh(np.einsum("ijkj->ik", tensor)))
-    entropy_b = shannon_oracle(np.linalg.eigvalsh(np.einsum("ijil->jl", tensor)))
+    entropy = von_neumann_oracle(rho.matrix)
+    entropy_a = von_neumann_oracle(partial_trace_oracle(rho.matrix, "A", dim_a, dim_b))
+    entropy_b = von_neumann_oracle(partial_trace_oracle(rho.matrix, "B", dim_a, dim_b))
     mean_local = sum(w * pure_entanglement_oracle(v, dim_a, dim_b) for w, v in spectral_ensemble(rho).members)
     denominator = entropy + mean_local
     if denominator < 1e-12:  # pure product: the partial constraint is vacuous
@@ -103,29 +165,29 @@ def entropy_summary_oracle(ensemble: BipartiteEnsemble) -> dict[str, float]:
 
     S from ``np.linalg.eigvalsh`` of ``average_matrix()``, S_A and S_B from
     explicit ``einsum`` partial traces of it, and the Holevo quantity from
-    ``holevo_chi``, which solves each member matrix; no tree level and no
-    factors.
+    ``holevo_oracle`` over the member matrices; no tree level, no factors
+    and no ``locclab`` entropy function.
     """
     dim_a, dim_b = ensemble.dim_a, ensemble.dim_b
     average = ensemble.average_matrix()
-    tensor = average.reshape(dim_a, dim_b, dim_a, dim_b)
     return {
-        "entropy_average": shannon_oracle(np.linalg.eigvalsh(average)),
-        "entropy_a": shannon_oracle(np.linalg.eigvalsh(np.einsum("ijkj->ik", tensor))),
-        "entropy_b": shannon_oracle(np.linalg.eigvalsh(np.einsum("ijil->jl", tensor))),
-        "holevo": holevo_chi(ensemble),
+        "entropy_average": von_neumann_oracle(average),
+        "entropy_a": von_neumann_oracle(partial_trace_oracle(average, "A", dim_a, dim_b)),
+        "entropy_b": von_neumann_oracle(partial_trace_oracle(average, "B", dim_a, dim_b)),
+        "holevo": holevo_oracle((p, state.matrix) for p, state in ensemble.members),
     }
 
 
 def marginal_entropy_oracle(ensemble: BipartiteEnsemble) -> dict[str, float]:
     """Per side, sum_x p_x S(rho_x^side) from explicit ``einsum`` partial traces."""
     dim_a, dim_b = ensemble.dim_a, ensemble.dim_b
-    out = {"A": 0.0, "B": 0.0}
-    for p, state in ensemble.members:
-        tensor = state.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-        out["A"] += p * shannon_oracle(np.linalg.eigvalsh(np.einsum("ijkj->ik", tensor)))
-        out["B"] += p * shannon_oracle(np.linalg.eigvalsh(np.einsum("ijil->jl", tensor)))
-    return out
+    return {
+        side: sum(
+            p * von_neumann_oracle(partial_trace_oracle(state.matrix, side, dim_a, dim_b))
+            for p, state in ensemble.members
+        )
+        for side in "AB"
+    }
 
 
 def flat_mutual_information(transcript) -> float:

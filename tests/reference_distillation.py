@@ -8,7 +8,9 @@ accepted vector at a time, the phase fixed column by column, one scalar
 entropy per spectral member and side, and a report that computes the
 spectral ensemble and its entropies twice. It builds the package's own
 ``SpectralEnsemble`` and ``DistillationReport`` values, so the property tests
-can compare the two forms field by field.
+can compare the two forms field by field. Its entropies, marginals, Bell
+kets, PPT test and Bell closed forms come from numpy alone, through the
+oracles in ``helpers``, not from ``locclab.entropy``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from locclab.distillation import (
     BellDiagonalSpec,
     DistillationReport,
     SpectralEnsemble,
-    bell_hashing_bound,
-    bell_partial_bound,
 )
-from locclab.entropy import ZERO_EIGENVALUE, is_ppt, von_neumann_entropy
+from locclab.entropy import ZERO_EIGENVALUE
 from locclab.linalg import (
     _GS_KEEP,
     _PHASE_EPS,
@@ -34,6 +34,8 @@ from locclab.linalg import (
     hermitize,
     validate_density,
 )
+
+from helpers import bell_vectors, partial_trace_oracle, shannon_oracle, von_neumann_oracle
 
 
 def _fix_phase(vector: np.ndarray) -> np.ndarray:
@@ -110,17 +112,17 @@ def mean_local_entropy(se: SpectralEnsemble) -> float:
     total_b = 0.0
     for weight, vector in se.members:
         block = vector.reshape(se.dim_a, se.dim_b)
-        total_a += weight * von_neumann_entropy(block @ block.conj().T)
-        total_b += weight * von_neumann_entropy(block.conj().T @ block)
+        total_a += weight * von_neumann_oracle(block @ block.conj().T)
+        total_b += weight * von_neumann_oracle(block.conj().T @ block)
     if abs(total_a - total_b) > 1e-9:
         raise AssertionError(f"side entropies disagree: {total_a!r} vs {total_b!r}")
     return total_a
 
 
 def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
-    entropy = von_neumann_entropy(rho)
-    entropy_a = von_neumann_entropy(rho.marginal("A"))
-    entropy_b = von_neumann_entropy(rho.marginal("B"))
+    entropy = von_neumann_oracle(rho.matrix)
+    entropy_a = von_neumann_oracle(partial_trace_oracle(rho.matrix, "A", rho.dim_a, rho.dim_b))
+    entropy_b = von_neumann_oracle(partial_trace_oracle(rho.matrix, "B", rho.dim_a, rho.dim_b))
     mean_local = mean_local_entropy(spectral_ensemble(rho))
     denominator = entropy + mean_local
     if denominator < _VACUOUS_EPS:
@@ -130,37 +132,24 @@ def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
 
 
 def full_distinguish_bound(rho: DensityOperator) -> float:
-    entropy = von_neumann_entropy(rho)
-    entropy_a = von_neumann_entropy(rho.marginal("A"))
-    entropy_b = von_neumann_entropy(rho.marginal("B"))
+    entropy = von_neumann_oracle(rho.matrix)
+    entropy_a = von_neumann_oracle(partial_trace_oracle(rho.matrix, "A", rho.dim_a, rho.dim_b))
+    entropy_b = von_neumann_oracle(partial_trace_oracle(rho.matrix, "B", rho.dim_a, rho.dim_b))
     return entropy_a + entropy_b - entropy - mean_local_entropy(spectral_ensemble(rho))
 
 
-def _shift_clock(d: int) -> tuple[np.ndarray, np.ndarray]:
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    return shift, clock
-
-
-def bell_basis(d: int) -> list[np.ndarray]:
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
-    shift, clock = _shift_clock(d)
-    phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    basis = []
-    for a in range(d):
-        for b in range(d):
-            op = np.kron(np.eye(d), np.linalg.matrix_power(clock, a) @ np.linalg.matrix_power(shift, b))
-            basis.append(op @ phi)
-    return basis
+def is_ppt(rho: DensityOperator) -> tuple[bool, float]:
+    """PPT flag and smallest eigenvalue of the whole partial transpose on B."""
+    dim_a, dim_b = rho.dim_a, rho.dim_b
+    pt = rho.matrix.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 3, 2, 1).reshape(dim_a * dim_b, -1)
+    lowest = float(np.linalg.eigvalsh(pt)[0])
+    return lowest >= -DEFAULT_TOL, lowest
 
 
 def bell_diagonal(spec: BellDiagonalSpec) -> DensityOperator:
     dim = spec.d * spec.d
     matrix = np.zeros((dim, dim), dtype=complex)
-    for weight, ket in zip(spec.probs, bell_basis(spec.d)):
+    for weight, ket in zip(spec.probs, bell_vectors(spec.d)):
         if weight > 0.0:
             matrix += weight * np.outer(ket, ket.conj())
     return validate_density(matrix, spec.d, spec.d)
@@ -168,9 +157,9 @@ def bell_diagonal(spec: BellDiagonalSpec) -> DensityOperator:
 
 def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = None) -> DistillationReport:
     se = spectral_ensemble(rho)
-    entropy = von_neumann_entropy(rho)
-    entropy_a = von_neumann_entropy(rho.marginal("A"))
-    entropy_b = von_neumann_entropy(rho.marginal("B"))
+    entropy = von_neumann_oracle(rho.matrix)
+    entropy_a = von_neumann_oracle(partial_trace_oracle(rho.matrix, "A", rho.dim_a, rho.dim_b))
+    entropy_b = von_neumann_oracle(partial_trace_oracle(rho.matrix, "B", rho.dim_a, rho.dim_b))
     mean_local = mean_local_entropy(se)
     full_raw = entropy_a + entropy_b - entropy - mean_local
     partial, r_max = partial_distinguish_bound(rho)
@@ -178,8 +167,11 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
 
     closed_hashing = closed_hashing_yield = closed_partial = None
     if spec is not None:
-        closed_hashing, closed_hashing_yield = bell_hashing_bound(spec)
-        closed_partial = bell_partial_bound(spec)
+        log_d = float(np.log2(spec.d))
+        weights_entropy = shannon_oracle(spec.probs)
+        closed_hashing = log_d - weights_entropy
+        closed_hashing_yield = max(0.0, closed_hashing)
+        closed_partial = log_d * log_d / (log_d + weights_entropy)
 
     return DistillationReport(
         entropy=entropy,

@@ -3,9 +3,13 @@
 This is the recursive engine ``locclab.protocol`` used before it stored the
 outcome tree as stacked arrays per level: one ``ProtocolNode`` per outcome
 history, one small eigensolve per node, member and side. It builds the same
-``BoundReport`` and ``RoundAudit`` values from the package's scalar entropy
-and measure functions, so the property tests can compare the two engines
-field by field.
+``BoundReport`` and ``RoundAudit`` values, so the property tests can compare
+the two engines field by field. Every entropy, Holevo quantity and
+entanglement comes from the numpy-only oracles in ``helpers``
+(``np.linalg.eigvalsh`` called directly, explicit ``einsum`` partial traces,
+Wootters' formula from the eigenvalues of rho rho_tilde), not from
+``locclab.entropy``: a fault in the package's closed-form spectra is not
+shared by its reference.
 """
 
 from __future__ import annotations
@@ -14,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from locclab.entropy import (
-    BipartiteEnsemble,
-    entanglement,
-    holevo_chi,
-    shannon_entropy,
-    von_neumann_entropy,
-)
-from locclab.linalg import hermitize, partial_trace, validate_density
+from locclab.entropy import BipartiteEnsemble
+from locclab.linalg import hermitize, validate_density
 from locclab.protocol import PRUNE_TOL, BoundReport, RoundAudit
+
+from helpers import entanglement_oracle, holevo_oracle, partial_trace_oracle, shannon_oracle, von_neumann_oracle
 
 _MEMBER_EPS = 1e-14
 
@@ -133,7 +133,7 @@ def _level_conditional_entropy(nodes) -> float:
     total = 0.0
     for node in nodes:
         if node.probability > 0.0:
-            total += node.probability * shannon_entropy(node.ensemble.probabilities())
+            total += node.probability * shannon_oracle(node.ensemble.probabilities())
     return total
 
 
@@ -151,7 +151,7 @@ def average_output_entanglement(transcript) -> float:
         if leaf.probability > 0.0:
             ens = leaf.ensemble
             state = validate_density(ens.average_matrix(), ens.dim_a, ens.dim_b)
-            total += leaf.probability * entanglement(state)
+            total += leaf.probability * entanglement_oracle(state.matrix, ens.dim_a, ens.dim_b)
     return total
 
 
@@ -159,7 +159,7 @@ def average_input_entanglement(ensemble) -> float:
     total = 0.0
     for p, state in ensemble.members:
         if p > 0.0:
-            total += p * entanglement(state)
+            total += p * entanglement_oracle(state.matrix, ensemble.dim_a, ensemble.dim_b)
     return total
 
 
@@ -169,9 +169,10 @@ def _mean_member_marginal_entropy(nodes, side: str) -> float:
         if node.probability <= 0.0:
             continue
         inner = 0.0
+        dims = (node.ensemble.dim_a, node.ensemble.dim_b)
         for p, state in node.ensemble.members:
             if p > 0.0:
-                inner += p * von_neumann_entropy(state.marginal(side))
+                inner += p * von_neumann_oracle(partial_trace_oracle(state.matrix, side, *dims))
         total += node.probability * inner
     return total
 
@@ -182,8 +183,8 @@ def _mean_average_marginal_entropy(nodes, side: str) -> float:
         if node.probability <= 0.0:
             continue
         dims = (node.ensemble.dim_a, node.ensemble.dim_b)
-        reduced = partial_trace(node.ensemble.average_matrix(), side, dims)
-        total += node.probability * von_neumann_entropy(reduced)
+        reduced = partial_trace_oracle(node.ensemble.average_matrix(), side, *dims)
+        total += node.probability * von_neumann_oracle(reduced)
     return total
 
 
@@ -191,8 +192,8 @@ def bound_suite(transcript) -> BoundReport:
     root = transcript.root_ensemble
     dims = (root.dim_a, root.dim_b)
     average = root.average_matrix()
-    entropy_a = von_neumann_entropy(partial_trace(average, "A", dims))
-    entropy_b = von_neumann_entropy(partial_trace(average, "B", dims))
+    entropy_a = von_neumann_oracle(partial_trace_oracle(average, "A", *dims))
+    entropy_b = von_neumann_oracle(partial_trace_oracle(average, "B", *dims))
     root_level = [transcript.root]
     mean_member = {side: _mean_member_marginal_entropy(root_level, side) for side in "AB"}
     per_round, total_info = chain_mutual_information(transcript)
@@ -225,14 +226,15 @@ def bound_suite(transcript) -> BoundReport:
 
 def _marginal_members(ensemble, side: str) -> list:
     """Members reduced to one side, keeping the same weights."""
-    return [(p, state.marginal(side)) for p, state in ensemble.members]
+    dims = (ensemble.dim_a, ensemble.dim_b)
+    return [(p, partial_trace_oracle(state.matrix, side, *dims)) for p, state in ensemble.members]
 
 
 def _level_marginal_chi(nodes, side: str) -> float:
     total = 0.0
     for node in nodes:
         if node.probability > 0.0:
-            total += node.probability * holevo_chi(_marginal_members(node.ensemble, side))
+            total += node.probability * holevo_oracle(_marginal_members(node.ensemble, side))
     return total
 
 
@@ -252,11 +254,11 @@ def audit_rounds(transcript) -> list[RoundAudit]:
             if parent.probability <= 0.0:
                 continue
             dims = (parent.ensemble.dim_a, parent.ensemble.dim_b)
-            before = partial_trace(parent.ensemble.average_matrix(), distant, dims)
+            before = partial_trace_oracle(parent.ensemble.average_matrix(), distant, *dims)
             after = np.zeros_like(before)
             for child in parent.children:
                 weight = child.probability / parent.probability
-                after += weight * partial_trace(child.ensemble.average_matrix(), distant, dims)
+                after += weight * partial_trace_oracle(child.ensemble.average_matrix(), distant, *dims)
             deviation = max(deviation, float(np.abs(before - after).max()))
         local_drop = _mean_member_marginal_entropy(parents, party) - _mean_member_marginal_entropy(
             children, party

@@ -58,7 +58,7 @@ class TestBlocks:
     def test_bell_diagonal_d3_partial_transpose_splits_by_sum(self):
         # Transposing B swaps m and m', so (j, m') meets (j', m) when
         # m - j = m' - j', that is when j + m' = j' + m mod 3.
-        herm = hermitize(partial_transpose(generic_bell(3), "B"))
+        herm = hermitize(partial_transpose(generic_bell(3).matrix, "B", (3, 3)))
         expected = [[j * 3 + m for j in range(3) for m in range(3) if (j + m) % 3 == c] for c in range(3)]
         assert as_sets(_blocks(herm)) == sorted(expected)
 

@@ -7,7 +7,6 @@ import pytest
 from locclab import (
     BellDiagonalSpec,
     SpectralEnsemble,
-    bell_basis,
     bell_diagonal,
     bell_hashing_bound,
     bell_partial_bound,
@@ -15,15 +14,19 @@ from locclab import (
     full_distinguish_bound,
     mean_local_entropy,
     partial_distinguish_bound,
+    partial_trace,
     pure_state_density,
     spectral_ensemble,
     validate_density,
 )
 
 from helpers import (
+    PHI_MINUS,
     PHI_PLUS,
+    PSI_MINUS,
     PSI_PLUS,
     bell,
+    bell_vectors,
     pure_entanglement_oracle,
     random_bipartite_density,
     shannon_oracle,
@@ -38,29 +41,32 @@ def spec_09() -> BellDiagonalSpec:
     return BellDiagonalSpec(2, (0.9, 0.1, 0.0, 0.0))
 
 
+def bell_projector(d: int, k: int) -> np.ndarray:
+    """``bell_diagonal`` with all the weight on Bell state k."""
+    probs = np.zeros(d * d)
+    probs[k] = 1.0
+    return bell_diagonal(BellDiagonalSpec(d, tuple(probs))).matrix
+
+
 class TestBellBasis:
     def test_two_qubit_order(self):
-        basis = bell_basis(2)
-        # k = a*d + b ordering: Phi+, Psi+, Phi-, Psi- (projector-level check)
-        expected = [
-            PHI_PLUS,
-            PSI_PLUS,
-            np.array([2 ** -0.5, 0, 0, -(2 ** -0.5)]),
-            np.array([0, 2 ** -0.5, -(2 ** -0.5), 0]),
-        ]
-        for ket, ref in zip(basis, expected):
-            np.testing.assert_allclose(
-                np.outer(ket, ket.conj()), np.outer(ref, ref.conj()), atol=1e-12
-            )
+        # k = a*d + b ordering: Phi+, Psi+, Phi-, Psi- (projector-level check),
+        # for the package and for the np.kron oracle alike.
+        expected = [PHI_PLUS, PSI_PLUS, PHI_MINUS, PSI_MINUS]
+        for k, (ket, ref) in enumerate(zip(bell_vectors(2), expected)):
+            np.testing.assert_allclose(bell_projector(2, k), np.outer(ref, ref.conj()), atol=1e-12)
+            np.testing.assert_allclose(np.outer(ket, ket.conj()), np.outer(ref, ref.conj()), atol=1e-12)
 
     def test_orthonormal_for_d3(self):
-        basis = np.column_stack(bell_basis(3))
+        basis = np.column_stack(bell_vectors(3))
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(9), atol=1e-12)
+        for k, ket in enumerate(bell_vectors(3)):
+            np.testing.assert_allclose(bell_projector(3, k), np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_maximally_entangled_marginals(self):
-        for ket in bell_basis(3):
-            block = ket.reshape(3, 3)
-            np.testing.assert_allclose(block @ block.conj().T, np.eye(3) / 3, atol=1e-12)
+        for k in range(9):
+            for side in "AB":
+                np.testing.assert_allclose(partial_trace(bell_projector(3, k), side, (3, 3)), np.eye(3) / 3, atol=1e-12)
 
 
 class TestBellDiagonal:

@@ -1,7 +1,8 @@
 """Property tests: the level-array engine against the node-by-node reference.
 
 Every ``BoundReport`` and ``RoundAudit`` field, every transcript node and
-every ``measure_branch`` branch must agree within 1e-12, and both engines
+every branch of a one-round run (the reference's ``measure_branch``) must
+agree within 1e-12, and both engines
 must raise the same errors. The inputs cover what the random scenario
 generator does not: mixed members, general Kraus instruments with uneven
 outcome counts within one level, non-2x2 dimensions, pruned outcomes and
@@ -21,7 +22,6 @@ from locclab import (
     KrausInstrument,
     audit_rounds,
     bound_suite,
-    measure_branch,
     pure_state_density,
     run_protocol,
     validate_density,
@@ -73,6 +73,11 @@ def make_chooser(seed: int, dims, parties, kind: str, zero_outcome: bool = False
         return KrausInstrument(party=party, outcomes=tuple((str(i), op) for i, op in enumerate(ops)))
 
     return chooser
+
+
+def one_round(ensemble, instrument):
+    """The level engine's one-node case: a depth-1 run from the root."""
+    return run_protocol(ensemble, {(): instrument}, 1)
 
 
 def mixed_ensemble(rng, n_members: int, dims) -> BipartiteEnsemble:
@@ -240,22 +245,22 @@ def test_measure_branch_matches_reference(seed, n_members, party, outcomes):
     rng = np.random.default_rng(seed)
     ensemble = mixed_ensemble(rng, n_members, (2, 2))
     instrument = KrausInstrument(party=party, outcomes=tuple((str(i), op) for i, op in enumerate(random_kraus(rng, 2, outcomes))))
-    new = measure_branch(ensemble, instrument)
+    new = one_round(ensemble, instrument).leaves()
     old = ref.measure_branch(ensemble, instrument)
-    assert [label for label, _, _ in new] == [label for label, _, _ in old]
-    for (_, p, post), (_, q, expected) in zip(new, old):
-        assert abs(p - q) <= TOL
-        for (a, sa), (b, sb) in zip(post.members, expected.members):
+    assert [leaf.path for leaf in new] == [(label,) for label, _, _ in old]
+    for leaf, (_, q, expected) in zip(new, old):
+        assert abs(leaf.probability - q) <= TOL
+        for (a, sa), (b, sb) in zip(leaf.ensemble.members, expected.members):
             assert abs(a - b) <= TOL
             np.testing.assert_allclose(sa.matrix, sb.matrix, rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("engine", [measure_branch, ref.measure_branch])
+@pytest.mark.parametrize("engine", [one_round, ref.measure_branch])
 def test_all_outcomes_pruned_error(engine, monkeypatch):
     ensemble = BipartiteEnsemble(((0.5, pure_state_density([1, 0, 0, 0], 2, 2)), (0.5, pure_state_density([0, 0, 0, 1], 2, 2))))
     # Each outcome carries probability 1/2, below a pruning threshold of 0.6;
     # no complete instrument loses every outcome at the engine's PRUNE_TOL.
     monkeypatch.setattr(protocol, "PRUNE_TOL", 0.6)
-    knob = {} if engine is measure_branch else {"prune_tol": 0.6}
+    knob = {} if engine is one_round else {"prune_tol": 0.6}
     with pytest.raises(ValueError, match="all outcomes pruned"):
         engine(ensemble, KrausInstrument.projective("A", np.eye(2)), **knob)

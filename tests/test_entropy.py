@@ -3,18 +3,14 @@ import pytest
 
 from locclab import (
     BipartiteEnsemble,
-    MEASURE_EOF,
-    MEASURE_PURE,
-    concurrence,
-    entanglement,
-    holevo_chi,
+    entropy_summary,
     is_ppt,
+    partial_trace,
     pure_state_density,
-    resolve_measure,
     shannon_entropy,
     validate_density,
-    von_neumann_entropy,
 )
+from locclab.entropy import concurrences, entanglements, von_neumann_entropies
 
 from helpers import (
     PHI_MINUS,
@@ -22,10 +18,27 @@ from helpers import (
     PSI_MINUS,
     PSI_PLUS,
     bell,
+    entanglement_oracle,
+    holevo_oracle,
     random_bipartite_density,
     random_density,
     random_pure_vector,
 )
+
+
+def entropy(matrix) -> float:
+    return float(von_neumann_entropies(matrix))
+
+
+def entanglement(state) -> float:
+    return float(entanglements(state.matrix[None], state.dim_a, state.dim_b)[0])
+
+
+def holevo(members) -> float:
+    """The package's Holevo quantity of one-party states, each taken as a (D, 1) bipartite state."""
+    ensemble = BipartiteEnsemble(tuple((p, validate_density(rho, len(rho), 1)) for p, rho in members))
+    return entropy_summary(ensemble)["holevo"]
+
 
 # frozen against direct -sum p log2 p evaluation
 H_09_01 = 0.4689955935892812
@@ -56,17 +69,17 @@ class TestShannonEntropy:
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit(self):
-        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+        assert entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_state(self):
-        assert von_neumann_entropy(bell(PHI_PLUS)) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(bell(PHI_PLUS).matrix) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_diagonal_spectrum(self):
         rho = sum(
             p * bell(v).matrix
             for p, v in zip((0.7, 0.1, 0.1, 0.1), (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS))
         )
-        value = von_neumann_entropy(validate_density(rho, 2, 2))
+        value = entropy(validate_density(rho, 2, 2).matrix)
         assert value == pytest.approx(H_BELL_SPECTRUM, abs=1e-12)
         assert abs(value - 1.3568) < 1e-4
 
@@ -74,11 +87,11 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(23)
         for _ in range(50):
             dim = int(rng.integers(2, 7))
-            value = von_neumann_entropy(random_density(rng, dim))
+            value = entropy(random_density(rng, dim))
             assert value <= np.log2(dim) + 1e-9
-        assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-9)
+        assert entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-9)
         nudged = np.diag([0.26, 0.24, 0.26, 0.24])
-        assert von_neumann_entropy(nudged) < 2.0 - 1e-6
+        assert entropy(nudged) < 2.0 - 1e-6
 
     def test_concavity(self):
         rng = np.random.default_rng(31)
@@ -87,16 +100,16 @@ class TestVonNeumannEntropy:
             rho1 = random_density(rng, dim)
             rho2 = random_density(rng, dim)
             p = float(rng.uniform())
-            mixed = von_neumann_entropy(p * rho1 + (1 - p) * rho2)
-            assert mixed >= p * von_neumann_entropy(rho1) + (1 - p) * von_neumann_entropy(rho2) - 1e-9
+            mixed = entropy(p * rho1 + (1 - p) * rho2)
+            assert mixed >= p * entropy(rho1) + (1 - p) * entropy(rho2) - 1e-9
 
     def test_pure_bipartite_marginals_have_equal_entropy(self):
         rng = np.random.default_rng(37)
         for dims in ((2, 2), (2, 3), (3, 4)):
             for _ in range(20):
                 psi = pure_state_density(random_pure_vector(rng, dims[0] * dims[1]), *dims)
-                s_a = von_neumann_entropy(psi.marginal("A"))
-                s_b = von_neumann_entropy(psi.marginal("B"))
+                s_a = entropy(partial_trace(psi.matrix, "A", dims))
+                s_b = entropy(partial_trace(psi.matrix, "B", dims))
                 assert abs(s_a - s_b) < 1e-9
 
     @pytest.mark.parametrize("dim", [2, 3], ids=["closed_form", "lapack"])
@@ -106,22 +119,27 @@ class TestVonNeumannEntropy:
         mat = np.eye(dim, dtype=complex) / dim
         mat[where] = entry
         with pytest.raises(ValueError, match="^non-finite entry: "):
-            von_neumann_entropy(mat)
+            entropy(mat)
 
 
 class TestHolevoChi:
+    # The package's value (entropy_summary) and the numpy oracle each meet the pin.
     def test_orthogonal_pure_states(self):
         members = [(0.5, np.diag([1.0, 0.0])), (0.5, np.diag([0.0, 1.0]))]
-        assert holevo_chi(members) == pytest.approx(1.0, abs=1e-12)
+        assert holevo(members) == pytest.approx(1.0, abs=1e-12)
+        assert holevo_oracle(members) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_states(self):
         rho = np.eye(2) / 2
-        assert holevo_chi([(0.5, rho), (0.5, rho)]) == pytest.approx(0.0, abs=1e-12)
+        assert holevo([(0.5, rho), (0.5, rho)]) == pytest.approx(0.0, abs=1e-12)
+        assert holevo_oracle([(0.5, rho), (0.5, rho)]) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_plus_ensemble(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
-        value = holevo_chi([(0.5, np.diag([1.0, 0.0])), (0.5, plus)])
+        members = [(0.5, np.diag([1.0, 0.0])), (0.5, plus)]
+        value = holevo(members)
         assert value == pytest.approx(CHI_ZERO_PLUS, abs=1e-12)
+        assert holevo_oracle(members) == pytest.approx(CHI_ZERO_PLUS, abs=1e-12)
         assert abs(value - 0.6008) < 1e-4
 
     def test_positive_on_random_ensembles(self):
@@ -130,11 +148,9 @@ class TestHolevoChi:
             n = int(rng.integers(2, 5))
             probs = rng.dirichlet(np.ones(n))
             members = [(float(p), random_density(rng, 3)) for p in probs]
-            assert holevo_chi(members) >= -1e-9
-
-    def test_bad_normalization_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            holevo_chi([(0.7, np.eye(2) / 2)])
+            value = holevo(members)
+            assert value >= -1e-9
+            assert abs(value - holevo_oracle(members)) <= 1e-12
 
 
 class TestEntanglement:
@@ -146,8 +162,9 @@ class TestEntanglement:
 
     def test_werner_mixture_concurrence_and_eof(self):
         rho = validate_density(0.5 * bell(PSI_MINUS).matrix + 0.5 * np.eye(4) / 4, 2, 2)
-        assert concurrence(rho) == pytest.approx(0.25, abs=1e-9)
+        assert float(concurrences(rho.matrix)) == pytest.approx(0.25, abs=1e-9)
         assert entanglement(rho) == pytest.approx(EOF_WERNER_HALF, abs=1e-9)
+        assert entanglement_oracle(rho.matrix, 2, 2) == pytest.approx(EOF_WERNER_HALF, abs=1e-9)
         assert abs(entanglement(rho) - 0.1176) < 1e-3
 
     def test_wootters_matches_pure_measure_on_pure_states(self):
@@ -156,10 +173,9 @@ class TestEntanglement:
         rng = np.random.default_rng(43)
         for _ in range(100):
             psi = pure_state_density(random_pure_vector(rng, 4), 2, 2)
-            c = concurrence(psi)
+            c = float(concurrences(psi.matrix))
             x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
             eof = shannon_entropy([x, 1.0 - x])
-            assert resolve_measure(psi) == MEASURE_PURE
             assert abs(eof - entanglement(psi)) < 1e-7
 
     def test_mixed_large_dims_unavailable(self):
@@ -169,14 +185,22 @@ class TestEntanglement:
             entanglement(rho)
 
     def test_auto_resolution(self):
-        assert resolve_measure(bell(PHI_PLUS)) == MEASURE_PURE
-        assert resolve_measure(validate_density(np.eye(4) / 4, 2, 2)) == MEASURE_EOF
+        # The measure follows the state: a pure state of any dimensions gets
+        # S(tr_B rho), a mixed 2x2 state Wootters' EoF, the two in one stack.
+        rng = np.random.default_rng(59)
+        pure_2x3 = pure_state_density(random_pure_vector(rng, 6), 2, 3)
+        assert entanglement(pure_2x3) == pytest.approx(entanglement_oracle(pure_2x3.matrix, 2, 3), abs=1e-12)
+        werner = 0.5 * bell(PSI_MINUS).matrix + 0.5 * np.eye(4) / 4
+        stack = np.stack([bell(PHI_PLUS).matrix, werner, np.eye(4) / 4])
+        np.testing.assert_allclose(entanglements(stack, 2, 2), [1.0, EOF_WERNER_HALF, 0.0], rtol=0, atol=1e-9)
 
     def test_range_on_random_mixed_two_qubit_states(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
-            value = entanglement(random_bipartite_density(rng, 2, 2))
+            rho = random_bipartite_density(rng, 2, 2)
+            value = entanglement(rho)
             assert -1e-12 <= value <= 1.0 + 1e-12
+            assert abs(value - entanglement_oracle(rho.matrix, 2, 2)) <= 1e-12
 
 
 class TestIsPpt:

@@ -72,30 +72,37 @@ class TestValidateDensity:
 
 class TestPartialTrace:
     def test_bell_state_marginal_is_maximally_mixed(self):
-        np.testing.assert_allclose(partial_trace(bell(PHI_PLUS), "A"), np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(bell(PHI_PLUS).matrix, "A", (2, 2)), np.eye(2) / 2, atol=1e-12)
 
     def test_product_state_recovers_factor(self):
         rng = np.random.default_rng(3)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
         rho = validate_density(np.kron(rho_a, rho_b), 2, 3)
-        np.testing.assert_allclose(partial_trace(rho, "A"), rho_a, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(rho, "B"), rho_b, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(rho.matrix, "A", (2, 3)), rho_a, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(rho.matrix, "B", (2, 3)), rho_b, atol=1e-12)
 
     def test_classical_correlation_marginal(self):
         rho = validate_density(np.diag([0.5, 0.0, 0.0, 0.5]), 2, 2)
-        np.testing.assert_allclose(partial_trace(rho, "B"), np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(rho.matrix, "B", (2, 2)), np.eye(2) / 2, atol=1e-12)
 
     def test_unit_trace_preserved_on_random_states(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             rho = random_bipartite_density(rng, 2, 3)
             for keep in ("A", "B"):
-                assert abs(np.trace(partial_trace(rho, keep)) - 1.0) < 1e-9
+                assert abs(np.trace(partial_trace(rho.matrix, keep, (2, 3))) - 1.0) < 1e-9
 
     def test_bad_keep(self):
         with pytest.raises(ValueError, match="keep"):
-            partial_trace(bell(PHI_PLUS), "C")
+            partial_trace(bell(PHI_PLUS).matrix, "C", (2, 2))
+
+    @pytest.mark.parametrize("shape", [(6, 6), (2, 8)], ids=["size", "not_square"])
+    def test_dimension_mismatch(self, shape):
+        # (2, 8) holds 16 entries: it would reshape to (2, 2, 2, 2) unchecked.
+        for reduce in (partial_trace, partial_transpose):
+            with pytest.raises(ValueError, match=rf"^dimension mismatch: matrix \({shape[0]}, {shape[1]}\) vs dims \(2, 2\)$"):
+                reduce(np.zeros(shape), "A", (2, 2))
 
 
 class TestHermitianEig:
@@ -157,33 +164,31 @@ class TestPartialTranspose:
         expected = 0.5 * np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-        pt = partial_transpose(bell(PHI_PLUS), "B")
+        pt = partial_transpose(bell(PHI_PLUS).matrix, "B", (2, 2))
         np.testing.assert_allclose(pt, expected, atol=1e-12)
         assert abs(np.linalg.eigvalsh(pt).min() + 0.5) < 1e-12
 
     def test_product_state_stays_psd(self):
         rng = np.random.default_rng(5)
         rho = validate_density(np.kron(random_density(rng, 2), random_density(rng, 2)), 2, 2)
-        assert np.linalg.eigvalsh(partial_transpose(rho, "B")).min() > -1e-12
+        assert np.linalg.eigvalsh(partial_transpose(rho.matrix, "B", (2, 2))).min() > -1e-12
 
     def test_diagonal_state_unchanged(self):
         rho = validate_density(np.diag([0.5, 0.0, 0.0, 0.5]), 2, 2)
-        np.testing.assert_allclose(partial_transpose(rho, "B"), rho.matrix, atol=1e-15)
+        np.testing.assert_allclose(partial_transpose(rho.matrix, "B", (2, 2)), rho.matrix, atol=1e-15)
 
     def test_involution(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             rho = random_bipartite_density(rng, 2, 3)
             for party in ("A", "B"):
-                twice = partial_transpose(
-                    partial_transpose(rho, party), party, dims=(2, 3)
-                )
+                twice = partial_transpose(partial_transpose(rho.matrix, party, (2, 3)), party, (2, 3))
                 assert np.abs(twice - rho.matrix).max() <= 1e-12
 
     def test_hermiticity_preserved(self):
         rng = np.random.default_rng(13)
         rho = random_bipartite_density(rng, 3, 2)
-        pt = partial_transpose(rho, "A")
+        pt = partial_transpose(rho.matrix, "A", (3, 2))
         assert np.abs(pt - pt.conj().T).max() < 1e-12
 
 

@@ -5,12 +5,10 @@ from locclab import (
     BipartiteEnsemble,
     KrausInstrument,
     audit_rounds,
-    average_input_entanglement,
     average_output_entanglement,
     bound_suite,
     chain_mutual_information,
-    holevo_chi,
-    measure_branch,
+    entropy_summary,
     pure_state_density,
     run_protocol,
 )
@@ -33,6 +31,16 @@ from helpers import (
 
 def phi_mixture() -> BipartiteEnsemble:
     return BipartiteEnsemble(((0.5, bell(PHI_PLUS)), (0.5, bell(PHI_MINUS))))
+
+
+def one_round(ensemble, instrument) -> list[tuple[str, float, BipartiteEnsemble]]:
+    """(label, probability, posterior ensemble) of each outcome of one round on the root."""
+    leaves = run_protocol(ensemble, {(): instrument}, 1).leaves()
+    return [(leaf.path[-1], leaf.probability, leaf.ensemble) for leaf in leaves]
+
+
+def input_entanglement(ensemble) -> float:
+    return bound_suite(run_protocol(ensemble, {}, 0)).e_in_avg
 
 
 def x_instrument(party: str) -> KrausInstrument:
@@ -67,6 +75,22 @@ class TestKrausInstrument:
     def test_projective_requires_orthonormal_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):
             KrausInstrument.projective("A", [[1.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ([[1.0, 0.0], [0.0, np.inf]], "non-finite entry: the matrix holds a NaN or an infinity"),
+            ([[1.0, 0.0], [0.0, np.nan]], "non-finite entry: the matrix holds a NaN or an infinity"),
+            (np.zeros((0, 0)), "projective basis is empty"),
+        ],
+        ids=["inf", "nan", "empty"],
+    )
+    def test_malformed_projective_basis_is_named(self, basis, message):
+        # Rejected before the orthonormality Gram, where an inf entry raised
+        # a matmul RuntimeWarning and an empty basis numpy's reduction error.
+        with pytest.raises(ValueError) as exc:
+            KrausInstrument.projective("A", basis)
+        assert str(exc.value) == message
 
     def test_projective_roundtrip(self):
         instr = x_instrument("B")
@@ -103,11 +127,12 @@ class TestKrausInstrument:
             ("A", (("x", P0), ("x", P1)), "duplicate outcome label 'x'"),
             ("A", (("0", np.ones((2, 3))),), "outcome '0': Kraus operator must be square, got (2, 3)"),
             ("A", (("0", np.ones(2)),), "outcome '0': Kraus operator must be square, got (2,)"),
+            ("A", (("0", np.zeros((0, 0))),), "outcome '0': Kraus operator is empty"),
             ("B", (("0", P0), ("1", np.eye(3))), "outcome '1': size 3 != 2"),
             ("A", (("0", np.eye(2) * 0.5),), "incomplete instrument: max |sum K^dagger K - I| = 7.500e-01"),
             ("A", (("0", np.diag([1.0, np.nan])),), "incomplete instrument: max |sum K^dagger K - I| = nan"),
         ],
-        ids=["party", "no_outcomes", "duplicate", "non_square", "not_a_matrix", "size", "incomplete", "nan"],
+        ids=["party", "no_outcomes", "duplicate", "non_square", "not_a_matrix", "empty", "size", "incomplete", "nan"],
     )
     def test_single_fault_message(self, party, outcomes, message):
         # The scenario parser reports these texts after the field path, so
@@ -160,8 +185,10 @@ class TestKrausInstrument:
 
 
 class TestMeasureBranch:
+    """One measurement round on the root: a depth-1 ``run_protocol``, branch by branch."""
+
     def test_alice_z_collapses_both_hypotheses_identically(self):
-        branches = measure_branch(phi_mixture(), z_instrument("A"))
+        branches = one_round(phi_mixture(), z_instrument("A"))
         assert [label for label, _, _ in branches] == ["0", "1"]
         expected = {
             "0": pure_state_density([1, 0, 0, 0], 2, 2).matrix,
@@ -173,7 +200,7 @@ class TestMeasureBranch:
                 np.testing.assert_allclose(state.matrix, expected[label], atol=1e-12)
 
     def test_alice_x_plus_branch_posteriors(self):
-        branches = measure_branch(phi_mixture(), x_instrument("A"))
+        branches = one_round(phi_mixture(), x_instrument("A"))
         label, p, posterior = branches[0]
         assert label == "+" and p == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(posterior.probabilities(), [0.5, 0.5], atol=1e-12)
@@ -189,18 +216,18 @@ class TestMeasureBranch:
     def test_outcome_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
         sc = random_scenario(12)
-        branches = measure_branch(sc.ensemble, x_instrument("A"))
+        branches = one_round(sc.ensemble, x_instrument("A"))
         assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         instr = KrausInstrument.projective("A", np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            measure_branch(phi_mixture(), instr)
+            one_round(phi_mixture(), instr)
 
     def test_impossible_outcome_pruned(self):
         # measuring |00> in the Z basis never yields outcome "1" on A
         ens = BipartiteEnsemble(((1.0, pure_state_density([1, 0, 0, 0], 2, 2)),))
-        branches = measure_branch(ens, z_instrument("A"))
+        branches = one_round(ens, z_instrument("A"))
         assert [label for label, _, _ in branches] == ["0"]
         assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -302,7 +329,7 @@ class TestAverageEntanglement:
         assert average_output_entanglement(t) == pytest.approx(0.0, abs=1e-9)
 
     def test_input_bell_mixture(self):
-        assert average_input_entanglement(phi_mixture()) == pytest.approx(1.0, abs=1e-9)
+        assert input_entanglement(phi_mixture()) == pytest.approx(1.0, abs=1e-9)
 
     def test_input_product_states(self):
         ens = BipartiteEnsemble(
@@ -311,13 +338,13 @@ class TestAverageEntanglement:
                 (0.5, pure_state_density([0, 0, 0, 1], 2, 2)),
             )
         )
-        assert average_input_entanglement(ens) == pytest.approx(0.0, abs=1e-12)
+        assert input_entanglement(ens) == pytest.approx(0.0, abs=1e-12)
 
     def test_input_half_bell_half_product(self):
         ens = BipartiteEnsemble(
             ((0.5, bell(PHI_PLUS)), (0.5, pure_state_density([1, 0, 0, 0], 2, 2)))
         )
-        assert average_input_entanglement(ens) == pytest.approx(0.5, abs=1e-9)
+        assert input_entanglement(ens) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestBoundSuite:
@@ -357,7 +384,7 @@ class TestBoundSuite:
             sc = random_scenario(seed)
             t = run_protocol(sc.ensemble, sc.chooser, sc.depth)
             report = bound_suite(t)
-            assert report.i_locc <= holevo_chi(t.root_ensemble) + 1e-7
+            assert report.i_locc <= entropy_summary(t.root_ensemble)["holevo"] + 1e-7
 
 
 class TestAuditRounds:

@@ -18,7 +18,6 @@ from locclab import (
     bundled_scenario_path,
     cli,
     dump_scenario,
-    holevo_chi,
     load_scenario,
     parse_scenario,
     pure_state_density,
@@ -28,7 +27,7 @@ from locclab import (
 from locclab.linalg import block_eigvalsh
 from locclab.scenario import ProtocolStep, Scenario
 
-from helpers import PHI_PLUS, Z_BASIS, bell, json_mismatches
+from helpers import PHI_PLUS, bell, json_mismatches
 from reference_scenario import reference_random_scenario
 
 GOLDEN_DUMPS = Path(__file__).parent / "golden" / "dump"
@@ -577,11 +576,10 @@ NAN = float("nan")
         lambda: KrausInstrument(party="A", outcomes=(("0", np.diag([1.0, NAN])),)),
         lambda: KrausInstrument.projective("A", [[1.0, 0.0], [0.0, NAN]]),
         lambda: pure_state_density([1.0, 0.0, 0.0, NAN], 2, 2),
-        lambda: holevo_chi(((NAN, Z_BASIS / 2), (1.0, Z_BASIS / 2))),
         lambda: SpectralEnsemble(2, 2, ((NAN, np.array([1.0, 0.0, 0.0, 0.0])),), False),
         lambda: SpectralEnsemble(2, 2, ((1.0, np.array([NAN, 0.0, 0.0, 0.0])),), False),
     ],
-    ids=["ensemble", "bell_spec", "kraus", "projective", "pure_state", "holevo_chi", "spectral_weight", "spectral_vector"],
+    ids=["ensemble", "bell_spec", "kraus", "projective", "pure_state", "spectral_weight", "spectral_vector"],
 )
 def test_nan_is_rejected_by_constructors(build):
     with pytest.raises(ValueError):

@@ -1,14 +1,14 @@
 """A state's spectral ensemble enters the outcome tree as kets.
 
-``run_protocol``, ``measure_branch``, ``average_input_entanglement`` and
-``entropy_summary`` take a ``SpectralEnsemble`` as they take a
-``BipartiteEnsemble``: its kets become the root's rank-one factors with no
-eigensolve. These tests check that every report field agrees with the dense
-ensemble of the same kets within 1e-12, check ``entropy_summary`` against an
-oracle that shares none of its route, and record the shapes solved for a
-mixed d = 8 Bell-diagonal scenario: no d^2 x d^2 matrix per member.
-``entropy_summary`` of a spectral ensemble solves no d^2 x d^2 matrix at
-all: S is the entropy of its weights.
+``run_protocol`` (one round or several) and ``entropy_summary`` take a
+``SpectralEnsemble`` as they take a ``BipartiteEnsemble``: its kets become
+the root's rank-one factors with no eigensolve. These tests check that
+every report field agrees with the dense ensemble of the same kets within
+1e-12, check ``entropy_summary`` against an oracle that shares none of its
+route, and record the shapes solved for a mixed d = 8 Bell-diagonal
+scenario: no d^2 x d^2 matrix per member. ``entropy_summary`` of a
+spectral ensemble solves no d^2 x d^2 matrix at all: S is the entropy of
+its weights.
 """
 
 import contextlib
@@ -26,12 +26,10 @@ from locclab import (
     BipartiteEnsemble,
     KrausInstrument,
     audit_rounds,
-    average_input_entanglement,
     bell_diagonal,
     bound_suite,
     cli,
     entropy_summary,
-    measure_branch,
     pure_state_density,
     run_protocol,
     spectral_ensemble,
@@ -103,7 +101,6 @@ def test_spectral_and_dense_ensembles_give_the_same_tree(seed, depth, kind):
     assert_fields_agree(bound_suite(new), bound_suite(old), "bound_suite")
     for a, e in zip(audit_rounds(new), audit_rounds(old), strict=True):
         assert_fields_agree(a, e, f"round {e.round_index}")
-    assert abs(average_input_entanglement(se) - average_input_entanglement(dense(se))) <= TOL
     assert_summaries_agree(entropy_summary(se), entropy_summary(dense(se)))
     assert_summaries_agree(entropy_summary(se), entropy_summary_oracle(dense(se)))
     # The root node's ensemble is rebuilt from the kets.
@@ -116,10 +113,10 @@ def test_spectral_and_dense_ensembles_give_the_same_tree(seed, depth, kind):
 def test_measure_branch_takes_a_spectral_ensemble(kind):
     se = spectral_ensemble(bell_state(kind, np.random.default_rng(3)))
     instrument = projective_chooser(3, "B")(())
-    new, old = measure_branch(se, instrument), measure_branch(dense(se), instrument)
-    for (label, p, ens), (label_old, p_old, ens_old) in zip(new, old, strict=True):
-        assert label == label_old and abs(p - p_old) <= TOL
-        np.testing.assert_allclose(ens.probabilities(), ens_old.probabilities(), rtol=0, atol=TOL)
+    new, old = (run_protocol(ensemble, {(): instrument}, 1).leaves() for ensemble in (se, dense(se)))
+    for leaf, leaf_old in zip(new, old, strict=True):
+        assert leaf.path == leaf_old.path and abs(leaf.probability - leaf_old.probability) <= TOL
+        np.testing.assert_allclose(leaf.ensemble.probabilities(), leaf_old.ensemble.probabilities(), rtol=0, atol=TOL)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
