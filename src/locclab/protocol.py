@@ -104,12 +104,14 @@ class KrausInstrument:
     with party and labels by ``_check_instruments``, which the instruments
     that ``projective`` builds without ``__post_init__`` ran as well. Those
     also keep their basis kets, one row per outcome, as the read-only
-    ``kets``; every other instrument has ``kets`` None.
+    ``kets``; every other instrument has ``kets`` None. The operators of
+    ``outcomes`` are views of one read-only (K, d, d) stack, ``ops``.
     """
 
     party: str
     outcomes: tuple[tuple[str, np.ndarray], ...]
     kets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    ops: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.outcomes:
@@ -127,10 +129,11 @@ class KrausInstrument:
         _check_instruments(self.party, stack[None], [labels])
         stack.setflags(write=False)
         object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
+        object.__setattr__(self, "ops", stack)
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0][1].shape[0]
+        return self.ops.shape[-1]
 
     @classmethod
     def projective(cls, party: str, basis, labels=None) -> "KrausInstrument":
@@ -199,13 +202,13 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list[tuple[str, ...]
     _check_instruments(party, projectors, labels)
     kets.setflags(write=False)
     projectors.setflags(write=False)
-    ops = list(projectors.reshape(-1, dim, dim))
     instruments = []
-    for h, (basis, names) in enumerate(zip(list(kets), labels)):
+    for basis, ops, names in zip(list(kets), list(projectors), labels):
         instrument = object.__new__(KrausInstrument)
         object.__setattr__(instrument, "party", party)
-        object.__setattr__(instrument, "outcomes", tuple(zip(names, ops[h * dim : (h + 1) * dim])))
+        object.__setattr__(instrument, "outcomes", tuple(zip(names, ops)))
         object.__setattr__(instrument, "kets", basis)
+        object.__setattr__(instrument, "ops", ops)
         instruments.append(instrument)
     return instruments
 
@@ -302,7 +305,7 @@ def _expand(
     dim_a, dim_b = dims
     party = instruments[0].party
     local_dim = dim_a if party == "A" else dim_b
-    width = max(len(instrument.outcomes) for instrument in instruments)
+    width = max(len(instrument.ops) for instrument in instruments)
     ops = np.zeros((len(instruments), width, local_dim, local_dim), dtype=complex)
     for n, instrument in enumerate(instruments):
         if instrument.dim != local_dim:
@@ -310,8 +313,7 @@ def _expand(
                 f"dimension mismatch: instrument on {instrument.party} has size {instrument.dim}, "
                 f"party dimension is {local_dim}"
             )
-        for k, (_, op) in enumerate(instrument.outcomes):
-            ops[n, k] = op
+        ops[n, : len(instrument.ops)] = instrument.ops
 
     # (N, K, M, D, r): K (x) I or I (x) K applied to every member factor of
     # every node under every outcome; padded outcomes stay zero.

@@ -19,15 +19,16 @@ by the command line's ``--tol`` alone.
 
 Complex numbers are serialized as [re, im] pairs, matrices as row-major
 nested arrays; a projective basis is such a matrix, one ket per row,
-read by the same reader as Kraus operators and ``matrix`` members. Only
-``parse_scenario`` and ``dump_scenario`` know this wire format: parsing
-is strict and errors carry the offending field path, and
-``random_scenario`` builds its typed ``Scenario`` straight from the arrays
-it draws. A projective instrument keeps the kets it was built from, and
-the dump writes them back; any other instrument is dumped as its Kraus
-operators. Parsing keeps every number as written (``validate_density``
-checks a matrix and never rewrites it), so dump -> parse -> dump is
-byte-stable.
+read by the same reader as Kraus operators and ``matrix`` members; an
+override's key is the labels of its outcome history joined by commas
+("0,1,1"), a tuple of labels once parsed. Only ``parse_scenario`` and
+``dump_scenario`` know this wire format: parsing is strict and errors
+carry the offending field path, and ``random_scenario`` builds its typed
+``Scenario`` straight from the arrays it draws. A projective instrument
+keeps the kets it was built from, and the dump writes them back; any
+other instrument is dumped as its Kraus operators. Parsing keeps every
+number as written (``validate_density`` checks a matrix and never
+rewrites it), so dump -> parse -> dump is byte-stable.
 
 A step's override table is read in one batch when every entry is a
 projective basis. Its keys are tested against the histories known to
@@ -148,17 +149,11 @@ def _to_pairs(array: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """One protocol round: default instrument plus per-history overrides."""
+    """One protocol round: default instrument plus overrides keyed by history, a tuple of labels."""
 
     party: str
     instrument: KrausInstrument | None
-    overrides: dict[str, KrausInstrument]
-
-    def for_history(self, history: tuple[str, ...]) -> KrausInstrument:
-        instrument = self.overrides.get(",".join(history), self.instrument)
-        if instrument is None:
-            raise KeyError(history)
-        return instrument
+    overrides: dict[tuple[str, ...], KrausInstrument]
 
 
 @dataclass(frozen=True)
@@ -183,17 +178,16 @@ class Scenario:
     random: RandomSpec | None
 
     def chooser(self, history: tuple[str, ...]) -> KrausInstrument:
-        """Instrument of the step after ``history``. A history that no step
-        covers is a gap in the file: the ScenarioError names the step, and
-        ``cli.run_scenario`` puts the file's path before it."""
+        """``overrides.get(history, instrument)`` of the step after ``history``;
+        KeyError past the last step. At a gap in the file a ScenarioError names
+        the step, and ``cli.run_scenario`` puts the file's path before it."""
         if len(history) >= len(self.steps):
             raise KeyError(history)
-        try:
-            return self.steps[len(history)].for_history(history)
-        except KeyError:
-            raise ScenarioError(
-                f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}"
-            ) from None
+        step = self.steps[len(history)]
+        instrument = step.overrides.get(history, step.instrument)
+        if instrument is None:
+            raise ScenarioError(f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}")
+        return instrument
 
     @property
     def depth(self) -> int:
@@ -203,6 +197,8 @@ class Scenario:
 def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument:
     """Instrument on ``party``, whose local dimension ``dim`` it must match."""
     obj = _as_dict(value, path)
+    if "projective" in obj and "kraus" in obj:
+        _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list, not both")
     labels = None
     if "labels" in obj:
         labels = [_as_str(x, f"{path}.labels[{i}]") for i, x in enumerate(_as_list(obj["labels"], f"{path}.labels"))]
@@ -241,18 +237,18 @@ def _instrument_payload(instrument: KrausInstrument) -> dict:
     return {"labels": labels, "kraus": [_to_pairs(op) for _, op in instrument.outcomes]}
 
 
-def _parse_projective_table(table: dict, party: str, dim: int) -> dict[str, KrausInstrument] | None:
+def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInstrument] | None:
     """Every override of a step at once, when all are projective and valid.
 
     The kets of the H overrides are read as one (H, K, K, 2) array of
     [re, im] pairs, K the party's dimension ``dim``, and each check runs
     once for the whole table: shape, leaf types, finiteness, labels, then
-    ``_projective_stack``'s orthonormality and completeness. Returns None
-    when any check fails or an entry is not a projective object; the caller
-    then parses entry by entry, which names the field.
+    ``_projective_stack``'s orthonormality and completeness. Returns the
+    instruments in table order, or None when a check fails or an entry is
+    not a projective object without 'kraus'; the entry parse names the field.
     """
     values = list(table.values())
-    if not all(type(value) is dict and "projective" in value for value in values):
+    if not all(type(value) is dict and "projective" in value and "kraus" not in value for value in values):
         return None
     rows = [value["projective"] for value in values]
     # Each level must hold lists of the right length, as the entry parse
@@ -287,43 +283,44 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> dict[str, Krau
             return None
     try:
         # A view of the [re, im] pairs: each ket entry is complex(re, im) bit for bit.
-        return dict(zip(table, _projective_stack(party, numbers.view(complex)[..., 0], labels)))
+        return _projective_stack(party, numbers.view(complex)[..., 0], labels)
     except ValueError:
         return None
 
 
-def _check_history_key(key: str, steps: list[ProtocolStep], path: str, known: list[set[str]]) -> None:
-    """Reject an override key that no outcome history can reach.
+def _check_history_key(key: str, steps: list[ProtocolStep], path: str, known: list[set]) -> tuple[str, ...]:
+    """Split an override key into its history, rejecting it if no outcome history can reach it.
 
-    The key of step i lists i comma-separated labels, each an outcome of
-    the instrument that the labels before it select. Only the key's own
-    prefixes are walked, never the whole tree. ``known[i]`` holds the keys
-    of i labels already found to reach step i; the walk starts after the
-    longest such prefix and adds each prefix that passes, so over a table
-    each prefix is checked once. A known prefix has passed every check, so
-    the message does not depend on ``known``.
+    The key of step i lists i labels, each an outcome of the instrument
+    that the labels before it select. Only the history's own prefixes are
+    walked, never the whole tree. ``known[i]`` holds the histories of i
+    labels already found to reach step i; the walk starts after the longest
+    such prefix and adds each prefix that passes, so over a table each
+    prefix is checked once. A known prefix has passed every check, so the
+    message does not depend on ``known``.
     """
-    labels = key.split(",") if steps else []
+    labels = tuple(key.split(",")) if steps else ()
     if ",".join(labels) != key:
         _fail(path, f"step 1 is reached only by the empty history, got key {key!r}")
     if len(labels) != len(steps):
         _fail(path, f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
     start = len(labels)
-    while ",".join(labels[:start]) not in known[start]:
+    while labels[:start] not in known[start]:
         start -= 1
     for i, label in enumerate(labels[start:], start):
-        prefix = tuple(labels[:i])
-        try:
-            outcomes = [name for name, _ in steps[i].for_history(prefix).outcomes]
-        except KeyError:
+        prefix = labels[:i]
+        instrument = steps[i].overrides.get(prefix, steps[i].instrument)
+        if instrument is None:
             _fail(path, f"no instrument at step {i + 1} for history {','.join(prefix)!r}")
+        outcomes = [name for name, _ in instrument.outcomes]
         if label not in outcomes:
             _fail(
                 path,
                 f"label {label!r} is not an outcome of step {i + 1} after history "
                 f"{','.join(prefix)!r} (outcomes {outcomes}); no history reaches {key!r}",
             )
-        known[i + 1].add(",".join(labels[: i + 1]))
+        known[i + 1].add(labels[: i + 1])
+    return labels
 
 
 def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble:
@@ -426,8 +423,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
-        # known[i]: history keys found to reach step i.
-        known = [{""}]
+        # known[i]: histories found to reach step i.
+        known = [{()}]
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path)
@@ -439,21 +436,21 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             if step_obj.get("instrument") is not None:
                 default = _parse_instrument(step_obj["instrument"], party, dim, f"{step_path}.instrument")
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides")
-            overrides = None
+            instruments = None
             if table:
                 try:
-                    for key in table:
-                        _check_history_key(key, steps, step_path, known)
+                    histories = [_check_history_key(key, steps, step_path, known) for key in table]
                 except ScenarioError:
                     pass  # the per-entry parse below names the first bad entry
                 else:
-                    overrides = _parse_projective_table(table, party, dim)
-            if overrides is None:
-                overrides = {}
+                    instruments = _parse_projective_table(table, party, dim)
+            if instruments is None:
+                histories, instruments = [], []
                 for key, value in table.items():
                     key_path = f"{step_path}.overrides[{key!r}]"
-                    _check_history_key(key, steps, key_path, known)
-                    overrides[key] = _parse_instrument(value, party, dim, key_path)
+                    histories.append(_check_history_key(key, steps, key_path, known))
+                    instruments.append(_parse_instrument(value, party, dim, key_path))
+            overrides = dict(zip(histories, instruments))
             if default is None and not overrides:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
             steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
@@ -504,7 +501,7 @@ def _canonical_payload(s: Scenario) -> dict:
                 "party": step.party,
                 "instrument": None if step.instrument is None else _instrument_payload(step.instrument),
                 "overrides": {
-                    key: _instrument_payload(instr) for key, instr in sorted(step.overrides.items())
+                    ",".join(history): _instrument_payload(instr) for history, instr in step.overrides.items()
                 },
             }
             for step in s.steps
@@ -578,11 +575,11 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     labels = ("0", "1")
     for level in range(depth):
         party = "A" if rng.integers(2) == 0 else "B"
-        keys = [",".join(history) for history in itertools.product(labels, repeat=level)]
+        histories = list(itertools.product(labels, repeat=level))
         # Basis kets are the rows of U^T.
-        kets = np.ascontiguousarray(_haar_unitaries(len(keys), 2, rng).swapaxes(1, 2))
-        instruments = dict(zip(keys, _projective_stack(party, kets, [labels] * len(keys))))
-        steps.append(ProtocolStep(party=party, instrument=instruments.pop("", None), overrides=instruments))
+        kets = np.ascontiguousarray(_haar_unitaries(len(histories), 2, rng).swapaxes(1, 2))
+        instruments = dict(zip(histories, _projective_stack(party, kets, [labels] * len(histories))))
+        steps.append(ProtocolStep(party=party, instrument=instruments.pop((), None), overrides=instruments))
 
     return Scenario(
         kind="protocol" if depth > 0 else "ensemble",

@@ -183,6 +183,25 @@ class TestKrausInstrument:
         with pytest.raises(TypeError):
             KrausInstrument(party="A", outcomes=z_instrument("A").outcomes, kets=Z_BASIS)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: KrausInstrument(party="A", outcomes=(("0", P0), ("1", P1))),
+            lambda: x_instrument("B"),
+            lambda: random_scenario(3, protocol_depth=2).steps[1].overrides[("1",)],
+        ],
+        ids=["kraus", "projective", "projective_stack"],
+    )
+    def test_outcomes_are_views_of_one_stack(self, build):
+        # The engine reads ops; the labelled outcomes must be its operators.
+        instrument = build()
+        assert not instrument.ops.flags.writeable
+        assert np.array_equal(instrument.ops, np.stack([op for _, op in instrument.outcomes]))
+        for k, (_, op) in enumerate(instrument.outcomes):
+            assert np.shares_memory(op, instrument.ops[k])
+        with pytest.raises(TypeError):
+            KrausInstrument(party=instrument.party, outcomes=instrument.outcomes, ops=instrument.ops)
+
 
 class TestMeasureBranch:
     """One measurement round on the root: a depth-1 ``run_protocol``, branch by branch."""
@@ -265,10 +284,12 @@ class TestRunProtocol:
 
     def test_non_finite_posterior_rejected(self):
         # KrausInstrument rejects a NaN operator, so the NaN goes in behind
-        # its check: the engine must raise, not let the keep-prior rule and
-        # the pruning absorb it.
+        # its check, into the operator stack the engine reads: the engine
+        # must raise, not let the keep-prior rule and the pruning absorb it.
         instrument = x_instrument("A")
-        object.__setattr__(instrument, "outcomes", (("+", np.full((2, 2), np.nan)), instrument.outcomes[1]))
+        ops = instrument.ops.copy()
+        ops[0] = np.nan
+        object.__setattr__(instrument, "ops", ops)
         with pytest.raises(ValueError, match="non-finite posterior state"):
             run_protocol(phi_mixture(), lambda h: instrument, 1)
 

@@ -183,6 +183,13 @@ class TestFieldNamedErrors:
         data["ensemble"][1]["matrix"] = [[[1, 0]]]
         assert parse_error(data) == "s.ensemble[1]: member needs a 'vector' or a 'matrix', not both"
 
+    def test_instrument_with_projective_and_kraus(self):
+        # The Kraus list is malformed too: it must not be skipped silently.
+        data = protocol([{"party": "A", "instrument": {**Z, "kraus": [[[[0.5, 0]]]]}}])
+        assert parse_error(data) == (
+            "s.protocol[0].instrument: instrument needs a 'projective' basis or a 'kraus' operator list, not both"
+        )
+
     def test_incomplete_instrument(self):
         half = {"kraus": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}
         data = protocol([{"party": "A", "instrument": half}])
@@ -209,6 +216,14 @@ class TestOverrideKeys:
         with pytest.raises(ScenarioError) as exc:
             run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
         assert str(exc.value) == "protocol[1]: no instrument for history '1'"
+
+    def test_history_past_the_last_step(self):
+        # A KeyError, which run_protocol reports as an undefined chooser.
+        scenario = random_scenario(5, protocol_depth=2)
+        with pytest.raises(KeyError):
+            scenario.chooser(("0", "1"))
+        with pytest.raises(ValueError, match="chooser undefined for history"):
+            run_protocol(scenario.ensemble, scenario.chooser, scenario.depth + 1)
 
     def test_gap_on_a_pruned_history_runs(self):
         data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z}}])
@@ -357,10 +372,15 @@ class TestBatchedOverrideParse:
                 lambda table: table.update({"0,1": INCOMPLETE_KRAUS}),
                 "s.protocol[2].overrides['0,1']: incomplete instrument: max |sum K^dagger K - I| = 7.500e-01",
             ),
+            (
+                lambda table: table["1,0"].update(kraus=Z_KRAUS),
+                "s.protocol[2].overrides['1,0']: instrument needs a 'projective' basis or a 'kraus' "
+                "operator list, not both",
+            ),
         ],
         ids=[
             "bool", "string", "nan", "inf", "ragged", "tuple", "non_square", "empty", "non_orthonormal", "incomplete",
-            "duplicate_label", "comma_label", "label_count", "unreachable_key", "mixed_kraus",
+            "duplicate_label", "comma_label", "label_count", "unreachable_key", "mixed_kraus", "mixed_fields",
         ],
     )
     def test_bad_override_keeps_its_message(self, edit, message):
@@ -373,7 +393,7 @@ class TestBatchedOverrideParse:
         scenario = parse_scenario(data)
         step = data["protocol"][2]
         for key, instrument in scenario.steps[2].overrides.items():
-            single = parse_scenario(protocol([{"party": "A", "instrument": step["overrides"][key]}]))
+            single = parse_scenario(protocol([{"party": "A", "instrument": step["overrides"][",".join(key)]}]))
             assert_same_instrument(instrument, single.steps[0].instrument)
 
     def test_integer_too_large_for_a_float(self):
@@ -388,8 +408,8 @@ class TestBatchedOverrideParse:
         data = adaptive_table()
         data["protocol"][2]["overrides"]["0,1"] = {"labels": ["0", "1"], "kraus": Z_KRAUS}
         overrides = parse_scenario(data).steps[2].overrides
-        assert overrides["0,1"].kets is None
-        assert all(overrides[key].kets is not None for key in ("0,0", "1,0", "1,1"))
+        assert overrides[("0", "1")].kets is None
+        assert all(overrides[key].kets is not None for key in (("0", "0"), ("1", "0"), ("1", "1")))
 
 
 Z3 = {"projective": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}
@@ -420,9 +440,10 @@ class TestInstrumentSize:
         assert parse_error(data) == "s.protocol[0].instrument: instrument on B has size 2, party dimension is 3"
 
 
-def adaptive_scenario(depth: int, seed: int) -> Scenario:
+def adaptive_scenario(depth: int, seed: int, label_pairs=None) -> Scenario:
     """Depth-``depth`` adaptive projective protocol built in memory: one
-    random basis per outcome history, with labels that differ per step."""
+    random basis per outcome history, with labels that differ per step, or
+    that cycle through ``label_pairs`` when it is given."""
     rng = np.random.default_rng(seed)
     members = []
     for p in rng.dirichlet(np.ones(3)):
@@ -431,12 +452,12 @@ def adaptive_scenario(depth: int, seed: int) -> Scenario:
     steps, histories = [], [()]
     for level in range(depth):
         party = "AB"[level % 2]
-        labels = (f"u{level}", f"d{level}")
+        labels = label_pairs[level % len(label_pairs)] if label_pairs else (f"u{level}", f"d{level}")
         overrides = {}
         for history in histories:
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            overrides[",".join(history)] = KrausInstrument.projective(party, np.linalg.qr(g)[0].T, labels)
-        default = overrides.pop("") if level == 0 else None
+            overrides[history] = KrausInstrument.projective(party, np.linalg.qr(g)[0].T, labels)
+        default = overrides.pop(()) if level == 0 else None
         steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
         histories = [history + (label,) for history in histories for label in labels]
     return Scenario(
@@ -445,13 +466,25 @@ def adaptive_scenario(depth: int, seed: int) -> Scenario:
     )
 
 
+# Labels below the key separator (' ' < '!' < '+' < ','): the joined keys
+# sort as '+!, ' < '+,+', their histories as ('+', '+') < ('+!', ' ').
+BELOW_COMMA = [("+", "+!"), (" ", "+"), ("+!", " ")]
+
+
 @pytest.mark.parametrize(
-    "build", [lambda: [random_scenario(seed) for seed in range(64)], lambda: [adaptive_scenario(8, 3)]],
-    ids=["random_seeds_0_63", "adaptive_depth_8"],
+    "build",
+    [
+        lambda: [random_scenario(seed) for seed in range(64)],
+        lambda: [adaptive_scenario(8, 3)],
+        lambda: [adaptive_scenario(6, 5, BELOW_COMMA)],
+    ],
+    ids=["random_seeds_0_63", "adaptive_depth_8", "labels_below_comma"],
 )
 def test_instruments_survive_dump_and_parse_exactly(build):
     for scenario in build():
-        again = parse_scenario(json.loads(dump_scenario(scenario)))
+        text = dump_scenario(scenario)
+        again = parse_scenario(json.loads(text))
+        assert dump_scenario(again) == text
         for step, ref in zip(again.steps, scenario.steps, strict=True):
             assert step.party == ref.party
             assert (step.instrument is None) == (ref.instrument is None)
@@ -460,6 +493,7 @@ def test_instruments_survive_dump_and_parse_exactly(build):
             assert step.overrides.keys() == ref.overrides.keys()
             for key, instrument in step.overrides.items():
                 assert_same_instrument(instrument, ref.overrides[key])
+                assert again.chooser(key) is instrument
 
 
 class TestCanonicalDump:
@@ -527,7 +561,7 @@ class TestCanonicalDump:
         dumped = json.loads(dump_scenario(scenario))
         for step, payload in zip(scenario.steps, dumped["protocol"]):
             for key, instrument in step.overrides.items():
-                kets = np.array(payload["overrides"][key]["projective"]) @ [1, 1j]
+                kets = np.array(payload["overrides"][",".join(key)]["projective"]) @ [1, 1j]
                 assert np.array_equal(kets, instrument.kets)
 
 
