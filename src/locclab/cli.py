@@ -11,7 +11,8 @@ entropy         emit S, S_A, S_B and the Holevo quantity of the ensemble.
 ``COMMAND_TABLE`` maps each command to a body function and a renderer. The
 body function turns one concrete scenario into the command's report fields and
 its checks, taken from the result dataclasses (``BoundReport``,
-``RoundAudit``, ``DistillationReport``) with ``dataclasses.asdict``;
+``RoundAudit``, ``DistillationReport``) with ``dataclasses.asdict``, under
+their own field names; ``bounds-verify`` adds only ``BoundReport.slacks()``.
 ``run_scenario`` wraps each trial in the same envelope (trial, scenario,
 seed, dims, checks, passed). The renderer turns one trial into its table
 lines. ``COMMANDS`` and the argparse choices come from the table.
@@ -117,14 +118,8 @@ def _require_measurable(spec: BellDiagonalSpec, path) -> None:
 def _bounds_body(scenario: Scenario, tol: float):
     transcript, body = _transcript(scenario)
     report = bound_suite(transcript)
-    # The bound_* fields are reported once, under their bounds() names.
-    measured = dataclasses.asdict(report).items()
-    body.update((key, value) for key, value in measured if not key.startswith("bound_"))
-    body["bounds"], body["slacks"] = report.bounds(), report.slacks()
-    body["audits"] = [
-        {("round" if key == "round_index" else key): value for key, value in dataclasses.asdict(a).items()}
-        for a in audit_rounds(transcript)
-    ]
+    body.update(dataclasses.asdict(report), slacks=report.slacks())
+    body["audits"] = [dataclasses.asdict(a) for a in audit_rounds(transcript)]
     checks = [
         _check(f"slack:{name}", slack, -tol, ">=") for name, slack in body["slacks"].items() if slack is not None
     ]

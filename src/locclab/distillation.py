@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ZERO_EIGENVALUE, SpectralEnsemble, is_ppt, shannon_entropy
+from .entropy import NEGATIVE_WEIGHT_TOL, WEIGHT_SUM_TOL, ZERO_EIGENVALUE, SpectralEnsemble, is_ppt, shannon_entropy
 from .linalg import (
     DEGENERATE_GAP,
     DensityOperator,
@@ -47,10 +47,10 @@ class BellDiagonalSpec:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != self.d * self.d:
             raise ValueError(f"need {self.d * self.d} weights, got {len(probs)}")
-        if min(probs) < -1e-12:
+        if min(probs) < -NEGATIVE_WEIGHT_TOL:
             raise ValueError(f"negative weight {min(probs)}")
         total = sum(probs)
-        if not abs(total - 1.0) <= 1e-9:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
 
@@ -168,8 +168,6 @@ def _bell_matrix(d: int) -> np.ndarray:
     omega = exp(2 pi i/d), at row j*d + m with m = (j + b) mod d, and zero
     elsewhere. For d = 2 the order is Phi+, Psi+, Phi-, Psi-.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
     j = np.arange(d)[:, None, None]
     a = np.arange(d)[None, :, None]
     b = np.arange(d)[None, None, :]

@@ -23,6 +23,8 @@ from .linalg import (
 
 ZERO_EIGENVALUE = 1e-12
 PURITY_TOL = 1e-9
+NEGATIVE_WEIGHT_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-9
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -32,9 +34,9 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 class BipartiteEnsemble:
     """Weighted list of bipartite states sharing the same dimensions.
 
-    Probabilities must be nonnegative and sum to one within 1e-9; members
-    with probability zero are allowed (they arise as impossible hypotheses
-    in post-measurement ensembles).
+    Probabilities must be nonnegative and sum to one within WEIGHT_SUM_TOL;
+    members with probability zero are allowed (they arise as impossible
+    hypotheses in post-measurement ensembles).
     """
 
     members: tuple[tuple[float, DensityOperator], ...]
@@ -46,14 +48,14 @@ class BipartiteEnsemble:
         dim_a, dim_b = members[0][1].dim_a, members[0][1].dim_b
         total = 0.0
         for i, (p, state) in enumerate(members):
-            if p < -1e-12:
+            if p < -NEGATIVE_WEIGHT_TOL:
                 raise ValueError(f"member {i}: negative probability {p}")
             if (state.dim_a, state.dim_b) != (dim_a, dim_b):
                 raise ValueError(
                     f"member {i}: dims ({state.dim_a}, {state.dim_b}) differ from ({dim_a}, {dim_b})"
                 )
             total += p
-        if not abs(total - 1.0) <= 1e-9:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 
@@ -96,12 +98,12 @@ class SpectralEnsemble:
             raise ValueError("spectral ensemble needs at least one member")
         shape = (self.dim_a * self.dim_b,)
         for i, (p, v) in enumerate(self.members):
-            if p < -1e-12:
+            if p < -NEGATIVE_WEIGHT_TOL:
                 raise ValueError(f"member {i}: negative weight {p}")
             if np.shape(v) != shape:
                 raise ValueError(f"member {i}: vector shape {np.shape(v)} is not {shape}")
         total = sum(p for p, _ in self.members)
-        if not abs(total - 1.0) <= 1e-9:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         vectors = np.column_stack([v for _, v in self.members])
         gram = vectors.conj().T @ vectors

@@ -75,6 +75,15 @@ def _require_finite(mat: np.ndarray) -> None:
         raise ValueError("non-finite entry: the matrix holds a NaN or an infinity")
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """``hermitize(mat)`` of a finite square matrix within DEFAULT_TOL of Hermitian."""
+    _require_finite(mat)
+    herm_dev = np.abs(mat - mat.conj().T).max()
+    if herm_dev > DEFAULT_TOL:
+        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
+    return hermitize(mat)
+
+
 def _blocks(herm: np.ndarray) -> list[np.ndarray]:
     """Index sets of the blocks that the exact zero pattern of ``herm`` decouples.
 
@@ -164,14 +173,11 @@ def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
         raise ValueError(
             f"dimension mismatch: expected {dim}x{dim} for dims ({dim_a}, {dim_b}), got {mat.shape}"
         )
-    _require_finite(mat)
-    herm_dev = np.abs(mat - mat.conj().T).max()
-    if herm_dev > DEFAULT_TOL:
-        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
+    herm = _hermitian_part(mat)
     trace_dev = abs(np.trace(mat) - 1.0)
     if not trace_dev <= DEFAULT_TOL:
         raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
-    lowest = block_eigvalsh(mat)[0]
+    lowest = _eigvalsh_blocks(herm, _blocks(herm))[0]
     if lowest < -DEFAULT_TOL:
         raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-DEFAULT_TOL:.1e}")
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(mat))
@@ -330,11 +336,7 @@ def hermitian_eig(matrix) -> HermitianSpectrum:
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    _require_finite(mat)
-    herm_dev = np.abs(mat - mat.conj().T).max()
-    if herm_dev > DEFAULT_TOL:
-        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
-    herm = hermitize(mat)
+    herm = _hermitian_part(mat)
     blocks = _blocks(herm)
     values, vectors = _eigh_blocks(herm, blocks)
 

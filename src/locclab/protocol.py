@@ -496,7 +496,7 @@ def run_protocol(
     dims = (ensemble.dim_a, ensemble.dim_b)
     levels = [_root_level(ensemble)]
     round_parties: list[str] = []
-    for round_index in range(1, depth + 1):
+    for k in range(1, depth + 1):
         instruments = []
         for path in levels[-1].paths:
             try:
@@ -505,7 +505,7 @@ def run_protocol(
                 raise ValueError(f"chooser undefined for history {path!r}") from None
             if instruments and instrument.party != instruments[0].party:
                 raise ValueError(
-                    f"round {round_index}: party {instrument.party!r} conflicts with "
+                    f"round {k}: party {instrument.party!r} conflicts with "
                     f"{instruments[0].party!r} chosen on another branch"
                 )
             instruments.append(instrument)
@@ -577,8 +577,9 @@ def entropy_summary(ensemble: BipartiteEnsemble | SpectralEnsemble) -> dict[str,
 class BoundReport:
     """Measured protocol quantities and every upper bound with its slack.
 
-    The two step-refined bounds need at least one measurement round and are
-    None on depth-zero transcripts.
+    ``bounds`` maps each bound's report name to its value, in the order that
+    ``bound_suite`` lists them. The two step-refined bounds need at least
+    one measurement round and are None on depth-zero transcripts.
     """
 
     i_locc: float
@@ -586,31 +587,16 @@ class BoundReport:
     e_in_avg: float
     e_out_avg: float
     n_qubits: float
-    bound_local_holevo: float
-    bound_last_step: float | None
-    bound_next_to_last: float | None
-    bound_output_adjusted: float
-    bound_complementarity: float
-
-    def bounds(self) -> dict[str, float | None]:
-        return {
-            "local_holevo": self.bound_local_holevo,
-            "last_step": self.bound_last_step,
-            "next_to_last_step": self.bound_next_to_last,
-            "output_adjusted": self.bound_output_adjusted,
-            "complementarity": self.bound_complementarity,
-        }
+    bounds: dict[str, float | None]
 
     def slacks(self) -> dict[str, float | None]:
-        return {
-            name: (None if value is None else value - self.i_locc)
-            for name, value in self.bounds().items()
-        }
+        return {name: None if value is None else value - self.i_locc for name, value in self.bounds.items()}
 
 
 def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
     """Evaluate every upper bound on the protocol's mutual information.
 
+    The report's ``bounds`` holds them under these names, in this order:
     local_holevo:     S(rho^A) + S(rho^B) - max over sides of the mean
                       member marginal entropy; protocol independent.
     last_step:        refinement subtracting the leaf-average marginal
@@ -655,11 +641,13 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
         e_in_avg=e_in,
         e_out_avg=e_out,
         n_qubits=n_qubits,
-        bound_local_holevo=local_holevo,
-        bound_last_step=last_step,
-        bound_next_to_last=next_to_last,
-        bound_output_adjusted=local_holevo - e_out,
-        bound_complementarity=n_qubits - e_in - e_out,
+        bounds={
+            "local_holevo": local_holevo,
+            "last_step": last_step,
+            "next_to_last_step": next_to_last,
+            "output_adjusted": local_holevo - e_out,
+            "complementarity": n_qubits - e_in - e_out,
+        },
     )
 
 
@@ -675,7 +663,7 @@ class RoundAudit:
     side's.
     """
 
-    round_index: int
+    round: int
     party: str
     info: float
     chi_before: float
@@ -721,7 +709,7 @@ def audit_rounds(transcript: ProtocolTranscript) -> list[RoundAudit]:
         distant_drop = before.member_entropy[distant] - after.member_entropy[distant]
         audits.append(
             RoundAudit(
-                round_index=k,
+                round=k,
                 party=party,
                 info=info,
                 chi_before=chi_before,

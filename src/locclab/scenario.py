@@ -23,12 +23,14 @@ read by the same reader as Kraus operators and ``matrix`` members; an
 override's key is the labels of its outcome history joined by commas
 ("0,1,1"), a tuple of labels once parsed. Only ``parse_scenario`` and
 ``dump_scenario`` know this wire format: parsing is strict and errors
-carry the offending field path, and ``random_scenario`` builds its typed
-``Scenario`` straight from the arrays it draws. A projective instrument
-keeps the kets it was built from, and the dump writes them back; any
-other instrument is dumped as its Kraus operators. Parsing keeps every
-number as written (``validate_density`` checks a matrix and never
-rewrites it), so dump -> parse -> dump is byte-stable.
+carry the offending field path: a key outside an object's field set and
+a ``schema`` other than SCHEMA are rejected, so a misspelt field is never
+read as its default. ``random_scenario`` builds its typed ``Scenario``
+straight from the arrays it draws. A projective instrument keeps the
+kets it was built from, and the dump writes them back; any other
+instrument is dumped as its Kraus operators. Parsing keeps every number
+as written (``validate_density`` checks a matrix and never rewrites
+it), so dump -> parse -> dump is byte-stable.
 
 A step's override table is read in one batch when every entry is a
 projective basis. Its keys are tested against the histories known to
@@ -63,6 +65,8 @@ INSTRUMENT_FAMILY = "projective-random-basis"
 # The one accepted value of each side of ``selectors``.
 SELECTOR = "auto"
 _INF = float("inf")
+# The top-level fields; ``tolerance`` is listed so that its own message names --tol.
+_SCENARIO_FIELDS = ("bell", "dims", "ensemble", "kind", "name", "protocol", "random", "schema", "selectors", "tolerance")
 
 
 class ScenarioError(ValueError):
@@ -73,9 +77,14 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
-def _as_dict(value, path: str) -> dict:
+def _as_dict(value, path: str, fields: tuple[str, ...] | None) -> dict:
+    """``value`` as an object with no key outside ``fields`` (None: an override table)."""
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
+    if fields is not None:
+        for key in value:
+            if key not in fields:
+                _fail(path, f"unknown field {key!r}; expected one of {list(fields)}")
     return value
 
 
@@ -196,7 +205,7 @@ class Scenario:
 
 def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument:
     """Instrument on ``party``, whose local dimension ``dim`` it must match."""
-    obj = _as_dict(value, path)
+    obj = _as_dict(value, path, ("kraus", "labels", "projective"))
     if "projective" in obj and "kraus" in obj:
         _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list, not both")
     labels = None
@@ -245,10 +254,13 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
     once for the whole table: shape, leaf types, finiteness, labels, then
     ``_projective_stack``'s orthonormality and completeness. Returns the
     instruments in table order, or None when a check fails or an entry is
-    not a projective object without 'kraus'; the entry parse names the field.
+    not a projective object with no field but 'labels' besides; the entry
+    parse names the field.
     """
     values = list(table.values())
-    if not all(type(value) is dict and "projective" in value and "kraus" not in value for value in values):
+    if not all(
+        type(value) is dict and "projective" in value and value.keys() <= {"labels", "projective"} for value in values
+    ):
         return None
     rows = [value["projective"] for value in values]
     # Each level must hold lists of the right length, as the entry parse
@@ -329,7 +341,7 @@ def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble
         _fail(path, "ensemble is empty")
     members: list[tuple[float, DensityOperator]] = []
     for i, item in enumerate(items):
-        obj = _as_dict(item, f"{path}[{i}]")
+        obj = _as_dict(item, f"{path}[{i}]", ("matrix", "probability", "vector"))
         p = _as_number(_get(obj, "probability", f"{path}[{i}]"), f"{path}[{i}].probability")
         if "vector" in obj and "matrix" in obj:
             _fail(f"{path}[{i}]", "member needs a 'vector' or a 'matrix', not both")
@@ -377,7 +389,9 @@ def _parse_range(value, path: str, minimum: int) -> tuple[int, int]:
 
 def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     """Validate a scenario object and build the typed view."""
-    obj = _as_dict(data, source)
+    obj = _as_dict(data, source, _SCENARIO_FIELDS)
+    if "schema" in obj and _as_str(obj["schema"], f"{source}.schema") != SCHEMA:
+        _fail(f"{source}.schema", f"unknown schema {obj['schema']!r}; expected {SCHEMA!r}")
     kind = _as_str(_get(obj, "kind", source), f"{source}.kind")
     if kind not in KINDS:
         _fail(f"{source}.kind", f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -385,7 +399,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
 
     bell = None
     if kind == "bell_diagonal":
-        bell_obj = _as_dict(_get(obj, "bell", source), f"{source}.bell")
+        bell_obj = _as_dict(_get(obj, "bell", source), f"{source}.bell", ("d", "probs"))
         d = _as_int(_get(bell_obj, "d", f"{source}.bell"), f"{source}.bell.d")
         probs = [
             _as_number(x, f"{source}.bell.probs[{i}]")
@@ -405,7 +419,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         if dim_a < 1 or dim_b < 1:
             _fail(f"{source}.dims", f"dimensions must be positive, got [{dim_a}, {dim_b}]")
 
-    selectors = _as_dict(obj.get("selectors", {}), f"{source}.selectors")
+    selectors = _as_dict(obj.get("selectors", {}), f"{source}.selectors", ("input", "output"))
     for side in ("input", "output"):
         value = _as_str(selectors.get(side, SELECTOR), f"{source}.selectors.{side}")
         if value != SELECTOR:
@@ -427,7 +441,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         known = [{()}]
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
-            step_obj = _as_dict(step_raw, step_path)
+            step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
             party = _as_str(_get(step_obj, "party", step_path), f"{step_path}.party")
             if party not in ("A", "B"):
                 _fail(f"{step_path}.party", f"party must be 'A' or 'B', got {party!r}")
@@ -435,7 +449,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             default = None
             if step_obj.get("instrument") is not None:
                 default = _parse_instrument(step_obj["instrument"], party, dim, f"{step_path}.instrument")
-            table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides")
+            table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides", None)
             instruments = None
             if table:
                 try:
@@ -458,14 +472,13 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
 
     random_spec = None
     if kind == "random":
-        rnd = _as_dict(_get(obj, "random", source), f"{source}.random")
-        n_members = _parse_range(_get(rnd, "n_members", f"{source}.random"), f"{source}.random.n_members", 1)
-        depth = _parse_range(
-            _get(rnd, "protocol_depth", f"{source}.random"), f"{source}.random.protocol_depth", 0
-        )
-        family = _as_str(rnd.get("instrument_family", INSTRUMENT_FAMILY), f"{source}.random.instrument_family")
+        rnd_path = f"{source}.random"
+        rnd = _as_dict(_get(obj, "random", source), rnd_path, ("instrument_family", "n_members", "protocol_depth"))
+        n_members = _parse_range(_get(rnd, "n_members", rnd_path), f"{rnd_path}.n_members", 1)
+        depth = _parse_range(_get(rnd, "protocol_depth", rnd_path), f"{rnd_path}.protocol_depth", 0)
+        family = _as_str(rnd.get("instrument_family", INSTRUMENT_FAMILY), f"{rnd_path}.instrument_family")
         if family != INSTRUMENT_FAMILY:
-            _fail(f"{source}.random.instrument_family", f"unknown family {family!r}")
+            _fail(f"{rnd_path}.instrument_family", f"unknown family {family!r}")
         if (dim_a, dim_b) != (2, 2):
             _fail(
                 f"{source}.dims",

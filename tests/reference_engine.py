@@ -216,11 +216,13 @@ def bound_suite(transcript) -> BoundReport:
         e_in_avg=e_in,
         e_out_avg=e_out,
         n_qubits=n_qubits,
-        bound_local_holevo=local_holevo,
-        bound_last_step=last_step,
-        bound_next_to_last=next_to_last,
-        bound_output_adjusted=local_holevo - e_out,
-        bound_complementarity=n_qubits - e_in - e_out,
+        bounds={
+            "local_holevo": local_holevo,
+            "last_step": last_step,
+            "next_to_last_step": next_to_last,
+            "output_adjusted": local_holevo - e_out,
+            "complementarity": n_qubits - e_in - e_out,
+        },
     )
 
 
@@ -268,7 +270,7 @@ def audit_rounds(transcript) -> list[RoundAudit]:
         )
         audits.append(
             RoundAudit(
-                round_index=k,
+                round=k,
                 party=party,
                 info=info,
                 chi_before=chi_before,

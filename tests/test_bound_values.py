@@ -45,7 +45,7 @@ def assert_report(report, i_locc, e_in, e_out, bounds):
     assert report.e_out_avg == pytest.approx(e_out, abs=TOL)
     assert report.n_qubits == pytest.approx(2.0, abs=TOL)
     expected = dict(zip(BOUND_NAMES, bounds))
-    assert report.bounds() == pytest.approx(expected, abs=TOL)
+    assert report.bounds == pytest.approx(expected, abs=TOL)
     assert report.slacks() == pytest.approx({k: v - i_locc for k, v in expected.items()}, abs=TOL)
 
 

@@ -112,7 +112,11 @@ def unequal_rank_ensemble(rng, dims, k: int) -> BipartiteEnsemble:
 
 
 def assert_close(actual, expected, where: str):
-    if isinstance(expected, (tuple, list)):
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), (where, list(actual), list(expected))
+        for key, e in expected.items():
+            assert_close(actual[key], e, f"{where}[{key!r}]")
+    elif isinstance(expected, (tuple, list)):
         assert len(actual) == len(expected), where
         for i, (a, e) in enumerate(zip(actual, expected)):
             assert_close(a, e, f"{where}[{i}]")

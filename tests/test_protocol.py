@@ -373,8 +373,8 @@ class TestBoundSuite:
         members = tuple((0.25, bell(v)) for v in (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS))
         t = run_protocol(BipartiteEnsemble(members), lambda h: None, 0)
         report = bound_suite(t)
-        assert report.bound_local_holevo == pytest.approx(1.0, abs=1e-9)
-        assert report.bound_last_step is None and report.bound_next_to_last is None
+        assert report.bounds["local_holevo"] == pytest.approx(1.0, abs=1e-9)
+        assert report.bounds["last_step"] is None and report.bounds["next_to_last_step"] is None
         assert report.i_locc == pytest.approx(0.0, abs=1e-12)
 
     def test_xx_saturates_complementarity(self):
@@ -382,13 +382,13 @@ class TestBoundSuite:
         assert report.n_qubits == pytest.approx(2.0, abs=1e-12)
         assert report.e_in_avg == pytest.approx(1.0, abs=1e-9)
         assert report.e_out_avg == pytest.approx(0.0, abs=1e-9)
-        assert report.bound_complementarity == pytest.approx(1.0, abs=1e-9)
+        assert report.bounds["complementarity"] == pytest.approx(1.0, abs=1e-9)
         assert report.i_locc == pytest.approx(1.0, abs=1e-9)
 
     def test_single_product_state_depth_zero(self):
         ens = BipartiteEnsemble(((1.0, pure_state_density([1, 0, 0, 0], 2, 2)),))
         report = bound_suite(run_protocol(ens, lambda h: None, 0))
-        assert report.bound_local_holevo == pytest.approx(0.0, abs=1e-12)
+        assert report.bounds["local_holevo"] == pytest.approx(0.0, abs=1e-12)
         assert report.i_locc == pytest.approx(0.0, abs=1e-12)
 
     def test_slacks_nonnegative_on_random_protocols(self):

@@ -412,6 +412,108 @@ class TestBatchedOverrideParse:
         assert all(overrides[key].kets is not None for key in (("0", "0"), ("1", "0"), ("1", "1")))
 
 
+BELL_09 = {"kind": "bell_diagonal", "name": "b", "bell": {"d": 2, "probs": [0.9, 0.1, 0.0, 0.0]}}
+RANDOM_SWEEP = {"kind": "random", "name": "r", "dims": [2, 2], "random": {"n_members": 2, "protocol_depth": 1}}
+INSTRUMENT_FIELDS = "['kraus', 'labels', 'projective']"
+
+
+def z_protocol() -> dict:
+    return protocol([{"party": "A", "instrument": copy.deepcopy(Z)}, {"party": "B", "instrument": copy.deepcopy(Z)}])
+
+
+def kraus_override() -> dict:
+    return protocol([{"party": "A", "overrides": {"": copy.deepcopy(KRAUS)}}])
+
+
+class TestUnknownFields:
+    """Every object the parser reads names a key outside its field set, so
+    that a misspelt field is an error, not its default: a step with
+    'overides' would otherwise run its default instrument on every branch."""
+
+    @pytest.mark.parametrize(
+        "build, path, field, message",
+        [
+            (
+                z_protocol,
+                (),
+                "tolerence",
+                "s: unknown field 'tolerence'; expected one of ['bell', 'dims', 'ensemble', 'kind', 'name', "
+                "'protocol', 'random', 'schema', 'selectors', 'tolerance']",
+            ),
+            (
+                lambda: copy.deepcopy(BELL_09),
+                ("bell",),
+                "p",
+                "s.bell: unknown field 'p'; expected one of ['d', 'probs']",
+            ),
+            (
+                lambda: copy.deepcopy(RANDOM_SWEEP),
+                ("random",),
+                "family",
+                "s.random: unknown field 'family'; expected one of "
+                "['instrument_family', 'n_members', 'protocol_depth']",
+            ),
+            (
+                lambda: {**z_protocol(), "selectors": {"input": "auto"}},
+                ("selectors",),
+                "outputs",
+                "s.selectors: unknown field 'outputs'; expected one of ['input', 'output']",
+            ),
+            (
+                z_protocol,
+                ("ensemble", 1),
+                "vectr",
+                "s.ensemble[1]: unknown field 'vectr'; expected one of ['matrix', 'probability', 'vector']",
+            ),
+            (
+                z_protocol,
+                ("protocol", 1),
+                "overides",
+                "s.protocol[1]: unknown field 'overides'; expected one of ['instrument', 'overrides', 'party']",
+            ),
+            (
+                z_protocol,
+                ("protocol", 0, "instrument"),
+                "label",
+                f"s.protocol[0].instrument: unknown field 'label'; expected one of {INSTRUMENT_FIELDS}",
+            ),
+            (
+                kraus_override,
+                ("protocol", 0, "overrides", ""),
+                "note",
+                f"s.protocol[0].overrides['']: unknown field 'note'; expected one of {INSTRUMENT_FIELDS}",
+            ),
+            (
+                # The batched read of an all-projective table declines an
+                # entry with a field besides 'labels'; the entry parse names it.
+                adaptive_table,
+                ("protocol", 2, "overrides", "1,0"),
+                "note",
+                f"s.protocol[2].overrides['1,0']: unknown field 'note'; expected one of {INSTRUMENT_FIELDS}",
+            ),
+        ],
+        ids=["scenario", "bell", "random", "selectors", "member", "step", "instrument", "override", "batched_override"],
+    )
+    def test_unknown_field_is_named(self, build, path, field, message):
+        data = build()
+        target = data
+        for key in path:
+            target = target[key]
+        target[field] = {}
+        assert parse_error(data) == message
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ("locclab/scenario-v9", "s.schema: unknown schema 'locclab/scenario-v9'; expected 'locclab/scenario-v1'"),
+            (1, "s.schema: expected a string, got int"),
+        ],
+        ids=["foreign", "not_a_string"],
+    )
+    def test_foreign_schema_is_rejected(self, schema, message):
+        assert parse_error({**z_protocol(), "schema": schema}) == message
+
+
 Z3 = {"projective": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}
 ID3_KRAUS = {"kraus": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]]}
 
