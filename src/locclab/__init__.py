@@ -39,9 +39,6 @@ from .distillation import (
     bell_hashing_bound,
     bell_partial_bound,
     distillation_report,
-    full_distinguish_bound,
-    mean_local_entropy,
-    partial_distinguish_bound,
     spectral_ensemble,
 )
 from .scenario import (

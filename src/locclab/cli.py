@@ -234,9 +234,8 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
         _require_measurable(scenario.bell, path)
 
     if scenario.kind == "random":
-        concrete = [
-            (materialize_random(scenario, seed, trial), seed + trial) for trial in range(trials)
-        ]
+        # Built as each trial runs, so that only one is held at a time.
+        concrete = ((materialize_random(scenario, seed, trial), seed + trial) for trial in range(trials))
     else:
         concrete = [(scenario, None)]
 

@@ -5,12 +5,15 @@ learn the entire spectral string of their shared pairs (attained by hashing
 for Bell-diagonal states), and partial distinguishing, where a sacrificial
 group of pairs is spent to identify the rest.
 
-Every entropy both bounds are built from is a root statistic of the
-state's spectral ensemble (``locclab.entropy.SpectralEnsemble``), read by
-``protocol._level_stats`` off the root whose factors are its kets, as
-``run_protocol`` builds it. S is the root's conditional entropy H(weights),
-S_A and S_B its average-marginal entropies and the mean local entropy its
-side-A member entropy.
+``distillation_report`` solves the state once. Every entropy both bounds
+are built from is a root statistic of its eigen-ensemble, read by
+``protocol._level_stats`` off the root whose factors are the solved kets.
+S is the root's conditional entropy H(weights), S_A and S_B its
+average-marginal entropies and the mean local entropy its side-A member
+entropy. The kets reach the root as arrays, not as a ``SpectralEnsemble``:
+``hermitian_eig`` makes them orthonormal, so its Gram check would only
+repeat the solver. ``bell_diagonal`` builds its state directly for the
+same reason: checked weights make it a density operator by construction.
 """
 
 from __future__ import annotations
@@ -20,14 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import NEGATIVE_WEIGHT_TOL, WEIGHT_SUM_TOL, ZERO_EIGENVALUE, SpectralEnsemble, is_ppt, shannon_entropy
-from .linalg import (
-    DEGENERATE_GAP,
-    DensityOperator,
-    hermitian_eig,
-    validate_density,
-)
-from .protocol import LevelStats, _level_stats, _root_level
+from .entropy import NEGATIVE_WEIGHT_TOL, ZERO_EIGENVALUE, SpectralEnsemble, _require_unit_sum, is_ppt, shannon_entropy
+from .linalg import DEGENERATE_GAP, DensityOperator, hermitian_eig
+from .protocol import LevelStats, _ket_root, _level_stats
 
 # Below this the denominator of the partial-distinguishing constraint is
 # degenerate (pure product input) and the bound imposes nothing.
@@ -49,9 +47,7 @@ class BellDiagonalSpec:
             raise ValueError(f"need {self.d * self.d} weights, got {len(probs)}")
         if min(probs) < -NEGATIVE_WEIGHT_TOL:
             raise ValueError(f"negative weight {min(probs)}")
-        total = sum(probs)
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+        _require_unit_sum(sum(probs))
         object.__setattr__(self, "probs", probs)
 
 
@@ -83,22 +79,29 @@ class DistillationReport:
     closed_form_partial: float | None = None
 
 
-def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
-    """Eigen-ensemble of a state, dropping zero-eigenvalue vectors.
+def _spectrum(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(weights, kets, degenerate) of one ``hermitian_eig`` solve of rho.
 
-    Members are ordered by descending weight (a stable sort). A degenerate
-    cluster has one weight, the mean ``hermitian_eig`` gives it, and keeps
-    the ``_cluster_basis`` order, so the order of its members never
-    follows rounding in the solver. A Bell-diagonal state is solved as d
-    blocks of d (see ``locclab.linalg``).
+    The eigenvalues above ZERO_EIGENVALUE in descending order (a stable
+    sort), their eigenvectors as the columns of a (D, M) array, and whether
+    two of them lie within DEGENERATE_GAP. A degenerate cluster has one
+    weight, the mean ``hermitian_eig`` gives it, and keeps the
+    ``_cluster_basis`` order, so the order of its kets never follows
+    rounding in the solver. A Bell-diagonal state is solved as d blocks of
+    d (see ``locclab.linalg``).
     """
     spectrum = hermitian_eig(rho.matrix)
     kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)
     kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
     weights = spectrum.eigenvalues[kept]
-    vectors = spectrum.eigenvectors[:, kept]
+    return weights, spectrum.eigenvectors[:, kept], bool((np.abs(np.diff(weights)) < DEGENERATE_GAP).any())
+
+
+def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
+    """Eigen-ensemble of a state, dropping zero-eigenvalue vectors, as a
+    checked ``SpectralEnsemble`` ordered as ``_spectrum`` orders it."""
+    weights, vectors, degenerate = _spectrum(rho)
     vectors.setflags(write=False)
-    degenerate = bool((np.abs(np.diff(weights)) < DEGENERATE_GAP).any())
     return SpectralEnsemble(
         dim_a=rho.dim_a,
         dim_b=rho.dim_b,
@@ -107,26 +110,16 @@ def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
     )
 
 
-def _spectral_stats(se: SpectralEnsemble) -> LevelStats:
-    """Root statistics of the spectral ensemble, its kets the root's factors.
-
-    The root's conditional entropy H(weights) is S(rho): the members are
-    orthonormal, so the weights are rho's nonzero eigenvalues.
-    """
-    return _level_stats(_root_level(se), (se.dim_a, se.dim_b))
-
-
-def mean_local_entropy(se: SpectralEnsemble) -> float:
-    """Weighted mean local entropy of the spectral members.
-
-    The side-A member entropy of the ensemble's one-node level; for pure
-    members S(rho_A) = S(rho_B), so side A stands for both.
-    """
-    return _spectral_stats(se).member_entropy["A"]
-
-
 def _bounds(stats: LevelStats) -> tuple[float, float, float]:
-    """(full bound, partial bound, max keep fraction) from the spectral stats."""
+    """(full bound, partial bound, max keep fraction) from the spectral stats.
+
+    The full bound, S_A + S_B - S - (mean local entropy), may be negative,
+    entangled states included (log2 d - H(weights) on a Bell-diagonal
+    state). A group-splitting protocol learns the identity of a fraction
+    r <= (S_A + S_B - mean local entropy) / (S + mean local entropy) of the
+    pairs, with yield at most r times the mean local entropy; a pure
+    product input makes both +inf.
+    """
     entropy = stats.conditional_entropy
     local = stats.average_entropy["A"] + stats.average_entropy["B"]
     mean_local = stats.member_entropy["A"]
@@ -136,29 +129,6 @@ def _bounds(stats: LevelStats) -> tuple[float, float, float]:
         return full, math.inf, math.inf
     r_max = (local - mean_local) / denominator
     return full, r_max * mean_local, r_max
-
-
-def full_distinguish_bound(rho: DensityOperator) -> float:
-    """Yield bound for protocols that identify the whole spectral string.
-
-    S_A + S_B - S - (mean local entropy); may be negative. For a Bell-diagonal
-    state with distinct weights it is log2 d - H(weights), negative whenever
-    H(weights) > log2 d, entangled states included: a negative value does
-    not mean the state is separable.
-    """
-    return _bounds(_spectral_stats(spectral_ensemble(rho)))[0]
-
-
-def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
-    """Yield bound and keep-fraction cap for group-splitting protocols.
-
-    Returns (bound, max keep fraction r). The fraction of pairs whose
-    identity can be learned by sacrificing the rest satisfies
-    r <= (S_A + S_B - mean local entropy) / (S + mean local entropy) and the
-    yield is bounded by r times the mean local entropy. A pure product
-    input makes the constraint vacuous: both values are +inf.
-    """
-    return _bounds(_spectral_stats(spectral_ensemble(rho)))[1:]
 
 
 def _bell_matrix(d: int) -> np.ndarray:
@@ -182,11 +152,15 @@ def bell_diagonal(spec: BellDiagonalSpec) -> DensityOperator:
 
     Built in closed form as (B * p) @ B^dagger, where B holds the Bell
     vectors as columns and p the weights with rounding-level negatives
-    taken as zero, then checked by ``validate_density``.
+    taken as zero, and returned read-only as built: ``BellDiagonalSpec``
+    has checked the weights, so the matrix is Hermitian and PSD with trace
+    sum(p). A ``validate_density`` solve could reject it only by rounding
+    at its 1e-9 trace edge, and would eigensolve it once more.
     """
     basis = _bell_matrix(spec.d)
-    weights = np.maximum(np.array(spec.probs), 0.0)
-    return validate_density((basis * weights) @ basis.conj().T, spec.d, spec.d)
+    matrix = (basis * np.maximum(np.array(spec.probs), 0.0)) @ basis.conj().T
+    matrix.setflags(write=False)
+    return DensityOperator(spec.d, spec.d, matrix)
 
 
 def bell_hashing_bound(spec: BellDiagonalSpec) -> tuple[float, float]:
@@ -214,11 +188,14 @@ def bell_partial_bound(spec: BellDiagonalSpec) -> float:
 def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = None) -> DistillationReport:
     """Assemble the full report for one state.
 
-    When ``spec`` is given the state is understood as Bell diagonal and the
-    closed forms are attached alongside the generic values.
+    The state is solved generically, Bell diagonal or not, and its kept
+    weights must sum to 1 within WEIGHT_SUM_TOL. When ``spec`` is given the
+    state is understood as Bell diagonal and the closed forms are attached
+    alongside the generic values.
     """
-    spectral = spectral_ensemble(rho)
-    stats = _spectral_stats(spectral)
+    weights, kets, degenerate = _spectrum(rho)
+    _require_unit_sum(sum(weights.tolist()))
+    stats = _level_stats(_ket_root(weights, kets.T), (rho.dim_a, rho.dim_b))
     full_raw, partial, r_max = _bounds(stats)
     ppt_flag, min_pt = is_ppt(rho)
 
@@ -236,7 +213,7 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
         full_distinguish_yield=max(0.0, full_raw),
         partial_distinguish_bound=partial,
         max_keep_fraction=r_max,
-        degenerate_spectrum=spectral.degenerate,
+        degenerate_spectrum=degenerate,
         ppt=ppt_flag,
         min_pt_eigenvalue=min_pt,
         closed_form_hashing=closed_hashing,

@@ -30,6 +30,11 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
+def _require_unit_sum(total: float) -> None:
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True)
 class BipartiteEnsemble:
     """Weighted list of bipartite states sharing the same dimensions.
@@ -102,9 +107,7 @@ class SpectralEnsemble:
                 raise ValueError(f"member {i}: negative weight {p}")
             if np.shape(v) != shape:
                 raise ValueError(f"member {i}: vector shape {np.shape(v)} is not {shape}")
-        total = sum(p for p, _ in self.members)
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+        _require_unit_sum(sum(p for p, _ in self.members))
         vectors = np.column_stack([v for _, v in self.members])
         gram = vectors.conj().T @ vectors
         if not np.abs(gram - np.eye(len(self.members))).max() <= 1e-9:

@@ -553,6 +553,16 @@ def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarra
     return q * (diag / np.abs(diag)).conj()[:, None, :]
 
 
+def _int_range(value, name: str, minimum: int) -> tuple[int, int]:
+    """An int or a (low, high) pair as a nonempty range starting at ``minimum`` or above."""
+    lo, hi = (value, value) if isinstance(value, int) else tuple(value)
+    if lo > hi:
+        raise ValueError(f"{name}: empty range [{lo}, {hi}]")
+    if lo < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {lo}")
+    return lo, hi
+
+
 def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: str | None = None) -> Scenario:
     """Deterministic random protocol scenario for the given seed.
 
@@ -564,14 +574,8 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     still check norms, probability sums, and the orthonormality and
     completeness of each basis.
     """
-    members_lo, members_hi = (n_members, n_members) if isinstance(n_members, int) else tuple(n_members)
-    depth_lo, depth_hi = (
-        (protocol_depth, protocol_depth) if isinstance(protocol_depth, int) else tuple(protocol_depth)
-    )
-    if members_lo < 1:
-        raise ValueError(f"n_members must be >= 1, got {members_lo}")
-    if depth_lo < 0:
-        raise ValueError(f"protocol_depth must be >= 0, got {depth_lo}")
+    members_lo, members_hi = _int_range(n_members, "n_members", 1)
+    depth_lo, depth_hi = _int_range(protocol_depth, "protocol_depth", 0)
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(members_lo, members_hi + 1))

@@ -60,6 +60,26 @@ def test_table_matches_golden(command, stem):
     assert table + "\n" == (GOLDEN_TABLES / f"{stem}.{command}.txt").read_text(encoding="utf-8")
 
 
+def test_random_trials_are_built_as_they_run(monkeypatch):
+    # Each trial's scenario is materialized just before it runs, not all up front.
+    events = []
+    materialize, (body, lines) = cli.materialize_random, cli.COMMAND_TABLE["entropy"]
+
+    def materializing(scenario, seed, trial):
+        events.append(("build", trial))
+        return materialize(scenario, seed, trial)
+
+    def running(scenario, tol):
+        events.append(("run", int(scenario.name.rsplit("trial", 1)[1])))
+        return body(scenario, tol)
+
+    monkeypatch.setattr(cli, "materialize_random", materializing)
+    monkeypatch.setitem(cli.COMMAND_TABLE, "entropy", (running, lines))
+    report = cli.run_scenario(bundled_scenario_path("random_sweep.json"), "entropy", seed=11, trials=3)
+    assert [t["seed"] for t in report["trials"]] == [11, 12, 13]
+    assert events == [(step, trial) for trial in range(3) for step in ("build", "run")]
+
+
 @pytest.mark.parametrize("stem", SCENARIOS)
 def test_table_format_exits_zero(stem):
     argv = scenario_argv("bounds-verify", stem)

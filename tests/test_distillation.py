@@ -11,11 +11,9 @@ from locclab import (
     bell_hashing_bound,
     bell_partial_bound,
     distillation_report,
-    full_distinguish_bound,
-    mean_local_entropy,
-    partial_distinguish_bound,
     partial_trace,
     pure_state_density,
+    run_protocol,
     spectral_ensemble,
     validate_density,
 )
@@ -78,6 +76,26 @@ class TestBellDiagonal:
         rho = bell_diagonal(BellDiagonalSpec(2, (0.25,) * 4))
         np.testing.assert_allclose(rho.matrix, np.eye(4) / 4, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_built_state_passes_validate_density(self, d):
+        # bell_diagonal returns its matrix unchecked: Dirichlet, isotropic,
+        # partly zero and pure weights must all give a density operator.
+        rng = np.random.default_rng(d)
+        n = d * d
+        fidelity = float(rng.uniform(1.0 / d, 1.0))
+        zeroed = rng.dirichlet(np.ones(n))
+        zeroed[-d:] = 0.0
+        specs = [
+            rng.dirichlet(np.ones(n)),
+            [fidelity] + [(1.0 - fidelity) / (n - 1)] * (n - 1),
+            zeroed / zeroed.sum(),
+            np.eye(n)[n // 2],
+        ]
+        for probs in specs:
+            rho = bell_diagonal(BellDiagonalSpec(d, tuple(probs)))
+            assert not rho.matrix.flags.writeable
+            assert validate_density(rho.matrix, d, d).matrix.tobytes() == rho.matrix.tobytes()
+
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             BellDiagonalSpec(2, (0.5, 0.4, 0.0, 0.0))
@@ -124,12 +142,11 @@ class TestSpectralEnsemble:
 
 class TestMeanLocalEntropy:
     def test_bell_diagonal_09(self):
-        se = spectral_ensemble(bell_diagonal(spec_09()))
-        assert mean_local_entropy(se) == pytest.approx(1.0, abs=1e-9)
+        assert distillation_report(bell_diagonal(spec_09())).mean_local_entropy == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_product(self):
-        se = spectral_ensemble(pure_state_density([1, 0, 0, 0], 2, 2))
-        assert mean_local_entropy(se) == pytest.approx(0.0, abs=1e-12)
+        report = distillation_report(pure_state_density([1, 0, 0, 0], 2, 2))
+        assert report.mean_local_entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_synthetic_orthonormal_pair(self):
         # half a Bell state, half an orthogonal product state
@@ -139,31 +156,34 @@ class TestMeanLocalEntropy:
             members=((0.5, PHI_PLUS), (0.5, np.array([0, 1, 0, 0], dtype=complex))),
             degenerate=False,
         )
-        assert mean_local_entropy(se) == pytest.approx(0.5, abs=1e-12)
+        # The side-A member entropy of its depth-zero root.
+        assert run_protocol(se, {}, 0).stats[0].member_entropy["A"] == pytest.approx(0.5, abs=1e-12)
 
     def test_sides_agree_on_random_states(self):
         rng = np.random.default_rng(19)
         for _ in range(40):
-            se = spectral_ensemble(random_bipartite_density(rng, 2, 3))
+            rho = random_bipartite_density(rng, 2, 3)
+            se = spectral_ensemble(rho)
             side_a = sum(w * pure_entanglement_oracle(v, 2, 3) for w, v in se.members)
             # The same kets with the parties swapped: B's Schmidt coefficients.
             side_b = sum(w * pure_entanglement_oracle(v.reshape(2, 3).T.reshape(-1), 3, 2) for w, v in se.members)
-            assert abs(mean_local_entropy(se) - side_a) <= 1e-12
-            assert abs(mean_local_entropy(se) - side_b) <= 1e-12
+            mean_local = distillation_report(rho).mean_local_entropy
+            assert abs(mean_local - side_a) <= 1e-12
+            assert abs(mean_local - side_b) <= 1e-12
 
 
 class TestFullDistinguishBound:
     def test_bell_diagonal_09(self):
-        value = full_distinguish_bound(bell_diagonal(spec_09()))
+        value = distillation_report(bell_diagonal(spec_09())).full_distinguish_bound
         assert value == pytest.approx(FULL_BOUND_09, abs=1e-9)
         assert abs(value - 0.5310) < 1e-4
 
     def test_pure_bell(self):
-        assert full_distinguish_bound(bell(PHI_PLUS)) == pytest.approx(1.0, abs=1e-9)
+        assert distillation_report(bell(PHI_PLUS)).full_distinguish_bound == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_product(self):
         rho = pure_state_density([1, 0, 0, 0], 2, 2)
-        assert full_distinguish_bound(rho) == pytest.approx(0.0, abs=1e-12)
+        assert distillation_report(rho).full_distinguish_bound == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBellClosedForms:
@@ -202,19 +222,24 @@ class TestBellClosedForms:
                 assert bell_partial_bound(spec) > 0.0
 
 
+def partial_and_keep_fraction(rho) -> tuple[float, float]:
+    report = distillation_report(rho)
+    return report.partial_distinguish_bound, report.max_keep_fraction
+
+
 class TestPartialDistinguishBound:
     def test_bell_diagonal_09(self):
-        bound, r_max = partial_distinguish_bound(bell_diagonal(spec_09()))
+        bound, r_max = partial_and_keep_fraction(bell_diagonal(spec_09()))
         assert r_max == pytest.approx(1.0 / (1.0 + shannon_oracle([0.9, 0.1])), abs=1e-9)
         assert bound == pytest.approx(PARTIAL_BOUND_09, abs=1e-9)
         assert abs(bound - 0.6807) < 1e-4
 
     def test_pure_product_is_vacuous(self):
-        bound, r_max = partial_distinguish_bound(pure_state_density([1, 0, 0, 0], 2, 2))
+        bound, r_max = partial_and_keep_fraction(pure_state_density([1, 0, 0, 0], 2, 2))
         assert math.isinf(bound) and math.isinf(r_max)
 
     def test_pure_bell(self):
-        bound, r_max = partial_distinguish_bound(bell(PHI_PLUS))
+        bound, r_max = partial_and_keep_fraction(bell(PHI_PLUS))
         assert r_max == pytest.approx(1.0, abs=1e-9)
         assert bound == pytest.approx(1.0, abs=1e-9)
 

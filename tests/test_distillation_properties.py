@@ -30,13 +30,15 @@ from helpers import distillation_oracle, random_bipartite_density
 from locclab import (
     BellDiagonalSpec,
     bell_diagonal,
+    SpectralEnsemble,
     distillation_report,
-    full_distinguish_bound,
+    entropy_summary,
     hermitian_eig,
-    partial_distinguish_bound,
+    run_protocol,
     spectral_ensemble,
     validate_density,
 )
+from locclab import distillation, protocol
 
 TOL = 1e-10
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
@@ -117,16 +119,44 @@ def test_degenerate_mixed_state_matches_reference(seed, dims):
     report = distillation_report(rho)
     assert report.degenerate_spectrum
     assert_reports_agree(report, ref.distillation_report(rho))
-    assert full_distinguish_bound(rho) == report.full_distinguish_bound
-    assert partial_distinguish_bound(rho) == (report.partial_distinguish_bound, report.max_keep_fraction)
+    partial = (report.partial_distinguish_bound, report.max_keep_fraction)
     old_partial = ref.partial_distinguish_bound(rho)
     assert abs(ref.full_distinguish_bound(rho) - report.full_distinguish_bound) <= TOL
     if np.isfinite(old_partial[0]):
-        np.testing.assert_allclose(partial_distinguish_bound(rho), old_partial, rtol=0, atol=TOL)
+        np.testing.assert_allclose(partial, old_partial, rtol=0, atol=TOL)
     else:
-        assert partial_distinguish_bound(rho) == old_partial
+        assert partial == old_partial
     assert_spectra_agree(rho.matrix)
     assert_ensembles_agree(rho)
+
+
+@PROPERTY
+@given(seed=seeds, dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), degenerate=st.booleans())
+def test_report_root_is_the_spectral_ensemble_root(seed, dims, degenerate):
+    """The report roots on solved kets without building a ``SpectralEnsemble``:
+    they must pass its constructor, and the report's entropies must be those
+    of the spectral ensemble's root, bit for bit."""
+    rng = np.random.default_rng(seed)
+    rho = degenerate_mixed_state(rng, *dims) if degenerate else random_bipartite_density(rng, *dims)
+    roots = []
+
+    def capture(weights, kets):
+        roots.append((weights, kets))
+        return protocol._ket_root(weights, kets)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distillation, "_ket_root", capture)
+        report = distillation_report(rho)
+    ((weights, kets),) = roots
+    SpectralEnsemble(rho.dim_a, rho.dim_b, tuple(zip(weights.tolist(), kets)), report.degenerate_spectrum)
+
+    se = spectral_ensemble(rho)
+    stats = run_protocol(se, {}, 0).stats[0]
+    summary = entropy_summary(se)
+    assert report.entropy == stats.conditional_entropy == summary["entropy_average"]
+    assert report.entropy_a == stats.average_entropy["A"] == summary["entropy_a"]
+    assert report.entropy_b == stats.average_entropy["B"] == summary["entropy_b"]
+    assert report.mean_local_entropy == stats.member_entropy["A"]
 
 
 def assert_matches_oracle(rho, spec=None):
@@ -167,5 +197,4 @@ def test_eigensolve_count_does_not_grow_with_d(monkeypatch, kind):
             distillation_report(bell_diagonal(spec), spec)
         counts[d] = calls
     assert counts[3] == counts[6]
-    assert counts[6]["eigvalsh"] <= 5
-    assert counts[6]["eigh"] <= 1
+    assert counts[6] == {"eigvalsh": 4, "eigh": 1}

@@ -29,14 +29,11 @@ PUBLIC_NAMES = [
     "distillation_report",
     "dump_scenario",
     "entropy_summary",
-    "full_distinguish_bound",
     "hermitian_eig",
     "is_ppt",
     "load_scenario",
     "materialize_random",
-    "mean_local_entropy",
     "parse_scenario",
-    "partial_distinguish_bound",
     "partial_trace",
     "partial_transpose",
     "pure_state_density",

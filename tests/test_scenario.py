@@ -701,6 +701,21 @@ class TestTypedGenerator:
                     assert_same_instrument(instrument, ref.overrides[key])
 
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_members": (4, 2)}, "n_members: empty range [4, 2]"),
+            ({"protocol_depth": (3, 1)}, "protocol_depth: empty range [3, 1]"),
+            ({"n_members": 0}, "n_members must be >= 1, got 0"),
+            ({"protocol_depth": (-1, 2)}, "protocol_depth must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_range_is_rejected_naming_the_parameter(self, kwargs, message):
+        with pytest.raises(ValueError) as excinfo:
+            random_scenario(0, **kwargs)
+        assert str(excinfo.value) == message
+
+
 NAN = float("nan")
 
 
