@@ -15,6 +15,7 @@ from .linalg import (
 )
 from .entropy import (
     BipartiteEnsemble,
+    SpectralEnsemble,
     is_ppt,
     shannon_entropy,
 )
@@ -34,12 +35,10 @@ from .protocol import (
 from .distillation import (
     BellDiagonalSpec,
     DistillationReport,
-    SpectralEnsemble,
     bell_diagonal,
     bell_hashing_bound,
     bell_partial_bound,
     distillation_report,
-    spectral_ensemble,
 )
 from .scenario import (
     Scenario,

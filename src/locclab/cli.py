@@ -45,7 +45,7 @@ import time
 
 import numpy as np
 
-from .distillation import BellDiagonalSpec, bell_diagonal, distillation_report, spectral_ensemble
+from .distillation import BellDiagonalSpec, bell_diagonal, distillation_report
 from .entropy import PURITY_TOL, BipartiteEnsemble, SpectralEnsemble
 from .linalg import DensityOperator, validate_density
 from .protocol import audit_rounds, bound_suite, chain_mutual_information, entropy_summary, run_protocol
@@ -89,7 +89,7 @@ def _scenario_ensemble(scenario: Scenario) -> BipartiteEnsemble | SpectralEnsemb
     if scenario.ensemble is not None:
         return scenario.ensemble
     if scenario.bell is not None:
-        return spectral_ensemble(bell_diagonal(scenario.bell))
+        return SpectralEnsemble(bell_diagonal(scenario.bell))
     raise ScenarioError(f"{scenario.name}: random scenarios must be materialized before use")
 
 

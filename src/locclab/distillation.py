@@ -5,15 +5,14 @@ learn the entire spectral string of their shared pairs (attained by hashing
 for Bell-diagonal states), and partial distinguishing, where a sacrificial
 group of pairs is spent to identify the rest.
 
-``distillation_report`` solves the state once. Every entropy both bounds
-are built from is a root statistic of its eigen-ensemble, read by
-``protocol._level_stats`` off the root whose factors are the solved kets.
-S is the root's conditional entropy H(weights), S_A and S_B its
-average-marginal entropies and the mean local entropy its side-A member
-entropy. The kets reach the root as arrays, not as a ``SpectralEnsemble``:
-``hermitian_eig`` makes them orthonormal, so its Gram check would only
-repeat the solver. ``bell_diagonal`` builds its state directly for the
-same reason: checked weights make it a density operator by construction.
+``distillation_report`` solves the state once, as its
+``SpectralEnsemble``. Every entropy both bounds are built from is a root
+statistic of that eigen-ensemble, read by ``protocol._level_stats`` off the
+root whose factors are its kets: S is the root's conditional entropy
+H(weights), S_A and S_B its average-marginal entropies and the mean local
+entropy its side-A member entropy. ``bell_diagonal`` builds its state
+directly: checked weights make it a density operator by construction, so
+a validating solve would only repeat the report's.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import NEGATIVE_WEIGHT_TOL, ZERO_EIGENVALUE, SpectralEnsemble, _require_unit_sum, is_ppt, shannon_entropy
-from .linalg import DEGENERATE_GAP, DensityOperator, hermitian_eig
-from .protocol import LevelStats, _ket_root, _level_stats
+from .entropy import NEGATIVE_WEIGHT_TOL, SpectralEnsemble, _require_unit_sum, is_ppt, shannon_entropy
+from .linalg import DensityOperator
+from .protocol import LevelStats, _level_stats, _root_level
 
 # Below this the denominator of the partial-distinguishing constraint is
 # degenerate (pure product input) and the bound imposes nothing.
@@ -77,37 +76,6 @@ class DistillationReport:
     closed_form_hashing: float | None = None
     closed_form_hashing_yield: float | None = None
     closed_form_partial: float | None = None
-
-
-def _spectrum(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(weights, kets, degenerate) of one ``hermitian_eig`` solve of rho.
-
-    The eigenvalues above ZERO_EIGENVALUE in descending order (a stable
-    sort), their eigenvectors as the columns of a (D, M) array, and whether
-    two of them lie within DEGENERATE_GAP. A degenerate cluster has one
-    weight, the mean ``hermitian_eig`` gives it, and keeps the
-    ``_cluster_basis`` order, so the order of its kets never follows
-    rounding in the solver. A Bell-diagonal state is solved as d blocks of
-    d (see ``locclab.linalg``).
-    """
-    spectrum = hermitian_eig(rho.matrix)
-    kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)
-    kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
-    weights = spectrum.eigenvalues[kept]
-    return weights, spectrum.eigenvectors[:, kept], bool((np.abs(np.diff(weights)) < DEGENERATE_GAP).any())
-
-
-def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
-    """Eigen-ensemble of a state, dropping zero-eigenvalue vectors, as a
-    checked ``SpectralEnsemble`` ordered as ``_spectrum`` orders it."""
-    weights, vectors, degenerate = _spectrum(rho)
-    vectors.setflags(write=False)
-    return SpectralEnsemble(
-        dim_a=rho.dim_a,
-        dim_b=rho.dim_b,
-        members=tuple((float(w), vectors[:, i]) for i, w in enumerate(weights)),
-        degenerate=degenerate,
-    )
 
 
 def _bounds(stats: LevelStats) -> tuple[float, float, float]:
@@ -193,9 +161,8 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     state is understood as Bell diagonal and the closed forms are attached
     alongside the generic values.
     """
-    weights, kets, degenerate = _spectrum(rho)
-    _require_unit_sum(sum(weights.tolist()))
-    stats = _level_stats(_ket_root(weights, kets.T), (rho.dim_a, rho.dim_b))
+    ensemble = SpectralEnsemble(rho)
+    stats = _level_stats(_root_level(ensemble), (rho.dim_a, rho.dim_b))
     full_raw, partial, r_max = _bounds(stats)
     ppt_flag, min_pt = is_ppt(rho)
 
@@ -213,7 +180,7 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
         full_distinguish_yield=max(0.0, full_raw),
         partial_distinguish_bound=partial,
         max_keep_fraction=r_max,
-        degenerate_spectrum=degenerate,
+        degenerate_spectrum=ensemble.degenerate,
         ppt=ppt_flag,
         min_pt_eigenvalue=min_pt,
         closed_form_hashing=closed_hashing,

@@ -13,9 +13,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    DEGENERATE_GAP,
     DensityOperator,
     _require_finite,
     block_eigvalsh,
+    hermitian_eig,
     hermitize,
     partial_trace,
     partial_transpose,
@@ -83,35 +85,42 @@ class BipartiteEnsemble:
         return hermitize(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralEnsemble:
-    """Eigendecomposition of a state viewed as a pure-state ensemble.
+    """A state's eigen-ensemble, from one ``hermitian_eig`` solve of it.
 
-    Members are (weight, unit vector) pairs with orthonormal vectors,
-    ordered by descending weight. ``degenerate`` flags repeated nonzero
-    eigenvalues, where the decomposition (and hence the mean local entropy)
-    is convention dependent.
+    ``weights`` (M,) are the eigenvalues above ZERO_EIGENVALUE in
+    descending order (a stable sort) and ``kets`` (M, D) their orthonormal
+    eigenvectors, both read-only; the kept weights must sum to 1 within
+    WEIGHT_SUM_TOL. A degenerate cluster has one weight, the mean
+    ``hermitian_eig`` gives it, and keeps the ``_cluster_basis`` order, so
+    the order of its kets never follows rounding in the solver.
+    ``degenerate`` flags two kept weights within DEGENERATE_GAP, where the
+    decomposition (and hence the mean local entropy) is convention
+    dependent. A Bell-diagonal state is solved as d blocks of d (see
+    ``locclab.linalg``).
     """
 
+    weights: np.ndarray
+    kets: np.ndarray
+    degenerate: bool
     dim_a: int
     dim_b: int
-    members: tuple[tuple[float, np.ndarray], ...]
-    degenerate: bool
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("spectral ensemble needs at least one member")
-        shape = (self.dim_a * self.dim_b,)
-        for i, (p, v) in enumerate(self.members):
-            if p < -NEGATIVE_WEIGHT_TOL:
-                raise ValueError(f"member {i}: negative weight {p}")
-            if np.shape(v) != shape:
-                raise ValueError(f"member {i}: vector shape {np.shape(v)} is not {shape}")
-        _require_unit_sum(sum(p for p, _ in self.members))
-        vectors = np.column_stack([v for _, v in self.members])
-        gram = vectors.conj().T @ vectors
-        if not np.abs(gram - np.eye(len(self.members))).max() <= 1e-9:
-            raise ValueError("spectral ensemble vectors are not orthonormal")
+    def __init__(self, rho: DensityOperator):
+        spectrum = hermitian_eig(rho.matrix)
+        kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)
+        kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
+        weights = spectrum.eigenvalues[kept]
+        _require_unit_sum(sum(weights.tolist()))
+        kets = np.ascontiguousarray(spectrum.eigenvectors[:, kept].T)
+        weights.setflags(write=False)
+        kets.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "kets", kets)
+        object.__setattr__(self, "degenerate", bool((np.abs(np.diff(weights)) < DEGENERATE_GAP).any()))
+        object.__setattr__(self, "dim_a", rho.dim_a)
+        object.__setattr__(self, "dim_b", rho.dim_b)
 
 
 def shannon_entropies(probabilities) -> np.ndarray:

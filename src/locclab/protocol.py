@@ -18,12 +18,12 @@ member state is stored as a factor V with rho = V V^dagger:
     parent   (N_k,)           index of the node's parent on level k - 1
     paths    N_k tuples       outcome histories
 
-Two builders make root factors. ``_ket_root`` takes orthonormal kets as
-their own factors (r = 1, no eigensolve): a ``SpectralEnsemble``'s through
-``_root_level``, and the arrays that ``distillation_report`` solves.
-``_root_level`` factors a ``BipartiteEnsemble``'s members by one stacked
-``eigh``: V = U sqrt(Lambda) over the eigenvalues above
-_RANK_CUT, padded with zero columns to the largest rank r and renormalized.
+``_root_level`` makes every root, for the tree commands and
+``distillation_report`` alike. A ``SpectralEnsemble``'s orthonormal kets
+are their own factors (r = 1, no eigensolve). A ``BipartiteEnsemble``'s
+members are factored by one stacked ``eigh``: V = U sqrt(Lambda) over the
+eigenvalues above _RANK_CUT, padded with zero columns to the largest rank
+r and renormalized.
 The cut sits at rounding level, not at DEFAULT_TOL: a genuine eigenvalue of
 1e-12 dropped at the root moves the entropies past the 1e-12 agreement.
 
@@ -279,24 +279,18 @@ class LevelStats:
         return self.average_entropy[side] - self.member_entropy[side]
 
 
-def _ket_root(weights: np.ndarray, kets) -> TreeLevel:
-    """The root node of M orthonormal kets (M, D) with their weights: each
-    ket, copied C-contiguous, is its member's rank-one factor."""
-    factors = np.array(kets, dtype=complex, order="C")[:, :, None]
-    return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=np.array([-1]), paths=((),))
-
-
 def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
     """The root node. A spectral ensemble's kets are its rank-one factors; a
     matrix member is factored as U sqrt(Lambda) over its eigenvalues above
     _RANK_CUT and padded to the largest rank."""
     if isinstance(ensemble, SpectralEnsemble):
-        return _ket_root(np.array([w for w, _ in ensemble.members]), [v for _, v in ensemble.members])
-    values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
-    rank = int((values > _RANK_CUT).sum(axis=1).max())
-    kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
-    factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
-    weights = ensemble.probabilities()
+        weights, factors = ensemble.weights, ensemble.kets[:, :, None]
+    else:
+        values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
+        rank = int((values > _RANK_CUT).sum(axis=1).max())
+        kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
+        factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
+        weights = ensemble.probabilities()
     return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=np.array([-1]), paths=((),))
 
 

@@ -65,8 +65,17 @@ INSTRUMENT_FAMILY = "projective-random-basis"
 # The one accepted value of each side of ``selectors``.
 SELECTOR = "auto"
 _INF = float("inf")
-# The top-level fields; ``tolerance`` is listed so that its own message names --tol.
-_SCENARIO_FIELDS = ("bell", "dims", "ensemble", "kind", "name", "protocol", "random", "schema", "selectors", "tolerance")
+# The top-level fields every kind takes; ``tolerance`` is listed so that its
+# own message names --tol.
+_COMMON_FIELDS = ("kind", "name", "schema", "selectors", "tolerance")
+# The top-level fields that only their own kind reads.
+_KIND_FIELDS = {
+    "ensemble": ("dims", "ensemble"),
+    "protocol": ("dims", "ensemble", "protocol"),
+    "bell_diagonal": ("bell",),
+    "random": ("dims", "random"),
+}
+_SCENARIO_FIELDS = tuple(sorted({*_COMMON_FIELDS, *itertools.chain.from_iterable(_KIND_FIELDS.values())}))
 
 
 class ScenarioError(ValueError):
@@ -487,6 +496,11 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             )
         random_spec = RandomSpec(n_members=n_members, protocol_depth=depth)
 
+    # Checked last, so that a file that fails another check keeps its message.
+    for key in obj:
+        if key not in _COMMON_FIELDS and key not in _KIND_FIELDS[kind]:
+            _fail(f"{source}.{key}", f"kind {kind!r} takes no {key!r} field")
+
     return Scenario(
         kind=kind,
         name=name,
@@ -554,8 +568,12 @@ def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _int_range(value, name: str, minimum: int) -> tuple[int, int]:
-    """An int or a (low, high) pair as a nonempty range starting at ``minimum`` or above."""
-    lo, hi = (value, value) if isinstance(value, int) else tuple(value)
+    """An int or a (low, high) pair of ints, none a bool (as ``_as_int``
+    reads them), as a nonempty range starting at ``minimum`` or above."""
+    pair = tuple(value) if isinstance(value, (tuple, list)) else (value, value)
+    if len(pair) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair):
+        raise ValueError(f"{name}: expected an integer or a (low, high) pair of integers, got {value!r}")
+    lo, hi = pair
     if lo > hi:
         raise ValueError(f"{name}: empty range [{lo}, {hi}]")
     if lo < minimum:

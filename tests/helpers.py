@@ -5,8 +5,8 @@ import numpy as np
 from locclab import (
     BipartiteEnsemble,
     DensityOperator,
+    SpectralEnsemble,
     pure_state_density,
-    spectral_ensemble,
     validate_density,
 )
 
@@ -136,13 +136,14 @@ def distillation_oracle(rho: DensityOperator) -> dict[str, float]:
 
     S from ``np.linalg.eigvalsh`` of rho, S_A and S_B from explicit
     ``einsum`` partial traces, and the mean local entropy from the Schmidt
-    coefficients (SVD) of each ``spectral_ensemble`` member.
+    coefficients (SVD) of each ``SpectralEnsemble`` ket.
     """
     dim_a, dim_b = rho.dim_a, rho.dim_b
     entropy = von_neumann_oracle(rho.matrix)
     entropy_a = von_neumann_oracle(partial_trace_oracle(rho.matrix, "A", dim_a, dim_b))
     entropy_b = von_neumann_oracle(partial_trace_oracle(rho.matrix, "B", dim_a, dim_b))
-    mean_local = sum(w * pure_entanglement_oracle(v, dim_a, dim_b) for w, v in spectral_ensemble(rho).members)
+    se = SpectralEnsemble(rho)
+    mean_local = sum(w * pure_entanglement_oracle(v, dim_a, dim_b) for w, v in zip(se.weights.tolist(), se.kets))
     denominator = entropy + mean_local
     if denominator < 1e-12:  # pure product: the partial constraint is vacuous
         r_max = partial = np.inf

@@ -6,14 +6,17 @@ from d^2 Kronecker products of clock and shift powers, the state as a sum of
 outer products, the degenerate-cluster basis by modified Gram-Schmidt one
 accepted vector at a time, the phase fixed column by column, one scalar
 entropy per spectral member and side, and a report that computes the
-spectral ensemble and its entropies twice. It builds the package's own
-``SpectralEnsemble`` and ``DistillationReport`` values, so the property tests
-can compare the two forms field by field. Its entropies, marginals, Bell
-kets, PPT test and Bell closed forms come from numpy alone, through the
-oracles in ``helpers``, not from ``locclab.entropy``.
+spectral ensemble and its entropies twice. Its eigen-ensemble is its own
+``ReferenceEnsemble`` record of (weight, vector) members, and its report the
+package's ``DistillationReport``, so the property tests can compare the two
+forms field by field. Its entropies, marginals, Bell kets, PPT test and Bell
+closed forms come from numpy alone, through the oracles in ``helpers``, not
+from ``locclab.entropy``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from locclab.distillation import (
     _VACUOUS_EPS,
     BellDiagonalSpec,
     DistillationReport,
-    SpectralEnsemble,
 )
 from locclab.entropy import ZERO_EIGENVALUE
 from locclab.linalg import (
@@ -92,7 +94,18 @@ def hermitian_eig(matrix, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
     )
 
 
-def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
+@dataclass(frozen=True)
+class ReferenceEnsemble:
+    """Eigen-ensemble of a state: (weight, unit vector) members in
+    descending weight, and whether two weights lie within DEGENERATE_GAP."""
+
+    dim_a: int
+    dim_b: int
+    members: tuple[tuple[float, np.ndarray], ...]
+    degenerate: bool
+
+
+def spectral_ensemble(rho: DensityOperator) -> ReferenceEnsemble:
     spectrum = hermitian_eig(rho.matrix)
     kept = [
         (float(w), spectrum.eigenvectors[:, i])
@@ -104,10 +117,10 @@ def spectral_ensemble(rho: DensityOperator) -> SpectralEnsemble:
     degenerate = any(
         abs(weights[i] - weights[i + 1]) < DEGENERATE_GAP for i in range(len(weights) - 1)
     )
-    return SpectralEnsemble(dim_a=rho.dim_a, dim_b=rho.dim_b, members=tuple(kept), degenerate=degenerate)
+    return ReferenceEnsemble(dim_a=rho.dim_a, dim_b=rho.dim_b, members=tuple(kept), degenerate=degenerate)
 
 
-def mean_local_entropy(se: SpectralEnsemble) -> float:
+def mean_local_entropy(se: ReferenceEnsemble) -> float:
     total_a = 0.0
     total_b = 0.0
     for weight, vector in se.members:

@@ -22,12 +22,12 @@ import reference_distillation as ref
 from locclab import (
     BellDiagonalSpec,
     DensityOperator,
+    SpectralEnsemble,
     bell_diagonal,
     cli,
     hermitian_eig,
     is_ppt,
     partial_transpose,
-    spectral_ensemble,
     validate_density,
 )
 from locclab.linalg import _blocks, block_eigvalsh, hermitize
@@ -196,12 +196,12 @@ def test_isotropic_two_qubit_members_are_hand_derived():
     """
     fidelity = 0.7
     rest = (1.0 - fidelity) / 3
-    ensemble = spectral_ensemble(bell_diagonal(BellDiagonalSpec(2, (fidelity, rest, rest, rest))))
+    ensemble = SpectralEnsemble(bell_diagonal(BellDiagonalSpec(2, (fidelity, rest, rest, rest))))
     expected = [PHI_PLUS, PHI_MINUS, np.eye(4)[1], np.eye(4)[2]]
-    assert len(ensemble.members) == 4
-    for (_, vector), ket in zip(ensemble.members, expected):
+    assert len(ensemble.kets) == 4
+    for vector, ket in zip(ensemble.kets, expected):
         np.testing.assert_allclose(vector, ket, rtol=0, atol=1e-12)
-    weights = [w for w, _ in ensemble.members]
+    weights = ensemble.weights.tolist()
     assert abs(weights[0] - fidelity) <= 1e-12
     assert weights[1] == weights[2] == weights[3]
     assert abs(weights[1] - rest) <= 1e-12

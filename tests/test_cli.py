@@ -228,7 +228,7 @@ def test_mixed_bell_diagonal_above_two_qubits_is_rejected_before_any_ensemble(tm
     def unreachable(*args, **kwargs):
         raise AssertionError("the ensemble or the tree was built")
 
-    monkeypatch.setattr(cli, "spectral_ensemble", unreachable)
+    monkeypatch.setattr(cli, "SpectralEnsemble", unreachable)
     monkeypatch.setattr(cli, "run_protocol", unreachable)
     path = write_bell(tmp_path, 4, [0.7] + [0.02] * 15)
     code, out, err = run(["bounds-verify", path])

@@ -14,7 +14,6 @@ from locclab import (
     partial_trace,
     pure_state_density,
     run_protocol,
-    spectral_ensemble,
     validate_density,
 )
 
@@ -107,37 +106,31 @@ class TestBellDiagonal:
 
 class TestSpectralEnsemble:
     def test_bell_diagonal_09(self):
-        se = spectral_ensemble(bell_diagonal(spec_09()))
-        assert [round(w, 12) for w, _ in se.members] == [0.9, 0.1]
+        se = SpectralEnsemble(bell_diagonal(spec_09()))
+        assert [round(w, 12) for w in se.weights.tolist()] == [0.9, 0.1]
         assert not se.degenerate
-        np.testing.assert_allclose(se.members[0][1], PHI_PLUS, atol=1e-9)
-        np.testing.assert_allclose(se.members[1][1], PSI_PLUS, atol=1e-9)
+        np.testing.assert_allclose(se.kets[0], PHI_PLUS, atol=1e-9)
+        np.testing.assert_allclose(se.kets[1], PSI_PLUS, atol=1e-9)
 
     def test_pure_state_single_member(self):
-        se = spectral_ensemble(bell(PHI_PLUS))
-        assert len(se.members) == 1
-        assert se.members[0][0] == pytest.approx(1.0, abs=1e-12)
+        se = SpectralEnsemble(bell(PHI_PLUS))
+        assert len(se.weights) == 1
+        assert se.weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_degenerate(self):
-        se = spectral_ensemble(validate_density(np.eye(4) / 4, 2, 2))
-        assert len(se.members) == 4
+        se = SpectralEnsemble(validate_density(np.eye(4) / 4, 2, 2))
+        assert len(se.weights) == 4
         assert se.degenerate
-        np.testing.assert_allclose([w for w, _ in se.members], [0.25] * 4)
+        np.testing.assert_allclose(se.weights, [0.25] * 4)
 
-    def test_wrong_vector_length_rejected(self):
-        with pytest.raises(ValueError, match=r"member 0: vector shape \(3,\) is not \(4,\)"):
-            SpectralEnsemble(2, 2, ((1.0, [1, 0, 0]),), False)
-
-    def test_negative_weight_rejected(self):
-        members = ((1.5, np.array([1, 0, 0, 0], dtype=complex)), (-0.5, np.array([0, 1, 0, 0], dtype=complex)))
-        with pytest.raises(ValueError, match="member 1: negative weight -0.5"):
-            SpectralEnsemble(2, 2, members, False)
-
-    def test_orthonormality_enforced(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            SpectralEnsemble(
-                dim_a=2, dim_b=2, members=((0.5, PHI_PLUS), (0.5, PHI_PLUS)), degenerate=False
-            )
+    def test_solved_kets_are_orthonormal_and_read_only(self):
+        rng = np.random.default_rng(20)
+        for rho in [random_bipartite_density(rng, 2, 3) for _ in range(10)] + [bell_diagonal(spec_09())]:
+            se = SpectralEnsemble(rho)
+            assert se.kets.shape == (len(se.weights), rho.dim_a * rho.dim_b)
+            assert (se.dim_a, se.dim_b) == (rho.dim_a, rho.dim_b)
+            assert np.abs(se.kets.conj() @ se.kets.T - np.eye(len(se.weights))).max() <= 1e-12
+            assert not se.weights.flags.writeable and not se.kets.flags.writeable
 
 
 class TestMeanLocalEntropy:
@@ -149,13 +142,13 @@ class TestMeanLocalEntropy:
         assert report.mean_local_entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_synthetic_orthonormal_pair(self):
-        # half a Bell state, half an orthogonal product state
-        se = SpectralEnsemble(
-            dim_a=2,
-            dim_b=2,
-            members=((0.5, PHI_PLUS), (0.5, np.array([0, 1, 0, 0], dtype=complex))),
-            degenerate=False,
-        )
+        # half a Bell state, half an orthogonal product state: the two lie
+        # in different blocks of the matrix, so the degenerate cluster's
+        # basis is exactly this pair
+        product = np.array([0, 1, 0, 0], dtype=complex)
+        rho = validate_density(0.5 * np.outer(PHI_PLUS, PHI_PLUS) + 0.5 * np.outer(product, product), 2, 2)
+        se = SpectralEnsemble(rho)
+        np.testing.assert_allclose(se.kets, [PHI_PLUS, product], atol=1e-12)
         # The side-A member entropy of its depth-zero root.
         assert run_protocol(se, {}, 0).stats[0].member_entropy["A"] == pytest.approx(0.5, abs=1e-12)
 
@@ -163,10 +156,11 @@ class TestMeanLocalEntropy:
         rng = np.random.default_rng(19)
         for _ in range(40):
             rho = random_bipartite_density(rng, 2, 3)
-            se = spectral_ensemble(rho)
-            side_a = sum(w * pure_entanglement_oracle(v, 2, 3) for w, v in se.members)
+            se = SpectralEnsemble(rho)
+            members = list(zip(se.weights.tolist(), se.kets))
+            side_a = sum(w * pure_entanglement_oracle(v, 2, 3) for w, v in members)
             # The same kets with the parties swapped: B's Schmidt coefficients.
-            side_b = sum(w * pure_entanglement_oracle(v.reshape(2, 3).T.reshape(-1), 3, 2) for w, v in se.members)
+            side_b = sum(w * pure_entanglement_oracle(v.reshape(2, 3).T.reshape(-1), 3, 2) for w, v in members)
             mean_local = distillation_report(rho).mean_local_entropy
             assert abs(mean_local - side_a) <= 1e-12
             assert abs(mean_local - side_b) <= 1e-12

@@ -29,13 +29,12 @@ import reference_distillation as ref
 from helpers import distillation_oracle, random_bipartite_density
 from locclab import (
     BellDiagonalSpec,
-    bell_diagonal,
     SpectralEnsemble,
+    bell_diagonal,
     distillation_report,
     entropy_summary,
     hermitian_eig,
     run_protocol,
-    spectral_ensemble,
     validate_density,
 )
 from locclab import distillation, protocol
@@ -90,10 +89,10 @@ def assert_spectra_agree(matrix):
 
 
 def assert_ensembles_agree(rho):
-    new, old = spectral_ensemble(rho), ref.spectral_ensemble(rho)
+    new, old = SpectralEnsemble(rho), ref.spectral_ensemble(rho)
     assert new.degenerate == old.degenerate
-    assert len(new.members) == len(old.members)
-    for (p, u), (q, v) in zip(new.members, old.members):
+    assert len(new.weights) == len(old.members)
+    for p, u, (q, v) in zip(new.weights.tolist(), new.kets, old.members):
         assert abs(p - q) <= TOL
         np.testing.assert_allclose(u, v, rtol=0, atol=TOL)
 
@@ -133,24 +132,27 @@ def test_degenerate_mixed_state_matches_reference(seed, dims):
 @PROPERTY
 @given(seed=seeds, dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), degenerate=st.booleans())
 def test_report_root_is_the_spectral_ensemble_root(seed, dims, degenerate):
-    """The report roots on solved kets without building a ``SpectralEnsemble``:
-    they must pass its constructor, and the report's entropies must be those
-    of the spectral ensemble's root, bit for bit."""
+    """The report roots on the state's ``SpectralEnsemble``, as the other
+    commands do: its entropies must be those of that ensemble's root, bit
+    for bit."""
     rng = np.random.default_rng(seed)
     rho = degenerate_mixed_state(rng, *dims) if degenerate else random_bipartite_density(rng, *dims)
     roots = []
 
-    def capture(weights, kets):
-        roots.append((weights, kets))
-        return protocol._ket_root(weights, kets)
+    def capture(ensemble):
+        roots.append(ensemble)
+        return protocol._root_level(ensemble)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distillation, "_ket_root", capture)
+        patch.setattr(distillation, "_root_level", capture)
         report = distillation_report(rho)
-    ((weights, kets),) = roots
-    SpectralEnsemble(rho.dim_a, rho.dim_b, tuple(zip(weights.tolist(), kets)), report.degenerate_spectrum)
+    (rooted,) = roots
+    se = SpectralEnsemble(rho)
+    assert isinstance(rooted, SpectralEnsemble)
+    assert rooted.degenerate == se.degenerate == report.degenerate_spectrum
+    np.testing.assert_array_equal(rooted.weights, se.weights)
+    np.testing.assert_array_equal(rooted.kets, se.kets)
 
-    se = spectral_ensemble(rho)
     stats = run_protocol(se, {}, 0).stats[0]
     summary = entropy_summary(se)
     assert report.entropy == stats.conditional_entropy == summary["entropy_average"]

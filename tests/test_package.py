@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "random_scenario",
     "run_protocol",
     "shannon_entropy",
-    "spectral_ensemble",
     "validate_density",
 ]
 

@@ -12,6 +12,7 @@ import pytest
 from locclab import (
     BellDiagonalSpec,
     BipartiteEnsemble,
+    DensityOperator,
     KrausInstrument,
     ScenarioError,
     SpectralEnsemble,
@@ -24,6 +25,7 @@ from locclab import (
     random_scenario,
     run_protocol,
 )
+from locclab import scenario as scenario_module
 from locclab.linalg import block_eigvalsh
 from locclab.scenario import ProtocolStep, Scenario
 
@@ -412,6 +414,104 @@ class TestBatchedOverrideParse:
         assert all(overrides[key].kets is not None for key in (("0", "0"), ("1", "0"), ("1", "1")))
 
 
+def set_label(index, suffix):
+    def edit(entry):
+        labels = entry["labels"]
+        entry["labels"] = [*labels[:index], labels[index] + suffix, *labels[index + 1 :]]
+
+    return edit
+
+
+def replace_entry(value):
+    def edit(entry):
+        entry.clear()
+        entry.update(copy.deepcopy(value))
+
+    return edit
+
+
+# Faults of one override entry: the kinds of TestBatchedOverrideParse, plus a
+# valid relabelling, which leaves later keys unreachable.
+ENTRY_FAULTS = [
+    lambda entry: entry["projective"][0][1].__setitem__(0, True),
+    lambda entry: entry["projective"][1][0].__setitem__(1, "0.5"),
+    lambda entry: entry["projective"][1][1].__setitem__(0, float("nan")),
+    lambda entry: entry["projective"][0][0].__setitem__(1, float("-inf")),
+    lambda entry: entry["projective"][1][0].__setitem__(0, 10**400),
+    lambda entry: entry["projective"][1].pop(),
+    lambda entry: entry["projective"].__setitem__(0, tuple(entry["projective"][0])),
+    lambda entry: entry["projective"].append([[0, 0], [0, 0]]),
+    lambda entry: entry.update(projective=[]),
+    lambda entry: entry.update(projective=[[[1, 0], [0, 0]], [[R, 0], [R, 0]]]),
+    lambda entry: entry.update(projective=copy.deepcopy(SCALED_Y)),
+    lambda entry: entry.update(labels=entry["labels"][:1] * 2),
+    set_label(1, ",2"),
+    set_label(0, ","),
+    lambda entry: entry.update(labels=entry["labels"][:1]),
+    set_label(0, "x"),
+    lambda entry: entry.update(kraus=copy.deepcopy(Z_KRAUS)),
+    lambda entry: entry.update(note={}),
+    replace_entry(INCOMPLETE_KRAUS),
+    replace_entry({"kraus": Z_KRAUS}),
+]
+# Renames of one override key: a label that no instrument has, one label
+# too few or too many, and the key of a sibling entry, which it replaces.
+KEY_RENAMES = [
+    lambda key, keys: key[: key.rfind(",") + 1] + "zz",
+    lambda key, keys: key[: max(key.rfind(","), 0)],
+    lambda key, keys: key + ",u9",
+    lambda key, keys: keys[(keys.index(key) + 1) % len(keys)],
+]
+
+
+def faulty_tables(count: int, seed: int) -> list[dict]:
+    """``count`` copies of an adaptive depth-4 protocol, each with 0-3
+    faults in the override tables of steps 2-4."""
+    rng = np.random.default_rng(seed)
+    base = json.loads(dump_scenario(adaptive_scenario(4, seed)))
+    tables = []
+    for _ in range(count):
+        data = copy.deepcopy(base)
+        faulty = set()  # ids of the entries already given a fault
+        for _ in range(int(rng.integers(4))):
+            table = data["protocol"][int(rng.integers(1, 4))]["overrides"]
+            keys = list(table)
+            key = keys[int(rng.integers(len(keys)))]
+            fault = int(rng.integers(len(ENTRY_FAULTS) + len(KEY_RENAMES)))
+            if fault < len(ENTRY_FAULTS):
+                entry = table[key]
+                if id(entry) not in faulty:
+                    faulty.add(id(entry))
+                    ENTRY_FAULTS[fault](entry)
+            else:
+                table[KEY_RENAMES[fault - len(ENTRY_FAULTS)](key, keys)] = table.pop(key)
+        tables.append(data)
+    return tables
+
+
+def parse_outcome(data) -> tuple[str, str]:
+    """("ok", the dump) of a parse, or the exception's type name and message."""
+    try:
+        return "ok", dump_scenario(parse_scenario(data, source="s"))
+    except ValueError as exc:  # ScenarioError included: the type must agree too
+        return type(exc).__name__, str(exc)
+
+
+def test_batched_and_entry_override_reads_agree_on_faulty_tables():
+    # Each table parses to the same dump, or fails with the same exception
+    # and message, whether its overrides are read in one batch or entry by
+    # entry (the batch read declining every table).
+    tables = faulty_tables(300, 20)
+    batched = [parse_outcome(data) for data in tables]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        by_entry = [parse_outcome(data) for data in tables]
+    assert sum(kind == "ok" for kind, _ in batched) >= 20
+    assert len({message for kind, message in batched if kind != "ok"}) >= 20
+    disagree = [(i, a, b) for i, (a, b) in enumerate(zip(batched, by_entry)) if a != b]
+    assert not disagree, disagree[:3]
+
+
 BELL_09 = {"kind": "bell_diagonal", "name": "b", "bell": {"d": 2, "probs": [0.9, 0.1, 0.0, 0.0]}}
 RANDOM_SWEEP = {"kind": "random", "name": "r", "dims": [2, 2], "random": {"n_members": 2, "protocol_depth": 1}}
 INSTRUMENT_FIELDS = "['kraus', 'labels', 'projective']"
@@ -512,6 +612,34 @@ class TestUnknownFields:
     )
     def test_foreign_schema_is_rejected(self, schema, message):
         assert parse_error({**z_protocol(), "schema": schema}) == message
+
+
+ENSEMBLE_ONLY = {"kind": "ensemble", "name": "e", "dims": [2, 2], "ensemble": z_protocol()["ensemble"]}
+# A valid value of every field that only some kinds take.
+KIND_FIELD_VALUES = {
+    "bell": BELL_09["bell"],
+    "dims": [2, 2],
+    "ensemble": ENSEMBLE_ONLY["ensemble"],
+    "protocol": z_protocol()["protocol"],
+    "random": RANDOM_SWEEP["random"],
+}
+STRAY_FIELDS = [
+    (base, field)
+    for base in (ENSEMBLE_ONLY, z_protocol(), BELL_09, RANDOM_SWEEP)
+    for field in KIND_FIELD_VALUES
+    if field not in base
+]
+
+
+@pytest.mark.parametrize(
+    "base, field", STRAY_FIELDS, ids=[f"{base['kind']}-{field}" for base, field in STRAY_FIELDS]
+)
+def test_field_of_another_kind_is_rejected(base, field):
+    # Such a field would never be read: an ensemble with a protocol would
+    # run at depth 0 and pass every check.
+    parse_scenario(copy.deepcopy(base))
+    data = {**copy.deepcopy(base), field: copy.deepcopy(KIND_FIELD_VALUES[field])}
+    assert parse_error(data) == f"s.{field}: kind {base['kind']!r} takes no {field!r} field"
 
 
 Z3 = {"projective": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}
@@ -708,6 +836,17 @@ class TestTypedGenerator:
             ({"protocol_depth": (3, 1)}, "protocol_depth: empty range [3, 1]"),
             ({"n_members": 0}, "n_members must be >= 1, got 0"),
             ({"protocol_depth": (-1, 2)}, "protocol_depth must be >= 0, got -1"),
+            ({"n_members": 2.0}, "n_members: expected an integer or a (low, high) pair of integers, got 2.0"),
+            ({"n_members": (1, 2, 3)}, "n_members: expected an integer or a (low, high) pair of integers, got (1, 2, 3)"),
+            (
+                {"protocol_depth": (0.5, 2)},
+                "protocol_depth: expected an integer or a (low, high) pair of integers, got (0.5, 2)",
+            ),
+            (
+                {"protocol_depth": (1, 2.5)},
+                "protocol_depth: expected an integer or a (low, high) pair of integers, got (1, 2.5)",
+            ),
+            ({"n_members": True}, "n_members: expected an integer or a (low, high) pair of integers, got True"),
         ],
     )
     def test_bad_range_is_rejected_naming_the_parameter(self, kwargs, message):
@@ -727,8 +866,10 @@ NAN = float("nan")
         lambda: KrausInstrument(party="A", outcomes=(("0", np.diag([1.0, NAN])),)),
         lambda: KrausInstrument.projective("A", [[1.0, 0.0], [0.0, NAN]]),
         lambda: pure_state_density([1.0, 0.0, 0.0, NAN], 2, 2),
-        lambda: SpectralEnsemble(2, 2, ((NAN, np.array([1.0, 0.0, 0.0, 0.0])),), False),
-        lambda: SpectralEnsemble(2, 2, ((1.0, np.array([NAN, 0.0, 0.0, 0.0])),), False),
+        # A spectral ensemble is solved from its state, whose NaN reaches the
+        # spectrum through a diagonal entry (a weight) or an off-diagonal one.
+        lambda: SpectralEnsemble(DensityOperator(2, 2, np.diag([NAN, 1.0, 0.0, 0.0]))),
+        lambda: SpectralEnsemble(DensityOperator(2, 2, np.outer([1.0, 0.0, 0.0, NAN], [1.0, 0.0, 0.0, NAN]))),
     ],
     ids=["ensemble", "bell_spec", "kraus", "projective", "pure_state", "spectral_weight", "spectral_vector"],
 )

@@ -25,6 +25,7 @@ from locclab import (
     BellDiagonalSpec,
     BipartiteEnsemble,
     KrausInstrument,
+    SpectralEnsemble,
     audit_rounds,
     bell_diagonal,
     bound_suite,
@@ -32,7 +33,6 @@ from locclab import (
     entropy_summary,
     pure_state_density,
     run_protocol,
-    spectral_ensemble,
 )
 
 from helpers import entropy_summary_oracle, random_bipartite_density, random_pure_vector
@@ -54,7 +54,9 @@ def bell_state(kind: str, rng):
 
 def dense(se) -> BipartiteEnsemble:
     """The spectral ensemble's kets as dense pure-state densities."""
-    return BipartiteEnsemble(tuple((w, pure_state_density(v, se.dim_a, se.dim_b)) for w, v in se.members))
+    return BipartiteEnsemble(
+        tuple((w, pure_state_density(v, se.dim_a, se.dim_b)) for w, v in zip(se.weights.tolist(), se.kets))
+    )
 
 
 def projective_chooser(seed: int, parties: str):
@@ -96,7 +98,7 @@ def assert_summaries_agree(new: dict, old: dict):
 @given(seed=seeds, depth=st.integers(1, 3), kind=st.sampled_from(["generic", "isotropic"]))
 def test_spectral_and_dense_ensembles_give_the_same_tree(seed, depth, kind):
     rng = np.random.default_rng(seed)
-    se = spectral_ensemble(bell_state(kind, rng))
+    se = SpectralEnsemble(bell_state(kind, rng))
     parties = "".join(rng.choice(["A", "B"], size=depth))
     chooser = projective_chooser(seed, parties)
     new, old = run_protocol(se, chooser, depth), run_protocol(dense(se), chooser, depth)
@@ -118,7 +120,7 @@ def test_spectral_and_dense_ensembles_give_the_same_tree(seed, depth, kind):
 
 @pytest.mark.parametrize("kind", ["generic", "isotropic"])
 def test_measure_branch_takes_a_spectral_ensemble(kind):
-    se = spectral_ensemble(bell_state(kind, np.random.default_rng(3)))
+    se = SpectralEnsemble(bell_state(kind, np.random.default_rng(3)))
     instrument = projective_chooser(3, "B")(())
     new, old = (run_protocol(ensemble, {(): instrument}, 1).leaves() for ensemble in (se, dense(se)))
     for leaf, leaf_old in zip(new, old, strict=True):
@@ -162,7 +164,7 @@ def test_entropy_summary_reads_a_spectral_ensemble_off_its_weights(seed, dims, k
         rho = bell_diagonal(BellDiagonalSpec(d, tuple((probs / probs.sum()).tolist())))
     else:
         rho = random_bipartite_density(rng, *dims)
-    se = spectral_ensemble(rho)
+    se = SpectralEnsemble(rho)
     shapes = []
     with pytest.MonkeyPatch.context() as patch:
         for name in ("eigh", "eigvalsh"):
