@@ -19,11 +19,13 @@ lines. ``COMMANDS`` and the argparse choices come from the table.
 
 ``--tol`` (default 1e-7) is the one slack tolerance of every check; a
 scenario file sets none, and the entanglement measure follows each state
-(``entropy.entanglements``). ``bounds-verify`` rejects a mixed
-Bell-diagonal state with d >= 3 before building any ensemble, naming the
-file's ``bell`` field: its output entanglement has no measure.
+(``entropy.entanglements``). ``bounds-verify`` checks a Bell-diagonal
+state's one leaf, the state itself, by the engine's measurability rule
+from its purity sum_k p_k^2 before building any ensemble, naming the
+file's ``bell`` field.
 
-Exit codes: 0 success, 1 at least one failed check, 2 input or usage error,
+Exit codes: 0 success, 1 at least one failed check, 2 input or usage error
+(an engine error while a trial is built is prefixed with the file's path),
 141 (128 + SIGPIPE, as a shell reports it) when the reader closes stdout
 early, as ``| head`` does: the rest of the output is dropped without a
 traceback. JSON reports are canonical (sorted keys) and contain no timing
@@ -45,9 +47,9 @@ import time
 
 import numpy as np
 
-from .distillation import BellDiagonalSpec, bell_diagonal, distillation_report
-from .entropy import PURITY_TOL, BipartiteEnsemble, SpectralEnsemble
-from .linalg import DensityOperator, validate_density
+from .distillation import bell_diagonal, distillation_report
+from .entropy import BipartiteEnsemble, SpectralEnsemble, _require_measurable
+from .linalg import DensityOperator, _frozen
 from .protocol import audit_rounds, bound_suite, chain_mutual_information, entropy_summary, run_protocol
 from .scenario import Scenario, ScenarioError, load_scenario, materialize_random
 
@@ -74,45 +76,26 @@ def _check(name: str, value: float, threshold: float, comparison: str) -> dict:
 
 
 def _scenario_state(scenario: Scenario) -> DensityOperator:
-    """Average state of the scenario, whatever its kind."""
+    """Average state of a concrete scenario, built as ``bell_diagonal``
+    builds its own: ``distillation_report``'s solve checks it."""
     if scenario.bell is not None:
         return bell_diagonal(scenario.bell)
-    if scenario.ensemble is not None:
-        ens = scenario.ensemble
-        return validate_density(ens.average_matrix(), ens.dim_a, ens.dim_b)
-    raise ScenarioError(f"{scenario.name}: random scenarios must be materialized before use")
+    ens = scenario.ensemble
+    return DensityOperator(ens.dim_a, ens.dim_b, _frozen(ens.average_matrix()))
 
 
 def _scenario_ensemble(scenario: Scenario) -> BipartiteEnsemble | SpectralEnsemble:
-    """Hypothesis ensemble of the scenario; a Bell-diagonal state's is its
-    spectral ensemble, whose kets the tree takes as they are."""
-    if scenario.ensemble is not None:
-        return scenario.ensemble
+    """Hypothesis ensemble of a concrete scenario; a Bell-diagonal state's is
+    its spectral ensemble, whose kets the tree takes as they are."""
     if scenario.bell is not None:
         return SpectralEnsemble(bell_diagonal(scenario.bell))
-    raise ScenarioError(f"{scenario.name}: random scenarios must be materialized before use")
+    return scenario.ensemble
 
 
 def _transcript(scenario: Scenario):
     """Protocol transcript of the scenario, and the report fields of its tree."""
     transcript = run_protocol(_scenario_ensemble(scenario), scenario.chooser, scenario.depth)
     return transcript, {"depth": transcript.depth, "round_parties": list(transcript.round_parties)}
-
-
-def _require_measurable(spec: BellDiagonalSpec, path) -> None:
-    """Reject a Bell-diagonal state whose output entanglement has no measure.
-
-    Its spectral members are pure, but the depth-zero tree's one leaf is
-    the state itself: for d >= 3 that is measurable only when pure, and its
-    purity is sum_k p_k^2. Checked before any ensemble is built, so that the
-    error names the file's ``bell`` field.
-    """
-    purity = sum(p * p for p in spec.probs)
-    if spec.d >= 3 and purity < 1.0 - PURITY_TOL:
-        raise ScenarioError(
-            f"{path}.bell: measure unavailable: mixed Bell-diagonal state (purity {purity:.6f}) with d = {spec.d}; "
-            "bounds-verify measures only pure states or d = 2"
-        )
 
 
 def _bounds_body(scenario: Scenario, tol: float):
@@ -231,7 +214,10 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
         raise ScenarioError(f"tol must be a positive finite number, got {tol!r}")
     scenario = load_scenario(path)
     if command == "bounds-verify" and scenario.bell is not None:
-        _require_measurable(scenario.bell, path)
+        try:
+            _require_measurable([sum(p * p for p in scenario.bell.probs)], scenario.dim_a, scenario.dim_b)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}.bell: {exc}") from None
 
     if scenario.kind == "random":
         # Built as each trial runs, so that only one is held at a time.
@@ -247,6 +233,8 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
         except ScenarioError as exc:
             # Scenario.chooser names the step of a protocol gap, not the file.
             raise ScenarioError(f"{path}.{exc}") from None
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
         results.append(
             {
                 "trial": trial,

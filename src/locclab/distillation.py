@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import NEGATIVE_WEIGHT_TOL, SpectralEnsemble, _require_unit_sum, is_ppt, shannon_entropy
+from .entropy import SpectralEnsemble, _require_weights, is_ppt, shannon_entropy
 from .linalg import DensityOperator
 from .protocol import LevelStats, _level_stats, _root_level
 
@@ -44,9 +44,7 @@ class BellDiagonalSpec:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != self.d * self.d:
             raise ValueError(f"need {self.d * self.d} weights, got {len(probs)}")
-        if min(probs) < -NEGATIVE_WEIGHT_TOL:
-            raise ValueError(f"negative weight {min(probs)}")
-        _require_unit_sum(sum(probs))
+        _require_weights(probs)
         object.__setattr__(self, "probs", probs)
 
 

@@ -3,10 +3,15 @@
 All logarithms are base 2; every quantity is in bits. Eigenvalues below
 ZERO_EIGENVALUE are treated as exact zeros inside entropy sums so that
 rounding noise never produces -inf terms.
+
+The weight rule of every ensemble and Bell spec lives in
+``_require_weights``, and the measurability rule (pure, or mixed on 2x2)
+in ``_require_measurable``; the state rule lives in ``locclab.linalg``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +20,8 @@ from .linalg import (
     DEFAULT_TOL,
     DEGENERATE_GAP,
     DensityOperator,
-    _require_finite,
+    _require_hermitian,
+    _require_no_negative,
     block_eigvalsh,
     hermitian_eig,
     hermitize,
@@ -32,7 +38,12 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def _require_unit_sum(total: float) -> None:
+def _require_weights(weights: Sequence[float]) -> None:
+    """No weight below -NEGATIVE_WEIGHT_TOL, and a sum within WEIGHT_SUM_TOL of one."""
+    for i, p in enumerate(weights):
+        if p < -NEGATIVE_WEIGHT_TOL:
+            raise ValueError(f"negative weight {p!r} at index {i}")
+    total = sum(weights)
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
 
@@ -52,18 +63,13 @@ class BipartiteEnsemble:
         if not self.members:
             raise ValueError("ensemble needs at least one member")
         members = tuple((float(p), state) for p, state in self.members)
+        _require_weights([p for p, _ in members])
         dim_a, dim_b = members[0][1].dim_a, members[0][1].dim_b
-        total = 0.0
-        for i, (p, state) in enumerate(members):
-            if p < -NEGATIVE_WEIGHT_TOL:
-                raise ValueError(f"member {i}: negative probability {p}")
+        for i, (_, state) in enumerate(members):
             if (state.dim_a, state.dim_b) != (dim_a, dim_b):
                 raise ValueError(
                     f"member {i}: dims ({state.dim_a}, {state.dim_b}) differ from ({dim_a}, {dim_b})"
                 )
-            total += p
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 
     @property
@@ -112,7 +118,7 @@ class SpectralEnsemble:
         kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)
         kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
         weights = spectrum.eigenvalues[kept]
-        _require_unit_sum(sum(weights.tolist()))
+        _require_weights(weights.tolist())
         kets = np.ascontiguousarray(spectrum.eigenvectors[:, kept].T)
         weights.setflags(write=False)
         kets.setflags(write=False)
@@ -173,25 +179,17 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     closed form (``_qubit_eigvalsh``), and any larger D by one
     ``np.linalg.eigvalsh`` call over the stack. (Pure members of a 2x2
     outcome tree take a third route, from the determinant of their
-    coefficient matrix, in ``protocol._level_stats``.) Each matrix must be
-    finite (a NaN or inf fails the Hermiticity test, which then names it),
-    Hermitian within DEFAULT_TOL and have no eigenvalue below -DEFAULT_TOL;
-    rounding-level negative eigenvalues count as zeros.
+    coefficient matrix, in ``protocol._level_stats``.) Every matrix must
+    pass the state rule of ``locclab.linalg``; rounding-level negative
+    eigenvalues count as zeros.
     """
     mats = np.asarray(matrices, dtype=complex)
-    with np.errstate(invalid="ignore"):
-        herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
-    if not herm_dev.max(initial=0.0) <= DEFAULT_TOL:
-        _require_finite(mats)
-        worst = herm_dev.max(axis=(-2, -1))
-        raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= DEFAULT_TOL), worst)[0]:.3e}")
+    _require_hermitian(mats)
     if mats.shape[-1] == 2:
         values = _qubit_eigvalsh(mats)
     else:
         values = np.linalg.eigvalsh(hermitize(mats))
-    if not values.min(initial=0.0) >= -DEFAULT_TOL:
-        lowest = values[..., 0]
-        raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -DEFAULT_TOL), lowest)[0]:.3e}")
+    _require_no_negative(values)
     return shannon_entropies(np.maximum(values, 0.0))
 
 
@@ -227,6 +225,18 @@ def _binary_entropies(x: np.ndarray) -> np.ndarray:
     return np.where(inside, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe), 0.0)
 
 
+def _require_measurable(purity, dim_a: int, dim_b: int) -> np.ndarray:
+    """Which states of purity tr(rho^2) are pure (within PURITY_TOL of one);
+    ValueError if one is mixed outside 2x2, where it has no measure."""
+    pure = np.asarray(purity) >= 1.0 - PURITY_TOL
+    if not pure.all() and (dim_a, dim_b) != (2, 2):
+        raise ValueError(
+            f"measure unavailable: mixed state with dims ({dim_a}, {dim_b}); "
+            "only pure states or 2x2 mixed states are measurable"
+        )
+    return pure
+
+
 def entanglements(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     """Entanglement in bits of each state in a stack (N, D, D) of density matrices.
 
@@ -235,16 +245,11 @@ def entanglements(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     entanglement S(tr_B rho). A mixed two-qubit state gets the Wootters
     entanglement of formation h((1 + sqrt(1 - C^2))/2), with C its
     concurrence. A mixed state of any other dimensions has no measure and
-    raises ValueError. ``bound_suite``'s average input and output
-    entanglement take their values from here.
+    raises ValueError (``_require_measurable``). ``bound_suite``'s average
+    input and output entanglement take their values from here.
     """
     mats = np.asarray(matrices, dtype=complex)
-    pure = purities(mats) >= 1.0 - PURITY_TOL
-    if not pure.all() and (dim_a, dim_b) != (2, 2):
-        raise ValueError(
-            f"measure unavailable: mixed state with dims ({dim_a}, {dim_b}); "
-            "only pure states or 2x2 mixed states are measurable"
-        )
+    pure = _require_measurable(purities(mats), dim_a, dim_b)
     out = np.zeros(len(mats))
     if pure.any():
         out[pure] = von_neumann_entropies(partial_trace(mats[pure], "A", (dim_a, dim_b)))

@@ -6,6 +6,10 @@ immutable values; returned arrays are marked read-only.
 ``validate_density`` checks and never rewrites: a state keeps the matrix
 it was given, eigenvalues down to -DEFAULT_TOL counted as zeros downstream.
 
+The state rule (finite, Hermitian within DEFAULT_TOL, no eigenvalue below
+-DEFAULT_TOL) lives in ``_require_hermitian`` and ``_require_no_negative``,
+for one matrix or a stack; ``entropy.von_neumann_entropies`` uses them too.
+
 Every eigensolve of a whole state (``validate_density``,
 ``hermitian_eig``, ``block_eigvalsh``) first splits the Hermitian matrix
 into the blocks its exact zero pattern leaves decoupled, and hands LAPACK
@@ -75,13 +79,22 @@ def _require_finite(mat: np.ndarray) -> None:
         raise ValueError("non-finite entry: the matrix holds a NaN or an infinity")
 
 
-def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """``hermitize(mat)`` of a finite square matrix within DEFAULT_TOL of Hermitian."""
-    _require_finite(mat)
-    herm_dev = np.abs(mat - mat.conj().T).max()
-    if herm_dev > DEFAULT_TOL:
-        raise ValueError(f"not Hermitian: max |M - M^dagger| = {herm_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
-    return hermitize(mat)
+def _require_hermitian(mats: np.ndarray) -> None:
+    """Each matrix of a stack (..., D, D) is finite and Hermitian within
+    DEFAULT_TOL; a NaN or an inf fails the test, which then names it."""
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
+    if not herm_dev.max(initial=0.0) <= DEFAULT_TOL:
+        _require_finite(mats)
+        worst = herm_dev.max(axis=(-2, -1))
+        raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= DEFAULT_TOL), worst)[0]:.3e}")
+
+
+def _require_no_negative(values: np.ndarray) -> None:
+    """No eigenvalue of the ascending spectra (..., D) is below -DEFAULT_TOL."""
+    if not values.min(initial=0.0) >= -DEFAULT_TOL:
+        lowest = values[..., 0]
+        raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -DEFAULT_TOL), lowest)[0]:.3e}")
 
 
 def _blocks(herm: np.ndarray) -> list[np.ndarray]:
@@ -173,13 +186,12 @@ def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
         raise ValueError(
             f"dimension mismatch: expected {dim}x{dim} for dims ({dim_a}, {dim_b}), got {mat.shape}"
         )
-    herm = _hermitian_part(mat)
+    _require_hermitian(mat)
     trace_dev = abs(np.trace(mat) - 1.0)
     if not trace_dev <= DEFAULT_TOL:
         raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
-    lowest = _eigvalsh_blocks(herm, _blocks(herm))[0]
-    if lowest < -DEFAULT_TOL:
-        raise ValueError(f"negative eigenvalue {lowest:.3e} below -tol = {-DEFAULT_TOL:.1e}")
+    herm = hermitize(mat)
+    _require_no_negative(_eigvalsh_blocks(herm, _blocks(herm)))
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(mat))
 
 
@@ -336,7 +348,8 @@ def hermitian_eig(matrix) -> HermitianSpectrum:
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    herm = _hermitian_part(mat)
+    _require_hermitian(mat)
+    herm = hermitize(mat)
     blocks = _blocks(herm)
     values, vectors = _eigh_blocks(herm, blocks)
 

@@ -33,15 +33,15 @@ as written (``validate_density`` checks a matrix and never rewrites
 it), so dump -> parse -> dump is byte-stable.
 
 A step's override table is read in one batch when every entry is a
-projective basis. Its keys are tested against the histories known to
-reach the step. Its kets, nested lists of matching lengths, become one
+projective basis. Its kets, nested lists of matching lengths, become one
 (H, K, K, 2) array read with one ``np.array``; one leaf-type test rejects
 booleans and strings and one ``isfinite`` test covers the whole array.
 The orthonormality and completeness checks run once for the stack, whose
 instruments are then built without repeating them. If any of this fails,
-the table is parsed again entry by entry, the path that names the first
-bad field. That path is the only source of error messages, so they do
-not depend on the batch.
+the table is parsed entry by entry, the path that names the first bad
+field. Each key is tested once against the histories known to reach the
+step: after a batch read, which accepts only valid entries, or just
+before its entry. Both routes thus name the same first fault.
 """
 
 from __future__ import annotations
@@ -309,38 +309,41 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
         return None
 
 
-def _check_history_key(key: str, steps: list[ProtocolStep], path: str, known: list[set]) -> tuple[str, ...]:
+def _check_history_key(key: str, steps: list[ProtocolStep], step_path: str, known: set) -> tuple[str, ...]:
     """Split an override key into its history, rejecting it if no outcome history can reach it.
 
     The key of step i lists i labels, each an outcome of the instrument
     that the labels before it select. Only the history's own prefixes are
-    walked, never the whole tree. ``known[i]`` holds the histories of i
-    labels already found to reach step i; the walk starts after the longest
-    such prefix and adds each prefix that passes, so over a table each
-    prefix is checked once. A known prefix has passed every check, so the
-    message does not depend on ``known``.
+    walked, never the whole tree. ``known`` holds the histories already
+    found to reach their step (i labels reach step i); the walk starts
+    after the longest such prefix and adds each prefix that passes, so
+    each prefix is checked once. A known prefix has passed every check, so
+    the message does not depend on ``known``.
     """
+
+    def fail(message: str):
+        _fail(f"{step_path}.overrides[{key!r}]", message)
+
     labels = tuple(key.split(",")) if steps else ()
     if ",".join(labels) != key:
-        _fail(path, f"step 1 is reached only by the empty history, got key {key!r}")
+        fail(f"step 1 is reached only by the empty history, got key {key!r}")
     if len(labels) != len(steps):
-        _fail(path, f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
+        fail(f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
     start = len(labels)
-    while labels[:start] not in known[start]:
+    while labels[:start] not in known:
         start -= 1
     for i, label in enumerate(labels[start:], start):
         prefix = labels[:i]
         instrument = steps[i].overrides.get(prefix, steps[i].instrument)
         if instrument is None:
-            _fail(path, f"no instrument at step {i + 1} for history {','.join(prefix)!r}")
+            fail(f"no instrument at step {i + 1} for history {','.join(prefix)!r}")
         outcomes = [name for name, _ in instrument.outcomes]
         if label not in outcomes:
-            _fail(
-                path,
+            fail(
                 f"label {label!r} is not an outcome of step {i + 1} after history "
-                f"{','.join(prefix)!r} (outcomes {outcomes}); no history reaches {key!r}",
+                f"{','.join(prefix)!r} (outcomes {outcomes}); no history reaches {key!r}"
             )
-        known[i + 1].add(labels[: i + 1])
+        known.add(labels[: i + 1])
     return labels
 
 
@@ -378,22 +381,6 @@ def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble
 
 def _member_payload(p: float, state: DensityOperator) -> dict:
     return {"probability": float(p), "matrix": _to_pairs(state.matrix)}
-
-
-def _parse_range(value, path: str, minimum: int) -> tuple[int, int]:
-    if isinstance(value, int) and not isinstance(value, bool):
-        lo = hi = value
-    else:
-        pair = _as_list(value, path)
-        if len(pair) != 2:
-            _fail(path, "expected an integer or a [low, high] pair")
-        lo = _as_int(pair[0], f"{path}[0]")
-        hi = _as_int(pair[1], f"{path}[1]")
-    if lo > hi:
-        _fail(path, f"empty range [{lo}, {hi}]")
-    if lo < minimum:
-        _fail(path, f"value {lo} below minimum {minimum}")
-    return lo, hi
 
 
 def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
@@ -446,8 +433,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
-        # known[i]: histories found to reach step i.
-        known = [{()}]
+        # The histories found to reach their step.
+        known = {()}
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
@@ -459,32 +446,25 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             if step_obj.get("instrument") is not None:
                 default = _parse_instrument(step_obj["instrument"], party, dim, f"{step_path}.instrument")
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides", None)
-            instruments = None
-            if table:
-                try:
-                    histories = [_check_history_key(key, steps, step_path, known) for key in table]
-                except ScenarioError:
-                    pass  # the per-entry parse below names the first bad entry
-                else:
-                    instruments = _parse_projective_table(table, party, dim)
-            if instruments is None:
+            instruments = _parse_projective_table(table, party, dim) if table else None
+            if instruments is not None:
+                histories = [_check_history_key(key, steps, step_path, known) for key in table]
+            else:
                 histories, instruments = [], []
                 for key, value in table.items():
-                    key_path = f"{step_path}.overrides[{key!r}]"
-                    histories.append(_check_history_key(key, steps, key_path, known))
-                    instruments.append(_parse_instrument(value, party, dim, key_path))
+                    histories.append(_check_history_key(key, steps, step_path, known))
+                    instruments.append(_parse_instrument(value, party, dim, f"{step_path}.overrides[{key!r}]"))
             overrides = dict(zip(histories, instruments))
             if default is None and not overrides:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
             steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
-            known.append(set())
 
     random_spec = None
     if kind == "random":
         rnd_path = f"{source}.random"
         rnd = _as_dict(_get(obj, "random", source), rnd_path, ("instrument_family", "n_members", "protocol_depth"))
-        n_members = _parse_range(_get(rnd, "n_members", rnd_path), f"{rnd_path}.n_members", 1)
-        depth = _parse_range(_get(rnd, "protocol_depth", rnd_path), f"{rnd_path}.protocol_depth", 0)
+        n_members = _int_range(_get(rnd, "n_members", rnd_path), f"{rnd_path}.n_members", 1)
+        depth = _int_range(_get(rnd, "protocol_depth", rnd_path), f"{rnd_path}.protocol_depth", 0)
         family = _as_str(rnd.get("instrument_family", INSTRUMENT_FAMILY), f"{rnd_path}.instrument_family")
         if family != INSTRUMENT_FAMILY:
             _fail(f"{rnd_path}.instrument_family", f"unknown family {family!r}")
@@ -569,15 +549,16 @@ def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarra
 
 def _int_range(value, name: str, minimum: int) -> tuple[int, int]:
     """An int or a (low, high) pair of ints, none a bool (as ``_as_int``
-    reads them), as a nonempty range starting at ``minimum`` or above."""
+    reads them), as a nonempty range starting at ``minimum`` or above.
+    ``name`` is a ``random_scenario`` parameter or a file's field path."""
     pair = tuple(value) if isinstance(value, (tuple, list)) else (value, value)
     if len(pair) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair):
-        raise ValueError(f"{name}: expected an integer or a (low, high) pair of integers, got {value!r}")
+        raise ScenarioError(f"{name}: expected an integer or a (low, high) pair of integers, got {value!r}")
     lo, hi = pair
     if lo > hi:
-        raise ValueError(f"{name}: empty range [{lo}, {hi}]")
+        raise ScenarioError(f"{name}: empty range [{lo}, {hi}]")
     if lo < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {lo}")
+        raise ScenarioError(f"{name} must be >= {minimum}, got {lo}")
     return lo, hi
 
 

@@ -113,3 +113,25 @@ def test_classical_a_mixed_b_measured_on_b():
     )
     transcript = run_protocol(BipartiteEnsemble(members), {(): z_step("B")}, 1)
     assert_report(bound_suite(transcript), i_locc=0.0, e_in=0.0, e_out=0.0, bounds=(1.0, 2.0, 0.0, 1.0, 2.0))
+
+
+def test_silent_round_then_z_on_b_pins_next_to_last_step():
+    """{1/2 |00>, 1/2 |11>}; A applies the one-outcome identity, then B measures Z.
+
+    rho = (|00><00| + |11><11|) / 2, so S_A = S_B = 1. Members are pure
+    products: m_A = m_B = 0 and local_holevo = 2 - 0 = 2. A's round has one
+    outcome and changes nothing: its one level-1 node keeps q = (1/2, 1/2),
+    whose average A marginal is I/2, so a_1(A) = 1. B's Z outcome names the
+    member: the leaves hold |00> or |11> alone, a_2(A) = a_2(B) = 0, and
+    I_locc = 1 (rounds give 0 and 1 bits). L = B, D = A: last_step = 2 -
+    m_A - a_2(B) = 2 and next_to_last_step = 2 - m_B - a_1(A) = 1, zero
+    slack. Members and leaf averages are product states: E_in = E_out = 0,
+    so output_adjusted = 2 and complementarity = 2. Taking
+    next_to_last_step's last term from the leaves, a_2(A) = 0, instead of
+    the level above gives 2: this case tells the two levels apart.
+    """
+    members = tuple((0.5, validate_density(np.diag(np.eye(4)[k]), 2, 2)) for k in (0, 3))
+    steps = {(): KrausInstrument(party="A", outcomes=(("1", np.eye(2)),)), ("1",): z_step("B")}
+    report = bound_suite(run_protocol(BipartiteEnsemble(members), steps, 2))
+    assert report.per_round_info == pytest.approx((0.0, 1.0), abs=TOL)
+    assert_report(report, i_locc=1.0, e_in=0.0, e_out=0.0, bounds=(2.0, 2.0, 1.0, 2.0, 2.0))

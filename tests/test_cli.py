@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locclab import bundled_scenario_path, cli, load_scenario, run_protocol
+from locclab import ScenarioError, bundled_scenario_path, cli, load_scenario, run_protocol
 
 from helpers import json_mismatches
 
@@ -389,3 +389,57 @@ def test_table_value_prints_non_finite_as_itself(value, text):
 )
 def test_table_deviation_prints_threshold_when_it_passes(value, text):
     assert cli._format_deviation(value) == text
+
+
+R = 2**-0.5
+# A 2x3 ensemble of (|00> + |11>)/sqrt2 and |02>: its depth-zero leaf, the
+# average state, is mixed outside 2x2, so the engine finds no measure.
+MIXED_2X3 = {
+    "kind": "ensemble",
+    "dims": [2, 3],
+    "ensemble": [
+        {"probability": 0.5, "vector": [[R, 0], [0, 0], [0, 0], [0, 0], [R, 0], [0, 0]]},
+        {"probability": 0.5, "vector": [[0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0]]},
+    ],
+}
+MEASURE_UNAVAILABLE = "only pure states or 2x2 mixed states are measurable"
+
+
+def write_json(tmp_path, payload) -> Path:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "payload, command, options, message",
+    [
+        (MIXED_2X3, "nope", {}, f"unknown command 'nope'; expected one of {cli.COMMANDS}"),
+        (MIXED_2X3, "entropy", {"trials": 0}, "trials must be >= 1, got 0"),
+        (
+            MIXED_2X3,
+            "bounds-verify",
+            {},
+            f"{{path}}: measure unavailable: mixed state with dims (2, 3); {MEASURE_UNAVAILABLE}",
+        ),
+        (
+            {"kind": "bell_diagonal", "bell": {"d": 4, "probs": [0.7] + [0.02] * 15}},
+            "bounds-verify",
+            {},
+            f"{{path}}.bell: measure unavailable: mixed state with dims (4, 4); {MEASURE_UNAVAILABLE}",
+        ),
+    ],
+    ids=["unknown_command", "no_trials", "engine_error", "bell_measure"],
+)
+def test_run_scenario_rejection_names_the_file(tmp_path, payload, command, options, message):
+    path = write_json(tmp_path, payload)
+    with pytest.raises(ScenarioError) as excinfo:
+        cli.run_scenario(path, command, **options)
+    assert str(excinfo.value) == message.format(path=path)
+
+
+def test_engine_error_exits_two_naming_the_file(tmp_path):
+    path = write_json(tmp_path, MIXED_2X3)
+    code, out, err = run(["bounds-verify", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: measure unavailable: mixed state with dims (2, 3); {MEASURE_UNAVAILABLE}\n"

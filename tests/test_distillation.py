@@ -356,3 +356,19 @@ class TestDistillationReport:
         rho = validate_density(np.diag([0.5 + 1.8e-9, 0.5, 0.0, -0.9e-9]), 2, 2)
         with pytest.raises(ValueError, match=re.escape("weights sum to 1.0000000018")):
             distillation_report(rho)
+
+
+@pytest.mark.parametrize(
+    "d, probs, message",
+    [
+        (1, (1.0,), "local dimension must be >= 2, got 1"),
+        (2, (1.0,), "need 4 weights, got 1"),
+        (2, (0.6, -0.1, 0.5, 0.0), "negative weight -0.1 at index 1"),
+        (2, (0.5, 0.4, 0.0, 0.0), "weights sum to 0.9, not 1"),
+    ],
+    ids=["dimension", "weight_count", "negative_weight", "weight_sum"],
+)
+def test_bell_spec_rejection_message(d, probs, message):
+    with pytest.raises(ValueError) as excinfo:
+        BellDiagonalSpec(d, probs)
+    assert str(excinfo.value) == message

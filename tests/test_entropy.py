@@ -233,3 +233,28 @@ class TestBipartiteEnsemble:
     def test_zero_probability_member_allowed(self):
         ens = BipartiteEnsemble(((1.0, bell(PHI_PLUS)), (0.0, bell(PHI_MINUS))))
         assert ens.probabilities().tolist() == [1.0, 0.0]
+
+
+MIXED = validate_density(np.eye(4) / 4, 2, 2)
+MEASURE_UNAVAILABLE = "only pure states or 2x2 mixed states are measurable"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BipartiteEnsemble(()), "ensemble needs at least one member"),
+        (lambda: BipartiteEnsemble(((1.5, MIXED), (-0.5, MIXED))), "negative weight -0.5 at index 1"),
+        (lambda: BipartiteEnsemble(((0.5, MIXED), (0.4, MIXED))), "weights sum to 0.9, not 1"),
+        (lambda: von_neumann_entropies([np.eye(2) / 2, [[0.5, 0.1], [0.2, 0.5]]]), "not Hermitian: deviation 1.000e-01"),
+        (lambda: von_neumann_entropies(np.diag([1.5, -0.25, -0.25])), "negative eigenvalue -2.500e-01"),
+        (
+            lambda: entanglements(np.eye(9)[None] / 9, 3, 3),
+            f"measure unavailable: mixed state with dims (3, 3); {MEASURE_UNAVAILABLE}",
+        ),
+    ],
+    ids=["empty_ensemble", "negative_weight", "weight_sum", "not_hermitian", "negative_eigenvalue", "no_measure"],
+)
+def test_rejection_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

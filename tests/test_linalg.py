@@ -200,3 +200,31 @@ class TestPureStateDensity:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             pure_state_density([1.0, 0.0], 2, 2)
+
+
+NOT_HERMITIAN = np.array([[0.5, 1.0], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: validate_density(np.eye(2) / 2, 0, 2), "subsystem dimensions must be positive, got (0, 2)"),
+        (lambda: validate_density(NOT_HERMITIAN, 2, 1), "not Hermitian: deviation 1.000e+00"),
+        (lambda: validate_density(np.diag([1.1, -0.1]), 2, 1), "negative eigenvalue -1.000e-01"),
+        (
+            lambda: validate_density(np.diag([np.nan, 1.0]), 2, 1),
+            "non-finite entry: the matrix holds a NaN or an infinity",
+        ),
+        (lambda: partial_transpose(np.eye(4) / 4, "C", (2, 2)), "party must be 'A' or 'B', got 'C'"),
+        (lambda: hermitian_eig(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+        (lambda: hermitian_eig(NOT_HERMITIAN), "not Hermitian: deviation 1.000e+00"),
+    ],
+    ids=[
+        "dims_nonpositive", "not_hermitian", "negative_eigenvalue", "non_finite", "transpose_party", "eig_not_square",
+        "eig_not_hermitian",
+    ],
+)
+def test_rejection_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -475,3 +475,17 @@ def test_eigensolve_count_is_per_level(monkeypatch):
     assert len(transcript.leaves()) == 2**depth
     assert calls["eigh"] <= 2
     assert calls["eigvalsh"] == 0
+
+
+@pytest.mark.parametrize(
+    "chooser, depth, message",
+    [
+        ({}, -1, "depth must be nonnegative, got -1"),
+        ({}, 1, "chooser undefined for history ()"),
+    ],
+    ids=["negative_depth", "undefined_history"],
+)
+def test_run_protocol_rejection_message(chooser, depth, message):
+    with pytest.raises(ValueError) as excinfo:
+        run_protocol(phi_mixture(), chooser, depth)
+    assert str(excinfo.value) == message

@@ -876,3 +876,155 @@ NAN = float("nan")
 def test_nan_is_rejected_by_constructors(build):
     with pytest.raises(ValueError):
         build()
+
+
+def edited(build, edit=lambda data: None):
+    """A parse of ``build()`` after ``edit`` has changed it in place; JSON
+    round trip first, so that no edit reaches a shared constant."""
+
+    def call():
+        data = json.loads(json.dumps(build()))
+        edit(data)
+        parse_scenario(data, source="s")
+
+    return call
+
+
+def z_steps() -> dict:
+    return protocol([{"party": "A", "instrument": Z}])
+
+
+def two_overrides() -> dict:
+    return protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z, "1": Z}}])
+
+
+def bell_file(d: int, probs) -> dict:
+    return {"kind": "bell_diagonal", "name": "b", "bell": {"d": d, "probs": probs}}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            edited(z_steps, lambda d: d["ensemble"].__setitem__(1, 5)),
+            ScenarioError,
+            "s.ensemble[1]: expected an object, got int",
+        ),
+        (
+            edited(z_steps, lambda d: d["ensemble"][0]["vector"].__setitem__(0, [1, 0, 0])),
+            ScenarioError,
+            "s.ensemble[0].vector[0]: complex entries are [re, im] pairs, got 3 items",
+        ),
+        (
+            edited(z_steps, lambda d: d["protocol"][0].update(instrument={**KRAUS, "labels": ["weak"]})),
+            ScenarioError,
+            "s.protocol[0].instrument.labels: 1 labels for 2 operators",
+        ),
+        (
+            edited(z_steps, lambda d: d["protocol"][0].update(instrument={"labels": ["0", "1"]})),
+            ScenarioError,
+            "s.protocol[0].instrument: instrument needs a 'projective' basis or a 'kraus' operator list",
+        ),
+        (edited(z_steps, lambda d: d.update(ensemble=[])), ScenarioError, "s.ensemble: ensemble is empty"),
+        (
+            edited(z_steps, lambda d: d["ensemble"].__setitem__(0, {"probability": 0.5})),
+            ScenarioError,
+            "s.ensemble[0]: member needs a 'vector' or a 'matrix'",
+        ),
+        (
+            edited(z_steps, lambda d: d["ensemble"][0].update(vector=[[1, 0], [0, 0], [0, 0], [1, 0]])),
+            ScenarioError,
+            "s.ensemble[0]: state vector norm 1.414214 deviates from 1 beyond tol 1.0e-06",
+        ),
+        (
+            edited(z_steps, lambda d: d["ensemble"][1].update(probability=0.4)),
+            ScenarioError,
+            "s.ensemble: weights sum to 0.9, not 1",
+        ),
+        (
+            edited(z_steps, lambda d: [member.update(probability=p) for member, p in zip(d["ensemble"], (1.5, -0.5))]),
+            ScenarioError,
+            "s.ensemble: negative weight -0.5 at index 1",
+        ),
+        (edited(z_steps, lambda d: d.update(dims=[2, 2, 1])), ScenarioError, "s.dims: expected [dim_a, dim_b], got 3 items"),
+        (edited(z_steps, lambda d: d.update(dims=[0, 2])), ScenarioError, "s.dims: dimensions must be positive, got [0, 2]"),
+        (edited(z_steps, lambda d: d.update(protocol=[])), ScenarioError, "s.protocol: protocol needs at least one step"),
+        (
+            edited(z_steps, lambda d: d["protocol"].__setitem__(0, {"party": "A"})),
+            ScenarioError,
+            "s.protocol[0]: step needs an 'instrument' or nonempty 'overrides'",
+        ),
+        # The batch read declines both label tables; the entry parse names the field.
+        (
+            edited(two_overrides, lambda d: d["protocol"][1]["overrides"]["1"].update(labels="01")),
+            ScenarioError,
+            "s.protocol[1].overrides['1'].labels: expected an array, got str",
+        ),
+        (
+            edited(two_overrides, lambda d: d["protocol"][1]["overrides"]["1"].update(labels=["0", ["1"]])),
+            ScenarioError,
+            "s.protocol[1].overrides['1'].labels[1]: expected a string, got list",
+        ),
+        (
+            edited(lambda: RANDOM_SWEEP, lambda d: d["random"].update(instrument_family="haar")),
+            ScenarioError,
+            "s.random.instrument_family: unknown family 'haar'",
+        ),
+        (
+            edited(lambda: RANDOM_SWEEP, lambda d: d.update(dims=[2, 3])),
+            ScenarioError,
+            "s.dims: random scenarios support dims [2, 2] only (output entanglement is unavailable for mixed states "
+            "in 2x3)",
+        ),
+        (
+            edited(lambda: RANDOM_SWEEP, lambda d: d["random"].update(n_members=True)),
+            ScenarioError,
+            "s.random.n_members: expected an integer or a (low, high) pair of integers, got True",
+        ),
+        (
+            edited(lambda: RANDOM_SWEEP, lambda d: d["random"].update(n_members=[0.5, 2])),
+            ScenarioError,
+            "s.random.n_members: expected an integer or a (low, high) pair of integers, got [0.5, 2]",
+        ),
+        (
+            edited(lambda: RANDOM_SWEEP, lambda d: d["random"].update(protocol_depth=[3, 1])),
+            ScenarioError,
+            "s.random.protocol_depth: empty range [3, 1]",
+        ),
+        (
+            edited(lambda: RANDOM_SWEEP, lambda d: d["random"].update(n_members=0)),
+            ScenarioError,
+            "s.random.n_members must be >= 1, got 0",
+        ),
+        (edited(lambda: bell_file(1, [1.0])), ScenarioError, "s.bell: local dimension must be >= 2, got 1"),
+        (edited(lambda: bell_file(2, [1.0])), ScenarioError, "s.bell: need 4 weights, got 1"),
+        (
+            edited(lambda: bell_file(2, [0.6, -0.1, 0.5, 0.0])),
+            ScenarioError,
+            "s.bell: negative weight -0.1 at index 1",
+        ),
+        (
+            edited(lambda: bell_file(2, [0.25, 0.25, 0.0, 0.0])),
+            ScenarioError,
+            "s.bell: weights sum to 0.5, not 1",
+        ),
+        (
+            lambda: scenario_module.materialize_random(parse_scenario(z_steps()), 0),
+            ValueError,
+            "materialize_random needs a random-kind scenario",
+        ),
+        (lambda: bundled_scenario_path("missing.json"), FileNotFoundError, "no bundled scenario 'missing.json'"),
+    ],
+    ids=[
+        "member_not_object", "complex_triple", "kraus_label_count", "instrument_without_operators", "empty_ensemble",
+        "member_without_state", "member_norm", "weight_sum", "negative_weight", "dims_count", "dims_nonpositive",
+        "empty_protocol", "step_without_instrument", "labels_not_a_list", "unhashable_labels", "instrument_family",
+        "random_dims", "range_bool", "range_float", "range_empty", "range_minimum", "bell_d", "bell_weight_count",
+        "bell_negative_weight", "bell_weight_sum", "materialize_non_random", "missing_bundled_scenario",
+    ],
+)
+def test_rejection_names_the_field(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
