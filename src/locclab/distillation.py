@@ -7,12 +7,12 @@ group of pairs is spent to identify the rest.
 
 ``distillation_report`` solves the state once, as its
 ``SpectralEnsemble``. Every entropy both bounds are built from is a root
-statistic of that eigen-ensemble, read by ``protocol._level_stats`` off the
-root whose factors are its kets: S is the root's conditional entropy
-H(weights), S_A and S_B its average-marginal entropies and the mean local
-entropy its side-A member entropy. ``bell_diagonal`` builds its state
-directly: checked weights make it a density operator by construction, so
-a validating solve would only repeat the report's.
+statistic of that eigen-ensemble, read by ``protocol._level_stats`` off a
+one-level tree, the root whose factors are its kets: S is the root's
+conditional entropy H(weights), S_A and S_B its average-marginal entropies
+and the mean local entropy its side-A member entropy. ``bell_diagonal``
+builds its state directly: checked weights make it a density operator by
+construction, so a validating solve would only repeat the report's.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     alongside the generic values.
     """
     ensemble = SpectralEnsemble(rho)
-    stats = _level_stats(_root_level(ensemble), (rho.dim_a, rho.dim_b))
+    (stats,) = _level_stats((_root_level(ensemble),), (rho.dim_a, rho.dim_b))
     full_raw, partial, r_max = _bounds(stats)
     ppt_flag, min_pt = is_ppt(rho)
 

@@ -179,7 +179,8 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     closed form (``_qubit_eigvalsh``), and any larger D by one
     ``np.linalg.eigvalsh`` call over the stack. (Pure members of a 2x2
     outcome tree take a third route, from the determinant of their
-    coefficient matrix, in ``protocol._level_stats``.) Every matrix must
+    coefficient matrix, in ``protocol._level_stats``, which calls this
+    once per tree and side for all levels' matrices.) Every matrix must
     pass the state rule of ``locclab.linalg``; rounding-level negative
     eigenvalues count as zeros.
     """

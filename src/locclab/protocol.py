@@ -46,7 +46,10 @@ on side A is the Gram X X^dagger of V reshaped to X (dim_a, dim_b * r),
 side B likewise. A node's average marginal on a side is one Gram W
 W^dagger, W the sqrt(q)-scaled reshaped factors of its members set side by
 side, as ``TreeLevel.averages`` builds the average state. ``run_protocol``
-computes the stats once per level, and each spectrum takes one of three
+computes the stats once per tree: every level shares one (M, D, r), so
+``_level_stats`` joins the levels along the node axis, solves every
+node's entropies and average marginals in one pass, and cuts the result
+back into one ``LevelStats`` per level. Each spectrum takes one of three
 routes:
 
 - pure members (r = 1) of a 2x2 system: no member Gram is built. A
@@ -54,7 +57,7 @@ routes:
   determinant of its 2x2 coefficient matrix;
 - every other 2x2 marginal, average marginals included: the closed-form
   2x2 solve inside ``von_neumann_entropies``;
-- larger marginals: one stacked LAPACK ``eigvalsh`` per (level, side) and
+- larger marginals: one stacked LAPACK ``eigvalsh`` per (tree, side) and
   entropy family. Pure members, whose two marginals share a spectrum,
   take their member entropies on side A only, and build no side-B Gram.
 
@@ -68,8 +71,9 @@ whose entanglement ``bound_suite`` reports, and for the root average of a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -272,7 +276,8 @@ class LevelStats:
     conditional_entropy: float  # H(X | Y_1..Y_k)
     member_entropy: dict[str, float]  # side -> mean of sum_x q_x S(rho_x^side)
     average_entropy: dict[str, float]  # side -> mean of S(sum_x q_x rho_x^side)
-    average_marginals: dict[str, np.ndarray]  # side -> (N, d, d) sum_x q_x rho_x^side
+    # side -> (N, d, d) sum_x q_x rho_x^side, a read-only view of the tree's stack
+    average_marginals: dict[str, np.ndarray]
 
     def chi(self, side: str) -> float:
         """Mean Holevo quantity of the nodes' marginal ensembles on ``side``."""
@@ -374,14 +379,28 @@ def _pure_qubit_marginals(factors: np.ndarray, counted: np.ndarray) -> np.ndarra
     return member
 
 
-def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
+def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> list[LevelStats]:
+    """One ``LevelStats`` per level, from one pass over the nodes of all levels.
+
+    Every level of a tree shares one (M, D, r), so the levels are joined
+    along the node axis (a lone root is used as it is, not copied) and each
+    per-node entropy, and each side's average marginals, come from one call
+    over the whole tree. A level's means are then dots over the live nodes
+    of its own slice, the same elements in the same order as a pass over
+    the level alone, and its ``average_marginals`` are read-only views of
+    the tree-wide stacks.
+    """
     dim_a, dim_b = dims
-    live = level.prob > 0.0
-    prob = level.prob[live]
-    weights = np.where(level.q > 0.0, level.q, 0.0)
-    counted = live[:, None] & (level.q > 0.0)
-    n, m, _, r = level.factors.shape
-    split = level.factors.reshape(n, m, dim_a, dim_b, r)
+    offsets = list(itertools.accumulate((len(level.prob) for level in levels), initial=0))
+    prob, q, factors = (
+        arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        for arrays in zip(*((level.prob, level.q, level.factors) for level in levels))
+    )
+    live = prob > 0.0
+    weights = np.where(q > 0.0, q, 0.0)
+    counted = live[:, None] & (q > 0.0)
+    n, m, _, r = factors.shape
+    split = factors.reshape(n, m, dim_a, dim_b, r)
     # Side A keeps the row index of V reshaped to (dim_a, dim_b * r); side B
     # swaps the two party indices first.
     reshaped = {
@@ -389,26 +408,41 @@ def _level_stats(level: TreeLevel, dims: tuple[int, int]) -> LevelStats:
         "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
     }
     scale = np.sqrt(weights)[:, :, None, None]
-    member_entropy, average_entropy, average_marginals = {}, {}, {}
+    conditional = shannon_entropies(q)
+    member_sums, average_entropies, average_marginals = {}, {}, {}
     qubit_kets = r == 1 and dims == (2, 2)
     if qubit_kets:
-        member = _pure_qubit_marginals(level.factors, counted)
+        member = _pure_qubit_marginals(factors, counted)
     for side, x in reshaped.items():
         # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's.
         if (side == "A" and not qubit_kets) or r > 1:
-            member = np.zeros(level.q.shape)
+            member = np.zeros(q.shape)
             member[counted] = von_neumann_entropies(_gram(x)[counted])
-        member_entropy[side] = float(prob @ (weights * member).sum(axis=1)[live])
+        member_sums[side] = (weights * member).sum(axis=1)
         # One Gram of the sqrt(q)-scaled factors set side by side, as in
         # ``TreeLevel.averages``.
         average_marginals[side] = _gram((x * scale).swapaxes(1, 2).reshape(n, x.shape[2], -1))
-        average_entropy[side] = float(prob @ von_neumann_entropies(average_marginals[side][live]))
-    return LevelStats(
-        conditional_entropy=float(prob @ shannon_entropies(level.q[live])),
-        member_entropy=member_entropy,
-        average_entropy=average_entropy,
-        average_marginals=average_marginals,
-    )
+        average_entropies[side] = von_neumann_entropies(average_marginals[side])
+
+    stats = []
+    for start, stop in zip(offsets, offsets[1:]):
+        level = slice(start, stop)
+        kept = live[level]
+        weight = prob[level][kept]
+
+        def mean(values: np.ndarray) -> float:
+            """Path-probability-weighted mean over the level's live nodes."""
+            return float(weight @ values[level][kept])
+
+        stats.append(
+            LevelStats(
+                conditional_entropy=mean(conditional),
+                member_entropy={side: mean(values) for side, values in member_sums.items()},
+                average_entropy={side: mean(values) for side, values in average_entropies.items()},
+                average_marginals={side: marginals[level] for side, marginals in average_marginals.items()},
+            )
+        )
+    return stats
 
 
 @dataclass(frozen=True, repr=False)
@@ -514,7 +548,7 @@ def run_protocol(
         levels.append(_expand(levels[-1], instruments, dims))
     return ProtocolTranscript(
         levels=tuple(levels),
-        stats=tuple(_level_stats(level, dims) for level in levels),
+        stats=tuple(_level_stats(levels, dims)),
         round_parties=tuple(round_parties),
         root_ensemble=ensemble,
     )
@@ -559,7 +593,7 @@ def entropy_summary(ensemble: BipartiteEnsemble | SpectralEnsemble) -> dict[str,
     if not isinstance(ensemble, (BipartiteEnsemble, SpectralEnsemble)):
         raise ValueError("entropy_summary needs a BipartiteEnsemble or a SpectralEnsemble")
     root = _root_level(ensemble)
-    stats = _level_stats(root, (ensemble.dim_a, ensemble.dim_b))
+    (stats,) = _level_stats((root,), (ensemble.dim_a, ensemble.dim_b))
     if isinstance(ensemble, SpectralEnsemble):
         entropy = holevo = stats.conditional_entropy
     else:

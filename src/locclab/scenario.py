@@ -23,9 +23,10 @@ read by the same reader as Kraus operators and ``matrix`` members; an
 override's key is the labels of its outcome history joined by commas
 ("0,1,1"), a tuple of labels once parsed. Only ``parse_scenario`` and
 ``dump_scenario`` know this wire format: parsing is strict and errors
-carry the offending field path: a key outside an object's field set and
-a ``schema`` other than SCHEMA are rejected, so a misspelt field is never
-read as its default. ``random_scenario`` builds its typed ``Scenario``
+carry the offending field path: a key outside an object's field set, a
+key that a file's object repeats and a ``schema`` other than SCHEMA are
+rejected, so a misspelt or repeated field is never read as its default or
+as its last value. ``random_scenario`` builds its typed ``Scenario``
 straight from the arrays it draws. A projective instrument keeps the
 kets it was built from, and the dump writes them back; any other
 instrument is dumped as its Kraus operators. Parsing keeps every number
@@ -86,10 +87,34 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
+class _DuplicateKeys(dict):
+    """A JSON object that repeats ``key``; ``_as_dict`` rejects it."""
+
+    def __init__(self, obj: dict, key: str):
+        super().__init__(obj)
+        self.key = key
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` hook: the object of ``pairs``, marked if a key repeats.
+
+    The decoder builds inner objects first and knows no field path, so the
+    mark waits for ``_as_dict``, which every object the parser reads passes.
+    """
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    keys = [key for key, _ in pairs]
+    return _DuplicateKeys(obj, next(key for i, key in enumerate(keys) if key in keys[:i]))
+
+
 def _as_dict(value, path: str, fields: tuple[str, ...] | None) -> dict:
-    """``value`` as an object with no key outside ``fields`` (None: an override table)."""
+    """``value`` as an object with no repeated key and no key outside
+    ``fields`` (None: an override table)."""
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
+    if isinstance(value, _DuplicateKeys):
+        _fail(path, f"duplicate key {value.key!r}")
     if fields is not None:
         for key in value:
             if key not in fields:
@@ -528,9 +553,13 @@ def dump_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario file, addressing errors by field (or line on bad JSON)."""
+    """Parse a scenario file, addressing errors by field (or line on bad JSON).
+
+    An object that repeats a key is rejected, naming the file, the object's
+    field path and the key; ``json.loads`` alone would keep the last value.
+    """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -268,3 +268,55 @@ def test_all_outcomes_pruned_error(engine, monkeypatch):
     knob = {} if engine is one_round else {"prune_tol": 0.6}
     with pytest.raises(ValueError, match="all outcomes pruned"):
         engine(ensemble, KrausInstrument.projective("A", np.eye(2)), **knob)
+
+
+def assert_stats_identical(tree, alone):
+    """Bit-for-bit equality of two ``LevelStats``."""
+    assert tree.conditional_entropy == alone.conditional_entropy
+    for side in protocol.PARTIES:
+        assert tree.member_entropy[side] == alone.member_entropy[side]
+        assert tree.average_entropy[side] == alone.average_entropy[side]
+        assert np.array_equal(tree.average_marginals[side], alone.average_marginals[side])
+
+
+STATS_CASES = ("mixed_kraus", "unequal_rank", "pure_2x3", "pure_3x2", "pruned")
+
+
+@PROPERTY
+@given(seed=seeds, case=st.sampled_from(STATS_CASES), depth=st.integers(0, 3))
+@example(seed=0, case="mixed_kraus", depth=0)
+@example(seed=1, case="unequal_rank", depth=3)
+@example(seed=2, case="pure_2x3", depth=3)
+@example(seed=3, case="pure_3x2", depth=3)
+@example(seed=4, case="pruned", depth=3)
+def test_tree_stats_equal_each_level_alone(seed, case, depth):
+    # One pass over the whole tree does the same arithmetic on every
+    # element as a pass over each level alone, so the two agree exactly.
+    rng = np.random.default_rng(seed)
+    parties = parties_for(seed, depth)
+    if case == "mixed_kraus":
+        dims = (2, 2)
+        ensemble = mixed_ensemble(rng, int(rng.integers(1, 4)), dims)
+        chooser = make_chooser(seed, dims, parties, "kraus")
+    elif case == "unequal_rank":
+        dims = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
+        ensemble = unequal_rank_ensemble(rng, dims, 10)
+        chooser = make_chooser(seed, dims, parties, "kraus")
+    elif case == "pruned":
+        dims = (2, 2)
+        ensemble = (mixed_ensemble if rng.integers(2) else pure_ensemble)(rng, 3, dims)
+        chooser = make_chooser(seed, dims, parties, "kraus", zero_outcome=True)
+    else:
+        dims = (2, 3) if case == "pure_2x3" else (3, 2)
+        ensemble = pure_ensemble(rng, 3, dims)
+        chooser = make_chooser(seed, dims, parties, "projective")
+    transcript = run_protocol(ensemble, chooser, depth)
+    tree = protocol._level_stats(transcript.levels, dims)
+    assert len(tree) == depth + 1
+    for level, stats in zip(transcript.levels, tree, strict=True):
+        (alone,) = protocol._level_stats((level,), dims)
+        assert_stats_identical(stats, alone)
+        for marginals in stats.average_marginals.values():
+            assert not marginals.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                marginals[...] = 0.0

@@ -203,11 +203,13 @@ def test_pure_qubit_route_matches_general_route(seed, n_members, depth, zero_wei
     transcript = run_protocol(ensemble, random_chooser(seed), depth)
     for level, stats in zip(transcript.levels, transcript.stats, strict=True):
         assert level.factors.shape[-1] == 1
-        assert_stats_agree(stats, protocol._level_stats(padded(level), (2, 2)))
+        assert_stats_agree(stats, protocol._level_stats((padded(level),), (2, 2))[0])
 
 
 def routes_taken(monkeypatch, ensemble) -> int:
-    """How many levels of a depth-2 run (A, then B, in the standard bases) took the pure-qubit route."""
+    """How many times a depth-2 run (A, then B, in the standard bases) took the
+    pure-qubit route: once per tree, since ``_level_stats`` reads all three
+    levels in one pass."""
     taken = []
     original = protocol._pure_qubit_marginals
 
@@ -225,8 +227,33 @@ def routes_taken(monkeypatch, ensemble) -> int:
     return len(taken)
 
 
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_one_eigvalsh_call_per_tree(monkeypatch, depth):
+    # Four pure members on 2x3, A and B alternating in the standard bases.
+    # Every 2x2 spectrum has a closed form and pure members take no side-B
+    # member entropies, so the 3x3 average marginals of side B are the only
+    # LAPACK spectra: one eigvalsh call for the whole tree, at any depth.
+    ensemble = random_pure_ensemble(np.random.default_rng(depth), 4, 2, 3)
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(True)
+        return original(*args, **kwargs)
+
+    def chooser(history):
+        party, dim = ("B", 3) if len(history) % 2 else ("A", 2)
+        return KrausInstrument.projective(party, np.eye(dim))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", counting)
+        transcript = run_protocol(ensemble, chooser, depth)
+    assert transcript.levels[0].factors.shape[-1] == 1
+    assert len(calls) == 1
+
+
 def assert_root_matches_oracles(ensemble):
-    stats = protocol._level_stats(protocol._root_level(ensemble), (ensemble.dim_a, ensemble.dim_b))
+    (stats,) = protocol._level_stats((protocol._root_level(ensemble),), (ensemble.dim_a, ensemble.dim_b))
     summary = entropy_summary_oracle(ensemble)
     oracle = marginal_entropy_oracle(ensemble)
     for side, key in (("A", "entropy_a"), ("B", "entropy_b")):
@@ -242,7 +269,7 @@ def test_other_systems_take_the_general_route(monkeypatch, seed):
     mixed_qubit = BipartiteEnsemble(
         ((0.5, random_bipartite_density(rng, 2, 2)), (0.5, pure_state_density(random_pure_vector(rng, 4), 2, 2)))
     )
-    assert routes_taken(monkeypatch, pure_qubit) == 3
+    assert routes_taken(monkeypatch, pure_qubit) == 1
     assert routes_taken(monkeypatch, pure_2x3) == 0
     assert routes_taken(monkeypatch, mixed_qubit) == 0
     for ensemble in (pure_qubit, pure_2x3, mixed_qubit):

@@ -210,6 +210,63 @@ def test_omitted_or_auto_selectors_parse(selectors):
     assert "tolerance" not in dumped
 
 
+
+def repeat_last_key(data: dict, value) -> str:
+    """JSON text of ``data`` with its last key written once more, holding ``value``."""
+    key = list(data)[-1]
+    return json.dumps(data)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+
+
+class TestDuplicateKeys:
+    def test_second_protocol_key_is_rejected(self, tmp_path, capsys):
+        # json.loads alone keeps the last value: this file would run at
+        # depth 1 and exit 0.
+        step = {"party": "A", "instrument": Z}
+        path = tmp_path / "twice.json"
+        path.write_text(repeat_last_key(protocol([step, {"party": "B", "instrument": Z}]), [step]), encoding="utf-8")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}: duplicate key 'protocol'"
+        assert cli.main(["protocol-run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: duplicate key 'protocol'\n"
+
+    def test_duplicate_inside_an_override_entry(self, tmp_path):
+        # The batched table read takes plain objects only, so the entry
+        # read names the entry.
+        entry = repeat_last_key(X_AB, Z["projective"])
+        data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z, "1": "ENTRY"}}])
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(data).replace('"ENTRY"', entry), encoding="utf-8")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}.protocol[1].overrides['1']: duplicate key 'projective'"
+
+    def test_duplicate_history_key(self, tmp_path):
+        table = repeat_last_key({"0": Z, "1": Z}, X_AB)
+        data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": "TABLE"}])
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data).replace('"TABLE"', table), encoding="utf-8")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}.protocol[1].overrides: duplicate key '1'"
+
+    @pytest.mark.parametrize("stem", BUNDLED)
+    def test_duplicate_free_files_parse_and_dump_as_before(self, stem, tmp_path):
+        source = bundled_scenario_path(f"{stem}.json")
+        text = source.read_text(encoding="utf-8")
+        dumped = dump_scenario(load_scenario(source))
+        assert dumped == dump_scenario(parse_scenario(json.loads(text)))
+        path = tmp_path / "dumped.json"
+        path.write_text(dumped, encoding="utf-8")
+        assert dump_scenario(load_scenario(path)) == dumped
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_free_deep_file_dumps_byte_identically(self, seed, tmp_path):
+        text = dump_scenario(random_scenario(seed, n_members=(2, 4), protocol_depth=(4, 6)))
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert dump_scenario(load_scenario(path)) == text
+
 class TestOverrideKeys:
     def test_gap_is_named_at_run_time(self):
         # Step 2 covers history '0' only; '1' is reachable, so the gap
