@@ -7,12 +7,13 @@ group of pairs is spent to identify the rest.
 
 ``distillation_report`` solves the state once, as its
 ``SpectralEnsemble``. Every entropy both bounds are built from is a root
-statistic of that eigen-ensemble, read by ``protocol._level_stats`` off a
-one-level tree, the root whose factors are its kets: S is the root's
-conditional entropy H(weights), S_A and S_B its average-marginal entropies
-and the mean local entropy its side-A member entropy. ``bell_diagonal``
-builds its state directly: checked weights make it a density operator by
-construction, so a validating solve would only repeat the report's.
+statistic of that eigen-ensemble: entry 0 of the ``TreeStats`` that
+``protocol._level_stats`` computes for the one-level tree of the root
+whose factors are its kets. S is the root's conditional entropy
+H(weights), S_A and S_B its average-marginal entropies and the mean local
+entropy its side-A member entropy. ``bell_diagonal`` builds its state
+directly: checked weights make it a density operator by construction, so
+a validating solve would only repeat the report's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .entropy import SpectralEnsemble, _require_weights, is_ppt, shannon_entropy
 from .linalg import DensityOperator
-from .protocol import LevelStats, _level_stats, _root_level
+from .protocol import PARTIES, _level_stats, _root_level
 
 # Below this the denominator of the partial-distinguishing constraint is
 # degenerate (pure product input) and the bound imposes nothing.
@@ -76,8 +77,9 @@ class DistillationReport:
     closed_form_partial: float | None = None
 
 
-def _bounds(stats: LevelStats) -> tuple[float, float, float]:
-    """(full bound, partial bound, max keep fraction) from the spectral stats.
+def _bounds(entropy: float, local: float, mean_local: float) -> tuple[float, float, float]:
+    """(full bound, partial bound, max keep fraction) from S, S_A + S_B and
+    the mean local entropy.
 
     The full bound, S_A + S_B - S - (mean local entropy), may be negative,
     entangled states included (log2 d - H(weights) on a Bell-diagonal
@@ -86,9 +88,6 @@ def _bounds(stats: LevelStats) -> tuple[float, float, float]:
     pairs, with yield at most r times the mean local entropy; a pure
     product input makes both +inf.
     """
-    entropy = stats.conditional_entropy
-    local = stats.average_entropy["A"] + stats.average_entropy["B"]
-    mean_local = stats.member_entropy["A"]
     full = local - entropy - mean_local
     denominator = entropy + mean_local
     if denominator < _VACUOUS_EPS:
@@ -160,8 +159,11 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     alongside the generic values.
     """
     ensemble = SpectralEnsemble(rho)
-    (stats,) = _level_stats((_root_level(ensemble),), (rho.dim_a, rho.dim_b))
-    full_raw, partial, r_max = _bounds(stats)
+    stats = _level_stats((_root_level(ensemble),), (rho.dim_a, rho.dim_b))
+    entropy = float(stats.conditional_entropy[0])
+    entropy_a, entropy_b = (float(stats.average_entropy[side][0]) for side in PARTIES)
+    mean_local = float(stats.member_entropy["A"][0])
+    full_raw, partial, r_max = _bounds(entropy, entropy_a + entropy_b, mean_local)
     ppt_flag, min_pt = is_ppt(rho)
 
     closed_hashing = closed_hashing_yield = closed_partial = None
@@ -170,10 +172,10 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
         closed_partial = bell_partial_bound(spec)
 
     return DistillationReport(
-        entropy=stats.conditional_entropy,
-        entropy_a=stats.average_entropy["A"],
-        entropy_b=stats.average_entropy["B"],
-        mean_local_entropy=stats.member_entropy["A"],
+        entropy=entropy,
+        entropy_a=entropy_a,
+        entropy_b=entropy_b,
+        mean_local_entropy=mean_local,
         full_distinguish_bound=full_raw,
         full_distinguish_yield=max(0.0, full_raw),
         partial_distinguish_bound=partial,

@@ -39,17 +39,17 @@ and a node that loses every outcome is an error. A posterior factor is
 K V / ||K V||_F, so its state is PSD with unit trace by construction; the
 only check left on it is that every entry of K V is finite.
 
-``LevelStats`` holds what the bounds and the audit read of a level:
-H(X | Y_1..Y_k), and per side the mean member-marginal entropy, the mean
-average-marginal entropy and the average marginals. A member's marginal
-on side A is the Gram X X^dagger of V reshaped to X (dim_a, dim_b * r),
-side B likewise. A node's average marginal on a side is one Gram W
-W^dagger, W the sqrt(q)-scaled reshaped factors of its members set side by
-side, as ``TreeLevel.averages`` builds the average state. ``run_protocol``
+``TreeStats`` holds what the bounds and the audit read of the tree, one
+entry per level: H(X | Y_1..Y_k), and per side the mean member-marginal
+entropy, the mean average-marginal entropy and the average marginals. A
+member's marginal on side A is the Gram X X^dagger of V reshaped to X
+(dim_a, dim_b * r), side B likewise. A node's average marginal on a side
+is ``_mixture_gram`` of its members' reshaped factors, the Gram that
+``TreeLevel.averages`` takes of the full factors. ``run_protocol``
 computes the stats once per tree: every level shares one (M, D, r), so
-``_level_stats`` joins the levels along the node axis, solves every
-node's entropies and average marginals in one pass, and cuts the result
-back into one ``LevelStats`` per level. Each spectrum takes one of three
+``_level_stats`` joins the levels along the node axis and solves every
+node's entropies and average marginals in one pass; each level's means
+are then entries of per-level arrays. Each spectrum takes one of three
 routes:
 
 - pure members (r = 1) of a 2x2 system: no member Gram is built. A
@@ -62,7 +62,7 @@ routes:
   take their member entropies on side A only, and build no side-B Gram.
 
 ``chain_mutual_information``, ``bound_suite``, ``audit_rounds``,
-``entropy_summary`` and ``locclab.distillation`` only read them. Dense
+``entropy_summary`` and ``locclab.distillation`` only index them. Dense
 D x D states are built only on demand: by ``TreeLevel.ensemble`` (which
 ``ProtocolNode.ensemble`` calls), for the root members and leaf averages
 whose entanglement ``bound_suite`` reports, and for the root average of a
@@ -182,6 +182,16 @@ def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]
         raise ValueError(f"incomplete instrument: max |sum K^dagger K - I| = {completeness.max():.3e}")
 
 
+def _check_size(instrument: KrausInstrument, local_dim: int) -> None:
+    """The instrument's operators must be local_dim x local_dim, the dimension
+    of the party it acts on."""
+    if instrument.dim != local_dim:
+        raise ValueError(
+            f"dimension mismatch: instrument on {instrument.party} has size {instrument.dim}, "
+            f"party dimension is {local_dim}"
+        )
+
+
 # Largest entry of |<k_i|k_j> - delta_ij| that a projective basis may have.
 _ORTHONORMAL_TOL = 1e-8
 
@@ -226,6 +236,17 @@ def _gram(factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mixture_gram(factors: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Read-only (N, d, d) sum_x q_x V_x V_x^dagger of each node.
+
+    ``factors`` is (N, M, d, s) and ``scale`` (N, M) holds sqrt(q_x). The
+    sum is one Gram W W^dagger, W the scaled factors set side by side, so
+    it is PSD by construction.
+    """
+    n, m, dim, s = factors.shape
+    return _gram((factors * scale[:, :, None, None]).swapaxes(1, 2).reshape(n, dim, m * s))
+
+
 @dataclass(frozen=True, eq=False)
 class TreeLevel:
     """One level of the outcome tree as stacked, read-only arrays.
@@ -254,34 +275,25 @@ class TreeLevel:
         )
 
     def averages(self) -> np.ndarray:
-        """(N, D, D) average state sum_x q_x rho_x of each node.
-
-        Built as W W^dagger with W the members' factors, scaled by
-        sqrt(q_x) and set side by side, so it is PSD by construction.
-        """
-        n, m, dim, r = self.factors.shape
-        scale = np.sqrt(np.where(self.q > 0.0, self.q, 0.0))
-        return _gram((self.factors * scale[:, :, None, None]).swapaxes(1, 2).reshape(n, dim, m * r))
+        """(N, D, D) average state sum_x q_x rho_x of each node; members of
+        weight zero or below count as zero."""
+        return _mixture_gram(self.factors, np.sqrt(np.where(self.q > 0.0, self.q, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
-class LevelStats:
-    """The entropies and average marginals of one level that the bounds read.
+class TreeStats:
+    """The entropies and average marginals of every level that the bounds read.
 
-    Every entropy is a mean over the level's nodes weighted by path
-    probability; nodes of probability zero and members of weight zero do
-    not count.
+    Entry k of each array belongs to level k. Every entropy is a mean over
+    the level's nodes weighted by path probability; nodes of probability
+    zero and members of weight zero do not count.
     """
 
-    conditional_entropy: float  # H(X | Y_1..Y_k)
-    member_entropy: dict[str, float]  # side -> mean of sum_x q_x S(rho_x^side)
-    average_entropy: dict[str, float]  # side -> mean of S(sum_x q_x rho_x^side)
-    # side -> (N, d, d) sum_x q_x rho_x^side, a read-only view of the tree's stack
-    average_marginals: dict[str, np.ndarray]
-
-    def chi(self, side: str) -> float:
-        """Mean Holevo quantity of the nodes' marginal ensembles on ``side``."""
-        return self.average_entropy[side] - self.member_entropy[side]
+    conditional_entropy: np.ndarray  # (L,) H(X | Y_1..Y_k)
+    member_entropy: dict[str, np.ndarray]  # side -> (L,) mean of sum_x q_x S(rho_x^side)
+    average_entropy: dict[str, np.ndarray]  # side -> (L,) mean of S(sum_x q_x rho_x^side)
+    # side -> level k's (N_k, d, d) sum_x q_x rho_x^side, read-only views of one stack
+    average_marginals: dict[str, tuple[np.ndarray, ...]]
 
 
 def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
@@ -314,11 +326,7 @@ def _expand(
     width = max(len(instrument.ops) for instrument in instruments)
     ops = np.zeros((len(instruments), width, local_dim, local_dim), dtype=complex)
     for n, instrument in enumerate(instruments):
-        if instrument.dim != local_dim:
-            raise ValueError(
-                f"dimension mismatch: instrument on {instrument.party} has size {instrument.dim}, "
-                f"party dimension is {local_dim}"
-            )
+        _check_size(instrument, local_dim)
         ops[n, : len(instrument.ops)] = instrument.ops
 
     # (N, K, M, D, r): K (x) I or I (x) K applied to every member factor of
@@ -379,24 +387,32 @@ def _pure_qubit_marginals(factors: np.ndarray, counted: np.ndarray) -> np.ndarra
     return member
 
 
-def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> list[LevelStats]:
-    """One ``LevelStats`` per level, from one pass over the nodes of all levels.
+def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStats:
+    """The ``TreeStats`` of a sequence of levels, from one pass over all their nodes.
 
     Every level of a tree shares one (M, D, r), so the levels are joined
     along the node axis (a lone root is used as it is, not copied) and each
     per-node entropy, and each side's average marginals, come from one call
-    over the whole tree. A level's means are then dots over the live nodes
-    of its own slice, the same elements in the same order as a pass over
-    the level alone, and its ``average_marginals`` are read-only views of
-    the tree-wide stacks.
+    over the whole tree. Level k's means are then dots over the live nodes
+    of its own span, the same elements in the same order as a pass over
+    the level alone, and its average marginals are read-only views of the
+    tree-wide stacks.
     """
     dim_a, dim_b = dims
-    offsets = list(itertools.accumulate((len(level.prob) for level in levels), initial=0))
+    offsets = itertools.accumulate((len(level.prob) for level in levels), initial=0)
+    spans = [slice(start, stop) for start, stop in itertools.pairwise(offsets)]
     prob, q, factors = (
         arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         for arrays in zip(*((level.prob, level.q, level.factors) for level in levels))
     )
     live = prob > 0.0
+    # Each level's span, its live nodes and their path probabilities.
+    parts = [(span, live[span], prob[span][live[span]]) for span in spans]
+
+    def means(values: np.ndarray) -> np.ndarray:
+        """Path-probability-weighted mean over each level's live nodes, (L,)."""
+        return np.array([weight @ values[span][kept] for span, kept, weight in parts])
+
     weights = np.where(q > 0.0, q, 0.0)
     counted = live[:, None] & (q > 0.0)
     n, m, _, r = factors.shape
@@ -407,9 +423,8 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> list[Lev
         "A": split.reshape(n, m, dim_a, dim_b * r),
         "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
     }
-    scale = np.sqrt(weights)[:, :, None, None]
-    conditional = shannon_entropies(q)
-    member_sums, average_entropies, average_marginals = {}, {}, {}
+    scale = np.sqrt(weights)
+    member_entropy, average_entropy, average_marginals = {}, {}, {}
     qubit_kets = r == 1 and dims == (2, 2)
     if qubit_kets:
         member = _pure_qubit_marginals(factors, counted)
@@ -418,31 +433,16 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> list[Lev
         if (side == "A" and not qubit_kets) or r > 1:
             member = np.zeros(q.shape)
             member[counted] = von_neumann_entropies(_gram(x)[counted])
-        member_sums[side] = (weights * member).sum(axis=1)
-        # One Gram of the sqrt(q)-scaled factors set side by side, as in
-        # ``TreeLevel.averages``.
-        average_marginals[side] = _gram((x * scale).swapaxes(1, 2).reshape(n, x.shape[2], -1))
-        average_entropies[side] = von_neumann_entropies(average_marginals[side])
-
-    stats = []
-    for start, stop in zip(offsets, offsets[1:]):
-        level = slice(start, stop)
-        kept = live[level]
-        weight = prob[level][kept]
-
-        def mean(values: np.ndarray) -> float:
-            """Path-probability-weighted mean over the level's live nodes."""
-            return float(weight @ values[level][kept])
-
-        stats.append(
-            LevelStats(
-                conditional_entropy=mean(conditional),
-                member_entropy={side: mean(values) for side, values in member_sums.items()},
-                average_entropy={side: mean(values) for side, values in average_entropies.items()},
-                average_marginals={side: marginals[level] for side, marginals in average_marginals.items()},
-            )
-        )
-    return stats
+        member_entropy[side] = means((weights * member).sum(axis=1))
+        marginals = _mixture_gram(x, scale)
+        average_entropy[side] = means(von_neumann_entropies(marginals))
+        average_marginals[side] = tuple(marginals[span] for span in spans)
+    return TreeStats(
+        conditional_entropy=means(shannon_entropies(q)),
+        member_entropy=member_entropy,
+        average_entropy=average_entropy,
+        average_marginals=average_marginals,
+    )
 
 
 @dataclass(frozen=True, repr=False)
@@ -487,11 +487,11 @@ class ProtocolNode:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
-    """Full outcome tree of a protocol, one ``TreeLevel`` and one
-    ``LevelStats`` per level; depth = number of rounds."""
+    """Full outcome tree of a protocol: one ``TreeLevel`` per level, and the
+    ``TreeStats`` whose entry k belongs to level k; depth = number of rounds."""
 
     levels: tuple[TreeLevel, ...]
-    stats: tuple[LevelStats, ...]
+    stats: TreeStats
     round_parties: tuple[str, ...]
     root_ensemble: BipartiteEnsemble | SpectralEnsemble
 
@@ -548,7 +548,7 @@ def run_protocol(
         levels.append(_expand(levels[-1], instruments, dims))
     return ProtocolTranscript(
         levels=tuple(levels),
-        stats=tuple(_level_stats(levels, dims)),
+        stats=_level_stats(levels, dims),
         round_parties=tuple(round_parties),
         root_ensemble=ensemble,
     )
@@ -560,9 +560,8 @@ def chain_mutual_information(transcript: ProtocolTranscript) -> tuple[list[float
     Round k contributes I(X; Y_k | Y_1..Y_{k-1}) = H(X|Y_{<k}) - H(X|Y_{<=k});
     the terms telescope to the total I(X; Y_1..Y_n).
     """
-    level_entropy = [stats.conditional_entropy for stats in transcript.stats]
-    per_round = [level_entropy[k - 1] - level_entropy[k] for k in range(1, transcript.depth + 1)]
-    return per_round, level_entropy[0] - level_entropy[-1]
+    level_entropy = transcript.stats.conditional_entropy
+    return (level_entropy[:-1] - level_entropy[1:]).tolist(), float(level_entropy[0] - level_entropy[-1])
 
 
 def average_output_entanglement(transcript: ProtocolTranscript) -> float:
@@ -593,17 +592,17 @@ def entropy_summary(ensemble: BipartiteEnsemble | SpectralEnsemble) -> dict[str,
     if not isinstance(ensemble, (BipartiteEnsemble, SpectralEnsemble)):
         raise ValueError("entropy_summary needs a BipartiteEnsemble or a SpectralEnsemble")
     root = _root_level(ensemble)
-    (stats,) = _level_stats((root,), (ensemble.dim_a, ensemble.dim_b))
+    stats = _level_stats((root,), (ensemble.dim_a, ensemble.dim_b))
     if isinstance(ensemble, SpectralEnsemble):
-        entropy = holevo = stats.conditional_entropy
+        entropy = holevo = float(stats.conditional_entropy[0])
     else:
         entropy = float(von_neumann_entropies(root.averages()[0]))
         members = von_neumann_entropies(_gram(root.factors[0].swapaxes(-1, -2).conj()))
         holevo = entropy - float(np.where(root.q[0] > 0.0, root.q[0], 0.0) @ members)
     return {
         "entropy_average": entropy,
-        "entropy_a": stats.average_entropy["A"],
-        "entropy_b": stats.average_entropy["B"],
+        "entropy_a": float(stats.average_entropy["A"][0]),
+        "entropy_b": float(stats.average_entropy["B"][0]),
         "holevo": holevo,
     }
 
@@ -648,10 +647,9 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
     ``entropy.entanglements``, whose measure follows the state.
     """
     root = transcript.root_ensemble
-    top = transcript.stats[0]
-    entropy_a = top.average_entropy["A"]
-    entropy_b = top.average_entropy["B"]
-    mean_member = top.member_entropy
+    stats = transcript.stats
+    entropy_a, entropy_b = (float(stats.average_entropy[side][0]) for side in PARTIES)
+    mean_member = {side: float(values[0]) for side, values in stats.member_entropy.items()}
 
     per_round, total_info = chain_mutual_information(transcript)
     e_out = average_output_entanglement(transcript)
@@ -665,9 +663,9 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
     if transcript.depth >= 1:
         last_party = transcript.round_parties[-1]
         distant = _other(last_party)
-        leaf_term = transcript.stats[-1].average_entropy[last_party]
+        leaf_term = float(stats.average_entropy[last_party][-1])
         last_step = entropy_a + entropy_b - mean_member[distant] - leaf_term
-        prev_term = transcript.stats[-2].average_entropy[distant]
+        prev_term = float(stats.average_entropy[distant][-2])
         next_to_last = entropy_a + entropy_b - mean_member[last_party] - prev_term
 
     return BoundReport(
@@ -726,22 +724,20 @@ def _marginal_deviation(parents: TreeLevel, children: TreeLevel, before: np.ndar
 def audit_rounds(transcript: ProtocolTranscript) -> list[RoundAudit]:
     """Audit every measurement round of a transcript."""
     per_round, _ = chain_mutual_information(transcript)
+    stats = transcript.stats
+    # Per side, each level's mean Holevo quantity of the nodes' marginal
+    # ensembles, and each round's drop in mean member entropy.
+    chi = {side: (stats.average_entropy[side] - stats.member_entropy[side]).tolist() for side in PARTIES}
+    drop = {side: (values[:-1] - values[1:]).tolist() for side, values in stats.member_entropy.items()}
     audits = []
     for k in range(1, transcript.depth + 1):
         party = transcript.round_parties[k - 1]
         distant = _other(party)
-        before, after = transcript.stats[k - 1], transcript.stats[k]
-        chi_before = before.chi(party)
-        chi_after = after.chi(party)
+        chi_before, chi_after = chi[party][k - 1], chi[party][k]
         info = per_round[k - 1]
-        deviation = _marginal_deviation(
-            transcript.levels[k - 1],
-            transcript.levels[k],
-            before.average_marginals[distant],
-            after.average_marginals[distant],
-        )
-        local_drop = before.member_entropy[party] - after.member_entropy[party]
-        distant_drop = before.member_entropy[distant] - after.member_entropy[distant]
+        marginals = stats.average_marginals[distant]
+        deviation = _marginal_deviation(transcript.levels[k - 1], transcript.levels[k], marginals[k - 1], marginals[k])
+        local_drop, distant_drop = drop[party][k - 1], drop[distant][k - 1]
         audits.append(
             RoundAudit(
                 round=k,

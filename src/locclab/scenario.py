@@ -36,12 +36,12 @@ it), so dump -> parse -> dump is byte-stable.
 A step's override table is read in one batch when every entry is a
 projective basis. Its kets, nested lists of matching lengths, become one
 (H, K, K, 2) array read with one ``np.array``; one leaf-type test rejects
-booleans and strings and one ``isfinite`` test covers the whole array.
-The orthonormality and completeness checks run once for the stack, whose
-instruments are then built without repeating them. If any of this fails,
-the table is parsed entry by entry, the path that names the first bad
-field. Each key is tested once against the histories known to reach the
-step: after a batch read, which accepts only valid entries, or just
+booleans and strings. ``_projective_stack`` then checks the whole stack
+once, finiteness (a NaN or an infinity), orthonormality and completeness,
+and builds its instruments without repeating the checks. If any of this
+fails, the table is parsed entry by entry, the path that names the first
+bad field. Each key is tested once against the histories known to reach
+the step: after a batch read, which accepts only valid entries, or just
 before its entry. Both routes thus name the same first fault.
 """
 
@@ -57,7 +57,7 @@ import numpy as np
 from .distillation import BellDiagonalSpec
 from .entropy import BipartiteEnsemble
 from .linalg import DensityOperator, pure_state_density, validate_density
-from .protocol import KrausInstrument, _projective_stack
+from .protocol import KrausInstrument, _check_size, _projective_stack
 
 SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
@@ -264,12 +264,11 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
             instrument = KrausInstrument(party=party, outcomes=tuple(zip(labels, ops)))
         else:
             _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list")
+        _check_size(instrument, dim)
     except ScenarioError:
         raise
     except ValueError as exc:
         _fail(path, str(exc))
-    if instrument.dim != dim:
-        _fail(path, f"instrument on {party} has size {instrument.dim}, party dimension is {dim}")
     return instrument
 
 
@@ -285,11 +284,11 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
 
     The kets of the H overrides are read as one (H, K, K, 2) array of
     [re, im] pairs, K the party's dimension ``dim``, and each check runs
-    once for the whole table: shape, leaf types, finiteness, labels, then
-    ``_projective_stack``'s orthonormality and completeness. Returns the
-    instruments in table order, or None when a check fails or an entry is
-    not a projective object with no field but 'labels' besides; the entry
-    parse names the field.
+    once for the whole table: shape, leaf types, labels, then
+    ``_projective_stack``'s finiteness, orthonormality and completeness.
+    Returns the instruments in table order, or None when a check fails or
+    an entry is not a projective object with no field but 'labels'
+    besides; the entry parse names the field.
     """
     values = list(table.values())
     if not all(
@@ -310,8 +309,6 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
     try:
         numbers = np.array(nested, dtype=float).reshape(len(rows), dim, dim, 2)
     except OverflowError:
-        return None
-    if not np.isfinite(numbers).all():
         return None
     default = tuple(str(i) for i in range(dim))
     labels = []

@@ -164,13 +164,16 @@ def distillation_oracle(rho: DensityOperator) -> dict[str, float]:
 def entropy_summary_oracle(ensemble: BipartiteEnsemble) -> dict[str, float]:
     """Every field of ``entropy_summary`` by other routes.
 
-    S from ``np.linalg.eigvalsh`` of ``average_matrix()``, S_A and S_B from
-    explicit ``einsum`` partial traces of it, and the Holevo quantity from
-    ``holevo_oracle`` over the member matrices; no tree level, no factors
-    and no ``locclab`` entropy function.
+    The average state is the numpy sum of p * rho over the member matrices,
+    hermitized as (M + M^dagger) / 2 with numpy. S comes from
+    ``np.linalg.eigvalsh`` of it, S_A and S_B from explicit ``einsum``
+    partial traces of it, and the Holevo quantity from ``holevo_oracle``
+    over the member matrices; no tree level, no factors and no ``locclab``
+    entropy function or method.
     """
     dim_a, dim_b = ensemble.dim_a, ensemble.dim_b
-    average = ensemble.average_matrix()
+    total = sum(p * np.asarray(state.matrix, dtype=complex) for p, state in ensemble.members)
+    average = (total + total.conj().T) / 2
     return {
         "entropy_average": von_neumann_oracle(average),
         "entropy_a": von_neumann_oracle(partial_trace_oracle(average, "A", dim_a, dim_b)),

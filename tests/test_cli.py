@@ -276,7 +276,7 @@ def test_integer_too_large_for_a_float_in_override_table_exits_two(tmp_path):
 def test_instrument_size_mismatch_exits_two(tmp_path, steps, field):
     code, out, err = run(["bounds-verify", write_protocol(tmp_path, steps)])
     assert code == 2 and out == ""
-    assert f"{field}: instrument on {steps[-1]['party']} has size 3, party dimension is 2" in err
+    assert f"{field}: dimension mismatch: instrument on {steps[-1]['party']} has size 3, party dimension is 2" in err
 
 
 @pytest.mark.parametrize("command", ["bounds-verify", "protocol-run"])

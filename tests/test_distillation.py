@@ -150,7 +150,7 @@ class TestMeanLocalEntropy:
         se = SpectralEnsemble(rho)
         np.testing.assert_allclose(se.kets, [PHI_PLUS, product], atol=1e-12)
         # The side-A member entropy of its depth-zero root.
-        assert run_protocol(se, {}, 0).stats[0].member_entropy["A"] == pytest.approx(0.5, abs=1e-12)
+        assert run_protocol(se, {}, 0).stats.member_entropy["A"][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_sides_agree_on_random_states(self):
         rng = np.random.default_rng(19)

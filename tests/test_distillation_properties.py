@@ -153,12 +153,12 @@ def test_report_root_is_the_spectral_ensemble_root(seed, dims, degenerate):
     np.testing.assert_array_equal(rooted.weights, se.weights)
     np.testing.assert_array_equal(rooted.kets, se.kets)
 
-    stats = run_protocol(se, {}, 0).stats[0]
+    stats = run_protocol(se, {}, 0).stats
     summary = entropy_summary(se)
-    assert report.entropy == stats.conditional_entropy == summary["entropy_average"]
-    assert report.entropy_a == stats.average_entropy["A"] == summary["entropy_a"]
-    assert report.entropy_b == stats.average_entropy["B"] == summary["entropy_b"]
-    assert report.mean_local_entropy == stats.member_entropy["A"]
+    assert report.entropy == stats.conditional_entropy[0] == summary["entropy_average"]
+    assert report.entropy_a == stats.average_entropy["A"][0] == summary["entropy_a"]
+    assert report.entropy_b == stats.average_entropy["B"][0] == summary["entropy_b"]
+    assert report.mean_local_entropy == stats.member_entropy["A"][0]
 
 
 def assert_matches_oracle(rho, spec=None):

@@ -270,13 +270,14 @@ def test_all_outcomes_pruned_error(engine, monkeypatch):
         engine(ensemble, KrausInstrument.projective("A", np.eye(2)), **knob)
 
 
-def assert_stats_identical(tree, alone):
-    """Bit-for-bit equality of two ``LevelStats``."""
-    assert tree.conditional_entropy == alone.conditional_entropy
+def assert_stats_identical(tree, k, alone):
+    """Bit-for-bit equality of entry k of the ``TreeStats`` ``tree`` and
+    entry 0 of the one-level ``alone``."""
+    assert tree.conditional_entropy[k] == alone.conditional_entropy[0]
     for side in protocol.PARTIES:
-        assert tree.member_entropy[side] == alone.member_entropy[side]
-        assert tree.average_entropy[side] == alone.average_entropy[side]
-        assert np.array_equal(tree.average_marginals[side], alone.average_marginals[side])
+        assert tree.member_entropy[side][k] == alone.member_entropy[side][0]
+        assert tree.average_entropy[side][k] == alone.average_entropy[side][0]
+        assert np.array_equal(tree.average_marginals[side][k], alone.average_marginals[side][0])
 
 
 STATS_CASES = ("mixed_kraus", "unequal_rank", "pure_2x3", "pure_3x2", "pruned")
@@ -312,11 +313,13 @@ def test_tree_stats_equal_each_level_alone(seed, case, depth):
         chooser = make_chooser(seed, dims, parties, "projective")
     transcript = run_protocol(ensemble, chooser, depth)
     tree = protocol._level_stats(transcript.levels, dims)
-    assert len(tree) == depth + 1
-    for level, stats in zip(transcript.levels, tree, strict=True):
-        (alone,) = protocol._level_stats((level,), dims)
-        assert_stats_identical(stats, alone)
-        for marginals in stats.average_marginals.values():
+    for values in (tree.conditional_entropy, *tree.member_entropy.values(), *tree.average_entropy.values()):
+        assert values.shape == (depth + 1,)
+    for k, level in enumerate(transcript.levels):
+        assert_stats_identical(tree, k, protocol._level_stats((level,), dims))
+    for per_level in tree.average_marginals.values():
+        assert len(per_level) == depth + 1
+        for marginals in per_level:
             assert not marginals.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 marginals[...] = 0.0

@@ -182,12 +182,13 @@ def padded(level):
     )
 
 
-def assert_stats_agree(new, old):
-    assert abs(new.conditional_entropy - old.conditional_entropy) <= TOL
+def assert_stats_agree(new, k, old):
+    """Level k of the ``TreeStats`` ``new`` against the one level of ``old``."""
+    assert abs(new.conditional_entropy[k] - old.conditional_entropy[0]) <= TOL
     for side in protocol.PARTIES:
-        assert abs(new.member_entropy[side] - old.member_entropy[side]) <= TOL
-        assert abs(new.average_entropy[side] - old.average_entropy[side]) <= TOL
-        np.testing.assert_allclose(new.average_marginals[side], old.average_marginals[side], rtol=0, atol=TOL)
+        assert abs(new.member_entropy[side][k] - old.member_entropy[side][0]) <= TOL
+        assert abs(new.average_entropy[side][k] - old.average_entropy[side][0]) <= TOL
+        np.testing.assert_allclose(new.average_marginals[side][k], old.average_marginals[side][0], rtol=0, atol=TOL)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -201,9 +202,10 @@ def test_pure_qubit_route_matches_general_route(seed, n_members, depth, zero_wei
         weights /= weights.sum()
         ensemble = BipartiteEnsemble(tuple(zip(weights.tolist(), (s for _, s in ensemble.members))))
     transcript = run_protocol(ensemble, random_chooser(seed), depth)
-    for level, stats in zip(transcript.levels, transcript.stats, strict=True):
+    assert len(transcript.stats.conditional_entropy) == len(transcript.levels)
+    for k, level in enumerate(transcript.levels):
         assert level.factors.shape[-1] == 1
-        assert_stats_agree(stats, protocol._level_stats((padded(level),), (2, 2))[0])
+        assert_stats_agree(transcript.stats, k, protocol._level_stats((padded(level),), (2, 2)))
 
 
 def routes_taken(monkeypatch, ensemble) -> int:
@@ -253,12 +255,12 @@ def test_one_eigvalsh_call_per_tree(monkeypatch, depth):
 
 
 def assert_root_matches_oracles(ensemble):
-    (stats,) = protocol._level_stats((protocol._root_level(ensemble),), (ensemble.dim_a, ensemble.dim_b))
+    stats = protocol._level_stats((protocol._root_level(ensemble),), (ensemble.dim_a, ensemble.dim_b))
     summary = entropy_summary_oracle(ensemble)
     oracle = marginal_entropy_oracle(ensemble)
     for side, key in (("A", "entropy_a"), ("B", "entropy_b")):
-        assert abs(stats.average_entropy[side] - summary[key]) <= 1e-12
-        assert abs(stats.member_entropy[side] - oracle[side]) <= 1e-12
+        assert abs(stats.average_entropy[side][0] - summary[key]) <= 1e-12
+        assert abs(stats.member_entropy[side][0] - oracle[side]) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -709,13 +709,17 @@ class TestInstrumentSize:
     @pytest.mark.parametrize("instrument", [Z3, ID3_KRAUS], ids=["projective", "kraus"])
     def test_default_instrument(self, instrument):
         data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "instrument": instrument}])
-        assert parse_error(data) == "s.protocol[1].instrument: instrument on B has size 3, party dimension is 2"
+        assert parse_error(data) == (
+            "s.protocol[1].instrument: dimension mismatch: instrument on B has size 3, party dimension is 2"
+        )
 
     @pytest.mark.parametrize("instrument", [Z3, ID3_KRAUS], ids=["projective", "kraus"])
     def test_override(self, instrument):
         data = adaptive_table()
         data["protocol"][2]["overrides"]["1,0"] = instrument
-        assert parse_error(data) == "s.protocol[2].overrides['1,0']: instrument on A has size 3, party dimension is 2"
+        assert parse_error(data) == (
+            "s.protocol[2].overrides['1,0']: dimension mismatch: instrument on A has size 3, party dimension is 2"
+        )
 
     def test_each_party_has_its_own_dimension(self):
         data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z3, "1": Z3}}])
@@ -724,7 +728,9 @@ class TestInstrumentSize:
         overrides = parse_scenario(data).steps[1].overrides
         assert [(instrument.dim, instrument.kets.shape) for instrument in overrides.values()] == [(3, (3, 3))] * 2
         data["protocol"][0]["party"] = "B"
-        assert parse_error(data) == "s.protocol[0].instrument: instrument on B has size 2, party dimension is 3"
+        assert parse_error(data) == (
+            "s.protocol[0].instrument: dimension mismatch: instrument on B has size 2, party dimension is 3"
+        )
 
 
 def adaptive_scenario(depth: int, seed: int, label_pairs=None) -> Scenario:
