@@ -30,9 +30,11 @@ Exit codes: 0 success, 1 at least one failed check, 2 input or usage error
 early, as ``| head`` does: the rest of the output is dropped without a
 traceback. JSON reports are canonical (sorted keys) and contain no timing
 data, so identical inputs produce byte-identical output; wall time goes to
-the table format only. They are strict JSON: a vacuous bound (+inf, e.g.
-``partial_distinguish_bound`` and ``max_keep_fraction`` of a pure product
-state) is written as ``null``, while the table prints it as ``inf``.
+the table format only. A report is written as built, as strict JSON: an
+absent value, such as a vacuous bound (``partial_distinguish_bound`` and
+``max_keep_fraction`` of a pure product state), is None in the result
+dataclass, ``null`` in JSON and ``-`` in the table, and a non-finite
+number makes the writer raise rather than print a non-standard token.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -261,10 +262,8 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
 def _format_value(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
-        return f"{_round9(value):.9f}" if np.isfinite(value) else str(value)
+        return f"{_round9(value):.9f}"
     return str(value)
 
 
@@ -281,15 +280,6 @@ def _format_deviation(value: float) -> str:
     if value <= MARGINAL_DEVIATION_TOL:
         return f"<={MARGINAL_DEVIATION_TOL:.1e}"
     return f"={value:.2e}"
-
-
-def _strict(value):
-    """A report for strict JSON: every +inf, a vacuous bound, becomes None."""
-    if isinstance(value, dict):
-        return {key: _strict(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(item) for item in value]
-    return None if value == math.inf else value
 
 
 def render_table(report: dict, elapsed: float) -> str:
@@ -330,7 +320,7 @@ def main(argv=None) -> int:
 
     try:
         if args.format == "json":
-            print(json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False))
+            print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
         else:
             print(render_table(report, elapsed))
         sys.stdout.flush()

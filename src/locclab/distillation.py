@@ -54,11 +54,12 @@ class DistillationReport:
     """Entropies, yield bounds, and classification flags for one state.
 
     Raw bounds may be negative (meaning: no yield through such protocols);
-    ``full_distinguish_yield`` is the zero-clamped value. Infinite
-    ``partial_distinguish_bound`` / ``max_keep_fraction`` mark the vacuous
-    pure-product case; the CLI's JSON report writes them as ``null``, since
-    strict JSON has no infinity, and its table prints ``inf``. Closed forms
-    are present only when the state was built from a BellDiagonalSpec.
+    ``full_distinguish_yield`` is the zero-clamped value. A field that does
+    not apply is None: ``partial_distinguish_bound`` and
+    ``max_keep_fraction`` on a pure product input, where the partial bound
+    is vacuous, and the closed forms unless the state was built from a
+    BellDiagonalSpec. The CLI writes None as ``null`` in JSON and ``-`` in
+    its table.
     """
 
     entropy: float
@@ -67,8 +68,8 @@ class DistillationReport:
     mean_local_entropy: float
     full_distinguish_bound: float
     full_distinguish_yield: float
-    partial_distinguish_bound: float
-    max_keep_fraction: float
+    partial_distinguish_bound: float | None
+    max_keep_fraction: float | None
     degenerate_spectrum: bool
     ppt: bool
     min_pt_eigenvalue: float
@@ -77,7 +78,7 @@ class DistillationReport:
     closed_form_partial: float | None = None
 
 
-def _bounds(entropy: float, local: float, mean_local: float) -> tuple[float, float, float]:
+def _bounds(entropy: float, local: float, mean_local: float) -> tuple[float, float | None, float | None]:
     """(full bound, partial bound, max keep fraction) from S, S_A + S_B and
     the mean local entropy.
 
@@ -85,13 +86,13 @@ def _bounds(entropy: float, local: float, mean_local: float) -> tuple[float, flo
     entangled states included (log2 d - H(weights) on a Bell-diagonal
     state). A group-splitting protocol learns the identity of a fraction
     r <= (S_A + S_B - mean local entropy) / (S + mean local entropy) of the
-    pairs, with yield at most r times the mean local entropy; a pure
-    product input makes both +inf.
+    pairs, with yield at most r times the mean local entropy. On a pure
+    product input the constraint is vacuous, and both are None.
     """
     full = local - entropy - mean_local
     denominator = entropy + mean_local
     if denominator < _VACUOUS_EPS:
-        return full, math.inf, math.inf
+        return full, None, None
     r_max = (local - mean_local) / denominator
     return full, r_max * mean_local, r_max
 
@@ -156,7 +157,8 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     The state is solved generically, Bell diagonal or not, and its kept
     weights must sum to 1 within WEIGHT_SUM_TOL. When ``spec`` is given the
     state is understood as Bell diagonal and the closed forms are attached
-    alongside the generic values.
+    alongside the generic values; otherwise they are None, as are the
+    partial bound and keep fraction of a pure product state.
     """
     ensemble = SpectralEnsemble(rho)
     stats = _level_stats((_root_level(ensemble),), (rho.dim_a, rho.dim_b))

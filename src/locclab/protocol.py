@@ -157,12 +157,14 @@ class KrausInstrument:
 
 
 def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]]) -> None:
-    """Label count, party, distinct labels and completeness, in this order,
-    of a stack of instruments on ``party``: ``ops`` is (H, K, d, d), the K
-    Kraus operators of instrument h, named by ``labels[h]``. The first
-    check that fails raises a ValueError; with H = 1 it is that check's
-    message for the one instrument. Only a projective stack can fail the
-    label count: ``__post_init__`` pairs each label with its operator.
+    """Label count, party, distinct labels, nonempty labels and
+    completeness, in this order, of a stack of instruments on ``party``:
+    ``ops`` is (H, K, d, d), the K Kraus operators of instrument h, named
+    by ``labels[h]``. The first check that fails raises a ValueError; with
+    H = 1 it is that check's message for the one instrument. Only a
+    projective stack can fail the label count: ``__post_init__`` pairs
+    each label with its operator. An empty label would join to the empty
+    history key that names the root, and print as the root's path.
     """
     count = ops.shape[1]
     distinct = set(labels)
@@ -175,6 +177,8 @@ def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]
         if len(set(names)) != count:
             duplicate = next(label for i, label in enumerate(names) if label in names[:i])
             raise ValueError(f"duplicate outcome label {duplicate!r}")
+    if any("" in names for names in distinct):
+        raise ValueError("empty outcome label")
     # sum_k K_k^dagger K_k of every instrument.
     gram = np.einsum("hkji,hkjl->hil", ops.conj(), ops)
     completeness = np.abs(gram - np.eye(ops.shape[-1])).max(axis=(1, 2))

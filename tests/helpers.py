@@ -131,7 +131,7 @@ def bell_vectors(d: int) -> list[np.ndarray]:
     ]
 
 
-def distillation_oracle(rho: DensityOperator) -> dict[str, float]:
+def distillation_oracle(rho: DensityOperator) -> dict[str, float | None]:
     """Every entropy field and both bounds of ``distillation_report`` by other routes.
 
     S from ``np.linalg.eigvalsh`` of rho, S_A and S_B from explicit
@@ -146,7 +146,7 @@ def distillation_oracle(rho: DensityOperator) -> dict[str, float]:
     mean_local = sum(w * pure_entanglement_oracle(v, dim_a, dim_b) for w, v in zip(se.weights.tolist(), se.kets))
     denominator = entropy + mean_local
     if denominator < 1e-12:  # pure product: the partial constraint is vacuous
-        r_max = partial = np.inf
+        r_max = partial = None
     else:
         r_max = (entropy_a + entropy_b - mean_local) / denominator
         partial = r_max * mean_local

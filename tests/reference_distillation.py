@@ -139,7 +139,7 @@ def partial_distinguish_bound(rho: DensityOperator) -> tuple[float, float]:
     mean_local = mean_local_entropy(spectral_ensemble(rho))
     denominator = entropy + mean_local
     if denominator < _VACUOUS_EPS:
-        return np.inf, np.inf
+        return None, None
     r_max = (entropy_a + entropy_b - mean_local) / denominator
     return r_max * mean_local, r_max
 

@@ -22,14 +22,17 @@ import pytest
 from locclab import (
     BipartiteEnsemble,
     KrausInstrument,
+    audit_rounds,
     bound_suite,
     bundled_scenario_path,
+    chain_mutual_information,
     load_scenario,
+    parse_scenario,
     run_protocol,
     validate_density,
 )
 
-from helpers import Z_BASIS
+from helpers import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, Z_BASIS, shannon_oracle
 
 TOL = 1e-10
 BOUND_NAMES = ("local_holevo", "last_step", "next_to_last_step", "output_adjusted", "complementarity")
@@ -135,3 +138,71 @@ def test_silent_round_then_z_on_b_pins_next_to_last_step():
     report = bound_suite(run_protocol(BipartiteEnsemble(members), steps, 2))
     assert report.per_round_info == pytest.approx((0.0, 1.0), abs=TOL)
     assert_report(report, i_locc=1.0, e_in=0.0, e_out=0.0, bounds=(2.0, 2.0, 1.0, 2.0, 2.0))
+
+
+def pairs(array) -> list:
+    """A complex array as the file's nested [re, im] pairs."""
+    array = np.asarray(array, dtype=complex)
+    return np.stack([array.real, array.imag], axis=-1).tolist()
+
+
+def hashing_step_file(p) -> dict:
+    """Two copies of the Bell-diagonal state with weights p over (Phi+,
+    Phi-, Psi+, Psi-), A = A1A2 and B = B1B2, as a ``protocol`` file: 16
+    ``vector`` members |B_i>_{A1B1} (x) |B_j>_{A2B2} of weight p_i p_j on
+    dims [4, 4]. A, then B, applies the ``kraus`` instrument K_x = (I (x)
+    |x><x|) CNOT, copy 1 controlling copy 2, on its two qubits."""
+    bell = [v.reshape(2, 2) for v in (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)]
+    members = [
+        {"probability": p[i] * p[j], "vector": pairs(np.einsum("ac,bd->abcd", bell[i], bell[j]).reshape(16))}
+        for i in range(4)
+        for j in range(4)
+    ]
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    kraus = [np.kron(np.eye(2), np.diag(np.eye(2)[x])) @ cnot for x in (0, 1)]
+    instrument = {"labels": ["0", "1"], "kraus": [pairs(op) for op in kraus]}
+    return {
+        "kind": "protocol",
+        "name": "hashing-step",
+        "dims": [4, 4],
+        "ensemble": members,
+        "protocol": [{"party": party, "instrument": instrument} for party in "AB"],
+    }
+
+
+@pytest.mark.parametrize(
+    "p, info",
+    [
+        ((0.25, 0.25, 0.25, 0.25), 1.0),
+        ((0.5, 0.0, 0.5, 0.0), 1.0),
+        ((0.7, 0.1, 0.1, 0.1), 0.904381457724),
+        ((0.9, 0.05, 0.03, 0.02), 0.452942548187),
+        ((0.4, 0.3, 0.2, 0.1), 0.981453895034),
+    ],
+)
+def test_hashing_step_is_a_zero_slack_audit_witness(p, info):
+    """The hashing step of Bennett et al. (PRA 54, 3824, 1996) on two copies.
+
+    After both local CNOTs, A's outcome is a1 + a2 and B's is b1 + b2
+    (mod 2). A's alone is uniform under every member, whose A marginal is
+    I/4: round 1 gains 0 bits. Together they name the XOR of the two
+    copies' bit-flip indices (1 for Psi+ and Psi-), which is 1 with
+    probability 2q(1 - q), q = p(Psi+) + p(Psi-): given the member, B's
+    outcome is A's plus that XOR. Round 2 gains I_locc = h(2q(1 - q)). Both rounds saturate
+    the audit: Holevo and entropy-drop slacks 0, the distant side
+    untouched. The bound suite is left out: its output entanglement needs
+    the leaf averages, mixed 4x4 states that no measure covers yet.
+    """
+    q = p[2] + p[3]
+    assert shannon_oracle([2 * q * (1 - q), 1 - 2 * q * (1 - q)]) == pytest.approx(info, abs=1e-12)
+    scenario = parse_scenario(hashing_step_file(p))
+    transcript = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
+    per_round, i_locc = chain_mutual_information(transcript)
+    assert per_round == pytest.approx([0.0, info], abs=1e-12)
+    assert i_locc == pytest.approx(info, abs=1e-12)
+    audits = audit_rounds(transcript)
+    assert [audit.party for audit in audits] == ["A", "B"]
+    for audit in audits:
+        assert audit.holevo_slack == pytest.approx(0.0, abs=1e-12)
+        assert audit.entropy_drop_slack == pytest.approx(0.0, abs=1e-12)
+        assert audit.distant_marginal_deviation <= 1e-9

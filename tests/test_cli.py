@@ -311,11 +311,25 @@ def test_vacuous_bounds_are_json_null(tmp_path):
     assert report["max_keep_fraction"] is None
 
 
-def test_vacuous_bounds_print_inf_in_table(tmp_path):
+def test_vacuous_bounds_print_dash_in_table(tmp_path):
     code, out, _ = run(["distill-report", product_state(tmp_path)])
     assert code == 0
-    assert "  partial_distinguish_bound   inf\n" in out
-    assert "  max_keep_fraction           inf\n" in out
+    assert "  partial_distinguish_bound   -\n" in out
+    assert "  max_keep_fraction           -\n" in out
+
+
+def test_json_writer_rejects_an_infinity(monkeypatch):
+    # The report is written as built: a +inf that a command body lets through
+    # makes the strict writer raise instead of printing null or Infinity.
+    body, lines = cli.COMMAND_TABLE["entropy"]
+
+    def infinite(scenario, tol):
+        fields, checks = body(scenario, tol)
+        return {**fields, "holevo": float("inf")}, checks
+
+    monkeypatch.setitem(cli.COMMAND_TABLE, "entropy", (infinite, lines))
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        run(["entropy", bundled_scenario_path("phi_mixture_xx.json"), "--format", "json"])
 
 
 class ClosedPipe(io.TextIOBase):

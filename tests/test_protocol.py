@@ -125,6 +125,7 @@ class TestKrausInstrument:
             ("C", (("0", P0), ("1", P1)), "party must be 'A' or 'B', got 'C'"),
             ("A", (), "instrument needs at least one outcome"),
             ("A", (("x", P0), ("x", P1)), "duplicate outcome label 'x'"),
+            ("A", (("", P0), ("x", P1)), "empty outcome label"),
             ("A", (("0", np.ones((2, 3))),), "outcome '0': Kraus operator must be square, got (2, 3)"),
             ("A", (("0", np.ones(2)),), "outcome '0': Kraus operator must be square, got (2,)"),
             ("A", (("0", np.zeros((0, 0))),), "outcome '0': Kraus operator is empty"),
@@ -132,7 +133,10 @@ class TestKrausInstrument:
             ("A", (("0", np.eye(2) * 0.5),), "incomplete instrument: max |sum K^dagger K - I| = 7.500e-01"),
             ("A", (("0", np.diag([1.0, np.nan])),), "incomplete instrument: max |sum K^dagger K - I| = nan"),
         ],
-        ids=["party", "no_outcomes", "duplicate", "non_square", "not_a_matrix", "empty", "size", "incomplete", "nan"],
+        ids=[
+            "party", "no_outcomes", "duplicate", "empty_label", "non_square", "not_a_matrix", "empty", "size",
+            "incomplete", "nan",
+        ],
     )
     def test_single_fault_message(self, party, outcomes, message):
         # The scenario parser reports these texts after the field path, so

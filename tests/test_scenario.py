@@ -984,6 +984,11 @@ def bell_file(d: int, probs) -> dict:
             "s.protocol[0].instrument.labels: 1 labels for 2 operators",
         ),
         (
+            edited(z_steps, lambda d: d["protocol"][0]["instrument"].update(labels=["", "x"])),
+            ScenarioError,
+            "s.protocol[0].instrument: empty outcome label",
+        ),
+        (
             edited(z_steps, lambda d: d["protocol"][0].update(instrument={"labels": ["0", "1"]})),
             ScenarioError,
             "s.protocol[0].instrument: instrument needs a 'projective' basis or a 'kraus' operator list",
@@ -1079,11 +1084,12 @@ def bell_file(d: int, probs) -> dict:
         (lambda: bundled_scenario_path("missing.json"), FileNotFoundError, "no bundled scenario 'missing.json'"),
     ],
     ids=[
-        "member_not_object", "complex_triple", "kraus_label_count", "instrument_without_operators", "empty_ensemble",
-        "member_without_state", "member_norm", "weight_sum", "negative_weight", "dims_count", "dims_nonpositive",
-        "empty_protocol", "step_without_instrument", "labels_not_a_list", "unhashable_labels", "instrument_family",
-        "random_dims", "range_bool", "range_float", "range_empty", "range_minimum", "bell_d", "bell_weight_count",
-        "bell_negative_weight", "bell_weight_sum", "materialize_non_random", "missing_bundled_scenario",
+        "member_not_object", "complex_triple", "kraus_label_count", "empty_label", "instrument_without_operators",
+        "empty_ensemble", "member_without_state", "member_norm", "weight_sum", "negative_weight", "dims_count",
+        "dims_nonpositive", "empty_protocol", "step_without_instrument", "labels_not_a_list", "unhashable_labels",
+        "instrument_family", "random_dims", "range_bool", "range_float", "range_empty", "range_minimum", "bell_d",
+        "bell_weight_count", "bell_negative_weight", "bell_weight_sum", "materialize_non_random",
+        "missing_bundled_scenario",
     ],
 )
 def test_rejection_names_the_field(call, error, message):
