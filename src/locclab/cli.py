@@ -25,16 +25,20 @@ from its purity sum_k p_k^2 before building any ensemble, naming the
 file's ``bell`` field.
 
 Exit codes: 0 success, 1 at least one failed check, 2 input or usage error
-(an engine error while a trial is built is prefixed with the file's path),
-141 (128 + SIGPIPE, as a shell reports it) when the reader closes stdout
-early, as ``| head`` does: the rest of the output is dropped without a
-traceback. JSON reports are canonical (sorted keys) and contain no timing
-data, so identical inputs produce byte-identical output; wall time goes to
-the table format only. A report is written as built, as strict JSON: an
-absent value, such as a vacuous bound (``partial_distinguish_bound`` and
-``max_keep_fraction`` of a pure product state), is None in the result
-dataclass, ``null`` in JSON and ``-`` in the table, and a non-finite
-number makes the writer raise rather than print a non-standard token.
+(an input error names the file: one that cannot be read, one that cannot
+be decoded, however deep its nesting, a field that breaks a rule, or an
+engine error while a trial is built), 141 (128 + SIGPIPE, as a shell
+reports it) when the reader closes stdout early, as ``| head`` does: the
+rest of the output is dropped without a traceback. JSON reports are
+canonical (sorted keys) and contain no timing data, so identical inputs
+produce byte-identical output; wall time goes to the table format only.
+The table backslash-escapes what stdout's encoding cannot write, such as
+the lone surrogate of a "\\ud800" escape. A report is written as built,
+as strict JSON: an absent value, such as a vacuous bound
+(``partial_distinguish_bound`` and ``max_keep_fraction`` of a pure
+product state), is None in the result dataclass, ``null`` in JSON and
+``-`` in the table, and a non-finite number makes the writer raise rather
+than print a non-standard token.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .distillation import bell_diagonal, distillation_report
 from .entropy import BipartiteEnsemble, SpectralEnsemble, _require_measurable
 from .linalg import DensityOperator, _frozen
 from .protocol import audit_rounds, bound_suite, chain_mutual_information, entropy_summary, run_protocol
-from .scenario import Scenario, ScenarioError, load_scenario, materialize_random
+from .scenario import Scenario, ScenarioError, _at, load_scenario, materialize_random
 
 DEFAULT_SLACK_TOL = 1e-7
 MARGINAL_DEVIATION_TOL = 1e-9
@@ -215,10 +219,8 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
         raise ScenarioError(f"tol must be a positive finite number, got {tol!r}")
     scenario = load_scenario(path)
     if command == "bounds-verify" and scenario.bell is not None:
-        try:
+        with _at(f"{path}.bell"):
             _require_measurable([sum(p * p for p in scenario.bell.probs)], scenario.dim_a, scenario.dim_b)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.bell: {exc}") from None
 
     if scenario.kind == "random":
         # Built as each trial runs, so that only one is held at a time.
@@ -295,6 +297,16 @@ def render_table(report: dict, elapsed: float) -> str:
     return "\n".join(lines)
 
 
+def _encodable(text: str, stream) -> str:
+    """``text`` with every character that ``stream``'s encoding (UTF-8 if it
+    has none) cannot write backslash-escaped, as Python writes stderr: a
+    lone surrogate in a scenario name or an outcome label prints as
+    ``\\ud800``. JSON output needs no such step: ``json.dumps`` escapes
+    every non-ASCII character."""
+    encoding = getattr(stream, "encoding", None) or "utf-8"
+    return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="locclab",
@@ -322,7 +334,7 @@ def main(argv=None) -> int:
         if args.format == "json":
             print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
         else:
-            print(render_table(report, elapsed))
+            print(_encodable(render_table(report, elapsed), sys.stdout))
         sys.stdout.flush()
     except BrokenPipeError:
         # The Python docs' recipe: point stdout at devnull, so that the

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import SpectralEnsemble, _require_weights, is_ppt, shannon_entropy
-from .linalg import DensityOperator
-from .protocol import PARTIES, _level_stats, _root_level
+from .linalg import PARTIES, DensityOperator
+from .protocol import _level_stats, _root_level
 
 # Below this the denominator of the partial-distinguishing constraint is
 # degenerate (pure product input) and the bound imposes nothing.

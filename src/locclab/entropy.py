@@ -4,14 +4,14 @@ All logarithms are base 2; every quantity is in bits. Eigenvalues below
 ZERO_EIGENVALUE are treated as exact zeros inside entropy sums so that
 rounding noise never produces -inf terms.
 
-The weight rule of every ensemble and Bell spec lives in
+The weight rule of every ensemble, Bell spec and Shannon entropy lives in
 ``_require_weights``, and the measurability rule (pure, or mixed on 2x2)
-in ``_require_measurable``; the state rule lives in ``locclab.linalg``.
+in ``_require_measurable``; the state, dimension and party rules live in
+``locclab.linalg``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +38,21 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def _require_weights(weights: Sequence[float]) -> None:
-    """No weight below -NEGATIVE_WEIGHT_TOL, and a sum within WEIGHT_SUM_TOL of one."""
-    for i, p in enumerate(weights):
-        if p < -NEGATIVE_WEIGHT_TOL:
-            raise ValueError(f"negative weight {p!r} at index {i}")
-    total = sum(weights)
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-        raise ValueError(f"weights sum to {total!r}, not 1")
+def _require_weights(weights) -> np.ndarray:
+    """``weights`` as a float array, each row of a stack (..., M) checked:
+    no weight below -NEGATIVE_WEIGHT_TOL (named by its last-axis index) and
+    a sum within WEIGHT_SUM_TOL of one, the test that a NaN fails."""
+    weights = np.asarray(weights, dtype=float)
+    if not weights.min(initial=0.0) >= -NEGATIVE_WEIGHT_TOL:
+        negative = weights < -NEGATIVE_WEIGHT_TOL
+        if negative.any():
+            at = np.unravel_index(negative.argmax(), weights.shape)
+            raise ValueError(f"negative weight {float(weights[at])!r} at index {at[-1]}")
+    total = weights.sum(axis=-1)
+    deviation = np.abs(total - 1.0)
+    if not deviation.max(initial=0.0) <= WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {float(np.extract(~(deviation <= WEIGHT_SUM_TOL), total)[0])!r}, not 1")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ class SpectralEnsemble:
         kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)
         kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
         weights = spectrum.eigenvalues[kept]
-        _require_weights(weights.tolist())
+        _require_weights(weights)
         kets = np.ascontiguousarray(spectrum.eigenvectors[:, kept].T)
         weights.setflags(write=False)
         kets.setflags(write=False)
@@ -132,17 +139,10 @@ class SpectralEnsemble:
 def shannon_entropies(probabilities) -> np.ndarray:
     """-sum p log2 p over the last axis of a stack of probability vectors.
 
-    Every row must be nonnegative within DEFAULT_TOL and sum to one within
-    DEFAULT_TOL; 0 log 0 := 0, with entries below ZERO_EIGENVALUE counted
-    as zeros.
+    Every row must pass the weight rule of an ensemble (``_require_weights``);
+    0 log 0 := 0, with entries below ZERO_EIGENVALUE counted as zeros.
     """
-    p = np.asarray(probabilities, dtype=float)
-    if p.size and p.min() < -DEFAULT_TOL:
-        raise ValueError(f"negative probability {p.min():.3e}")
-    total = p.sum(axis=-1)
-    deviation = np.abs(total - 1.0)
-    if not deviation.max(initial=0.0) <= DEFAULT_TOL:
-        raise ValueError(f"probabilities sum to {float(np.extract(~(deviation <= DEFAULT_TOL), total)[0])!r}, not 1")
+    p = _require_weights(probabilities)
     return -(p * np.log2(np.where(p > ZERO_EIGENVALUE, p, 1.0))).sum(axis=-1)
 
 

@@ -8,7 +8,8 @@ it was given, eigenvalues down to -DEFAULT_TOL counted as zeros downstream.
 
 The state rule (finite, Hermitian within DEFAULT_TOL, no eigenvalue below
 -DEFAULT_TOL) lives in ``_require_hermitian`` and ``_require_no_negative``,
-for one matrix or a stack; ``entropy.von_neumann_entropies`` uses them too.
+the dimension rule in ``_require_dims`` and the party rule in
+``_require_party``; the entropy, protocol and scenario layers call them too.
 
 Every eigensolve of a whole state (``validate_density``,
 ``hermitian_eig``, ``block_eigvalsh``) first splits the Hermitian matrix
@@ -35,6 +36,8 @@ NORM_TOL = 1e-6
 # of a degenerate cluster is always completed.
 _GS_KEEP = 1e-7
 _PHASE_EPS = 1e-8
+
+PARTIES = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,16 @@ def _require_no_negative(values: np.ndarray) -> None:
     if not values.min(initial=0.0) >= -DEFAULT_TOL:
         lowest = values[..., 0]
         raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -DEFAULT_TOL), lowest)[0]:.3e}")
+
+
+def _require_dims(dim_a: int, dim_b: int) -> None:
+    if dim_a < 1 or dim_b < 1:
+        raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
+
+
+def _require_party(party: str) -> None:
+    if party not in PARTIES:
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
 def _blocks(herm: np.ndarray) -> list[np.ndarray]:
@@ -178,8 +191,7 @@ def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
     -DEFAULT_TOL: nothing is clipped or renormalized. The spectrum is solved
     block by block along the exact zero pattern (see the module docstring).
     """
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
+    _require_dims(dim_a, dim_b)
     mat = np.asarray(matrix, dtype=complex)
     dim = dim_a * dim_b
     if mat.shape != (dim, dim):
@@ -201,6 +213,7 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
     The vector must be normalized within NORM_TOL; it is renormalized
     exactly before the outer product is formed.
     """
+    _require_dims(dim_a, dim_b)
     vec = np.asarray(vector, dtype=complex).reshape(-1)
     if vec.shape != (dim_a * dim_b,):
         raise ValueError(
@@ -228,11 +241,8 @@ def partial_trace(matrix, keep: str, dims: tuple[int, int]) -> np.ndarray:
     dim_a, dim_b = dims
     mat = _bipartite(matrix, dims)
     tensor = mat.reshape(mat.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
-    if keep == "A":
-        return np.einsum("...ijkj->...ik", tensor)
-    if keep == "B":
-        return np.einsum("...ijil->...jl", tensor)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    _require_party(keep)
+    return np.einsum("...ijkj->...ik" if keep == "A" else "...ijil->...jl", tensor)
 
 
 def partial_transpose(matrix, party: str, dims: tuple[int, int]) -> np.ndarray:
@@ -240,13 +250,8 @@ def partial_transpose(matrix, party: str, dims: tuple[int, int]) -> np.ndarray:
     (dim_a, dim_b). A Hermitian matrix stays Hermitian."""
     dim_a, dim_b = dims
     tensor = _bipartite(matrix, dims).reshape(dim_a, dim_b, dim_a, dim_b)
-    if party == "A":
-        swapped = tensor.transpose(2, 1, 0, 3)
-    elif party == "B":
-        swapped = tensor.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return swapped.reshape(dim_a * dim_b, dim_a * dim_b)
+    _require_party(party)
+    return tensor.transpose((2, 1, 0, 3) if party == "A" else (0, 3, 2, 1)).reshape(dim_a * dim_b, dim_a * dim_b)
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:

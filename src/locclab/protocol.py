@@ -84,7 +84,7 @@ from .entropy import (
     shannon_entropies,
     von_neumann_entropies,
 )
-from .linalg import DEFAULT_TOL, DensityOperator, _require_finite
+from .linalg import DEFAULT_TOL, PARTIES, DensityOperator, _require_finite, _require_party
 
 PRUNE_TOL = 1e-12
 # Member-conditional outcome weights below this leave the posterior state
@@ -93,8 +93,6 @@ _MEMBER_EPS = 1e-14
 # Root member eigenvalues at or below this are rounding residue and leave
 # the factor; a pure member's spurious eigenvalues stay below 1e-15.
 _RANK_CUT = 1e-14
-
-PARTIES = ("A", "B")
 
 
 def _other(party: str) -> str:
@@ -157,28 +155,35 @@ class KrausInstrument:
 
 
 def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]]) -> None:
-    """Label count, party, distinct labels, nonempty labels and
-    completeness, in this order, of a stack of instruments on ``party``:
-    ``ops`` is (H, K, d, d), the K Kraus operators of instrument h, named
-    by ``labels[h]``. The first check that fails raises a ValueError; with
-    H = 1 it is that check's message for the one instrument. Only a
-    projective stack can fail the label count: ``__post_init__`` pairs
-    each label with its operator. An empty label would join to the empty
-    history key that names the root, and print as the root's path.
+    """String labels, label count, party, distinct, nonempty and comma-free
+    labels and completeness, in this order, of a stack of instruments on
+    ``party``: ``ops`` is (H, K, d, d), the K Kraus operators of instrument
+    h, named by ``labels[h]``. The first check that fails raises a
+    ValueError; with H = 1 it is that check's message for the one
+    instrument. Only the parser's batched read can fail the string check
+    (the constructors apply ``str``), and only a projective stack the count.
+    An empty label would join to the root's empty history key, and a comma
+    would split a history key into more labels than its history has.
     """
     count = ops.shape[1]
-    distinct = set(labels)
+    try:
+        distinct = set(labels)
+    except TypeError:
+        distinct = None
+    if distinct is None or not all(type(name) is str for names in distinct for name in names):
+        raise ValueError("outcome labels must be strings")
     for names in distinct:
         if len(names) != count:
             raise ValueError(f"{len(names)} labels for {count} basis vectors")
-    if party not in PARTIES:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    _require_party(party)
     for names in distinct:
         if len(set(names)) != count:
             duplicate = next(label for i, label in enumerate(names) if label in names[:i])
             raise ValueError(f"duplicate outcome label {duplicate!r}")
     if any("" in names for names in distinct):
         raise ValueError("empty outcome label")
+    if any("," in name for names in distinct for name in names):
+        raise ValueError("labels must not contain commas (reserved for history keys)")
     # sum_k K_k^dagger K_k of every instrument.
     gram = np.einsum("hkji,hkjl->hil", ops.conj(), ops)
     completeness = np.abs(gram - np.eye(ops.shape[-1])).max(axis=(1, 2))

@@ -56,7 +56,7 @@ import numpy as np
 
 from .distillation import BellDiagonalSpec
 from .entropy import BipartiteEnsemble
-from .linalg import DensityOperator, pure_state_density, validate_density
+from .linalg import DensityOperator, _require_dims, _require_party, pure_state_density, validate_density
 from .protocol import KrausInstrument, _check_size, _projective_stack
 
 SCHEMA = "locclab/scenario-v1"
@@ -85,6 +85,21 @@ class ScenarioError(ValueError):
 
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
+
+
+class _at:
+    """``with _at(path):`` turns a checker's ValueError, but not a
+    ScenarioError, into a ScenarioError that names the field ``path``."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError) and not isinstance(exc, ScenarioError):
+            _fail(self.path, str(exc))
 
 
 class _DuplicateKeys(dict):
@@ -245,10 +260,7 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
     labels = None
     if "labels" in obj:
         labels = [_as_str(x, f"{path}.labels[{i}]") for i, x in enumerate(_as_list(obj["labels"], f"{path}.labels"))]
-        for i, label in enumerate(labels):
-            if "," in label:
-                _fail(f"{path}.labels[{i}]", "labels must not contain commas (reserved for history keys)")
-    try:
+    with _at(path):
         if "projective" in obj:
             kets = _as_matrix(obj["projective"], f"{path}.projective")
             instrument = KrausInstrument.projective(party, kets, labels=labels)
@@ -265,10 +277,6 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
         else:
             _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list")
         _check_size(instrument, dim)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
     return instrument
 
 
@@ -284,8 +292,9 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
 
     The kets of the H overrides are read as one (H, K, K, 2) array of
     [re, im] pairs, K the party's dimension ``dim``, and each check runs
-    once for the whole table: shape, leaf types, labels, then
-    ``_projective_stack``'s finiteness, orthonormality and completeness.
+    once for the whole table: shape, leaf types, a list for each 'labels',
+    then ``_projective_stack``'s finiteness, orthonormality, labels and
+    completeness.
     Returns the instruments in table order, or None when a check fails or
     an entry is not a projective object with no field but 'labels'
     besides; the entry parse names the field.
@@ -317,13 +326,6 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
         if type(names) is not list and names is not default:
             return None
         labels.append(tuple(names))
-    try:
-        distinct = set(labels)
-    except TypeError:
-        return None
-    for names in distinct:
-        if not all(type(name) is str and "," not in name for name in names):
-            return None
     try:
         # A view of the [re, im] pairs: each ket entry is complex(re, im) bit for bit.
         return _projective_stack(party, numbers.view(complex)[..., 0], labels)
@@ -379,26 +381,16 @@ def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble
         p = _as_number(_get(obj, "probability", f"{path}[{i}]"), f"{path}[{i}].probability")
         if "vector" in obj and "matrix" in obj:
             _fail(f"{path}[{i}]", "member needs a 'vector' or a 'matrix', not both")
-        try:
+        with _at(f"{path}[{i}]"):
             if "vector" in obj:
-                state = pure_state_density(
-                    _as_vector(obj["vector"], f"{path}[{i}].vector"), dims[0], dims[1]
-                )
+                state = pure_state_density(_as_vector(obj["vector"], f"{path}[{i}].vector"), *dims)
             elif "matrix" in obj:
-                state = validate_density(
-                    _as_matrix(obj["matrix"], f"{path}[{i}].matrix"), dims[0], dims[1]
-                )
+                state = validate_density(_as_matrix(obj["matrix"], f"{path}[{i}].matrix"), *dims)
             else:
                 _fail(f"{path}[{i}]", "member needs a 'vector' or a 'matrix'")
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            _fail(f"{path}[{i}]", str(exc))
         members.append((p, state))
-    try:
+    with _at(path):
         return BipartiteEnsemble(tuple(members))
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _member_payload(p: float, state: DensityOperator) -> dict:
@@ -423,10 +415,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             _as_number(x, f"{source}.bell.probs[{i}]")
             for i, x in enumerate(_as_list(_get(bell_obj, "probs", f"{source}.bell"), f"{source}.bell.probs"))
         ]
-        try:
+        with _at(f"{source}.bell"):
             bell = BellDiagonalSpec(d=d, probs=tuple(probs))
-        except ValueError as exc:
-            _fail(f"{source}.bell", str(exc))
         dim_a = dim_b = d
     else:
         dims_raw = _as_list(_get(obj, "dims", source), f"{source}.dims")
@@ -434,8 +424,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             _fail(f"{source}.dims", f"expected [dim_a, dim_b], got {len(dims_raw)} items")
         dim_a = _as_int(dims_raw[0], f"{source}.dims[0]")
         dim_b = _as_int(dims_raw[1], f"{source}.dims[1]")
-        if dim_a < 1 or dim_b < 1:
-            _fail(f"{source}.dims", f"dimensions must be positive, got [{dim_a}, {dim_b}]")
+        with _at(f"{source}.dims"):
+            _require_dims(dim_a, dim_b)
 
     selectors = _as_dict(obj.get("selectors", {}), f"{source}.selectors", ("input", "output"))
     for side in ("input", "output"):
@@ -461,8 +451,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
             party = _as_str(_get(step_obj, "party", step_path), f"{step_path}.party")
-            if party not in ("A", "B"):
-                _fail(f"{step_path}.party", f"party must be 'A' or 'B', got {party!r}")
+            with _at(f"{step_path}.party"):
+                _require_party(party)
             dim = dim_a if party == "A" else dim_b
             default = None
             if step_obj.get("instrument") is not None:
@@ -554,13 +544,24 @@ def load_scenario(path) -> Scenario:
 
     An object that repeats a key is rejected, naming the file, the object's
     field path and the key; ``json.loads`` alone would keep the last value.
+    Every failure to decode the file is a ScenarioError that names it:
+    bytes that are not UTF-8, a syntax error (with its line and column),
+    arrays or objects nested deeper than the decoder recurses, and any
+    other value the decoder refuses, such as an integer literal longer
+    than Python's digit limit.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8: {exc}") from None
+    try:
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
     return parse_scenario(data, source=str(path))
 
 

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,52 @@ def test_non_utf8_file_exits_two_naming_the_file(tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: not UTF-8: ")
     assert "can't decode byte 0xff in position 0" in err
+
+
+@pytest.mark.parametrize("depth", [3000, 100000])
+def test_json_nested_too_deeply_exits_two_naming_the_file(tmp_path, depth):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth, encoding="utf-8")
+    code, out, err = run(["entropy", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit in this Python")
+def test_integer_over_the_digit_limit_exits_two_naming_the_file(tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"kind": "ensemble", "dims": [2, 2], "name": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out, err = run(["entropy", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit (4300 digits)")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "protocol-run"])
+def test_table_escapes_what_the_output_encoding_cannot_write(tmp_path, command):
+    # JSON's "\ud800" escape reads as a lone surrogate, which has no UTF-8
+    # encoding; the table prints it backslash-escaped, as stderr would.
+    scenario = {
+        "kind": "protocol",
+        "name": "\ud800",
+        "dims": [2, 2],
+        "ensemble": [{"probability": 1.0, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]]}],
+        "protocol": [
+            {"party": "A", "instrument": {"labels": ["\ud800", "x"], "projective": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}
+        ],
+    }
+    path = write_json(tmp_path, scenario)
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([command, str(path)])
+    stdout.flush()
+    table = raw.getvalue().decode("utf-8")
+    assert code == 0
+    assert table.startswith(f"command: {command}   scenario: \\ud800   seed: 0")
+    if command == "protocol-run":
+        assert "  leaf \\ud800  p=1.000000000" in table
 
 
 @pytest.mark.parametrize("command", ["entropy", "bounds-verify"])

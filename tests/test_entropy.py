@@ -10,7 +10,14 @@ from locclab import (
     shannon_entropy,
     validate_density,
 )
-from locclab.entropy import concurrences, entanglements, von_neumann_entropies
+from locclab.entropy import (
+    NEGATIVE_WEIGHT_TOL,
+    WEIGHT_SUM_TOL,
+    _require_weights,
+    concurrences,
+    entanglements,
+    von_neumann_entropies,
+)
 
 from helpers import (
     PHI_MINUS,
@@ -258,3 +265,64 @@ def test_rejection_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def loop_weight_rule(weights: list[float]) -> str | None:
+    """The weight rule as the Python loop it once was: the message of the
+    first fault of one weight vector, or None."""
+    for i, p in enumerate(weights):
+        if p < -NEGATIVE_WEIGHT_TOL:
+            return f"negative weight {p!r} at index {i}"
+    total = sum(weights)
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        return f"weights sum to {total!r}, not 1"
+    return None
+
+
+def weight_rule_message(weights) -> str | None:
+    try:
+        _require_weights(weights)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def perturbed_weights(rng: np.random.Generator) -> list[float]:
+    """A point of the simplex with 1-20 weights, left as it is or given one
+    fault near a tolerance: a weight around -NEGATIVE_WEIGHT_TOL, a sum
+    around 1 +- WEIGHT_SUM_TOL, or a NaN."""
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, 21))))
+    fault = int(rng.integers(4))
+    if fault == 1:
+        weights[rng.integers(len(weights))] = -(10.0 ** rng.uniform(-13, -11))
+    elif fault == 2:
+        weights *= 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9.3, -8.7)
+    elif fault == 3:
+        weights[rng.integers(len(weights))] = np.nan
+    return weights.tolist()
+
+
+def test_weight_rule_agrees_with_the_loop_it_replaced():
+    # NumPy sums in another order than sum(), so a sum message may differ
+    # in its last digits: its value is compared within 1e-15.
+    rng = np.random.default_rng(25)
+    vectors = [perturbed_weights(rng) for _ in range(400)]
+    for weights in vectors:
+        expected, message = loop_weight_rule(weights), weight_rule_message(weights)
+        if expected is None or expected.startswith("negative"):
+            assert message == expected, weights
+        else:
+            assert message.startswith("weights sum to ") and message.endswith(", not 1"), weights
+            got, want = (float(text[len("weights sum to ") : -len(", not 1")]) for text in (message, expected))
+            assert got == pytest.approx(want, rel=0, abs=1e-15, nan_ok=True), weights
+    assert sum(loop_weight_rule(weights) is None for weights in vectors) >= 100
+    # A stack is checked row by row, and shannon_entropy applies the same rule.
+    stack = [weights for weights in vectors if len(weights) == 5]
+    assert (weight_rule_message(np.array(stack)) is None) == all(loop_weight_rule(w) is None for w in stack)
+    for weights in vectors[:50]:
+        try:
+            shannon_entropy(weights)
+        except ValueError as exc:
+            assert str(exc) == weight_rule_message(weights)
+        else:
+            assert weight_rule_message(weights) is None

@@ -94,7 +94,7 @@ class TestPartialTrace:
                 assert abs(np.trace(partial_trace(rho.matrix, keep, (2, 3))) - 1.0) < 1e-9
 
     def test_bad_keep(self):
-        with pytest.raises(ValueError, match="keep"):
+        with pytest.raises(ValueError, match="party must be 'A' or 'B'"):
             partial_trace(bell(PHI_PLUS).matrix, "C", (2, 2))
 
     @pytest.mark.parametrize("shape", [(6, 6), (2, 8)], ids=["size", "not_square"])

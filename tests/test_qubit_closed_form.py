@@ -119,7 +119,7 @@ def test_exact_cases():
 def test_zero_matrix():
     zero = np.zeros((2, 2, 2))
     np.testing.assert_array_equal(_qubit_eigvalsh(zero), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match=re.escape("probabilities sum to 0.0, not 1")):
+    with pytest.raises(ValueError, match=re.escape("weights sum to 0.0, not 1")):
         von_neumann_entropies(zero)
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from locclab import (
     BellDiagonalSpec,
@@ -21,9 +23,13 @@ from locclab import (
     dump_scenario,
     load_scenario,
     parse_scenario,
+    partial_trace,
+    partial_transpose,
     pure_state_density,
     random_scenario,
     run_protocol,
+    shannon_entropy,
+    validate_density,
 )
 from locclab import scenario as scenario_module
 from locclab.linalg import block_eigvalsh
@@ -416,7 +422,7 @@ class TestBatchedOverrideParse:
             ),
             (
                 lambda table: table["1,0"].update(labels=["0", "1,2"]),
-                "s.protocol[2].overrides['1,0'].labels[1]: labels must not contain commas (reserved for history keys)",
+                "s.protocol[2].overrides['1,0']: labels must not contain commas (reserved for history keys)",
             ),
             (
                 lambda table: table["1,0"].update(labels=["0"]),
@@ -1015,7 +1021,7 @@ def bell_file(d: int, probs) -> dict:
             "s.ensemble: negative weight -0.5 at index 1",
         ),
         (edited(z_steps, lambda d: d.update(dims=[2, 2, 1])), ScenarioError, "s.dims: expected [dim_a, dim_b], got 3 items"),
-        (edited(z_steps, lambda d: d.update(dims=[0, 2])), ScenarioError, "s.dims: dimensions must be positive, got [0, 2]"),
+        (edited(z_steps, lambda d: d.update(dims=[0, 2])), ScenarioError, "s.dims: subsystem dimensions must be positive, got (0, 2)"),
         (edited(z_steps, lambda d: d.update(protocol=[])), ScenarioError, "s.protocol: protocol needs at least one step"),
         (
             edited(z_steps, lambda d: d["protocol"].__setitem__(0, {"party": "A"})),
@@ -1097,3 +1103,98 @@ def test_rejection_names_the_field(call, error, message):
         call()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+# Rejected by the weight rule's negative tolerance alone: the sum is within
+# WEIGHT_SUM_TOL of one.
+NEAR_ZERO_NEGATIVE = [0.5, 0.5 + 5e-10, -5e-10]
+
+
+def near_zero_negative_members(data: dict) -> None:
+    data["ensemble"] = [{"probability": p, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]]} for p in NEAR_ZERO_NEGATIVE]
+
+
+@pytest.mark.parametrize(
+    "edit, path, message, api_calls",
+    [
+        (
+            lambda d: d["protocol"][0].update(party="C"),
+            "s.protocol[0].party",
+            "party must be 'A' or 'B', got 'C'",
+            [
+                lambda: KrausInstrument("C", (("0", P0), ("1", P1))),
+                lambda: partial_transpose(np.eye(4) / 4, "C", (2, 2)),
+                lambda: partial_trace(np.eye(4) / 4, "C", (2, 2)),
+            ],
+        ),
+        (
+            lambda d: d.update(dims=[0, 2]),
+            "s.dims",
+            "subsystem dimensions must be positive, got (0, 2)",
+            [lambda: validate_density(np.eye(2) / 2, 0, 2), lambda: pure_state_density([1.0, 0.0], 0, 2)],
+        ),
+        (
+            lambda d: d["protocol"][0]["instrument"].update(labels=["0", "1,2"]),
+            "s.protocol[0].instrument",
+            "labels must not contain commas (reserved for history keys)",
+            [
+                lambda: KrausInstrument("A", (("0", P0), ("1,2", P1))),
+                lambda: KrausInstrument.projective("A", np.eye(2), ["0", "1,2"]),
+            ],
+        ),
+        (
+            near_zero_negative_members,
+            "s.ensemble",
+            "negative weight -5e-10 at index 2",
+            [
+                lambda: BipartiteEnsemble(tuple((p, bell(PHI_PLUS)) for p in NEAR_ZERO_NEGATIVE)),
+                lambda: shannon_entropy(NEAR_ZERO_NEGATIVE),
+            ],
+        ),
+    ],
+    ids=["party", "dims", "comma_label", "negative_weight"],
+)
+def test_file_and_api_reject_the_same_value_with_the_same_message(edit, path, message, api_calls):
+    # One checker per input rule: every API entry point of the rule raises
+    # its message, and the file adds only the field path in front.
+    for call in api_calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+    with pytest.raises(ScenarioError) as excinfo:
+        edited(z_steps, edit)()
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def instrument_or_none(party: str, labels: tuple[str, str], kraus: bool) -> KrausInstrument | None:
+    """A weak Kraus measurement or the X basis with ``labels``; None if the
+    constructors reject the labels."""
+    try:
+        if kraus:
+            return KrausInstrument(party, ((labels[0], np.diag([1.0, 0.6])), (labels[1], np.diag([0.0, 0.8]))))
+        return KrausInstrument.projective(party, np.array([[R, R], [R, -R]]), labels)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(labels=st.lists(st.text(), min_size=6, max_size=6), kraus=st.lists(st.booleans(), min_size=3, max_size=3))
+@example(labels=["0", "1,2", "a", "b", "c", "d"], kraus=[False, True, True])
+@example(labels=["0", "1", "a", "b,", "c", "d"], kraus=[True, True, False])
+def test_every_scenario_the_constructors_accept_survives_dump_and_parse(labels, kraus):
+    # The constructors hold every label rule, so whatever they accept the
+    # dump writes and the parser reads back, byte for byte.
+    pairs = [tuple(labels[i : i + 2]) for i in (0, 2, 4)]
+    first, default, override = (
+        instrument_or_none(party, names, weak) for party, names, weak in zip("ABB", pairs, kraus)
+    )
+    assume(None not in (first, default, override))
+    scenario = Scenario(
+        kind="protocol", name="labels", dim_a=2, dim_b=2,
+        ensemble=BipartiteEnsemble(((0.5, bell(PHI_PLUS)), (0.5, pure_state_density([1, 0, 0, 0], 2, 2)))),
+        steps=(ProtocolStep("A", first, {}), ProtocolStep("B", default, {(pairs[0][0],): override})),
+        bell=None, random=None,
+    )
+    text = dump_scenario(scenario)
+    assert dump_scenario(parse_scenario(json.loads(text))) == text
