@@ -325,7 +325,12 @@ def main(argv=None) -> int:
         report = run_scenario(
             args.scenario, args.command, seed=args.seed, trials=args.trials, tol=args.tol
         )
-    except (ScenarioError, ValueError, OSError) as exc:
+    except OSError as exc:
+        # Reading the file failed (missing, a directory, no permission): name
+        # it first, as every other input error does.
+        print(f"error: {args.scenario}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

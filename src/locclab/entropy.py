@@ -1,8 +1,9 @@
 """Ensembles, entropies and bipartite entanglement measures.
 
-All logarithms are base 2; every quantity is in bits. Eigenvalues below
-ZERO_EIGENVALUE are treated as exact zeros inside entropy sums so that
-rounding noise never produces -inf terms.
+All logarithms are base 2; every quantity is in bits. ``shannon_entropies``
+owns the zero rule of every entropy, spectra and the Wootters h(x) alike:
+an entry at or below ZERO_EIGENVALUE counts as an exact zero, so rounding
+noise never produces -inf terms.
 
 The weight rule of every ensemble, Bell spec and Shannon entropy lives in
 ``_require_weights``, and the measurability rule (pure, or mixed on 2x2)
@@ -220,12 +221,6 @@ def concurrences(matrices) -> np.ndarray:
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def _binary_entropies(x: np.ndarray) -> np.ndarray:
-    inside = (x > ZERO_EIGENVALUE) & (x < 1.0 - ZERO_EIGENVALUE)
-    safe = np.where(inside, x, 0.5)
-    return np.where(inside, -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe), 0.0)
-
-
 def _require_measurable(purity, dim_a: int, dim_b: int) -> np.ndarray:
     """Which states of purity tr(rho^2) are pure (within PURITY_TOL of one);
     ValueError if one is mixed outside 2x2, where it has no measure."""
@@ -256,7 +251,8 @@ def entanglements(matrices, dim_a: int, dim_b: int) -> np.ndarray:
         out[pure] = von_neumann_entropies(partial_trace(mats[pure], "A", (dim_a, dim_b)))
     if not pure.all():
         c = concurrences(mats[~pure])
-        out[~pure] = _binary_entropies((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
+        x = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
+        out[~pure] = shannon_entropies(np.stack([x, 1.0 - x], axis=-1))
     return out
 
 

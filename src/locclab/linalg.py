@@ -10,6 +10,8 @@ The state rule (finite, Hermitian within DEFAULT_TOL, no eigenvalue below
 -DEFAULT_TOL) lives in ``_require_hermitian`` and ``_require_no_negative``,
 the dimension rule in ``_require_dims`` and the party rule in
 ``_require_party``; the entropy, protocol and scenario layers call them too.
+The finite rule, ``_require_finite``, gives a NaN or an infinity in a
+state, a state vector or a Kraus operator one message.
 
 Every eigensolve of a whole state (``validate_density``,
 ``hermitian_eig``, ``block_eigvalsh``) first splits the Hermitian matrix
@@ -144,12 +146,6 @@ def _block_stacks(herm: np.ndarray, blocks: list[np.ndarray]):
         yield rows, herm[rows[:, :, None], rows[:, None, :]]
 
 
-def _eigvalsh_blocks(herm: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, one ``eigvalsh`` per block size."""
-    values = [np.linalg.eigvalsh(stack).reshape(-1) for _, stack in _block_stacks(herm, blocks)]
-    return np.sort(np.concatenate(values), kind="stable")
-
-
 def _eigh_blocks(herm: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a Hermitian matrix, one ``eigh`` per block size.
 
@@ -180,7 +176,8 @@ def block_eigvalsh(matrix) -> np.ndarray:
     mat = np.asarray(matrix, dtype=complex)
     _require_finite(mat)
     herm = hermitize(mat)
-    return _eigvalsh_blocks(herm, _blocks(herm))
+    values = [np.linalg.eigvalsh(stack).reshape(-1) for _, stack in _block_stacks(herm, _blocks(herm))]
+    return np.sort(np.concatenate(values), kind="stable")
 
 
 def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
@@ -188,8 +185,8 @@ def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
 
     Returns the matrix as given, read-only, once it is finite, Hermitian
     and of unit trace within DEFAULT_TOL, with no eigenvalue below
-    -DEFAULT_TOL: nothing is clipped or renormalized. The spectrum is solved
-    block by block along the exact zero pattern (see the module docstring).
+    -DEFAULT_TOL: nothing is clipped or renormalized. The spectrum is
+    ``block_eigvalsh``'s, solved along the exact zero pattern.
     """
     _require_dims(dim_a, dim_b)
     mat = np.asarray(matrix, dtype=complex)
@@ -202,16 +199,15 @@ def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
     trace_dev = abs(np.trace(mat) - 1.0)
     if not trace_dev <= DEFAULT_TOL:
         raise ValueError(f"trace deviation: |tr(M) - 1| = {trace_dev:.3e} exceeds tol {DEFAULT_TOL:.1e}")
-    herm = hermitize(mat)
-    _require_no_negative(_eigvalsh_blocks(herm, _blocks(herm)))
+    _require_no_negative(block_eigvalsh(mat))
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(mat))
 
 
 def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
     """Density operator |psi><psi| from a state vector of length dim_a*dim_b.
 
-    The vector must be normalized within NORM_TOL; it is renormalized
-    exactly before the outer product is formed.
+    The vector must be finite and normalized within NORM_TOL; it is
+    renormalized exactly before the outer product is formed.
     """
     _require_dims(dim_a, dim_b)
     vec = np.asarray(vector, dtype=complex).reshape(-1)
@@ -219,6 +215,7 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
         raise ValueError(
             f"dimension mismatch: vector length {vec.size} != dim_a*dim_b = {dim_a * dim_b}"
         )
+    _require_finite(vec)
     norm = float(np.linalg.norm(vec))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state vector norm {norm:.6f} deviates from 1 beyond tol {NORM_TOL:.1e}")

@@ -22,10 +22,10 @@ member state is stored as a factor V with rho = V V^dagger:
 ``distillation_report`` alike. A ``SpectralEnsemble``'s orthonormal kets
 are their own factors (r = 1, no eigensolve). A ``BipartiteEnsemble``'s
 members are factored by one stacked ``eigh``: V = U sqrt(Lambda) over the
-eigenvalues above _RANK_CUT, padded with zero columns to the largest rank
-r and renormalized.
-The cut sits at rounding level, not at DEFAULT_TOL: a genuine eigenvalue of
-1e-12 dropped at the root moves the entropies past the 1e-12 agreement.
+eigenvalues above _RESIDUE_CUT, padded with zero columns to the largest
+rank r and renormalized. The cut, the keep-prior rule's below too, sits at
+rounding level, not at DEFAULT_TOL: a genuine eigenvalue of 1e-12 dropped
+at the root moves the entropies past the 1e-12 agreement.
 
 A level is expanded in one batched pass. The chooser is called once per
 node; the local Kraus operators are stacked as (N, K, d, d), nodes with
@@ -33,7 +33,7 @@ fewer outcomes padded with zero operators, and all (node, outcome, member)
 products K V come from one matmul on the acting party's index. Every node
 follows the rules of the one-node update (a depth-1 ``run_protocol``):
 member weights are ||K V||_F^2, posteriors follow Bayes' rule, a
-hypothesis whose outcome weight is at most _MEMBER_EPS keeps its prior
+hypothesis whose outcome weight is at most _RESIDUE_CUT keeps its prior
 state, outcomes below PRUNE_TOL are pruned and the survivors renormalized,
 and a node that loses every outcome is an error. A posterior factor is
 K V / ||K V||_F, so its state is PSD with unit trace by construction; the
@@ -87,12 +87,11 @@ from .entropy import (
 from .linalg import DEFAULT_TOL, PARTIES, DensityOperator, _require_finite, _require_party
 
 PRUNE_TOL = 1e-12
-# Member-conditional outcome weights below this leave the posterior state
-# undefined (0/0); such hypotheses keep their prior state at weight zero.
-_MEMBER_EPS = 1e-14
-# Root member eigenvalues at or below this are rounding residue and leave
-# the factor; a pure member's spurious eigenvalues stay below 1e-15.
-_RANK_CUT = 1e-14
+# A share of a unit-trace member at or below this is rounding residue and
+# counts as zero: at the root an eigenvalue, which leaves the member's
+# factor (a pure member's spurious ones stay below 1e-15); in a round an
+# outcome weight ||K V||^2, whose hypothesis keeps its prior state (0/0).
+_RESIDUE_CUT = 1e-14
 
 
 def _other(party: str) -> str:
@@ -156,14 +155,15 @@ class KrausInstrument:
 
 def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]]) -> None:
     """String labels, label count, party, distinct, nonempty and comma-free
-    labels and completeness, in this order, of a stack of instruments on
-    ``party``: ``ops`` is (H, K, d, d), the K Kraus operators of instrument
-    h, named by ``labels[h]``. The first check that fails raises a
-    ValueError; with H = 1 it is that check's message for the one
-    instrument. Only the parser's batched read can fail the string check
-    (the constructors apply ``str``), and only a projective stack the count.
-    An empty label would join to the root's empty history key, and a comma
-    would split a history key into more labels than its history has.
+    labels, finite operators (``linalg._require_finite``) and completeness,
+    in this order, of a stack of instruments on ``party``: ``ops`` is
+    (H, K, d, d), the K Kraus operators of instrument h, named by
+    ``labels[h]``. The first check that fails raises a ValueError; with
+    H = 1 it is that check's message for the one instrument. Only the
+    parser's batched read can fail the string check (the constructors apply
+    ``str``), and only a projective stack the count. An empty label would
+    join to the root's empty history key, and a comma would split a history
+    key into more labels than its history has.
     """
     count = ops.shape[1]
     try:
@@ -184,6 +184,7 @@ def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]
         raise ValueError("empty outcome label")
     if any("," in name for names in distinct for name in names):
         raise ValueError("labels must not contain commas (reserved for history keys)")
+    _require_finite(ops)
     # sum_k K_k^dagger K_k of every instrument.
     gram = np.einsum("hkji,hkjl->hil", ops.conj(), ops)
     completeness = np.abs(gram - np.eye(ops.shape[-1])).max(axis=(1, 2))
@@ -308,13 +309,13 @@ class TreeStats:
 def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
     """The root node. A spectral ensemble's kets are its rank-one factors; a
     matrix member is factored as U sqrt(Lambda) over its eigenvalues above
-    _RANK_CUT and padded to the largest rank."""
+    _RESIDUE_CUT and padded to the largest rank."""
     if isinstance(ensemble, SpectralEnsemble):
         weights, factors = ensemble.weights, ensemble.kets[:, :, None]
     else:
         values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
-        rank = int((values > _RANK_CUT).sum(axis=1).max())
-        kept = np.where(values[:, -rank:] > _RANK_CUT, values[:, -rank:], 0.0)
+        rank = int((values > _RESIDUE_CUT).sum(axis=1).max())
+        kept = np.where(values[:, -rank:] > _RESIDUE_CUT, values[:, -rank:], 0.0)
         factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
         weights = ensemble.probabilities()
     return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=np.array([-1]), paths=((),))
@@ -351,7 +352,7 @@ def _expand(
     if not np.isfinite(moved).all():
         raise ValueError("non-finite posterior state")
     weight = np.einsum("nkmis,nkmis->nkm", moved, moved.conj()).real
-    defined = (weight > _MEMBER_EPS)[..., None, None]
+    defined = (weight > _RESIDUE_CUT)[..., None, None]
     scale = np.sqrt(np.where(defined, weight[..., None, None], 1.0))
     posterior_factors = np.where(defined, moved / scale, level.factors[:, None])
 
@@ -472,11 +473,6 @@ class ProtocolNode:
     @property
     def probability(self) -> float:
         return float(self.transcript.levels[self.level].prob[self.index])
-
-    @property
-    def party(self) -> str | None:
-        """Party whose measurement produced this node; None at the root."""
-        return self.transcript.round_parties[self.level - 1] if self.level else None
 
     @property
     def ensemble(self) -> BipartiteEnsemble:

@@ -207,11 +207,16 @@ def _to_pairs(array: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """One protocol round: default instrument plus overrides keyed by history, a tuple of labels."""
+    """One protocol round: default instrument plus overrides keyed by history
+    (a tuple of labels); ``instrument_for`` gives the one a history selects."""
 
     party: str
     instrument: KrausInstrument | None
     overrides: dict[tuple[str, ...], KrausInstrument]
+
+    def instrument_for(self, history: tuple[str, ...]) -> KrausInstrument | None:
+        """The override for ``history``, else the default; None at a gap."""
+        return self.overrides.get(history, self.instrument)
 
 
 @dataclass(frozen=True)
@@ -236,13 +241,12 @@ class Scenario:
     random: RandomSpec | None
 
     def chooser(self, history: tuple[str, ...]) -> KrausInstrument:
-        """``overrides.get(history, instrument)`` of the step after ``history``;
+        """``ProtocolStep.instrument_for`` of the step after ``history``;
         KeyError past the last step. At a gap in the file a ScenarioError names
         the step, and ``cli.run_scenario`` puts the file's path before it."""
         if len(history) >= len(self.steps):
             raise KeyError(history)
-        step = self.steps[len(history)]
-        instrument = step.overrides.get(history, step.instrument)
+        instrument = self.steps[len(history)].instrument_for(history)
         if instrument is None:
             raise ScenarioError(f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}")
         return instrument
@@ -358,7 +362,7 @@ def _check_history_key(key: str, steps: list[ProtocolStep], step_path: str, know
         start -= 1
     for i, label in enumerate(labels[start:], start):
         prefix = labels[:i]
-        instrument = steps[i].overrides.get(prefix, steps[i].instrument)
+        instrument = steps[i].instrument_for(prefix)
         if instrument is None:
             fail(f"no instrument at step {i + 1} for history {','.join(prefix)!r}")
         outcomes = [name for name, _ in instrument.outcomes]

@@ -120,8 +120,16 @@ def test_negative_seed_exits_two():
 
 
 def test_missing_file_exits_two(tmp_path):
-    code, out, err = run(["entropy", tmp_path / "absent.json"])
+    path = tmp_path / "absent.json"
+    code, out, err = run(["entropy", path])
     assert code == 2 and out == "" and err.startswith("error:")
+    assert err == f"error: {path}: No such file or directory\n"
+
+
+def test_directory_path_exits_two_naming_it(tmp_path):
+    code, out, err = run(["entropy", tmp_path])
+    assert code == 2 and out == ""
+    assert err == f"error: {tmp_path}: Is a directory\n"
 
 
 def test_invalid_json_exits_two(tmp_path):

@@ -200,3 +200,62 @@ def test_eigensolve_count_does_not_grow_with_d(monkeypatch, kind):
         counts[d] = calls
     assert counts[3] == counts[6]
     assert counts[6] == {"eigvalsh": 4, "eigh": 1}
+
+
+def _entropy_bits(matrix) -> float:
+    values = np.linalg.eigvalsh(matrix)
+    values = values[values > 1e-12]
+    return float(-(values * np.log2(values)).sum())
+
+
+def basis_free_upper_end(rho, d: int) -> float:
+    """U = sum_c lambda_c k_c S(tr_B P_c / k_c) over the clusters of rho's
+    spectrum above 1e-12, from this test's own ``eigh`` and partial trace.
+
+    Every eigenbasis gives a mean local entropy in [0, U]: a cluster's k_c
+    kets average to P_c / k_c, so concavity of S bounds their mean local
+    entropy by S(tr_B P_c / k_c), and tr_B P_c does not depend on the basis.
+    """
+    values, vectors = np.linalg.eigh(rho.matrix)
+    ends = [*(np.flatnonzero(np.diff(values) > 1e-9) + 1).tolist(), len(values)]
+    upper, start = 0.0, 0
+    for stop in ends:
+        weight = float(values[start:stop].mean())
+        if weight > 1e-12:
+            kets = vectors[:, start:stop]
+            projector = (kets @ kets.conj().T).reshape(d, d, d, d)
+            upper += weight * (stop - start) * _entropy_bits(np.einsum("ijkj->ik", projector) / (stop - start))
+        start = stop
+    return upper
+
+
+def assert_inside_the_bracket(spec):
+    """On a degenerate Bell-diagonal state: S = H(p), S_A = S_B = log2 d,
+    the convention-dependent mean local entropy lies in [0, U], and the
+    closed-form hashing bound is the bracket's tight end S_A + S_B - S - U."""
+    d = spec.d
+    rho = bell_diagonal(spec)
+    report = distillation_report(rho, spec)
+    assert report.degenerate_spectrum
+    p = np.array(spec.probs)
+    p = p[p > 1e-12]
+    assert abs(report.entropy - float(-(p * np.log2(p)).sum())) <= TOL
+    assert abs(report.entropy_a - np.log2(d)) <= TOL
+    assert abs(report.entropy_b - np.log2(d)) <= TOL
+    upper = basis_free_upper_end(rho, d)
+    assert -TOL <= report.mean_local_entropy <= upper + TOL, (report.mean_local_entropy, upper)
+    tight_end = report.entropy_a + report.entropy_b - report.entropy - upper
+    assert abs(report.closed_form_hashing - tight_end) <= TOL, (report.closed_form_hashing, tight_end)
+
+
+@PROPERTY
+@given(seed=seeds, d=st.integers(min_value=2, max_value=6), kind=st.sampled_from(["isotropic", "tied"]))
+def test_degenerate_bell_diagonal_inside_the_basis_free_bracket(seed, d, kind):
+    assert_inside_the_bracket(BellDiagonalSpec(d, bell_weights(np.random.default_rng(seed), d, kind)))
+
+
+@pytest.mark.parametrize("fidelity", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_isotropic_bell_diagonal_inside_the_basis_free_bracket(d, fidelity):
+    n = d * d
+    assert_inside_the_bracket(BellDiagonalSpec(d, (fidelity,) + ((1.0 - fidelity) / (n - 1),) * (n - 1)))

@@ -139,7 +139,7 @@ def assert_transcripts_agree(new, old):
         assert [n.path for n in new_nodes] == [n.path for n in old_nodes]
         for n, o in zip(new_nodes, old_nodes):
             assert abs(n.probability - o.probability) <= TOL
-            assert n.party == o.party
+            assert o.party == (new.round_parties[level - 1] if level else None)
             assert [c.path for c in n.children] == [c.path for c in o.children]
             for (p, a), (q, b) in zip(n.ensemble.members, o.ensemble.members):
                 assert abs(p - q) <= TOL

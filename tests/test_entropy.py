@@ -16,6 +16,7 @@ from locclab.entropy import (
     _require_weights,
     concurrences,
     entanglements,
+    shannon_entropies,
     von_neumann_entropies,
 )
 
@@ -184,6 +185,19 @@ class TestEntanglement:
             x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
             eof = shannon_entropy([x, 1.0 - x])
             assert abs(eof - entanglement(psi)) < 1e-7
+
+    def test_wootters_h_takes_the_shannon_zero_rule(self):
+        # Isotropic p|Phi+><Phi+| + (1 - p) I/4 with C = (3p - 1)/2 = 1e-6:
+        # x = (1 + sqrt(1 - C^2))/2 lies within 1e-12 of 1, where only the
+        # (1 - x) term is a zero under the Shannon rule; the x term is kept.
+        p = (1.0 + 2e-6) / 3.0
+        rho = p * bell(PHI_PLUS).matrix + (1.0 - p) * np.eye(4) / 4
+        c = concurrences(rho[None])
+        x = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
+        assert 0.0 < 1.0 - x[0] < 1e-12
+        expected = shannon_entropies(np.stack([x, 1.0 - x], axis=-1))
+        assert expected[0] > 0.0
+        assert entanglements(rho[None], 2, 2)[0] == expected[0]
 
     def test_mixed_large_dims_unavailable(self):
         rng = np.random.default_rng(47)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from locclab import (
+    KrausInstrument,
     hermitian_eig,
     partial_trace,
     partial_transpose,
@@ -228,3 +229,30 @@ def test_rejection_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def _with_entry(matrix, value):
+    out = np.array(matrix, dtype=complex)
+    out[0, 0] = value
+    return out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: KrausInstrument(party="A", outcomes=(("0", _with_entry(np.eye(2), v)),)),
+        lambda v: KrausInstrument.projective("A", _with_entry(np.eye(2), v)),
+        lambda v: pure_state_density([v, 0.0, 0.0, 0.0], 2, 2),
+        lambda v: validate_density(_with_entry(np.eye(2) / 2, v), 2, 1),
+        lambda v: hermitian_eig(_with_entry(np.eye(2) / 2, v)),
+        lambda v: block_eigvalsh(_with_entry(np.eye(2) / 2, v)),
+    ],
+    ids=["kraus", "projective", "pure_state_density", "validate_density", "hermitian_eig", "block_eigvalsh"],
+)
+def test_non_finite_entry_gets_the_finite_rule(call, value):
+    # One rule judges a NaN or an infinity in a state, a state vector and a
+    # Kraus operator, and every constructor reports it with its message.
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == "non-finite entry: the matrix holds a NaN or an infinity"

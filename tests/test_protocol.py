@@ -131,7 +131,7 @@ class TestKrausInstrument:
             ("A", (("0", np.zeros((0, 0))),), "outcome '0': Kraus operator is empty"),
             ("B", (("0", P0), ("1", np.eye(3))), "outcome '1': size 3 != 2"),
             ("A", (("0", np.eye(2) * 0.5),), "incomplete instrument: max |sum K^dagger K - I| = 7.500e-01"),
-            ("A", (("0", np.diag([1.0, np.nan])),), "incomplete instrument: max |sum K^dagger K - I| = nan"),
+            ("A", (("0", np.diag([1.0, np.nan])),), "non-finite entry: the matrix holds a NaN or an infinity"),
         ],
         ids=[
             "party", "no_outcomes", "duplicate", "empty_label", "non_square", "not_a_matrix", "empty", "size",
