@@ -161,6 +161,9 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     partial bound and keep fraction of a pure product state.
     """
     ensemble = SpectralEnsemble(rho)
+    # Not run_protocol(ensemble, {}, 0): perfbench's traced run checks the
+    # i_locc of every transcript run_protocol makes against the op's golden,
+    # and a distill-report golden has none.
     stats = _level_stats((_root_level(ensemble),), (rho.dim_a, rho.dim_b))
     entropy = float(stats.conditional_entropy[0])
     entropy_a, entropy_b = (float(stats.average_entropy[side][0]) for side in PARTIES)

@@ -107,12 +107,15 @@ class KrausInstrument:
     with party and labels by ``_check_instruments``, which the instruments
     that ``projective`` builds without ``__post_init__`` ran as well. Those
     also keep their basis kets, one row per outcome, as the read-only
-    ``kets``; every other instrument has ``kets`` None. The operators of
+    ``kets``; every other instrument has ``kets`` None. ``labels`` is the
+    read-only tuple of outcome labels that every reader takes;
+    ``_outcome_labels`` gives their default and count. The operators of
     ``outcomes`` are views of one read-only (K, d, d) stack, ``ops``.
     """
 
     party: str
     outcomes: tuple[tuple[str, np.ndarray], ...]
+    labels: tuple[str, ...] = field(default=None, init=False, repr=False, compare=False)
     kets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     ops: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
@@ -131,8 +134,11 @@ class KrausInstrument:
         stack = np.stack(ops)
         _check_instruments(self.party, stack[None], [labels])
         stack.setflags(write=False)
-        object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
-        object.__setattr__(self, "ops", stack)
+        self._set(self.party, labels, stack, None)
+
+    def _set(self, party: str, labels: tuple[str, ...], ops: np.ndarray, kets: np.ndarray | None) -> None:
+        """Store a checked instrument's attributes; the dataclass is frozen."""
+        vars(self).update(party=party, labels=labels, outcomes=tuple(zip(labels, ops)), ops=ops, kets=kets)
 
     @property
     def dim(self) -> int:
@@ -148,20 +154,25 @@ class KrausInstrument:
         kets = np.array(basis, dtype=complex)
         if kets.ndim != 2 or kets.shape[0] != kets.shape[1]:
             raise ValueError(f"projective basis must be square, got {kets.shape}")
-        if labels is None:
-            labels = [str(i) for i in range(len(kets))]
-        return _projective_stack(party, kets[None], [tuple(map(str, labels))])[0]
+        return _projective_stack(party, kets[None], [None if labels is None else tuple(map(str, labels))])[0]
+
+
+def _outcome_labels(labels, count: int) -> tuple:
+    """One label per outcome of ``count``, as a tuple; "0".."K-1" if ``labels`` is None."""
+    labels = tuple(str(i) for i in range(count)) if labels is None else tuple(labels)
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} labels for {count} outcomes")
+    return labels
 
 
 def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]]) -> None:
-    """String labels, label count, party, distinct, nonempty and comma-free
-    labels, finite operators (``linalg._require_finite``) and completeness,
-    in this order, of a stack of instruments on ``party``: ``ops`` is
-    (H, K, d, d), the K Kraus operators of instrument h, named by
-    ``labels[h]``. The first check that fails raises a ValueError; with
-    H = 1 it is that check's message for the one instrument. Only the
-    parser's batched read can fail the string check (the constructors apply
-    ``str``), and only a projective stack the count. An empty label would
+    """String labels, party, distinct, nonempty and comma-free labels,
+    finite operators (``linalg._require_finite``) and completeness, in this
+    order, of a stack of instruments on ``party``: ``ops`` is (H, K, d, d),
+    the K Kraus operators of instrument h, named by ``labels[h]``. The first
+    check that fails raises a ValueError; with H = 1 it is that check's
+    message for the one instrument. Only the parser's batched read can fail
+    the string check (the constructors apply ``str``). An empty label would
     join to the root's empty history key, and a comma would split a history
     key into more labels than its history has.
     """
@@ -172,9 +183,6 @@ def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]
         distinct = None
     if distinct is None or not all(type(name) is str for names in distinct for name in names):
         raise ValueError("outcome labels must be strings")
-    for names in distinct:
-        if len(names) != count:
-            raise ValueError(f"{len(names)} labels for {count} basis vectors")
     _require_party(party)
     for names in distinct:
         if len(set(names)) != count:
@@ -206,14 +214,15 @@ def _check_size(instrument: KrausInstrument, local_dim: int) -> None:
 _ORTHONORMAL_TOL = 1e-8
 
 
-def _projective_stack(party: str, kets: np.ndarray, labels: list[tuple[str, ...]]) -> list[KrausInstrument]:
+def _projective_stack(party: str, kets: np.ndarray, labels: list) -> list[KrausInstrument]:
     """Rank-one projective instruments from a stack of square bases.
 
     ``kets`` is (H, K, K) complex, basis h with its kets as rows, and
-    ``labels[h]`` names the rows of basis h. An empty basis and a NaN or an
-    infinite entry are rejected first, so that neither reaches the Gram.
-    The whole stack is checked for orthonormality, then its projectors once
-    by ``_check_instruments``, the checker ``__post_init__`` calls. The
+    ``labels[h]`` names the rows of basis h (None: the default). An empty
+    basis and a NaN or an infinite entry are rejected first, so that
+    neither reaches the Gram. The whole stack is checked for
+    orthonormality, then each label count, then its projectors once by
+    ``_check_instruments``, the checker ``__post_init__`` calls. The
     instruments are then built without ``__post_init__``: they share the
     stack's memory, which becomes read-only.
     """
@@ -224,18 +233,14 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list[tuple[str, ...]
     overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - np.eye(dim)).max(axis=(1, 2))
     if not (overlap <= _ORTHONORMAL_TOL).all():
         raise ValueError("projective basis is not orthonormal")
+    labels = [_outcome_labels(names, dim) for names in labels]
     projectors = kets[..., :, None] * kets.conj()[..., None, :]
     _check_instruments(party, projectors, labels)
     kets.setflags(write=False)
     projectors.setflags(write=False)
-    instruments = []
-    for basis, ops, names in zip(list(kets), list(projectors), labels):
-        instrument = object.__new__(KrausInstrument)
-        object.__setattr__(instrument, "party", party)
-        object.__setattr__(instrument, "outcomes", tuple(zip(names, ops)))
-        object.__setattr__(instrument, "kets", basis)
-        object.__setattr__(instrument, "ops", ops)
-        instruments.append(instrument)
+    instruments = [object.__new__(KrausInstrument) for _ in labels]
+    for instrument, basis, ops, names in zip(instruments, kets, projectors, labels):
+        instrument._set(party, names, ops, basis)
     return instruments
 
 
@@ -372,7 +377,7 @@ def _expand(
         factors=posterior_factors[node, outcome],
         parent=node,
         paths=tuple(
-            level.paths[n] + (instruments[n].outcomes[k][0],)
+            level.paths[n] + (instruments[n].labels[k],)
             for n, k in zip(node.tolist(), outcome.tolist())
         ),
     )

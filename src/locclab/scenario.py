@@ -27,11 +27,13 @@ carry the offending field path: a key outside an object's field set, a
 key that a file's object repeats and a ``schema`` other than SCHEMA are
 rejected, so a misspelt or repeated field is never read as its default or
 as its last value. ``random_scenario`` builds its typed ``Scenario``
-straight from the arrays it draws. A projective instrument keeps the
-kets it was built from, and the dump writes them back; any other
-instrument is dumped as its Kraus operators. Parsing keeps every number
-as written (``validate_density`` checks a matrix and never rewrites
-it), so dump -> parse -> dump is byte-stable.
+straight from the arrays it draws. Outcome labels belong to the
+instrument, which gives an absent list its default "0".."K-1"; the key
+check, the dump and the generator read its ``labels``. A projective
+instrument keeps the kets it was built from, and the dump writes them
+back; any other instrument is dumped as its Kraus operators. Parsing
+keeps every number as written (``validate_density`` checks a matrix and
+never rewrites it), so dump -> parse -> dump is byte-stable.
 
 A step's override table is read in one batch when every entry is a
 projective basis. Its kets, nested lists of matching lengths, become one
@@ -57,7 +59,7 @@ import numpy as np
 from .distillation import BellDiagonalSpec
 from .entropy import BipartiteEnsemble
 from .linalg import DensityOperator, _require_dims, _require_party, pure_state_density, validate_density
-from .protocol import KrausInstrument, _check_size, _projective_stack
+from .protocol import KrausInstrument, _check_size, _outcome_labels, _projective_stack
 
 SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
@@ -273,11 +275,7 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
                 _as_matrix(m, f"{path}.kraus[{i}]")
                 for i, m in enumerate(_as_list(obj["kraus"], f"{path}.kraus"))
             ]
-            if labels is None:
-                labels = [str(i) for i in range(len(ops))]
-            if len(labels) != len(ops):
-                _fail(f"{path}.labels", f"{len(labels)} labels for {len(ops)} operators")
-            instrument = KrausInstrument(party=party, outcomes=tuple(zip(labels, ops)))
+            instrument = KrausInstrument(party=party, outcomes=tuple(zip(_outcome_labels(labels, len(ops)), ops)))
         else:
             _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list")
         _check_size(instrument, dim)
@@ -285,10 +283,9 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
 
 
 def _instrument_payload(instrument: KrausInstrument) -> dict:
-    labels = [label for label, _ in instrument.outcomes]
     if instrument.kets is not None:
-        return {"labels": labels, "projective": _to_pairs(instrument.kets)}
-    return {"labels": labels, "kraus": [_to_pairs(op) for _, op in instrument.outcomes]}
+        return {"labels": list(instrument.labels), "projective": _to_pairs(instrument.kets)}
+    return {"labels": list(instrument.labels), "kraus": _to_pairs(instrument.ops)}
 
 
 def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInstrument] | None:
@@ -323,16 +320,11 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
         numbers = np.array(nested, dtype=float).reshape(len(rows), dim, dim, 2)
     except OverflowError:
         return None
-    default = tuple(str(i) for i in range(dim))
-    labels = []
-    for value in values:
-        names = value.get("labels", default)
-        if type(names) is not list and names is not default:
-            return None
-        labels.append(tuple(names))
+    if any(type(value.get("labels", [])) is not list for value in values):
+        return None
     try:
         # A view of the [re, im] pairs: each ket entry is complex(re, im) bit for bit.
-        return _projective_stack(party, numbers.view(complex)[..., 0], labels)
+        return _projective_stack(party, numbers.view(complex)[..., 0], [value.get("labels") for value in values])
     except ValueError:
         return None
 
@@ -365,11 +357,10 @@ def _check_history_key(key: str, steps: list[ProtocolStep], step_path: str, know
         instrument = steps[i].instrument_for(prefix)
         if instrument is None:
             fail(f"no instrument at step {i + 1} for history {','.join(prefix)!r}")
-        outcomes = [name for name, _ in instrument.outcomes]
-        if label not in outcomes:
+        if label not in instrument.labels:
             fail(
                 f"label {label!r} is not an outcome of step {i + 1} after history "
-                f"{','.join(prefix)!r} (outcomes {outcomes}); no history reaches {key!r}"
+                f"{','.join(prefix)!r} (outcomes {list(instrument.labels)}); no history reaches {key!r}"
             )
         known.add(labels[: i + 1])
     return labels
@@ -619,13 +610,13 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
         members.append((float(probs[i]), pure_state_density(vec, 2, 2)))
 
     steps = []
-    labels = ("0", "1")
-    for level in range(depth):
+    histories = [()]
+    for _ in range(depth):
         party = "A" if rng.integers(2) == 0 else "B"
-        histories = list(itertools.product(labels, repeat=level))
         # Basis kets are the rows of U^T.
         kets = np.ascontiguousarray(_haar_unitaries(len(histories), 2, rng).swapaxes(1, 2))
-        instruments = dict(zip(histories, _projective_stack(party, kets, [labels] * len(histories))))
+        instruments = dict(zip(histories, _projective_stack(party, kets, [None] * len(histories))))
+        histories = [history + (label,) for history, instrument in instruments.items() for label in instrument.labels]
         steps.append(ProtocolStep(party=party, instrument=instruments.pop((), None), overrides=instruments))
 
     return Scenario(

@@ -140,6 +140,52 @@ def test_silent_round_then_z_on_b_pins_next_to_last_step():
     assert_report(report, i_locc=1.0, e_in=0.0, e_out=0.0, bounds=(2.0, 2.0, 1.0, 2.0, 2.0))
 
 
+def test_isotropic_member_pins_output_adjusted():
+    """One isotropic two-qubit member, F = 0.9, at depth 0.
+
+    rho = F |Phi+><Phi+| + (1 - F)/3 (I - |Phi+><Phi+|). Its marginals are
+    I/2, so S_A = S_B = m_A = m_B = 1 and local_holevo = 1 + 1 - 1 = 1. Its
+    concurrence is C = 2F - 1 = 0.8 (Wootters, PRL 80, 2245, 1998), so
+    E = h((1 + sqrt(1 - C^2))/2) = h(0.8) = 0.721928. With no round the
+    leaf average is the member itself: E_in = E_out = h(0.8), I_locc = 0,
+    output_adjusted = 1 - h(0.8) = 0.278072 (subtracting half of E_out
+    would give 0.639036) and complementarity = 2 - 2 h(0.8) = 0.556144.
+    The step-refined bounds need a round and are None.
+    """
+    h_08 = 0.7219280948873623
+    assert shannon_oracle([0.8, 0.2]) == pytest.approx(h_08, abs=1e-15)
+    phi = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    member = validate_density(0.9 * phi + 0.1 / 3 * (np.eye(4) - phi), 2, 2)
+    report = bound_suite(run_protocol(BipartiteEnsemble(((1.0, member),)), {}, 0))
+    assert (report.i_locc, report.e_in_avg, report.e_out_avg) == pytest.approx((0.0, h_08, h_08), abs=1e-12)
+    assert report.bounds["last_step"] is None and report.bounds["next_to_last_step"] is None
+    assert report.bounds["local_holevo"] == pytest.approx(1.0, abs=1e-12)
+    assert report.bounds["output_adjusted"] == pytest.approx(0.2780719051126377, abs=1e-12)
+    assert report.bounds["complementarity"] == pytest.approx(0.5561438102252754, abs=1e-12)
+
+
+def test_unequal_entropy_drops_pin_the_audit_slack():
+    """One member 1/2 |Phi+><Phi+| + 1/2 |01><01|; A measures Z.
+
+    Before the round both marginals have spectrum (3/4, 1/4): A's is
+    diag(3/4, 1/4), B's diag(1/4, 3/4), each of entropy h(1/4) = 0.811278.
+    A's outcome 0 (probability 3/4) leaves 1/4 |00><00| + 1/2 |01><01|,
+    normalized: A pure, B diag(1/3, 2/3). Outcome 1 (probability 1/4)
+    leaves |11>: both sides pure. A's member entropy drops by h(1/4) =
+    0.811278, B's by h(1/4) - 3/4 h(1/3) = 0.122556, so
+    entropy_drop_slack = 3/4 h(1/3) = 0.688722 (with the sides swapped it
+    would be -0.688722). One member: the round gains no information.
+    """
+    phi = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    member = validate_density(0.5 * phi + 0.5 * np.diag(np.eye(4)[1]), 2, 2)
+    (audit,) = audit_rounds(run_protocol(BipartiteEnsemble(((1.0, member),)), {(): z_step("A")}, 1))
+    assert audit.party == "A"
+    assert audit.info == pytest.approx(0.0, abs=1e-12)
+    assert audit.local_entropy_drop == pytest.approx(0.8112781244591328, abs=1e-12)
+    assert audit.distant_entropy_drop == pytest.approx(0.12255624891826566, abs=1e-12)
+    assert audit.entropy_drop_slack == pytest.approx(0.6887218755408672, abs=1e-12)
+
+
 def pairs(array) -> list:
     """A complex array as the file's nested [re, im] pairs."""
     array = np.asarray(array, dtype=complex)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,10 +193,11 @@ class TestKrausInstrument:
         "build",
         [
             lambda: KrausInstrument(party="A", outcomes=(("0", P0), ("1", P1))),
+            lambda: KrausInstrument(party="A", outcomes=((0, P0), (1, P1))),
             lambda: x_instrument("B"),
             lambda: random_scenario(3, protocol_depth=2).steps[1].overrides[("1",)],
         ],
-        ids=["kraus", "projective", "projective_stack"],
+        ids=["kraus", "kraus_int_labels", "projective", "projective_stack"],
     )
     def test_outcomes_are_views_of_one_stack(self, build):
         # The engine reads ops; the labelled outcomes must be its operators.
@@ -203,8 +206,15 @@ class TestKrausInstrument:
         assert np.array_equal(instrument.ops, np.stack([op for _, op in instrument.outcomes]))
         for k, (_, op) in enumerate(instrument.outcomes):
             assert np.shares_memory(op, instrument.ops[k])
+        # Every reader takes the labels from the one read-only tuple.
+        assert instrument.labels == tuple(label for label, _ in instrument.outcomes)
+        assert type(instrument.labels) is tuple and all(type(label) is str for label in instrument.labels)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instrument.labels = ("x", "y")
         with pytest.raises(TypeError):
             KrausInstrument(party=instrument.party, outcomes=instrument.outcomes, ops=instrument.ops)
+        with pytest.raises(TypeError):
+            KrausInstrument(party=instrument.party, outcomes=instrument.outcomes, labels=instrument.labels)
 
 
 class TestMeasureBranch:

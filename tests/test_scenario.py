@@ -426,7 +426,7 @@ class TestBatchedOverrideParse:
             ),
             (
                 lambda table: table["1,0"].update(labels=["0"]),
-                "s.protocol[2].overrides['1,0']: 1 labels for 2 basis vectors",
+                "s.protocol[2].overrides['1,0']: 1 labels for 2 outcomes",
             ),
             (
                 lambda table: table.update({"1,2": table.pop("1,1")}),
@@ -987,7 +987,7 @@ def bell_file(d: int, probs) -> dict:
         (
             edited(z_steps, lambda d: d["protocol"][0].update(instrument={**KRAUS, "labels": ["weak"]})),
             ScenarioError,
-            "s.protocol[0].instrument.labels: 1 labels for 2 operators",
+            "s.protocol[0].instrument: 1 labels for 2 outcomes",
         ),
         (
             edited(z_steps, lambda d: d["protocol"][0]["instrument"].update(labels=["", "x"])),
@@ -1165,6 +1165,28 @@ def test_file_and_api_reject_the_same_value_with_the_same_message(edit, path, me
     with pytest.raises(ScenarioError) as excinfo:
         edited(z_steps, edit)()
     assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_label_count_has_one_message_on_every_route():
+    # One checker owns the label count: the API, a file's projective and
+    # Kraus instruments, a Kraus override and a projective override table,
+    # read in one batch or entry by entry, raise its one message, the file
+    # at the instrument's field path.
+    message = "1 labels for 2 outcomes"
+    with pytest.raises(ValueError) as excinfo:
+        KrausInstrument.projective("A", np.eye(2), ["0"])
+    assert str(excinfo.value) == message
+    for instrument in (Z, KRAUS):
+        data = protocol([{"party": "A", "instrument": {**instrument, "labels": ["0"]}}])
+        assert parse_error(data) == f"s.protocol[0].instrument: {message}"
+    data = protocol([{"party": "A", "overrides": {"": {**KRAUS, "labels": ["0"]}}}])
+    assert parse_error(data) == f"s.protocol[0].overrides['']: {message}"
+    data = adaptive_table()
+    data["protocol"][2]["overrides"]["1,0"]["labels"] = ["0"]
+    assert parse_error(data) == f"s.protocol[2].overrides['1,0']: {message}"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        assert parse_error(data) == f"s.protocol[2].overrides['1,0']: {message}"
 
 
 def instrument_or_none(party: str, labels: tuple[str, str], kraus: bool) -> KrausInstrument | None:
