@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -307,7 +308,10 @@ def _encodable(text: str, stream) -> str:
     return text.encode(encoding, "backslashreplace").decode(encoding)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first ``main`` call and reused
+    by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="locclab",
         description="Bipartite ensembles, LOCC protocols, and information-entanglement bounds.",
@@ -318,7 +322,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=1, help="trial count for random scenarios")
     parser.add_argument("--tol", type=float, default=DEFAULT_SLACK_TOL, help="slack tolerance (default 1e-7)")
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     started = time.perf_counter()
     try:

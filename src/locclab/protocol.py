@@ -16,7 +16,8 @@ member state is stored as a factor V with rho = V V^dagger:
     q        (N_k, M)         posterior member weights
     factors  (N_k, M, D, r)   posterior member factors, ||V||_F = 1
     parent   (N_k,)           index of the node's parent on level k - 1
-    paths    N_k tuples       outcome histories
+    outcome  (N_k,)           the node's outcome index under its parent's instrument
+    paths    N_k tuples       outcome histories, built when read
 
 ``_root_level`` makes every root, for the tree commands and
 ``distillation_report`` alike. A ``SpectralEnsemble``'s orthonormal kets
@@ -27,17 +28,26 @@ rank r and renormalized. The cut, the keep-prior rule's below too, sits at
 rounding level, not at DEFAULT_TOL: a genuine eigenvalue of 1e-12 dropped
 at the root moves the entropies past the 1e-12 agreement.
 
-A level is expanded in one batched pass. The chooser is called once per
-node; the local Kraus operators are stacked as (N, K, d, d), nodes with
-fewer outcomes padded with zero operators, and all (node, outcome, member)
-products K V come from one matmul on the acting party's index. Every node
-follows the rules of the one-node update (a depth-1 ``run_protocol``):
-member weights are ||K V||_F^2, posteriors follow Bayes' rule, a
-hypothesis whose outcome weight is at most _RESIDUE_CUT keeps its prior
-state, outcomes below PRUNE_TOL are pruned and the survivors renormalized,
-and a node that loses every outcome is an error. A posterior factor is
-K V / ||K V||_F, so its state is PSD with unit trace by construction; the
-only check left on it is that every entry of K V is finite.
+A level is expanded in one batched pass over an operator stack. A round's
+instruments are one (R, K, d, d) stack, rows with fewer outcomes padded
+with zero operators, and one row index per node; each node's operators
+are gathered with one fancy index, and all (node, outcome, member)
+products K V come from one matmul on the acting party's index. A
+``StepChooser`` (a scenario's ``chooser``) gives its ``ProtocolStep``
+stacks as they are: each node carries an integer code over the outcome
+indices of its history, and one ``np.searchsorted`` in the step's sorted
+override codes finds its row. Any other chooser, a Mapping or a callable,
+is adapted to the same form once per level: it is asked once per node,
+and its distinct instruments are stacked. A level keeps each node's
+parent and outcome index; its label paths are built only when read.
+Every node follows the rules of the one-node update (a depth-1
+``run_protocol``): member weights are ||K V||_F^2, posteriors follow
+Bayes' rule, a hypothesis whose outcome weight is at most _RESIDUE_CUT
+keeps its prior state, outcomes below PRUNE_TOL are pruned (a padded
+outcome has weight zero) and the survivors renormalized, and a node that
+loses every outcome is an error. A posterior factor is K V / ||K V||_F,
+so its state is PSD with unit trace by construction; the only check left
+on it is that every entry of K V is finite.
 
 ``TreeStats`` holds what the bounds and the audit read of the tree, one
 entry per level: H(X | Y_1..Y_k), and per side the mean member-marginal
@@ -73,6 +83,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -98,7 +109,7 @@ def _other(party: str) -> str:
     return "B" if party == "A" else "A"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausInstrument:
     """One local measurement step: acting party plus labelled Kraus operators.
 
@@ -111,6 +122,7 @@ class KrausInstrument:
     read-only tuple of outcome labels that every reader takes;
     ``_outcome_labels`` gives their default and count. The operators of
     ``outcomes`` are views of one read-only (K, d, d) stack, ``ops``.
+    Instruments compare by identity.
     """
 
     party: str
@@ -154,7 +166,18 @@ class KrausInstrument:
         kets = np.array(basis, dtype=complex)
         if kets.ndim != 2 or kets.shape[0] != kets.shape[1]:
             raise ValueError(f"projective basis must be square, got {kets.shape}")
-        return _projective_stack(party, kets[None], [None if labels is None else tuple(map(str, labels))])[0]
+        stack = kets[None]
+        projectors, (names,) = _projective_stack(party, stack, [None if labels is None else tuple(map(str, labels))])
+        return _checked_instrument(party, names, projectors[0], stack[0])
+
+
+def _checked_instrument(
+    party: str, labels: tuple[str, ...], ops: np.ndarray, kets: np.ndarray | None
+) -> KrausInstrument:
+    """An instrument on checked, read-only operators, built without ``__post_init__``."""
+    instrument = object.__new__(KrausInstrument)
+    instrument._set(party, labels, ops, kets)
+    return instrument
 
 
 def _outcome_labels(labels, count: int) -> tuple:
@@ -200,31 +223,28 @@ def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]
         raise ValueError(f"incomplete instrument: max |sum K^dagger K - I| = {completeness.max():.3e}")
 
 
-def _check_size(instrument: KrausInstrument, local_dim: int) -> None:
-    """The instrument's operators must be local_dim x local_dim, the dimension
-    of the party it acts on."""
-    if instrument.dim != local_dim:
-        raise ValueError(
-            f"dimension mismatch: instrument on {instrument.party} has size {instrument.dim}, "
-            f"party dimension is {local_dim}"
-        )
+def _check_size(party: str, size: int, local_dim: int) -> None:
+    """An instrument's operators on ``party`` must be local_dim x local_dim,
+    the dimension of the party it acts on."""
+    if size != local_dim:
+        raise ValueError(f"dimension mismatch: instrument on {party} has size {size}, party dimension is {local_dim}")
 
 
 # Largest entry of |<k_i|k_j> - delta_ij| that a projective basis may have.
 _ORTHONORMAL_TOL = 1e-8
 
 
-def _projective_stack(party: str, kets: np.ndarray, labels: list) -> list[KrausInstrument]:
-    """Rank-one projective instruments from a stack of square bases.
+def _projective_stack(party: str, kets: np.ndarray, labels: list) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """The checked projectors and labels of a stack of square bases.
 
     ``kets`` is (H, K, K) complex, basis h with its kets as rows, and
     ``labels[h]`` names the rows of basis h (None: the default). An empty
     basis and a NaN or an infinite entry are rejected first, so that
     neither reaches the Gram. The whole stack is checked for
     orthonormality, then each label count, then its projectors once by
-    ``_check_instruments``, the checker ``__post_init__`` calls. The
-    instruments are then built without ``__post_init__``: they share the
-    stack's memory, which becomes read-only.
+    ``_check_instruments``, the checker ``__post_init__`` calls. Returns
+    the (H, K, K, K) projectors and each basis's label tuple; ``kets`` and
+    the projectors become read-only, and no instrument is built.
     """
     dim = kets.shape[-1]
     if not dim:
@@ -238,10 +258,210 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list) -> list[KrausI
     _check_instruments(party, projectors, labels)
     kets.setflags(write=False)
     projectors.setflags(write=False)
-    instruments = [object.__new__(KrausInstrument) for _ in labels]
-    for instrument, basis, ops, names in zip(instruments, kets, projectors, labels):
-        instrument._set(party, names, ops, basis)
-    return instruments
+    return projectors, labels
+
+
+# Node codes of a level stay below the product of the widths of the steps
+# before it; the stacks are read while that product fits in an int64.
+_CODE_LIMIT = 2**63
+
+
+def _stack_depth(steps: Sequence["ProtocolStep"]) -> int:
+    """How many leading ``steps`` ``run_protocol`` reads as stacks: those
+    whose history codes stay below _CODE_LIMIT."""
+    bound = 1
+    for count, step in enumerate(steps):
+        if bound >= _CODE_LIMIT:
+            return count
+        bound *= step.width
+    return len(steps)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class ProtocolStep:
+    """One protocol round, stored as one read-only operator stack.
+
+    ``ops`` is (H + 1, K, d, d): row 0 is the default instrument and row
+    h + 1 the override for history ``histories[h]``, a tuple of labels. A
+    row of fewer than K outcomes is padded with zero operators; a step
+    with no default has a zero row 0 whose ``labels`` entry is empty.
+    ``labels[r]`` names row r's outcomes, and ``kets[r]`` holds a
+    projective row's basis kets (None for a Kraus row). ``codes`` (H,) are
+    the override histories as integer codes over outcome indices: the
+    empty history is 0, and a history's code times the width K of its step
+    plus the index of the next outcome among its instrument's labels is
+    the code of the longer history. The rows follow increasing code. A
+    step has no codes (None) when one does not fit in an int64, which
+    happens only past ``_stack_depth``, or when it is built from
+    instruments (``ProtocolStep(party, instrument, overrides)``, rows in
+    the order given); a ``Scenario`` holds a coded copy of such a step.
+
+    Instruments are built from their rows when read, once: ``instrument``,
+    ``overrides`` and ``instrument_for`` return the same objects. Steps
+    compare by identity.
+    """
+
+    party: str
+    ops: np.ndarray
+    labels: tuple[tuple[str, ...], ...]
+    histories: tuple[tuple[str, ...], ...]
+    codes: np.ndarray | None
+
+    def __init__(
+        self,
+        party: str,
+        instrument: KrausInstrument | None,
+        overrides: Mapping[tuple[str, ...], KrausInstrument],
+    ):
+        """The step of a default ``instrument`` (None: no default) and its
+        ``overrides``, history -> instrument; the instruments become its rows."""
+        instruments = list(overrides.values())
+        self._store(party, instrument, *_stack_instruments(instruments), tuple(overrides), None, instruments)
+
+    @classmethod
+    def _stacked(
+        cls,
+        party: str,
+        default: KrausInstrument | None,
+        ops: np.ndarray,
+        labels: list[tuple[str, ...]],
+        kets: Sequence[np.ndarray | None],
+        histories: Sequence[tuple[str, ...]],
+        codes: Sequence[int],
+        instruments: list[KrausInstrument] | None = None,
+    ) -> "ProtocolStep":
+        """The step of ``default`` and the overrides of ``histories`` with
+        their ``codes``: ``ops`` (H, K, d, d), row h naming its outcomes
+        ``labels[h]`` and holding the basis ``kets[h]`` (None: Kraus). The rows
+        are sorted by code; ``instruments``, if given, are the rows' objects."""
+        step = object.__new__(cls)
+        try:
+            codes = np.array(codes, dtype=np.int64)
+        except OverflowError:
+            codes = None
+        if codes is not None and (codes[1:] < codes[:-1]).any():
+            order = np.argsort(codes, kind="stable")
+            codes, ops = codes[order], ops[order]
+            labels, kets, histories = ([items[h] for h in order.tolist()] for items in (labels, kets, histories))
+            if instruments is not None:
+                instruments = [instruments[h] for h in order.tolist()]
+        step._store(party, default, ops, labels, kets, tuple(histories), codes, instruments)
+        return step
+
+    def _store(self, party, default, ops, labels, kets, histories, codes, instruments) -> None:
+        """Stack ``default`` above the override rows ``ops``; the dataclass is frozen."""
+        rows = ops.shape[0]
+        if default is None:
+            width, dim = ops.shape[1:3]
+        else:
+            width, dim = max(len(default.labels), ops.shape[1]), default.dim
+            if rows and ops.shape[-1] != dim:
+                raise ValueError(f"step on {party}: default of size {dim}, overrides of size {ops.shape[-1]}")
+        stack = np.zeros((rows + 1, width, dim, dim), dtype=complex)
+        if default is not None:
+            stack[0, : len(default.labels)] = default.ops
+        if rows:
+            stack[1:, : ops.shape[1]] = ops
+        stack.setflags(write=False)
+        vars(self).update(
+            party=party,
+            ops=stack,
+            labels=(() if default is None else default.labels, *labels),
+            histories=histories,
+            codes=codes,
+            _kets=(None if default is None else default.kets, kets),
+            _instruments=[default, *(instruments or [None] * rows)],
+        )
+
+    @cached_property
+    def kets(self) -> tuple[np.ndarray | None, ...]:
+        """Each row's basis kets, one ket per outcome; None for a Kraus row.
+        Built when first read: a parsed table keeps its kets as one array."""
+        default, overrides = self._kets
+        return (default, *overrides)
+
+    @property
+    def width(self) -> int:
+        """K, the outcome count of the widest row."""
+        return self.ops.shape[1]
+
+    @cached_property
+    def _rows(self) -> dict[tuple[str, ...], int]:
+        return {history: row for row, history in enumerate(self.histories, 1)}
+
+    def row_of(self, history: tuple[str, ...]) -> int:
+        """The row that measures ``history``: its override, else 0."""
+        return self._rows.get(history, 0)
+
+    def rows_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        """The row of each history code: its override, else 0; -1 where the
+        step has no default."""
+        found = np.searchsorted(self.codes, codes)
+        hit = np.append(self.codes, -1)[found] == codes
+        return np.where(hit, found + 1, 0 if self.labels[0] else -1)
+
+    def _row(self, row: int) -> KrausInstrument | None:
+        """Row ``row``'s instrument, built on first use; None for an absent default."""
+        instrument = self._instruments[row]
+        if instrument is None and self.labels[row]:
+            count = len(self.labels[row])
+            instrument = _checked_instrument(self.party, self.labels[row], self.ops[row, :count], self.kets[row])
+            self._instruments[row] = instrument
+        return instrument
+
+    @property
+    def instrument(self) -> KrausInstrument | None:
+        """The default instrument, or None."""
+        return self._row(0)
+
+    @cached_property
+    def overrides(self) -> dict[tuple[str, ...], KrausInstrument]:
+        """history -> override instrument, in row order."""
+        return {history: self._row(row) for row, history in enumerate(self.histories, 1)}
+
+    def instrument_for(self, history: tuple[str, ...]) -> KrausInstrument | None:
+        """The override for ``history``, else the default; None at a gap."""
+        return self._row(self.row_of(history))
+
+
+def _stack_instruments(instruments: list[KrausInstrument]) -> tuple[np.ndarray, list, list]:
+    """(H, K, d, d) operators, zero-padded to the widest, with each
+    instrument's labels and kets. Every instrument must have one size."""
+    sizes = {instrument.dim for instrument in instruments}
+    if len(sizes) > 1:
+        raise ValueError(f"instruments of one step differ in size: {sorted(sizes)}")
+    width = max((len(instrument.labels) for instrument in instruments), default=0)
+    dim = sizes.pop() if sizes else 0
+    ops = np.zeros((len(instruments), width, dim, dim), dtype=complex)
+    for row, instrument in zip(ops, instruments):
+        row[: len(instrument.labels)] = instrument.ops
+    return ops, [instrument.labels for instrument in instruments], [instrument.kets for instrument in instruments]
+
+
+class StepChooser:
+    """The chooser of a sequence of ``ProtocolStep``s: history -> instrument.
+
+    ``run_protocol`` reads the stacks of the first ``_stack_depth`` steps,
+    which must have codes, instead of calling it. A history past the last
+    step is a KeyError, and a history that its step covers with no
+    instrument raises ``gap(history)``, an ``error``.
+    """
+
+    error = ValueError
+
+    def __init__(self, steps: Sequence[ProtocolStep]):
+        self.steps = tuple(steps)
+
+    def __call__(self, history: tuple[str, ...]) -> KrausInstrument:
+        if len(history) >= len(self.steps):
+            raise KeyError(history)
+        instrument = self.steps[len(history)].instrument_for(history)
+        if instrument is None:
+            raise self.gap(history)
+        return instrument
+
+    def gap(self, history: tuple[str, ...]) -> Exception:
+        return self.error(f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}")
 
 
 def _gram(factors: np.ndarray) -> np.ndarray:
@@ -267,18 +487,39 @@ class TreeLevel:
     """One level of the outcome tree as stacked, read-only arrays.
 
     Node n is one surviving outcome history; member m is the m-th source
-    hypothesis of the root ensemble.
+    hypothesis of the root ensemble. ``paths`` is built when first read,
+    from ``source``: the level above, the stack row that measured each of
+    its nodes and each row's outcome labels (None at the root).
     """
 
     prob: np.ndarray  # (N,) path probabilities
     q: np.ndarray  # (N, M) posterior member weights
     factors: np.ndarray  # (N, M, D, r) member factors V, state V V^dagger
     parent: np.ndarray  # (N,) parent index on the level above; -1 at the root
-    paths: tuple[tuple[str, ...], ...]  # outcome history of each node
+    outcome: np.ndarray  # (N,) outcome index under the parent's instrument; -1 at the root
+    source: tuple["TreeLevel", np.ndarray, tuple[tuple[str, ...], ...]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for array in (self.prob, self.q, self.factors, self.parent):
+        for array in (self.prob, self.q, self.factors, self.parent, self.outcome):
             array.setflags(write=False)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[str, ...], ...]:
+        """The outcome history of each node, a tuple of labels."""
+        if self.source is None:
+            return ((),)
+        # The unread levels above are filled in from the top down, so a deep
+        # tree is read without a deep recursion.
+        unread = [self]
+        while (above := unread[-1].source[0]).source is not None and "paths" not in vars(above):
+            unread.append(above)
+        for level in reversed(unread):
+            above, rows, labels = level.source
+            names = [labels[row] for row in rows.tolist()]
+            vars(level)["paths"] = tuple(
+                above.paths[n] + (names[n][k],) for n, k in zip(level.parent.tolist(), level.outcome.tolist())
+            )
+        return vars(self)["paths"]
 
     def ensemble(self, index: int, dim_a: int, dim_b: int) -> BipartiteEnsemble:
         """Posterior ensemble of node ``index``."""
@@ -323,26 +564,28 @@ def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
         kept = np.where(values[:, -rank:] > _RESIDUE_CUT, values[:, -rank:], 0.0)
         factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
         weights = ensemble.probabilities()
-    return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=np.array([-1]), paths=((),))
+    root = np.array([-1])
+    return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=root, outcome=root.copy())
 
 
 def _expand(
     level: TreeLevel,
-    instruments: list[KrausInstrument],
+    party: str,
+    stack: np.ndarray,
+    rows: np.ndarray,
+    labels: tuple[tuple[str, ...], ...],
     dims: tuple[int, int],
 ) -> TreeLevel:
-    """Children of every node of a level; ``instruments[n]`` measures node n.
+    """Children of every node of a level, measured on ``party``.
 
-    All instruments act on the same party.
+    ``stack`` is (R, K, d, d), a round's instruments zero-padded to K
+    outcomes, ``rows[n]`` the row that measures node n and ``labels[r]``
+    the outcome labels of row r.
     """
     dim_a, dim_b = dims
-    party = instruments[0].party
-    local_dim = dim_a if party == "A" else dim_b
-    width = max(len(instrument.ops) for instrument in instruments)
-    ops = np.zeros((len(instruments), width, local_dim, local_dim), dtype=complex)
-    for n, instrument in enumerate(instruments):
-        _check_size(instrument, local_dim)
-        ops[n, : len(instrument.ops)] = instrument.ops
+    _check_size(party, stack.shape[-1], dim_a if party == "A" else dim_b)
+    ops = stack[rows]
+    width = stack.shape[1]
 
     # (N, K, M, D, r): K (x) I or I (x) K applied to every member factor of
     # every node under every outcome; padded outcomes stay zero.
@@ -376,10 +619,8 @@ def _expand(
         q=posterior,
         factors=posterior_factors[node, outcome],
         parent=node,
-        paths=tuple(
-            level.paths[n] + (instruments[n].labels[k],)
-            for n, k in zip(node.tolist(), outcome.tolist())
-        ),
+        outcome=outcome,
+        source=(level, rows, labels),
     )
 
 
@@ -520,6 +761,36 @@ class ProtocolTranscript:
         return self.nodes_at(self.depth)
 
 
+def _adapted(chooser, level: TreeLevel, k: int, dims: tuple[int, int]):
+    """(party, stack, rows, labels) of round ``k`` from a Mapping or a
+    callable ``chooser``, asked once per node of ``level``; every distinct
+    instrument it returns is one row."""
+    lookup = chooser if callable(chooser) else chooser.__getitem__
+    instruments: list[KrausInstrument] = []
+    row_of: dict[int, int] = {}
+    rows = []
+    for path in level.paths:
+        try:
+            instrument = lookup(path)
+        except KeyError:
+            raise ValueError(f"chooser undefined for history {path!r}") from None
+        if instruments and instrument.party != instruments[0].party:
+            raise ValueError(
+                f"round {k}: party {instrument.party!r} conflicts with "
+                f"{instruments[0].party!r} chosen on another branch"
+            )
+        # The instruments are kept alive, so an id is never reused here.
+        row = row_of.setdefault(id(instrument), len(instruments))
+        if row == len(instruments):
+            instruments.append(instrument)
+        rows.append(row)
+    party = instruments[0].party
+    for instrument in instruments:
+        _check_size(party, instrument.dim, dims[PARTIES.index(party)])
+    stack, labels, _ = _stack_instruments(instruments)
+    return party, stack, np.array(rows), tuple(labels)
+
+
 def run_protocol(
     ensemble: BipartiteEnsemble | SpectralEnsemble,
     chooser: Mapping[tuple[str, ...], KrausInstrument] | Callable[[tuple[str, ...]], KrausInstrument],
@@ -533,29 +804,31 @@ def run_protocol(
     communication by inspecting the whole history. Every reachable history
     up to ``depth`` must be covered. Within one round every branch must be
     measured by the same party, so each round has a well-defined acting
-    party.
+    party. A ``StepChooser``'s steps are read as stacks while their
+    history codes fit in an int64 (``_stack_depth``), each node's row found
+    from its code; any other chooser is asked once per node.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    lookup = chooser if callable(chooser) else chooser.__getitem__
     dims = (ensemble.dim_a, ensemble.dim_b)
+    steps = chooser.steps[: _stack_depth(chooser.steps[:depth])] if isinstance(chooser, StepChooser) else ()
     levels = [_root_level(ensemble)]
+    codes = np.zeros(1, dtype=np.int64)
     round_parties: list[str] = []
     for k in range(1, depth + 1):
-        instruments = []
-        for path in levels[-1].paths:
-            try:
-                instrument = lookup(path)
-            except KeyError:
-                raise ValueError(f"chooser undefined for history {path!r}") from None
-            if instruments and instrument.party != instruments[0].party:
-                raise ValueError(
-                    f"round {k}: party {instrument.party!r} conflicts with "
-                    f"{instruments[0].party!r} chosen on another branch"
-                )
-            instruments.append(instrument)
-        round_parties.append(instruments[0].party)
-        levels.append(_expand(levels[-1], instruments, dims))
+        level = levels[-1]
+        if k <= len(steps):
+            step = steps[k - 1]
+            party, stack, labels = step.party, step.ops, step.labels
+            rows = step.rows_of_codes(codes)
+            if rows.min() < 0:
+                raise chooser.gap(level.paths[int(np.argmin(rows))])
+        else:
+            party, stack, rows, labels = _adapted(chooser, level, k, dims)
+        round_parties.append(party)
+        levels.append(_expand(level, party, stack, rows, labels, dims))
+        if k < len(steps):
+            codes = codes[levels[-1].parent] * stack.shape[1] + levels[-1].outcome
     return ProtocolTranscript(
         levels=tuple(levels),
         stats=_level_stats(levels, dims),

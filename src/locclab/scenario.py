@@ -27,7 +27,7 @@ carry the offending field path: a key outside an object's field set, a
 key that a file's object repeats and a ``schema`` other than SCHEMA are
 rejected, so a misspelt or repeated field is never read as its default or
 as its last value. ``random_scenario`` builds its typed ``Scenario``
-straight from the arrays it draws. Outcome labels belong to the
+straight from the stacks it draws. Outcome labels belong to the
 instrument, which gives an absent list its default "0".."K-1"; the key
 check, the dump and the generator read its ``labels``. A projective
 instrument keeps the kets it was built from, and the dump writes them
@@ -35,16 +35,25 @@ back; any other instrument is dumped as its Kraus operators. Parsing
 keeps every number as written (``validate_density`` checks a matrix and
 never rewrites it), so dump -> parse -> dump is byte-stable.
 
-A step's override table is read in one batch when every entry is a
-projective basis. Its kets, nested lists of matching lengths, become one
-(H, K, K, 2) array read with one ``np.array``; one leaf-type test rejects
-booleans and strings. ``_projective_stack`` then checks the whole stack
-once, finiteness (a NaN or an infinity), orthonormality and completeness,
-and builds its instruments without repeating the checks. If any of this
-fails, the table is parsed entry by entry, the path that names the first
-bad field. Each key is tested once against the histories known to reach
-the step: after a batch read, which accepts only valid entries, or just
-before its entry. Both routes thus name the same first fault.
+A step is held as one ``ProtocolStep`` operator stack: its default
+instrument in row 0 and one row per override, sorted by the override
+history's integer code over outcome indices. An override table is read in
+one batch when every entry is a projective basis. Its kets, nested lists
+of matching lengths, become one (H, K, K, 2) array read with one
+``np.array``; one leaf-type test rejects booleans and strings.
+``_projective_stack`` then checks the whole stack once, finiteness (a NaN
+or an infinity), orthonormality and completeness, and its projectors
+become the step's rows with no instrument built. If any of this fails,
+the table is parsed entry by entry, the path that names the first bad
+field, and the entries' instruments are stacked. Each key is tested once
+against the histories known to reach the step: after a batch read, which
+accepts only valid entries, or just before its entry. Both routes thus
+name the same first fault. A key whose parent history is known (its code,
+and the labels of the instrument measuring it) takes one dict lookup. A
+``Scenario`` given steps built from instruments codes their overrides with
+the same key walk, so every scenario's stacks are read alike. Instruments
+are built from the rows only for readers that ask for them:
+``Scenario.chooser``, ``ProtocolStep.overrides`` and the dump.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +69,17 @@ import numpy as np
 from .distillation import BellDiagonalSpec
 from .entropy import BipartiteEnsemble
 from .linalg import DensityOperator, _require_dims, _require_party, pure_state_density, validate_density
-from .protocol import KrausInstrument, _check_size, _outcome_labels, _projective_stack
+from .protocol import (
+    KrausInstrument,
+    ProtocolStep,
+    StepChooser,
+    _check_size,
+    _outcome_labels,
+    _projective_stack,
+    _stack_depth,
+    _stack_instruments,
+    _checked_instrument,
+)
 
 SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
@@ -208,20 +228,6 @@ def _to_pairs(array: np.ndarray) -> list:
 
 
 @dataclass(frozen=True)
-class ProtocolStep:
-    """One protocol round: default instrument plus overrides keyed by history
-    (a tuple of labels); ``instrument_for`` gives the one a history selects."""
-
-    party: str
-    instrument: KrausInstrument | None
-    overrides: dict[tuple[str, ...], KrausInstrument]
-
-    def instrument_for(self, history: tuple[str, ...]) -> KrausInstrument | None:
-        """The override for ``history``, else the default; None at a gap."""
-        return self.overrides.get(history, self.instrument)
-
-
-@dataclass(frozen=True)
 class RandomSpec:
     """Generator parameters for seeded random scenarios."""
 
@@ -229,9 +235,17 @@ class RandomSpec:
     protocol_depth: tuple[int, int]
 
 
-@dataclass(frozen=True)
+class _ScenarioChooser(StepChooser):
+    """A scenario's chooser: a gap in the file is a ScenarioError that names
+    the step, and ``cli.run_scenario`` puts the file's path before it."""
+
+    error = ScenarioError
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed scenario; ``dump_scenario`` gives its canonical JSON form."""
+    """Parsed scenario; ``dump_scenario`` gives its canonical JSON form.
+    Scenarios compare by identity."""
 
     kind: str
     name: str
@@ -242,16 +256,27 @@ class Scenario:
     bell: BellDiagonalSpec | None
     random: RandomSpec | None
 
-    def chooser(self, history: tuple[str, ...]) -> KrausInstrument:
-        """``ProtocolStep.instrument_for`` of the step after ``history``;
-        KeyError past the last step. At a gap in the file a ScenarioError names
-        the step, and ``cli.run_scenario`` puts the file's path before it."""
-        if len(history) >= len(self.steps):
-            raise KeyError(history)
-        instrument = self.steps[len(history)].instrument_for(history)
-        if instrument is None:
-            raise ScenarioError(f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}")
-        return instrument
+    def __post_init__(self):
+        # A step built from instruments has no codes: the parser's key walk
+        # gives them here, so that every stack run_protocol reads has them.
+        if all(step.codes is not None for step in self.steps[: _stack_depth(self.steps)]):
+            return
+        steps: list[ProtocolStep] = []
+        known: dict[str, tuple[int, tuple[str, ...]]] = {"": (0, ())}
+        for i, step in enumerate(self.steps):
+            keys = [",".join(history) for history in step.histories]
+            walked = [_check_history_key(key, steps, f"protocol[{i}]", known) for key in keys]
+            stack = step.ops[1:], step.labels[1:], step.kets[1:]
+            instruments = list(step.overrides.values())
+            steps.append(_coded_step(steps, known, step.party, step.instrument, stack, keys, walked, instruments))
+        object.__setattr__(self, "steps", tuple(steps))
+
+    @cached_property
+    def chooser(self) -> StepChooser:
+        """``ProtocolStep.instrument_for`` of the step after a history, as a
+        ``StepChooser`` whose stacks ``run_protocol`` reads; KeyError past
+        the last step, and a ScenarioError naming the step at a gap."""
+        return _ScenarioChooser(self.steps)
 
     @property
     def depth(self) -> int:
@@ -278,7 +303,7 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
             instrument = KrausInstrument(party=party, outcomes=tuple(zip(_outcome_labels(labels, len(ops)), ops)))
         else:
             _fail(path, "instrument needs a 'projective' basis or a 'kraus' operator list")
-        _check_size(instrument, dim)
+        _check_size(party, instrument.dim, dim)
     return instrument
 
 
@@ -288,7 +313,7 @@ def _instrument_payload(instrument: KrausInstrument) -> dict:
     return {"labels": list(instrument.labels), "kraus": _to_pairs(instrument.ops)}
 
 
-def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInstrument] | None:
+def _parse_projective_table(table: dict, party: str, dim: int) -> tuple[np.ndarray, list, np.ndarray] | None:
     """Every override of a step at once, when all are projective and valid.
 
     The kets of the H overrides are read as one (H, K, K, 2) array of
@@ -296,9 +321,10 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
     once for the whole table: shape, leaf types, a list for each 'labels',
     then ``_projective_stack``'s finiteness, orthonormality, labels and
     completeness.
-    Returns the instruments in table order, or None when a check fails or
-    an entry is not a projective object with no field but 'labels'
-    besides; the entry parse names the field.
+    Returns the (H, K, K, K) projectors, their label tuples and the
+    (H, K, K) kets in table order, or None when a check fails or an entry
+    is not a projective object with no field but 'labels' besides; the
+    entry parse names the field.
     """
     values = list(table.values())
     if not all(
@@ -322,48 +348,92 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> list[KrausInst
         return None
     if any(type(value.get("labels", [])) is not list for value in values):
         return None
+    # A view of the [re, im] pairs: each ket entry is complex(re, im) bit for bit.
+    kets = numbers.view(complex)[..., 0]
     try:
-        # A view of the [re, im] pairs: each ket entry is complex(re, im) bit for bit.
-        return _projective_stack(party, numbers.view(complex)[..., 0], [value.get("labels") for value in values])
+        projectors, labels = _projective_stack(party, kets, [value.get("labels") for value in values])
     except ValueError:
         return None
+    return projectors, labels, kets
 
 
-def _check_history_key(key: str, steps: list[ProtocolStep], step_path: str, known: set) -> tuple[str, ...]:
-    """Split an override key into its history, rejecting it if no outcome history can reach it.
+def _check_history_key(
+    key: str, steps: list[ProtocolStep], step_path: str, known: dict[str, tuple[int, tuple[str, ...]]]
+) -> tuple[tuple[str, ...], int]:
+    """Split an override key into its history and the history's code,
+    rejecting it if no outcome history can reach it.
 
     The key of step i lists i labels, each an outcome of the instrument
     that the labels before it select. Only the history's own prefixes are
-    walked, never the whole tree. ``known`` holds the histories already
-    found to reach their step (i labels reach step i); the walk starts
-    after the longest such prefix and adds each prefix that passes, so
-    each prefix is checked once. A known prefix has passed every check, so
-    the message does not depend on ``known``.
+    walked, never the whole tree. ``known`` maps the joined key of each
+    history found to reach a built step to its code
+    (``ProtocolStep.codes``) and the labels of the instrument that the step
+    applies to it (empty at a gap). The walk starts at the longest known
+    prefix, usually the key's parent, so that most keys take one dict
+    lookup, and adds each prefix that passes, so each prefix is checked
+    once; the parser adds a step's keys once the step is built. A known
+    prefix has passed every check, so the message does not depend on
+    ``known``.
     """
 
-    def fail(message: str):
-        _fail(f"{step_path}.overrides[{key!r}]", message)
-
+    if not steps and key:
+        _fail(f"{step_path}.overrides[{key!r}]", f"step 1 is reached only by the empty history, got key {key!r}")
     labels = tuple(key.split(",")) if steps else ()
-    if ",".join(labels) != key:
-        fail(f"step 1 is reached only by the empty history, got key {key!r}")
     if len(labels) != len(steps):
-        fail(f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
-    start = len(labels)
-    while labels[:start] not in known:
-        start -= 1
-    for i, label in enumerate(labels[start:], start):
-        prefix = labels[:i]
-        instrument = steps[i].instrument_for(prefix)
-        if instrument is None:
-            fail(f"no instrument at step {i + 1} for history {','.join(prefix)!r}")
-        if label not in instrument.labels:
-            fail(
-                f"label {label!r} is not an outcome of step {i + 1} after history "
-                f"{','.join(prefix)!r} (outcomes {list(instrument.labels)}); no history reaches {key!r}"
-            )
-        known.add(labels[: i + 1])
-    return labels
+        _fail(f"{step_path}.overrides[{key!r}]", f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
+    # Labels are nonempty and comma-free, so a joined key names one history:
+    # a known prefix of j > 0 labels holds j - 1 commas, and "" is the empty
+    # history, never a first label "" (",0" is walked from its start).
+    prefix = key.rpartition(",")[0]
+    while prefix not in known:
+        prefix = prefix.rpartition(",")[0]
+    start = prefix.count(",") + 1 if prefix else 0
+    code, names = known[prefix]
+    for i in range(start, len(labels)):
+        if labels[i] not in names:
+            _fail(f"{step_path}.overrides[{key!r}]", _unreached(labels, i, names, key))
+        code = code * steps[i].width + names.index(labels[i])
+        if i + 1 < len(labels):
+            step = steps[i + 1]
+            names = step.labels[step.row_of(labels[: i + 1])]
+            known[",".join(labels[: i + 1])] = code, names
+    return labels, code
+
+
+def _coded_step(
+    steps: list[ProtocolStep],
+    known: dict[str, tuple[int, tuple[str, ...]]],
+    party: str,
+    default: KrausInstrument | None,
+    stack: tuple,
+    keys,
+    walked: list[tuple[tuple[str, ...], int]],
+    instruments: list[KrausInstrument] | None,
+) -> ProtocolStep:
+    """The step after ``steps``: ``default`` above the override ``stack``
+    (operators, labels, kets), whose joined ``keys`` the key walk gave as
+    ``walked`` (history, code) pairs; ``instruments``, if given, are the
+    rows' objects. Its override histories join ``known``, and the first
+    step gives the empty history its labels."""
+    histories, codes = zip(*walked) if walked else ((), ())
+    step = ProtocolStep._stacked(party, default, *stack, histories, codes, instruments)
+    if not steps:
+        known[""] = 0, step.labels[step.row_of(())]
+    known.update(zip(keys, zip(codes, stack[1])))
+    return step
+
+
+def _unreached(labels: tuple[str, ...], i: int, names: tuple[str, ...], key: str) -> str:
+    """Why label i of a history is not reached: step i + 1 has no
+    instrument after the labels before it (``names`` empty), or ``names``
+    does not hold the label."""
+    history = ",".join(labels[:i])
+    if not names:
+        return f"no instrument at step {i + 1} for history {history!r}"
+    return (
+        f"label {labels[i]!r} is not an outcome of step {i + 1} after history {history!r} "
+        f"(outcomes {list(names)}); no history reaches {key!r}"
+    )
 
 
 def _parse_members(value, dims: tuple[int, int], path: str) -> BipartiteEnsemble:
@@ -440,8 +510,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
-        # The histories found to reach their step.
-        known = {()}
+        # The histories found to reach a built step: code and instrument labels.
+        # The empty history reaches the first step, whose labels come once it is built.
+        known: dict[str, tuple[int, tuple[str, ...]]] = {"": (0, ())}
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
@@ -453,18 +524,19 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             if step_obj.get("instrument") is not None:
                 default = _parse_instrument(step_obj["instrument"], party, dim, f"{step_path}.instrument")
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides", None)
-            instruments = _parse_projective_table(table, party, dim) if table else None
-            if instruments is not None:
-                histories = [_check_history_key(key, steps, step_path, known) for key in table]
+            stack = _parse_projective_table(table, party, dim) if table else None
+            instruments = None
+            if stack is not None:
+                keys = [_check_history_key(key, steps, step_path, known) for key in table]
             else:
-                histories, instruments = [], []
+                keys, instruments = [], []
                 for key, value in table.items():
-                    histories.append(_check_history_key(key, steps, step_path, known))
+                    keys.append(_check_history_key(key, steps, step_path, known))
                     instruments.append(_parse_instrument(value, party, dim, f"{step_path}.overrides[{key!r}]"))
-            overrides = dict(zip(histories, instruments))
-            if default is None and not overrides:
+                stack = _stack_instruments(instruments)
+            if default is None and not keys:
                 _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
-            steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
+            steps.append(_coded_step(steps, known, party, default, stack, table, keys, instruments))
 
     random_spec = None
     if kind == "random":
@@ -611,13 +683,20 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
 
     steps = []
     histories = [()]
-    for _ in range(depth):
+    for level in range(depth):
         party = "A" if rng.integers(2) == 0 else "B"
-        # Basis kets are the rows of U^T.
+        # Basis kets are the rows of U^T; every history has its own basis, so
+        # a history's code is its place in the product order.
         kets = np.ascontiguousarray(_haar_unitaries(len(histories), 2, rng).swapaxes(1, 2))
-        instruments = dict(zip(histories, _projective_stack(party, kets, [None] * len(histories))))
-        histories = [history + (label,) for history, instrument in instruments.items() for label in instrument.labels]
-        steps.append(ProtocolStep(party=party, instrument=instruments.pop((), None), overrides=instruments))
+        projectors, labels = _projective_stack(party, kets, [None] * len(histories))
+        if level == 0:
+            # The first step's one history, the empty one, takes the default.
+            default = _checked_instrument(party, labels[0], projectors[0], kets[0])
+            step = ProtocolStep._stacked(party, default, projectors[:0], [], [], [], [])
+        else:
+            step = ProtocolStep._stacked(party, None, projectors, labels, kets, histories, range(len(histories)))
+        steps.append(step)
+        histories = [history + (label,) for history, names in zip(histories, labels) for label in names]
 
     return Scenario(
         kind="protocol" if depth > 0 else "ensemble",

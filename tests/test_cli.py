@@ -19,8 +19,17 @@ import numpy as np
 import pytest
 
 from locclab import ScenarioError, bundled_scenario_path, cli, load_scenario, run_protocol
+from locclab.scenario import dump_scenario, random_scenario
 
 from helpers import json_mismatches
+
+# The benchmark's modules, imported as they are: the traced run's surface is
+# checked below.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
+import layers  # noqa: E402
+import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 GOLDEN_TABLES = Path(__file__).parent / "golden" / "table"
@@ -512,3 +521,49 @@ def test_engine_error_exits_two_naming_the_file(tmp_path):
     code, out, err = run(["bounds-verify", path])
     assert (code, out) == (2, "")
     assert err == f"error: {path}: measure unavailable: mixed state with dims (2, 3); {MEASURE_UNAVAILABLE}\n"
+
+
+def traced_op(tmp_path, text: str):
+    """(chooser, transcript) that a traced bounds-verify op on ``text``
+    keeps, as the benchmark keeps them, and the op's report."""
+    path = tmp_path / "case.json"
+    path.write_text(text, encoding="utf-8")
+    transcripts = []
+    out = io.StringIO()
+    with layers.spans_installed(tracing.Tracer(), transcripts), contextlib.redirect_stdout(out):
+        assert cli.main(["bounds-verify", str(path), "--format", "json"]) == 0
+    ((chooser, transcript),) = transcripts
+    return chooser, transcript, json.loads(out.getvalue())
+
+
+# perfbench/layers.py binds run_protocol's ``chooser`` argument by name and
+# counts the tree by walking the node view, calling
+# ``chooser(node.path).outcomes``; perfbench/checks.py recomputes I_locc from
+# the leaves of that view.
+@pytest.mark.parametrize(
+    "text, counts",
+    [
+        *((json.dumps(workloads.deep_case(case)), (511, 510, 0)) for case in range(3)),
+        (dump_scenario(random_scenario(11)), (3, 2, 0)),
+    ],
+    ids=["deep_case_0", "deep_case_1", "deep_case_2", "random_11"],
+)
+def test_benchmark_tree_counts_and_flat_oracle(tmp_path, text, counts):
+    chooser, transcript, report = traced_op(tmp_path, text)
+    assert layers.tree_counts(chooser, transcript) == counts
+    assert abs(checks.flat_mutual_information(transcript) - report["trials"][0]["i_locc"]) <= 1e-12
+
+
+def test_parser_reuse_keeps_every_exit(capsys):
+    # main builds its argument parser once per process; a usage error, the
+    # help text and a good run read the same on every call.
+    path = bundled_scenario_path("phi_mixture_xx.json")
+    first, again = ([], [])
+    for seen in (first, again):
+        for argv in (["no-such-command", path], ["--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([str(a) for a in argv])
+            seen.append((exc.value.code, *capsys.readouterr()))
+        seen.append((cli.main(["entropy", str(path), "--format", "json"]), *capsys.readouterr()))
+    assert first == again
+    assert [code for code, _, _ in first] == [2, 0, 0]

@@ -6,6 +6,7 @@ import pytest
 from locclab import (
     BipartiteEnsemble,
     KrausInstrument,
+    ScenarioError,
     audit_rounds,
     average_output_entanglement,
     bound_suite,
@@ -14,7 +15,8 @@ from locclab import (
     pure_state_density,
     run_protocol,
 )
-from locclab.scenario import random_scenario
+from locclab import protocol as protocol_module
+from locclab.scenario import ProtocolStep, Scenario, parse_scenario, random_scenario
 
 from helpers import (
     KET_MINUS,
@@ -503,3 +505,168 @@ def test_run_protocol_rejection_message(chooser, depth, message):
     with pytest.raises(ValueError) as excinfo:
         run_protocol(phi_mixture(), chooser, depth)
     assert str(excinfo.value) == message
+
+
+def pairs(matrix) -> list:
+    """A matrix as the scenario file's nested [re, im] pairs."""
+    return np.stack([np.real(matrix), np.imag(matrix)], axis=-1).tolist()
+
+
+# A 3-outcome Kraus default: sum_k K_k^dagger K_k = I.
+TRINE_KRAUS = [np.diag([0.6**0.5, 0.0]), np.diag([0.0, 0.7**0.5]), np.diag([0.4**0.5, 0.3**0.5])]
+
+
+def mixed_width_scenario(overridden=("a", "c")):
+    """Three rounds whose steps mix a 3-outcome Kraus default with
+    2-outcome projective overrides, so stack rows are zero-padded. Round 2
+    measures the ``overridden`` outcomes of round 1 in the X basis; every
+    history of round 3 has its own override."""
+    rng = np.random.default_rng(21)
+    members = []
+    for p in (0.5, 0.3, 0.2):
+        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        members.append({"probability": p, "vector": pairs(vec / np.linalg.norm(vec))})
+    kraus = {"labels": ["a", "b", "c"], "kraus": [pairs(op) for op in TRINE_KRAUS]}
+    x = {"labels": ["+", "-"], "projective": pairs(X_BASIS)}
+    z = {"labels": ["0", "1"], "projective": pairs(Z_BASIS)}
+    last = {}
+    for first in "abc":
+        for second in ("+-" if first in overridden else "abc"):
+            last[f"{first},{second}"] = (z, x)[len(last) % 2]
+    return {
+        "kind": "protocol",
+        "name": "mixed-width",
+        "dims": [2, 2],
+        "ensemble": members,
+        "protocol": [
+            {"party": "A", "instrument": kraus},
+            {"party": "B", "instrument": kraus, "overrides": {key: x for key in overridden}},
+            {"party": "A", "instrument": None, "overrides": last},
+        ],
+    }
+
+
+class TestChooserForms:
+    """A scenario's stacks, a dict and a callable give one tree, bit for bit."""
+
+    # With every outcome of round 1 overridden, round 2 reaches only
+    # 2-outcome rows of a 3-wide stack.
+    @pytest.mark.parametrize("overridden", [("a", "c"), ("a", "b", "c")], ids=["default_reached", "padded_only"])
+    def test_three_forms_build_the_same_tree(self, overridden):
+        scenario = parse_scenario(mixed_width_scenario(overridden))
+        rows = 2 * len(overridden) + 3 * (3 - len(overridden))
+        assert [step.ops.shape[:2] for step in scenario.steps] == [(1, 3), (len(overridden) + 1, 3), (rows + 1, 2)]
+        stacked = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
+        histories = [path for level in stacked.levels[:-1] for path in level.paths]
+        table = {path: scenario.chooser(path) for path in histories}
+        forms = [table, lambda history: scenario.chooser(history)]
+        for chooser in forms:
+            other = run_protocol(scenario.ensemble, chooser, scenario.depth)
+            assert other.round_parties == stacked.round_parties == ("A", "B", "A")
+            for new, ref in zip(other.levels, stacked.levels, strict=True):
+                for name in ("prob", "q", "factors", "parent", "outcome"):
+                    a, b = getattr(new, name), getattr(ref, name)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+                assert new.paths == ref.paths
+        reached = {"+", "-"} if len(overridden) == 3 else {"+", "-", "a", "b", "c"}
+        assert {path[-1] for path in stacked.levels[2].paths} == reached
+
+    def test_the_first_gap_in_level_order_is_named(self):
+        data = mixed_width_scenario()
+        del data["protocol"][2]["overrides"]["b,a"]
+        del data["protocol"][2]["overrides"]["a,-"]
+        scenario = parse_scenario(data)
+        for chooser in (scenario.chooser, lambda history: scenario.chooser(history)):
+            with pytest.raises(ScenarioError) as exc:
+                run_protocol(scenario.ensemble, chooser, scenario.depth)
+            assert str(exc.value) == "protocol[2]: no instrument for history 'a,-'"
+
+    def test_codes_past_int64_leave_the_stacks(self):
+        # 70 Z rounds on |11>: one branch survives, "1" every round, so the
+        # history code 2^k - 1 leaves int64 at round 64. The rounds from
+        # there ask the chooser, and the override at the last round, whose
+        # code does not fit and is not kept, is still found.
+        z = {"labels": ["0", "1"], "projective": pairs(Z_BASIS)}
+        x = {"labels": ["+", "-"], "projective": pairs(X_BASIS)}
+        steps = [{"party": "A", "instrument": z} for _ in range(70)]
+        steps[-1]["overrides"] = {",".join(["1"] * 69): x}
+        scenario = parse_scenario(
+            {"kind": "protocol", "dims": [2, 2], "ensemble": [{"probability": 1.0, "vector": pairs([0, 0, 0, 1])}],
+             "protocol": steps}
+        )
+        assert scenario.steps[-1].codes is None
+        transcript = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
+        assert [len(level.prob) for level in transcript.levels[:-1]] == [1] * 70
+        assert transcript.levels[-1].paths == (("1",) * 69 + ("+",), ("1",) * 69 + ("-",))
+
+
+    def test_a_scenario_built_in_memory_reads_its_stacks(self, monkeypatch):
+        # Steps built from instruments have no codes; the Scenario codes them
+        # with the parser's key walk, keeping every instrument object.
+        parsed = parse_scenario(mixed_width_scenario())
+        built = [ProtocolStep(step.party, step.instrument, dict(reversed(step.overrides.items()))) for step in parsed.steps]
+        assert [step.codes for step in built] == [None] * 3
+        scenario = Scenario(
+            kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=parsed.ensemble, steps=tuple(built),
+            bell=None, random=None,
+        )
+        for step, ref in zip(scenario.steps, parsed.steps, strict=True):
+            assert step.codes.tolist() == ref.codes.tolist()
+            assert step.histories == ref.histories
+        for key, instrument in built[2].overrides.items():
+            assert scenario.chooser(key) is instrument
+        reference = run_protocol(parsed.ensemble, parsed.chooser, parsed.depth)
+
+        def asked(*args):
+            raise AssertionError("a scenario's chooser was asked per node")
+
+        monkeypatch.setattr(protocol_module, "_adapted", asked)
+        transcript = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
+        for new, ref in zip(transcript.levels, reference.levels, strict=True):
+            assert new.prob.tobytes() == ref.prob.tobytes()
+            assert new.paths == ref.paths
+
+    def test_a_scenario_built_in_memory_names_an_unreached_override(self):
+        parsed = parse_scenario(mixed_width_scenario())
+        first, second, third = parsed.steps
+        overrides = {**third.overrides, ("a", "c"): third.overrides[("a", "+")]}
+        with pytest.raises(ScenarioError) as exc:
+            Scenario(
+                kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=parsed.ensemble,
+                steps=(first, second, ProtocolStep("A", None, overrides)), bell=None, random=None,
+            )
+        assert str(exc.value) == (
+            "protocol[2].overrides['a,c']: label 'c' is not an outcome of step 2 after history 'a' "
+            "(outcomes ['+', '-']); no history reaches 'a,c'"
+        )
+
+    def test_a_deep_chain_of_one_outcome_steps_reads_its_paths(self):
+        # One outcome per step keeps every step on the stacked route, and the
+        # leaves' paths are read with no recursion through the levels above.
+        unitary = KrausInstrument(party="A", outcomes=(("u", X_BASIS),))
+        depth = 3000
+        steps = (ProtocolStep("A", unitary, {}),) * depth
+        scenario = Scenario(
+            kind="protocol", name="chain", dim_a=2, dim_b=2, ensemble=phi_mixture(), steps=steps,
+            bell=None, random=None,
+        )
+        transcript = run_protocol(scenario.ensemble, scenario.chooser, depth)
+        assert transcript.levels[-1].paths == (("u",) * depth,)
+
+
+class TestIdentity:
+    """Instruments, steps and scenarios hold arrays: they compare by identity."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: KrausInstrument.projective("A", np.eye(2)),
+            lambda: random_scenario(1, protocol_depth=2),
+            lambda: random_scenario(1, protocol_depth=2).steps[1],
+        ],
+        ids=["instrument", "scenario", "step"],
+    )
+    def test_equality_is_a_bool_and_hash_works(self, build):
+        a, b = build(), build()
+        assert (a == b) is False and (a == a) is True
+        assert {a: 1, b: 2}[a] == 1

@@ -178,7 +178,7 @@ def padded(level):
         q=level.q.copy(),
         factors=np.concatenate([level.factors, zeros], axis=-1),
         parent=level.parent.copy(),
-        paths=level.paths,
+        outcome=level.outcome.copy(),
     )
 
 

@@ -575,6 +575,28 @@ def test_batched_and_entry_override_reads_agree_on_faulty_tables():
     assert not disagree, disagree[:3]
 
 
+# Keys whose first label is empty. "" is the key of the empty history, so
+# the walk must not take it for a known one-label prefix: ",0" would then
+# be read as "0,0", the code of a real history.
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "by_entry"])
+@pytest.mark.parametrize(
+    "keys, step",
+    [([",0"], 2), (["0,0", ",0"], 2), ([",,0"], 3), ([",0,0"], 3), ([","], 2)],
+    ids=["comma_0", "after_its_twin", "comma_comma_0", "comma_0_0", "comma"],
+)
+def test_a_key_with_an_empty_first_label_is_unreached(keys, step, batched):
+    data = protocol([{"party": "A", "instrument": copy.deepcopy(Z)} for _ in range(4)])
+    data["protocol"][step]["overrides"] = {key: copy.deepcopy(Z) for key in keys}
+    key = keys[-1]
+    with pytest.MonkeyPatch.context() as patch:
+        if not batched:
+            patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        assert parse_error(data) == (
+            f"s.protocol[{step}].overrides[{key!r}]: label '' is not an outcome of step 1 after history '' "
+            f"(outcomes ['0', '1']); no history reaches {key!r}"
+        )
+
+
 BELL_09 = {"kind": "bell_diagonal", "name": "b", "bell": {"d": 2, "probs": [0.9, 0.1, 0.0, 0.0]}}
 RANDOM_SWEEP = {"kind": "random", "name": "r", "dims": [2, 2], "random": {"n_members": 2, "protocol_depth": 1}}
 INSTRUMENT_FIELDS = "['kraus', 'labels', 'projective']"
