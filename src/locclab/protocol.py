@@ -34,12 +34,13 @@ with zero operators, and one row index per node; each node's operators
 are gathered with one fancy index, and all (node, outcome, member)
 products K V come from one matmul on the acting party's index. A
 ``StepChooser`` (a scenario's ``chooser``) gives its ``ProtocolStep``
-stacks as they are: each node carries an integer code over the outcome
-indices of its history, and one ``np.searchsorted`` in the step's sorted
-override codes finds its row. Any other chooser, a Mapping or a callable,
-is adapted to the same form once per level: it is asked once per node,
-and its distinct instruments are stacked. A level keeps each node's
-parent and outcome index; its label paths are built only when read.
+stacks as they are: each node's row is found from its label path, one
+dict lookup in ``ProtocolStep.row_of``, at any depth. Any other
+chooser, a Mapping or a callable, is adapted to the same form once per
+level: it is asked once per node, and its distinct instruments are
+stacked. A level keeps each node's parent and outcome index; its label
+paths are built from the level above when read, which ``run_protocol``
+does for every level but the leaves.
 Every node follows the rules of the one-node update (a depth-1
 ``run_protocol``): member weights are ||K V||_F^2, posteriors follow
 Bayes' rule, a hypothesis whose outcome weight is at most _RESIDUE_CUT
@@ -261,40 +262,17 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list) -> tuple[np.nd
     return projectors, labels
 
 
-# Node codes of a level stay below the product of the widths of the steps
-# before it; the stacks are read while that product fits in an int64.
-_CODE_LIMIT = 2**63
-
-
-def _stack_depth(steps: Sequence["ProtocolStep"]) -> int:
-    """How many leading ``steps`` ``run_protocol`` reads as stacks: those
-    whose history codes stay below _CODE_LIMIT."""
-    bound = 1
-    for count, step in enumerate(steps):
-        if bound >= _CODE_LIMIT:
-            return count
-        bound *= step.width
-    return len(steps)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class ProtocolStep:
     """One protocol round, stored as one read-only operator stack.
 
     ``ops`` is (H + 1, K, d, d): row 0 is the default instrument and row
-    h + 1 the override for history ``histories[h]``, a tuple of labels. A
-    row of fewer than K outcomes is padded with zero operators; a step
-    with no default has a zero row 0 whose ``labels`` entry is empty.
-    ``labels[r]`` names row r's outcomes, and ``kets[r]`` holds a
-    projective row's basis kets (None for a Kraus row). ``codes`` (H,) are
-    the override histories as integer codes over outcome indices: the
-    empty history is 0, and a history's code times the width K of its step
-    plus the index of the next outcome among its instrument's labels is
-    the code of the longer history. The rows follow increasing code. A
-    step has no codes (None) when one does not fit in an int64, which
-    happens only past ``_stack_depth``, or when it is built from
-    instruments (``ProtocolStep(party, instrument, overrides)``, rows in
-    the order given); a ``Scenario`` holds a coded copy of such a step.
+    h + 1 the override for history ``histories[h]``, a tuple of labels, in
+    the order the file or the ``overrides`` mapping gives them. A row of
+    fewer than K outcomes is padded with zero operators; a step with no
+    default has a zero row 0 whose ``labels`` entry is empty. ``labels[r]``
+    names row r's outcomes, and ``kets[r]`` holds a projective row's basis
+    kets (None for a Kraus row). ``row_of`` finds a history's row.
 
     Instruments are built from their rows when read, once: ``instrument``,
     ``overrides`` and ``instrument_for`` return the same objects. Steps
@@ -305,7 +283,6 @@ class ProtocolStep:
     ops: np.ndarray
     labels: tuple[tuple[str, ...], ...]
     histories: tuple[tuple[str, ...], ...]
-    codes: np.ndarray | None
 
     def __init__(
         self,
@@ -314,9 +291,17 @@ class ProtocolStep:
         overrides: Mapping[tuple[str, ...], KrausInstrument],
     ):
         """The step of a default ``instrument`` (None: no default) and its
-        ``overrides``, history -> instrument; the instruments become its rows."""
+        ``overrides``, history -> instrument; the instruments become its rows.
+        A history is a tuple of nonempty str labels, the form of a node's
+        path, and every instrument acts on ``party``."""
+        for history in overrides:
+            if not isinstance(history, tuple) or not all(isinstance(label, str) and label for label in history):
+                raise ValueError(f"override history {history!r} is not a tuple of nonempty str labels")
+        for chosen in (instrument, *overrides.values()):
+            if chosen is not None and chosen.party != party:
+                raise ValueError(f"step on {party}: instrument on {chosen.party}")
         instruments = list(overrides.values())
-        self._store(party, instrument, *_stack_instruments(instruments), tuple(overrides), None, instruments)
+        self._store(party, instrument, *_stack_instruments(instruments), tuple(overrides), instruments)
 
     @classmethod
     def _stacked(
@@ -327,30 +312,23 @@ class ProtocolStep:
         labels: list[tuple[str, ...]],
         kets: Sequence[np.ndarray | None],
         histories: Sequence[tuple[str, ...]],
-        codes: Sequence[int],
         instruments: list[KrausInstrument] | None = None,
     ) -> "ProtocolStep":
-        """The step of ``default`` and the overrides of ``histories`` with
-        their ``codes``: ``ops`` (H, K, d, d), row h naming its outcomes
-        ``labels[h]`` and holding the basis ``kets[h]`` (None: Kraus). The rows
-        are sorted by code; ``instruments``, if given, are the rows' objects."""
+        """The step of ``default`` and the overrides of ``histories``: ``ops``
+        (H, K, d, d), row h naming its outcomes ``labels[h]`` and holding the
+        basis ``kets[h]`` (None: Kraus); ``instruments``, if given, are the
+        rows' objects."""
         step = object.__new__(cls)
-        try:
-            codes = np.array(codes, dtype=np.int64)
-        except OverflowError:
-            codes = None
-        if codes is not None and (codes[1:] < codes[:-1]).any():
-            order = np.argsort(codes, kind="stable")
-            codes, ops = codes[order], ops[order]
-            labels, kets, histories = ([items[h] for h in order.tolist()] for items in (labels, kets, histories))
-            if instruments is not None:
-                instruments = [instruments[h] for h in order.tolist()]
-        step._store(party, default, ops, labels, kets, tuple(histories), codes, instruments)
+        step._store(party, default, ops, labels, kets, tuple(histories), instruments)
         return step
 
-    def _store(self, party, default, ops, labels, kets, histories, codes, instruments) -> None:
-        """Stack ``default`` above the override rows ``ops``; the dataclass is frozen."""
+    def _store(self, party, default, ops, labels, kets, histories, instruments) -> None:
+        """Stack ``default`` above the override rows ``ops``; the dataclass is
+        frozen. A step must measure some history: with no default it needs
+        an override."""
         rows = ops.shape[0]
+        if default is None and not rows:
+            raise ValueError("step needs an 'instrument' or nonempty 'overrides'")
         if default is None:
             width, dim = ops.shape[1:3]
         else:
@@ -368,7 +346,6 @@ class ProtocolStep:
             ops=stack,
             labels=(() if default is None else default.labels, *labels),
             histories=histories,
-            codes=codes,
             _kets=(None if default is None else default.kets, kets),
             _instruments=[default, *(instruments or [None] * rows)],
         )
@@ -380,25 +357,14 @@ class ProtocolStep:
         default, overrides = self._kets
         return (default, *overrides)
 
-    @property
-    def width(self) -> int:
-        """K, the outcome count of the widest row."""
-        return self.ops.shape[1]
-
     @cached_property
     def _rows(self) -> dict[tuple[str, ...], int]:
+        """history -> override row, read by ``row_of``."""
         return {history: row for row, history in enumerate(self.histories, 1)}
 
     def row_of(self, history: tuple[str, ...]) -> int:
         """The row that measures ``history``: its override, else 0."""
         return self._rows.get(history, 0)
-
-    def rows_of_codes(self, codes: np.ndarray) -> np.ndarray:
-        """The row of each history code: its override, else 0; -1 where the
-        step has no default."""
-        found = np.searchsorted(self.codes, codes)
-        hit = np.append(self.codes, -1)[found] == codes
-        return np.where(hit, found + 1, 0 if self.labels[0] else -1)
 
     def _row(self, row: int) -> KrausInstrument | None:
         """Row ``row``'s instrument, built on first use; None for an absent default."""
@@ -441,9 +407,9 @@ def _stack_instruments(instruments: list[KrausInstrument]) -> tuple[np.ndarray, 
 class StepChooser:
     """The chooser of a sequence of ``ProtocolStep``s: history -> instrument.
 
-    ``run_protocol`` reads the stacks of the first ``_stack_depth`` steps,
-    which must have codes, instead of calling it. A history past the last
-    step is a KeyError, and a history that its step covers with no
+    ``run_protocol`` reads the steps' stacks instead of calling it, each
+    node's row found from its path by ``ProtocolStep.row_of``. A history past
+    the last step is a KeyError, and a history that its step covers with no
     instrument raises ``gap(history)``, an ``error``.
     """
 
@@ -490,6 +456,9 @@ class TreeLevel:
     hypothesis of the root ensemble. ``paths`` is built when first read,
     from ``source``: the level above, the stack row that measured each of
     its nodes and each row's outcome labels (None at the root).
+    ``run_protocol`` reads the paths of every level but the leaves as it
+    builds the tree, so building a level's paths recurses no further than
+    the level above.
     """
 
     prob: np.ndarray  # (N,) path probabilities
@@ -508,18 +477,9 @@ class TreeLevel:
         """The outcome history of each node, a tuple of labels."""
         if self.source is None:
             return ((),)
-        # The unread levels above are filled in from the top down, so a deep
-        # tree is read without a deep recursion.
-        unread = [self]
-        while (above := unread[-1].source[0]).source is not None and "paths" not in vars(above):
-            unread.append(above)
-        for level in reversed(unread):
-            above, rows, labels = level.source
-            names = [labels[row] for row in rows.tolist()]
-            vars(level)["paths"] = tuple(
-                above.paths[n] + (names[n][k],) for n, k in zip(level.parent.tolist(), level.outcome.tolist())
-            )
-        return vars(self)["paths"]
+        above, rows, labels = self.source
+        names = [labels[row] for row in rows.tolist()]
+        return tuple(above.paths[n] + (names[n][k],) for n, k in zip(self.parent.tolist(), self.outcome.tolist()))
 
     def ensemble(self, index: int, dim_a: int, dim_b: int) -> BipartiteEnsemble:
         """Posterior ensemble of node ``index``."""
@@ -804,31 +764,29 @@ def run_protocol(
     communication by inspecting the whole history. Every reachable history
     up to ``depth`` must be covered. Within one round every branch must be
     measured by the same party, so each round has a well-defined acting
-    party. A ``StepChooser``'s steps are read as stacks while their
-    history codes fit in an int64 (``_stack_depth``), each node's row found
-    from its code; any other chooser is asked once per node.
+    party. A ``StepChooser``'s steps are read as stacks, each node's row
+    found from its path by ``ProtocolStep.row_of``; any other chooser, and
+    a ``StepChooser`` past its last step, is asked once per node.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     dims = (ensemble.dim_a, ensemble.dim_b)
-    steps = chooser.steps[: _stack_depth(chooser.steps[:depth])] if isinstance(chooser, StepChooser) else ()
+    steps = chooser.steps if isinstance(chooser, StepChooser) else ()
     levels = [_root_level(ensemble)]
-    codes = np.zeros(1, dtype=np.int64)
     round_parties: list[str] = []
     for k in range(1, depth + 1):
         level = levels[-1]
         if k <= len(steps):
             step = steps[k - 1]
             party, stack, labels = step.party, step.ops, step.labels
-            rows = step.rows_of_codes(codes)
-            if rows.min() < 0:
-                raise chooser.gap(level.paths[int(np.argmin(rows))])
+            rows = list(map(step.row_of, level.paths))
+            if not labels[0] and 0 in rows:
+                raise chooser.gap(level.paths[rows.index(0)])
+            rows = np.array(rows)
         else:
             party, stack, rows, labels = _adapted(chooser, level, k, dims)
         round_parties.append(party)
         levels.append(_expand(level, party, stack, rows, labels, dims))
-        if k < len(steps):
-            codes = codes[levels[-1].parent] * stack.shape[1] + levels[-1].outcome
     return ProtocolTranscript(
         levels=tuple(levels),
         stats=_level_stats(levels, dims),

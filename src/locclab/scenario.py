@@ -36,11 +36,10 @@ keeps every number as written (``validate_density`` checks a matrix and
 never rewrites it), so dump -> parse -> dump is byte-stable.
 
 A step is held as one ``ProtocolStep`` operator stack: its default
-instrument in row 0 and one row per override, sorted by the override
-history's integer code over outcome indices. An override table is read in
-one batch when every entry is a projective basis. Its kets, nested lists
-of matching lengths, become one (H, K, K, 2) array read with one
-``np.array``; one leaf-type test rejects booleans and strings.
+instrument in row 0 and one row per override, in table order. An override
+table is read in one batch when every entry is a projective basis. Its
+kets, nested lists of matching lengths, become one (H, K, K, 2) array read
+with one ``np.array``; one leaf-type test rejects booleans and strings.
 ``_projective_stack`` then checks the whole stack once, finiteness (a NaN
 or an infinity), orthonormality and completeness, and its projectors
 become the step's rows with no instrument built. If any of this fails,
@@ -48,11 +47,13 @@ the table is parsed entry by entry, the path that names the first bad
 field, and the entries' instruments are stacked. Each key is tested once
 against the histories known to reach the step: after a batch read, which
 accepts only valid entries, or just before its entry. Both routes thus
-name the same first fault. A key whose parent history is known (its code,
-and the labels of the instrument measuring it) takes one dict lookup. A
-``Scenario`` given steps built from instruments codes their overrides with
-the same key walk, so every scenario's stacks are read alike. Instruments
-are built from the rows only for readers that ask for them:
+name the same first fault. A key whose parent history is known (with the
+labels of the instrument measuring it) takes one dict lookup. A
+``Scenario`` built in memory runs the same key walk over its steps'
+histories and keeps the steps it is given; the parser and the generator,
+whose histories are walked or reachable by construction, skip it. Every
+scenario's stacks are read alike, each node's row found from its path.
+Instruments are built from the rows only for readers that ask for them:
 ``Scenario.chooser``, ``ProtocolStep.overrides`` and the dump.
 """
 
@@ -76,7 +77,6 @@ from .protocol import (
     _check_size,
     _outcome_labels,
     _projective_stack,
-    _stack_depth,
     _stack_instruments,
     _checked_instrument,
 )
@@ -245,7 +245,8 @@ class _ScenarioChooser(StepChooser):
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Parsed scenario; ``dump_scenario`` gives its canonical JSON form.
-    Scenarios compare by identity."""
+    Scenarios compare by identity. One built in memory must reach every
+    override history of its steps; ``_checked_scenario`` skips that check."""
 
     kind: str
     name: str
@@ -257,19 +258,13 @@ class Scenario:
     random: RandomSpec | None
 
     def __post_init__(self):
-        # A step built from instruments has no codes: the parser's key walk
-        # gives them here, so that every stack run_protocol reads has them.
-        if all(step.codes is not None for step in self.steps[: _stack_depth(self.steps)]):
-            return
         steps: list[ProtocolStep] = []
-        known: dict[str, tuple[int, tuple[str, ...]]] = {"": (0, ())}
+        known: dict[str, tuple[str, ...]] = {"": ()}
         for i, step in enumerate(self.steps):
             keys = [",".join(history) for history in step.histories]
-            walked = [_check_history_key(key, steps, f"protocol[{i}]", known) for key in keys]
-            stack = step.ops[1:], step.labels[1:], step.kets[1:]
-            instruments = list(step.overrides.values())
-            steps.append(_coded_step(steps, known, step.party, step.instrument, stack, keys, walked, instruments))
-        object.__setattr__(self, "steps", tuple(steps))
+            for key in keys:
+                _check_history_key(key, steps, f"protocol[{i}]", known)
+            _add_step(steps, known, step, keys)
 
     @cached_property
     def chooser(self) -> StepChooser:
@@ -281,6 +276,14 @@ class Scenario:
     @property
     def depth(self) -> int:
         return len(self.steps)
+
+
+def _checked_scenario(**fields) -> Scenario:
+    """A scenario whose override histories are known to be reachable, built
+    without ``__post_init__``."""
+    scenario = object.__new__(Scenario)
+    vars(scenario).update(fields)
+    return scenario
 
 
 def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument:
@@ -358,22 +361,21 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> tuple[np.ndarr
 
 
 def _check_history_key(
-    key: str, steps: list[ProtocolStep], step_path: str, known: dict[str, tuple[int, tuple[str, ...]]]
-) -> tuple[tuple[str, ...], int]:
-    """Split an override key into its history and the history's code,
-    rejecting it if no outcome history can reach it.
+    key: str, steps: list[ProtocolStep], step_path: str, known: dict[str, tuple[str, ...]]
+) -> tuple[str, ...]:
+    """Split an override key into its history, rejecting it if no outcome
+    history can reach it.
 
     The key of step i lists i labels, each an outcome of the instrument
     that the labels before it select. Only the history's own prefixes are
     walked, never the whole tree. ``known`` maps the joined key of each
-    history found to reach a built step to its code
-    (``ProtocolStep.codes``) and the labels of the instrument that the step
-    applies to it (empty at a gap). The walk starts at the longest known
-    prefix, usually the key's parent, so that most keys take one dict
-    lookup, and adds each prefix that passes, so each prefix is checked
-    once; the parser adds a step's keys once the step is built. A known
-    prefix has passed every check, so the message does not depend on
-    ``known``.
+    history found to reach a built step to the labels of the instrument
+    that the step applies to it (empty at a gap). The walk starts at the
+    longest known prefix, usually the key's parent, so that most keys take
+    one dict lookup, and adds each prefix that passes, so each prefix is
+    checked once; ``_add_step`` adds a step's keys once the step is built.
+    A known prefix has passed every check, so the message does not depend
+    on ``known``.
     """
 
     if not steps and key:
@@ -388,39 +390,25 @@ def _check_history_key(
     while prefix not in known:
         prefix = prefix.rpartition(",")[0]
     start = prefix.count(",") + 1 if prefix else 0
-    code, names = known[prefix]
+    names = known[prefix]
     for i in range(start, len(labels)):
         if labels[i] not in names:
             _fail(f"{step_path}.overrides[{key!r}]", _unreached(labels, i, names, key))
-        code = code * steps[i].width + names.index(labels[i])
         if i + 1 < len(labels):
             step = steps[i + 1]
             names = step.labels[step.row_of(labels[: i + 1])]
-            known[",".join(labels[: i + 1])] = code, names
-    return labels, code
+            known[",".join(labels[: i + 1])] = names
+    return labels
 
 
-def _coded_step(
-    steps: list[ProtocolStep],
-    known: dict[str, tuple[int, tuple[str, ...]]],
-    party: str,
-    default: KrausInstrument | None,
-    stack: tuple,
-    keys,
-    walked: list[tuple[tuple[str, ...], int]],
-    instruments: list[KrausInstrument] | None,
-) -> ProtocolStep:
-    """The step after ``steps``: ``default`` above the override ``stack``
-    (operators, labels, kets), whose joined ``keys`` the key walk gave as
-    ``walked`` (history, code) pairs; ``instruments``, if given, are the
-    rows' objects. Its override histories join ``known``, and the first
-    step gives the empty history its labels."""
-    histories, codes = zip(*walked) if walked else ((), ())
-    step = ProtocolStep._stacked(party, default, *stack, histories, codes, instruments)
+def _add_step(steps: list[ProtocolStep], known: dict[str, tuple[str, ...]], step: ProtocolStep, keys) -> None:
+    """Append ``step`` to the walked ``steps``: its override histories, joined
+    as ``keys``, join ``known`` with their rows' labels, and the first step
+    gives the empty history its labels."""
     if not steps:
-        known[""] = 0, step.labels[step.row_of(())]
-    known.update(zip(keys, zip(codes, stack[1])))
-    return step
+        known[""] = step.labels[step.row_of(())]
+    known.update(zip(keys, step.labels[1:]))
+    steps.append(step)
 
 
 def _unreached(labels: tuple[str, ...], i: int, names: tuple[str, ...], key: str) -> str:
@@ -510,9 +498,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
-        # The histories found to reach a built step: code and instrument labels.
+        # The histories found to reach a built step, with its instrument's labels.
         # The empty history reaches the first step, whose labels come once it is built.
-        known: dict[str, tuple[int, tuple[str, ...]]] = {"": (0, ())}
+        known: dict[str, tuple[str, ...]] = {"": ()}
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
@@ -527,16 +515,16 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             stack = _parse_projective_table(table, party, dim) if table else None
             instruments = None
             if stack is not None:
-                keys = [_check_history_key(key, steps, step_path, known) for key in table]
+                histories = [_check_history_key(key, steps, step_path, known) for key in table]
             else:
-                keys, instruments = [], []
+                histories, instruments = [], []
                 for key, value in table.items():
-                    keys.append(_check_history_key(key, steps, step_path, known))
+                    histories.append(_check_history_key(key, steps, step_path, known))
                     instruments.append(_parse_instrument(value, party, dim, f"{step_path}.overrides[{key!r}]"))
                 stack = _stack_instruments(instruments)
-            if default is None and not keys:
-                _fail(step_path, "step needs an 'instrument' or nonempty 'overrides'")
-            steps.append(_coded_step(steps, known, party, default, stack, table, keys, instruments))
+            with _at(step_path):
+                step = ProtocolStep._stacked(party, default, *stack, histories, instruments)
+            _add_step(steps, known, step, table)
 
     random_spec = None
     if kind == "random":
@@ -560,7 +548,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         if key not in _COMMON_FIELDS and key not in _KIND_FIELDS[kind]:
             _fail(f"{source}.{key}", f"kind {kind!r} takes no {key!r} field")
 
-    return Scenario(
+    return _checked_scenario(
         kind=kind,
         name=name,
         dim_a=dim_a,
@@ -685,20 +673,19 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     histories = [()]
     for level in range(depth):
         party = "A" if rng.integers(2) == 0 else "B"
-        # Basis kets are the rows of U^T; every history has its own basis, so
-        # a history's code is its place in the product order.
+        # Basis kets are the rows of U^T; every history has its own basis.
         kets = np.ascontiguousarray(_haar_unitaries(len(histories), 2, rng).swapaxes(1, 2))
         projectors, labels = _projective_stack(party, kets, [None] * len(histories))
         if level == 0:
             # The first step's one history, the empty one, takes the default.
             default = _checked_instrument(party, labels[0], projectors[0], kets[0])
-            step = ProtocolStep._stacked(party, default, projectors[:0], [], [], [], [])
+            step = ProtocolStep._stacked(party, default, projectors[:0], [], [], [])
         else:
-            step = ProtocolStep._stacked(party, None, projectors, labels, kets, histories, range(len(histories)))
+            step = ProtocolStep._stacked(party, None, projectors, labels, kets, histories)
         steps.append(step)
         histories = [history + (label,) for history, names in zip(histories, labels) for label in names]
 
-    return Scenario(
+    return _checked_scenario(
         kind="protocol" if depth > 0 else "ensemble",
         name=name or f"random-{seed}",
         dim_a=2,

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from locclab import ScenarioError, bundled_scenario_path, cli, load_scenario, run_protocol
-from locclab.scenario import dump_scenario, random_scenario
+from locclab import scenario as scenario_module
+from locclab.scenario import dump_scenario, parse_scenario, random_scenario
 
 from helpers import json_mismatches
 
@@ -552,6 +553,24 @@ def test_benchmark_tree_counts_and_flat_oracle(tmp_path, text, counts):
     chooser, transcript, report = traced_op(tmp_path, text)
     assert layers.tree_counts(chooser, transcript) == counts
     assert abs(checks.flat_mutual_information(transcript) - report["trials"][0]["i_locc"]) <= 1e-12
+
+
+def test_the_parser_walks_each_override_key_once(monkeypatch):
+    # A deep_tree file's 254 override keys are walked once each, in file
+    # order: the parsed Scenario does not walk them again.
+    data = workloads.deep_case(0)
+    calls = []
+    walk = scenario_module._check_history_key
+
+    def counting(key, *args):
+        calls.append(key)
+        return walk(key, *args)
+
+    monkeypatch.setattr(scenario_module, "_check_history_key", counting)
+    parse_scenario(data)
+    keys = [key for step in data["protocol"] for key in step.get("overrides", {})]
+    assert len(keys) == 254
+    assert calls == keys
 
 
 def test_parser_reuse_keeps_every_exit(capsys):

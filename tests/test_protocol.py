@@ -546,8 +546,18 @@ def mixed_width_scenario(overridden=("a", "c")):
     }
 
 
+def no_adapted_calls(monkeypatch):
+    """Make run_protocol fail if it asks a chooser per node."""
+
+    def asked(*args):
+        raise AssertionError("a scenario's chooser was asked per node")
+
+    monkeypatch.setattr(protocol_module, "_adapted", asked)
+
+
 class TestChooserForms:
-    """A scenario's stacks, a dict and a callable give one tree, bit for bit."""
+    """A scenario's stacks, a dict, a callable and the scenario rebuilt in
+    memory give one tree, bit for bit."""
 
     # With every outcome of round 1 overridden, round 2 reaches only
     # 2-outcome rows of a 3-wide stack.
@@ -559,7 +569,16 @@ class TestChooserForms:
         stacked = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
         histories = [path for level in stacked.levels[:-1] for path in level.paths]
         table = {path: scenario.chooser(path) for path in histories}
-        forms = [table, lambda history: scenario.chooser(history)]
+        # The fourth form: the scenario rebuilt in memory, each step's
+        # overrides in reversed order, so its rows are in another order.
+        rebuilt = Scenario(
+            kind="protocol", name="rebuilt", dim_a=2, dim_b=2, ensemble=scenario.ensemble, bell=None, random=None,
+            steps=tuple(
+                ProtocolStep(step.party, step.instrument, dict(reversed(step.overrides.items())))
+                for step in scenario.steps
+            ),
+        )
+        forms = [table, lambda history: scenario.chooser(history), rebuilt.chooser]
         for chooser in forms:
             other = run_protocol(scenario.ensemble, chooser, scenario.depth)
             assert other.round_parties == stacked.round_parties == ("A", "B", "A")
@@ -581,11 +600,10 @@ class TestChooserForms:
                 run_protocol(scenario.ensemble, chooser, scenario.depth)
             assert str(exc.value) == "protocol[2]: no instrument for history 'a,-'"
 
-    def test_codes_past_int64_leave_the_stacks(self):
-        # 70 Z rounds on |11>: one branch survives, "1" every round, so the
-        # history code 2^k - 1 leaves int64 at round 64. The rounds from
-        # there ask the chooser, and the override at the last round, whose
-        # code does not fit and is not kept, is still found.
+    def test_seventy_rounds_run_on_their_stacks(self, monkeypatch):
+        # 70 Z rounds on |11>: one branch survives, "1" every round, past the
+        # 63 binary rounds an int64 history code could hold. Every round
+        # reads its stack, and the override at the last round is found.
         z = {"labels": ["0", "1"], "projective": pairs(Z_BASIS)}
         x = {"labels": ["+", "-"], "projective": pairs(X_BASIS)}
         steps = [{"party": "A", "instrument": z} for _ in range(70)]
@@ -594,33 +612,27 @@ class TestChooserForms:
             {"kind": "protocol", "dims": [2, 2], "ensemble": [{"probability": 1.0, "vector": pairs([0, 0, 0, 1])}],
              "protocol": steps}
         )
-        assert scenario.steps[-1].codes is None
+        no_adapted_calls(monkeypatch)
         transcript = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
         assert [len(level.prob) for level in transcript.levels[:-1]] == [1] * 70
         assert transcript.levels[-1].paths == (("1",) * 69 + ("+",), ("1",) * 69 + ("-",))
 
-
     def test_a_scenario_built_in_memory_reads_its_stacks(self, monkeypatch):
-        # Steps built from instruments have no codes; the Scenario codes them
-        # with the parser's key walk, keeping every instrument object.
+        # The Scenario keeps the steps it is given, rows in the given order,
+        # with every instrument object.
         parsed = parse_scenario(mixed_width_scenario())
         built = [ProtocolStep(step.party, step.instrument, dict(reversed(step.overrides.items()))) for step in parsed.steps]
-        assert [step.codes for step in built] == [None] * 3
         scenario = Scenario(
             kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=parsed.ensemble, steps=tuple(built),
             bell=None, random=None,
         )
-        for step, ref in zip(scenario.steps, parsed.steps, strict=True):
-            assert step.codes.tolist() == ref.codes.tolist()
-            assert step.histories == ref.histories
+        for i, ref in enumerate(parsed.steps):
+            assert scenario.steps[i] is built[i]
+            assert scenario.steps[i].histories == ref.histories[::-1]
         for key, instrument in built[2].overrides.items():
             assert scenario.chooser(key) is instrument
         reference = run_protocol(parsed.ensemble, parsed.chooser, parsed.depth)
-
-        def asked(*args):
-            raise AssertionError("a scenario's chooser was asked per node")
-
-        monkeypatch.setattr(protocol_module, "_adapted", asked)
+        no_adapted_calls(monkeypatch)
         transcript = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
         for new, ref in zip(transcript.levels, reference.levels, strict=True):
             assert new.prob.tobytes() == ref.prob.tobytes()
@@ -640,9 +652,9 @@ class TestChooserForms:
             "(outcomes ['+', '-']); no history reaches 'a,c'"
         )
 
-    def test_a_deep_chain_of_one_outcome_steps_reads_its_paths(self):
-        # One outcome per step keeps every step on the stacked route, and the
-        # leaves' paths are read with no recursion through the levels above.
+    def test_a_deep_chain_of_one_outcome_steps_reads_its_paths(self, monkeypatch):
+        # Every step runs on its stack, and the leaves' paths are read with no
+        # recursion through the levels above.
         unitary = KrausInstrument(party="A", outcomes=(("u", X_BASIS),))
         depth = 3000
         steps = (ProtocolStep("A", unitary, {}),) * depth
@@ -650,8 +662,40 @@ class TestChooserForms:
             kind="protocol", name="chain", dim_a=2, dim_b=2, ensemble=phi_mixture(), steps=steps,
             bell=None, random=None,
         )
+        no_adapted_calls(monkeypatch)
         transcript = run_protocol(scenario.ensemble, scenario.chooser, depth)
         assert transcript.levels[-1].paths == (("u",) * depth,)
+
+
+class TestStepRules:
+    """``ProtocolStep(party, instrument, overrides)`` checks what the parser
+    checks of a step: one party, path-shaped histories, something to measure."""
+
+    def test_an_instrument_on_the_other_party_is_rejected(self):
+        on_b = KrausInstrument.projective("B", np.eye(2))
+        on_a = KrausInstrument.projective("A", np.eye(2))
+        for default, overrides in ((on_b, {}), (on_a, {("0",): on_b}), (None, {("0",): on_b})):
+            with pytest.raises(ValueError) as exc:
+                ProtocolStep("A", default, overrides)
+            assert str(exc.value) == "step on A: instrument on B"
+
+    # A str key would be read one character per label, and ("",) would join
+    # to the empty history's key: neither names the path it would match.
+    @pytest.mark.parametrize("history", ["0", (0,), ("",)], ids=["str", "int_label", "empty_label"])
+    def test_a_history_must_be_a_tuple_of_labels(self, history):
+        instrument = KrausInstrument.projective("A", np.eye(2))
+        with pytest.raises(ValueError) as exc:
+            ProtocolStep("A", instrument, {history: instrument})
+        assert str(exc.value) == f"override history {history!r} is not a tuple of nonempty str labels"
+
+    def test_a_history_tuple_of_labels_is_accepted(self):
+        instrument = KrausInstrument.projective("A", np.eye(2))
+        assert ProtocolStep("A", None, {("0",): instrument}).histories == (("0",),)
+
+    def test_a_step_with_nothing_to_measure_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            ProtocolStep("A", None, {})
+        assert str(exc.value) == "step needs an 'instrument' or nonempty 'overrides'"
 
 
 class TestIdentity:
