@@ -28,17 +28,18 @@ rank r and renormalized. The cut, the keep-prior rule's below too, sits at
 rounding level, not at DEFAULT_TOL: a genuine eigenvalue of 1e-12 dropped
 at the root moves the entropies past the 1e-12 agreement.
 
-A level is expanded in one batched pass over an operator stack. A round's
-instruments are one (R, K, d, d) stack, rows with fewer outcomes padded
-with zero operators, and one row index per node; each node's operators
+Every round is a ``ProtocolStep``, one (R, K, d, d) operator stack, rows
+with fewer outcomes padded with zero operators, and a level is expanded
+in one batched pass over it: each node's row is found from its label
+path, one dict lookup in ``ProtocolStep.row_of``, each node's operators
 are gathered with one fancy index, and all (node, outcome, member)
 products K V come from one matmul on the acting party's index. A
-``StepChooser`` (a scenario's ``chooser``) gives its ``ProtocolStep``
-stacks as they are: each node's row is found from its label path, one
-dict lookup in ``ProtocolStep.row_of``, at any depth. Any other
-chooser, a Mapping or a callable, is adapted to the same form once per
-level: it is asked once per node, and its distinct instruments are
-stacked. A level keeps each node's parent and outcome index; its label
+``StepChooser`` (a scenario's ``chooser``) gives its steps as they are.
+Any other chooser, a Mapping or a callable, and a ``StepChooser`` past
+its last step, is adapted by ``_adapted`` once per level: it is asked
+once per node in level order, each answer's party and size are checked,
+and the answers become a step with no default and one override row per
+node path. A level keeps each node's parent and outcome index; its label
 paths are built from the level above when read, which ``run_protocol``
 does for every level but the leaves.
 Every node follows the rules of the one-node update (a depth-1
@@ -293,10 +294,14 @@ class ProtocolStep:
         """The step of a default ``instrument`` (None: no default) and its
         ``overrides``, history -> instrument; the instruments become its rows.
         A history is a tuple of nonempty str labels, the form of a node's
-        path, and every instrument acts on ``party``."""
-        for history in overrides:
+        path, and every instrument is a ``KrausInstrument`` on ``party``."""
+        if instrument is not None and not isinstance(instrument, KrausInstrument):
+            raise ValueError(f"default instrument {instrument!r} is not a KrausInstrument")
+        for history, chosen in overrides.items():
             if not isinstance(history, tuple) or not all(isinstance(label, str) and label for label in history):
                 raise ValueError(f"override history {history!r} is not a tuple of nonempty str labels")
+            if not isinstance(chosen, KrausInstrument):
+                raise ValueError(f"override for history {history!r}: {chosen!r} is not a KrausInstrument")
         for chosen in (instrument, *overrides.values()):
             if chosen is not None and chosen.party != party:
                 raise ValueError(f"step on {party}: instrument on {chosen.party}")
@@ -312,14 +317,13 @@ class ProtocolStep:
         labels: list[tuple[str, ...]],
         kets: Sequence[np.ndarray | None],
         histories: Sequence[tuple[str, ...]],
-        instruments: list[KrausInstrument] | None = None,
     ) -> "ProtocolStep":
         """The step of ``default`` and the overrides of ``histories``: ``ops``
         (H, K, d, d), row h naming its outcomes ``labels[h]`` and holding the
-        basis ``kets[h]`` (None: Kraus); ``instruments``, if given, are the
-        rows' objects."""
+        basis ``kets[h]`` (None: Kraus). Each override row builds its
+        instrument when first read."""
         step = object.__new__(cls)
-        step._store(party, default, ops, labels, kets, tuple(histories), instruments)
+        step._store(party, default, ops, labels, kets, tuple(histories), None)
         return step
 
     def _store(self, party, default, ops, labels, kets, histories, instruments) -> None:
@@ -528,30 +532,19 @@ def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
     return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=root, outcome=root.copy())
 
 
-def _expand(
-    level: TreeLevel,
-    party: str,
-    stack: np.ndarray,
-    rows: np.ndarray,
-    labels: tuple[tuple[str, ...], ...],
-    dims: tuple[int, int],
-) -> TreeLevel:
-    """Children of every node of a level, measured on ``party``.
-
-    ``stack`` is (R, K, d, d), a round's instruments zero-padded to K
-    outcomes, ``rows[n]`` the row that measures node n and ``labels[r]``
-    the outcome labels of row r.
-    """
+def _expand(level: TreeLevel, step: ProtocolStep, rows: np.ndarray, dims: tuple[int, int]) -> TreeLevel:
+    """Children of every node of a level, measured by ``step``: ``rows[n]``
+    is the row of ``step.ops`` that measures node n."""
     dim_a, dim_b = dims
-    _check_size(party, stack.shape[-1], dim_a if party == "A" else dim_b)
-    ops = stack[rows]
-    width = stack.shape[1]
+    _check_size(step.party, step.ops.shape[-1], dim_a if step.party == "A" else dim_b)
+    ops = step.ops[rows]
+    width = step.ops.shape[1]
 
     # (N, K, M, D, r): K (x) I or I (x) K applied to every member factor of
     # every node under every outcome; padded outcomes stay zero.
     n, m, dim, r = level.factors.shape
     split = level.factors.reshape(n, 1, m, dim_a, dim_b, r)
-    if party == "A":
+    if step.party == "A":
         moved = ops[:, :, None] @ split.reshape(n, 1, m, dim_a, dim_b * r)
     else:
         moved = ops[:, :, None, None] @ split
@@ -580,7 +573,7 @@ def _expand(
         factors=posterior_factors[node, outcome],
         parent=node,
         outcome=outcome,
-        source=(level, rows, labels),
+        source=(level, rows, step.labels),
     )
 
 
@@ -721,14 +714,13 @@ class ProtocolTranscript:
         return self.nodes_at(self.depth)
 
 
-def _adapted(chooser, level: TreeLevel, k: int, dims: tuple[int, int]):
-    """(party, stack, rows, labels) of round ``k`` from a Mapping or a
-    callable ``chooser``, asked once per node of ``level``; every distinct
-    instrument it returns is one row."""
+def _adapted(chooser, level: TreeLevel, k: int, dims: tuple[int, int]) -> ProtocolStep:
+    """Round ``k`` from a Mapping or a callable ``chooser``, asked once per
+    node of ``level`` in level order; each answer's party is checked as it
+    comes and every size once all have come. The step has no default and
+    one override row per node path."""
     lookup = chooser if callable(chooser) else chooser.__getitem__
     instruments: list[KrausInstrument] = []
-    row_of: dict[int, int] = {}
-    rows = []
     for path in level.paths:
         try:
             instrument = lookup(path)
@@ -739,16 +731,11 @@ def _adapted(chooser, level: TreeLevel, k: int, dims: tuple[int, int]):
                 f"round {k}: party {instrument.party!r} conflicts with "
                 f"{instruments[0].party!r} chosen on another branch"
             )
-        # The instruments are kept alive, so an id is never reused here.
-        row = row_of.setdefault(id(instrument), len(instruments))
-        if row == len(instruments):
-            instruments.append(instrument)
-        rows.append(row)
+        instruments.append(instrument)
     party = instruments[0].party
     for instrument in instruments:
         _check_size(party, instrument.dim, dims[PARTIES.index(party)])
-    stack, labels, _ = _stack_instruments(instruments)
-    return party, stack, np.array(rows), tuple(labels)
+    return ProtocolStep._stacked(party, None, *_stack_instruments(instruments), level.paths)
 
 
 def run_protocol(
@@ -764,29 +751,25 @@ def run_protocol(
     communication by inspecting the whole history. Every reachable history
     up to ``depth`` must be covered. Within one round every branch must be
     measured by the same party, so each round has a well-defined acting
-    party. A ``StepChooser``'s steps are read as stacks, each node's row
-    found from its path by ``ProtocolStep.row_of``; any other chooser, and
-    a ``StepChooser`` past its last step, is asked once per node.
+    party. Every round is a ``ProtocolStep``: a ``StepChooser``'s own steps,
+    else one that ``_adapted`` builds by asking the chooser once per node
+    (any other chooser, and a ``StepChooser`` past its last step). Each
+    node's row is found from its path by ``ProtocolStep.row_of``.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     dims = (ensemble.dim_a, ensemble.dim_b)
-    steps = chooser.steps if isinstance(chooser, StepChooser) else ()
+    steps = iter(chooser.steps if isinstance(chooser, StepChooser) else ())
     levels = [_root_level(ensemble)]
     round_parties: list[str] = []
     for k in range(1, depth + 1):
         level = levels[-1]
-        if k <= len(steps):
-            step = steps[k - 1]
-            party, stack, labels = step.party, step.ops, step.labels
-            rows = list(map(step.row_of, level.paths))
-            if not labels[0] and 0 in rows:
-                raise chooser.gap(level.paths[rows.index(0)])
-            rows = np.array(rows)
-        else:
-            party, stack, rows, labels = _adapted(chooser, level, k, dims)
-        round_parties.append(party)
-        levels.append(_expand(level, party, stack, rows, labels, dims))
+        step = next(steps, None) or _adapted(chooser, level, k, dims)
+        rows = list(map(step.row_of, level.paths))
+        if not step.labels[0] and 0 in rows:
+            raise chooser.gap(level.paths[rows.index(0)])
+        round_parties.append(step.party)
+        levels.append(_expand(level, step, np.array(rows), dims))
     return ProtocolTranscript(
         levels=tuple(levels),
         stats=_level_stats(levels, dims),

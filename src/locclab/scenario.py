@@ -44,16 +44,17 @@ with one ``np.array``; one leaf-type test rejects booleans and strings.
 or an infinity), orthonormality and completeness, and its projectors
 become the step's rows with no instrument built. If any of this fails,
 the table is parsed entry by entry, the path that names the first bad
-field, and the entries' instruments are stacked. Each key is tested once
-against the histories known to reach the step: after a batch read, which
-accepts only valid entries, or just before its entry. Both routes thus
-name the same first fault. A key whose parent history is known (with the
-labels of the instrument measuring it) takes one dict lookup. A
-``Scenario`` built in memory runs the same key walk over its steps'
-histories and keeps the steps it is given; the parser and the generator,
-whose histories are walked or reachable by construction, skip it. Every
-scenario's stacks are read alike, each node's row found from its path.
-Instruments are built from the rows only for readers that ask for them:
+field, and the entries' operators are stacked. Each key is split into
+its history and tested once against the histories known to reach the
+step: after a batch read, which accepts only valid entries, or just
+before its entry. Both routes thus name the same first fault. The walk
+runs on label tuples; a history whose parent is known (with the labels
+of the instrument measuring it) takes one dict lookup. A ``Scenario``
+built in memory walks its steps' histories as they are and keeps the
+steps it is given; the parser and the generator, whose histories are
+walked or reachable by construction, skip it. Every scenario's stacks
+are read alike, each node's row found from its path. Instruments are
+built from the rows only for readers that ask for them:
 ``Scenario.chooser``, ``ProtocolStep.overrides`` and the dump.
 """
 
@@ -235,6 +236,12 @@ class RandomSpec:
     protocol_depth: tuple[int, int]
 
 
+# The histories a walk has found to reach a built step, each with the labels
+# of the instrument that the step applies to it (empty at a gap). A walk
+# starts from {(): ()}: the first step's labels come once it is built.
+_Known = dict[tuple[str, ...], tuple[str, ...]]
+
+
 class _ScenarioChooser(StepChooser):
     """A scenario's chooser: a gap in the file is a ScenarioError that names
     the step, and ``cli.run_scenario`` puts the file's path before it."""
@@ -259,12 +266,11 @@ class Scenario:
 
     def __post_init__(self):
         steps: list[ProtocolStep] = []
-        known: dict[str, tuple[str, ...]] = {"": ()}
+        known: _Known = {(): ()}
         for i, step in enumerate(self.steps):
-            keys = [",".join(history) for history in step.histories]
-            for key in keys:
-                _check_history_key(key, steps, f"protocol[{i}]", known)
-            _add_step(steps, known, step, keys)
+            for history in step.histories:
+                _check_history(history, steps, f"protocol[{i}]", known)
+            _add_step(steps, known, step)
 
     @cached_property
     def chooser(self) -> StepChooser:
@@ -360,67 +366,62 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> tuple[np.ndarr
     return projectors, labels, kets
 
 
-def _check_history_key(
-    key: str, steps: list[ProtocolStep], step_path: str, known: dict[str, tuple[str, ...]]
-) -> tuple[str, ...]:
-    """Split an override key into its history, rejecting it if no outcome
-    history can reach it.
-
-    The key of step i lists i labels, each an outcome of the instrument
-    that the labels before it select. Only the history's own prefixes are
-    walked, never the whole tree. ``known`` maps the joined key of each
-    history found to reach a built step to the labels of the instrument
-    that the step applies to it (empty at a gap). The walk starts at the
-    longest known prefix, usually the key's parent, so that most keys take
-    one dict lookup, and adds each prefix that passes, so each prefix is
-    checked once; ``_add_step`` adds a step's keys once the step is built.
-    A known prefix has passed every check, so the message does not depend
-    on ``known``.
-    """
-
+def _check_history_key(key: str, steps: list[ProtocolStep], step_path: str, known: _Known) -> tuple[str, ...]:
+    """Split an override key of the step after ``steps`` into its history,
+    which ``_check_history`` walks: the key of step i > 1 joins i - 1
+    labels with commas, and step 1's is the empty key."""
     if not steps and key:
         _fail(f"{step_path}.overrides[{key!r}]", f"step 1 is reached only by the empty history, got key {key!r}")
     labels = tuple(key.split(",")) if steps else ()
     if len(labels) != len(steps):
         _fail(f"{step_path}.overrides[{key!r}]", f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
-    # Labels are nonempty and comma-free, so a joined key names one history:
-    # a known prefix of j > 0 labels holds j - 1 commas, and "" is the empty
-    # history, never a first label "" (",0" is walked from its start).
-    prefix = key.rpartition(",")[0]
-    while prefix not in known:
-        prefix = prefix.rpartition(",")[0]
-    start = prefix.count(",") + 1 if prefix else 0
-    names = known[prefix]
-    for i in range(start, len(labels)):
-        if labels[i] not in names:
-            _fail(f"{step_path}.overrides[{key!r}]", _unreached(labels, i, names, key))
-        if i + 1 < len(labels):
-            step = steps[i + 1]
-            names = step.labels[step.row_of(labels[: i + 1])]
-            known[",".join(labels[: i + 1])] = names
+    _check_history(labels, steps, step_path, known)
     return labels
 
 
-def _add_step(steps: list[ProtocolStep], known: dict[str, tuple[str, ...]], step: ProtocolStep, keys) -> None:
-    """Append ``step`` to the walked ``steps``: its override histories, joined
-    as ``keys``, join ``known`` with their rows' labels, and the first step
-    gives the empty history its labels."""
+def _check_history(history: tuple[str, ...], steps: list[ProtocolStep], step_path: str, known: _Known) -> None:
+    """Reject an override ``history`` of the step after ``steps``, at
+    ``step_path``, unless each label is an outcome of the instrument that
+    the labels before it select; the message joins the history into its
+    key. Only the history's own prefixes are walked: the walk starts at the
+    longest one in ``known``, usually the parent, so most histories take
+    one dict lookup, and adds each prefix that passes; ``_add_step`` adds a
+    step's histories once it is built. A known prefix has passed every
+    check, so the message does not depend on ``known``."""
+    if len(history) != len(steps):
+        _fail(f"{step_path}.overrides[{','.join(history)!r}]", f"history needs {len(steps)} labels, got {len(history)}")
+    start = len(history) - 1 if history else 0
+    while (names := known.get(history[:start])) is None:
+        start -= 1
+    for i in range(start, len(history)):
+        if history[i] not in names:
+            _fail(f"{step_path}.overrides[{','.join(history)!r}]", _unreached(history, i, names))
+        if i + 1 < len(history):
+            step = steps[i + 1]
+            names = step.labels[step.row_of(history[: i + 1])]
+            known[history[: i + 1]] = names
+
+
+def _add_step(steps: list[ProtocolStep], known: _Known, step: ProtocolStep) -> None:
+    """Append ``step`` to the walked ``steps``: its override histories join
+    ``known`` with their rows' labels, and the first step gives the empty
+    history its labels."""
     if not steps:
-        known[""] = step.labels[step.row_of(())]
-    known.update(zip(keys, step.labels[1:]))
+        known[()] = step.labels[step.row_of(())]
+    known.update(zip(step.histories, step.labels[1:]))
     steps.append(step)
 
 
-def _unreached(labels: tuple[str, ...], i: int, names: tuple[str, ...], key: str) -> str:
+def _unreached(history: tuple[str, ...], i: int, names: tuple[str, ...]) -> str:
     """Why label i of a history is not reached: step i + 1 has no
     instrument after the labels before it (``names`` empty), or ``names``
     does not hold the label."""
-    history = ",".join(labels[:i])
+    before = ",".join(history[:i])
     if not names:
-        return f"no instrument at step {i + 1} for history {history!r}"
+        return f"no instrument at step {i + 1} for history {before!r}"
     return (
-        f"label {labels[i]!r} is not an outcome of step {i + 1} after history {history!r} "
-        f"(outcomes {list(names)}); no history reaches {key!r}"
+        f"label {history[i]!r} is not an outcome of step {i + 1} after history {before!r} "
+        f"(outcomes {list(names)}); no history reaches {','.join(history)!r}"
     )
 
 
@@ -498,9 +499,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
-        # The histories found to reach a built step, with its instrument's labels.
-        # The empty history reaches the first step, whose labels come once it is built.
-        known: dict[str, tuple[str, ...]] = {"": ()}
+        known: _Known = {(): ()}
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
@@ -513,7 +512,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 default = _parse_instrument(step_obj["instrument"], party, dim, f"{step_path}.instrument")
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides", None)
             stack = _parse_projective_table(table, party, dim) if table else None
-            instruments = None
             if stack is not None:
                 histories = [_check_history_key(key, steps, step_path, known) for key in table]
             else:
@@ -523,8 +521,8 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                     instruments.append(_parse_instrument(value, party, dim, f"{step_path}.overrides[{key!r}]"))
                 stack = _stack_instruments(instruments)
             with _at(step_path):
-                step = ProtocolStep._stacked(party, default, *stack, histories, instruments)
-            _add_step(steps, known, step, table)
+                step = ProtocolStep._stacked(party, default, *stack, histories)
+            _add_step(steps, known, step)
 
     random_spec = None
     if kind == "random":

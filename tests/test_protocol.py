@@ -493,13 +493,34 @@ def test_eigensolve_count_is_per_level(monkeypatch):
     assert calls["eigvalsh"] == 0
 
 
+# A 3-outcome Kraus default: sum_k K_k^dagger K_k = I.
+TRINE_KRAUS = [np.diag([0.6**0.5, 0.0]), np.diag([0.0, 0.7**0.5]), np.diag([0.4**0.5, 0.3**0.5])]
+
+
 @pytest.mark.parametrize(
     "chooser, depth, message",
     [
         ({}, -1, "depth must be nonnegative, got -1"),
         ({}, 1, "chooser undefined for history ()"),
+        (
+            lambda history: KrausInstrument.projective("A", np.eye(3)),
+            1,
+            "dimension mismatch: instrument on A has size 3, party dimension is 2",
+        ),
+        # Round 2 has nodes a, b, c: b conflicts with a's party and c is
+        # undefined. The chooser is asked and checked node by node, so b's
+        # conflict is named before c is asked.
+        (
+            {
+                (): KrausInstrument(party="A", outcomes=tuple(zip("abc", TRINE_KRAUS))),
+                ("a",): z_instrument("A"),
+                ("b",): z_instrument("B"),
+            },
+            2,
+            "round 2: party 'B' conflicts with 'A' chosen on another branch",
+        ),
     ],
-    ids=["negative_depth", "undefined_history"],
+    ids=["negative_depth", "undefined_history", "wrong_size", "conflict_before_gap"],
 )
 def test_run_protocol_rejection_message(chooser, depth, message):
     with pytest.raises(ValueError) as excinfo:
@@ -510,10 +531,6 @@ def test_run_protocol_rejection_message(chooser, depth, message):
 def pairs(matrix) -> list:
     """A matrix as the scenario file's nested [re, im] pairs."""
     return np.stack([np.real(matrix), np.imag(matrix)], axis=-1).tolist()
-
-
-# A 3-outcome Kraus default: sum_k K_k^dagger K_k = I.
-TRINE_KRAUS = [np.diag([0.6**0.5, 0.0]), np.diag([0.0, 0.7**0.5]), np.diag([0.4**0.5, 0.3**0.5])]
 
 
 def mixed_width_scenario(overridden=("a", "c")):
@@ -556,8 +573,8 @@ def no_adapted_calls(monkeypatch):
 
 
 class TestChooserForms:
-    """A scenario's stacks, a dict, a callable and the scenario rebuilt in
-    memory give one tree, bit for bit."""
+    """A scenario's stacks, a dict, a callable, the scenario rebuilt in
+    memory and a dict of equal instrument copies give one tree, bit for bit."""
 
     # With every outcome of round 1 overridden, round 2 reaches only
     # 2-outcome rows of a 3-wide stack.
@@ -578,7 +595,10 @@ class TestChooserForms:
                 for step in scenario.steps
             ),
         )
-        forms = [table, lambda history: scenario.chooser(history), rebuilt.chooser]
+        # The chooser shares one instrument object between nodes; a table of
+        # distinct but equal copies gives each node its own.
+        copies = {path: KrausInstrument(party=chosen.party, outcomes=chosen.outcomes) for path, chosen in table.items()}
+        forms = [table, lambda history: scenario.chooser(history), rebuilt.chooser, copies]
         for chooser in forms:
             other = run_protocol(scenario.ensemble, chooser, scenario.depth)
             assert other.round_parties == stacked.round_parties == ("A", "B", "A")
@@ -652,6 +672,30 @@ class TestChooserForms:
             "(outcomes ['+', '-']); no history reaches 'a,c'"
         )
 
+    # A history built in memory is walked as the tuple it is: a wrong
+    # length gets the label-count message, and a label holding a comma is
+    # one label that no outcome matches.
+    @pytest.mark.parametrize(
+        "history, message",
+        [
+            ((), "protocol[1].overrides['']: history needs 1 labels, got 0"),
+            (
+                ("0,1",),
+                "protocol[1].overrides['0,1']: label '0,1' is not an outcome of step 1 after history '' "
+                "(outcomes ['0', '1']); no history reaches '0,1'",
+            ),
+        ],
+        ids=["empty", "comma_label"],
+    )
+    def test_a_history_built_in_memory_is_walked_as_a_tuple(self, history, message):
+        z = z_instrument("A")
+        with pytest.raises(ScenarioError) as exc:
+            Scenario(
+                kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=phi_mixture(),
+                steps=(ProtocolStep("A", z, {}), ProtocolStep("A", None, {history: z})), bell=None, random=None,
+            )
+        assert str(exc.value) == message
+
     def test_a_deep_chain_of_one_outcome_steps_reads_its_paths(self, monkeypatch):
         # Every step runs on its stack, and the leaves' paths are read with no
         # recursion through the levels above.
@@ -665,6 +709,10 @@ class TestChooserForms:
         no_adapted_calls(monkeypatch)
         transcript = run_protocol(scenario.ensemble, scenario.chooser, depth)
         assert transcript.levels[-1].paths == (("u",) * depth,)
+
+
+# Projective instruments on A of each size.
+EYE_A = {size: KrausInstrument.projective("A", np.eye(size)) for size in (2, 3)}
 
 
 class TestStepRules:
@@ -696,6 +744,21 @@ class TestStepRules:
         with pytest.raises(ValueError) as exc:
             ProtocolStep("A", None, {})
         assert str(exc.value) == "step needs an 'instrument' or nonempty 'overrides'"
+
+    @pytest.mark.parametrize(
+        "default, overrides, message",
+        [
+            ("x", {}, "default instrument 'x' is not a KrausInstrument"),
+            (EYE_A[2], {("0",): None}, "override for history ('0',): None is not a KrausInstrument"),
+            (EYE_A[2], {("0",): EYE_A[3]}, "step on A: default of size 2, overrides of size 3"),
+            (None, {("0",): EYE_A[2], ("1",): EYE_A[3]}, "instruments of one step differ in size: [2, 3]"),
+        ],
+        ids=["default_not_an_instrument", "override_not_an_instrument", "default_and_override_sizes", "override_sizes"],
+    )
+    def test_a_step_rejects_what_it_cannot_stack(self, default, overrides, message):
+        with pytest.raises(ValueError) as exc:
+            ProtocolStep("A", default, overrides)
+        assert str(exc.value) == message
 
 
 class TestIdentity:
