@@ -1,12 +1,14 @@
-"""Mutation ratchet for the bound suite and the round audit.
+"""Mutation ratchet for the bound suite, the round audit and the tree expansion.
 
 Each mutant in ``mutants.json`` is one exact text replacement in
 ``src/locclab/protocol.py``. For each one this script copies ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
-replacement there, and runs tier-1 without the two files that compare with
-a second copy of the engine's formulas: ``test_engine_properties.py``
-(which imports ``reference_engine.py``) and ``test_cli.py`` (which reads
-the golden reports). A mutant survives when those tests still pass.
+replacement there, and runs tier-1 without the three files that compare
+with a second copy of the engine's formulas or with its recorded output:
+``test_engine_properties.py`` (which imports ``reference_engine.py``),
+``test_cli.py`` (which reads the golden reports) and
+``test_golden_pools.py`` (which reads the benchmark's golden reports). A
+mutant survives when those tests still pass.
 
 ``known_survivors.json`` lists the mutants that are known to survive. The
 run fails (exit 1):
@@ -37,7 +39,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SURVIVORS = HERE / "known_survivors.json"
 TARGET = Path("src/locclab/protocol.py")
-EXCLUDED = ("tests/test_engine_properties.py", "tests/test_cli.py")
+EXCLUDED = ("tests/test_engine_properties.py", "tests/test_cli.py", "tests/test_golden_pools.py")
 
 
 def run_tests(text: str) -> bool:

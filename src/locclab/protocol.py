@@ -31,17 +31,23 @@ at the root moves the entropies past the 1e-12 agreement.
 Every round is a ``ProtocolStep``, one (R, K, d, d) operator stack, rows
 with fewer outcomes padded with zero operators, and a level is expanded
 in one batched pass over it: each node's row is found from its label
-path, one dict lookup in ``ProtocolStep.row_of``, each node's operators
-are gathered with one fancy index, and all (node, outcome, member)
-products K V come from one matmul on the acting party's index. A
-``StepChooser`` (a scenario's ``chooser``) gives its steps as they are.
-Any other chooser, a Mapping or a callable, and a ``StepChooser`` past
-its last step, is adapted by ``_adapted`` once per level: it is asked
-once per node in level order, each answer's party and size are checked,
-and the answers become a step with no default and one override row per
-node path. A level keeps each node's parent and outcome index; its label
-paths are built from the level above when read, which ``run_protocol``
-does for every level but the leaves.
+path, one dict lookup in ``ProtocolStep.row_of``, and each node's
+operators are gathered with one fancy index. Every product K V of a node,
+for all its outcomes and members, comes from one (K d) x d by
+d x (M d' r) matmul, d the acting party's dimension and d' the other's:
+the node's K operators stacked as rows, times its factors with the acting
+party's index first and the members and the other party's index side by
+side as columns. The factors are tiny (d = 2 in most trees), so the cost
+is per-call overhead, and one product per node makes K M times fewer
+calls than one per (outcome, member). A ``StepChooser`` (a scenario's
+``chooser``) gives its steps as they are. Any other chooser, a Mapping
+or a callable, and a ``StepChooser`` past its last step, is adapted by
+``_adapted`` once per level: it is asked once per node in level order,
+each answer's type, party and size are checked, and the answers become a
+step with no default and one override row per node path. A level keeps
+each node's parent and outcome index; its label paths are built from the
+level above when read, which ``run_protocol`` does for every level but
+the leaves.
 Every node follows the rules of the one-node update (a depth-1
 ``run_protocol``): member weights are ||K V||_F^2, posteriors follow
 Bayes' rule, a hypothesis whose outcome weight is at most _RESIDUE_CUT
@@ -64,9 +70,10 @@ node's entropies and average marginals in one pass; each level's means
 are then entries of per-level arrays. Each spectrum takes one of three
 routes:
 
-- pure members (r = 1) of a 2x2 system: no member Gram is built. A
+- pure members (r = 1) of a 2x2 system: no member Gram is built. Every
   member's marginal spectrum, shared by both sides, comes from the
-  determinant of its 2x2 coefficient matrix;
+  determinant of its 2x2 coefficient matrix, and the members that do not
+  count are zeroed afterwards;
 - every other 2x2 marginal, average marginals included: the closed-form
   2x2 solve inside ``von_neumann_entropies``;
 - larger marginals: one stacked LAPACK ``eigvalsh`` per (tree, side) and
@@ -93,6 +100,7 @@ import numpy as np
 from .entropy import (
     BipartiteEnsemble,
     SpectralEnsemble,
+    _ones,
     entanglements,
     shannon_entropies,
     von_neumann_entropies,
@@ -297,6 +305,8 @@ class ProtocolStep:
         path, and every instrument is a ``KrausInstrument`` on ``party``."""
         if instrument is not None and not isinstance(instrument, KrausInstrument):
             raise ValueError(f"default instrument {instrument!r} is not a KrausInstrument")
+        if not isinstance(overrides, Mapping):
+            raise ValueError(f"overrides must be a history -> instrument mapping, got {type(overrides).__name__}")
         for history, chosen in overrides.items():
             if not isinstance(history, tuple) or not all(isinstance(label, str) and label for label in history):
                 raise ValueError(f"override history {history!r} is not a tuple of nonempty str labels")
@@ -532,23 +542,29 @@ def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
     return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=root, outcome=root.copy())
 
 
+# Per party, the axes that bring its index of a level's factors, split as
+# (N, M, dim_a, dim_b, r), to the front of each node's, and the axes that
+# put it back in place in the product (N, K, d, M, d', r).
+_PARTY_AXES = {"A": ((0, 2, 1, 3, 4), (0, 1, 3, 2, 4, 5)), "B": ((0, 3, 1, 2, 4), (0, 1, 3, 4, 2, 5))}
+
+
 def _expand(level: TreeLevel, step: ProtocolStep, rows: np.ndarray, dims: tuple[int, int]) -> TreeLevel:
     """Children of every node of a level, measured by ``step``: ``rows[n]``
     is the row of ``step.ops`` that measures node n."""
     dim_a, dim_b = dims
     _check_size(step.party, step.ops.shape[-1], dim_a if step.party == "A" else dim_b)
     ops = step.ops[rows]
-    width = step.ops.shape[1]
+    n, width, local, _ = ops.shape
 
     # (N, K, M, D, r): K (x) I or I (x) K applied to every member factor of
-    # every node under every outcome; padded outcomes stay zero.
-    n, m, dim, r = level.factors.shape
-    split = level.factors.reshape(n, 1, m, dim_a, dim_b, r)
-    if step.party == "A":
-        moved = ops[:, :, None] @ split.reshape(n, 1, m, dim_a, dim_b * r)
-    else:
-        moved = ops[:, :, None, None] @ split
-    moved = moved.reshape(n, width, m, dim, r)
+    # every node under every outcome, as one (K d) x d by d x (M d' r)
+    # product per node: the acting party's index first, the members and the
+    # other party's index side by side. Padded outcomes stay zero.
+    m, dim, r = level.factors.shape[1:]
+    first, back = _PARTY_AXES[step.party]
+    side = level.factors.reshape(n, m, dim_a, dim_b, r).transpose(first).reshape(n, local, -1)
+    product = ops.reshape(n, width * local, local) @ side
+    moved = product.reshape(n, width, local, m, dim // local, r).transpose(back).reshape(n, width, m, dim, r)
     # Checked before the keep-prior rule, which would hide a NaN weight.
     if not np.isfinite(moved).all():
         raise ValueError("non-finite posterior state")
@@ -583,17 +599,18 @@ def _pure_qubit_marginals(factors: np.ndarray, counted: np.ndarray) -> np.ndarra
     No member marginal is built. A member's marginal spectrum is the same on
     both sides, (t +- sqrt(t^2 - 4 |det psi|^2)) / 2 with psi its 2x2
     coefficient matrix and t = ||psi||_F^2; the small root is written as
-    2 |det psi|^2 / (t + sqrt(...)). Members that ``counted`` leaves out
-    get 0.
+    2 |det psi|^2 / (t + sqrt(...)). Every member is solved and those that
+    ``counted`` leaves out are set to 0 afterwards: a gather of the counted
+    ones would cost more than the few it skips, and every factor has unit
+    norm, so no row of the solve is 0/0. t is a matvec over psi's four
+    entries, not a length-4 reduction.
     """
-    n, m = counted.shape
-    kept = factors.reshape(n, m, 2, 2)[counted]
-    t = np.einsum("kij,kij->k", kept, kept.conj()).real
-    det = np.abs(kept[:, 0, 0] * kept[:, 1, 1] - kept[:, 0, 1] * kept[:, 1, 0]) ** 2
+    psi = factors.reshape(-1, 4)
+    t = (psi.real**2 + psi.imag**2) @ _ones(4)
+    det = np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]) ** 2
     upper = t + np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
-    member = np.zeros((n, m))
-    member[counted] = shannon_entropies(np.stack([2.0 * det / upper, 0.5 * upper], axis=-1))
-    return member
+    member = shannon_entropies(np.stack([2.0 * det / upper, 0.5 * upper], axis=-1))
+    return np.where(counted, member.reshape(counted.shape), 0.0)
 
 
 def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStats:
@@ -716,9 +733,9 @@ class ProtocolTranscript:
 
 def _adapted(chooser, level: TreeLevel, k: int, dims: tuple[int, int]) -> ProtocolStep:
     """Round ``k`` from a Mapping or a callable ``chooser``, asked once per
-    node of ``level`` in level order; each answer's party is checked as it
-    comes and every size once all have come. The step has no default and
-    one override row per node path."""
+    node of ``level`` in level order; each answer's type and party are
+    checked as it comes and every size once all have come. The step has no
+    default and one override row per node path."""
     lookup = chooser if callable(chooser) else chooser.__getitem__
     instruments: list[KrausInstrument] = []
     for path in level.paths:
@@ -726,6 +743,8 @@ def _adapted(chooser, level: TreeLevel, k: int, dims: tuple[int, int]) -> Protoc
             instrument = lookup(path)
         except KeyError:
             raise ValueError(f"chooser undefined for history {path!r}") from None
+        if not isinstance(instrument, KrausInstrument):
+            raise ValueError(f"chooser answer for history {path!r}: {instrument!r} is not a KrausInstrument")
         if instruments and instrument.party != instruments[0].party:
             raise ValueError(
                 f"round {k}: party {instrument.party!r} conflicts with "

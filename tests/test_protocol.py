@@ -519,8 +519,26 @@ TRINE_KRAUS = [np.diag([0.6**0.5, 0.0]), np.diag([0.0, 0.7**0.5]), np.diag([0.4*
             2,
             "round 2: party 'B' conflicts with 'A' chosen on another branch",
         ),
+        (lambda history: None, 1, "chooser answer for history (): None is not a KrausInstrument"),
+        ({(): None}, 1, "chooser answer for history (): None is not a KrausInstrument"),
+        (lambda history: "x", 1, "chooser answer for history (): 'x' is not a KrausInstrument"),
+        # Round 2 asks ("+",) first; its answer is named before ("-",) is asked.
+        (
+            {(): x_instrument("A"), ("+",): None},
+            2,
+            "chooser answer for history ('+',): None is not a KrausInstrument",
+        ),
     ],
-    ids=["negative_depth", "undefined_history", "wrong_size", "conflict_before_gap"],
+    ids=[
+        "negative_depth",
+        "undefined_history",
+        "wrong_size",
+        "conflict_before_gap",
+        "callable_answers_none",
+        "mapping_answers_none",
+        "callable_answers_str",
+        "answer_below_the_root",
+    ],
 )
 def test_run_protocol_rejection_message(chooser, depth, message):
     with pytest.raises(ValueError) as excinfo:
@@ -752,8 +770,15 @@ class TestStepRules:
             (EYE_A[2], {("0",): None}, "override for history ('0',): None is not a KrausInstrument"),
             (EYE_A[2], {("0",): EYE_A[3]}, "step on A: default of size 2, overrides of size 3"),
             (None, {("0",): EYE_A[2], ("1",): EYE_A[3]}, "instruments of one step differ in size: [2, 3]"),
+            (None, [(("0",), EYE_A[2])], "overrides must be a history -> instrument mapping, got list"),
         ],
-        ids=["default_not_an_instrument", "override_not_an_instrument", "default_and_override_sizes", "override_sizes"],
+        ids=[
+            "default_not_an_instrument",
+            "override_not_an_instrument",
+            "default_and_override_sizes",
+            "override_sizes",
+            "overrides_not_a_mapping",
+        ],
     )
     def test_a_step_rejects_what_it_cannot_stack(self, default, overrides, message):
         with pytest.raises(ValueError) as exc:
@@ -777,3 +802,85 @@ class TestIdentity:
         a, b = build(), build()
         assert (a == b) is False and (a == a) is True
         assert {a: 1, b: 2}[a] == 1
+
+
+def random_kraus(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` Kraus operators on ``dim`` with sum K^dagger K = I: the
+    blocks of a random (count * dim) x dim isometry."""
+    z = rng.standard_normal((count * dim, dim)) + 1j * rng.standard_normal((count * dim, dim))
+    return np.linalg.qr(z)[0].reshape(count, dim, dim)
+
+
+def dense_children(level, step, rows, dims) -> list[tuple[int, int, float, np.ndarray, np.ndarray]]:
+    """(parent, outcome, probability, posterior weights, posterior states) of
+    each surviving child, from dense matrices alone: K (x) I or I (x) K
+    applied to each member's V V^dagger, one outcome of the row's own at a
+    time, in (node, outcome) order. A member of outcome weight at most the
+    residue cut keeps its prior state; outcomes below PRUNE_TOL are pruned."""
+    dim_a, dim_b = dims
+    children = []
+    for n, row in enumerate(rows):
+        priors = [v @ v.conj().T for v in level.factors[n]]
+        outcomes = []
+        for k, op in enumerate(step.ops[row, : len(step.labels[row])]):
+            full = np.kron(op, np.eye(dim_b)) if step.party == "A" else np.kron(np.eye(dim_a), op)
+            moved = [full @ rho @ full.conj().T for rho in priors]
+            weight = np.array([np.trace(sigma).real for sigma in moved])
+            states = [
+                sigma / w if w > protocol_module._RESIDUE_CUT else rho for sigma, w, rho in zip(moved, weight, priors)
+            ]
+            joint = level.q[n] * weight
+            outcomes.append((k, joint.sum(), joint / joint.sum(), np.array(states)))
+        kept = [outcome for outcome in outcomes if outcome[1] >= protocol_module.PRUNE_TOL]
+        total = sum(p for _, p, _, _ in kept)
+        children += [(n, k, level.prob[n] * p / total, q, states) for k, p, q, states in kept]
+    return children
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)], ids=["2x3", "3x2", "3x3"])
+def test_expand_matches_dense_kraus_products(dims, party):
+    """``_expand``'s one product per node against the dense oracle. Three
+    nodes of three mixed (rank-2) members: node 0 is measured by a
+    projective override in the computational basis, node 1 by a 2-outcome
+    Kraus default and node 2 by a 4-outcome Kraus override, so the rows of
+    the 4-wide stack are zero-padded. Node 0's member 0 lives on the acting
+    party's |0>, so it has weight 0 under every other outcome there and
+    keeps its prior state."""
+    rng = np.random.default_rng([dims[0], dims[1], ord(party)])
+    dim_a, dim_b = dims
+    local = dims["AB".index(party)]
+    n, m, r = 3, 3, 2
+    factors = rng.standard_normal((n, m, dim_a, dim_b, r)) + 1j * rng.standard_normal((n, m, dim_a, dim_b, r))
+    if party == "A":
+        factors[0, 0, 1:] = 0.0
+    else:
+        factors[0, 0, :, 1:] = 0.0
+    factors /= np.sqrt((np.abs(factors) ** 2).sum(axis=(2, 3, 4), keepdims=True))
+    level = protocol_module.TreeLevel(
+        prob=rng.dirichlet(np.ones(n)),
+        q=rng.dirichlet(np.ones(m), size=n),
+        factors=factors.reshape(n, m, dim_a * dim_b, r),
+        parent=np.zeros(n, dtype=int),
+        outcome=np.arange(n),
+    )
+    default = KrausInstrument(party, tuple(zip("xy", random_kraus(rng, local, 2))))
+    overrides = {
+        ("p",): KrausInstrument.projective(party, np.eye(local)),
+        ("k",): KrausInstrument(party, tuple(zip("abcd", random_kraus(rng, local, 4)))),
+    }
+    step = ProtocolStep(party, default, overrides)
+    rows = np.array([step.row_of(path) for path in (("p",), ("z",), ("k",))])
+    assert rows.tolist() == [1, 0, 2] and step.ops.shape[1] == 4
+
+    children = protocol_module._expand(level, step, rows, dims)
+    expected = dense_children(level, step, rows, dims)
+    assert [(parent, k) for parent, k, *_ in expected] == list(zip(children.parent, children.outcome))
+    # Node 0 keeps every outcome of its basis, and member 0 is certain of outcome 0.
+    assert [k for parent, k, *_ in expected if parent == 0] == list(range(local))
+    assert all(q[0] == 0.0 for parent, k, _, q, _ in expected if parent == 0 and k > 0)
+    posteriors = children.factors @ children.factors.conj().swapaxes(-1, -2)
+    for i, (parent, k, prob, q, states) in enumerate(expected):
+        assert children.prob[i] == pytest.approx(prob, abs=1e-12)
+        np.testing.assert_allclose(children.q[i], q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(posteriors[i], states, rtol=0, atol=1e-12)
