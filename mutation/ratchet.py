@@ -1,4 +1,6 @@
-"""Mutation ratchet for the bound suite, the round audit and the tree expansion.
+"""Mutation ratchet for ``locclab.protocol``: the bound suite, the round
+audit, the tree expansion, the rows a ``StepChooser`` reads and the
+argument checks of ``run_protocol`` and ``_outcome_labels``.
 
 Each mutant in ``mutants.json`` is one exact text replacement in
 ``src/locclab/protocol.py``. For each one this script copies ``src/``,

@@ -115,6 +115,10 @@ PRUNE_TOL = 1e-12
 _RESIDUE_CUT = 1e-14
 
 
+class ScenarioError(ValueError):
+    """Malformed scenario content; message names the offending field."""
+
+
 def _other(party: str) -> str:
     return "B" if party == "A" else "A"
 
@@ -177,7 +181,11 @@ class KrausInstrument:
         if kets.ndim != 2 or kets.shape[0] != kets.shape[1]:
             raise ValueError(f"projective basis must be square, got {kets.shape}")
         stack = kets[None]
-        projectors, (names,) = _projective_stack(party, stack, [None if labels is None else tuple(map(str, labels))])
+        try:
+            names = None if labels is None else tuple(map(str, labels))
+        except TypeError:
+            names = labels  # not iterable: ``_outcome_labels`` names it after the basis checks
+        projectors, (names,) = _projective_stack(party, stack, [names])
         return _checked_instrument(party, names, projectors[0], stack[0])
 
 
@@ -191,8 +199,14 @@ def _checked_instrument(
 
 
 def _outcome_labels(labels, count: int) -> tuple:
-    """One label per outcome of ``count``, as a tuple; "0".."K-1" if ``labels`` is None."""
-    labels = tuple(str(i) for i in range(count)) if labels is None else tuple(labels)
+    """One label per outcome of ``count``, as a tuple; "0".."K-1" if ``labels``
+    is None. ``labels`` must be iterable."""
+    if labels is None:
+        return tuple(str(i) for i in range(count))
+    try:
+        labels = tuple(labels)
+    except TypeError:
+        raise ValueError(f"labels must be a sequence of outcome labels, got {type(labels).__name__}") from None
     if len(labels) != count:
         raise ValueError(f"{len(labels)} labels for {count} outcomes")
     return labels
@@ -280,11 +294,10 @@ class ProtocolStep:
     the order the file or the ``overrides`` mapping gives them. A row of
     fewer than K outcomes is padded with zero operators; a step with no
     default has a zero row 0 whose ``labels`` entry is empty. ``labels[r]``
-    names row r's outcomes, and ``kets[r]`` holds a projective row's basis
-    kets (None for a Kraus row). ``row_of`` finds a history's row.
-
-    Instruments are built from their rows when read, once: ``instrument``,
-    ``overrides`` and ``instrument_for`` return the same objects. Steps
+    names row r's outcomes, so row r's operators are
+    ``ops[r, :len(labels[r])]``, and ``kets[r]`` holds a projective row's
+    basis kets (None for a Kraus row). ``row_of`` finds a history's row.
+    The rows are the step's only form: no instrument is kept. Steps
     compare by identity.
     """
 
@@ -315,8 +328,7 @@ class ProtocolStep:
         for chosen in (instrument, *overrides.values()):
             if chosen is not None and chosen.party != party:
                 raise ValueError(f"step on {party}: instrument on {chosen.party}")
-        instruments = list(overrides.values())
-        self._store(party, instrument, *_stack_instruments(instruments), tuple(overrides), instruments)
+        self._store(party, instrument, *_stack_instruments(list(overrides.values())), tuple(overrides))
 
     @classmethod
     def _stacked(
@@ -330,13 +342,12 @@ class ProtocolStep:
     ) -> "ProtocolStep":
         """The step of ``default`` and the overrides of ``histories``: ``ops``
         (H, K, d, d), row h naming its outcomes ``labels[h]`` and holding the
-        basis ``kets[h]`` (None: Kraus). Each override row builds its
-        instrument when first read."""
+        basis ``kets[h]`` (None: Kraus)."""
         step = object.__new__(cls)
-        step._store(party, default, ops, labels, kets, tuple(histories), None)
+        step._store(party, default, ops, labels, kets, tuple(histories))
         return step
 
-    def _store(self, party, default, ops, labels, kets, histories, instruments) -> None:
+    def _store(self, party, default, ops, labels, kets, histories) -> None:
         """Stack ``default`` above the override rows ``ops``; the dataclass is
         frozen. A step must measure some history: with no default it needs
         an override."""
@@ -361,7 +372,6 @@ class ProtocolStep:
             labels=(() if default is None else default.labels, *labels),
             histories=histories,
             _kets=(None if default is None else default.kets, kets),
-            _instruments=[default, *(instruments or [None] * rows)],
         )
 
     @cached_property
@@ -380,29 +390,6 @@ class ProtocolStep:
         """The row that measures ``history``: its override, else 0."""
         return self._rows.get(history, 0)
 
-    def _row(self, row: int) -> KrausInstrument | None:
-        """Row ``row``'s instrument, built on first use; None for an absent default."""
-        instrument = self._instruments[row]
-        if instrument is None and self.labels[row]:
-            count = len(self.labels[row])
-            instrument = _checked_instrument(self.party, self.labels[row], self.ops[row, :count], self.kets[row])
-            self._instruments[row] = instrument
-        return instrument
-
-    @property
-    def instrument(self) -> KrausInstrument | None:
-        """The default instrument, or None."""
-        return self._row(0)
-
-    @cached_property
-    def overrides(self) -> dict[tuple[str, ...], KrausInstrument]:
-        """history -> override instrument, in row order."""
-        return {history: self._row(row) for row, history in enumerate(self.histories, 1)}
-
-    def instrument_for(self, history: tuple[str, ...]) -> KrausInstrument | None:
-        """The override for ``history``, else the default; None at a gap."""
-        return self._row(self.row_of(history))
-
 
 def _stack_instruments(instruments: list[KrausInstrument]) -> tuple[np.ndarray, list, list]:
     """(H, K, d, d) operators, zero-padded to the widest, with each
@@ -418,16 +405,20 @@ def _stack_instruments(instruments: list[KrausInstrument]) -> tuple[np.ndarray, 
     return ops, [instrument.labels for instrument in instruments], [instrument.kets for instrument in instruments]
 
 
+def _gap(history: tuple[str, ...]) -> ScenarioError:
+    """The error of a history that its step covers with no instrument."""
+    return ScenarioError(f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}")
+
+
 class StepChooser:
     """The chooser of a sequence of ``ProtocolStep``s: history -> instrument.
 
     ``run_protocol`` reads the steps' stacks instead of calling it, each
-    node's row found from its path by ``ProtocolStep.row_of``. A history past
+    node's row found from its path by ``ProtocolStep.row_of``. A call finds
+    the row the same way and builds a new instrument from it. A history past
     the last step is a KeyError, and a history that its step covers with no
-    instrument raises ``gap(history)``, an ``error``.
+    instrument (a row with no labels) a ScenarioError that names the step.
     """
-
-    error = ValueError
 
     def __init__(self, steps: Sequence[ProtocolStep]):
         self.steps = tuple(steps)
@@ -435,13 +426,12 @@ class StepChooser:
     def __call__(self, history: tuple[str, ...]) -> KrausInstrument:
         if len(history) >= len(self.steps):
             raise KeyError(history)
-        instrument = self.steps[len(history)].instrument_for(history)
-        if instrument is None:
-            raise self.gap(history)
-        return instrument
-
-    def gap(self, history: tuple[str, ...]) -> Exception:
-        return self.error(f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}")
+        step = self.steps[len(history)]
+        row = step.row_of(history)
+        labels = step.labels[row]
+        if not labels:
+            raise _gap(history)
+        return _checked_instrument(step.party, labels, step.ops[row, : len(labels)], step.kets[row])
 
 
 def _gram(factors: np.ndarray) -> np.ndarray:
@@ -524,6 +514,12 @@ class TreeStats:
     average_entropy: dict[str, np.ndarray]  # side -> (L,) mean of S(sum_x q_x rho_x^side)
     # side -> level k's (N_k, d, d) sum_x q_x rho_x^side, read-only views of one stack
     average_marginals: dict[str, tuple[np.ndarray, ...]]
+
+
+def _require_ensemble(ensemble, caller: str) -> None:
+    """The ensemble of every tree is a ``BipartiteEnsemble`` or a ``SpectralEnsemble``."""
+    if not isinstance(ensemble, (BipartiteEnsemble, SpectralEnsemble)):
+        raise ValueError(f"{caller} needs a BipartiteEnsemble or a SpectralEnsemble, got {type(ensemble).__name__}")
 
 
 def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
@@ -724,11 +720,8 @@ class ProtocolTranscript:
     def root(self) -> ProtocolNode:
         return ProtocolNode(self, 0, 0)
 
-    def nodes_at(self, depth: int) -> list[ProtocolNode]:
-        return [ProtocolNode(self, depth, i) for i in range(len(self.levels[depth].prob))]
-
     def leaves(self) -> list[ProtocolNode]:
-        return self.nodes_at(self.depth)
+        return [ProtocolNode(self, self.depth, i) for i in range(len(self.levels[-1].prob))]
 
 
 def _adapted(chooser, level: TreeLevel, k: int, dims: tuple[int, int]) -> ProtocolStep:
@@ -775,6 +768,11 @@ def run_protocol(
     (any other chooser, and a ``StepChooser`` past its last step). Each
     node's row is found from its path by ``ProtocolStep.row_of``.
     """
+    _require_ensemble(ensemble, "run_protocol")
+    if not (callable(chooser) or isinstance(chooser, Mapping)):
+        raise ValueError(f"chooser must be a StepChooser, a Mapping or a callable, got {type(chooser).__name__}")
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     dims = (ensemble.dim_a, ensemble.dim_b)
@@ -786,7 +784,7 @@ def run_protocol(
         step = next(steps, None) or _adapted(chooser, level, k, dims)
         rows = list(map(step.row_of, level.paths))
         if not step.labels[0] and 0 in rows:
-            raise chooser.gap(level.paths[rows.index(0)])
+            raise _gap(level.paths[rows.index(0)])
         round_parties.append(step.party)
         levels.append(_expand(level, step, np.array(rows), dims))
     return ProtocolTranscript(
@@ -832,8 +830,7 @@ def entropy_summary(ensemble: BipartiteEnsemble | SpectralEnsemble) -> dict[str,
     orthonormal and pure, so S is the root's H(weights) and equals the
     Holevo quantity; no D x D matrix is solved.
     """
-    if not isinstance(ensemble, (BipartiteEnsemble, SpectralEnsemble)):
-        raise ValueError("entropy_summary needs a BipartiteEnsemble or a SpectralEnsemble")
+    _require_ensemble(ensemble, "entropy_summary")
     root = _root_level(ensemble)
     stats = _level_stats((root,), (ensemble.dim_a, ensemble.dim_b))
     if isinstance(ensemble, SpectralEnsemble):

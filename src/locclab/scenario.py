@@ -28,12 +28,12 @@ key that a file's object repeats and a ``schema`` other than SCHEMA are
 rejected, so a misspelt or repeated field is never read as its default or
 as its last value. ``random_scenario`` builds its typed ``Scenario``
 straight from the stacks it draws. Outcome labels belong to the
-instrument, which gives an absent list its default "0".."K-1"; the key
-check, the dump and the generator read its ``labels``. A projective
-instrument keeps the kets it was built from, and the dump writes them
-back; any other instrument is dumped as its Kraus operators. Parsing
-keeps every number as written (``validate_density`` checks a matrix and
-never rewrites it), so dump -> parse -> dump is byte-stable.
+instrument, which gives an absent list its default "0".."K-1", and then
+to its step row; the key check, the dump and the generator read the rows'
+``labels``. A projective row keeps the kets it was built from, and the
+dump writes them back; any other row is dumped as its Kraus operators.
+Parsing keeps every number as written (``validate_density`` checks a
+matrix and never rewrites it), so dump -> parse -> dump is byte-stable.
 
 A step is held as one ``ProtocolStep`` operator stack: its default
 instrument in row 0 and one row per override, in table order. An override
@@ -53,9 +53,9 @@ of the instrument measuring it) takes one dict lookup. A ``Scenario``
 built in memory walks its steps' histories as they are and keeps the
 steps it is given; the parser and the generator, whose histories are
 walked or reachable by construction, skip it. Every scenario's stacks
-are read alike, each node's row found from its path. Instruments are
-built from the rows only for readers that ask for them:
-``Scenario.chooser``, ``ProtocolStep.overrides`` and the dump.
+are read alike, each node's row found from its path. The rows are a
+step's only form: the dump writes each row from its labels, kets and
+operators, and only a call of ``Scenario.chooser`` builds an instrument.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .linalg import DensityOperator, _require_dims, _require_party, pure_state_d
 from .protocol import (
     KrausInstrument,
     ProtocolStep,
+    ScenarioError,
     StepChooser,
     _check_size,
     _outcome_labels,
@@ -100,10 +101,6 @@ _KIND_FIELDS = {
     "random": ("dims", "random"),
 }
 _SCENARIO_FIELDS = tuple(sorted({*_COMMON_FIELDS, *itertools.chain.from_iterable(_KIND_FIELDS.values())}))
-
-
-class ScenarioError(ValueError):
-    """Malformed scenario content; message names the offending field."""
 
 
 def _fail(path: str, message: str):
@@ -242,18 +239,12 @@ class RandomSpec:
 _Known = dict[tuple[str, ...], tuple[str, ...]]
 
 
-class _ScenarioChooser(StepChooser):
-    """A scenario's chooser: a gap in the file is a ScenarioError that names
-    the step, and ``cli.run_scenario`` puts the file's path before it."""
-
-    error = ScenarioError
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Parsed scenario; ``dump_scenario`` gives its canonical JSON form.
-    Scenarios compare by identity. One built in memory must reach every
-    override history of its steps; ``_checked_scenario`` skips that check."""
+    Scenarios compare by identity. One built in memory takes a tuple of
+    ``ProtocolStep`` and must reach every override history of its steps;
+    ``_checked_scenario`` skips these checks."""
 
     kind: str
     name: str
@@ -265,19 +256,23 @@ class Scenario:
     random: RandomSpec | None
 
     def __post_init__(self):
+        if not isinstance(self.steps, tuple):
+            _fail("steps", f"expected a tuple of ProtocolStep, got {type(self.steps).__name__}")
         steps: list[ProtocolStep] = []
         known: _Known = {(): ()}
         for i, step in enumerate(self.steps):
+            if not isinstance(step, ProtocolStep):
+                _fail(f"steps[{i}]", f"{step!r} is not a ProtocolStep")
             for history in step.histories:
                 _check_history(history, steps, f"protocol[{i}]", known)
             _add_step(steps, known, step)
 
     @cached_property
     def chooser(self) -> StepChooser:
-        """``ProtocolStep.instrument_for`` of the step after a history, as a
-        ``StepChooser`` whose stacks ``run_protocol`` reads; KeyError past
-        the last step, and a ScenarioError naming the step at a gap."""
-        return _ScenarioChooser(self.steps)
+        """The ``StepChooser`` of the steps, whose stacks ``run_protocol``
+        reads; a call builds the instrument of a history's row, with a
+        KeyError past the last step and a ScenarioError at a gap."""
+        return StepChooser(self.steps)
 
     @property
     def depth(self) -> int:
@@ -316,10 +311,12 @@ def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument
     return instrument
 
 
-def _instrument_payload(instrument: KrausInstrument) -> dict:
-    if instrument.kets is not None:
-        return {"labels": list(instrument.labels), "projective": _to_pairs(instrument.kets)}
-    return {"labels": list(instrument.labels), "kraus": _to_pairs(instrument.ops)}
+def _row_payload(step: ProtocolStep, row: int) -> dict:
+    """Row ``row`` of ``step`` as an instrument object, without its padding."""
+    labels = step.labels[row]
+    if step.kets[row] is not None:
+        return {"labels": list(labels), "projective": _to_pairs(step.kets[row])}
+    return {"labels": list(labels), "kraus": _to_pairs(step.ops[row, : len(labels)])}
 
 
 def _parse_projective_table(table: dict, party: str, dim: int) -> tuple[np.ndarray, list, np.ndarray] | None:
@@ -571,9 +568,9 @@ def _canonical_payload(s: Scenario) -> dict:
         payload["protocol"] = [
             {
                 "party": step.party,
-                "instrument": None if step.instrument is None else _instrument_payload(step.instrument),
+                "instrument": _row_payload(step, 0) if step.labels[0] else None,
                 "overrides": {
-                    ",".join(history): _instrument_payload(instr) for history, instr in step.overrides.items()
+                    ",".join(history): _row_payload(step, row) for row, history in enumerate(step.histories, 1)
                 },
             }
             for step in s.steps

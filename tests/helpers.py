@@ -5,10 +5,12 @@ import numpy as np
 from locclab import (
     BipartiteEnsemble,
     DensityOperator,
+    KrausInstrument,
     SpectralEnsemble,
     pure_state_density,
     validate_density,
 )
+from locclab.protocol import ProtocolStep
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -192,6 +194,40 @@ def marginal_entropy_oracle(ensemble: BipartiteEnsemble) -> dict[str, float]:
         )
         for side in "AB"
     }
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    # Unlike array_equal, tells -0.0 from 0.0.
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_same_step(new: ProtocolStep, old: ProtocolStep) -> None:
+    """Two steps hold the same rows: party, histories and labels, and the
+    bits of ``ops`` and of each row's ``kets`` (None on both for Kraus).
+    Rows are matched by history, so the overrides may come in any order."""
+    assert new.party == old.party
+    assert sorted(new.histories) == sorted(old.histories)
+    assert new.ops.shape == old.ops.shape
+    for row, ref in [(0, 0), *((new.row_of(history), r) for r, history in enumerate(old.histories, 1))]:
+        assert new.labels[row] == old.labels[ref]
+        assert_same_bits(new.ops[row], old.ops[ref])
+        assert (new.kets[row] is None) == (old.kets[ref] is None)
+        if old.kets[ref] is not None:
+            assert_same_bits(new.kets[row], old.kets[ref])
+
+
+def row_instruments(step: ProtocolStep) -> tuple[KrausInstrument | None, dict]:
+    """A step's default (None if it has none) and its history -> override
+    mapping in row order, each row rebuilt by the public constructors."""
+
+    def rebuilt(row: int) -> KrausInstrument:
+        labels = step.labels[row]
+        if step.kets[row] is not None:
+            return KrausInstrument.projective(step.party, step.kets[row], labels)
+        return KrausInstrument(party=step.party, outcomes=tuple(zip(labels, step.ops[row, : len(labels)])))
+
+    default = rebuilt(0) if step.labels[0] else None
+    return default, {history: rebuilt(row) for row, history in enumerate(step.histories, 1)}
 
 
 def flat_mutual_information(transcript) -> float:

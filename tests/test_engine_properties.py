@@ -134,14 +134,17 @@ def assert_reports_agree(new, old):
 def assert_transcripts_agree(new, old):
     assert new.depth == old.depth
     assert new.round_parties == old.round_parties
-    for level in range(old.depth + 1):
-        new_nodes, old_nodes = new.nodes_at(level), old.nodes_at(level)
-        assert [n.path for n in new_nodes] == [n.path for n in old_nodes]
-        for n, o in zip(new_nodes, old_nodes):
-            assert abs(n.probability - o.probability) <= TOL
+    dims = (new.root_ensemble.dim_a, new.root_ensemble.dim_b)
+    for level, arrays in enumerate(new.levels):
+        old_nodes = old.nodes_at(level)
+        assert list(arrays.paths) == [o.path for o in old_nodes]
+        below = new.levels[level + 1] if level < new.depth else None
+        for i, o in enumerate(old_nodes):
+            assert abs(float(arrays.prob[i]) - o.probability) <= TOL
             assert o.party == (new.round_parties[level - 1] if level else None)
-            assert [c.path for c in n.children] == [c.path for c in o.children]
-            for (p, a), (q, b) in zip(n.ensemble.members, o.ensemble.members):
+            children = [] if below is None else [below.paths[c] for c in np.flatnonzero(below.parent == i)]
+            assert children == [c.path for c in o.children]
+            for (p, a), (q, b) in zip(arrays.ensemble(i, *dims).members, o.ensemble.members):
                 assert abs(p - q) <= TOL
                 np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=TOL)
 
@@ -187,7 +190,7 @@ def test_uneven_outcome_counts_within_a_level(seed, depth):
         seed, (2, 2), parties_for(seed, depth), "kraus", outcome_count=lambda h: 2 + int(h[-1]) % 2 if h else 3
     )
     transcript = compare_engines(ensemble, chooser, depth)
-    assert {len(chooser(node.path).outcomes) for node in transcript.nodes_at(1)} == {2, 3}
+    assert {len(chooser(path).outcomes) for path in transcript.levels[1].paths} == {2, 3}
 
 
 @PROPERTY
@@ -226,8 +229,8 @@ def test_pruned_outcomes(seed, depth, mixed):
     ensemble = (mixed_ensemble if mixed else pure_ensemble)(rng, 3, (2, 2))
     chooser = make_chooser(seed, (2, 2), parties_for(seed, depth), "kraus", zero_outcome=True)
     transcript = compare_engines(ensemble, chooser, depth)
-    attempted = sum(len(chooser(n.path).outcomes) for k in range(depth) for n in transcript.nodes_at(k))
-    kept = sum(len(transcript.nodes_at(k)) for k in range(1, depth + 1))
+    attempted = sum(len(chooser(path).outcomes) for level in transcript.levels[:-1] for path in level.paths)
+    kept = sum(len(level.prob) for level in transcript.levels[1:])
     assert kept < attempted
 
 

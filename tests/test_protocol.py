@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from locclab import (
     run_protocol,
 )
 from locclab import protocol as protocol_module
-from locclab.scenario import ProtocolStep, Scenario, parse_scenario, random_scenario
+from locclab.scenario import ProtocolStep, Scenario, dump_scenario, parse_scenario, random_scenario
 
 from helpers import (
     KET_MINUS,
@@ -27,9 +28,12 @@ from helpers import (
     PSI_PLUS,
     X_BASIS,
     Z_BASIS,
+    assert_same_bits,
+    assert_same_step,
     bell,
     flat_mutual_information,
     random_pure_ensemble,
+    row_instruments,
 )
 
 
@@ -197,9 +201,10 @@ class TestKrausInstrument:
             lambda: KrausInstrument(party="A", outcomes=(("0", P0), ("1", P1))),
             lambda: KrausInstrument(party="A", outcomes=((0, P0), (1, P1))),
             lambda: x_instrument("B"),
-            lambda: random_scenario(3, protocol_depth=2).steps[1].overrides[("1",)],
+            lambda: KrausInstrument.projective("A", np.eye(2), labels=[0, 1]),
+            lambda: random_scenario(3, protocol_depth=2).chooser(("1",)),
         ],
-        ids=["kraus", "kraus_int_labels", "projective", "projective_stack"],
+        ids=["kraus", "kraus_int_labels", "projective", "projective_int_labels", "projective_stack"],
     )
     def test_outcomes_are_views_of_one_stack(self, build):
         # The engine reads ops; the labelled outcomes must be its operators.
@@ -528,6 +533,14 @@ TRINE_KRAUS = [np.diag([0.6**0.5, 0.0]), np.diag([0.0, 0.7**0.5]), np.diag([0.4*
             2,
             "chooser answer for history ('+',): None is not a KrausInstrument",
         ),
+        # Each of these raised a raw AttributeError or TypeError before
+        # run_protocol checked the chooser's form and the depth's type.
+        (None, 1, "chooser must be a StepChooser, a Mapping or a callable, got NoneType"),
+        ([z_instrument("A")], 1, "chooser must be a StepChooser, a Mapping or a callable, got list"),
+        ({(): z_instrument("A")}, "1", "depth must be an integer, got '1'"),
+        ({(): z_instrument("A")}, None, "depth must be an integer, got None"),
+        ({(): z_instrument("A")}, 1.0, "depth must be an integer, got 1.0"),
+        ({(): z_instrument("A")}, True, "depth must be an integer, got True"),
     ],
     ids=[
         "negative_depth",
@@ -538,12 +551,31 @@ TRINE_KRAUS = [np.diag([0.6**0.5, 0.0]), np.diag([0.0, 0.7**0.5]), np.diag([0.4*
         "mapping_answers_none",
         "callable_answers_str",
         "answer_below_the_root",
+        "chooser_none",
+        "chooser_list",
+        "depth_str",
+        "depth_none",
+        "depth_float",
+        "depth_bool",
     ],
 )
 def test_run_protocol_rejection_message(chooser, depth, message):
     with pytest.raises(ValueError) as excinfo:
         run_protocol(phi_mixture(), chooser, depth)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("ensemble", [None, [(1.0, bell(PHI_PLUS))]], ids=["none", "list_of_pairs"])
+def test_run_protocol_shares_the_ensemble_check(ensemble):
+    # Raised AttributeError: ... 'dim_a' before; entropy_summary's check now
+    # serves both entry points.
+    expected = f"needs a BipartiteEnsemble or a SpectralEnsemble, got {type(ensemble).__name__}"
+    with pytest.raises(ValueError) as excinfo:
+        run_protocol(ensemble, {}, 0)
+    assert str(excinfo.value) == f"run_protocol {expected}"
+    with pytest.raises(ValueError) as excinfo:
+        entropy_summary(ensemble)
+    assert str(excinfo.value) == f"entropy_summary {expected}"
 
 
 def pairs(matrix) -> list:
@@ -581,6 +613,29 @@ def mixed_width_scenario(overridden=("a", "c")):
     }
 
 
+def rebuilt_step(step: ProtocolStep, reverse: bool = False) -> ProtocolStep:
+    """``step`` built in memory from its rows, its overrides reversed if ``reverse``."""
+    default, overrides = row_instruments(step)
+    return ProtocolStep(step.party, default, dict(reversed(overrides.items())) if reverse else overrides)
+
+
+def padded_kraus_scenario() -> dict:
+    """``mixed_width_scenario`` with X on 'a' alone and two more padded Kraus
+    rows: round 2 measures history 'b' with a 2-outcome Kraus override
+    beside its 3-outcome Kraus default, which 'c' reaches, and round 3
+    measures 'a,+' with the 3-outcome Kraus instrument beside 2-outcome
+    projective rows."""
+    data = mixed_width_scenario(("a",))
+    weak = {"labels": ["w", "s"], "kraus": [pairs(np.diag([1.0, 0.6])), pairs(np.diag([0.0, 0.8]))]}
+    kraus = data["protocol"][0]["instrument"]
+    data["protocol"][1]["overrides"]["b"] = weak
+    last = data["protocol"][2]["overrides"]
+    for label in "abc":
+        del last[f"b,{label}"]
+    last.update({"b,w": kraus, "b,s": last["a,-"], "a,+": kraus})
+    return data
+
+
 def no_adapted_calls(monkeypatch):
     """Make run_protocol fail if it asks a chooser per node."""
 
@@ -608,10 +663,7 @@ class TestChooserForms:
         # overrides in reversed order, so its rows are in another order.
         rebuilt = Scenario(
             kind="protocol", name="rebuilt", dim_a=2, dim_b=2, ensemble=scenario.ensemble, bell=None, random=None,
-            steps=tuple(
-                ProtocolStep(step.party, step.instrument, dict(reversed(step.overrides.items())))
-                for step in scenario.steps
-            ),
+            steps=tuple(rebuilt_step(step, reverse=True) for step in scenario.steps),
         )
         # The chooser shares one instrument object between nodes; a table of
         # distinct but equal copies gives each node its own.
@@ -656,10 +708,11 @@ class TestChooserForms:
         assert transcript.levels[-1].paths == (("1",) * 69 + ("+",), ("1",) * 69 + ("-",))
 
     def test_a_scenario_built_in_memory_reads_its_stacks(self, monkeypatch):
-        # The Scenario keeps the steps it is given, rows in the given order,
-        # with every instrument object.
+        # The Scenario keeps the steps it is given, rows in the given order.
+        # Built from its rows in their own order, a step is the parsed step
+        # bit for bit.
         parsed = parse_scenario(mixed_width_scenario())
-        built = [ProtocolStep(step.party, step.instrument, dict(reversed(step.overrides.items()))) for step in parsed.steps]
+        built = [rebuilt_step(step, reverse=True) for step in parsed.steps]
         scenario = Scenario(
             kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=parsed.ensemble, steps=tuple(built),
             bell=None, random=None,
@@ -667,8 +720,8 @@ class TestChooserForms:
         for i, ref in enumerate(parsed.steps):
             assert scenario.steps[i] is built[i]
             assert scenario.steps[i].histories == ref.histories[::-1]
-        for key, instrument in built[2].overrides.items():
-            assert scenario.chooser(key) is instrument
+            assert scenario.steps[i].labels == (ref.labels[0], *ref.labels[:0:-1])
+            assert_same_step(rebuilt_step(ref), ref)
         reference = run_protocol(parsed.ensemble, parsed.chooser, parsed.depth)
         no_adapted_calls(monkeypatch)
         transcript = run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
@@ -679,7 +732,8 @@ class TestChooserForms:
     def test_a_scenario_built_in_memory_names_an_unreached_override(self):
         parsed = parse_scenario(mixed_width_scenario())
         first, second, third = parsed.steps
-        overrides = {**third.overrides, ("a", "c"): third.overrides[("a", "+")]}
+        _, overrides = row_instruments(third)
+        overrides[("a", "c")] = overrides[("a", "+")]
         with pytest.raises(ScenarioError) as exc:
             Scenario(
                 kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=parsed.ensemble,
@@ -727,6 +781,43 @@ class TestChooserForms:
         no_adapted_calls(monkeypatch)
         transcript = run_protocol(scenario.ensemble, scenario.chooser, depth)
         assert transcript.levels[-1].paths == (("u",) * depth,)
+
+
+class TestRowReads:
+    """A step's rows are its only form: the chooser and the dump read them."""
+
+    def test_the_chooser_builds_a_padded_row_without_its_padding(self):
+        scenario = parse_scenario(padded_kraus_scenario())
+        second, third = scenario.steps[1:]
+        assert (second.ops.shape[:2], third.ops.shape[1]) == ((3, 3), 3)
+        for step, histories in ((second, [("a",), ("b",), ("c",)]), (third, third.histories)):
+            for history in histories:
+                row = step.row_of(history)
+                count = len(step.labels[row])
+                chosen = scenario.chooser(history)
+                # len(outcomes) is what perfbench's tree counts read.
+                assert (chosen.party, chosen.labels, len(chosen.outcomes)) == (step.party, step.labels[row], count)
+                assert_same_bits(chosen.ops, step.ops[row, :count])
+                if step.kets[row] is None:
+                    assert chosen.kets is None
+                else:
+                    assert_same_bits(chosen.kets, step.kets[row])
+        # 'b' takes its 2-outcome Kraus override and 'c' the 3-outcome default.
+        assert [scenario.chooser((label,)).labels for label in "abc"] == [("+", "-"), ("w", "s"), ("a", "b", "c")]
+
+    @pytest.mark.parametrize("build", [mixed_width_scenario, padded_kraus_scenario], ids=["mixed", "padded_kraus"])
+    def test_padded_rows_dump_and_parse_byte_for_byte(self, build):
+        scenario = parse_scenario(build())
+        text = dump_scenario(scenario)
+        again = parse_scenario(json.loads(text))
+        assert dump_scenario(again) == text
+        for step, ref in zip(again.steps, scenario.steps, strict=True):
+            assert_same_step(step, ref)
+        # Each row is written with one operator or ket per label.
+        for step in json.loads(text)["protocol"]:
+            for instrument in filter(None, [step["instrument"], *step["overrides"].values()]):
+                operators = instrument["kraus"] if "kraus" in instrument else instrument["projective"]
+                assert len(operators) == len(instrument["labels"])
 
 
 # Projective instruments on A of each size.

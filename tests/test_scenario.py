@@ -35,7 +35,7 @@ from locclab import scenario as scenario_module
 from locclab.linalg import block_eigvalsh
 from locclab.scenario import ProtocolStep, Scenario
 
-from helpers import PHI_PLUS, bell, json_mismatches
+from helpers import PHI_PLUS, assert_same_bits, assert_same_step, bell, json_mismatches
 from reference_scenario import reference_random_scenario
 
 GOLDEN_DUMPS = Path(__file__).parent / "golden" / "dump"
@@ -281,6 +281,11 @@ class TestOverrideKeys:
         with pytest.raises(ScenarioError) as exc:
             run_protocol(scenario.ensemble, scenario.chooser, scenario.depth)
         assert str(exc.value) == "protocol[1]: no instrument for history '1'"
+        # The chooser reads the same row, whose labels are empty.
+        with pytest.raises(ScenarioError) as exc:
+            scenario.chooser(("1",))
+        assert str(exc.value) == "protocol[1]: no instrument for history '1'"
+        assert scenario.chooser(("0",)).labels == ("0", "1")
 
     def test_history_past_the_last_step(self):
         # A KeyError, which run_protocol reports as an undefined chooser.
@@ -453,13 +458,12 @@ class TestBatchedOverrideParse:
         edit(data["protocol"][2]["overrides"])
         assert parse_error(data) == message
 
-    def test_valid_table_matches_entry_parse(self):
+    def test_valid_table_matches_entry_parse(self, monkeypatch):
         data = adaptive_table()
-        scenario = parse_scenario(data)
-        step = data["protocol"][2]
-        for key, instrument in scenario.steps[2].overrides.items():
-            single = parse_scenario(protocol([{"party": "A", "instrument": step["overrides"][",".join(key)]}]))
-            assert_same_instrument(instrument, single.steps[0].instrument)
+        batched = parse_scenario(data)
+        monkeypatch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        for step, ref in zip(batched.steps, parse_scenario(data).steps, strict=True):
+            assert_same_step(step, ref)
 
     def test_integer_too_large_for_a_float(self):
         data = adaptive_table()
@@ -472,9 +476,9 @@ class TestBatchedOverrideParse:
     def test_mixed_kraus_and_projective_step(self):
         data = adaptive_table()
         data["protocol"][2]["overrides"]["0,1"] = {"labels": ["0", "1"], "kraus": Z_KRAUS}
-        overrides = parse_scenario(data).steps[2].overrides
-        assert overrides[("0", "1")].kets is None
-        assert all(overrides[key].kets is not None for key in (("0", "0"), ("1", "0"), ("1", "1")))
+        step = parse_scenario(data).steps[2]
+        assert step.kets[step.row_of(("0", "1"))] is None
+        assert all(step.kets[step.row_of(key)] is not None for key in (("0", "0"), ("1", "0"), ("1", "1")))
 
 
 def set_label(index, suffix):
@@ -753,8 +757,8 @@ class TestInstrumentSize:
         data = protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z3, "1": Z3}}])
         data["dims"] = [2, 3]
         data["ensemble"] = [{"probability": 1.0, "vector": [[1, 0]] + [[0, 0]] * 5}]
-        overrides = parse_scenario(data).steps[1].overrides
-        assert [(instrument.dim, instrument.kets.shape) for instrument in overrides.values()] == [(3, (3, 3))] * 2
+        step = parse_scenario(data).steps[1]
+        assert (step.ops.shape[-1], [kets.shape for kets in step.kets[1:]]) == (3, [(3, 3)] * 2)
         data["protocol"][0]["party"] = "B"
         assert parse_error(data) == (
             "s.protocol[0].instrument: dimension mismatch: instrument on B has size 2, party dimension is 3"
@@ -807,14 +811,7 @@ def test_instruments_survive_dump_and_parse_exactly(build):
         again = parse_scenario(json.loads(text))
         assert dump_scenario(again) == text
         for step, ref in zip(again.steps, scenario.steps, strict=True):
-            assert step.party == ref.party
-            assert (step.instrument is None) == (ref.instrument is None)
-            if ref.instrument is not None:
-                assert_same_instrument(step.instrument, ref.instrument)
-            assert step.overrides.keys() == ref.overrides.keys()
-            for key, instrument in step.overrides.items():
-                assert_same_instrument(instrument, ref.overrides[key])
-                assert again.chooser(key) is instrument
+            assert_same_step(step, ref)
 
 
 class TestCanonicalDump:
@@ -881,22 +878,9 @@ class TestCanonicalDump:
         scenario = random_scenario(4, n_members=2, protocol_depth=2)
         dumped = json.loads(dump_scenario(scenario))
         for step, payload in zip(scenario.steps, dumped["protocol"]):
-            for key, instrument in step.overrides.items():
+            for row, key in enumerate(step.histories, 1):
                 kets = np.array(payload["overrides"][",".join(key)]["projective"]) @ [1, 1j]
-                assert np.array_equal(kets, instrument.kets)
-
-
-def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
-    # Unlike array_equal, tells -0.0 from 0.0.
-    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-
-
-def assert_same_instrument(new: KrausInstrument, old: KrausInstrument) -> None:
-    assert new.party == old.party
-    assert_same_bits(new.kets, old.kets)
-    assert [label for label, _ in new.outcomes] == [label for label, _ in old.outcomes]
-    for (_, a), (_, b) in zip(new.outcomes, old.outcomes, strict=True):
-        assert_same_bits(a, b)
+                assert np.array_equal(kets, step.kets[row])
 
 
 class TestTypedGenerator:
@@ -910,14 +894,9 @@ class TestTypedGenerator:
                 assert p == q
                 assert np.array_equal(state.matrix, ref.matrix)
             assert len(new.steps) == len(old.steps)
-            for step, ref in zip(new.steps, old.steps):
-                assert step.party == ref.party
-                assert (step.instrument is None) == (ref.instrument is None)
-                if step.instrument is not None:
-                    assert_same_instrument(step.instrument, ref.instrument)
-                assert list(step.overrides) == list(ref.overrides)
-                for key, instrument in step.overrides.items():
-                    assert_same_instrument(instrument, ref.overrides[key])
+            for step, ref in zip(new.steps, old.steps, strict=True):
+                assert step.histories == ref.histories
+                assert_same_step(step, ref)
 
 
     @pytest.mark.parametrize(
@@ -987,6 +966,13 @@ def z_steps() -> dict:
 
 def two_overrides() -> dict:
     return protocol([{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0": Z, "1": Z}}])
+
+
+def scenario_of_steps(steps) -> Scenario:
+    return Scenario(
+        kind="protocol", name="steps", dim_a=2, dim_b=2, ensemble=BipartiteEnsemble(((1.0, bell(PHI_PLUS)),)),
+        steps=steps, bell=None, random=None,
+    )
 
 
 def bell_file(d: int, probs) -> dict:
@@ -1061,6 +1047,12 @@ def bell_file(d: int, probs) -> dict:
             ScenarioError,
             "s.protocol[1].overrides['1'].labels[1]: expected a string, got list",
         ),
+        # The batch read declines a number label; the entry parse names it.
+        (
+            edited(two_overrides, lambda d: d["protocol"][1]["overrides"]["1"].update(labels=["0", 1])),
+            ScenarioError,
+            "s.protocol[1].overrides['1'].labels[1]: expected a string, got int",
+        ),
         (
             edited(lambda: RANDOM_SWEEP, lambda d: d["random"].update(instrument_family="haar")),
             ScenarioError,
@@ -1110,14 +1102,27 @@ def bell_file(d: int, probs) -> dict:
             "materialize_random needs a random-kind scenario",
         ),
         (lambda: bundled_scenario_path("missing.json"), FileNotFoundError, "no bundled scenario 'missing.json'"),
+        # The in-memory API: each raised a raw error before its checker took
+        # the rule, given in the comment.
+        # TypeError: 'NoneType' object is not iterable
+        (lambda: scenario_of_steps(None), ScenarioError, "steps: expected a tuple of ProtocolStep, got NoneType"),
+        # AttributeError: 'str' object has no attribute 'histories'
+        (lambda: scenario_of_steps(("x",)), ScenarioError, "steps[0]: 'x' is not a ProtocolStep"),
+        # TypeError: 'int' object is not iterable
+        (
+            lambda: KrausInstrument.projective("A", np.eye(2), labels=5),
+            ValueError,
+            "labels must be a sequence of outcome labels, got int",
+        ),
     ],
     ids=[
         "member_not_object", "complex_triple", "kraus_label_count", "empty_label", "instrument_without_operators",
         "empty_ensemble", "member_without_state", "member_norm", "weight_sum", "negative_weight", "dims_count",
         "dims_nonpositive", "empty_protocol", "step_without_instrument", "labels_not_a_list", "unhashable_labels",
+        "numeric_label",
         "instrument_family", "random_dims", "range_bool", "range_float", "range_empty", "range_minimum", "bell_d",
         "bell_weight_count", "bell_negative_weight", "bell_weight_sum", "materialize_non_random",
-        "missing_bundled_scenario",
+        "missing_bundled_scenario", "steps_none", "step_not_a_step", "labels_int",
     ],
 )
 def test_rejection_names_the_field(call, error, message):
