@@ -1,11 +1,14 @@
-"""Mutation ratchet for ``locclab.protocol``: the bound suite, the round
-audit, the tree expansion, the rows a ``StepChooser`` reads and the
-argument checks of ``run_protocol`` and ``_outcome_labels``.
+"""Mutation ratchet for ``locclab.protocol`` and the zero band and purity
+rule of ``locclab.entropy``: the bound suite, the round audit, the tree
+expansion and its prune edge, the rows a ``StepChooser`` reads, the
+argument checks of ``run_protocol`` and ``_outcome_labels``, the weight
+floor, the Shannon zero rule and the purity judged at unit trace.
 
-Each mutant in ``mutants.json`` is one exact text replacement in
-``src/locclab/protocol.py``. For each one this script copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
-replacement there, and runs tier-1 without the three files that compare
+Each mutant in ``mutants.json`` is one exact text replacement in one file
+of ``src/locclab/``: the file its ``file`` names, ``protocol.py`` when it
+names none. For each one this script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the replacement
+there, and runs tier-1 without the three files that compare
 with a second copy of the engine's formulas or with its recorded output:
 ``test_engine_properties.py`` (which imports ``reference_engine.py``),
 ``test_cli.py`` (which reads the golden reports) and
@@ -40,19 +43,28 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SURVIVORS = HERE / "known_survivors.json"
-TARGET = Path("src/locclab/protocol.py")
+PACKAGE = Path("src/locclab")
+DEFAULT_FILE = "protocol.py"
 EXCLUDED = ("tests/test_engine_properties.py", "tests/test_cli.py", "tests/test_golden_pools.py")
 
 
-def run_tests(text: str) -> bool:
-    """True when the tests pass on a copy of the tree whose TARGET holds ``text``."""
+def target(mutant: dict) -> Path:
+    """The file a mutant replaces text in, relative to the repository root."""
+    return PACKAGE / mutant.get("file", DEFAULT_FILE)
+
+
+def run_tests(mutant: dict | None = None) -> bool:
+    """True when the tests pass on a copy of the tree, with ``mutant``'s
+    replacement applied to the copy when one is given."""
     with tempfile.TemporaryDirectory(prefix="ratchet-") as work:
         work = Path(work)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
-        (work / TARGET).write_text(text, encoding="utf-8")
+        if mutant is not None:
+            path = work / target(mutant)
+            path.write_text(path.read_text(encoding="utf-8").replace(mutant["old"], mutant["new"]), encoding="utf-8")
         # No bytecode is written, so no stale .pyc can stand in for the
         # mutated source.
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -67,21 +79,20 @@ def run_tests(text: str) -> bool:
 def main() -> int:
     mutants = json.loads((HERE / "mutants.json").read_text(encoding="utf-8"))
     known = set(json.loads(SURVIVORS.read_text(encoding="utf-8")))
-    source = (ROOT / TARGET).read_text(encoding="utf-8")
 
     for mutant in mutants:
-        count = source.count(mutant["old"])
+        count = (ROOT / target(mutant)).read_text(encoding="utf-8").count(mutant["old"])
         if count != 1:
-            sys.exit(f"mutant {mutant['id']}: old text found {count} times in {TARGET}, not once")
+            sys.exit(f"mutant {mutant['id']}: old text found {count} times in {target(mutant)}, not once")
     started = time.perf_counter()
-    if not run_tests(source):
+    if not run_tests():
         sys.exit("the unmutated tree fails the tests; no mutant can be judged")
     print(f"unmutated tree passes ({time.perf_counter() - started:.1f} s)")
 
     survivors = set()
     for mutant in mutants:
         started = time.perf_counter()
-        survived = run_tests(source.replace(mutant["old"], mutant["new"]))
+        survived = run_tests(mutant)
         if survived:
             survivors.add(mutant["id"])
         print(f"mutant {mutant['id']}: {'SURVIVED' if survived else 'killed'} ({time.perf_counter() - started:.1f} s)")

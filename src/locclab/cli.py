@@ -21,8 +21,8 @@ lines. ``COMMANDS`` and the argparse choices come from the table.
 scenario file sets none, and the entanglement measure follows each state
 (``entropy.entanglements``). ``bounds-verify`` checks a Bell-diagonal
 state's one leaf, the state itself, by the engine's measurability rule
-from its purity sum_k p_k^2 before building any ensemble, naming the
-file's ``bell`` field.
+from its purity at unit trace, sum_k p_k^2 / (sum_k p_k)^2, before
+building any ensemble, naming the file's ``bell`` field.
 
 Exit codes: 0 success, 1 at least one failed check, 2 input or usage error
 (an input error names the file: one that cannot be read, one that cannot
@@ -59,8 +59,11 @@ from .linalg import DensityOperator, _frozen
 from .protocol import audit_rounds, bound_suite, chain_mutual_information, entropy_summary, run_protocol
 from .scenario import Scenario, ScenarioError, _at, load_scenario, materialize_random
 
+# A bound or audit slack of at least -tol passes; the default of --tol.
 DEFAULT_SLACK_TOL = 1e-7
+# A round leaves the distant party's conditional average state unchanged when no entry moves more than this.
 MARGINAL_DEVIATION_TOL = 1e-9
+# A Bell-diagonal report's generic bounds agree with their closed forms within this.
 AGREEMENT_TOL = 1e-7
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
 # Per-round audit checks, report key -> comparison: a slack must be >= -tol,
@@ -221,7 +224,8 @@ def run_scenario(path, command: str, seed: int = 0, trials: int = 1, tol: float 
     scenario = load_scenario(path)
     if command == "bounds-verify" and scenario.bell is not None:
         with _at(f"{path}.bell"):
-            _require_measurable([sum(p * p for p in scenario.bell.probs)], scenario.dim_a, scenario.dim_b)
+            probs = scenario.bell.probs
+            _require_measurable([sum(p * p for p in probs)], [sum(probs)], scenario.dim_a, scenario.dim_b)
 
     if scenario.kind == "random":
         # Built as each trial runs, so that only one is held at a time.

@@ -24,22 +24,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import SpectralEnsemble, _require_weights, is_ppt, shannon_entropy
-from .linalg import PARTIES, DensityOperator
+from .linalg import PARTIES, DensityOperator, _require_integer
 from .protocol import _level_stats, _root_level
 
-# Below this the denominator of the partial-distinguishing constraint is
-# degenerate (pure product input) and the bound imposes nothing.
+# An entropy sum S + mean local entropy below this, in bits, is zero: the partial bound is vacuous.
+# Not the zero band ZERO_EIGENVALUE, which judges a probability.
 _VACUOUS_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class BellDiagonalSpec:
-    """Mixing weights over the d^2 generalized Bell states of a d x d system."""
+    """Mixing weights over the d^2 generalized Bell states of a d x d system:
+    ``d`` an integer (a bool is not one), ``probs`` a tuple, a list or a
+    1-d array of d^2 weights under the weight rule of
+    ``entropy._require_weights``."""
 
     d: int
     probs: tuple[float, ...]
 
     def __post_init__(self):
+        _require_integer(self.d, "d")
+        if not isinstance(self.probs, (tuple, list)) and np.ndim(self.probs) != 1:
+            raise ValueError(f"probs must be a sequence of weights, got {type(self.probs).__name__}")
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         probs = tuple(float(p) for p in self.probs)
@@ -155,7 +161,7 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
     """Assemble the full report for one state.
 
     The state is solved generically, Bell diagonal or not, and its kept
-    weights must sum to 1 within WEIGHT_SUM_TOL. When ``spec`` is given the
+    weights must sum to 1 within DEFAULT_TOL. When ``spec`` is given the
     state is understood as Bell diagonal and the closed forms are attached
     alongside the generic values; otherwise they are None, as are the
     partial bound and keep fraction of a pure product state.

@@ -3,7 +3,9 @@
 All logarithms are base 2; every quantity is in bits. ``shannon_entropies``
 owns the zero rule of every entropy, spectra and the Wootters h(x) alike:
 an entry at or below ZERO_EIGENVALUE counts as an exact zero, so rounding
-noise never produces -inf terms.
+noise never produces -inf terms. That one zero band also bounds a weight
+from below and drops an eigenvalue from a spectral root and an outcome
+from a protocol round.
 
 The weight rule of every ensemble, Bell spec and Shannon entropy lives in
 ``_require_weights``, and the measurability rule (pure, or mixed on 2x2)
@@ -24,6 +26,7 @@ from .linalg import (
     DensityOperator,
     _require_hermitian,
     _require_no_negative,
+    _require_state,
     block_eigvalsh,
     hermitian_eig,
     hermitize,
@@ -31,10 +34,10 @@ from .linalg import (
     partial_transpose,
 )
 
+# A weight, an eigenvalue or an outcome probability within this of zero is zero.
 ZERO_EIGENVALUE = 1e-12
+# A unit-trace state of purity within this of one is pure; it picks the measure, so it is not DEFAULT_TOL.
 PURITY_TOL = 1e-9
-NEGATIVE_WEIGHT_TOL = 1e-12
-WEIGHT_SUM_TOL = 1e-9
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -51,18 +54,18 @@ def _ones(count: int) -> np.ndarray:
 
 def _require_weights(weights) -> np.ndarray:
     """``weights`` as a float array, each row of a stack (..., M) checked:
-    no weight below -NEGATIVE_WEIGHT_TOL (named by its last-axis index) and
-    a sum within WEIGHT_SUM_TOL of one, the test that a NaN fails."""
+    no weight below -ZERO_EIGENVALUE (named by its last-axis index) and
+    a sum within DEFAULT_TOL of one, the test that a NaN fails."""
     weights = np.asarray(weights, dtype=float)
-    if not weights.min(initial=0.0) >= -NEGATIVE_WEIGHT_TOL:
-        negative = weights < -NEGATIVE_WEIGHT_TOL
+    if not weights.min(initial=0.0) >= -ZERO_EIGENVALUE:
+        negative = weights < -ZERO_EIGENVALUE
         if negative.any():
             at = np.unravel_index(negative.argmax(), weights.shape)
             raise ValueError(f"negative weight {float(weights[at])!r} at index {at[-1]}")
     total = weights @ _ones(weights.shape[-1])
     deviation = np.abs(total - 1.0)
-    if not deviation.max(initial=0.0) <= WEIGHT_SUM_TOL:
-        raise ValueError(f"weights sum to {float(np.extract(~(deviation <= WEIGHT_SUM_TOL), total)[0])!r}, not 1")
+    if not deviation.max(initial=0.0) <= DEFAULT_TOL:
+        raise ValueError(f"weights sum to {float(np.extract(~(deviation <= DEFAULT_TOL), total)[0])!r}, not 1")
     return weights
 
 
@@ -70,9 +73,10 @@ def _require_weights(weights) -> np.ndarray:
 class BipartiteEnsemble:
     """Weighted list of bipartite states sharing the same dimensions.
 
-    Probabilities must be nonnegative and sum to one within WEIGHT_SUM_TOL;
+    Probabilities must be nonnegative and sum to one within DEFAULT_TOL;
     members with probability zero are allowed (they arise as impossible
-    hypotheses in post-measurement ensembles).
+    hypotheses in post-measurement ensembles). Every member must be a
+    ``DensityOperator``.
     """
 
     members: tuple[tuple[float, DensityOperator], ...]
@@ -82,11 +86,12 @@ class BipartiteEnsemble:
             raise ValueError("ensemble needs at least one member")
         members = tuple((float(p), state) for p, state in self.members)
         _require_weights([p for p, _ in members])
-        dim_a, dim_b = members[0][1].dim_a, members[0][1].dim_b
+        first = members[0][1]
         for i, (_, state) in enumerate(members):
-            if (state.dim_a, state.dim_b) != (dim_a, dim_b):
+            _require_state(state, f"member {i}")
+            if (state.dim_a, state.dim_b) != (first.dim_a, first.dim_b):
                 raise ValueError(
-                    f"member {i}: dims ({state.dim_a}, {state.dim_b}) differ from ({dim_a}, {dim_b})"
+                    f"member {i}: dims ({state.dim_a}, {state.dim_b}) differ from ({first.dim_a}, {first.dim_b})"
                 )
         object.__setattr__(self, "members", members)
 
@@ -116,7 +121,7 @@ class SpectralEnsemble:
     ``weights`` (M,) are the eigenvalues above ZERO_EIGENVALUE in
     descending order (a stable sort) and ``kets`` (M, D) their orthonormal
     eigenvectors, both read-only; the kept weights must sum to 1 within
-    WEIGHT_SUM_TOL. A degenerate cluster has one weight, the mean
+    DEFAULT_TOL. A degenerate cluster has one weight, the mean
     ``hermitian_eig`` gives it, and keeps the ``_cluster_basis`` order, so
     the order of its kets never follows rounding in the solver.
     ``degenerate`` flags two kept weights within DEGENERATE_GAP, where the
@@ -132,6 +137,7 @@ class SpectralEnsemble:
     dim_b: int
 
     def __init__(self, rho: DensityOperator):
+        _require_state(rho, "rho")
         spectrum = hermitian_eig(rho.matrix)
         kept = np.flatnonzero(spectrum.eigenvalues > ZERO_EIGENVALUE)
         kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
@@ -151,11 +157,11 @@ def shannon_entropies(probabilities) -> np.ndarray:
     """-sum p log2 p over the last axis of a stack of probability vectors.
 
     Every row must pass the weight rule of an ensemble (``_require_weights``);
-    0 log 0 := 0, with entries below ZERO_EIGENVALUE counted as zeros. The
-    rows are short (two entries for a qubit spectrum) and many, so the row
-    sums here and in ``_require_weights`` are one matvec with the ones
-    vector of ``_ones``: a reduction over a short last axis costs an order
-    of magnitude more per row.
+    0 log 0 := 0, with entries at or below ZERO_EIGENVALUE counted as
+    zeros. The rows are short (two entries for a qubit spectrum) and many,
+    so the row sums here and in ``_require_weights`` are one matvec with the
+    ones vector of ``_ones``: a reduction over a short last axis costs an
+    order of magnitude more per row.
     """
     p = _require_weights(probabilities)
     return -(p * np.log2(np.where(p > ZERO_EIGENVALUE, p, 1.0))) @ _ones(p.shape[-1])
@@ -235,10 +241,12 @@ def concurrences(matrices) -> np.ndarray:
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def _require_measurable(purity, dim_a: int, dim_b: int) -> np.ndarray:
-    """Which states of purity tr(rho^2) are pure (within PURITY_TOL of one);
-    ValueError if one is mixed outside 2x2, where it has no measure."""
-    pure = np.asarray(purity) >= 1.0 - PURITY_TOL
+def _require_measurable(purity, trace, dim_a: int, dim_b: int) -> np.ndarray:
+    """Which states of purity tr(rho^2) and trace tr(rho) are pure: the
+    state scaled to unit trace, of purity tr(rho^2) / tr(rho)^2, within
+    PURITY_TOL of one. ValueError if one is mixed outside 2x2, where it has
+    no measure."""
+    pure = np.asarray(purity) / np.asarray(trace) ** 2 >= 1.0 - PURITY_TOL
     if not pure.all() and (dim_a, dim_b) != (2, 2):
         raise ValueError(
             f"measure unavailable: mixed state with dims ({dim_a}, {dim_b}); "
@@ -250,16 +258,16 @@ def _require_measurable(purity, dim_a: int, dim_b: int) -> np.ndarray:
 def entanglements(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     """Entanglement in bits of each state in a stack (N, D, D) of density matrices.
 
-    The measure follows the state. A state whose purity tr(rho^2) is within
-    PURITY_TOL of one is pure and gets, in any dimensions, the entropy of
-    entanglement S(tr_B rho). A mixed two-qubit state gets the Wootters
-    entanglement of formation h((1 + sqrt(1 - C^2))/2), with C its
-    concurrence. A mixed state of any other dimensions has no measure and
+    The measure follows the state. A state whose purity at unit trace,
+    tr(rho^2) / tr(rho)^2, is within PURITY_TOL of one is pure and gets, in
+    any dimensions, the entropy of entanglement S(tr_B rho). A mixed
+    two-qubit state gets the Wootters entanglement of formation
+    h((1 + sqrt(1 - C^2))/2), with C its concurrence. A mixed state of any other dimensions has no measure and
     raises ValueError (``_require_measurable``). ``bound_suite``'s average
     input and output entanglement take their values from here.
     """
     mats = np.asarray(matrices, dtype=complex)
-    pure = _require_measurable(purities(mats), dim_a, dim_b)
+    pure = _require_measurable(purities(mats), np.einsum("...ii->...", mats).real, dim_a, dim_b)
     out = np.zeros(len(mats))
     if pure.any():
         out[pure] = von_neumann_entropies(partial_trace(mats[pure], "A", (dim_a, dim_b)))

@@ -28,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# A total that must be one (a trace, a weight sum, sum K^dagger K) is one within this: the state rule's slack.
 DEFAULT_TOL = 1e-9
+# Two eigenvalues of one matrix closer than this are one degenerate cluster.
 DEGENERATE_GAP = 1e-10
-# Largest |norm - 1| of a state vector before it is renormalized.
+# A state vector's norm is one within this; the vector is then renormalized.
 NORM_TOL = 1e-6
-
-# Gram-Schmidt candidates below this norm are skipped; unit vectors in
-# dimension <= 64 always leave a candidate of norm >= 1/8, so the basis
-# of a degenerate cluster is always completed.
+# A Gram-Schmidt residual at or below this is dependent (unit vectors in dim <= 64 leave one >= 1/8).
 _GS_KEEP = 1e-7
+# An eigenvector component above this in modulus can carry the column's phase.
 _PHASE_EPS = 1e-8
 
 PARTIES = ("A", "B")
@@ -44,7 +44,11 @@ PARTIES = ("A", "B")
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A validated bipartite density matrix with fixed subsystem dimensions."""
+    """A bipartite density matrix with fixed subsystem dimensions.
+
+    ``validate_density`` and ``pure_state_density`` are its checked
+    constructors; a direct build runs no check of the matrix.
+    """
 
     dim_a: int
     dim_b: int
@@ -100,6 +104,17 @@ def _require_no_negative(values: np.ndarray) -> None:
     if not values.min(initial=0.0) >= -DEFAULT_TOL:
         lowest = values[..., 0]
         raise ValueError(f"negative eigenvalue {np.extract(~(lowest >= -DEFAULT_TOL), lowest)[0]:.3e}")
+
+
+def _require_state(state, name: str) -> None:
+    if not isinstance(state, DensityOperator):
+        raise ValueError(f"{name} must be a DensityOperator, got {type(state).__name__}")
+
+
+def _require_integer(value, name: str) -> None:
+    """``value`` is an integer, a bool not counted as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_dims(dim_a: int, dim_b: int) -> None:

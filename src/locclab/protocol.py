@@ -25,8 +25,8 @@ are their own factors (r = 1, no eigensolve). A ``BipartiteEnsemble``'s
 members are factored by one stacked ``eigh``: V = U sqrt(Lambda) over the
 eigenvalues above _RESIDUE_CUT, padded with zero columns to the largest
 rank r and renormalized. The cut, the keep-prior rule's below too, sits at
-rounding level, not at DEFAULT_TOL: a genuine eigenvalue of 1e-12 dropped
-at the root moves the entropies past the 1e-12 agreement.
+rounding level, below the zero band ZERO_EIGENVALUE: a genuine eigenvalue
+of 1e-12 dropped at the root moves the entropies past the 1e-12 agreement.
 
 Every round is a ``ProtocolStep``, one (R, K, d, d) operator stack, rows
 with fewer outcomes padded with zero operators, and a level is expanded
@@ -51,9 +51,10 @@ the leaves.
 Every node follows the rules of the one-node update (a depth-1
 ``run_protocol``): member weights are ||K V||_F^2, posteriors follow
 Bayes' rule, a hypothesis whose outcome weight is at most _RESIDUE_CUT
-keeps its prior state, outcomes below PRUNE_TOL are pruned (a padded
-outcome has weight zero) and the survivors renormalized, and a node that
-loses every outcome is an error. A posterior factor is K V / ||K V||_F,
+keeps its prior state, outcomes at or below ZERO_EIGENVALUE, the zero
+band of ``locclab.entropy``, are pruned (a padded outcome has weight zero)
+and the survivors renormalized, and a node that loses every outcome is an
+error. A posterior factor is K V / ||K V||_F,
 so its state is PSD with unit trace by construction; the only check left
 on it is that every entry of K V is finite.
 
@@ -98,6 +99,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .entropy import (
+    ZERO_EIGENVALUE,
     BipartiteEnsemble,
     SpectralEnsemble,
     _ones,
@@ -105,13 +107,10 @@ from .entropy import (
     shannon_entropies,
     von_neumann_entropies,
 )
-from .linalg import DEFAULT_TOL, PARTIES, DensityOperator, _require_finite, _require_party
+from .linalg import DEFAULT_TOL, PARTIES, DensityOperator, _require_finite, _require_integer, _require_party
 
-PRUNE_TOL = 1e-12
-# A share of a unit-trace member at or below this is rounding residue and
-# counts as zero: at the root an eigenvalue, which leaves the member's
-# factor (a pure member's spurious ones stay below 1e-15); in a round an
-# outcome weight ||K V||^2, whose hypothesis keeps its prior state (0/0).
+# A member's own share at or below this is rounding residue: a root eigenvalue, or an outcome weight ||K V||^2.
+# Below the zero band on purpose: a genuine eigenvalue of 1e-12 stays in its member's factor.
 _RESIDUE_CUT = 1e-14
 
 
@@ -254,7 +253,7 @@ def _check_size(party: str, size: int, local_dim: int) -> None:
         raise ValueError(f"dimension mismatch: instrument on {party} has size {size}, party dimension is {local_dim}")
 
 
-# Largest entry of |<k_i|k_j> - delta_ij| that a projective basis may have.
+# A projective basis is orthonormal when no entry of |<k_i|k_j> - delta_ij| exceeds this.
 _ORTHONORMAL_TOL = 1e-8
 
 
@@ -405,6 +404,17 @@ def _stack_instruments(instruments: list[KrausInstrument]) -> tuple[np.ndarray, 
     return ops, [instrument.labels for instrument in instruments], [instrument.kets for instrument in instruments]
 
 
+def _require_steps(steps) -> tuple[ProtocolStep, ...]:
+    """The one type check of a step sequence, a tuple or a list of
+    ``ProtocolStep``, given back as a tuple; a ScenarioError names the field."""
+    if not isinstance(steps, (tuple, list)):
+        raise ScenarioError(f"steps: expected a tuple of ProtocolStep, got {type(steps).__name__}")
+    for i, step in enumerate(steps):
+        if not isinstance(step, ProtocolStep):
+            raise ScenarioError(f"steps[{i}]: {step!r} is not a ProtocolStep")
+    return tuple(steps)
+
+
 def _gap(history: tuple[str, ...]) -> ScenarioError:
     """The error of a history that its step covers with no instrument."""
     return ScenarioError(f"protocol[{len(history)}]: no instrument for history {','.join(history)!r}")
@@ -421,7 +431,7 @@ class StepChooser:
     """
 
     def __init__(self, steps: Sequence[ProtocolStep]):
-        self.steps = tuple(steps)
+        self.steps = _require_steps(steps)
 
     def __call__(self, history: tuple[str, ...]) -> KrausInstrument:
         if len(history) >= len(self.steps):
@@ -571,7 +581,7 @@ def _expand(level: TreeLevel, step: ProtocolStep, rows: np.ndarray, dims: tuple[
 
     joint = level.q[:, None, :] * weight
     p_outcome = joint.sum(axis=-1)
-    kept = p_outcome >= PRUNE_TOL
+    kept = p_outcome > ZERO_EIGENVALUE
     if not kept.any(axis=1).all():
         raise ValueError("all outcomes pruned: instrument annihilates the ensemble")
     total = np.where(kept, p_outcome, 0.0).sum(axis=1)
@@ -771,8 +781,7 @@ def run_protocol(
     _require_ensemble(ensemble, "run_protocol")
     if not (callable(chooser) or isinstance(chooser, Mapping)):
         raise ValueError(f"chooser must be a StepChooser, a Mapping or a callable, got {type(chooser).__name__}")
-    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
+    _require_integer(depth, "depth")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     dims = (ensemble.dim_a, ensemble.dim_b)
@@ -795,18 +804,26 @@ def run_protocol(
     )
 
 
+def _require_transcript(transcript) -> None:
+    """The transcript of every report and of each reading of it is a ``ProtocolTranscript``."""
+    if not isinstance(transcript, ProtocolTranscript):
+        raise ValueError(f"transcript must be a ProtocolTranscript, got {type(transcript).__name__}")
+
+
 def chain_mutual_information(transcript: ProtocolTranscript) -> tuple[list[float], float]:
     """Per-round and total mutual information between hypothesis and record.
 
     Round k contributes I(X; Y_k | Y_1..Y_{k-1}) = H(X|Y_{<k}) - H(X|Y_{<=k});
     the terms telescope to the total I(X; Y_1..Y_n).
     """
+    _require_transcript(transcript)
     level_entropy = transcript.stats.conditional_entropy
     return (level_entropy[:-1] - level_entropy[1:]).tolist(), float(level_entropy[0] - level_entropy[-1])
 
 
 def average_output_entanglement(transcript: ProtocolTranscript) -> float:
     """Mean entanglement of the leaf-average states, weighted by path probability."""
+    _require_transcript(transcript)
     leaves = transcript.levels[-1]
     live = leaves.prob > 0.0
     root = transcript.root_ensemble
@@ -886,6 +903,7 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
     Each input member and leaf average is measured by
     ``entropy.entanglements``, whose measure follows the state.
     """
+    _require_transcript(transcript)
     root = transcript.root_ensemble
     stats = transcript.stats
     entropy_a, entropy_b = (float(stats.average_entropy[side][0]) for side in PARTIES)
@@ -963,6 +981,7 @@ def _marginal_deviation(parents: TreeLevel, children: TreeLevel, before: np.ndar
 
 def audit_rounds(transcript: ProtocolTranscript) -> list[RoundAudit]:
     """Audit every measurement round of a transcript."""
+    _require_transcript(transcript)
     per_round, _ = chain_mutual_information(transcript)
     stats = transcript.stats
     # Per side, each level's mean Holevo quantity of the nodes' marginal

@@ -79,6 +79,7 @@ from .protocol import (
     _check_size,
     _outcome_labels,
     _projective_stack,
+    _require_steps,
     _stack_instruments,
     _checked_instrument,
 )
@@ -242,8 +243,9 @@ _Known = dict[tuple[str, ...], tuple[str, ...]]
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Parsed scenario; ``dump_scenario`` gives its canonical JSON form.
-    Scenarios compare by identity. One built in memory takes a tuple of
-    ``ProtocolStep`` and must reach every override history of its steps;
+    Scenarios compare by identity. One built in memory takes a tuple or a
+    list of ``ProtocolStep``, kept as a tuple (``protocol._require_steps``),
+    and must reach every override history of its steps;
     ``_checked_scenario`` skips these checks."""
 
     kind: str
@@ -256,13 +258,10 @@ class Scenario:
     random: RandomSpec | None
 
     def __post_init__(self):
-        if not isinstance(self.steps, tuple):
-            _fail("steps", f"expected a tuple of ProtocolStep, got {type(self.steps).__name__}")
+        object.__setattr__(self, "steps", _require_steps(self.steps))
         steps: list[ProtocolStep] = []
         known: _Known = {(): ()}
         for i, step in enumerate(self.steps):
-            if not isinstance(step, ProtocolStep):
-                _fail(f"steps[{i}]", f"{step!r} is not a ProtocolStep")
             for history in step.histories:
                 _check_history(history, steps, f"protocol[{i}]", known)
             _add_step(steps, known, step)

@@ -90,11 +90,12 @@ def holevo_oracle(members) -> float:
 def entanglement_oracle(matrix, dim_a: int, dim_b: int) -> float:
     """Entanglement of a density matrix with the measure its purity fixes.
 
-    A pure state (tr rho^2 within 1e-9 of one) gets the entropy of
-    entanglement S(tr_B rho), from an explicit ``einsum`` partial trace and
-    ``np.linalg.eigvalsh``; the marginal, not the leading eigenvector, so
-    that a state pure only within 1e-9 is measured as given (a ket's
-    Schmidt coefficients are ``pure_entanglement_oracle``). A mixed 2x2
+    A pure state (purity at unit trace, tr rho^2 / (tr rho)^2, within 1e-9
+    of one) gets the entropy of entanglement S(tr_B rho), from an explicit
+    ``einsum`` partial trace and ``np.linalg.eigvalsh``; the marginal, not
+    the leading eigenvector, so that a state pure only within 1e-9 is
+    measured as given (a ket's Schmidt coefficients are
+    ``pure_entanglement_oracle``). A mixed 2x2
     state gets Wootters' entanglement of formation, with the concurrence
     from the eigenvalues of rho rho_tilde (Wootters, PRL 80, 2245, 1998).
     They are taken on the range P of rho (singular values above 1e-14), as
@@ -104,7 +105,7 @@ def entanglement_oracle(matrix, dim_a: int, dim_b: int) -> float:
     other mixed state raises ValueError("measure unavailable ...").
     """
     rho = np.asarray(matrix, dtype=complex)
-    if np.trace(rho @ rho).real >= 1.0 - 1e-9:
+    if np.trace(rho @ rho).real / np.trace(rho).real ** 2 >= 1.0 - 1e-9:
         return von_neumann_oracle(partial_trace_oracle(rho, "A", dim_a, dim_b))
     if (dim_a, dim_b) != (2, 2):
         raise ValueError(f"measure unavailable: mixed state with dims ({dim_a}, {dim_b})")

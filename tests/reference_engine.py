@@ -20,7 +20,7 @@ import numpy as np
 
 from locclab.entropy import BipartiteEnsemble
 from locclab.linalg import hermitize, validate_density
-from locclab.protocol import PRUNE_TOL, BoundReport, RoundAudit
+from locclab.protocol import ZERO_EIGENVALUE, BoundReport, RoundAudit
 
 from helpers import entanglement_oracle, holevo_oracle, partial_trace_oracle, shannon_oracle, von_neumann_oracle
 
@@ -60,7 +60,7 @@ class Transcript:
         return self.nodes_at(self.depth)
 
 
-def measure_branch(ensemble, instrument, prune_tol=PRUNE_TOL):
+def measure_branch(ensemble, instrument, prune_tol=ZERO_EIGENVALUE):
     dim_a, dim_b = ensemble.dim_a, ensemble.dim_b
     local_dim = dim_a if instrument.party == "A" else dim_b
     if instrument.dim != local_dim:
@@ -86,7 +86,7 @@ def measure_branch(ensemble, instrument, prune_tol=PRUNE_TOL):
                 updated.append(state)
         joint = np.array([p for p, _ in ensemble.members]) * np.array(weights)
         p_outcome = float(joint.sum())
-        if p_outcome < prune_tol:
+        if not p_outcome > prune_tol:
             continue
         posterior_probs = np.clip(joint / p_outcome, 0.0, None)
         posterior_probs /= posterior_probs.sum()

@@ -266,8 +266,8 @@ def test_measure_branch_matches_reference(seed, n_members, party, outcomes):
 def test_all_outcomes_pruned_error(engine, monkeypatch):
     ensemble = BipartiteEnsemble(((0.5, pure_state_density([1, 0, 0, 0], 2, 2)), (0.5, pure_state_density([0, 0, 0, 1], 2, 2))))
     # Each outcome carries probability 1/2, below a pruning threshold of 0.6;
-    # no complete instrument loses every outcome at the engine's PRUNE_TOL.
-    monkeypatch.setattr(protocol, "PRUNE_TOL", 0.6)
+    # no complete instrument loses every outcome in the engine's zero band.
+    monkeypatch.setattr(protocol, "ZERO_EIGENVALUE", 0.6)
     knob = {} if engine is one_round else {"prune_tol": 0.6}
     with pytest.raises(ValueError, match="all outcomes pruned"):
         engine(ensemble, KrausInstrument.projective("A", np.eye(2)), **knob)

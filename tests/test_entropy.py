@@ -1,24 +1,32 @@
+import json
+
 import numpy as np
 import pytest
 
 from locclab import (
+    BellDiagonalSpec,
     BipartiteEnsemble,
+    SpectralEnsemble,
+    bell_diagonal,
+    bound_suite,
     entropy_summary,
     is_ppt,
     partial_trace,
     pure_state_density,
+    run_protocol,
     shannon_entropy,
     validate_density,
 )
+from locclab.cli import run_scenario
 from locclab.entropy import (
-    NEGATIVE_WEIGHT_TOL,
-    WEIGHT_SUM_TOL,
+    ZERO_EIGENVALUE,
     _require_weights,
     concurrences,
     entanglements,
     shannon_entropies,
     von_neumann_entropies,
 )
+from locclab.linalg import DEFAULT_TOL
 
 from helpers import (
     PHI_MINUS,
@@ -73,6 +81,22 @@ class TestShannonEntropy:
     def test_normalization_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             shannon_entropy([0.6, 0.6])
+
+
+    def test_an_entry_on_the_zero_band_counts_as_zero(self, tmp_path):
+        # |p| <= ZERO_EIGENVALUE is zero: an entry of exactly 1e-12 adds no
+        # -p log2 p term (4e-11 bits), the next float above it does.
+        rest = 1.0 - ZERO_EIGENVALUE
+        alone = float(-rest * np.log2(rest))
+        assert shannon_entropy([rest, ZERO_EIGENVALUE]) == alone
+        above = float(np.nextafter(ZERO_EIGENVALUE, 1.0))
+        assert shannon_entropy([1.0 - above, above]) > alone + 3e-11
+        # From a file: the closed-form hashing bound log2 d - H(weights) of
+        # a Bell file with those weights.
+        path = tmp_path / "bell.json"
+        path.write_text(json.dumps({"kind": "bell_diagonal", "name": "b", "bell": {"d": 2, "probs": [rest, 1e-12, 0, 0]}}))
+        (trial,) = run_scenario(path, "distill-report")["trials"]
+        assert trial["report"]["closed_form_hashing"] == 1.0 - alone
 
 
 class TestVonNeumannEntropy:
@@ -199,6 +223,27 @@ class TestEntanglement:
         assert expected[0] > 0.0
         assert entanglements(rho[None], 2, 2)[0] == expected[0]
 
+    def test_purity_is_judged_at_unit_trace(self, tmp_path):
+        # A d = 3 Bell-diagonal state whose one weight is 1 - 6e-10 passes
+        # the weight rule. Its trace is 1 - 6e-10 and its purity
+        # tr(rho^2) = 1 - 1.2e-9: pure once scaled to unit trace, mixed (and
+        # so without a measure in 3x3) if the purity were read as given. The
+        # root member and the leaf average are that state.
+        probs = [1.0 - 6e-10] + [0.0] * 8
+        log3 = np.log2(3.0)
+        rho = bell_diagonal(BellDiagonalSpec(3, probs))
+        assert entanglements(rho.matrix[None], 3, 3)[0] == pytest.approx(log3, abs=1e-9)
+        report = bound_suite(run_protocol(SpectralEnsemble(rho), {}, 0))
+        assert report.e_in_avg == pytest.approx(probs[0] * log3, abs=1e-12)
+        assert report.e_out_avg == pytest.approx(log3, abs=1e-9)
+        path = tmp_path / "bell3.json"
+        path.write_text(json.dumps({"kind": "bell_diagonal", "name": "b", "bell": {"d": 3, "probs": probs}}))
+        result = run_scenario(path, "bounds-verify")
+        (trial,) = result["trials"]
+        assert result["passed"] is True
+        assert trial["e_in_avg"] == pytest.approx(probs[0] * log3, abs=1e-12)
+        assert trial["e_out_avg"] == pytest.approx(log3, abs=1e-9)
+
     def test_mixed_large_dims_unavailable(self):
         rng = np.random.default_rng(47)
         rho = random_bipartite_density(rng, 2, 3)
@@ -285,10 +330,10 @@ def loop_weight_rule(weights: list[float]) -> str | None:
     """The weight rule as the Python loop it once was: the message of the
     first fault of one weight vector, or None."""
     for i, p in enumerate(weights):
-        if p < -NEGATIVE_WEIGHT_TOL:
+        if p < -ZERO_EIGENVALUE:
             return f"negative weight {p!r} at index {i}"
     total = sum(weights)
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= DEFAULT_TOL:
         return f"weights sum to {total!r}, not 1"
     return None
 
@@ -303,8 +348,8 @@ def weight_rule_message(weights) -> str | None:
 
 def perturbed_weights(rng: np.random.Generator) -> list[float]:
     """A point of the simplex with 1-20 weights, left as it is or given one
-    fault near a tolerance: a weight around -NEGATIVE_WEIGHT_TOL, a sum
-    around 1 +- WEIGHT_SUM_TOL, or a NaN."""
+    fault near a tolerance: a weight around -ZERO_EIGENVALUE, a sum
+    around 1 +- DEFAULT_TOL, or a NaN."""
     weights = rng.dirichlet(np.ones(int(rng.integers(1, 21))))
     fault = int(rng.integers(4))
     if fault == 1:

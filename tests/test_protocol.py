@@ -17,6 +17,7 @@ from locclab import (
     run_protocol,
 )
 from locclab import protocol as protocol_module
+from locclab.cli import run_scenario
 from locclab.scenario import ProtocolStep, Scenario, dump_scenario, parse_scenario, random_scenario
 
 from helpers import (
@@ -270,6 +271,35 @@ class TestMeasureBranch:
         branches = one_round(ens, z_instrument("A"))
         assert [label for label, _, _ in branches] == ["0"]
         assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_outcome_in_the_zero_band_is_pruned(self, monkeypatch):
+        # Outcome "0" of Z on A has probability exactly 1/4 here. With the
+        # zero band moved to 1/4 that outcome lies on its edge, |p| <= band,
+        # and is pruned; one float below it, the outcome lies just above and
+        # is kept.
+        ens = BipartiteEnsemble(
+            ((0.25, pure_state_density([1, 0, 0, 0], 2, 2)), (0.75, pure_state_density([0, 0, 0, 1], 2, 2)))
+        )
+        monkeypatch.setattr(protocol_module, "ZERO_EIGENVALUE", 0.25)
+        assert [(label, p) for label, p, _ in one_round(ens, z_instrument("A"))] == [("1", 1.0)]
+        monkeypatch.setattr(protocol_module, "ZERO_EIGENVALUE", np.nextafter(0.25, 0.0))
+        assert [(label, p) for label, p, _ in one_round(ens, z_instrument("A"))] == [("0", 0.25), ("1", 0.75)]
+
+    @pytest.mark.parametrize("weak, leaves", [(0.9e-12, ["strong"]), (1.1e-12, ["strong", "weak"])])
+    def test_zero_band_prunes_a_file_outcome(self, tmp_path, weak, leaves):
+        # A Kraus step whose "weak" outcome has probability ||K V||^2 = weak
+        # on the file's one member |00>: pruned below the 1e-12 band, kept
+        # above it.
+        strong = [[[(1.0 - weak) ** 0.5, 0], [0, 0]], [[0, 0], [1, 0]]]
+        instrument = {"labels": ["strong", "weak"], "kraus": [strong, [[[weak**0.5, 0], [0, 0]], [[0, 0], [0, 0]]]]}
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({
+            "kind": "protocol", "name": "edge", "dims": [2, 2],
+            "ensemble": [{"probability": 1.0, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]]}],
+            "protocol": [{"party": "A", "instrument": instrument}],
+        }))
+        (trial,) = run_scenario(path, "protocol-run")["trials"]
+        assert [leaf["path"] for leaf in trial["leaves"]] == [[label] for label in leaves]
 
 
 class TestRunProtocol:
@@ -907,7 +937,8 @@ def dense_children(level, step, rows, dims) -> list[tuple[int, int, float, np.nd
     each surviving child, from dense matrices alone: K (x) I or I (x) K
     applied to each member's V V^dagger, one outcome of the row's own at a
     time, in (node, outcome) order. A member of outcome weight at most the
-    residue cut keeps its prior state; outcomes below PRUNE_TOL are pruned."""
+    residue cut keeps its prior state; outcomes at or below ZERO_EIGENVALUE
+    are pruned."""
     dim_a, dim_b = dims
     children = []
     for n, row in enumerate(rows):
@@ -922,7 +953,7 @@ def dense_children(level, step, rows, dims) -> list[tuple[int, int, float, np.nd
             ]
             joint = level.q[n] * weight
             outcomes.append((k, joint.sum(), joint / joint.sum(), np.array(states)))
-        kept = [outcome for outcome in outcomes if outcome[1] >= protocol_module.PRUNE_TOL]
+        kept = [outcome for outcome in outcomes if outcome[1] > protocol_module.ZERO_EIGENVALUE]
         total = sum(p for _, p, _, _ in kept)
         children += [(n, k, level.prob[n] * p / total, q, states) for k, p, q, states in kept]
     return children

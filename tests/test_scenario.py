@@ -18,8 +18,13 @@ from locclab import (
     KrausInstrument,
     ScenarioError,
     SpectralEnsemble,
+    audit_rounds,
+    average_output_entanglement,
+    bound_suite,
     bundled_scenario_path,
+    chain_mutual_information,
     cli,
+    distillation_report,
     dump_scenario,
     load_scenario,
     parse_scenario,
@@ -33,7 +38,7 @@ from locclab import (
 )
 from locclab import scenario as scenario_module
 from locclab.linalg import block_eigvalsh
-from locclab.scenario import ProtocolStep, Scenario
+from locclab.scenario import ProtocolStep, Scenario, StepChooser
 
 from helpers import PHI_PLUS, assert_same_bits, assert_same_step, bell, json_mismatches
 from reference_scenario import reference_random_scenario
@@ -1108,6 +1113,43 @@ def bell_file(d: int, probs) -> dict:
         (lambda: scenario_of_steps(None), ScenarioError, "steps: expected a tuple of ProtocolStep, got NoneType"),
         # AttributeError: 'str' object has no attribute 'histories'
         (lambda: scenario_of_steps(("x",)), ScenarioError, "steps[0]: 'x' is not a ProtocolStep"),
+        # StepChooser shares Scenario's check of a step sequence.
+        # AttributeError: 'str' object has no attribute 'row_of' (in run_protocol)
+        (
+            lambda: run_protocol(BipartiteEnsemble(((1.0, bell(PHI_PLUS)),)), StepChooser(["x"]), 1),
+            ScenarioError,
+            "steps[0]: 'x' is not a ProtocolStep",
+        ),
+        # TypeError: 'NoneType' object is not iterable
+        (lambda: StepChooser(None), ScenarioError, "steps: expected a tuple of ProtocolStep, got NoneType"),
+        # AttributeError: 'NoneType' object has no attribute 'root_ensemble'
+        (lambda: bound_suite(None), ValueError, "transcript must be a ProtocolTranscript, got NoneType"),
+        # AttributeError: 'NoneType' object has no attribute 'stats'
+        (lambda: audit_rounds(None), ValueError, "transcript must be a ProtocolTranscript, got NoneType"),
+        (lambda: chain_mutual_information(None), ValueError, "transcript must be a ProtocolTranscript, got NoneType"),
+        # AttributeError: 'NoneType' object has no attribute 'levels'
+        (
+            lambda: average_output_entanglement(None),
+            ValueError,
+            "transcript must be a ProtocolTranscript, got NoneType",
+        ),
+        # AttributeError: 'NoneType' object has no attribute 'matrix'
+        (lambda: distillation_report(None), ValueError, "rho must be a DensityOperator, got NoneType"),
+        # AttributeError: 'NoneType' object has no attribute 'matrix'
+        (lambda: SpectralEnsemble(None), ValueError, "rho must be a DensityOperator, got NoneType"),
+        # AttributeError: 'NoneType' object has no attribute 'dim_a'
+        (
+            lambda: BipartiteEnsemble(((0.5, bell(PHI_PLUS)), (0.5, None))),
+            ValueError,
+            "member 1 must be a DensityOperator, got NoneType",
+        ),
+        # TypeError: 'NoneType' object is not iterable
+        (lambda: BellDiagonalSpec(2, None), ValueError, "probs must be a sequence of weights, got NoneType"),
+        # TypeError: iteration over a 0-d array
+        (lambda: BellDiagonalSpec(2, np.array(1.0)), ValueError, "probs must be a sequence of weights, got ndarray"),
+        # TypeError: '<' not supported between instances of 'str' and 'int'
+        (lambda: BellDiagonalSpec("2", (1, 0, 0, 0)), ValueError, "d must be an integer, got '2'"),
+        (lambda: BellDiagonalSpec(True, (1, 0, 0, 0)), ValueError, "d must be an integer, got True"),
         # TypeError: 'int' object is not iterable
         (
             lambda: KrausInstrument.projective("A", np.eye(2), labels=5),
@@ -1122,7 +1164,10 @@ def bell_file(d: int, probs) -> dict:
         "numeric_label",
         "instrument_family", "random_dims", "range_bool", "range_float", "range_empty", "range_minimum", "bell_d",
         "bell_weight_count", "bell_negative_weight", "bell_weight_sum", "materialize_non_random",
-        "missing_bundled_scenario", "steps_none", "step_not_a_step", "labels_int",
+        "missing_bundled_scenario", "steps_none", "step_not_a_step", "step_chooser_not_a_step",
+        "step_chooser_none", "bound_suite_none", "audit_rounds_none", "chain_mutual_information_none",
+        "average_output_entanglement_none", "distillation_report_none",
+        "spectral_ensemble_none", "member_none", "bell_probs_none", "bell_probs_0d", "bell_d_str", "bell_d_bool", "labels_int",
     ],
 )
 def test_rejection_names_the_field(call, error, message):
@@ -1133,13 +1178,42 @@ def test_rejection_names_the_field(call, error, message):
 
 
 P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-# Rejected by the weight rule's negative tolerance alone: the sum is within
-# WEIGHT_SUM_TOL of one.
+# Rejected by the weight rule's zero band alone: the sum is within
+# DEFAULT_TOL of one.
 NEAR_ZERO_NEGATIVE = [0.5, 0.5 + 5e-10, -5e-10]
+# The edges of the two merged facts. A weight of -1e-12 lies on the zero
+# band and -1.01e-12 beyond it; a trace or a weight sum of 1 +- 0.9e-9 is
+# one within DEFAULT_TOL, and 1 +- 1.1e-9 is not.
+ON_THE_ZERO_BAND = [0.5, 0.5 + 1e-12, -1e-12]
+BEYOND_THE_ZERO_BAND = [0.5, 0.5 + 1.01e-12, -1.01e-12]
 
 
-def near_zero_negative_members(data: dict) -> None:
-    data["ensemble"] = [{"probability": p, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]]} for p in NEAR_ZERO_NEGATIVE]
+def weighted_members(weights):
+    """An edit that gives the file one |00> member per weight."""
+
+    def edit(data: dict) -> None:
+        data["ensemble"] = [{"probability": p, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]]} for p in weights]
+
+    return edit
+
+
+def trace_member(trace: float):
+    """An edit that makes the file's ensemble one matrix member diag(trace, 0, 0, 0)."""
+
+    def edit(data: dict) -> None:
+        matrix = [[[trace if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        data["ensemble"] = [{"probability": 1.0, "matrix": matrix}]
+
+    return edit
+
+
+def weight_rule_calls(weights) -> list:
+    """The API entry points of the weight rule, each given ``weights``."""
+    return [
+        lambda: BipartiteEnsemble(tuple((p, bell(PHI_PLUS)) for p in weights)),
+        lambda: shannon_entropy(weights),
+        lambda: BellDiagonalSpec(2, (*weights, *[0.0] * (4 - len(weights)))),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1171,16 +1245,46 @@ def near_zero_negative_members(data: dict) -> None:
             ],
         ),
         (
-            near_zero_negative_members,
+            weighted_members(NEAR_ZERO_NEGATIVE),
             "s.ensemble",
             "negative weight -5e-10 at index 2",
-            [
-                lambda: BipartiteEnsemble(tuple((p, bell(PHI_PLUS)) for p in NEAR_ZERO_NEGATIVE)),
-                lambda: shannon_entropy(NEAR_ZERO_NEGATIVE),
-            ],
+            weight_rule_calls(NEAR_ZERO_NEGATIVE),
+        ),
+        (
+            weighted_members(BEYOND_THE_ZERO_BAND),
+            "s.ensemble",
+            "negative weight -1.01e-12 at index 2",
+            weight_rule_calls(BEYOND_THE_ZERO_BAND),
+        ),
+        (
+            weighted_members([0.5, 0.5 + 1.1e-9]),
+            "s.ensemble",
+            "weights sum to 1.0000000011, not 1",
+            weight_rule_calls([0.5, 0.5 + 1.1e-9]),
+        ),
+        (
+            weighted_members([0.5, 0.5 - 1.1e-9]),
+            "s.ensemble",
+            "weights sum to 0.9999999989, not 1",
+            weight_rule_calls([0.5, 0.5 - 1.1e-9]),
+        ),
+        (
+            trace_member(1.0 + 1.1e-9),
+            "s.ensemble[0]",
+            "trace deviation: |tr(M) - 1| = 1.100e-09 exceeds tol 1.0e-09",
+            [lambda: validate_density(np.diag([1.0 + 1.1e-9, 0.0, 0.0, 0.0]), 2, 2)],
+        ),
+        (
+            trace_member(1.0 - 1.1e-9),
+            "s.ensemble[0]",
+            "trace deviation: |tr(M) - 1| = 1.100e-09 exceeds tol 1.0e-09",
+            [lambda: validate_density(np.diag([1.0 - 1.1e-9, 0.0, 0.0, 0.0]), 2, 2)],
         ),
     ],
-    ids=["party", "dims", "comma_label", "negative_weight"],
+    ids=[
+        "party", "dims", "comma_label", "negative_weight", "beyond_the_zero_band", "weight_sum_above",
+        "weight_sum_below", "trace_above", "trace_below",
+    ],
 )
 def test_file_and_api_reject_the_same_value_with_the_same_message(edit, path, message, api_calls):
     # One checker per input rule: every API entry point of the rule raises
@@ -1192,6 +1296,24 @@ def test_file_and_api_reject_the_same_value_with_the_same_message(edit, path, me
     with pytest.raises(ScenarioError) as excinfo:
         edited(z_steps, edit)()
     assert str(excinfo.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edit, api_calls",
+    [
+        (weighted_members(ON_THE_ZERO_BAND), weight_rule_calls(ON_THE_ZERO_BAND)),
+        (weighted_members([0.5, 0.5 + 0.9e-9]), weight_rule_calls([0.5, 0.5 + 0.9e-9])),
+        (weighted_members([0.5, 0.5 - 0.9e-9]), weight_rule_calls([0.5, 0.5 - 0.9e-9])),
+        (trace_member(1.0 + 0.9e-9), [lambda: validate_density(np.diag([1.0 + 0.9e-9, 0.0, 0.0, 0.0]), 2, 2)]),
+        (trace_member(1.0 - 0.9e-9), [lambda: validate_density(np.diag([1.0 - 0.9e-9, 0.0, 0.0, 0.0]), 2, 2)]),
+    ],
+    ids=["on_the_zero_band", "weight_sum_above", "weight_sum_below", "trace_above", "trace_below"],
+)
+def test_file_and_api_accept_the_value_at_the_edge(edit, api_calls):
+    # The accepting side of each edge that the test above rejects.
+    for call in api_calls:
+        call()
+    edited(z_steps, edit)()
 
 
 def test_label_count_has_one_message_on_every_route():
