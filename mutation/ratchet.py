@@ -1,8 +1,10 @@
-"""Mutation ratchet for ``locclab.protocol`` and the zero band and purity
-rule of ``locclab.entropy``: the bound suite, the round audit, the tree
+"""Mutation ratchet for ``locclab.protocol``, the zero band and purity
+rule of ``locclab.entropy``, the integer rule of ``locclab.linalg`` and
+the ``Scenario`` constructor: the bound suite, the round audit, the tree
 expansion and its prune edge, the rows a ``StepChooser`` reads, the
 argument checks of ``run_protocol`` and ``_outcome_labels``, the weight
-floor, the Shannon zero rule and the purity judged at unit trace.
+floor, the Shannon zero rule, the purity judged at unit trace, a
+scenario's derived kind and its walk of the override histories.
 
 Each mutant in ``mutants.json`` is one exact text replacement in one file
 of ``src/locclab/``: the file its ``file`` names, ``protocol.py`` when it

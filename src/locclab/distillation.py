@@ -48,11 +48,9 @@ class BellDiagonalSpec:
             raise ValueError(f"probs must be a sequence of weights, got {type(self.probs).__name__}")
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) != self.d * self.d:
-            raise ValueError(f"need {self.d * self.d} weights, got {len(probs)}")
-        _require_weights(probs)
-        object.__setattr__(self, "probs", probs)
+        if len(self.probs) != self.d * self.d:
+            raise ValueError(f"need {self.d * self.d} weights, got {len(self.probs)}")
+        object.__setattr__(self, "probs", tuple(_require_weights(self.probs).tolist()))
 
 
 @dataclass(frozen=True)

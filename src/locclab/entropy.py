@@ -15,6 +15,7 @@ in ``_require_measurable``; the state, dimension and party rules live in
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -52,11 +53,28 @@ def _ones(count: int) -> np.ndarray:
     return ones
 
 
+def _as_weights(weights) -> np.ndarray:
+    """``weights`` as a float array once every entry is a real number: None,
+    a str, a bool or any other object is rejected (named by its last-axis
+    index) before anything is converted. A real-valued array passes as is."""
+    if not (isinstance(weights, np.ndarray) and weights.dtype.kind in "fiu"):
+        entries = np.asarray(weights, dtype=object)
+        flat = entries.reshape(-1)
+        kinds = set(map(type, flat))
+        bad = {kind for kind in kinds if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, numbers.Real)}
+        if bad:
+            at = next(i for i, entry in enumerate(flat) if type(entry) in bad)
+            index = np.unravel_index(at, entries.shape)[-1] if entries.ndim else 0
+            raise ValueError(f"weight {flat[at]!r} at index {index} is not a real number")
+    return np.asarray(weights, dtype=float)
+
+
 def _require_weights(weights) -> np.ndarray:
-    """``weights`` as a float array, each row of a stack (..., M) checked:
-    no weight below -ZERO_EIGENVALUE (named by its last-axis index) and
-    a sum within DEFAULT_TOL of one, the test that a NaN fails."""
-    weights = np.asarray(weights, dtype=float)
+    """``weights`` as a float array (``_as_weights``), each row of a stack
+    (..., M) checked: no weight below -ZERO_EIGENVALUE (named by its
+    last-axis index) and a sum within DEFAULT_TOL of one, the test that a
+    NaN fails."""
+    weights = _as_weights(weights)
     if not weights.min(initial=0.0) >= -ZERO_EIGENVALUE:
         negative = weights < -ZERO_EIGENVALUE
         if negative.any():
@@ -84,8 +102,8 @@ class BipartiteEnsemble:
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
+        _require_weights([p for p, _ in self.members])
         members = tuple((float(p), state) for p, state in self.members)
-        _require_weights([p for p, _ in members])
         first = members[0][1]
         for i, (_, state) in enumerate(members):
             _require_state(state, f"member {i}")
@@ -169,7 +187,7 @@ def shannon_entropies(probabilities) -> np.ndarray:
 
 def shannon_entropy(probabilities) -> float:
     """-sum p log2 p over a probability vector, with 0 log 0 := 0."""
-    return float(shannon_entropies(np.asarray(probabilities, dtype=float).reshape(-1)))
+    return float(shannon_entropies(_as_weights(probabilities).reshape(-1)))
 
 
 def _qubit_eigvalsh(mats: np.ndarray) -> np.ndarray:

@@ -118,6 +118,9 @@ def _require_integer(value, name: str) -> None:
 
 
 def _require_dims(dim_a: int, dim_b: int) -> None:
+    """Both dims are integers (``_require_integer``) and positive."""
+    _require_integer(dim_a, "dim_a")
+    _require_integer(dim_b, "dim_b")
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({dim_a}, {dim_b})")
 

@@ -26,10 +26,10 @@ override's key is the labels of its outcome history joined by commas
 carry the offending field path: a key outside an object's field set, a
 key that a file's object repeats and a ``schema`` other than SCHEMA are
 rejected, so a misspelt or repeated field is never read as its default or
-as its last value. ``random_scenario`` builds its typed ``Scenario``
-straight from the stacks it draws. Outcome labels belong to the
+as its last value. ``random_scenario`` builds its ``Scenario`` straight
+from the stacks it draws. Outcome labels belong to the
 instrument, which gives an absent list its default "0".."K-1", and then
-to its step row; the key check, the dump and the generator read the rows'
+to its step row; the walk, the dump and the generator read the rows'
 ``labels``. A projective row keeps the kets it was built from, and the
 dump writes them back; any other row is dumped as its Kraus operators.
 Parsing keeps every number as written (``validate_density`` checks a
@@ -44,18 +44,16 @@ with one ``np.array``; one leaf-type test rejects booleans and strings.
 or an infinity), orthonormality and completeness, and its projectors
 become the step's rows with no instrument built. If any of this fails,
 the table is parsed entry by entry, the path that names the first bad
-field, and the entries' operators are stacked. Each key is split into
-its history and tested once against the histories known to reach the
-step: after a batch read, which accepts only valid entries, or just
-before its entry. Both routes thus name the same first fault. The walk
-runs on label tuples; a history whose parent is known (with the labels
-of the instrument measuring it) takes one dict lookup. A ``Scenario``
-built in memory walks its steps' histories as they are and keeps the
-steps it is given; the parser and the generator, whose histories are
-walked or reachable by construction, skip it. Every scenario's stacks
-are read alike, each node's row found from its path. The rows are a
-step's only form: the dump writes each row from its labels, kets and
-operators, and only a call of ``Scenario.chooser`` builds an instrument.
+field, and the entries' operators are stacked. The parser only splits
+each key into its history. The parser, the generator and code in memory
+all build a ``Scenario`` with its constructor, the one walk of the
+histories: every field of a file is read before any history is walked,
+so both routes name the same first fault. The walk runs on label tuples;
+a history whose parent is known (with the labels of the instrument
+measuring it) takes one dict lookup. A scenario keeps the steps it is
+given, each node's row found from its path. The rows are a step's only
+form: the dump writes each row from its labels, kets and operators, and
+only a call of ``Scenario.chooser`` builds an instrument.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ import numpy as np
 
 from .distillation import BellDiagonalSpec
 from .entropy import BipartiteEnsemble
-from .linalg import DensityOperator, _require_dims, _require_party, pure_state_density, validate_density
+from .linalg import PARTIES, DensityOperator, _require_dims, _require_party, pure_state_density, validate_density
 from .protocol import (
     KrausInstrument,
     ProtocolStep,
@@ -86,8 +84,9 @@ from .protocol import (
 
 SCHEMA = "locclab/scenario-v1"
 KINDS = ("ensemble", "protocol", "bell_diagonal", "random")
-# The one generator family of random scenarios.
+# The one generator family of random scenarios, and the dims it draws on.
 INSTRUMENT_FAMILY = "projective-random-basis"
+RANDOM_DIMS = (2, 2)
 # The one accepted value of each side of ``selectors``.
 SELECTOR = "auto"
 _INF = float("inf")
@@ -234,37 +233,76 @@ class RandomSpec:
     protocol_depth: tuple[int, int]
 
 
-# The histories a walk has found to reach a built step, each with the labels
-# of the instrument that the step applies to it (empty at a gap). A walk
-# starts from {(): ()}: the first step's labels come once it is built.
+# The histories a walk has found to reach a step, each with the labels of
+# the instrument that the step applies to it (empty at a gap). A walk
+# starts from {(): ()}: the first step's labels come once it is reached.
 _Known = dict[tuple[str, ...], tuple[str, ...]]
+
+
+# The contents of a scenario, exactly one of which it holds, with their types.
+_CONTENTS = {"ensemble": BipartiteEnsemble, "bell": BellDiagonalSpec, "random": RandomSpec}
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed scenario; ``dump_scenario`` gives its canonical JSON form.
-    Scenarios compare by identity. One built in memory takes a tuple or a
-    list of ``ProtocolStep``, kept as a tuple (``protocol._require_steps``),
-    and must reach every override history of its steps;
-    ``_checked_scenario`` skips these checks."""
+    """What a scenario file says: a name and exactly one of an ensemble (with
+    its protocol ``steps``, a tuple or a list of ``ProtocolStep`` kept as a
+    tuple), a Bell spec and a random spec; ``kind``, ``dim_a`` and ``dim_b``
+    follow from them. The constructor, the one way to build a scenario, walks
+    every override history and rejects what ``dump_scenario`` could not read
+    back, with a ScenarioError that names the field. Compared by identity."""
 
-    kind: str
     name: str
-    dim_a: int
-    dim_b: int
     ensemble: BipartiteEnsemble | None
     steps: tuple[ProtocolStep, ...]
     bell: BellDiagonalSpec | None
     random: RandomSpec | None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"name: expected a str, got {type(self.name).__name__}")
+        for field, kind in _CONTENTS.items():
+            value = getattr(self, field)
+            if value is not None and not isinstance(value, kind):
+                raise ScenarioError(f"{field}: expected a {kind.__name__} or None, got {type(value).__name__}")
         object.__setattr__(self, "steps", _require_steps(self.steps))
-        steps: list[ProtocolStep] = []
+        held = [field for field in _CONTENTS if getattr(self, field) is not None]
+        if len(held) != 1:
+            raise ScenarioError(
+                f"{held[-1] if held else 'ensemble'}: a scenario holds exactly one of ensemble, bell and random, "
+                f"got {' and '.join(held) or 'none'}"
+            )
+        if self.steps and self.ensemble is None:
+            raise ScenarioError(f"steps: steps need an ensemble beside them, got {held[0]}")
+        dims = dict(zip(PARTIES, (self.dim_a, self.dim_b)))
         known: _Known = {(): ()}
         for i, step in enumerate(self.steps):
+            with _at(f"protocol[{i}]"):
+                _check_size(step.party, step.ops.shape[-1], dims[step.party])
             for history in step.histories:
-                _check_history(history, steps, f"protocol[{i}]", known)
-            _add_step(steps, known, step)
+                _check_history(history, self.steps, i, known)
+            if not i:
+                known[()] = step.labels[step.row_of(())]
+            known.update(zip(step.histories, step.labels[1:]))
+
+    @property
+    def kind(self) -> str:
+        """The file's ``kind``, fixed by the content held and the steps."""
+        if self.bell is not None:
+            return "bell_diagonal"
+        if self.random is not None:
+            return "random"
+        return "protocol" if self.steps else "ensemble"
+
+    @property
+    def _dims(self) -> tuple[int, int]:
+        """The Bell spec's (d, d), else the ensemble's dims, else RANDOM_DIMS."""
+        if self.bell is not None:
+            return self.bell.d, self.bell.d
+        return (self.ensemble.dim_a, self.ensemble.dim_b) if self.ensemble is not None else RANDOM_DIMS
+
+    dim_a = property(lambda self: self._dims[0])
+    dim_b = property(lambda self: self._dims[1])
 
     @cached_property
     def chooser(self) -> StepChooser:
@@ -276,14 +314,6 @@ class Scenario:
     @property
     def depth(self) -> int:
         return len(self.steps)
-
-
-def _checked_scenario(**fields) -> Scenario:
-    """A scenario whose override histories are known to be reachable, built
-    without ``__post_init__``."""
-    scenario = object.__new__(Scenario)
-    vars(scenario).update(fields)
-    return scenario
 
 
 def _parse_instrument(value, party: str, dim: int, path: str) -> KrausInstrument:
@@ -362,50 +392,39 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> tuple[np.ndarr
     return projectors, labels, kets
 
 
-def _check_history_key(key: str, steps: list[ProtocolStep], step_path: str, known: _Known) -> tuple[str, ...]:
-    """Split an override key of the step after ``steps`` into its history,
-    which ``_check_history`` walks: the key of step i > 1 joins i - 1
-    labels with commas, and step 1's is the empty key."""
-    if not steps and key:
+def _split_history_key(key: str, i: int, step_path: str) -> tuple[str, ...]:
+    """The history of an override key of step ``i`` (from 0), at
+    ``step_path``: the key of step i > 0 joins i labels with commas, and
+    step 0's is the empty key. ``Scenario`` walks the history."""
+    if not i and key:
         _fail(f"{step_path}.overrides[{key!r}]", f"step 1 is reached only by the empty history, got key {key!r}")
-    labels = tuple(key.split(",")) if steps else ()
-    if len(labels) != len(steps):
-        _fail(f"{step_path}.overrides[{key!r}]", f"history key needs {len(steps)} labels, got {len(labels)} in {key!r}")
-    _check_history(labels, steps, step_path, known)
+    labels = tuple(key.split(",")) if i else ()
+    if len(labels) != i:
+        _fail(f"{step_path}.overrides[{key!r}]", f"history key needs {i} labels, got {len(labels)} in {key!r}")
     return labels
 
 
-def _check_history(history: tuple[str, ...], steps: list[ProtocolStep], step_path: str, known: _Known) -> None:
-    """Reject an override ``history`` of the step after ``steps``, at
-    ``step_path``, unless each label is an outcome of the instrument that
-    the labels before it select; the message joins the history into its
-    key. Only the history's own prefixes are walked: the walk starts at the
-    longest one in ``known``, usually the parent, so most histories take
-    one dict lookup, and adds each prefix that passes; ``_add_step`` adds a
-    step's histories once it is built. A known prefix has passed every
-    check, so the message does not depend on ``known``."""
-    if len(history) != len(steps):
-        _fail(f"{step_path}.overrides[{','.join(history)!r}]", f"history needs {len(steps)} labels, got {len(history)}")
+def _check_history(history: tuple[str, ...], steps: tuple[ProtocolStep, ...], i: int, known: _Known) -> None:
+    """Reject an override ``history`` of ``steps[i]`` unless each label is
+    an outcome of the instrument that the labels before it select; the
+    message joins the history into its key. Only the history's own
+    prefixes are walked: the walk starts at the longest one in ``known``,
+    usually the parent, so most histories take one dict lookup, and adds
+    each prefix that passes; ``Scenario`` adds a step's histories once they
+    are walked. A known prefix has passed every check, so the message does
+    not depend on ``known``."""
+    if len(history) != i:
+        _fail(f"protocol[{i}].overrides[{','.join(history)!r}]", f"history needs {i} labels, got {len(history)}")
     start = len(history) - 1 if history else 0
     while (names := known.get(history[:start])) is None:
         start -= 1
-    for i in range(start, len(history)):
-        if history[i] not in names:
-            _fail(f"{step_path}.overrides[{','.join(history)!r}]", _unreached(history, i, names))
-        if i + 1 < len(history):
-            step = steps[i + 1]
-            names = step.labels[step.row_of(history[: i + 1])]
-            known[history[: i + 1]] = names
-
-
-def _add_step(steps: list[ProtocolStep], known: _Known, step: ProtocolStep) -> None:
-    """Append ``step`` to the walked ``steps``: its override histories join
-    ``known`` with their rows' labels, and the first step gives the empty
-    history its labels."""
-    if not steps:
-        known[()] = step.labels[step.row_of(())]
-    known.update(zip(step.histories, step.labels[1:]))
-    steps.append(step)
+    for j in range(start, len(history)):
+        if history[j] not in names:
+            _fail(f"protocol[{i}].overrides[{','.join(history)!r}]", _unreached(history, j, names))
+        if j + 1 < len(history):
+            step = steps[j + 1]
+            names = step.labels[step.row_of(history[: j + 1])]
+            known[history[: j + 1]] = names
 
 
 def _unreached(history: tuple[str, ...], i: int, names: tuple[str, ...]) -> str:
@@ -495,7 +514,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
-        known: _Known = {(): ()}
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
@@ -509,16 +527,15 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides", None)
             stack = _parse_projective_table(table, party, dim) if table else None
             if stack is not None:
-                histories = [_check_history_key(key, steps, step_path, known) for key in table]
+                histories = [_split_history_key(key, i, step_path) for key in table]
             else:
                 histories, instruments = [], []
                 for key, value in table.items():
-                    histories.append(_check_history_key(key, steps, step_path, known))
+                    histories.append(_split_history_key(key, i, step_path))
                     instruments.append(_parse_instrument(value, party, dim, f"{step_path}.overrides[{key!r}]"))
                 stack = _stack_instruments(instruments)
             with _at(step_path):
-                step = ProtocolStep._stacked(party, default, *stack, histories)
-            _add_step(steps, known, step)
+                steps.append(ProtocolStep._stacked(party, default, *stack, histories))
 
     random_spec = None
     if kind == "random":
@@ -529,37 +546,33 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         family = _as_str(rnd.get("instrument_family", INSTRUMENT_FAMILY), f"{rnd_path}.instrument_family")
         if family != INSTRUMENT_FAMILY:
             _fail(f"{rnd_path}.instrument_family", f"unknown family {family!r}")
-        if (dim_a, dim_b) != (2, 2):
+        if (dim_a, dim_b) != RANDOM_DIMS:
             _fail(
                 f"{source}.dims",
-                f"random scenarios support dims [2, 2] only (output entanglement is "
+                f"random scenarios support dims {list(RANDOM_DIMS)} only (output entanglement is "
                 f"unavailable for mixed states in {dim_a}x{dim_b})",
             )
         random_spec = RandomSpec(n_members=n_members, protocol_depth=depth)
 
+    # The constructor walks the override histories, naming fields below ``source``.
+    try:
+        scenario = Scenario(name=name, ensemble=ensemble, steps=steps, bell=bell, random=random_spec)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}.{exc}") from None
     # Checked last, so that a file that fails another check keeps its message.
     for key in obj:
         if key not in _COMMON_FIELDS and key not in _KIND_FIELDS[kind]:
             _fail(f"{source}.{key}", f"kind {kind!r} takes no {key!r} field")
-
-    return _checked_scenario(
-        kind=kind,
-        name=name,
-        dim_a=dim_a,
-        dim_b=dim_b,
-        ensemble=ensemble,
-        steps=tuple(steps),
-        bell=bell,
-        random=random_spec,
-    )
+    return scenario
 
 
 def _canonical_payload(s: Scenario) -> dict:
+    # The integer rule takes numpy integers too; JSON writes only int.
     payload: dict = {"schema": SCHEMA, "kind": s.kind, "name": s.name}
     if s.kind == "bell_diagonal":
-        payload["bell"] = {"d": s.bell.d, "probs": [float(p) for p in s.bell.probs]}
+        payload["bell"] = {"d": int(s.bell.d), "probs": [float(p) for p in s.bell.probs]}
     else:
-        payload["dims"] = [s.dim_a, s.dim_b]
+        payload["dims"] = [int(s.dim_a), int(s.dim_b)]
     payload["selectors"] = {"input": SELECTOR, "output": SELECTOR}
     if s.ensemble is not None:
         payload["ensemble"] = [_member_payload(p, state) for p, state in s.ensemble.members]
@@ -661,7 +674,7 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     for i in range(n):
         vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         vec /= np.linalg.norm(vec)
-        members.append((float(probs[i]), pure_state_density(vec, 2, 2)))
+        members.append((float(probs[i]), pure_state_density(vec, *RANDOM_DIMS)))
 
     steps = []
     histories = [()]
@@ -679,16 +692,8 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
         steps.append(step)
         histories = [history + (label,) for history, names in zip(histories, labels) for label in names]
 
-    return _checked_scenario(
-        kind="protocol" if depth > 0 else "ensemble",
-        name=name or f"random-{seed}",
-        dim_a=2,
-        dim_b=2,
-        ensemble=BipartiteEnsemble(tuple(members)),
-        steps=tuple(steps),
-        bell=None,
-        random=None,
-    )
+    ensemble = BipartiteEnsemble(tuple(members))
+    return Scenario(name=name or f"random-{seed}", ensemble=ensemble, steps=steps, bell=None, random=None)
 
 
 def materialize_random(scenario: Scenario, seed: int, trial: int = 0) -> Scenario:

@@ -556,17 +556,17 @@ def test_benchmark_tree_counts_and_flat_oracle(tmp_path, text, counts):
 
 
 def test_the_parser_walks_each_override_key_once(monkeypatch):
-    # A deep_tree file's 254 override keys are walked once each, in file
-    # order: the parsed Scenario does not walk them again.
+    # A deep_tree file's 254 override histories are walked once each, in
+    # file order, by the Scenario constructor alone.
     data = workloads.deep_case(0)
     calls = []
-    walk = scenario_module._check_history_key
+    walk = scenario_module._check_history
 
-    def counting(key, *args):
-        calls.append(key)
-        return walk(key, *args)
+    def counting(history, *args):
+        calls.append(",".join(history))
+        return walk(history, *args)
 
-    monkeypatch.setattr(scenario_module, "_check_history_key", counting)
+    monkeypatch.setattr(scenario_module, "_check_history", counting)
     parse_scenario(data)
     keys = [key for step in data["protocol"] for key in step.get("overrides", {})]
     assert len(keys) == 254

@@ -692,7 +692,7 @@ class TestChooserForms:
         # The fourth form: the scenario rebuilt in memory, each step's
         # overrides in reversed order, so its rows are in another order.
         rebuilt = Scenario(
-            kind="protocol", name="rebuilt", dim_a=2, dim_b=2, ensemble=scenario.ensemble, bell=None, random=None,
+            name="rebuilt", ensemble=scenario.ensemble, bell=None, random=None,
             steps=tuple(rebuilt_step(step, reverse=True) for step in scenario.steps),
         )
         # The chooser shares one instrument object between nodes; a table of
@@ -743,10 +743,7 @@ class TestChooserForms:
         # bit for bit.
         parsed = parse_scenario(mixed_width_scenario())
         built = [rebuilt_step(step, reverse=True) for step in parsed.steps]
-        scenario = Scenario(
-            kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=parsed.ensemble, steps=tuple(built),
-            bell=None, random=None,
-        )
+        scenario = Scenario(name="built", ensemble=parsed.ensemble, steps=tuple(built), bell=None, random=None)
         for i, ref in enumerate(parsed.steps):
             assert scenario.steps[i] is built[i]
             assert scenario.steps[i].histories == ref.histories[::-1]
@@ -766,7 +763,7 @@ class TestChooserForms:
         overrides[("a", "c")] = overrides[("a", "+")]
         with pytest.raises(ScenarioError) as exc:
             Scenario(
-                kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=parsed.ensemble,
+                name="built", ensemble=parsed.ensemble,
                 steps=(first, second, ProtocolStep("A", None, overrides)), bell=None, random=None,
             )
         assert str(exc.value) == (
@@ -793,7 +790,7 @@ class TestChooserForms:
         z = z_instrument("A")
         with pytest.raises(ScenarioError) as exc:
             Scenario(
-                kind="protocol", name="built", dim_a=2, dim_b=2, ensemble=phi_mixture(),
+                name="built", ensemble=phi_mixture(),
                 steps=(ProtocolStep("A", z, {}), ProtocolStep("A", None, {history: z})), bell=None, random=None,
             )
         assert str(exc.value) == message
@@ -804,10 +801,7 @@ class TestChooserForms:
         unitary = KrausInstrument(party="A", outcomes=(("u", X_BASIS),))
         depth = 3000
         steps = (ProtocolStep("A", unitary, {}),) * depth
-        scenario = Scenario(
-            kind="protocol", name="chain", dim_a=2, dim_b=2, ensemble=phi_mixture(), steps=steps,
-            bell=None, random=None,
-        )
+        scenario = Scenario(name="chain", ensemble=phi_mixture(), steps=steps, bell=None, random=None)
         no_adapted_calls(monkeypatch)
         transcript = run_protocol(scenario.ensemble, scenario.chooser, depth)
         assert transcript.levels[-1].paths == (("u",) * depth,)

@@ -38,7 +38,7 @@ from locclab import (
 )
 from locclab import scenario as scenario_module
 from locclab.linalg import block_eigvalsh
-from locclab.scenario import ProtocolStep, Scenario, StepChooser
+from locclab.scenario import ProtocolStep, RandomSpec, Scenario, StepChooser
 
 from helpers import PHI_PLUS, assert_same_bits, assert_same_step, bell, json_mismatches
 from reference_scenario import reference_random_scenario
@@ -584,6 +584,63 @@ def test_batched_and_entry_override_reads_agree_on_faulty_tables():
     assert not disagree, disagree[:3]
 
 
+def bad_leaf() -> dict:
+    """Z with the imaginary part of its first ket's second entry a str."""
+    z = copy.deepcopy(Z)
+    z["projective"][0][1][1] = "0"
+    return z
+
+
+UNREACHED_5 = (
+    "s.protocol[1].overrides['5']: label '5' is not an outcome of step 1 after history '' (outcomes ['0', '1']); "
+    "no history reaches '5'"
+)
+
+
+# A file with several faults names its first field fault, then its first
+# unreached history: every field is read before the Scenario constructor
+# walks the histories. Before, each key was walked when its entry was read,
+# so the first two cases named UNREACHED_5.
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "by_entry"])
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (
+            [{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"5": Z, "0": bad_leaf()}}],
+            "s.protocol[1].overrides['0'].projective[0][1][1]: expected a number, got str",
+        ),
+        (
+            [
+                {"party": "A", "instrument": Z},
+                {"party": "B", "instrument": Z, "overrides": {"5": Z}},
+                {"party": "A", "instrument": bad_leaf()},
+            ],
+            "s.protocol[2].instrument.projective[0][1][1]: expected a number, got str",
+        ),
+        (
+            [
+                {"party": "A", "instrument": Z},
+                {"party": "B", "instrument": Z, "overrides": {"5": Z}},
+                {"party": "A", "instrument": Z, "overrides": {"0,7": Z}},
+            ],
+            UNREACHED_5,
+        ),
+        # A key of the wrong form is still named when it is read.
+        (
+            [{"party": "A", "instrument": Z}, {"party": "B", "overrides": {"0,1": Z, "1": bad_leaf()}}],
+            "s.protocol[1].overrides['0,1']: history key needs 1 labels, got 2 in '0,1'",
+        ),
+    ],
+    ids=["field_after_unreached_key", "field_in_a_later_step", "two_unreached_keys", "key_form_first"],
+)
+def test_a_file_with_several_faults_names_its_first_field_fault(steps, message, batched):
+    data = json.loads(json.dumps(protocol(steps)))
+    with pytest.MonkeyPatch.context() as patch:
+        if not batched:
+            patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        assert parse_error(data) == message
+
+
 # Keys whose first label is empty. "" is the key of the empty history, so
 # the walk must not take it for a known one-label prefix: ",0" would then
 # be read as "0,0", the code of a real history.
@@ -791,8 +848,7 @@ def adaptive_scenario(depth: int, seed: int, label_pairs=None) -> Scenario:
         steps.append(ProtocolStep(party=party, instrument=default, overrides=overrides))
         histories = [history + (label,) for history in histories for label in labels]
     return Scenario(
-        kind="protocol", name=f"adaptive-{depth}", dim_a=2, dim_b=2,
-        ensemble=BipartiteEnsemble(tuple(members)), steps=tuple(steps), bell=None, random=None,
+        name=f"adaptive-{depth}", ensemble=BipartiteEnsemble(tuple(members)), steps=tuple(steps), bell=None, random=None
     )
 
 
@@ -974,10 +1030,17 @@ def two_overrides() -> dict:
 
 
 def scenario_of_steps(steps) -> Scenario:
-    return Scenario(
-        kind="protocol", name="steps", dim_a=2, dim_b=2, ensemble=BipartiteEnsemble(((1.0, bell(PHI_PLUS)),)),
-        steps=steps, bell=None, random=None,
-    )
+    return Scenario(name="steps", ensemble=PHI_ENSEMBLE, steps=steps, bell=None, random=None)
+
+
+PHI_ENSEMBLE = BipartiteEnsemble(((1.0, bell(PHI_PLUS)),))
+BELL_SPEC = BellDiagonalSpec(2, (0.9, 0.1, 0.0, 0.0))
+RANDOM_SPEC = RandomSpec(n_members=(2, 2), protocol_depth=(1, 1))
+
+
+def z_step_pair() -> tuple[ProtocolStep, ProtocolStep]:
+    """A Z measurement on A, then one on B."""
+    return tuple(ProtocolStep(party, KrausInstrument.projective(party, np.eye(2)), {}) for party in "AB")
 
 
 def bell_file(d: int, probs) -> dict:
@@ -1156,6 +1219,78 @@ def bell_file(d: int, probs) -> dict:
             ValueError,
             "labels must be a sequence of outcome labels, got int",
         ),
+        # The weight rule owns "a weight is a real number". TypeError: float()
+        # argument must be a string or a real number, not 'NoneType'
+        (lambda: BellDiagonalSpec(2, [None] * 4), ValueError, "weight None at index 0 is not a real number"),
+        (
+            lambda: BipartiteEnsemble(((None, bell(PHI_PLUS)),)),
+            ValueError,
+            "weight None at index 0 is not a real number",
+        ),
+        # Accepted, as 0.5, 1.0, 0.25 and 0.5.
+        (
+            lambda: BipartiteEnsemble((("0.5", bell(PHI_PLUS)), ("0.5", bell(PHI_PLUS)))),
+            ValueError,
+            "weight '0.5' at index 0 is not a real number",
+        ),
+        (
+            lambda: BipartiteEnsemble(((True, bell(PHI_PLUS)),)),
+            ValueError,
+            "weight True at index 0 is not a real number",
+        ),
+        (lambda: BellDiagonalSpec(2, ["0.25"] * 4), ValueError, "weight '0.25' at index 0 is not a real number"),
+        (lambda: shannon_entropy(["0.5", "0.5"]), ValueError, "weight '0.5' at index 0 is not a real number"),
+        # Dims follow the integer rule. TypeError: '<' not supported between
+        # instances of 'str' and 'int'
+        (lambda: validate_density(np.eye(4) / 4, "2", 2), ValueError, "dim_a must be an integer, got '2'"),
+        (lambda: pure_state_density([1.0, 0.0, 0.0, 0.0], "2", 2), ValueError, "dim_a must be an integer, got '2'"),
+        # Accepted, as a state with dim_a 2.0 or True.
+        (lambda: validate_density(np.eye(4) / 4, 2.0, 2), ValueError, "dim_a must be an integer, got 2.0"),
+        (lambda: validate_density(np.eye(4) / 4, True, 2), ValueError, "dim_a must be an integer, got True"),
+        (lambda: validate_density(np.eye(4) / 4, 2, "2"), ValueError, "dim_b must be an integer, got '2'"),
+        # The Scenario constructor rejects what its dump could not read back.
+        # Each was accepted, and its dump failed to parse.
+        (
+            lambda: Scenario(name="s", ensemble=PHI_ENSEMBLE, steps=(), bell=BELL_SPEC, random=None),
+            ScenarioError,
+            "bell: a scenario holds exactly one of ensemble, bell and random, got ensemble and bell",
+        ),
+        (
+            lambda: Scenario(name="s", ensemble=None, steps=(), bell=None, random=None),
+            ScenarioError,
+            "ensemble: a scenario holds exactly one of ensemble, bell and random, got none",
+        ),
+        (
+            lambda: Scenario(name="s", ensemble=None, steps=z_step_pair(), bell=None, random=RANDOM_SPEC),
+            ScenarioError,
+            "steps: steps need an ensemble beside them, got random",
+        ),
+        (
+            lambda: Scenario(name="s", ensemble=product_ensemble((2, 3)), steps=z_step_pair(), bell=None, random=None),
+            ScenarioError,
+            "protocol[1]: dimension mismatch: instrument on B has size 2, party dimension is 3",
+        ),
+        (
+            lambda: Scenario(name=5, ensemble=PHI_ENSEMBLE, steps=(), bell=None, random=None),
+            ScenarioError,
+            "name: expected a str, got int",
+        ),
+        # AttributeError: 'list' object has no attribute 'members' (in the dump)
+        (
+            lambda: Scenario(name="s", ensemble=[(1.0, bell(PHI_PLUS))], steps=(), bell=None, random=None),
+            ScenarioError,
+            "ensemble: expected a BipartiteEnsemble or None, got list",
+        ),
+        (
+            lambda: Scenario(name="s", ensemble=None, steps=(), bell={"d": 2}, random=None),
+            ScenarioError,
+            "bell: expected a BellDiagonalSpec or None, got dict",
+        ),
+        (
+            lambda: Scenario(name="s", ensemble=None, steps=(), bell=None, random=(2, 1)),
+            ScenarioError,
+            "random: expected a RandomSpec or None, got tuple",
+        ),
     ],
     ids=[
         "member_not_object", "complex_triple", "kraus_label_count", "empty_label", "instrument_without_operators",
@@ -1168,6 +1303,10 @@ def bell_file(d: int, probs) -> dict:
         "step_chooser_none", "bound_suite_none", "audit_rounds_none", "chain_mutual_information_none",
         "average_output_entanglement_none", "distillation_report_none",
         "spectral_ensemble_none", "member_none", "bell_probs_none", "bell_probs_0d", "bell_d_str", "bell_d_bool", "labels_int",
+        "bell_weight_none", "member_weight_none", "member_weight_str", "member_weight_bool", "bell_weight_str",
+        "shannon_str", "dims_str", "pure_state_dims_str", "dims_float", "dims_bool", "dim_b_str",
+        "ensemble_and_bell", "no_content", "steps_without_ensemble", "step_size", "name_int", "ensemble_type",
+        "bell_type", "random_type",
     ],
 )
 def test_rejection_names_the_field(call, error, message):
@@ -1349,6 +1488,35 @@ def instrument_or_none(party: str, labels: tuple[str, str], kraus: bool) -> Krau
         return None
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: BipartiteEnsemble(((1.0, validate_density(np.eye(4) / 4, d, 2)),)),
+        lambda d: BellDiagonalSpec(d, (0.9, 0.1, 0.0, 0.0)),
+    ],
+    ids=["ensemble", "bell"],
+)
+def test_numpy_integer_dims_dump_as_json_integers(build):
+    # The integer rule takes a numpy integer; its dump used to raise
+    # TypeError: Object of type int64 is not JSON serializable.
+    content = build(np.int64(2))
+    field = "bell" if isinstance(content, BellDiagonalSpec) else "ensemble"
+    scenario = Scenario(name="numpy", steps=(), **{**dict.fromkeys(CONTENTS), field: content})
+    text = dump_scenario(scenario)
+    assert text == dump_scenario(Scenario(name="numpy", steps=(), **{**dict.fromkeys(CONTENTS), field: build(2)}))
+    assert dump_scenario(parse_scenario(json.loads(text))) == text
+
+
+def product_ensemble(dims: tuple[int, int]) -> BipartiteEnsemble:
+    """|00> and |11> on ``dims``, half each."""
+    size = dims[0] * dims[1]
+    return BipartiteEnsemble(tuple((0.5, pure_state_density(np.eye(size)[i], *dims)) for i in (0, size - 1)))
+
+
+# One value of each content of a scenario, on the dims the ensemble is given.
+CONTENTS = {"ensemble": product_ensemble, "bell": lambda dims: BELL_SPEC, "random": lambda dims: RANDOM_SPEC}
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(labels=st.lists(st.text(), min_size=6, max_size=6), kraus=st.lists(st.booleans(), min_size=3, max_size=3))
 @example(labels=["0", "1,2", "a", "b", "c", "d"], kraus=[False, True, True])
@@ -1362,10 +1530,46 @@ def test_every_scenario_the_constructors_accept_survives_dump_and_parse(labels, 
     )
     assume(None not in (first, default, override))
     scenario = Scenario(
-        kind="protocol", name="labels", dim_a=2, dim_b=2,
+        name="labels",
         ensemble=BipartiteEnsemble(((0.5, bell(PHI_PLUS)), (0.5, pure_state_density([1, 0, 0, 0], 2, 2)))),
         steps=(ProtocolStep("A", first, {}), ProtocolStep("B", default, {(pairs[0][0],): override})),
         bell=None, random=None,
     )
+    text = dump_scenario(scenario)
+    assert dump_scenario(parse_scenario(json.loads(text))) == text
+
+
+@pytest.mark.parametrize("wrong", [None, "name", "ensemble", "bell", "random"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+@pytest.mark.parametrize("with_steps", [False, True], ids=["no_steps", "steps"])
+@pytest.mark.parametrize(
+    "held",
+    [(), ("ensemble",), ("bell",), ("random",), ("ensemble", "bell"), ("ensemble", "random"), ("bell", "random"),
+     ("ensemble", "bell", "random")],
+    ids=lambda held: "+".join(held) or "none",
+)
+def test_the_constructor_rejects_exactly_what_its_dump_cannot_read_back(held, with_steps, dims, wrong):
+    # A scenario holds exactly one content of the right type and a str name,
+    # its steps need an ensemble beside them and each step's size is its
+    # party's dimension. The constructor rejects exactly the scenarios that
+    # break one of these, naming the field; the dump of any other reads back.
+    fields = {field: build(dims) if field in held else None for field, build in CONTENTS.items()}
+    fields["name"] = "contents"
+    if wrong is not None:
+        fields[wrong] = [("x", 1)]
+    x_basis, z_basis = np.array([[R, R], [R, -R]]), np.eye(2)
+    a_step = ProtocolStep("A", KrausInstrument.projective("A", x_basis), {})
+    b_step = ProtocolStep(
+        "B", KrausInstrument.projective("B", z_basis), {("0",): KrausInstrument.projective("B", x_basis)}
+    )
+    steps = (a_step, b_step) if with_steps else ()
+    breaks_a_rule = wrong is not None or len(held) != 1 or (with_steps and (held != ("ensemble",) or dims != (2, 2)))
+    try:
+        scenario = Scenario(steps=steps, **fields)
+    except ScenarioError as exc:
+        assert breaks_a_rule, str(exc)
+        assert str(exc).split(":")[0] in ("name", *CONTENTS, "steps", "protocol[0]", "protocol[1]"), str(exc)
+        return
+    assert not breaks_a_rule
     text = dump_scenario(scenario)
     assert dump_scenario(parse_scenario(json.loads(text))) == text
