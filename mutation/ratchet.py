@@ -2,7 +2,8 @@
 rule of ``locclab.entropy``, the integer rule of ``locclab.linalg`` and
 the ``Scenario`` constructor: the bound suite, the round audit, the tree
 expansion and its prune edge, the rows a ``StepChooser`` reads, the
-argument checks of ``run_protocol`` and ``_outcome_labels``, the weight
+argument checks of ``run_protocol`` and ``_outcome_labels``, the cross
+terms of the closed-form average marginals of pure 2x2 members, the weight
 floor, the Shannon zero rule, the purity judged at unit trace, a
 scenario's derived kind and its walk of the override histories.
 

@@ -102,6 +102,10 @@ class BipartiteEnsemble:
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
+        for i, member in enumerate(self.members):
+            if not (isinstance(member, (tuple, list)) and len(member) == 2):
+                got = f"{len(member)} entries" if isinstance(member, (tuple, list)) else type(member).__name__
+                raise ValueError(f"member {i} must be a (weight, state) pair, got {got}")
         _require_weights([p for p, _ in self.members])
         members = tuple((float(p), state) for p, state in self.members)
         first = members[0][1]
@@ -218,8 +222,9 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     closed form (``_qubit_eigvalsh``), and any larger D by one
     ``np.linalg.eigvalsh`` call over the stack. (Pure members of a 2x2
     outcome tree take a third route, from the determinant of their
-    coefficient matrix, in ``protocol._level_stats``, which calls this
-    once per tree and side for all levels' matrices.) Every matrix must
+    coefficient matrix, in ``protocol._level_stats``, which builds their
+    average marginals from their amplitudes and calls this once per tree
+    and side for all levels' average marginals.) Every matrix must
     pass the state rule of ``locclab.linalg``; rounding-level negative
     eigenvalues count as zeros.
     """

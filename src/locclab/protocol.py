@@ -64,17 +64,19 @@ entropy, the mean average-marginal entropy and the average marginals. A
 member's marginal on side A is the Gram X X^dagger of V reshaped to X
 (dim_a, dim_b * r), side B likewise. A node's average marginal on a side
 is ``_mixture_gram`` of its members' reshaped factors, the Gram that
-``TreeLevel.averages`` takes of the full factors. ``run_protocol``
+``TreeLevel.averages`` takes of the full factors, except for pure members
+of a 2x2 system (below). ``run_protocol``
 computes the stats once per tree: every level shares one (M, D, r), so
 ``_level_stats`` joins the levels along the node axis and solves every
 node's entropies and average marginals in one pass; each level's means
 are then entries of per-level arrays. Each spectrum takes one of three
 routes:
 
-- pure members (r = 1) of a 2x2 system: no member Gram is built. Every
+- pure members (r = 1) of a 2x2 system: no Gram is built. Every
   member's marginal spectrum, shared by both sides, comes from the
   determinant of its 2x2 coefficient matrix, and the members that do not
-  count are zeroed afterwards;
+  count are zeroed afterwards. Each side's average marginals are weighted
+  sums of the members' amplitude products (``_pure_qubit_averages``);
 - every other 2x2 marginal, average marginals included: the closed-form
   2x2 solve inside ``von_neumann_entropies``;
 - larger marginals: one stacked LAPACK ``eigvalsh`` per (tree, side) and
@@ -102,7 +104,6 @@ from .entropy import (
     ZERO_EIGENVALUE,
     BipartiteEnsemble,
     SpectralEnsemble,
-    _ones,
     entanglements,
     shannon_entropies,
     von_neumann_entropies,
@@ -599,24 +600,46 @@ def _expand(level: TreeLevel, step: ProtocolStep, rows: np.ndarray, dims: tuple[
     )
 
 
-def _pure_qubit_marginals(factors: np.ndarray, counted: np.ndarray) -> np.ndarray:
+def _pure_qubit_marginals(psi: np.ndarray, abs2: np.ndarray, counted: np.ndarray) -> np.ndarray:
     """Member marginal entropies of pure members of a 2x2 system, (N, M).
 
-    No member marginal is built. A member's marginal spectrum is the same on
-    both sides, (t +- sqrt(t^2 - 4 |det psi|^2)) / 2 with psi its 2x2
-    coefficient matrix and t = ||psi||_F^2; the small root is written as
+    ``psi`` (4, N, M) holds each member's amplitudes psi_00, psi_01, psi_10,
+    psi_11 as four planes and ``abs2`` their |psi_ij|^2, which
+    ``_pure_qubit_averages`` shares. No member marginal is built. A
+    member's marginal spectrum is the same on both sides,
+    (t +- sqrt(t^2 - 4 |det psi|^2)) / 2 with psi its 2x2 coefficient
+    matrix and t = ||psi||_F^2; the small root is written as
     2 |det psi|^2 / (t + sqrt(...)). Every member is solved and those that
     ``counted`` leaves out are set to 0 afterwards: a gather of the counted
     ones would cost more than the few it skips, and every factor has unit
-    norm, so no row of the solve is 0/0. t is a matvec over psi's four
-    entries, not a length-4 reduction.
+    norm, so no row of the solve is 0/0.
     """
-    psi = factors.reshape(-1, 4)
-    t = (psi.real**2 + psi.imag**2) @ _ones(4)
-    det = np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]) ** 2
+    t = abs2[0] + abs2[1] + abs2[2] + abs2[3]
+    det = np.abs(psi[0] * psi[3] - psi[1] * psi[2]) ** 2
     upper = t + np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
-    member = shannon_entropies(np.stack([2.0 * det / upper, 0.5 * upper], axis=-1))
+    member = shannon_entropies(np.stack([2.0 * det / upper, 0.5 * upper], axis=-1).reshape(-1, 2))
     return np.where(counted, member.reshape(counted.shape), 0.0)
+
+
+def _pure_qubit_averages(psi: np.ndarray, abs2: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Read-only (2, N, 2, 2) average marginals, side A then side B, of pure
+    members of a 2x2 system, from the planes of ``_pure_qubit_marginals``.
+
+    Entry (i, i') of side A sums w psi_ij conj(psi_i'j) over the members and
+    j, and entry (j, j') of side B sums w psi_ij conj(psi_ij') over the
+    members and i, w the ``weights`` (N, M); each sum over the members is
+    one einsum with the member axis innermost.
+    """
+    p00, p01, p10, p11 = psi
+    diag = np.einsum("nm,snm->sn", weights, abs2)
+    cross = np.stack([p00 * p10.conj() + p01 * p11.conj(), p00 * p01.conj() + p10 * p11.conj()])
+    cross = np.einsum("nm,snm->sn", weights, cross)
+    out = np.empty((2, psi.shape[1], 2, 2), dtype=complex)
+    out[0, :, 0, 0], out[0, :, 1, 1] = diag[0] + diag[1], diag[2] + diag[3]
+    out[1, :, 0, 0], out[1, :, 1, 1] = diag[0] + diag[2], diag[1] + diag[3]
+    out[:, :, 0, 1], out[:, :, 1, 0] = cross, cross.conj()
+    out.setflags(write=False)
+    return out
 
 
 def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStats:
@@ -625,25 +648,25 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStat
     Every level of a tree shares one (M, D, r), so the levels are joined
     along the node axis (a lone root is used as it is, not copied) and each
     per-node entropy, and each side's average marginals, come from one call
-    over the whole tree. Level k's means are then dots over the live nodes
-    of its own span, the same elements in the same order as a pass over
-    the level alone, and its average marginals are read-only views of the
-    tree-wide stacks.
+    over the whole tree: ``_pure_qubit_averages`` for pure members of a 2x2
+    system, ``_mixture_gram`` for every other shape. The per-level means
+    are one ``bincount`` over the live nodes, which adds each level's terms
+    in node order, as a pass over the level alone does, and a level's
+    average marginals are read-only views of the tree-wide stacks.
     """
     dim_a, dim_b = dims
-    offsets = itertools.accumulate((len(level.prob) for level in levels), initial=0)
-    spans = [slice(start, stop) for start, stop in itertools.pairwise(offsets)]
+    sizes = [len(level.prob) for level in levels]
+    spans = [slice(start, stop) for start, stop in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
     prob, q, factors = (
         arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         for arrays in zip(*((level.prob, level.q, level.factors) for level in levels))
     )
     live = prob > 0.0
-    # Each level's span, its live nodes and their path probabilities.
-    parts = [(span, live[span], prob[span][live[span]]) for span in spans]
+    level_live, prob_live = np.repeat(np.arange(len(sizes)), sizes)[live], prob[live]
 
     def means(values: np.ndarray) -> np.ndarray:
         """Path-probability-weighted mean over each level's live nodes, (L,)."""
-        return np.array([weight @ values[span][kept] for span, kept, weight in parts])
+        return np.bincount(level_live, weights=prob_live * values[live], minlength=len(sizes))
 
     weights = np.where(q > 0.0, q, 0.0)
     counted = live[:, None] & (q > 0.0)
@@ -655,20 +678,25 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStat
         "A": split.reshape(n, m, dim_a, dim_b * r),
         "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
     }
-    scale = np.sqrt(weights)
     member_entropy, average_entropy, average_marginals = {}, {}, {}
     qubit_kets = r == 1 and dims == (2, 2)
     if qubit_kets:
-        member = _pure_qubit_marginals(factors, counted)
+        psi = np.moveaxis(factors.reshape(n, m, 4), -1, 0).copy()
+        abs2 = psi.real**2 + psi.imag**2
+        member = _pure_qubit_marginals(psi, abs2, counted)
+        averages = dict(zip(PARTIES, _pure_qubit_averages(psi, abs2, weights)))
+    else:
+        scale = np.sqrt(weights)
+        averages = {side: _mixture_gram(x, scale) for side, x in reshaped.items()}
     for side, x in reshaped.items():
-        # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's.
-        if (side == "A" and not qubit_kets) or r > 1:
+        if not qubit_kets and (side == "A" or r > 1):
             member = np.zeros(q.shape)
             member[counted] = von_neumann_entropies(_gram(x)[counted])
-        member_entropy[side] = means((weights * member).sum(axis=1))
-        marginals = _mixture_gram(x, scale)
-        average_entropy[side] = means(von_neumann_entropies(marginals))
-        average_marginals[side] = tuple(marginals[span] for span in spans)
+        # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's mean.
+        pure_b = side == "B" and r == 1
+        member_entropy[side] = member_entropy["A"] if pure_b else means((weights * member).sum(axis=1))
+        average_entropy[side] = means(von_neumann_entropies(averages[side]))
+        average_marginals[side] = tuple(averages[side][span] for span in spans)
     return TreeStats(
         conditional_entropy=means(shannon_entropies(q)),
         member_entropy=member_entropy,

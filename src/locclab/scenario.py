@@ -225,12 +225,26 @@ def _to_pairs(array: np.ndarray) -> list:
     return np.stack([array.real, array.imag], axis=-1).tolist()
 
 
+# The least value of each range of a random spec, for the parser, RandomSpec and random_scenario.
+_RANGE_MINIMA = {"n_members": 1, "protocol_depth": 0}
+
+
 @dataclass(frozen=True)
 class RandomSpec:
-    """Generator parameters for seeded random scenarios."""
+    """Generator parameters for seeded random scenarios. Each range is the
+    (low, high) tuple of ints that ``_int_range`` gives the parser; the
+    constructor converts nothing and rejects any other value, naming
+    ``random.<field>``."""
 
     n_members: tuple[int, int]
     protocol_depth: tuple[int, int]
+
+    def __post_init__(self):
+        for field, minimum in _RANGE_MINIMA.items():
+            value = getattr(self, field)
+            if not isinstance(value, tuple):
+                raise ScenarioError(f"random.{field}: expected a (low, high) tuple of integers, got {value!r}")
+            _int_range(value, f"random.{field}", minimum)
 
 
 # The histories a walk has found to reach a step, each with the labels of
@@ -541,8 +555,10 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     if kind == "random":
         rnd_path = f"{source}.random"
         rnd = _as_dict(_get(obj, "random", source), rnd_path, ("instrument_family", "n_members", "protocol_depth"))
-        n_members = _int_range(_get(rnd, "n_members", rnd_path), f"{rnd_path}.n_members", 1)
-        depth = _int_range(_get(rnd, "protocol_depth", rnd_path), f"{rnd_path}.protocol_depth", 0)
+        n_members, depth = (
+            _int_range(_get(rnd, field, rnd_path), f"{rnd_path}.{field}", minimum)
+            for field, minimum in _RANGE_MINIMA.items()
+        )
         family = _as_str(rnd.get("instrument_family", INSTRUMENT_FAMILY), f"{rnd_path}.instrument_family")
         if family != INSTRUMENT_FAMILY:
             _fail(f"{rnd_path}.instrument_family", f"unknown family {family!r}")
@@ -662,8 +678,8 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     still check norms, probability sums, and the orthonormality and
     completeness of each basis.
     """
-    members_lo, members_hi = _int_range(n_members, "n_members", 1)
-    depth_lo, depth_hi = _int_range(protocol_depth, "protocol_depth", 0)
+    members_lo, members_hi = _int_range(n_members, "n_members", _RANGE_MINIMA["n_members"])
+    depth_lo, depth_hi = _int_range(protocol_depth, "protocol_depth", _RANGE_MINIMA["protocol_depth"])
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(members_lo, members_hi + 1))

@@ -2,8 +2,9 @@
 
 ``von_neumann_entropies`` solves a stack of 2x2 matrices in closed form,
 and ``protocol._level_stats`` reads the marginal spectra of pure members of
-a 2x2 system from the determinants of their coefficient matrices. These
-tests compare both with ``np.linalg.eigvalsh``, which every other size
+a 2x2 system from the determinants of their coefficient matrices, and
+their average marginals from their amplitudes. These tests compare them
+with ``np.linalg.eigvalsh`` and ``_mixture_gram``, which every other size
 still takes, and check that the input errors keep their messages.
 """
 
@@ -208,25 +209,44 @@ def test_pure_qubit_route_matches_general_route(seed, n_members, depth, zero_wei
         assert_stats_agree(transcript.stats, k, protocol._level_stats((padded(level),), (2, 2)))
 
 
-def routes_taken(monkeypatch, ensemble) -> int:
-    """How many times a depth-2 run (A, then B, in the standard bases) took the
-    pure-qubit route: once per tree, since ``_level_stats`` reads all three
-    levels in one pass."""
-    taken = []
-    original = protocol._pure_qubit_marginals
-
-    def recording(*args):
-        taken.append(True)
-        return original(*args)
+def standard_chooser(ensemble):
+    """A on the first round, then B, each in the standard basis."""
 
     def chooser(history):
         party, dim = ("B", ensemble.dim_b) if history else ("A", ensemble.dim_a)
         return KrausInstrument.projective(party, np.eye(dim))
 
+    return chooser
+
+
+def calls_of(monkeypatch, name: str, run) -> int:
+    """How many times ``run()`` calls ``protocol.<name>``."""
+    calls = []
+    original = getattr(protocol, name)
+
+    def recording(*args):
+        calls.append(True)
+        return original(*args)
+
     with monkeypatch.context() as patch:
-        patch.setattr(protocol, "_pure_qubit_marginals", recording)
-        run_protocol(ensemble, chooser, 2)
-    return len(taken)
+        patch.setattr(protocol, name, recording)
+        run()
+    return len(calls)
+
+
+def routes_taken(monkeypatch, ensemble) -> int:
+    """How many times a depth-2 run (A, then B, in the standard bases) took the
+    pure-qubit route: once per tree, since ``_level_stats`` reads all three
+    levels in one pass."""
+    return calls_of(monkeypatch, "_pure_qubit_marginals", lambda: run_protocol(ensemble, standard_chooser(ensemble), 2))
+
+
+def mixture_grams(monkeypatch, ensemble) -> int:
+    """How many ``_mixture_gram`` calls ``_level_stats`` makes on the tree of
+    that depth-2 run: none on the pure-qubit route, one per side elsewhere."""
+    levels = run_protocol(ensemble, standard_chooser(ensemble), 2).levels
+    dims = (ensemble.dim_a, ensemble.dim_b)
+    return calls_of(monkeypatch, "_mixture_gram", lambda: protocol._level_stats(levels, dims))
 
 
 @pytest.mark.parametrize("depth", [1, 3, 6])
@@ -274,5 +294,33 @@ def test_other_systems_take_the_general_route(monkeypatch, seed):
     assert routes_taken(monkeypatch, pure_qubit) == 1
     assert routes_taken(monkeypatch, pure_2x3) == 0
     assert routes_taken(monkeypatch, mixed_qubit) == 0
+    assert mixture_grams(monkeypatch, pure_qubit) == 0
+    assert mixture_grams(monkeypatch, pure_2x3) == 2
+    assert mixture_grams(monkeypatch, mixed_qubit) == 2
     for ensemble in (pure_qubit, pure_2x3, mixed_qubit):
         assert_root_matches_oracles(ensemble)
+
+
+@PROPERTY
+@given(seed=seeds, n_nodes=st.integers(1, 6), n_members=st.integers(2, 6))
+def test_pure_qubit_averages_match_the_mixture_gram(seed, n_nodes, n_members):
+    # Pure 2x2 members take their average marginals from psi's amplitudes;
+    # every other shape takes the Gram of the scaled factors. Each node has
+    # a member of weight zero, which must count as zero on both routes.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n_nodes, n_members, 4)) + 1j * rng.standard_normal((n_nodes, n_members, 4))
+    factors = (g / np.linalg.norm(g, axis=-1, keepdims=True))[..., None]
+    q = rng.dirichlet(np.ones(n_members), n_nodes)
+    q[np.arange(n_nodes), rng.integers(n_members, size=n_nodes)] = 0.0
+    q /= q.sum(axis=1, keepdims=True)
+    root = np.full(n_nodes, -1)
+    level = protocol.TreeLevel(prob=rng.dirichlet(np.ones(n_nodes)), q=q, factors=factors, parent=root, outcome=root.copy())
+    stats = protocol._level_stats((level,), (2, 2))
+    x, scale = factors.reshape(n_nodes, n_members, 2, 2), np.sqrt(q)
+    for side, split in (("A", x), ("B", x.swapaxes(2, 3))):
+        marginals = stats.average_marginals[side][0]
+        assert not marginals.flags.writeable
+        np.testing.assert_allclose(marginals, protocol._mixture_gram(split, scale), rtol=0, atol=1e-15)
+    # The two sides' cross terms differ, so the routes would tell them apart.
+    cross = {side: stats.average_marginals[side][0][:, 0, 1] for side in protocol.PARTIES}
+    assert np.abs(cross["A"] - cross["B"]).max() > 1e-3

@@ -1291,6 +1291,29 @@ def bell_file(d: int, probs) -> dict:
             ScenarioError,
             "random: expected a RandomSpec or None, got tuple",
         ),
+        # A member that is not a (weight, state) pair is named before anything is unpacked.
+        (lambda: BipartiteEnsemble((bell(PHI_PLUS),)), ValueError, "member 0 must be a (weight, state) pair, got DensityOperator"),
+        (
+            lambda: BipartiteEnsemble(((1.0, bell(PHI_PLUS)), (0.0, bell(PHI_PLUS), 1))),
+            ValueError,
+            "member 1 must be a (weight, state) pair, got 3 entries",
+        ),
+        # A random spec holds what its dump can read back: (low, high) tuples at the parser's minima.
+        (
+            lambda: RandomSpec(n_members=(0, 0), protocol_depth=(1, 1)),
+            ScenarioError,
+            "random.n_members must be >= 1, got 0",
+        ),
+        (
+            lambda: RandomSpec(n_members=2, protocol_depth=1),
+            ScenarioError,
+            "random.n_members: expected a (low, high) tuple of integers, got 2",
+        ),
+        (
+            lambda: RandomSpec(n_members=(2, 2), protocol_depth=(-1, 1)),
+            ScenarioError,
+            "random.protocol_depth must be >= 0, got -1",
+        ),
     ],
     ids=[
         "member_not_object", "complex_triple", "kraus_label_count", "empty_label", "instrument_without_operators",
@@ -1306,7 +1329,8 @@ def bell_file(d: int, probs) -> dict:
         "bell_weight_none", "member_weight_none", "member_weight_str", "member_weight_bool", "bell_weight_str",
         "shannon_str", "dims_str", "pure_state_dims_str", "dims_float", "dims_bool", "dim_b_str",
         "ensemble_and_bell", "no_content", "steps_without_ensemble", "step_size", "name_int", "ensemble_type",
-        "bell_type", "random_type",
+        "bell_type", "random_type", "member_not_a_pair", "member_triple", "random_spec_minimum",
+        "random_spec_int", "random_spec_depth_minimum",
     ],
 )
 def test_rejection_names_the_field(call, error, message):
