@@ -274,7 +274,10 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list) -> tuple[np.nd
     if not dim:
         raise ValueError("projective basis is empty")
     _require_finite(kets)
-    overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - np.eye(dim)).max(axis=(1, 2))
+    # A finite entry near 1e300 overflows the Gram to inf or NaN, which
+    # fails the test below without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - np.eye(dim)).max(axis=(1, 2))
     if not (overlap <= _ORTHONORMAL_TOL).all():
         raise ValueError("projective basis is not orthonormal")
     labels = [_outcome_labels(names, dim) for names in labels]
