@@ -1,17 +1,21 @@
 """Mutation ratchet for ``locclab.protocol``, the zero band and purity
-rule of ``locclab.entropy``, the integer rule of ``locclab.linalg`` and
-the ``Scenario`` constructor: the bound suite, the round audit, the tree
+rule of ``locclab.entropy``, the integer rule of ``locclab.linalg``, the
+``Scenario`` constructor, the parser's per-party batch read and the CLI's
+JSON writer: 29 mutants of the bound suite, the round audit, the tree
 expansion and its prune edge, the rows a ``StepChooser`` reads, the
 argument checks of ``run_protocol`` and ``_outcome_labels``, the cross
 terms of the closed-form average marginals of pure 2x2 members, the weight
 floor, the Shannon zero rule, the purity judged at unit trace, a
-scenario's derived kind and its walk of the override histories.
+scenario's derived kind and its walk of the override histories, the slice
+of a party's batch that each step takes, and the writer's key order and
+nested indent.
 
 Each mutant in ``mutants.json`` is one exact text replacement in one file
 of ``src/locclab/``: the file its ``file`` names, ``protocol.py`` when it
-names none. For each one this script copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, applies the replacement
-there, and runs tier-1 without the three files that compare
+names none. For each one this script copies ``src/``, ``tests/``,
+``perfbench/`` (whose input generator and golden reader some tests
+import) and ``pyproject.toml`` to a temporary directory, applies the
+replacement there, and runs tier-1 without the three files that compare
 with a second copy of the engine's formulas or with its recorded output:
 ``test_engine_properties.py`` (which imports ``reference_engine.py``),
 ``test_cli.py`` (which reads the golden reports) and
@@ -64,6 +68,8 @@ def run_tests(mutant: dict | None = None) -> bool:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        bench_ignore = shutil.ignore_patterns("__pycache__", "_work", "results")
+        shutil.copytree(ROOT / "perfbench", work / "perfbench", ignore=bench_ignore)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         if mutant is not None:
             path = work / target(mutant)

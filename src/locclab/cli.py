@@ -44,12 +44,12 @@ than print a non-standard token.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import os
 import sys
 import time
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,11 +66,18 @@ MARGINAL_DEVIATION_TOL = 1e-9
 # A Bell-diagonal report's generic bounds agree with their closed forms within this.
 AGREEMENT_TOL = 1e-7
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
+_INF = float("inf")
 # Per-round audit checks, report key -> comparison: a slack must be >= -tol,
 # the distant marginal deviation <= MARGINAL_DEVIATION_TOL.
 _AUDIT_CHECKS = {"holevo_slack": ">=", "entropy_drop_slack": ">=", "distant_marginal_deviation": "<="}
 # Table verdict of a check outcome; None when a bound has no check.
 _VERDICT = {True: "PASS", False: "FAIL", None: "-"}
+
+
+def _fields(result) -> dict:
+    """A result dataclass's fields under their own names; no value is
+    copied, as each is a scalar, a tuple of floats or a flat dict."""
+    return {field.name: getattr(result, field.name) for field in fields(result)}
 
 
 def _check(name: str, value: float, threshold: float, comparison: str) -> dict:
@@ -110,8 +117,8 @@ def _transcript(scenario: Scenario):
 def _bounds_body(scenario: Scenario, tol: float):
     transcript, body = _transcript(scenario)
     report = bound_suite(transcript)
-    body.update(dataclasses.asdict(report), slacks=report.slacks())
-    body["audits"] = [dataclasses.asdict(a) for a in audit_rounds(transcript)]
+    body.update(_fields(report), slacks=report.slacks())
+    body["audits"] = [_fields(a) for a in audit_rounds(transcript)]
     checks = [
         _check(f"slack:{name}", slack, -tol, ">=") for name, slack in body["slacks"].items() if slack is not None
     ]
@@ -179,7 +186,7 @@ def _distill_body(scenario: Scenario, tol: float):
         checks.append(_check("closed_form_agreement:partial", partial, AGREEMENT_TOL, "<="))
     if scenario.bell is not None:
         checks.append(_check("partial_bound_positive", report.closed_form_partial, 0.0, ">="))
-    return {"report": dataclasses.asdict(report)}, checks
+    return {"report": _fields(report)}, checks
 
 
 def _distill_lines(trial: dict, verdicts: dict) -> list[str]:
@@ -302,11 +309,72 @@ def render_table(report: dict, elapsed: float) -> str:
     return "\n".join(lines)
 
 
+def _json_float(value: float) -> str:
+    # Chained comparison: false for NaN as well as for +-inf.
+    if not -_INF < value < _INF:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append ``value``'s JSON text to ``parts``; ``newline`` is the line
+    break and indent of the level that holds it. An array is written one
+    item a line, an object one key a line in sorted order, each line two
+    spaces deeper than ``newline``."""
+    # The type tests run in json.encoder's order: bool before int, and a
+    # float subclass such as np.float64 is a float.
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_json_float(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = newline + "  "
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            separator = "{" + inner
+            for key in sorted(value):
+                parts.append(separator + encode_basestring_ascii(key) + ": ")
+                _write_json(value[key], inner, parts)
+                separator = "," + inner
+            parts.append(newline + "}")
+        else:
+            separator = "[" + inner
+            for item in value:
+                parts.append(separator)
+                _write_json(item, inner, parts)
+                separator = "," + inner
+            parts.append(newline + "]")
+
+
+def _json_text(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)``,
+    byte for byte, without the stdlib's pure-Python indent encoder: a NaN
+    or an infinity raises ValueError, and a key that is not a str, or a
+    value of no JSON type, TypeError."""
+    parts: list[str] = []
+    _write_json(report, "\n", parts)
+    return "".join(parts)
+
+
 def _encodable(text: str, stream) -> str:
     """``text`` with every character that ``stream``'s encoding (UTF-8 if it
     has none) cannot write backslash-escaped, as Python writes stderr: a
     lone surrogate in a scenario name or an outcome label prints as
-    ``\\ud800``. JSON output needs no such step: ``json.dumps`` escapes
+    ``\\ud800``. JSON output needs no such step: ``_json_text`` escapes
     every non-ASCII character."""
     encoding = getattr(stream, "encoding", None) or "utf-8"
     return text.encode(encoding, "backslashreplace").decode(encoding)
@@ -349,7 +417,7 @@ def main(argv=None) -> int:
 
     try:
         if args.format == "json":
-            print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
+            print(_json_text(report))
         else:
             print(_encodable(render_table(report, elapsed), sys.stdout))
         sys.stdout.flush()

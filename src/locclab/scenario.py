@@ -362,34 +362,59 @@ def _row_payload(step: ProtocolStep, row: int) -> dict:
     return {"labels": list(labels), "kraus": _to_pairs(step.ops[row, : len(labels)])}
 
 
-def _parse_projective_table(table: dict, party: str, dim: int) -> tuple[np.ndarray, list, np.ndarray] | None:
-    """Every override of a step at once, when all are projective and valid.
+def _projective_entry(value) -> bool:
+    """Whether an override entry is a projective object with no field but
+    'labels' besides, the only kind a batch reads."""
+    return type(value) is dict and "projective" in value and value.keys() <= {"labels", "projective"}
 
-    The kets of the H overrides are read as one (H, K, K, 2) array of
+
+def _batched_tables(steps_raw: list, dims: dict[str, int]) -> dict[int, tuple[np.ndarray, list, np.ndarray]]:
+    """Step index -> its override table as read in its party's batch.
+
+    A table joins its party's batch when its step is an object whose
+    'party' is A or B and every entry of its nonempty table is a projective
+    entry. Never raises: a step that it does not read, or a party whose
+    batch declines, is left to the entry parse, which names the field.
+    """
+    tables: dict[str, dict[int, dict]] = {party: {} for party in dims}
+    for i, step in enumerate(steps_raw):
+        if type(step) is not dict:
+            continue
+        party, table = step.get("party"), step.get("overrides")
+        if type(party) is str and party in tables and type(table) is dict and table:
+            if all(_projective_entry(value) for value in table.values()):
+                tables[party][i] = table
+    batched = {}
+    for party, found in tables.items():
+        stacks = _parse_projective_tables(list(found.values()), party, dims[party]) if found else None
+        if stacks is not None:
+            batched.update(zip(found, stacks))
+    return batched
+
+
+def _parse_projective_tables(tables: list[dict], party: str, dim: int) -> list[tuple] | None:
+    """Every override of the projective ``tables`` of one party at once.
+
+    The kets of all H overrides are read as one (H, K, K, 2) array of
     [re, im] pairs, K the party's dimension ``dim``, and each check runs
-    once for the whole table: shape, leaf types, a list for each 'labels',
+    once for the whole batch: shape, leaf types, a list for each 'labels',
     then ``_projective_stack``'s finiteness, orthonormality, labels and
     completeness.
-    Returns the (H, K, K, K) projectors, their label tuples and the
-    (H, K, K) kets in table order, or None when a check fails or an entry
-    is not a projective object with no field but 'labels' besides; the
-    entry parse names the field.
+    Returns, per table, its (H_t, K, K, K) projectors, label tuples and
+    (H_t, K, K) kets in table order, sliced from the batch; or None when
+    any check fails, so that the entry parse names the field.
     """
-    values = list(table.values())
-    if not all(
-        type(value) is dict and "projective" in value and value.keys() <= {"labels", "projective"} for value in values
-    ):
-        return None
+    values = [value for table in tables for value in table.values()]
     rows = [value["projective"] for value in values]
     # Each level must hold lists of the right length, as the entry parse
     # requires; np.array alone would also take tuples and arrays.
     nested = rows
     for size in (dim, dim, 2):
-        if not all(type(item) is list and len(item) == size for item in nested):
+        if set(map(type, nested)) != {list} or set(map(len, nested)) != {size}:
             return None
         nested = list(itertools.chain.from_iterable(nested))
     # np.array(..., dtype=float) would take true as 1.0 and "0.5" as 0.5.
-    if not {type(x) for x in nested} <= {float, int}:
+    if not set(map(type, nested)) <= {float, int}:
         return None
     try:
         numbers = np.array(nested, dtype=float).reshape(len(rows), dim, dim, 2)
@@ -403,7 +428,8 @@ def _parse_projective_table(table: dict, party: str, dim: int) -> tuple[np.ndarr
         projectors, labels = _projective_stack(party, kets, [value.get("labels") for value in values])
     except ValueError:
         return None
-    return projectors, labels, kets
+    ends = list(itertools.accumulate(len(table) for table in tables))
+    return [(projectors[a:b], labels[a:b], kets[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _split_history_key(key: str, i: int, step_path: str) -> tuple[str, ...]:
@@ -528,18 +554,20 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         steps_raw = _as_list(_get(obj, "protocol", source), f"{source}.protocol")
         if not steps_raw:
             _fail(f"{source}.protocol", "protocol needs at least one step")
+        dims = dict(zip(PARTIES, (dim_a, dim_b)))
+        batched = _batched_tables(steps_raw, dims)
         for i, step_raw in enumerate(steps_raw):
             step_path = f"{source}.protocol[{i}]"
             step_obj = _as_dict(step_raw, step_path, ("instrument", "overrides", "party"))
             party = _as_str(_get(step_obj, "party", step_path), f"{step_path}.party")
             with _at(f"{step_path}.party"):
                 _require_party(party)
-            dim = dim_a if party == "A" else dim_b
+            dim = dims[party]
             default = None
             if step_obj.get("instrument") is not None:
                 default = _parse_instrument(step_obj["instrument"], party, dim, f"{step_path}.instrument")
             table = _as_dict(step_obj.get("overrides", {}), f"{step_path}.overrides", None)
-            stack = _parse_projective_table(table, party, dim) if table else None
+            stack = batched.get(i)
             if stack is not None:
                 histories = [_split_history_key(key, i, step_path) for key in table]
             else:

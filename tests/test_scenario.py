@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,14 @@ from locclab import scenario as scenario_module
 from locclab.linalg import block_eigvalsh
 from locclab.scenario import ProtocolStep, RandomSpec, Scenario, StepChooser
 
+import fault_corpus
 from helpers import PHI_PLUS, assert_same_bits, assert_same_step, bell, json_mismatches
 from reference_scenario import reference_random_scenario
+from test_bound_values import pairs
+
+# The benchmark's own input generator, for its deep_tree files.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 GOLDEN_DUMPS = Path(__file__).parent / "golden" / "dump"
 BUNDLED = ("bell_diagonal_09", "four_bell_uniform", "maximally_mixed", "phi_mixture_xx", "random_sweep")
@@ -466,7 +473,7 @@ class TestBatchedOverrideParse:
     def test_valid_table_matches_entry_parse(self, monkeypatch):
         data = adaptive_table()
         batched = parse_scenario(data)
-        monkeypatch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        monkeypatch.setattr(scenario_module, "_parse_projective_tables", lambda *args: None)
         for step, ref in zip(batched.steps, parse_scenario(data).steps, strict=True):
             assert_same_step(step, ref)
 
@@ -536,27 +543,58 @@ KEY_RENAMES = [
 ]
 
 
-def faulty_tables(count: int, seed: int) -> list[dict]:
-    """``count`` copies of an adaptive depth-4 protocol, each with 0-3
-    faults in the override tables of steps 2-4."""
+def faulty_tables(count: int, seed: int, base: dict | None = None, steps=(1, 2, 3)) -> list[dict]:
+    """``count`` copies of ``base`` (an adaptive depth-4 protocol), each
+    with 0-3 faults in the override tables of ``steps``."""
     rng = np.random.default_rng(seed)
-    base = json.loads(dump_scenario(adaptive_scenario(4, seed)))
+    base = base or json.loads(dump_scenario(adaptive_scenario(4, seed)))
     tables = []
     for _ in range(count):
         data = copy.deepcopy(base)
         faulty = set()  # ids of the entries already given a fault
         for _ in range(int(rng.integers(4))):
-            table = data["protocol"][int(rng.integers(1, 4))]["overrides"]
-            keys = list(table)
-            key = keys[int(rng.integers(len(keys)))]
-            fault = int(rng.integers(len(ENTRY_FAULTS) + len(KEY_RENAMES)))
-            if fault < len(ENTRY_FAULTS):
-                entry = table[key]
-                if id(entry) not in faulty:
-                    faulty.add(id(entry))
-                    ENTRY_FAULTS[fault](entry)
-            else:
-                table[KEY_RENAMES[fault - len(ENTRY_FAULTS)](key, keys)] = table.pop(key)
+            add_fault(data["protocol"][steps[int(rng.integers(len(steps)))]]["overrides"], rng, faulty)
+        tables.append(data)
+    return tables
+
+
+def add_fault(table: dict, rng: np.random.Generator, faulty: set) -> None:
+    """One fault of ``ENTRY_FAULTS`` or ``KEY_RENAMES`` in a random entry of
+    ``table``; an entry in ``faulty`` (ids) gets no second entry fault."""
+    keys = list(table)
+    key = keys[int(rng.integers(len(keys)))]
+    fault = int(rng.integers(len(ENTRY_FAULTS) + len(KEY_RENAMES)))
+    if fault < len(ENTRY_FAULTS):
+        entry = table[key]
+        if id(entry) not in faulty:
+            faulty.add(id(entry))
+            ENTRY_FAULTS[fault](entry)
+    else:
+        table[KEY_RENAMES[fault - len(ENTRY_FAULTS)](key, keys)] = table.pop(key)
+
+
+def kraus_between_projective() -> dict:
+    """An adaptive depth-5 protocol (parties A, B, A, B, A) whose step 2
+    table holds one valid Kraus entry, so that it is read entry by entry
+    while the projective tables of steps 1, 3 and 4 around it are batched."""
+    data = json.loads(dump_scenario(adaptive_scenario(5, 11)))
+    entry = next(iter(data["protocol"][2]["overrides"].values()))
+    kets = np.array(entry.pop("projective"), dtype=float).view(complex)[..., 0]
+    entry["kraus"] = [pairs(np.outer(ket, ket.conj())) for ket in kets]
+    return data
+
+
+def two_tables_of_one_party(count: int, seed: int) -> list[dict]:
+    """``count`` adaptive depth-4 protocols with one fault in each of the
+    two tables of party B (steps 1 and 3)."""
+    rng = np.random.default_rng(seed)
+    base = json.loads(dump_scenario(adaptive_scenario(4, seed)))
+    tables = []
+    for _ in range(count):
+        data = copy.deepcopy(base)
+        faulty = set()
+        for step in (1, 3):
+            add_fault(data["protocol"][step]["overrides"], rng, faulty)
         tables.append(data)
     return tables
 
@@ -571,17 +609,49 @@ def parse_outcome(data) -> tuple[str, str]:
 
 def test_batched_and_entry_override_reads_agree_on_faulty_tables():
     # Each table parses to the same dump, or fails with the same exception
-    # and message, whether its overrides are read in one batch or entry by
-    # entry (the batch read declining every table).
-    tables = faulty_tables(300, 20)
+    # and message, whether its overrides are read in per-party batches or
+    # entry by entry (the batch read declining every party). Besides the
+    # depth-4 tables: a Kraus table between projective ones, a 2x3 file with
+    # tables on both parties, and faults in both tables of one party.
+    tables = [
+        *faulty_tables(300, 20),
+        *faulty_tables(100, 21, kraus_between_projective(), steps=(1, 3, 4)),
+        *faulty_tables(100, 22, fault_corpus.two_by_three()),
+        *two_tables_of_one_party(100, 23),
+    ]
     batched = [parse_outcome(data) for data in tables]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        patch.setattr(scenario_module, "_parse_projective_tables", lambda *args: None)
         by_entry = [parse_outcome(data) for data in tables]
-    assert sum(kind == "ok" for kind, _ in batched) >= 20
-    assert len({message for kind, message in batched if kind != "ok"}) >= 20
+    # Every kind names many faults; all but the two-fault files also parse.
+    for part, least_ok in ((batched[:300], 20), (batched[300:400], 5), (batched[400:500], 5), (batched[500:], 0)):
+        assert sum(kind == "ok" for kind, _ in part) >= least_ok
+        assert len({message for kind, message in part if kind != "ok"}) >= 20
     disagree = [(i, a, b) for i, (a, b) in enumerate(zip(batched, by_entry)) if a != b]
     assert not disagree, disagree[:3]
+
+
+def test_deep_protocol_reads_its_tables_in_one_batch_per_party():
+    # deep_case(0) has tables in 7 steps on both parties: one
+    # _projective_stack call per party reads them all.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return projective_stack(*args)
+
+    projective_stack = scenario_module._projective_stack
+    data = workloads.deep_case(0)
+    parties = [step["party"] for step in data["protocol"] if step["overrides"]]
+    assert len(parties) == 7 and set(parties) == {"A", "B"}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "_projective_stack", counted)
+        batched = parse_scenario(data)
+        assert sorted(calls) == ["A", "B"]
+        patch.setattr(scenario_module, "_parse_projective_tables", lambda *args: None)
+        by_entry = parse_scenario(data)
+    for step, ref in zip(batched.steps, by_entry.steps, strict=True):
+        assert_same_step(step, ref)
 
 
 def bad_leaf() -> dict:
@@ -637,7 +707,7 @@ def test_a_file_with_several_faults_names_its_first_field_fault(steps, message, 
     data = json.loads(json.dumps(protocol(steps)))
     with pytest.MonkeyPatch.context() as patch:
         if not batched:
-            patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+            patch.setattr(scenario_module, "_parse_projective_tables", lambda *args: None)
         assert parse_error(data) == message
 
 
@@ -656,7 +726,7 @@ def test_a_key_with_an_empty_first_label_is_unreached(keys, step, batched):
     key = keys[-1]
     with pytest.MonkeyPatch.context() as patch:
         if not batched:
-            patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+            patch.setattr(scenario_module, "_parse_projective_tables", lambda *args: None)
         assert parse_error(data) == (
             f"s.protocol[{step}].overrides[{key!r}]: label '' is not an outcome of step 1 after history '' "
             f"(outcomes ['0', '1']); no history reaches {key!r}"
@@ -1497,7 +1567,7 @@ def test_label_count_has_one_message_on_every_route():
     data["protocol"][2]["overrides"]["1,0"]["labels"] = ["0"]
     assert parse_error(data) == f"s.protocol[2].overrides['1,0']: {message}"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenario_module, "_parse_projective_table", lambda *args: None)
+        patch.setattr(scenario_module, "_parse_projective_tables", lambda *args: None)
         assert parse_error(data) == f"s.protocol[2].overrides['1,0']: {message}"
 
 
