@@ -10,9 +10,10 @@ entropy         emit S, S_A, S_B and the Holevo quantity of the ensemble.
 
 ``COMMAND_TABLE`` maps each command to a body function and a renderer. The
 body function turns one concrete scenario into the command's report fields and
-its checks, taken from the result dataclasses (``BoundReport``,
-``RoundAudit``, ``DistillationReport``) with ``dataclasses.asdict``, under
-their own field names; ``bounds-verify`` adds only ``BoundReport.slacks()``.
+its checks, read off the result dataclasses (``BoundReport``,
+``RoundAudit``, ``DistillationReport``) one field at a time under their
+own field names, with no copy: every field is a scalar, a tuple of floats
+or a flat dict. ``bounds-verify`` adds only ``BoundReport.slacks()``.
 ``run_scenario`` wraps each trial in the same envelope (trial, scenario,
 seed, dims, checks, passed). The renderer turns one trial into its table
 lines. ``COMMANDS`` and the argparse choices come from the table.
@@ -32,6 +33,10 @@ reports it) when the reader closes stdout early, as ``| head`` does: the
 rest of the output is dropped without a traceback. JSON reports are
 canonical (sorted keys) and contain no timing data, so identical inputs
 produce byte-identical output; wall time goes to the table format only.
+The JSON text is that of ``json.dumps(report, sort_keys=True, indent=2,
+allow_nan=False)``, byte for byte, from a small recursive writer
+(``_json_text``) that skips the stdlib's pure-Python indent encoder and
+reuses its string escaper and ``float.__repr__``.
 The table backslash-escapes what stdout's encoding cannot write, such as
 the lone surrogate of a "\\ud800" escape. A report is written as built,
 as strict JSON: an absent value, such as a vacuous bound

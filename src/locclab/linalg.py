@@ -235,12 +235,13 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
             f"dimension mismatch: vector length {vec.size} != dim_a*dim_b = {dim_a * dim_b}"
         )
     _require_finite(vec)
-    # The norm of the vector scaled by the power of two nearest its largest
-    # entry, so that no square overflows; the scaling is exact, so a
-    # moderate vector's norm keeps every bit of the unscaled one.
-    largest = max(np.abs(vec.real).max(), np.abs(vec.imag).max())
-    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
-    norm = float(np.linalg.norm(vec / scale)) * scale
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm == math.inf:
+        # A finite entry near 1e300 overflows the sum of squares: take the
+        # norm of the vector scaled by its largest real or imaginary part.
+        largest = float(max(np.abs(vec.real).max(), np.abs(vec.imag).max()))
+        norm = float(np.linalg.norm(vec / largest)) * largest
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state vector norm {norm:.6f} deviates from 1 beyond tol {NORM_TOL:.1e}")
     vec = vec / norm

@@ -36,16 +36,20 @@ Parsing keeps every number as written (``validate_density`` checks a
 matrix and never rewrites it), so dump -> parse -> dump is byte-stable.
 
 A step is held as one ``ProtocolStep`` operator stack: its default
-instrument in row 0 and one row per override, in table order. An override
-table is read in one batch when every entry is a projective basis. Its
-kets, nested lists of matching lengths, become one (H, K, K, 2) array read
-with one ``np.array``; one leaf-type test rejects booleans and strings.
-``_projective_stack`` then checks the whole stack once, finiteness (a NaN
-or an infinity), orthonormality and completeness, and its projectors
-become the step's rows with no instrument built. If any of this fails,
-the table is parsed entry by entry, the path that names the first bad
-field, and the entries' operators are stacked. The parser only splits
-each key into its history. The parser, the generator and code in memory
+instrument in row 0 and one row per override, in table order. Before the
+steps are read, every override table whose entries are all projective
+bases joins its party's batch: one walk checks that the kets of all of a
+party's tables are nested lists of matching lengths, one leaf-type test
+rejects booleans and strings, one ``np.array`` reads them as one
+(H, K, K, 2) array, and one ``_projective_stack`` call checks the whole
+stack, finiteness (a NaN or an infinity), orthonormality and
+completeness. Each step then takes its own slice of projectors, labels
+and kets as its rows, with no instrument built. This read never raises:
+if any of it fails, each of that party's tables is parsed entry by entry,
+the path that names the first bad field, and the entries' operators are
+stacked; a table with any other entry always takes that path. The steps
+are read in file order either way, so a file names the same first fault.
+The parser only splits each key into its history. The parser, the generator and code in memory
 all build a ``Scenario`` with its constructor, the one walk of the
 histories: every field of a file is read before any history is walked,
 so both routes name the same first fault. The walk runs on label tuples;

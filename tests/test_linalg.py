@@ -202,6 +202,22 @@ class TestPureStateDensity:
         with pytest.raises(ValueError, match="dimension mismatch"):
             pure_state_density([1.0, 0.0], 2, 2)
 
+    @pytest.mark.parametrize("entry", [1e300, 1e300j, -1e300 + 1e300j], ids=["real", "imag", "both"])
+    def test_huge_finite_entry_has_a_finite_norm(self, entry):
+        # Its sum of squares overflows; the norm, taken again at scale, does
+        # not, and no warning is raised (RuntimeWarnings fail the suite).
+        with pytest.raises(ValueError) as excinfo:
+            pure_state_density([entry, 0.5, 0.0, 0.0], 2, 2)
+        norm = float(str(excinfo.value).split()[3])
+        assert norm == pytest.approx(abs(entry), rel=1e-12)
+
+
+def test_huge_finite_basis_entry_is_not_orthonormal():
+    # Its overlap overflows to inf or NaN, which fails the orthonormality
+    # test without a warning.
+    with pytest.raises(ValueError, match="projective basis is not orthonormal"):
+        KrausInstrument.projective("A", [[1e300, 0.0], [0.0, 1.0]])
+
 
 NOT_HERMITIAN = np.array([[0.5, 1.0], [0.0, 0.5]])
 
