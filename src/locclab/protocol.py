@@ -242,9 +242,9 @@ def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]
     _require_finite(ops)
     # sum_k K_k^dagger K_k of every instrument.
     gram = np.einsum("hkji,hkjl->hil", ops.conj(), ops)
-    completeness = np.abs(gram - np.eye(ops.shape[-1])).max(axis=(1, 2))
-    if not (completeness <= DEFAULT_TOL).all():
-        raise ValueError(f"incomplete instrument: max |sum K^dagger K - I| = {completeness.max():.3e}")
+    completeness = np.abs(gram - np.eye(ops.shape[-1])).max(initial=0.0)
+    if not completeness <= DEFAULT_TOL:
+        raise ValueError(f"incomplete instrument: max |sum K^dagger K - I| = {completeness:.3e}")
 
 
 def _check_size(party: str, size: int, local_dim: int) -> None:
@@ -277,8 +277,8 @@ def _projective_stack(party: str, kets: np.ndarray, labels: list) -> tuple[np.nd
     # A finite entry near 1e300 overflows the Gram to inf or NaN, which
     # fails the test below without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - np.eye(dim)).max(axis=(1, 2))
-    if not (overlap <= _ORTHONORMAL_TOL).all():
+        overlap = np.abs(kets.conj() @ kets.swapaxes(1, 2) - np.eye(dim)).max(initial=0.0)
+    if not overlap <= _ORTHONORMAL_TOL:
         raise ValueError("projective basis is not orthonormal")
     labels = [_outcome_labels(names, dim) for names in labels]
     projectors = kets[..., :, None] * kets.conj()[..., None, :]

@@ -105,6 +105,8 @@ _KIND_FIELDS = {
     "random": ("dims", "random"),
 }
 _SCENARIO_FIELDS = tuple(sorted({*_COMMON_FIELDS, *itertools.chain.from_iterable(_KIND_FIELDS.values())}))
+# The fields of an override entry that a batch reads.
+_PROJECTIVE_FIELDS = {"labels", "projective"}
 
 
 def _fail(path: str, message: str):
@@ -366,19 +368,14 @@ def _row_payload(step: ProtocolStep, row: int) -> dict:
     return {"labels": list(labels), "kraus": _to_pairs(step.ops[row, : len(labels)])}
 
 
-def _projective_entry(value) -> bool:
-    """Whether an override entry is a projective object with no field but
-    'labels' besides, the only kind a batch reads."""
-    return type(value) is dict and "projective" in value and value.keys() <= {"labels", "projective"}
-
-
 def _batched_tables(steps_raw: list, dims: dict[str, int]) -> dict[int, tuple[np.ndarray, list, np.ndarray]]:
     """Step index -> its override table as read in its party's batch.
 
     A table joins its party's batch when its step is an object whose
     'party' is A or B and every entry of its nonempty table is a projective
-    entry. Never raises: a step that it does not read, or a party whose
-    batch declines, is left to the entry parse, which names the field.
+    object with no field but 'labels' besides. Never raises: a step that it
+    does not read, or a party whose batch declines, is left to the entry
+    parse, which names the field.
     """
     tables: dict[str, dict[int, dict]] = {party: {} for party in dims}
     for i, step in enumerate(steps_raw):
@@ -386,7 +383,10 @@ def _batched_tables(steps_raw: list, dims: dict[str, int]) -> dict[int, tuple[np
             continue
         party, table = step.get("party"), step.get("overrides")
         if type(party) is str and party in tables and type(table) is dict and table:
-            if all(_projective_entry(value) for value in table.values()):
+            if all(
+                type(value) is dict and "projective" in value and value.keys() <= _PROJECTIVE_FIELDS
+                for value in table.values()
+            ):
                 tables[party][i] = table
     batched = {}
     for party, found in tables.items():
