@@ -24,7 +24,6 @@ before any eigensolve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +236,7 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
     _require_finite(vec)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(vec))
-    if norm == math.inf:
+    if norm == np.inf:
         # A finite entry near 1e300 overflows the sum of squares: take the
         # norm of the vector scaled by its largest real or imaginary part.
         largest = float(max(np.abs(vec.real).max(), np.abs(vec.imag).max()))

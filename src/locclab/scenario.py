@@ -49,15 +49,16 @@ if any of it fails, each of that party's tables is parsed entry by entry,
 the path that names the first bad field, and the entries' operators are
 stacked; a table with any other entry always takes that path. The steps
 are read in file order either way, so a file names the same first fault.
-The parser only splits each key into its history. The parser, the generator and code in memory
-all build a ``Scenario`` with its constructor, the one walk of the
-histories: every field of a file is read before any history is walked,
-so both routes name the same first fault. The walk runs on label tuples;
-a history whose parent is known (with the labels of the instrument
-measuring it) takes one dict lookup. A scenario keeps the steps it is
-given, each node's row found from its path. The rows are a step's only
-form: the dump writes each row from its labels, kets and operators, and
-only a call of ``Scenario.chooser`` builds an instrument.
+The parser only splits each key into its history. The parser, the
+generator and code in memory all build a ``Scenario`` with its
+constructor, the one walk of the histories: every field of a file is
+read before any history is walked, so both routes name the same first
+fault. The walk runs on label tuples; a history whose parent is known
+(with the labels of the instrument measuring it) takes one dict lookup.
+A scenario keeps the steps it is given, each node's row found from its
+path. The rows are a step's only form: the dump writes each row from its
+labels, kets and operators, and only a call of ``Scenario.chooser``
+builds an instrument.
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ _KIND_FIELDS = {
     "random": ("dims", "random"),
 }
 _SCENARIO_FIELDS = tuple(sorted({*_COMMON_FIELDS, *itertools.chain.from_iterable(_KIND_FIELDS.values())}))
-# The fields of an override entry that a batch reads.
-_PROJECTIVE_FIELDS = {"labels", "projective"}
 
 
 def _fail(path: str, message: str):
@@ -384,7 +383,7 @@ def _batched_tables(steps_raw: list, dims: dict[str, int]) -> dict[int, tuple[np
         party, table = step.get("party"), step.get("overrides")
         if type(party) is str and party in tables and type(table) is dict and table:
             if all(
-                type(value) is dict and "projective" in value and value.keys() <= _PROJECTIVE_FIELDS
+                type(value) is dict and "projective" in value and value.keys() <= {"labels", "projective"}
                 for value in table.values()
             ):
                 tables[party][i] = table

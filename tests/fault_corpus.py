@@ -5,9 +5,10 @@ node of that tree: every node, the root included, is replaced in turn by
 each value of ``VALUES``, and every node but the root is deleted. The
 hashing-step file's 16 members share one structure, so only member 0 is
 given faults; the nodes of members 1-15 (9,180 faults, most of the parse
-time of the full set) are left out. Each faulty tree is parsed with ``parse_scenario`` under the file's name, and
-its outcome is the ScenarioError's message, "accepted", or, for any other
-exception, its type name and message.
+time of the full set) are left out. Each faulty tree is parsed with
+``parse_scenario`` under the file's name, and its outcome is the
+ScenarioError's message, "accepted", or, for any other exception, its
+type name and message.
 
 ``tests/golden/faults.json.gz`` maps each file name, then each fault id
 (``<path> = <value as JSON>`` or ``<path> del``), to its outcome.
@@ -28,14 +29,15 @@ import numpy as np
 
 from locclab import ScenarioError, bundled_scenario_path, parse_scenario
 
-from test_bound_values import hashing_step_file
+from test_bound_values import hashing_step_file, pairs
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "faults.json.gz"
-BUNDLED = ("bell_diagonal_09.json", "four_bell_uniform.json", "maximally_mixed.json", "phi_mixture_xx.json",
-           "random_sweep.json")
+BUNDLED = (
+    "bell_diagonal_09.json", "four_bell_uniform.json", "maximally_mixed.json", "phi_mixture_xx.json", "random_sweep.json"
+)
 # The replacement values, each written into its fault id as JSON.
 VALUES = (None, "x", True, 0, -1, 1e300, 2**70, [], {}, [[]], 0.5)
 ACCEPTED = "accepted"
@@ -43,15 +45,10 @@ ACCEPTED = "accepted"
 LEFT_OUT = {"hashing-step.json": tuple(f'$["ensemble"][{i}]' for i in range(1, 16))}
 
 
-def _pairs(array) -> list:
-    array = np.asarray(array, dtype=complex)
-    return np.stack([array.real, array.imag], axis=-1).tolist()
-
-
 def _basis(rng: np.random.Generator, dim: int) -> list:
     """A random orthonormal basis of C^dim, one ket per row, as pairs."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return _pairs(q.T)
+    return pairs(q.T)
 
 
 def _projective(rng: np.random.Generator, dim: int) -> dict:
@@ -66,7 +63,7 @@ def two_by_three() -> dict:
     members = []
     for p in (0.25, 0.75):
         vector = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        members.append({"probability": p, "vector": _pairs(vector / np.linalg.norm(vector))})
+        members.append({"probability": p, "vector": pairs(vector / np.linalg.norm(vector))})
     histories_2 = [f"{a},{b}" for a in "01" for b in "012"]
     return {
         "kind": "protocol",

@@ -634,13 +634,13 @@ def test_batched_and_entry_override_reads_agree_on_faulty_tables():
 def test_deep_protocol_reads_its_tables_in_one_batch_per_party():
     # deep_case(0) has tables in 7 steps on both parties: one
     # _projective_stack call per party reads them all.
+    projective_stack = scenario_module._projective_stack
     calls = []
 
     def counted(*args):
         calls.append(args[0])
         return projective_stack(*args)
 
-    projective_stack = scenario_module._projective_stack
     data = workloads.deep_case(0)
     parties = [step["party"] for step in data["protocol"] if step["overrides"]]
     assert len(parties) == 7 and set(parties) == {"A", "B"}
