@@ -314,13 +314,6 @@ def render_table(report: dict, elapsed: float) -> str:
     return "\n".join(lines)
 
 
-def _json_float(value: float) -> str:
-    # Chained comparison: false for NaN as well as for +-inf.
-    if not -_INF < value < _INF:
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
 def _write_json(value, newline: str, parts: list[str]) -> None:
     """Append ``value``'s JSON text to ``parts``; ``newline`` is the line
     break and indent of the level that holds it. An array is written one
@@ -339,7 +332,10 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
     elif isinstance(value, float):
-        parts.append(_json_float(value))
+        # Chained comparison: false for NaN as well as for +-inf.
+        if not -_INF < value < _INF:
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        parts.append(float.__repr__(value))
     elif not isinstance(value, (list, tuple, dict)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not value:
