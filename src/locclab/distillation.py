@@ -101,36 +101,29 @@ def _bounds(entropy: float, local: float, mean_local: float) -> tuple[float, flo
     return full, r_max * mean_local, r_max
 
 
-def _bell_matrix(d: int) -> np.ndarray:
-    """The d^2 generalized Bell vectors as the columns of one d^2 x d^2 matrix.
-
-    Column a*d + b is (I (x) Z^a X^b)|Phi_d>: it holds omega^(a*m)/sqrt(d),
-    omega = exp(2 pi i/d), at row j*d + m with m = (j + b) mod d, and zero
-    elsewhere. For d = 2 the order is Phi+, Psi+, Phi-, Psi-.
-    """
-    j = np.arange(d)[:, None, None]
-    a = np.arange(d)[None, :, None]
-    b = np.arange(d)[None, None, :]
-    m = (j + b) % d
-    basis = np.zeros((d, d, d, d), dtype=complex)
-    basis[j, m, a, b] = np.exp(2j * np.pi * a * m / d) / np.sqrt(d)
-    return basis.reshape(d * d, d * d)
-
-
 def bell_diagonal(spec: BellDiagonalSpec) -> DensityOperator:
     """Mixture of the generalized Bell states with the given weights.
 
-    Built in closed form as (B * p) @ B^dagger, where B holds the Bell
-    vectors as columns and p the weights with rounding-level negatives
-    taken as zero, and returned read-only as built: ``BellDiagonalSpec``
-    has checked the weights, so the matrix is Hermitian and PSD with trace
-    sum(p). A ``validate_density`` solve could reject it only by rounding
-    at its 1e-9 trace edge, and would eigensolve it once more.
+    Bell vector (a, b), (I (x) Z^a X^b)|Phi_d> at weight index a*d + b
+    (Phi+, Psi+, Phi-, Psi- for d = 2), holds omega^(a*m)/sqrt(d) at row
+    j*d + m with m = (j + b) mod d. So block b of the state is
+    (C_b * p_b) @ C_b^dagger, C_b[j, a] = omega^(a*m)/sqrt(d): d products
+    of d x d, O(d^4) work, scattered into one zeroed matrix and returned
+    read-only, with rounding-level negative weights taken as zero. The
+    checked weights make it Hermitian and PSD with trace sum(p); a
+    ``validate_density`` solve could reject it only by rounding at its
+    1e-9 trace edge, and would eigensolve it once more.
     """
-    basis = _bell_matrix(spec.d)
-    matrix = (basis * np.maximum(np.array(spec.probs), 0.0)) @ basis.conj().T
+    d = spec.d
+    j = np.arange(d)
+    m = (j + j[:, None]) % d  # m[b, j]
+    columns = (np.exp(2j * np.pi * j * j[:, None] / d) / np.sqrt(d))[m]
+    weights = np.maximum(np.array(spec.probs), 0.0).reshape(d, d).T
+    rows = j * d + m
+    matrix = np.zeros((d * d, d * d), dtype=complex)
+    matrix[rows[:, :, None], rows[:, None, :]] = (columns * weights[:, None, :]) @ columns.conj().swapaxes(1, 2)
     matrix.setflags(write=False)
-    return DensityOperator(spec.d, spec.d, matrix)
+    return DensityOperator(d, d, matrix)
 
 
 def bell_hashing_bound(spec: BellDiagonalSpec) -> tuple[float, float]:

@@ -25,6 +25,7 @@ from .linalg import (
     DEFAULT_TOL,
     DEGENERATE_GAP,
     DensityOperator,
+    _hermitian_part,
     _require_hermitian,
     _require_no_negative,
     _require_state,
@@ -149,7 +150,8 @@ class SpectralEnsemble:
     ``degenerate`` flags two kept weights within DEGENERATE_GAP, where the
     decomposition (and hence the mean local entropy) is convention
     dependent. A Bell-diagonal state is solved as d blocks of d (see
-    ``locclab.linalg``).
+    ``locclab.linalg``), and the kets are gathered from the solve's
+    column-major eigenvectors in one copy.
     """
 
     weights: np.ndarray
@@ -165,7 +167,7 @@ class SpectralEnsemble:
         kept = kept[np.argsort(-spectrum.eigenvalues[kept], kind="stable")]
         weights = spectrum.eigenvalues[kept]
         _require_weights(weights)
-        kets = np.ascontiguousarray(spectrum.eigenvectors[:, kept].T)
+        kets = spectrum.eigenvectors.T[kept]
         weights.setflags(write=False)
         kets.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -229,11 +231,11 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     eigenvalues count as zeros.
     """
     mats = np.asarray(matrices, dtype=complex)
-    _require_hermitian(mats)
     if mats.shape[-1] == 2:
+        _require_hermitian(mats)
         values = _qubit_eigvalsh(mats)
     else:
-        values = np.linalg.eigvalsh(hermitize(mats))
+        values = np.linalg.eigvalsh(_hermitian_part(mats))
     _require_no_negative(values)
     return shannon_entropies(np.maximum(values, 0.0))
 

@@ -14,12 +14,14 @@ The finite rule, ``_require_finite``, gives a NaN or an infinity in a
 state, a state vector or a Kraus operator one message.
 
 Every eigensolve of a whole state (``validate_density``,
-``hermitian_eig``, ``block_eigvalsh``) first splits the Hermitian matrix
-into the blocks its exact zero pattern leaves decoupled, and hands LAPACK
-one stack of blocks per block size. A Bell-diagonal state on d x d splits
-into d blocks of d, and so does its partial transpose, so no d^2 x d^2
-solve is made for it. A matrix with a NaN or an infinite entry is rejected
-before any eigensolve.
+``hermitian_eig``, ``block_eigvalsh``) splits the matrix into the blocks
+that its own exact zero pattern, made symmetric, leaves decoupled, and
+hands LAPACK one stack of blocks per block size. The checks run per block,
+all before the first eigensolve: off the pattern both triangles hold exact
+zeros, so the blocks' verdict and spectra are the whole matrix's, and a NaN
+or an infinity, being nonzero, lies in a block. A Bell-diagonal state on
+d x d splits into d blocks of d, and so does its partial transpose, so no
+d^2 x d^2 solve, nor any d^2 x d^2 temporary, is made for it.
 """
 
 from __future__ import annotations
@@ -99,6 +101,23 @@ def _require_hermitian(mats: np.ndarray) -> None:
         raise ValueError(f"not Hermitian: deviation {np.extract(~(worst <= DEFAULT_TOL), worst)[0]:.3e}")
 
 
+def _hermitian_part(mats: np.ndarray, whole: np.ndarray | None = None) -> np.ndarray:
+    """``hermitize`` of a stack (..., D, D) that passes ``_require_hermitian``,
+    with the result as its one stack-sized array: it starts as the adjoint,
+    and the deviation from it is taken on slices of 256 kB. A failure is
+    named by ``_require_hermitian`` of the stack, or of ``whole`` when the
+    stack holds blocks of that matrix (``_block_stacks``)."""
+    herm = np.conjugate(mats.swapaxes(-1, -2), order="C")
+    flat, adjoint = mats.reshape(-1), herm.reshape(-1)
+    with np.errstate(invalid="ignore"):
+        for i in range(0, flat.size, 16384):
+            if not np.abs(flat[i : i + 16384] - adjoint[i : i + 16384]).max(initial=0.0) <= DEFAULT_TOL:
+                _require_hermitian(mats if whole is None else whole)
+    herm += mats
+    herm /= 2
+    return herm
+
+
 def _require_no_negative(values: np.ndarray) -> None:
     """No eigenvalue of the ascending spectra (..., D) is below -DEFAULT_TOL."""
     if not values.min(initial=0.0) >= -DEFAULT_TOL:
@@ -130,18 +149,19 @@ def _require_party(party: str) -> None:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-def _blocks(herm: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the blocks that the exact zero pattern of ``herm`` decouples.
+def _blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the blocks that the exact zero pattern of ``mat`` decouples.
 
-    They are the connected components of the graph with an edge wherever
-    an entry is nonzero (the pattern of a Hermitian matrix is symmetric).
-    Each is ascending, and they are ordered by their first index. Every
-    node takes the smallest label among its neighbours and then its label's
-    label, until nothing changes; labels only fall, and at the fixed point
-    each component carries its smallest index.
+    They are the connected components of the graph with an edge (i, k)
+    wherever M_ik or M_ki is nonzero, a NaN or an infinity included. Each
+    is ascending, and they are ordered by their first index. Every node
+    takes the smallest label among its neighbours, itself included, and
+    then its label's label, until nothing changes; labels only fall, and at
+    the fixed point each component carries its smallest index.
     """
-    dim = len(herm)
-    linked = herm != 0
+    dim = len(mat)
+    linked = mat != 0
+    linked |= linked.T
     np.fill_diagonal(linked, True)
     labels = linked.argmax(axis=1)
     while True:
@@ -154,47 +174,49 @@ def _blocks(herm: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _block_stacks(herm: np.ndarray, blocks: list[np.ndarray]):
+def _block_stacks(mat: np.ndarray, blocks: list[np.ndarray]):
     """Per distinct block size: the (k, s) row indices and the (k, s, s) stack of blocks."""
     by_size: dict[int, list[np.ndarray]] = {}
     for rows in blocks:
         by_size.setdefault(len(rows), []).append(rows)
     for group in by_size.values():
         rows = np.array(group)
-        yield rows, herm[rows[:, :, None], rows[:, None, :]]
+        yield rows, mat[rows[:, :, None], rows[:, None, :]]
 
 
-def _eigh_blocks(herm: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of a Hermitian matrix, one ``eigh`` per block size.
-
-    Eigenvalues are ascending over the whole matrix (stable sort); each
-    eigenvector is a full-length column with exact zeros outside its block.
+def _eigh_blocks(stacks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of a Hermitian matrix from its (rows, block stack) pairs,
+    one ``eigh`` per block size. Eigenvalues are ascending (stable sort).
+    Each eigenvector is phase fixed on its stack, as on its full column, a
+    block's rows being ascending, and written into its sorted full-length
+    column, with exact zeros outside its block.
     """
-    dim = len(herm)
-    values = np.empty(dim)
-    vectors = np.zeros((dim, dim), dtype=complex)
-    start = 0
-    for rows, stack in _block_stacks(herm, blocks):
-        stack_values, stack_vectors = np.linalg.eigh(stack)
-        columns = np.arange(start, start + rows.size).reshape(rows.shape)
-        values[columns] = stack_values
-        vectors[rows[:, :, None], columns[:, None, :]] = stack_vectors
-        start += rows.size
+    solved = [(rows, *np.linalg.eigh(stack)) for rows, stack in stacks]
+    values = np.concatenate([stack_values.reshape(-1) for _, stack_values, _ in solved])
     order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+    column = np.argsort(order)
+    vectors = np.zeros((len(values),) * 2, dtype=complex, order="F")
+    start = 0
+    for rows, _, stack_vectors in solved:
+        columns = column[start : start + rows.size].reshape(rows.shape)
+        vectors[rows[:, :, None], columns[:, None, :]] = _fix_phase(stack_vectors)
+        start += rows.size
+    return values[order], vectors
 
 
 def block_eigvalsh(matrix) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of a square matrix.
 
-    The matrix is split into the blocks its exact zero pattern decouples,
-    and LAPACK gets one stack of blocks per block size. A NaN or an
-    infinite entry raises ValueError before any eigensolve.
+    The matrix is split into the blocks of its own zero pattern, and LAPACK
+    gets the Hermitian part of one stack of blocks per block size. A NaN or
+    an infinite entry lies in a block, and raises ValueError once every
+    block is checked, before any eigensolve.
     """
     mat = np.asarray(matrix, dtype=complex)
-    _require_finite(mat)
-    herm = hermitize(mat)
-    values = [np.linalg.eigvalsh(stack).reshape(-1) for _, stack in _block_stacks(herm, _blocks(herm))]
+    stacks = [stack for _, stack in _block_stacks(mat, _blocks(mat))]
+    for stack in stacks:
+        _require_finite(stack)
+    values = [np.linalg.eigvalsh(hermitize(stack)).reshape(-1) for stack in stacks]
     return np.sort(np.concatenate(values), kind="stable")
 
 
@@ -242,7 +264,8 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
         largest = float(max(np.abs(vec.real).max(), np.abs(vec.imag).max()))
         norm = float(np.linalg.norm(vec / largest)) * largest
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"state vector norm {norm:.6f} deviates from 1 beyond tol {NORM_TOL:.1e}")
+        shown = f"{norm:.6f}" if norm < 1e30 else f"{norm:.15e}"
+        raise ValueError(f"state vector norm {shown} deviates from 1 beyond tol {NORM_TOL:.1e}")
     vec = vec / norm
     return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(np.outer(vec, vec.conj())))
 
@@ -276,17 +299,16 @@ def partial_transpose(matrix, party: str, dims: tuple[int, int]) -> np.ndarray:
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Scale each column so that its first component above _PHASE_EPS in
-    modulus is real positive; a column without one is left as it is."""
-    magnitudes = np.abs(vectors)
-    first = (magnitudes > _PHASE_EPS).argmax(axis=0)
-    columns = np.arange(vectors.shape[1])
-    component = vectors[first, columns]
-    size = magnitudes[first, columns]
+    """Scale each column of a matrix, or of a stack (..., n, c) of them, so
+    that its first component above _PHASE_EPS in modulus is real positive;
+    a column without one is left as it is."""
+    stack = vectors.reshape(-1, *vectors.shape[-2:])
+    magnitudes = np.abs(stack)
+    at = (np.arange(len(stack))[:, None], (magnitudes > _PHASE_EPS).argmax(axis=1), np.arange(stack.shape[2]))
+    size = magnitudes[at]
     found = size > _PHASE_EPS
-    phase = np.ones(len(columns), dtype=complex)
-    phase[found] = component[found].conj() / size[found]
-    return vectors * phase
+    phase = np.where(found, stack[at].conj() / np.where(found, size, 1.0), 1.0)
+    return (stack * phase[:, None, :]).reshape(vectors.shape)
 
 
 def _gram_schmidt(projector: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +348,9 @@ def _gram_schmidt(projector: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndar
     return basis, sources
 
 
-def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """Deterministic orthonormal basis of a degenerate eigenspace.
+def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> None:
+    """Rebuild, in place, a deterministic orthonormal basis of the
+    degenerate eigenspace that the columns of ``vectors`` span.
 
     Built from the subspace projector alone (independent of the solver's
     arbitrary in-cluster choice): ``_gram_schmidt`` over the projector's
@@ -337,25 +360,28 @@ def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     that holds some of the vectors is therefore walked on its own, up to
     the number of vectors it holds, and the results are merged in the index
     order of the columns they came from: the basis one walk over the whole
-    projector gives, with exact zeros outside each vector's block.
+    projector gives, with exact zeros outside each vector's block, each
+    vector phase fixed (``_fix_phase``).
     """
     dim, rank = vectors.shape
     block_of_row = np.empty(dim, dtype=int)
     for i, rows in enumerate(blocks):
         block_of_row[rows] = i
-    owner = block_of_row[np.abs(vectors).argmax(axis=0)]
-    basis = np.zeros((dim, rank), dtype=complex)
-    sources = np.empty(rank, dtype=int)
-    start = 0
+    owner = block_of_row[(vectors != 0).argmax(axis=0)]
+    walks = []
     for i in sorted(set(owner.tolist())):
         rows = blocks[i]
         inside = vectors[rows][:, owner == i]
-        stop = start + inside.shape[1]
         found, came_from = _gram_schmidt(inside @ inside.conj().T, inside.shape[1])
-        basis[rows, start:stop] = found
-        sources[start:stop] = rows[came_from]
+        walks.append((rows, found, rows[came_from]))
+    column = np.argsort(np.argsort(np.concatenate([sources for _, _, sources in walks])))
+    vectors[...] = 0.0
+    start = 0
+    for rows, found, _ in walks:
+        stop = start + found.shape[1]
+        vectors[rows[:, None], column[start:stop]] = found
         start = stop
-    return basis[:, np.argsort(sources)]
+    vectors[...] = _fix_phase(vectors)
 
 
 def hermitian_eig(matrix) -> HermitianSpectrum:
@@ -366,18 +392,19 @@ def hermitian_eig(matrix) -> HermitianSpectrum:
     eigenbasis is rebuilt from the cluster projector by ``_cluster_basis``,
     so neither its values nor its vectors depend on solver internals; then
     every vector's global phase makes its first significant component real
-    positive. The matrix must be finite. It is solved block by block along
-    its exact zero pattern (one ``eigh`` per block size), every eigenvector
-    a full-length column; the clusters are found from the eigenvalue gaps
-    in one pass and the phases are fixed for all columns at once.
+    positive. The matrix must be finite and Hermitian. It is solved block
+    by block along its own zero pattern, every block checked and
+    hermitized (``_hermitian_part``) before the first ``eigh``, one per
+    block size; the clusters are found from the eigenvalue gaps in one
+    pass, and only the columns ``_cluster_basis`` rebuilds are phase fixed
+    again.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    _require_hermitian(mat)
-    herm = hermitize(mat)
-    blocks = _blocks(herm)
-    values, vectors = _eigh_blocks(herm, blocks)
+    blocks = _blocks(mat)
+    stacks = [(rows, _hermitian_part(stack, mat)) for rows, stack in _block_stacks(mat, blocks)]
+    values, vectors = _eigh_blocks(stacks)
 
     # A cluster ends where the gap to the next eigenvalue is not below
     # DEGENERATE_GAP.
@@ -386,11 +413,8 @@ def hermitian_eig(matrix) -> HermitianSpectrum:
     for stop in ends:
         if stop - start > 1:
             values[start:stop] = values[start:stop].mean()
-            vectors[:, start:stop] = _cluster_basis(vectors[:, start:stop], blocks)
+            _cluster_basis(vectors[:, start:stop], blocks)
         start = stop
-    eigenvalues = np.asarray(values, dtype=float)
-    eigenvalues.setflags(write=False)
-    return HermitianSpectrum(
-        eigenvalues=eigenvalues,
-        eigenvectors=_frozen(_fix_phase(vectors)),
-    )
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return HermitianSpectrum(eigenvalues=values, eigenvectors=vectors)

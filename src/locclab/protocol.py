@@ -63,9 +63,9 @@ entry per level: H(X | Y_1..Y_k), and per side the mean member-marginal
 entropy, the mean average-marginal entropy and the average marginals. A
 member's marginal on side A is the Gram X X^dagger of V reshaped to X
 (dim_a, dim_b * r), side B likewise. A node's average marginal on a side
-is ``_mixture_gram`` of its members' reshaped factors, the Gram that
-``TreeLevel.averages`` takes of the full factors, except for pure members
-of a 2x2 system (below). ``run_protocol``
+is sum_x q_x X_x X_x^dagger: on side A a weighted sum of the member
+Grams, on side B one product over the members' factors; pure members of
+a 2x2 system take a closed form (below). ``run_protocol``
 computes the stats once per tree: every level shares one (M, D, r), so
 ``_level_stats`` joins the levels along the node axis and solves every
 node's entropies and average marginals in one pass; each level's means
@@ -652,7 +652,8 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStat
     along the node axis (a lone root is used as it is, not copied) and each
     per-node entropy, and each side's average marginals, come from one call
     over the whole tree: ``_pure_qubit_averages`` for pure members of a 2x2
-    system, ``_mixture_gram`` for every other shape. The per-level means
+    system, the member Grams and one product over the members for every
+    other shape, with one copy of the factors. The per-level means
     are one ``bincount`` over the live nodes, which adds each level's terms
     in node order, as a pass over the level alone does, and a level's
     average marginals are read-only views of the tree-wide stacks.
@@ -675,29 +676,37 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStat
     counted = live[:, None] & (q > 0.0)
     n, m, _, r = factors.shape
     split = factors.reshape(n, m, dim_a, dim_b, r)
-    # Side A keeps the row index of V reshaped to (dim_a, dim_b * r); side B
-    # swaps the two party indices first.
-    reshaped = {
-        "A": split.reshape(n, m, dim_a, dim_b * r),
-        "B": split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r),
-    }
-    member_entropy, average_entropy, average_marginals = {}, {}, {}
-    qubit_kets = r == 1 and dims == (2, 2)
-    if qubit_kets:
+    if r == 1 and dims == (2, 2):
         psi = np.moveaxis(factors.reshape(n, m, 4), -1, 0).copy()
         abs2 = psi.real**2 + psi.imag**2
-        member = _pure_qubit_marginals(psi, abs2, counted)
+        member = {"A": _pure_qubit_marginals(psi, abs2, counted)}
         averages = dict(zip(PARTIES, _pure_qubit_averages(psi, abs2, weights)))
     else:
-        scale = np.sqrt(weights)
-        averages = {side: _mixture_gram(x, scale) for side, x in reshaped.items()}
-    for side, x in reshaped.items():
-        if not qubit_kets and (side == "A" or r > 1):
-            member = np.zeros(q.shape)
-            member[counted] = von_neumann_entropies(_gram(x)[counted])
+        # Member Grams X X^dagger, X the factor as (dim_a, dim_b * r); side A
+        # averages them, and side B's average is sum_x X_x^T (w_x conj X_x),
+        # one product. conj X is the one copy of the factors.
+        x = split.reshape(n, m, dim_a, dim_b * r)
+        conj = x.conj()
+        grams = {"A": x @ conj.swapaxes(-1, -2)}
+        conj *= weights[:, :, None, None]
+        inner = (n, m * dim_a, dim_b, r)
+        averages = {
+            "A": (weights[:, None, :] @ grams["A"].reshape(n, m, -1)).reshape(n, dim_a, dim_a),
+            "B": x.reshape(inner).transpose(0, 2, 1, 3).reshape(n, dim_b, -1)
+            @ conj.reshape(inner).transpose(0, 1, 3, 2).reshape(n, -1, dim_b),
+        }
+        del conj
+        if r > 1:
+            grams["B"] = _gram(split.swapaxes(2, 3).reshape(n, m, dim_b, dim_a * r))
+        # Every member is solved, and those that ``counted`` leaves out are
+        # set to 0 afterwards: a gather of the counted ones would copy the stack.
+        member = {side: np.where(counted, von_neumann_entropies(gram), 0.0) for side, gram in grams.items()}
+    member_entropy, average_entropy, average_marginals = {}, {}, {}
+    for side in PARTIES:
+        averages[side].setflags(write=False)
         # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's mean.
         pure_b = side == "B" and r == 1
-        member_entropy[side] = member_entropy["A"] if pure_b else means((weights * member).sum(axis=1))
+        member_entropy[side] = member_entropy["A"] if pure_b else means((weights * member[side]).sum(axis=1))
         average_entropy[side] = means(von_neumann_entropies(averages[side]))
         average_marginals[side] = tuple(averages[side][span] for span in spans)
     return TreeStats(

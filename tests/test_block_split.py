@@ -1,16 +1,21 @@
 """Eigensolves split along the exact zero pattern of the matrix.
 
 ``validate_density``, ``hermitian_eig`` and ``is_ppt`` hand LAPACK the
-blocks that the zero pattern leaves decoupled, one stack per block size.
-These tests pin the blocks found for Bell-diagonal states and their partial
-transposes, compare the split solves with dense ones on block-diagonal
-matrices hidden by a permutation, check that a d = 16 report never makes a
-256 x 256 solve, and check that NaN and inf are rejected before any solve.
+blocks that the matrix's own zero pattern, made symmetric, leaves
+decoupled, one stack per block size, and check each block. These tests pin
+the blocks found for Bell-diagonal states and their partial transposes,
+compare the split solves with dense ones on block-diagonal matrices hidden
+by a permutation, check that a d = 16 report never makes a 256 x 256 solve
+and allocates no dense temporaries, that NaN and inf are rejected before
+any solve in every block size, that a deviation message names the whole
+matrix's largest deviation, and that rebuilt cluster vectors keep the
+phase convention.
 """
 
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +30,7 @@ from locclab import (
     SpectralEnsemble,
     bell_diagonal,
     cli,
+    distillation_report,
     hermitian_eig,
     is_ppt,
     partial_transpose,
@@ -238,6 +244,37 @@ def test_d16_report_never_solves_more_than_16x16(monkeypatch, tmp_path, kind):
     assert max(shape[-1] for shape in shapes) <= d
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()`` above what was traced before it, in
+    bytes; numpy traces its array data, so the count is deterministic."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["generic", "isotropic"])
+def test_d16_build_and_report_allocate_no_dense_temporaries(kind):
+    # A 256 x 256 complex matrix is 1,048,576 bytes. The build holds the
+    # state and its d blocks; the report, above its input state, holds the
+    # eigenvectors and the kets, then the kets, the member Grams and their
+    # Hermitian part. The bounds are the peaks measured with numpy 2.4 plus
+    # 10 %; the dense O(d^6) build peaked at 4.2 MB and the report at 4.35 MB.
+    d = 16
+    n = d * d
+    if kind == "generic":
+        probs = np.random.default_rng(16).dirichlet(np.ones(n))
+    else:
+        probs = np.r_[0.5, [0.5 / (n - 1)] * (n - 1)]
+    spec = BellDiagonalSpec(d, tuple(probs.tolist()))
+    assert traced_peak(lambda: bell_diagonal(spec)) <= 1.1 * 1_320_000
+    rho = bell_diagonal(spec)
+    assert traced_peak(lambda: distillation_report(rho, spec)) <= 1.1 * 3_561_000
+
+
 def bell_with(value, entries) -> np.ndarray:
     """The d = 2 Bell-diagonal state (blocks {0, 3} and {1, 2}) with ``value``
     written at each (i, k) of ``entries`` and at its mirror (k, i)."""
@@ -247,16 +284,37 @@ def bell_with(value, entries) -> np.ndarray:
     return matrix
 
 
+def two_sizes(entries=(), value=0.0) -> np.ndarray:
+    """A 2 x 3 state whose pattern has a block of 2, {0, 3}, and then one of
+    4, {1, 2, 4, 5}, each U diag U^dagger with a Haar U, the sizes in that
+    order; ``value`` is added at each (i, k) of ``entries``, not mirrored."""
+    rng = np.random.default_rng(23)
+    matrix = np.zeros((6, 6), dtype=complex)
+    for rows, levels in (([0, 3], [0.1, 0.2]), ([1, 2, 4, 5], [0.05, 0.15, 0.2, 0.3])):
+        g = rng.standard_normal((len(rows), len(rows))) + 1j * rng.standard_normal((len(rows), len(rows)))
+        unitary, _ = np.linalg.qr(g)
+        matrix[np.ix_(rows, rows)] = (unitary * levels) @ unitary.conj().T
+    for i, k in entries:
+        matrix[i, k] += value
+    return matrix
+
+
 BAD_MATRICES = {
-    f"{name}-{where}": bell_with(value, entries)
+    f"{name}-{where}": (bell_with(value, entries), (2, 2))
     for name, value in (("nan", np.nan), ("inf", np.inf))
     for where, entries in (("inside-one-block", [(0, 3)]), ("across-blocks", [(0, 1)]), ("diagonal", [(2, 2)]))
 }
+BAD_MATRICES.update(
+    {
+        f"{name}-second-block-size": (two_sizes([(2, 4), (4, 2)], value), (2, 3))
+        for name, value in (("nan", np.nan), ("inf", np.inf))
+    }
+)
 
 
 @pytest.mark.parametrize("key", sorted(BAD_MATRICES))
 def test_non_finite_rejected_before_any_eigensolve(monkeypatch, key):
-    matrix = BAD_MATRICES[key]
+    matrix, dims = BAD_MATRICES[key]
 
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolver reached")
@@ -266,8 +324,73 @@ def test_non_finite_rejected_before_any_eigensolve(monkeypatch, key):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=NON_FINITE):
-            validate_density(matrix, 2, 2)
+            validate_density(matrix, *dims)
         with pytest.raises(ValueError, match=NON_FINITE):
             hermitian_eig(matrix)
         with pytest.raises(ValueError, match=NON_FINITE):
-            is_ppt(DensityOperator(dim_a=2, dim_b=2, matrix=matrix))
+            is_ppt(DensityOperator(*dims, matrix=matrix))
+
+
+def test_two_block_sizes_are_found_in_order():
+    assert as_sets(_blocks(two_sizes())) == [[0, 3], [1, 2, 4, 5]]
+
+
+@pytest.mark.parametrize("entries", [[(0, 3), (2, 4)], [(2, 4)]], ids=["both-sizes", "second-size"])
+def test_deviation_message_names_the_largest_over_all_blocks(entries):
+    # Anti-Hermitian parts of 2e-9 at (0, 3) and 5e-9 at (2, 4): the message
+    # names the whole matrix's largest |M - M^dagger|, as one check of the
+    # whole matrix does, wherever its block lies.
+    matrix = two_sizes()
+    for (i, k), size in zip(entries, [2e-9, 5e-9][-len(entries) :]):
+        matrix[i, k] += size
+    expected = f"not Hermitian: deviation {np.abs(matrix - matrix.conj().T).max():.3e}"
+    assert expected == "not Hermitian: deviation 5.000e-09"
+    for solve in (hermitian_eig, lambda m: validate_density(m / np.trace(m).real, 2, 3)):
+        with pytest.raises(ValueError) as excinfo:
+            solve(matrix)
+        assert str(excinfo.value) == expected
+    # block_eigvalsh reads the Hermitian part, unchecked: is_ppt gives the
+    # dense spectrum of the partial transpose's Hermitian part.
+    _, lowest = is_ppt(DensityOperator(2, 3, matrix))
+    dense = np.linalg.eigvalsh(hermitize(partial_transpose(matrix, "B", (2, 3))))
+    assert abs(lowest - dense[0]) <= 1e-12
+
+
+def test_anti_hermitian_pair_joins_blocks_and_keeps_the_spectrum():
+    # M_13 = 3e-10 and M_31 = -3e-10: a deviation of 6e-10, inside the
+    # tolerance, and a Hermitian part that is zero there. The matrix's own
+    # pattern joins the two blocks, the Hermitian part's keeps them apart;
+    # the spectrum is the split one, and so are the eigenvectors.
+    matrix = two_sizes()
+    matrix[1, 3], matrix[3, 1] = 3e-10, -3e-10
+    assert as_sets(_blocks(matrix)) == [list(range(6))]
+    assert len(_blocks(hermitize(matrix))) == 2
+    split = np.sort(
+        np.concatenate([np.linalg.eigvalsh(hermitize(matrix)[np.ix_(rows, rows)]) for rows in ([0, 3], [1, 2, 4, 5])])
+    )
+    np.testing.assert_allclose(block_eigvalsh(matrix), split, rtol=0, atol=1e-12)
+    new, old = hermitian_eig(matrix), ref.hermitian_eig(matrix)
+    np.testing.assert_allclose(new.eigenvalues, split, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.eigenvectors, old.eigenvectors, rtol=0, atol=1e-10)
+
+
+def test_rebuilt_cluster_columns_are_phase_fixed():
+    """0.5 on the complement of x and 0.1 on x, x = (1, a, b) normalised with
+    |a|, |b| = 5e-8 and complex phases.
+
+    The cluster projector is P = I - x x^dagger. Its column 0 has a residual
+    of about 7e-8, at or below _GS_KEEP, so the walk skips it, and the
+    vector from column 1 then holds -x_0 conj(x_1), of modulus 5e-8 above
+    _PHASE_EPS, at row 0, with a complex phase. The convention makes that,
+    its first significant component, real positive.
+    """
+    x = np.array([1.0, 5e-8 * np.exp(2.0j), 5e-8 * np.exp(-0.7j)])
+    x /= np.linalg.norm(x)
+    matrix = 0.5 * (np.eye(3) - np.outer(x, x.conj())) + 0.1 * np.outer(x, x.conj())
+    spectrum = hermitian_eig(matrix)
+    np.testing.assert_allclose(spectrum.eigenvalues, [0.1, 0.5, 0.5], rtol=0, atol=1e-12)
+    for column in spectrum.eigenvectors.T:
+        first = column[np.flatnonzero(np.abs(column) > 1e-8)[0]]
+        assert first.real > 0.0 and abs(first.imag) <= 1e-12 * abs(first)
+    assert abs(spectrum.eigenvectors[0, 1]) > 1e-8
+    np.testing.assert_allclose(spectrum.eigenvectors.conj().T @ spectrum.eigenvectors, np.eye(3), rtol=0, atol=1e-12)

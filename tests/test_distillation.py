@@ -104,6 +104,42 @@ class TestBellDiagonal:
             BellDiagonalSpec(2, (0.5, 0.5))
 
 
+def build_specs(d: int) -> dict[str, np.ndarray]:
+    """Generic, isotropic and zero-weight weights for d x d: the last has a
+    weight-free shift b = 1 and one Bell state of weight zero elsewhere."""
+    n = d * d
+    zero = np.random.default_rng([d, 2]).dirichlet(np.ones(n))
+    zero[1::d] = 0.0
+    zero[0] = 0.0
+    return {
+        "generic": np.random.default_rng([d, 0]).dirichlet(np.ones(n)),
+        "isotropic": np.r_[0.6, [0.4 / (n - 1)] * (n - 1)],
+        "zero-weight": zero / zero.sum(),
+    }
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_bell_diagonal_matches_dense_build(d):
+    # The dense (B * p) @ B^dagger over the np.kron Bell kets. Bell vector
+    # (a, b) lives on the rows (j, (j + b) mod d), so nothing may be nonzero
+    # off the d blocks of rows with one difference m - j mod d.
+    basis = np.column_stack(bell_vectors(d))
+    index = np.arange(d * d)
+    shift = (index % d - index // d) % d
+    off_blocks = shift[:, None] != shift[None, :]
+    for kind, probs in build_specs(d).items():
+        rho = bell_diagonal(BellDiagonalSpec(d, tuple(probs.tolist())))
+        dense = (basis * probs) @ basis.conj().T
+        assert np.abs(rho.matrix - dense).max() <= 1e-15, kind
+        assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= 1e-15, kind
+        assert abs(np.trace(rho.matrix) - probs.sum()) <= 1e-15, kind
+        assert not rho.matrix.flags.writeable
+        assert not rho.matrix[off_blocks].any() and not dense[off_blocks].any(), kind
+        if kind == "zero-weight":
+            on_shift_1 = (shift[:, None] == 1) & (shift[None, :] == 1)
+            assert not rho.matrix[on_shift_1].any()
+
+
 class TestSpectralEnsemble:
     def test_bell_diagonal_09(self):
         se = SpectralEnsemble(bell_diagonal(spec_09()))

@@ -9,10 +9,9 @@ from locclab import (
     pure_state_density,
     validate_density,
 )
-from locclab.distillation import _bell_matrix
 from locclab.linalg import block_eigvalsh
 
-from helpers import PHI_PLUS, bell, random_bipartite_density, random_density, random_hermitian
+from helpers import PHI_PLUS, bell, bell_vectors, random_bipartite_density, random_density, random_hermitian
 
 
 class TestValidateDensity:
@@ -45,12 +44,12 @@ class TestValidateDensity:
         assert rho.matrix.tobytes() == given.tobytes()
 
     def test_ci_bell16_state_is_checked_without_eigh(self, monkeypatch):
-        # The mixed d = 16 Bell-diagonal state of the CI job, built by
-        # ``bell_diagonal``'s closed form: it has rounding-level negative
-        # eigenvalues, and is checked with ``eigvalsh`` alone.
+        # The mixed d = 16 Bell-diagonal state of the CI job, built densely
+        # as (B * p) @ B^dagger from the Bell kets: it has rounding-level
+        # negative eigenvalues, and is checked with ``eigvalsh`` alone.
         probs = np.random.default_rng(16).dirichlet(np.ones(256))
         probs[-16:] = 0.0
-        basis = _bell_matrix(16)
+        basis = np.column_stack(bell_vectors(16))
         given = (basis * (probs / probs.sum())) @ basis.conj().T
         assert block_eigvalsh(given)[0] < 0.0
         calls = []

@@ -4,8 +4,8 @@
 and ``protocol._level_stats`` reads the marginal spectra of pure members of
 a 2x2 system from the determinants of their coefficient matrices, and
 their average marginals from their amplitudes. These tests compare them
-with ``np.linalg.eigvalsh`` and ``_mixture_gram``, which every other size
-still takes, and check that the input errors keep their messages.
+with ``np.linalg.eigvalsh`` and with ``_mixture_gram``, the Gram of the
+scaled factors, and check that the input errors keep their messages.
 """
 
 import re
@@ -241,12 +241,13 @@ def routes_taken(monkeypatch, ensemble) -> int:
     return calls_of(monkeypatch, "_pure_qubit_marginals", lambda: run_protocol(ensemble, standard_chooser(ensemble), 2))
 
 
-def mixture_grams(monkeypatch, ensemble) -> int:
-    """How many ``_mixture_gram`` calls ``_level_stats`` makes on the tree of
-    that depth-2 run: none on the pure-qubit route, one per side elsewhere."""
+def closed_form_averages(monkeypatch, ensemble) -> int:
+    """How many ``_pure_qubit_averages`` calls ``_level_stats`` makes on the
+    tree of that depth-2 run: one on the pure-qubit route, none elsewhere,
+    where the average marginals come from the member Grams and the factors."""
     levels = run_protocol(ensemble, standard_chooser(ensemble), 2).levels
     dims = (ensemble.dim_a, ensemble.dim_b)
-    return calls_of(monkeypatch, "_mixture_gram", lambda: protocol._level_stats(levels, dims))
+    return calls_of(monkeypatch, "_pure_qubit_averages", lambda: protocol._level_stats(levels, dims))
 
 
 @pytest.mark.parametrize("depth", [1, 3, 6])
@@ -294,9 +295,9 @@ def test_other_systems_take_the_general_route(monkeypatch, seed):
     assert routes_taken(monkeypatch, pure_qubit) == 1
     assert routes_taken(monkeypatch, pure_2x3) == 0
     assert routes_taken(monkeypatch, mixed_qubit) == 0
-    assert mixture_grams(monkeypatch, pure_qubit) == 0
-    assert mixture_grams(monkeypatch, pure_2x3) == 2
-    assert mixture_grams(monkeypatch, mixed_qubit) == 2
+    assert closed_form_averages(monkeypatch, pure_qubit) == 1
+    assert closed_form_averages(monkeypatch, pure_2x3) == 0
+    assert closed_form_averages(monkeypatch, mixed_qubit) == 0
     for ensemble in (pure_qubit, pure_2x3, mixed_qubit):
         assert_root_matches_oracles(ensemble)
 
@@ -305,7 +306,7 @@ def test_other_systems_take_the_general_route(monkeypatch, seed):
 @given(seed=seeds, n_nodes=st.integers(1, 6), n_members=st.integers(2, 6))
 def test_pure_qubit_averages_match_the_mixture_gram(seed, n_nodes, n_members):
     # Pure 2x2 members take their average marginals from psi's amplitudes;
-    # every other shape takes the Gram of the scaled factors. Each node has
+    # the reference is the Gram of the scaled factors. Each node has
     # a member of weight zero, which must count as zero on both routes.
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_nodes, n_members, 4)) + 1j * rng.standard_normal((n_nodes, n_members, 4))
