@@ -5,9 +5,13 @@ engine that the level-array engine replaced; every number must agree
 within 1e-12. The golden tables in ``golden/table`` were written by the
 payload-parsing random generator that the typed one replaced; they must
 match character for character once the wall-time suffix is removed.
+``golden/cli_bytes.sha256`` pins the exact bytes of every JSON report as
+the current engine prints it (sha256, ``sha256sum`` format), so a change
+that moves a report's last digits fails even within 1e-12.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -34,6 +38,7 @@ import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 GOLDEN_TABLES = Path(__file__).parent / "golden" / "table"
+GOLDEN_BYTES = Path(__file__).parent / "golden" / "cli_bytes.sha256"
 SCENARIOS = ("bell_diagonal_09", "four_bell_uniform", "maximally_mixed", "phi_mixture_xx", "random_sweep")
 # Options that every golden run of a scenario used.
 EXTRA_ARGS = {"random_sweep": ["--seed", "11", "--trials", "4"]}
@@ -58,6 +63,17 @@ def test_report_matches_golden(command, stem):
     assert code == 0
     expected = json.loads((GOLDEN / f"{stem}.{command}.json").read_text(encoding="utf-8"))
     assert json_mismatches(json.loads(out), expected, 1e-12) == []
+
+
+def test_reports_match_their_byte_pin():
+    pinned = dict(line.split("  ")[::-1] for line in GOLDEN_BYTES.read_text(encoding="utf-8").splitlines())
+    printed = {}
+    for stem in SCENARIOS:
+        for command in cli.COMMANDS:
+            code, out, _ = run(scenario_argv(command, stem))
+            assert code == 0
+            printed[f"{stem}.{command}.json"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert printed == pinned
 
 
 @pytest.mark.parametrize("stem", SCENARIOS)
