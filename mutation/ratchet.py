@@ -2,15 +2,17 @@
 rule of ``locclab.entropy``, the integer rule and the block solve of
 ``locclab.linalg``, the Bell-diagonal build, the ``Scenario``
 constructor, the parser's per-party batch read and the CLI's JSON writer:
-32 mutants of the bound suite, the round audit, the tree expansion and its
+35 mutants of the bound suite, the round audit, the tree expansion and its
 prune edge, the rows a ``StepChooser`` reads, the argument checks of
 ``run_protocol`` and ``_outcome_labels``, the cross terms of the
 closed-form average marginals of pure 2x2 members, the weight floor, the
 Shannon zero rule, the purity judged at unit trace, the shift of the Bell
 build's blocks, the Hermitian check of every block size, the phase fix of
-rebuilt cluster columns, a scenario's derived kind and its walk of the
-override histories, the slice of a party's batch that each step takes,
-and the writer's key order and nested indent.
+rebuilt cluster columns, the union pattern of a stack, the value of a
+1 x 1 block, the unit-vector walk of a cluster that fills its block, a
+scenario's derived kind and its walk of the override histories, the slice
+of a party's batch that each step takes, and the writer's key order and
+nested indent.
 
 Each mutant in ``mutants.json`` is one exact text replacement in one file
 of ``src/locclab/``: the file its ``file`` names, ``protocol.py`` when it

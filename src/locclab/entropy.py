@@ -25,12 +25,12 @@ from .linalg import (
     DEFAULT_TOL,
     DEGENERATE_GAP,
     DensityOperator,
-    _hermitian_part,
     _require_hermitian,
     _require_no_negative,
     _require_state,
     block_eigvalsh,
     hermitian_eig,
+    hermitian_eigvalsh,
     hermitize,
     partial_trace,
     partial_transpose,
@@ -221,8 +221,11 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     """Entropies of a stack (..., D, D) of PSD unit-trace matrices.
 
     Two routes give the spectrum: a stack of 2x2 matrices is solved in
-    closed form (``_qubit_eigvalsh``), and any larger D by one
-    ``np.linalg.eigvalsh`` call over the stack. (Pure members of a 2x2
+    closed form (``_qubit_eigvalsh``), and any larger D by
+    ``linalg.hermitian_eigvalsh``, which splits the stack along the union of
+    its matrices' exact zero patterns and makes one ``np.linalg.eigvalsh``
+    call per block size above 1; the diagonal marginals of a Bell-diagonal
+    root make none. (Pure members of a 2x2
     outcome tree take a third route, from the determinant of their
     coefficient matrix, in ``protocol._level_stats``, which builds their
     average marginals from their amplitudes and calls this once per tree
@@ -235,7 +238,7 @@ def von_neumann_entropies(matrices) -> np.ndarray:
         _require_hermitian(mats)
         values = _qubit_eigvalsh(mats)
     else:
-        values = np.linalg.eigvalsh(_hermitian_part(mats))
+        values = hermitian_eigvalsh(mats)
     _require_no_negative(values)
     return shannon_entropies(np.maximum(values, 0.0))
 

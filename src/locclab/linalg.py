@@ -21,11 +21,18 @@ all before the first eigensolve: off the pattern both triangles hold exact
 zeros, so the blocks' verdict and spectra are the whole matrix's, and a NaN
 or an infinity, being nonzero, lies in a block. A Bell-diagonal state on
 d x d splits into d blocks of d, and so does its partial transpose, so no
-d^2 x d^2 solve, nor any d^2 x d^2 temporary, is made for it.
+d^2 x d^2 solve, nor any d^2 x d^2 temporary, is made for it. A stack of
+matrices (``hermitian_eigvalsh``, which ``entropy.von_neumann_entropies``
+calls for every marginal larger than 2 x 2) splits the same way along the
+union of its matrices' patterns, and a failed check names the whole stack.
+A 1 x 1 block takes no eigensolve: it is its own real part. The member and
+average marginals of a Bell-diagonal state's eigen-ensemble are diagonal,
+so their spectra take none at all.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,59 +156,116 @@ def _require_party(party: str) -> None:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-def _blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the blocks that the exact zero pattern of ``mat`` decouples.
+def _blocks(mat: np.ndarray) -> list[np.ndarray] | np.ndarray:
+    """Index sets of the blocks that the exact zero pattern of ``mat``, a
+    matrix or a stack (..., D, D) of them, decouples.
 
     They are the connected components of the graph with an edge (i, k)
-    wherever M_ik or M_ki is nonzero, a NaN or an infinity included. Each
-    is ascending, and they are ordered by their first index. Every node
-    takes the smallest label among its neighbours, itself included, and
-    then its label's label, until nothing changes; labels only fall, and at
-    the fixed point each component carries its smallest index.
+    wherever M_ik or M_ki is nonzero in some matrix of the stack, a NaN or
+    an infinity included. Each is ascending, and they are ordered by their
+    first index: a list of index arrays, or, when every block has one size
+    s, the (D / s, s) array whose rows they are. The pattern is read from
+    the float view of the complex entries, which compares an order of
+    magnitude faster than they do: an entry is nonzero when one of its two
+    parts is, that is when its pair of flags, read as one 16-bit integer,
+    is. A pattern with no entry off the diagonal is D blocks of 1, and one
+    with no zero entry one block of D. Otherwise every node is labelled by
+    its first neighbour, itself included; where every row of the pattern
+    equals its label's row, the components are cliques (as in a
+    Bell-diagonal state and its partial transpose) and these labels are
+    their first indices. Otherwise
+    every node takes the smallest label among its neighbours, and then its
+    label's label, until nothing changes; labels only fall, and at the
+    fixed point each component carries its smallest index.
     """
-    dim = len(mat)
-    linked = mat != 0
+    dim = mat.shape[-1]
+    nonzero = np.ascontiguousarray(mat, dtype=complex).view(np.float64) != 0
+    if nonzero.ndim > 2:
+        nonzero = nonzero.reshape(-1, dim, 2 * dim).any(axis=0)
+    linked = nonzero.view(np.uint16) != 0
+    linked.flat[:: dim + 1] = True
+    edges = np.count_nonzero(linked)
+    if edges in (dim, dim * dim):
+        return np.arange(dim).reshape((dim, 1) if edges == dim else (1, dim))
     linked |= linked.T
-    np.fill_diagonal(linked, True)
     labels = linked.argmax(axis=1)
-    while True:
-        lowest = np.where(linked, labels, dim).min(axis=1)
-        lowest = lowest[lowest]
-        if (lowest == labels).all():
-            break
-        labels = lowest
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    if np.count_nonzero(linked != linked[labels]):
+        while True:
+            lowest = np.where(linked, labels, dim).min(axis=1)
+            lowest = lowest[lowest]
+            if (lowest == labels).all():
+                break
+            labels = lowest
+    order = labels.argsort(kind="stable")
+    sizes = np.bincount(labels)
+    count = np.count_nonzero(sizes)
+    if np.count_nonzero(sizes == dim // count) == count:
+        return order.reshape(count, -1)
+    return np.split(order, np.cumsum(sizes[sizes > 0][:-1]))
 
 
-def _block_stacks(mat: np.ndarray, blocks: list[np.ndarray]):
-    """Per distinct block size: the (k, s) row indices and the (k, s, s) stack of blocks."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for rows in blocks:
-        by_size.setdefault(len(rows), []).append(rows)
-    for group in by_size.values():
-        rows = np.array(group)
-        yield rows, mat[rows[:, :, None], rows[:, None, :]]
+def _block_stacks(mat: np.ndarray, blocks: list[np.ndarray] | np.ndarray):
+    """Per distinct block size: the (k, s) row indices and the (..., k, s, s)
+    stack of blocks of a matrix or a stack (..., D, D). A lone block is the
+    matrix itself, a view."""
+    if isinstance(blocks, np.ndarray):
+        if len(blocks) == 1:
+            yield blocks, mat[..., None, :, :]
+            return
+        groups = [blocks]
+    else:
+        by_size: dict[int, list[np.ndarray]] = {}
+        for rows in blocks:
+            by_size.setdefault(len(rows), []).append(rows)
+        groups = [np.array(group) for group in by_size.values()]
+    for rows in groups:
+        yield rows, mat[..., rows[:, :, None], rows[:, None, :]]
 
 
-def _eigh_blocks(stacks: list) -> tuple[np.ndarray, np.ndarray]:
+def _block_values(stacks: list[np.ndarray]) -> np.ndarray:
+    """Ascending spectra (..., D) from the Hermitian (..., k, s, s) block
+    stacks of a matrix or a stack, one ``eigvalsh`` per block size above 1;
+    a 1 x 1 block is its own real part, which LAPACK returns for n = 1."""
+    values = [
+        (stack[..., 0, 0].real if stack.shape[-1] == 1 else np.linalg.eigvalsh(stack)).reshape(*stack.shape[:-3], -1)
+        for stack in stacks
+    ]
+    return np.sort(values[0] if len(values) == 1 else np.concatenate(values, axis=-1), axis=-1, kind="stable")
+
+
+def _eigh_blocks(stacks: list) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Eigensystem of a Hermitian matrix from its (rows, block stack) pairs,
-    one ``eigh`` per block size. Eigenvalues are ascending (stable sort).
-    Each eigenvector is phase fixed on its stack, as on its full column, a
-    block's rows being ascending, and written into its sorted full-length
-    column, with exact zeros outside its block.
+    one ``eigh`` per block size, with its degenerate clusters.
+
+    Eigenvalues are ascending (stable sort). A cluster, given as its
+    (start, stop) columns, is a run of two or more eigenvalues whose
+    consecutive gaps are below DEGENERATE_GAP. Each eigenvector is written
+    into its sorted full-length column, with exact zeros outside its block;
+    one outside every cluster is first phase fixed on its stack, as on its
+    full column, a block's rows being ascending, and a cluster's are left
+    as solved, for ``_cluster_basis`` to rebuild.
     """
     solved = [(rows, *np.linalg.eigh(stack)) for rows, stack in stacks]
     values = np.concatenate([stack_values.reshape(-1) for _, stack_values, _ in solved])
     order = np.argsort(values, kind="stable")
+    values = values[order]
+    close = values[1:] - values[:-1] < DEGENERATE_GAP
+    rebuilt, clusters = None, []
+    if close.any():
+        rebuilt = np.zeros(len(values), dtype=bool)
+        rebuilt[:-1] |= close
+        rebuilt[1:] |= close
+        ends = [0, *(np.flatnonzero(~close) + 1).tolist(), len(values)]
+        clusters = [(start, stop) for start, stop in itertools.pairwise(ends) if stop - start > 1]
     column = np.argsort(order)
     vectors = np.zeros((len(values),) * 2, dtype=complex, order="F")
     start = 0
     for rows, _, stack_vectors in solved:
         columns = column[start : start + rows.size].reshape(rows.shape)
-        vectors[rows[:, :, None], columns[:, None, :]] = _fix_phase(stack_vectors)
+        kept = None if rebuilt is None else rebuilt[columns]
+        vectors[rows[:, :, None], columns[:, None, :]] = _fix_phase(stack_vectors, kept)
         start += rows.size
-    return values[order], vectors
+    return values, vectors, clusters
 
 
 def block_eigvalsh(matrix) -> np.ndarray:
@@ -216,8 +280,22 @@ def block_eigvalsh(matrix) -> np.ndarray:
     stacks = [stack for _, stack in _block_stacks(mat, _blocks(mat))]
     for stack in stacks:
         _require_finite(stack)
-    values = [np.linalg.eigvalsh(hermitize(stack)).reshape(-1) for stack in stacks]
-    return np.sort(np.concatenate(values), kind="stable")
+    return _block_values([hermitize(stack) for stack in stacks])
+
+
+def hermitian_eigvalsh(matrices) -> np.ndarray:
+    """Ascending spectra (..., D) of a stack (..., D, D) of matrices that are
+    each finite and Hermitian within DEFAULT_TOL, read through their
+    Hermitian part.
+
+    The stack is split along the union of its matrices' exact zero patterns,
+    made symmetric: the blocks that no matrix of the stack couples. Every
+    block stack is checked and hermitized (``_hermitian_part``) before the
+    first eigensolve, and a failure is named by ``_require_hermitian`` of
+    the whole stack, so the message is the one an unsplit check gives.
+    """
+    mats = np.asarray(matrices, dtype=complex)
+    return _block_values([_hermitian_part(stack, mats) for _, stack in _block_stacks(mats, _blocks(mats))])
 
 
 def validate_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
@@ -298,15 +376,18 @@ def partial_transpose(matrix, party: str, dims: tuple[int, int]) -> np.ndarray:
     return tensor.transpose((2, 1, 0, 3) if party == "A" else (0, 3, 2, 1)).reshape(dim_a * dim_b, dim_a * dim_b)
 
 
-def _fix_phase(vectors: np.ndarray) -> np.ndarray:
+def _fix_phase(vectors: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
     """Scale each column of a matrix, or of a stack (..., n, c) of them, so
     that its first component above _PHASE_EPS in modulus is real positive;
-    a column without one is left as it is."""
+    a column without one, and a column that ``kept`` (..., c) marks, is
+    left as it is."""
     stack = vectors.reshape(-1, *vectors.shape[-2:])
     magnitudes = np.abs(stack)
     at = (np.arange(len(stack))[:, None], (magnitudes > _PHASE_EPS).argmax(axis=1), np.arange(stack.shape[2]))
     size = magnitudes[at]
     found = size > _PHASE_EPS
+    if kept is not None:
+        found &= ~kept.reshape(found.shape)
     phase = np.where(found, stack[at].conj() / np.where(found, size, 1.0), 1.0)
     return (stack * phase[:, None, :]).reshape(vectors.shape)
 
@@ -361,7 +442,9 @@ def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> None:
     the number of vectors it holds, and the results are merged in the index
     order of the columns they came from: the basis one walk over the whole
     projector gives, with exact zeros outside each vector's block, each
-    vector phase fixed (``_fix_phase``).
+    vector phase fixed (``_fix_phase``) on its block. A block whose every
+    column belongs to the cluster has the identity as its projector, whose
+    walk is the block's unit vectors; only the other blocks are walked.
     """
     dim, rank = vectors.shape
     block_of_row = np.empty(dim, dtype=int)
@@ -372,7 +455,12 @@ def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> None:
     for i in sorted(set(owner.tolist())):
         rows = blocks[i]
         inside = vectors[rows][:, owner == i]
-        found, came_from = _gram_schmidt(inside @ inside.conj().T, inside.shape[1])
+        count = inside.shape[1]
+        if count == len(rows):
+            found, came_from = np.eye(len(rows), count), np.arange(count)
+        else:
+            found, came_from = _gram_schmidt(inside @ inside.conj().T, count)
+            found = _fix_phase(found)
         walks.append((rows, found, rows[came_from]))
     column = np.argsort(np.argsort(np.concatenate([sources for _, _, sources in walks])))
     vectors[...] = 0.0
@@ -381,7 +469,6 @@ def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> None:
         stop = start + found.shape[1]
         vectors[rows[:, None], column[start:stop]] = found
         start = stop
-    vectors[...] = _fix_phase(vectors)
 
 
 def hermitian_eig(matrix) -> HermitianSpectrum:
@@ -395,26 +482,19 @@ def hermitian_eig(matrix) -> HermitianSpectrum:
     positive. The matrix must be finite and Hermitian. It is solved block
     by block along its own zero pattern, every block checked and
     hermitized (``_hermitian_part``) before the first ``eigh``, one per
-    block size; the clusters are found from the eigenvalue gaps in one
-    pass, and only the columns ``_cluster_basis`` rebuilds are phase fixed
-    again.
+    block size. The clusters are found from the eigenvalue gaps in one
+    pass, and each vector is phase fixed once: on its block stack, or, in
+    a cluster, as ``_cluster_basis`` rebuilds it.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     blocks = _blocks(mat)
     stacks = [(rows, _hermitian_part(stack, mat)) for rows, stack in _block_stacks(mat, blocks)]
-    values, vectors = _eigh_blocks(stacks)
-
-    # A cluster ends where the gap to the next eigenvalue is not below
-    # DEGENERATE_GAP.
-    ends = [*(np.flatnonzero(~(np.diff(values) < DEGENERATE_GAP)) + 1).tolist(), len(values)]
-    start = 0
-    for stop in ends:
-        if stop - start > 1:
-            values[start:stop] = values[start:stop].mean()
-            _cluster_basis(vectors[:, start:stop], blocks)
-        start = stop
+    values, vectors, clusters = _eigh_blocks(stacks)
+    for start, stop in clusters:
+        values[start:stop] = values[start:stop].mean()
+        _cluster_basis(vectors[:, start:stop], blocks)
     values.setflags(write=False)
     vectors.setflags(write=False)
     return HermitianSpectrum(eigenvalues=values, eigenvectors=vectors)

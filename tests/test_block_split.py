@@ -9,7 +9,11 @@ by a permutation, check that a d = 16 report never makes a 256 x 256 solve
 and allocates no dense temporaries, that NaN and inf are rejected before
 any solve in every block size, that a deviation message names the whole
 matrix's largest deviation, and that rebuilt cluster vectors keep the
-phase convention.
+phase convention. ``von_neumann_entropies`` splits a stack along the
+union of its matrices' patterns (``hermitian_eigvalsh``): its spectra and
+its fault messages are checked on stacks whose blocks are coupled only in
+some members, and a degenerate cluster that fills a block is checked to be
+that block's unit vectors.
 """
 
 import contextlib
@@ -36,7 +40,9 @@ from locclab import (
     partial_transpose,
     validate_density,
 )
-from locclab.linalg import _blocks, block_eigvalsh, hermitize
+from locclab import linalg
+from locclab.entropy import von_neumann_entropies
+from locclab.linalg import _blocks, block_eigvalsh, hermitian_eigvalsh, hermitize
 
 from helpers import PHI_MINUS, PHI_PLUS
 
@@ -394,3 +400,137 @@ def test_rebuilt_cluster_columns_are_phase_fixed():
         assert first.real > 0.0 and abs(first.imag) <= 1e-12 * abs(first)
     assert abs(spectrum.eigenvectors[0, 1]) > 1e-8
     np.testing.assert_allclose(spectrum.eigenvectors.conj().T @ spectrum.eigenvectors, np.eye(3), rtol=0, atol=1e-12)
+
+
+@st.composite
+def hidden_block_stacks(draw):
+    """A stack of 2 to 4 PSD unit-trace matrices, block diagonal along one
+    hidden partition (block sizes 1 to 4) under a hidden permutation.
+
+    Member 0 holds only a diagonal. Every other member fills each block of
+    two or more, at random, with U diag U^dagger (a Haar U, levels from 0,
+    1/4 and 1/2, so spectra tie), or leaves its diagonal alone: a block is
+    coupled only in some members, so only the union of their patterns
+    decouples the stack.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=5))
+    members = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    stack = np.zeros((members, dim, dim), dtype=complex)
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        for m in range(members):
+            if size > 1 and m > 0 and rng.random() < 0.6:
+                g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                unitary, _ = np.linalg.qr(g)
+                stack[m, block, block] = (unitary * (rng.integers(0, 3, size=size) / 4)) @ unitary.conj().T
+            else:
+                stack[m, block, block] = np.diag(rng.integers(0, 3, size=size) / 4)
+        start += size
+    for m in range(members):
+        stack[m, 0, 0] += 0.25
+        stack[m] /= np.trace(stack[m]).real
+    hidden = rng.permutation(dim)
+    return stack[:, hidden][:, :, hidden]
+
+
+def dense_entropies(stack) -> np.ndarray:
+    values = np.linalg.eigvalsh(hermitize(stack))
+    values = np.where(values > 1e-12, values, 1.0)
+    return -(values * np.log2(values)).sum(axis=-1)
+
+
+@PROPERTY
+@given(stack=hidden_block_stacks())
+def test_stack_spectra_split_along_the_union_pattern(stack):
+    np.testing.assert_allclose(hermitian_eigvalsh(stack), np.linalg.eigvalsh(hermitize(stack)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(von_neumann_entropies(stack), dense_entropies(stack), rtol=0, atol=1e-12)
+    # A leading axis of nodes splits along the same union.
+    nodes = np.stack([stack, stack[::-1]])
+    np.testing.assert_allclose(hermitian_eigvalsh(nodes), np.linalg.eigvalsh(hermitize(nodes)), rtol=0, atol=1e-12)
+
+
+def test_member_and_average_marginals_of_a_bell_root_are_diagonal():
+    # The kets of a Bell-diagonal state hold one entry per row of their
+    # coefficient matrix, so every member marginal is diagonal and the
+    # stack splits into 1 x 1 blocks, which are their own real parts.
+    rho = generic_bell(4, seed=3)
+    x = SpectralEnsemble(rho).kets.reshape(-1, 4, 4)
+    grams = x @ x.conj().swapaxes(-1, -2)
+    assert as_sets(_blocks(grams)) == [[i] for i in range(4)]
+    expected = np.sort(np.einsum("mii->mi", grams).real, axis=-1)
+    assert np.array_equal(hermitian_eigvalsh(grams), expected)
+
+
+def stack_with(member: int, entry: tuple[int, int], value) -> np.ndarray:
+    """Three unit-trace matrices made from the 2 x 3 state ``two_sizes``
+    with index 5 decoupled, so that the union pattern has a block of each
+    size: {0, 3}, {1, 2, 4} and {5}. Member 1 holds only the diagonal.
+    ``value`` is added at ``entry`` of ``member``, not mirrored."""
+    base = two_sizes()
+    base[5, :5] = base[:5, 5] = 0.0
+    stack = np.stack([base, np.diag(base.diagonal()), base.T])
+    stack /= np.einsum("mii->m", stack).real[:, None, None]
+    stack[(member, *entry)] += value
+    return stack
+
+
+STACK_FAULTS = {
+    "nan-one-by-one-of-member-1": (1, (5, 5), np.nan),
+    "inf-size-three-of-member-2": (2, (2, 4), np.inf),
+    "nan-across-blocks-of-member-2": (2, (0, 1), np.nan),
+    "deviation-size-three-of-member-1": (1, (2, 4), 5e-9),
+    "deviation-one-by-one-of-member-2": (2, (5, 5), 3e-9j),
+}
+
+
+def test_fault_stacks_have_a_block_of_each_size():
+    assert as_sets(_blocks(stack_with(0, (0, 0), 0.0))) == [[0, 3], [1, 2, 4], [5]]
+
+
+@pytest.mark.parametrize("key", sorted(STACK_FAULTS))
+def test_stack_faults_keep_the_whole_stack_message(monkeypatch, key):
+    stack = stack_with(*STACK_FAULTS[key])
+    if np.isfinite(stack).all():
+        # The deviation of the first matrix that fails, as one check of the
+        # whole stack names it.
+        deviation = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        expected = f"not Hermitian: deviation {deviation[deviation > 1e-9][0]:.3e}"
+    else:
+        expected = "non-finite entry: the matrix holds a NaN or an infinity"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (hermitian_eigvalsh, von_neumann_entropies):
+            with pytest.raises(ValueError) as excinfo:
+                solve(stack)
+            assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_cluster_that_fills_a_block_is_its_unit_vectors(monkeypatch, d):
+    # An isotropic state's d - 1 blocks without the fidelity state hold only
+    # cluster vectors: their projector is the identity, whose walk is the
+    # block's unit vectors, exactly. Only the block that also holds the
+    # fidelity state is walked.
+    fidelity = 0.6
+    rho = bell_diagonal(BellDiagonalSpec(d, (fidelity, *[(1 - fidelity) / (d * d - 1)] * (d * d - 1))))
+    walked = []
+    walk = linalg._gram_schmidt
+    monkeypatch.setattr(linalg, "_gram_schmidt", lambda projector, rank: walked.append(rank) or walk(projector, rank))
+    spectrum = hermitian_eig(rho.matrix)
+    assert walked == [d - 1]
+    vectors = spectrum.eigenvectors
+    units = [k for k in range(d * d) if np.count_nonzero(vectors[:, k]) == 1]
+    assert len(units) == d * (d - 1)
+    assert all(vectors[np.flatnonzero(vectors[:, k])[0], k] == 1.0 for k in units)
+    residual = rho.matrix @ vectors - vectors * spectrum.eigenvalues
+    assert np.abs(residual).max() <= 1e-12
+    np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(d * d), rtol=0, atol=1e-12)

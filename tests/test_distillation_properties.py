@@ -14,8 +14,12 @@ Every entropy field and both bounds must also agree within 1e-10 with
 ``helpers.distillation_oracle``, which takes S, S_A and S_B from explicit
 eigensolves and partial traces and the mean local entropy from the members'
 Schmidt coefficients, on random mixed 2x2, 2x3, 3x2 and 3x3 states and on
-generic Bell-diagonal states for d = 2..4. A last test counts eigensolver
-calls, so a per-member loop cannot come back unnoticed.
+generic Bell-diagonal states for d = 2..4. A test counts eigensolver
+calls, so a per-member loop cannot come back unnoticed. On d = 2
+Bell-diagonal states, the full distinguishing bound must equal
+``bound_suite``'s local Holevo bound of the spectral ensemble's depth-0
+transcript minus S: the output-adjusted bound at full distinction
+(I_locc = H(X) = S), whose members are pure, computed by the other module.
 """
 
 import dataclasses
@@ -31,6 +35,7 @@ from locclab import (
     BellDiagonalSpec,
     SpectralEnsemble,
     bell_diagonal,
+    bound_suite,
     distillation_report,
     entropy_summary,
     hermitian_eig,
@@ -199,7 +204,17 @@ def test_eigensolve_count_does_not_grow_with_d(monkeypatch, kind):
             distillation_report(bell_diagonal(spec), spec)
         counts[d] = calls
     assert counts[3] == counts[6]
-    assert counts[6] == {"eigvalsh": 4, "eigh": 1}
+    assert counts[6] == {"eigvalsh": 1, "eigh": 1}
+
+
+@PROPERTY
+@given(seed=seeds, kind=st.sampled_from(WEIGHT_KINDS))
+def test_full_bound_is_local_holevo_minus_entropy(seed, kind):
+    spec = BellDiagonalSpec(2, bell_weights(np.random.default_rng(seed), 2, kind))
+    rho = bell_diagonal(spec)
+    report = distillation_report(rho, spec)
+    local_holevo = bound_suite(run_protocol(SpectralEnsemble(rho), {}, 0)).bounds["local_holevo"]
+    assert abs(report.full_distinguish_bound - (local_holevo - report.entropy)) <= 1e-12
 
 
 def _entropy_bits(matrix) -> float:
