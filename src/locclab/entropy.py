@@ -225,11 +225,11 @@ def von_neumann_entropies(matrices) -> np.ndarray:
     ``linalg.hermitian_eigvalsh``, which splits the stack along the union of
     its matrices' exact zero patterns and makes one ``np.linalg.eigvalsh``
     call per block size above 1; the diagonal marginals of a Bell-diagonal
-    root make none. (Pure members of a 2x2
-    outcome tree take a third route, from the determinant of their
-    coefficient matrix, in ``protocol._level_stats``, which builds their
-    average marginals from their amplitudes and calls this once per tree
-    and side for all levels' average marginals.) Every matrix must
+    root make none. (Pure members of a 2x2 outcome tree take a third
+    route, from the determinant of their coefficient matrix, in
+    ``protocol._level_stats``, which builds their average marginals from
+    their amplitudes and calls this once per tree and side for all levels'
+    average marginals.) Every matrix must
     pass the state rule of ``locclab.linalg``; rounding-level negative
     eigenvalues count as zeros.
     """

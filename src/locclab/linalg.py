@@ -173,10 +173,10 @@ def _blocks(mat: np.ndarray) -> list[np.ndarray] | np.ndarray:
     its first neighbour, itself included; where every row of the pattern
     equals its label's row, the components are cliques (as in a
     Bell-diagonal state and its partial transpose) and these labels are
-    their first indices. Otherwise
-    every node takes the smallest label among its neighbours, and then its
-    label's label, until nothing changes; labels only fall, and at the
-    fixed point each component carries its smallest index.
+    their first indices. Otherwise every node takes the smallest label
+    among its neighbours, and then its label's label, until nothing
+    changes; labels only fall, and at the fixed point each component
+    carries its smallest index.
     """
     dim = mat.shape[-1]
     nonzero = np.ascontiguousarray(mat, dtype=complex).view(np.float64) != 0
