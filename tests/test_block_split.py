@@ -457,12 +457,15 @@ def test_member_and_average_marginals_of_a_bell_root_are_diagonal():
     # The kets of a Bell-diagonal state hold one entry per row of their
     # coefficient matrix, so every member marginal is diagonal and the
     # stack splits into 1 x 1 blocks, which are their own real parts.
-    rho = generic_bell(4, seed=3)
-    x = SpectralEnsemble(rho).kets.reshape(-1, 4, 4)
+    ensemble = SpectralEnsemble(generic_bell(4, seed=3))
+    x = ensemble.kets.reshape(-1, 4, 4)
     grams = x @ x.conj().swapaxes(-1, -2)
-    assert as_sets(_blocks(grams)) == [[i] for i in range(4)]
-    expected = np.sort(np.einsum("mii->mi", grams).real, axis=-1)
-    assert np.array_equal(hermitian_eigvalsh(grams), expected)
+    w = ensemble.weights
+    averages = np.stack([np.einsum("m,mab,mcb->ac", w, x, x.conj()), np.einsum("m,mab,mac->bc", w, x, x.conj())])
+    for stack in (grams, averages):
+        assert as_sets(_blocks(stack)) == [[i] for i in range(4)]
+        expected = np.sort(np.einsum("...ii->...i", stack).real, axis=-1)
+        assert np.array_equal(hermitian_eigvalsh(stack), expected)
 
 
 def stack_with(member: int, entry: tuple[int, int], value) -> np.ndarray:
