@@ -156,27 +156,30 @@ def _require_party(party: str) -> None:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-def _blocks(mat: np.ndarray) -> list[np.ndarray] | np.ndarray:
-    """Index sets of the blocks that the exact zero pattern of ``mat``, a
-    matrix or a stack (..., D, D) of them, decouples.
+def _blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """The blocks that the exact zero pattern of ``mat``, a matrix or a
+    stack (..., D, D) of them, decouples, grouped by size: one (k, s)
+    array per block size s, in ascending s, whose k rows are the blocks.
 
     They are the connected components of the graph with an edge (i, k)
     wherever M_ik or M_ki is nonzero in some matrix of the stack, a NaN or
-    an infinity included. Each is ascending, and they are ordered by their
-    first index: a list of index arrays, or, when every block has one size
-    s, the (D / s, s) array whose rows they are. The pattern is read from
-    the float view of the complex entries, which compares an order of
-    magnitude faster than they do: an entry is nonzero when one of its two
-    parts is, that is when its pair of flags, read as one 16-bit integer,
-    is. A pattern with no entry off the diagonal is D blocks of 1, and one
-    with no zero entry one block of D. Otherwise every node is labelled by
-    its first neighbour, itself included; where every row of the pattern
+    an infinity included. Each is ascending, and a group's rows are ordered
+    by their first index. The pattern is read from the float view of the
+    complex entries, which compares an order of magnitude faster than they
+    do: an entry is nonzero when one of its two parts is, that is when its
+    pair of flags, read as one 16-bit integer, is. A pattern with no entry
+    off the diagonal (the marginals of a Bell-diagonal state's
+    eigen-ensemble) is D blocks of 1 at once; the walk below takes ~15 us
+    more for it at D = 4 and 8. Otherwise every node is labelled by its
+    first neighbour, itself included; where every row of the pattern
     equals its label's row, the components are cliques (as in a
     Bell-diagonal state and its partial transpose) and these labels are
     their first indices. Otherwise every node takes the smallest label
     among its neighbours, and then its label's label, until nothing
     changes; labels only fall, and at the fixed point each component
-    carries its smallest index.
+    carries its smallest index. Blocks of one size are one reshape of the
+    nodes sorted by label; blocks of several sizes are gathered size by
+    size.
     """
     dim = mat.shape[-1]
     nonzero = np.ascontiguousarray(mat, dtype=complex).view(np.float64) != 0
@@ -184,9 +187,8 @@ def _blocks(mat: np.ndarray) -> list[np.ndarray] | np.ndarray:
         nonzero = nonzero.reshape(-1, dim, 2 * dim).any(axis=0)
     linked = nonzero.view(np.uint16) != 0
     linked.flat[:: dim + 1] = True
-    edges = np.count_nonzero(linked)
-    if edges in (dim, dim * dim):
-        return np.arange(dim).reshape((dim, 1) if edges == dim else (1, dim))
+    if np.count_nonzero(linked) == dim:
+        return [np.arange(dim)[:, None]]
     linked |= linked.T
     labels = linked.argmax(axis=1)
     if np.count_nonzero(linked != linked[labels]):
@@ -198,28 +200,19 @@ def _blocks(mat: np.ndarray) -> list[np.ndarray] | np.ndarray:
             labels = lowest
     order = labels.argsort(kind="stable")
     sizes = np.bincount(labels)
-    count = np.count_nonzero(sizes)
-    if np.count_nonzero(sizes == dim // count) == count:
-        return order.reshape(count, -1)
-    return np.split(order, np.cumsum(sizes[sizes > 0][:-1]))
+    sizes = sizes[sizes > 0]
+    if np.count_nonzero(sizes != sizes[0]) == 0:
+        return [order.reshape(len(sizes), -1)]
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == size, None] + np.arange(size)] for size in np.flatnonzero(np.bincount(sizes))]
 
 
-def _block_stacks(mat: np.ndarray, blocks: list[np.ndarray] | np.ndarray):
-    """Per distinct block size: the (k, s) row indices and the (..., k, s, s)
-    stack of blocks of a matrix or a stack (..., D, D). A lone block is the
-    matrix itself, a view."""
-    if isinstance(blocks, np.ndarray):
-        if len(blocks) == 1:
-            yield blocks, mat[..., None, :, :]
-            return
-        groups = [blocks]
-    else:
-        by_size: dict[int, list[np.ndarray]] = {}
-        for rows in blocks:
-            by_size.setdefault(len(rows), []).append(rows)
-        groups = [np.array(group) for group in by_size.values()]
+def _block_stacks(mat: np.ndarray, groups: list[np.ndarray]):
+    """Per (k, s) group of ``_blocks``: the group and the (..., k, s, s)
+    stack of its blocks of a matrix or a stack (..., D, D). A lone block is
+    the matrix itself, a view."""
     for rows in groups:
-        yield rows, mat[..., rows[:, :, None], rows[:, None, :]]
+        yield rows, mat[..., None, :, :] if len(rows) == 1 == len(groups) else mat[..., rows[:, :, None], rows[:, None, :]]
 
 
 def _block_values(stacks: list[np.ndarray]) -> np.ndarray:
@@ -429,15 +422,16 @@ def _gram_schmidt(projector: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndar
     return basis, sources
 
 
-def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> None:
+def _cluster_basis(vectors: np.ndarray, groups: list[np.ndarray]) -> None:
     """Rebuild, in place, a deterministic orthonormal basis of the
     degenerate eigenspace that the columns of ``vectors`` span.
 
     Built from the subspace projector alone (independent of the solver's
     arbitrary in-cluster choice): ``_gram_schmidt`` over the projector's
     columns in index order. No column of ``vectors`` crosses one of the
-    index sets ``blocks``, so the projector is block diagonal along them and
-    a column is orthogonal to every vector from another block. Each block
+    blocks, the rows of the (k, s) ``groups`` of ``_blocks``, so the
+    projector is block diagonal along them and a column is orthogonal to
+    every vector from another block. Each block
     that holds some of the vectors is therefore walked on its own, up to
     the number of vectors it holds, and the results are merged in the index
     order of the columns they came from: the basis one walk over the whole
@@ -447,6 +441,7 @@ def _cluster_basis(vectors: np.ndarray, blocks: list[np.ndarray]) -> None:
     walk is the block's unit vectors; only the other blocks are walked.
     """
     dim, rank = vectors.shape
+    blocks = [rows for group in groups for rows in group]
     block_of_row = np.empty(dim, dtype=int)
     for i, rows in enumerate(blocks):
         block_of_row[rows] = i

@@ -80,13 +80,10 @@ routes:
 - every other 2x2 marginal, average marginals included: the closed-form
   2x2 solve inside ``von_neumann_entropies``;
 - larger marginals: one ``von_neumann_entropies`` call per (tree, side)
-  for the member entropies, split along the stack's zero pattern
+  and entropy family, each split along its stack's zero pattern
   (``linalg.hermitian_eigvalsh``). Pure members, whose two marginals share
   a spectrum, take their member entropies on side A only, and build no
   side-B Gram.
-
-Both sides' average marginals larger than 2x2 take one
-``von_neumann_entropies`` call when dim_a = dim_b, one per side otherwise.
 
 ``chain_mutual_information``, ``bound_suite``, ``audit_rounds``,
 ``entropy_summary`` and ``locclab.distillation`` only index them. Dense
@@ -706,19 +703,13 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStat
         # Every member is solved, and those that ``counted`` leaves out are
         # set to 0 afterwards: a gather of the counted ones would copy the stack.
         member = {side: np.where(counted, von_neumann_entropies(gram), 0.0) for side, gram in grams.items()}
-    # Both sides' average marginals larger than 2x2 take one entropy call
-    # when they have one size: the split solve has a fixed cost per call.
-    if dim_a == dim_b > 2:
-        node_entropy = dict(zip(PARTIES, von_neumann_entropies(np.stack([averages[side] for side in PARTIES]))))
-    else:
-        node_entropy = {side: von_neumann_entropies(averages[side]) for side in PARTIES}
     member_entropy, average_entropy, average_marginals = {}, {}, {}
     for side in PARTIES:
         averages[side].setflags(write=False)
         # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's mean.
         pure_b = side == "B" and r == 1
         member_entropy[side] = member_entropy["A"] if pure_b else means((weights * member[side]).sum(axis=1))
-        average_entropy[side] = means(node_entropy[side])
+        average_entropy[side] = means(von_neumann_entropies(averages[side]))
         average_marginals[side] = tuple(averages[side][span] for span in spans)
     return TreeStats(
         conditional_entropy=means(shannon_entropies(q)),

@@ -55,8 +55,13 @@ def generic_bell(d: int, seed: int = 0):
     return bell_diagonal(BellDiagonalSpec(d, tuple(rng.dirichlet(np.ones(d * d)).tolist())))
 
 
-def as_sets(blocks) -> list[list[int]]:
-    return [sorted(int(i) for i in rows) for rows in blocks]
+def as_sets(groups) -> list[list[int]]:
+    """The blocks of ``_blocks``'s (k, s) groups as sorted index lists, in order."""
+    return sorted(sorted(int(i) for i in rows) for group in groups for rows in group)
+
+
+def block_count(groups) -> int:
+    return sum(len(group) for group in groups)
 
 
 class TestBlocks:
@@ -158,7 +163,7 @@ def test_cluster_walk_projects_the_chunk_after_a_skip():
     e = np.array([1, -1, 0, 0]) / np.sqrt(2)
     f = np.array([1, 1, -2, -2]) / np.sqrt(10)
     matrix = 0.5 * (np.outer(a, a) + np.outer(b, b)) + 0.1 * np.outer(e, e) + 0.3 * np.outer(f, f)
-    assert len(_blocks(matrix)) == 1
+    assert block_count(_blocks(matrix)) == 1
     spectrum = hermitian_eig(matrix)
     np.testing.assert_allclose(spectrum.eigenvalues, [0.1, 0.3, 0.5, 0.5], rtol=0, atol=1e-12)
     expected = np.array([e, f, np.array([2, 2, 1, 1]) / np.sqrt(10), np.array([0, 0, 1, -1]) / np.sqrt(2)]).T
@@ -175,7 +180,7 @@ def test_cluster_across_blocks_with_a_skip_matches_reference():
     matrix[5:, 5:] = [[0.5, 0.5], [0.5, 0.5]]
     hidden = [4, 5, 0, 1, 6, 2, 3]
     matrix = matrix[np.ix_(hidden, hidden)]
-    assert len(_blocks(matrix)) == 3
+    assert block_count(_blocks(matrix)) == 3
     new, old = hermitian_eig(matrix), ref.hermitian_eig(matrix)
     assert np.count_nonzero(np.abs(new.eigenvalues) < 1e-12) == 4
     np.testing.assert_allclose(new.eigenvalues, old.eigenvalues, rtol=0, atol=1e-12)
@@ -338,7 +343,11 @@ def test_non_finite_rejected_before_any_eigensolve(monkeypatch, key):
 
 
 def test_two_block_sizes_are_found_in_order():
-    assert as_sets(_blocks(two_sizes())) == [[0, 3], [1, 2, 4, 5]]
+    assert [group.tolist() for group in _blocks(two_sizes())] == [[[0, 3]], [[1, 2, 4, 5]]]
+    # Groups come in ascending size, a group's blocks by their first index.
+    matrix = np.diag([0.1, 0.2, 0.3, 0.1, 0.2, 0.1]).astype(complex)
+    matrix[0, 3] = matrix[3, 0] = matrix[2, 5] = matrix[5, 2] = 0.01
+    assert [group.tolist() for group in _blocks(matrix)] == [[[1], [4]], [[0, 3], [2, 5]]]
 
 
 @pytest.mark.parametrize("entries", [[(0, 3), (2, 4)], [(2, 4)]], ids=["both-sizes", "second-size"])
@@ -370,7 +379,7 @@ def test_anti_hermitian_pair_joins_blocks_and_keeps_the_spectrum():
     matrix = two_sizes()
     matrix[1, 3], matrix[3, 1] = 3e-10, -3e-10
     assert as_sets(_blocks(matrix)) == [list(range(6))]
-    assert len(_blocks(hermitize(matrix))) == 2
+    assert block_count(_blocks(hermitize(matrix))) == 2
     split = np.sort(
         np.concatenate([np.linalg.eigvalsh(hermitize(matrix)[np.ix_(rows, rows)]) for rows in ([0, 3], [1, 2, 4, 5])])
     )
@@ -491,7 +500,7 @@ STACK_FAULTS = {
 
 
 def test_fault_stacks_have_a_block_of_each_size():
-    assert as_sets(_blocks(stack_with(0, (0, 0), 0.0))) == [[0, 3], [1, 2, 4], [5]]
+    assert [group.tolist() for group in _blocks(stack_with(0, (0, 0), 0.0))] == [[[5]], [[0, 3]], [[1, 2, 4]]]
 
 
 @pytest.mark.parametrize("key", sorted(STACK_FAULTS))
