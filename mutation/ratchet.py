@@ -2,9 +2,10 @@
 rule of ``locclab.entropy``, the integer rule and the block solve of
 ``locclab.linalg``, the Bell-diagonal build, the ``Scenario``
 constructor, the parser's per-party batch read and the CLI's JSON writer:
-35 mutants of the bound suite, the round audit, the tree expansion and its
-prune edge, the rows a ``StepChooser`` reads, the argument checks of
-``run_protocol`` and ``_outcome_labels``, the cross terms of the
+36 mutants of the bound suite and the tree level it reads E_in from, the
+round audit, the tree expansion and its prune edge, the rows a
+``StepChooser`` reads, the argument checks of ``run_protocol`` and
+``_outcome_labels``, the cross terms of the
 closed-form average marginals of pure 2x2 members, the weight floor, the
 Shannon zero rule, the purity judged at unit trace, the shift of the Bell
 build's blocks, the Hermitian check of every block size, the phase fix of

@@ -134,7 +134,12 @@ def bell_hashing_bound(spec: BellDiagonalSpec) -> tuple[float, float]:
     negative whenever H(weights) > log2 d, which includes entangled states:
     a negative raw bound does not mean the state is separable.
     """
-    raw = math.log2(spec.d) - shannon_entropy(spec.probs)
+    return _hashing(spec.d, _weights_entropy(spec))
+
+
+def _hashing(d: int, weights_entropy: float) -> tuple[float, float]:
+    """``bell_hashing_bound`` from d and H(weights)."""
+    raw = math.log2(d) - weights_entropy
     return raw, max(0.0, raw)
 
 
@@ -144,8 +149,20 @@ def bell_partial_bound(spec: BellDiagonalSpec) -> float:
     (log2 d)^2 / (log2 d + H(weights)); strictly positive for every spec,
     separable or not.
     """
-    log_d = math.log2(spec.d)
-    return log_d * log_d / (log_d + shannon_entropy(spec.probs))
+    return _partial(spec.d, _weights_entropy(spec))
+
+
+def _partial(d: int, weights_entropy: float) -> float:
+    """``bell_partial_bound`` from d and H(weights)."""
+    log_d = math.log2(d)
+    return log_d * log_d / (log_d + weights_entropy)
+
+
+def _weights_entropy(spec: BellDiagonalSpec) -> float:
+    """H(weights) of a spec, whose checked weights are read as one float
+    array: ``shannon_entropy`` then skips the entry-by-entry type walk of a
+    tuple."""
+    return shannon_entropy(np.array(spec.probs))
 
 
 def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = None) -> DistillationReport:
@@ -170,8 +187,9 @@ def distillation_report(rho: DensityOperator, spec: BellDiagonalSpec | None = No
 
     closed_hashing = closed_hashing_yield = closed_partial = None
     if spec is not None:
-        closed_hashing, closed_hashing_yield = bell_hashing_bound(spec)
-        closed_partial = bell_partial_bound(spec)
+        weights_entropy = _weights_entropy(spec)
+        closed_hashing, closed_hashing_yield = _hashing(spec.d, weights_entropy)
+        closed_partial = _partial(spec.d, weights_entropy)
 
     return DistillationReport(
         entropy=entropy,

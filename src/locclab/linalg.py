@@ -33,7 +33,7 @@ so their spectra take none at all.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +56,18 @@ class DensityOperator:
     """A bipartite density matrix with fixed subsystem dimensions.
 
     ``validate_density`` and ``pure_state_density`` are its checked
-    constructors; a direct build runs no check of the matrix.
+    constructors; a direct build runs no check of the matrix. A state that
+    ``pure_state_density`` built keeps the renormalized vector its matrix
+    is the outer product of, read-only, as ``ket``; only that constructor
+    sets it, and every other state has ``ket`` None. The tree's root takes
+    it as the member's rank-one factor (``protocol._root_level``), so a
+    pure member is never eigensolved there.
     """
 
     dim_a: int
     dim_b: int
     matrix: np.ndarray
+    ket: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -318,7 +324,8 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
     """Density operator |psi><psi| from a state vector of length dim_a*dim_b.
 
     The vector must be finite and normalized within NORM_TOL; it is
-    renormalized exactly before the outer product is formed.
+    renormalized exactly before the outer product is formed, and the state
+    keeps it, read-only, as its ``ket``.
     """
     _require_dims(dim_a, dim_b)
     vec = np.asarray(vector, dtype=complex).reshape(-1)
@@ -338,7 +345,10 @@ def pure_state_density(vector, dim_a: int, dim_b: int) -> DensityOperator:
         shown = f"{norm:.6f}" if norm < 1e30 else f"{norm:.15e}"
         raise ValueError(f"state vector norm {shown} deviates from 1 beyond tol {NORM_TOL:.1e}")
     vec = vec / norm
-    return DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(np.outer(vec, vec.conj())))
+    vec.setflags(write=False)
+    state = DensityOperator(dim_a=dim_a, dim_b=dim_b, matrix=_frozen(np.outer(vec, vec.conj())))
+    object.__setattr__(state, "ket", vec)
+    return state
 
 
 def _bipartite(matrix, dims: tuple[int, int]) -> np.ndarray:

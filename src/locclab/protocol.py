@@ -20,11 +20,14 @@ member state is stored as a factor V with rho = V V^dagger:
     paths    N_k tuples       outcome histories, built when read
 
 ``_root_level`` makes every root, for the tree commands and
-``distillation_report`` alike. A ``SpectralEnsemble``'s orthonormal kets
-are their own factors (r = 1, no eigensolve). A ``BipartiteEnsemble``'s
-members are factored by one stacked ``eigh``: V = U sqrt(Lambda) over the
-eigenvalues above _RESIDUE_CUT, padded with zero columns to the largest
-rank r and renormalized. The cut, the keep-prior rule's below too, sits at
+``distillation_report`` alike. Kets are their own rank-one factors, with
+no eigensolve: a ``SpectralEnsemble``'s orthonormal kets, and the ``ket``
+that a member built by ``linalg.pure_state_density`` keeps (a file's
+``vector`` member, every member ``random_scenario`` draws). Only the other,
+matrix members are factored, by one stacked ``eigh``: V = U sqrt(Lambda)
+over the eigenvalues above _RESIDUE_CUT, renormalized. Every factor, a
+ket's too, is padded with zero columns to the largest rank r. The cut, the
+keep-prior rule's below too, sits at
 rounding level, below the zero band ZERO_EIGENVALUE: a genuine eigenvalue
 of 1e-12 dropped at the root moves the entropies past the 1e-12 agreement.
 
@@ -76,7 +79,9 @@ routes:
   member's marginal spectrum, shared by both sides, comes from the
   determinant of its 2x2 coefficient matrix, and the members that do not
   count are zeroed afterwards. Each side's average marginals are weighted
-  sums of the members' amplitude products (``_pure_qubit_averages``);
+  sums of the members' amplitude products (``_pure_qubit_averages``), and
+  both sides' take their entropies from one closed-form call on the one
+  stack that holds them;
 - every other 2x2 marginal, average marginals included: the closed-form
   2x2 solve inside ``von_neumann_entropies``;
 - larger marginals: one ``von_neumann_entropies`` call per (tree, side)
@@ -86,11 +91,15 @@ routes:
   side-B Gram.
 
 ``chain_mutual_information``, ``bound_suite``, ``audit_rounds``,
-``entropy_summary`` and ``locclab.distillation`` only index them. Dense
-D x D states are built only on demand: by ``TreeLevel.ensemble`` (which
-``ProtocolNode.ensemble`` calls), for the root members and leaf averages
-whose entanglement ``bound_suite`` reports, and for the root average of a
-``BipartiteEnsemble`` in ``entropy_summary``.
+``entropy_summary`` and ``locclab.distillation`` only index them. The
+average input entanglement E_in of a rank-one root (every
+``SpectralEnsemble`` root, every ensemble of kets) is the root's side-A
+mean member entropy: a pure state's entanglement is its marginal entropy.
+Dense D x D states are built only on demand: by ``TreeLevel.ensemble``
+(which ``ProtocolNode.ensemble`` calls), for the root members of a root
+of rank r > 1 and the leaf averages, whose entanglement ``bound_suite``
+reports, and for the root average of a ``BipartiteEnsemble`` in
+``entropy_summary``.
 """
 
 from __future__ import annotations
@@ -539,16 +548,28 @@ def _require_ensemble(ensemble, caller: str) -> None:
 
 
 def _root_level(ensemble: BipartiteEnsemble | SpectralEnsemble) -> TreeLevel:
-    """The root node. A spectral ensemble's kets are its rank-one factors; a
-    matrix member is factored as U sqrt(Lambda) over its eigenvalues above
-    _RESIDUE_CUT and padded to the largest rank."""
+    """The root node. A spectral ensemble's kets, and the ``ket`` of each
+    member that ``pure_state_density`` built, are rank-one factors; the
+    other members are factored by one stacked ``eigh``, as U sqrt(Lambda)
+    over their eigenvalues above _RESIDUE_CUT, and every factor is padded
+    with zero columns to the largest rank."""
     if isinstance(ensemble, SpectralEnsemble):
         weights, factors = ensemble.weights, ensemble.kets[:, :, None]
     else:
-        values, vectors = np.linalg.eigh(np.stack([state.matrix for _, state in ensemble.members]))
-        rank = int((values > _RESIDUE_CUT).sum(axis=1).max())
-        kept = np.where(values[:, -rank:] > _RESIDUE_CUT, values[:, -rank:], 0.0)
-        factors = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
+        states = [state for _, state in ensemble.members]
+        dense = [i for i, state in enumerate(states) if state.ket is None]
+        rank = 1
+        if dense:
+            values, vectors = np.linalg.eigh(np.stack([states[i].matrix for i in dense]))
+            rank = int((values > _RESIDUE_CUT).sum(axis=1).max())
+            kept = np.where(values[:, -rank:] > _RESIDUE_CUT, values[:, -rank:], 0.0)
+            solved = vectors[:, :, -rank:] * np.sqrt(kept / kept.sum(axis=1, keepdims=True))[:, None, :]
+        factors = np.zeros((len(states), ensemble.dim_a * ensemble.dim_b, rank), dtype=complex)
+        if dense:
+            factors[dense] = solved
+        for i, state in enumerate(states):
+            if state.ket is not None:
+                factors[i, :, 0] = state.ket
         weights = ensemble.probabilities()
     root = np.array([-1])
     return TreeLevel(prob=np.ones(1), q=weights[None], factors=factors[None], parent=root, outcome=root.copy())
@@ -682,7 +703,11 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStat
         psi = np.moveaxis(factors.reshape(n, m, 4), -1, 0).copy()
         abs2 = psi.real**2 + psi.imag**2
         member = {"A": _pure_qubit_marginals(psi, abs2, counted)}
-        averages = dict(zip(PARTIES, _pure_qubit_averages(psi, abs2, weights)))
+        # Both sides' average marginals in one stack, and so in one call of
+        # the elementwise closed form: each side's entropies as alone.
+        stacked = _pure_qubit_averages(psi, abs2, weights)
+        averages = dict(zip(PARTIES, stacked))
+        spectra = dict(zip(PARTIES, von_neumann_entropies(stacked)))
     else:
         # Member Grams X X^dagger, X the factor as (dim_a, dim_b * r); side A
         # averages them, and side B's average is sum_x X_x^T (w_x conj X_x),
@@ -703,13 +728,14 @@ def _level_stats(levels: Sequence[TreeLevel], dims: tuple[int, int]) -> TreeStat
         # Every member is solved, and those that ``counted`` leaves out are
         # set to 0 afterwards: a gather of the counted ones would copy the stack.
         member = {side: np.where(counted, von_neumann_entropies(gram), 0.0) for side, gram in grams.items()}
+        spectra = {side: von_neumann_entropies(average) for side, average in averages.items()}
     member_entropy, average_entropy, average_marginals = {}, {}, {}
     for side in PARTIES:
         averages[side].setflags(write=False)
         # Pure members (r = 1) have S(rho_A) = S(rho_B): side B reuses side A's mean.
         pure_b = side == "B" and r == 1
         member_entropy[side] = member_entropy["A"] if pure_b else means((weights * member[side]).sum(axis=1))
-        average_entropy[side] = means(von_neumann_entropies(averages[side]))
+        average_entropy[side] = means(spectra[side])
         average_marginals[side] = tuple(averages[side][span] for span in spans)
     return TreeStats(
         conditional_entropy=means(shannon_entropies(q)),
@@ -942,8 +968,10 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
                       entanglement; extracted plus unused information cannot
                       exceed the ensemble's fixed budget.
 
-    Each input member and leaf average is measured by
-    ``entropy.entanglements``, whose measure follows the state.
+    Each leaf average, and each input member of a root of rank r > 1, is
+    measured by ``entropy.entanglements``, whose measure follows the state.
+    The members of a rank-one root are pure, and their mean entanglement
+    is the root's side-A mean member entropy, read from the stats.
     """
     _require_transcript(transcript)
     root = transcript.root_ensemble
@@ -953,7 +981,11 @@ def bound_suite(transcript: ProtocolTranscript) -> BoundReport:
 
     per_round, total_info = chain_mutual_information(transcript)
     e_out = average_output_entanglement(transcript)
-    e_in = _member_entanglement(transcript.levels[0], (root.dim_a, root.dim_b))
+    # A pure member's entanglement is its marginal entropy, whose mean the root's stats hold.
+    if transcript.levels[0].factors.shape[-1] == 1:
+        e_in = float(stats.member_entropy["A"][0])
+    else:
+        e_in = _member_entanglement(transcript.levels[0], (root.dim_a, root.dim_b))
     n_qubits = float(np.log2(root.dim_a * root.dim_b))
 
     local_holevo = entropy_a + entropy_b - max(mean_member["A"], mean_member["B"])

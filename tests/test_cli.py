@@ -15,6 +15,7 @@ environments named, and the 1e-12 goldens remain the portable check.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -70,16 +71,34 @@ def test_report_matches_golden(command, stem):
     assert json_mismatches(json.loads(out), expected, 1e-12) == []
 
 
+def openblas_core() -> str:
+    """The kernel set that OpenBLAS picked on this CPU at run time, read
+    from the library numpy bundles in ``numpy.libs``; "unknown" when there
+    is no such library or it lacks the symbol."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def numeric_environment() -> str:
-    """numpy's version, its BLAS build and the SIMD extensions it found on
-    this CPU: what decides a report's last digits besides the code."""
+    """numpy's version, its BLAS build, the SIMD extensions it found on
+    this CPU and the OpenBLAS kernels that run: what decides a report's
+    last digits besides the code."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 can only print its configuration
         config = {}
     blas = config.get("Build Dependencies", {}).get("blas", {})
     simd = " ".join(config.get("SIMD Extensions", {}).get("found", []))
-    return f"numpy {np.__version__}; blas {blas.get('name')} {blas.get('version')}; simd {simd}; machine {platform.machine()}"
+    return (
+        f"numpy {np.__version__}; blas {blas.get('name')} {blas.get('version')}; simd {simd}; "
+        f"machine {platform.machine()}; openblas core {openblas_core()}"
+    )
 
 
 def test_reports_match_their_byte_pin():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from locclab import (
+    DensityOperator,
     KrausInstrument,
     hermitian_eig,
     partial_trace,
@@ -209,6 +210,21 @@ class TestPureStateDensity:
             pure_state_density([entry, 0.5, 0.0, 0.0], 2, 2)
         norm = float(str(excinfo.value).split()[3])
         assert norm == pytest.approx(abs(entry), rel=1e-12)
+
+    def test_keeps_its_renormalized_ket_read_only(self):
+        given = np.array([0.6, 0.0, 0.0, 0.8j]) * (1.0 + 5e-7)
+        state = pure_state_density(given, 2, 2)
+        np.testing.assert_array_equal(state.ket, given / np.linalg.norm(given))
+        assert state.ket.dtype == complex and not state.ket.flags.writeable
+        np.testing.assert_array_equal(state.matrix, np.outer(state.ket, state.ket.conj()))
+        assert "ket" not in repr(state)
+        with pytest.raises(TypeError):
+            DensityOperator(2, 2, state.matrix, state.ket)
+
+    def test_only_pure_state_density_sets_a_ket(self):
+        matrix = np.outer(PHI_PLUS, PHI_PLUS.conj())
+        assert validate_density(matrix, 2, 2).ket is None
+        assert DensityOperator(2, 2, matrix).ket is None
 
 
 def test_huge_finite_basis_entry_is_not_orthonormal():

@@ -496,11 +496,12 @@ class TestAuditRounds:
 
 def test_eigensolve_count_is_per_level(monkeypatch):
     # Depth 8, 8 pure members, a random basis per history and alternating
-    # parties: 511 nodes and 4,088 posterior states. The root is factored
-    # by one eigh. Every other spectrum is 2x2 and none goes to LAPACK: pure
-    # members' marginal spectra come from the determinants of their
-    # coefficient matrices, and the average marginals and the input and
-    # output entanglement from the closed-form 2x2 solve. A solve per
+    # parties: 511 nodes and 4,088 posterior states. The root's members are
+    # kets, its factors, so the root takes no eigh. Every spectrum is 2x2
+    # and none goes to LAPACK: pure members' marginal spectra come from the
+    # determinants of their coefficient matrices, the input entanglement is
+    # their mean at the root, and the average marginals and the output
+    # entanglement come from the closed-form 2x2 solve. A solve per
     # posterior would add thousands.
     depth = 8
 

@@ -26,6 +26,7 @@ from locclab.entropy import ZERO_EIGENVALUE, _qubit_eigvalsh, shannon_entropies,
 from locclab.linalg import DEFAULT_TOL, _require_finite, hermitize
 
 from helpers import (
+    assert_same_bits,
     entropy_summary_oracle,
     marginal_entropy_oracle,
     random_bipartite_density,
@@ -325,3 +326,20 @@ def test_pure_qubit_averages_match_the_mixture_gram(seed, n_nodes, n_members):
     # The two sides' cross terms differ, so the routes would tell them apart.
     cross = {side: stats.average_marginals[side][0][:, 0, 1] for side in protocol.PARTIES}
     assert np.abs(cross["A"] - cross["B"]).max() > 1e-3
+
+
+@PROPERTY
+@given(seed=seeds, n_nodes=st.integers(1, 6), n_members=st.integers(1, 6))
+def test_both_sides_average_entropies_in_one_call_are_each_sides_bits(seed, n_nodes, n_members):
+    # ``_level_stats`` solves the (2, N, 2, 2) stack of both sides' average
+    # marginals in one call. The closed form is elementwise and each row sum
+    # has two entries, so every entropy has the bits of a per-side call.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n_nodes, n_members, 4)) + 1j * rng.standard_normal((n_nodes, n_members, 4))
+    psi = np.moveaxis(g / np.linalg.norm(g, axis=-1, keepdims=True), -1, 0).copy()
+    weights = rng.dirichlet(np.ones(n_members), n_nodes)
+    stacked = protocol._pure_qubit_averages(psi, psi.real**2 + psi.imag**2, weights)
+    merged = von_neumann_entropies(stacked)
+    assert merged.shape == (2, n_nodes)
+    for side in range(2):
+        assert_same_bits(merged[side], von_neumann_entropies(stacked[side]))
