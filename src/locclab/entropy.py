@@ -260,11 +260,15 @@ def concurrences(matrices) -> np.ndarray:
 
     Computed from the singular values of sqrt(rho_tilde) sqrt(rho), where
     rho_tilde is the spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x
-    sigma_y) in the computational basis.
+    sigma_y) in the computational basis. Both roots come from one
+    ``_sqrt_psd`` call on the stacked pair, so a stack takes one ``eigh``
+    and one ``svd``; each state's value is bit for bit the one it gets
+    when solved alone.
     """
     rho = np.asarray(matrices, dtype=complex)
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    lam = np.linalg.svd(_sqrt_psd(rho_tilde) @ _sqrt_psd(rho), compute_uv=False)
+    roots = _sqrt_psd(np.stack([rho_tilde, rho]))
+    lam = np.linalg.svd(roots[0] @ roots[1], compute_uv=False)
     lam = -np.sort(-lam, axis=-1)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 

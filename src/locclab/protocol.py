@@ -169,7 +169,7 @@ class KrausInstrument:
             if op.shape != ops[0].shape:
                 raise ValueError(f"outcome {label!r}: size {op.shape[0]} != {ops[0].shape[0]}")
         stack = np.stack(ops)
-        _check_instruments(self.party, stack[None], [labels])
+        _check_instruments((self.party,), stack[None], [labels])
         stack.setflags(write=False)
         self._set(self.party, labels, stack, None)
 
@@ -196,7 +196,7 @@ class KrausInstrument:
             names = None if labels is None else tuple(map(str, labels))
         except TypeError:
             names = labels  # not iterable: ``_outcome_labels`` names it after the basis checks
-        projectors, (names,) = _projective_stack(party, stack, [names])
+        projectors, (names,) = _projective_stack((party,), stack, [names])
         return _checked_instrument(party, names, projectors[0], stack[0])
 
 
@@ -223,11 +223,14 @@ def _outcome_labels(labels, count: int) -> tuple:
     return labels
 
 
-def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]]) -> None:
+def _check_instruments(party: str | tuple, ops: np.ndarray, labels: list[tuple[str, ...]]) -> None:
     """String labels, party, distinct, nonempty and comma-free labels,
     finite operators (``linalg._require_finite``) and completeness, in this
-    order, of a stack of instruments on ``party``: ``ops`` is (H, K, d, d),
-    the K Kraus operators of instrument h, named by ``labels[h]``. The first
+    order, of a stack of instruments on ``party``, or, when ``party`` is a
+    tuple, of instrument h on ``party[h]``: ``ops`` is (H, K, d, d),
+    the K Kraus operators of instrument h, named by ``labels[h]``. A
+    ``KrausInstrument`` passes its party as a 1-tuple, so that a tuple
+    given as a party is rejected, not read as parties. The first
     check that fails raises a ValueError; with H = 1 it is that check's
     message for the one instrument. Only the parser's batched read can fail
     the string check (the constructors apply ``str``). An empty label would
@@ -241,7 +244,8 @@ def _check_instruments(party: str, ops: np.ndarray, labels: list[tuple[str, ...]
         distinct = None
     if distinct is None or not all(type(name) is str for names in distinct for name in names):
         raise ValueError("outcome labels must be strings")
-    _require_party(party)
+    for name in party if isinstance(party, tuple) else (party,):
+        _require_party(name)
     for names in distinct:
         if len(set(names)) != count:
             duplicate = next(label for i, label in enumerate(names) if label in names[:i])
@@ -269,11 +273,12 @@ def _check_size(party: str, size: int, local_dim: int) -> None:
 _ORTHONORMAL_TOL = 1e-8
 
 
-def _projective_stack(party: str, kets: np.ndarray, labels: list) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+def _projective_stack(party: str | tuple, kets: np.ndarray, labels: list) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """The checked projectors and labels of a stack of square bases.
 
-    ``kets`` is (H, K, K) complex, basis h with its kets as rows, and
-    ``labels[h]`` names the rows of basis h (None: the default). An empty
+    ``kets`` is (H, K, K) complex, basis h with its kets as rows, measured
+    by ``party`` or, when it is a tuple, by ``party[h]``; ``labels[h]``
+    names the rows of basis h (None: the default). An empty
     basis and a NaN or an infinite entry are rejected first, so that
     neither reaches the Gram. The whole stack is checked for
     orthonormality, then each label count, then its projectors once by

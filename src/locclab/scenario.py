@@ -27,7 +27,9 @@ carry the offending field path: a key outside an object's field set, a
 key that a file's object repeats and a ``schema`` other than SCHEMA are
 rejected, so a misspelt or repeated field is never read as its default or
 as its last value. ``random_scenario`` builds its ``Scenario`` straight
-from the stacks it draws. Outcome labels belong to the
+from the stacks it draws: per trial, one QR factors the bases of every
+round and one ``_projective_stack`` call checks them, and each round's
+step is a slice of that stack. Outcome labels belong to the
 instrument, which gives an absent list its default "0".."K-1", and then
 to its step row; the walk, the dump and the generator read the rows'
 ``labels``. A projective row keeps the kets it was built from, and the
@@ -73,7 +75,15 @@ import numpy as np
 
 from .distillation import BellDiagonalSpec
 from .entropy import BipartiteEnsemble
-from .linalg import PARTIES, DensityOperator, _require_dims, _require_party, pure_state_density, validate_density
+from .linalg import (
+    PARTIES,
+    DensityOperator,
+    _require_dims,
+    _require_integer,
+    _require_party,
+    pure_state_density,
+    validate_density,
+)
 from .protocol import (
     KrausInstrument,
     ProtocolStep,
@@ -674,13 +684,15 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(data, source=str(path))
 
 
-def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, dim, dim) Haar unitaries; unitary h draws its real then its
-    imaginary part, so the stream is that of ``count`` draws one by one."""
-    g = rng.standard_normal((count, 2, dim, dim))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+def _haar_bases(normals: np.ndarray) -> np.ndarray:
+    """(count, dim, dim) Haar-random bases, kets as rows, from the
+    (count, 2, dim, dim) standard normals of ``count`` draws, real part
+    then imaginary part, in one QR: basis h is the rows of U_h^T, with
+    U_h the phase-fixed Q of the complex normal matrix h."""
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
     diag = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diag / np.abs(diag)).conj()[:, None, :]
+    unitaries = q * (diag / np.abs(diag)).conj()[:, None, :]
+    return np.ascontiguousarray(unitaries.swapaxes(1, 2))
 
 
 def _int_range(value, name: str, minimum: int) -> tuple[int, int]:
@@ -699,16 +711,23 @@ def _int_range(value, name: str, minimum: int) -> tuple[int, int]:
 
 
 def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: str | None = None) -> Scenario:
-    """Deterministic random protocol scenario for the given seed.
+    """Deterministic random protocol scenario for the given seed, an
+    integer (``linalg._require_integer``) >= 0.
 
     Members are Haar-like random pure two-qubit states with a random
     probability simplex point; each round gets a uniformly random acting
     party and an independent random projective basis per outcome history
-    (the adaptive case). The typed scenario is built from the drawn arrays
-    directly, each level's bases from one stacked draw; the constructors
-    still check norms, probability sums, and the orthonormality and
-    completeness of each basis.
+    (the adaptive case). The stream is drawn in a fixed order: the member
+    amplitudes in one draw, then per round its party and its bases'
+    normals. The typed scenario is built from the drawn arrays directly:
+    one QR factors every round's bases, and one ``_projective_stack``
+    call checks them all, the orthonormality and completeness of each
+    basis and each round's party; each round's step takes its slice of
+    that stack. The constructors still check norms and probability sums.
     """
+    _require_integer(seed, "seed")
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
     members_lo, members_hi = _int_range(n_members, "n_members", _RANGE_MINIMA["n_members"])
     depth_lo, depth_hi = _int_range(protocol_depth, "protocol_depth", _RANGE_MINIMA["protocol_depth"])
 
@@ -716,31 +735,38 @@ def random_scenario(seed: int, n_members=(2, 4), protocol_depth=(1, 3), name: st
     n = int(rng.integers(members_lo, members_hi + 1))
     depth = int(rng.integers(depth_lo, depth_hi + 1))
     probs = rng.dirichlet(np.ones(n))
+    # Member i draws its real then its imaginary part, as one draw each.
+    amplitudes = rng.standard_normal((n, 2, 4))
 
     members = []
-    for i in range(n):
-        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    for p, vec in zip(probs, amplitudes[:, 0] + 1j * amplitudes[:, 1]):
         vec /= np.linalg.norm(vec)
-        members.append((float(probs[i]), pure_state_density(vec, *RANDOM_DIMS)))
+        members.append((float(p), pure_state_density(vec, *RANDOM_DIMS)))
+    ensemble = BipartiteEnsemble(tuple(members))
+    name = name or f"random-{seed}"
+    if not depth:
+        return Scenario(name=name, ensemble=ensemble, steps=[], bell=None, random=None)
 
-    steps = []
-    histories = [()]
+    # Round l measures 2**l histories, each with its own basis.
+    parties, normals = [], []
     for level in range(depth):
-        party = "A" if rng.integers(2) == 0 else "B"
-        # Basis kets are the rows of U^T; every history has its own basis.
-        kets = np.ascontiguousarray(_haar_unitaries(len(histories), 2, rng).swapaxes(1, 2))
-        projectors, labels = _projective_stack(party, kets, [None] * len(histories))
+        parties.append("A" if rng.integers(2) == 0 else "B")
+        normals.append(rng.standard_normal((2**level, 2, 2, 2)))
+    kets = _haar_bases(np.concatenate(normals))
+    basis_parties = tuple(party for level, party in enumerate(parties) for _ in range(2**level))
+    projectors, labels = _projective_stack(basis_parties, kets, [None] * len(kets))
+
+    steps, histories = [], [()]
+    for level, party in enumerate(parties):
+        rows = slice(2**level - 1, 2 ** (level + 1) - 1)
         if level == 0:
             # The first step's one history, the empty one, takes the default.
             default = _checked_instrument(party, labels[0], projectors[0], kets[0])
-            step = ProtocolStep._stacked(party, default, projectors[:0], [], [], [])
+            steps.append(ProtocolStep._stacked(party, default, projectors[:0], [], [], []))
         else:
-            step = ProtocolStep._stacked(party, None, projectors, labels, kets, histories)
-        steps.append(step)
-        histories = [history + (label,) for history, names in zip(histories, labels) for label in names]
-
-    ensemble = BipartiteEnsemble(tuple(members))
-    return Scenario(name=name or f"random-{seed}", ensemble=ensemble, steps=steps, bell=None, random=None)
+            steps.append(ProtocolStep._stacked(party, None, projectors[rows], labels[rows], kets[rows], histories))
+        histories = [history + (label,) for history, names in zip(histories, labels[rows]) for label in names]
+    return Scenario(name=name, ensemble=ensemble, steps=steps, bell=None, random=None)
 
 
 def materialize_random(scenario: Scenario, seed: int, trial: int = 0) -> Scenario:

@@ -268,6 +268,24 @@ class TestEntanglement:
             assert -1e-12 <= value <= 1.0 + 1e-12
             assert abs(value - entanglement_oracle(rho.matrix, 2, 2)) <= 1e-12
 
+    def test_stacked_concurrences_match_each_state_solved_alone(self):
+        # Random mixed states of rank 2, 3 and 4: both square roots of the
+        # stack come from one eigh, and no row may depend on the others.
+        rng = np.random.default_rng(61)
+        states = []
+        for rank in (2, 3, 4) * 8:
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            rho = g @ g.conj().T
+            states.append(rho / np.trace(rho).real)
+        stack = np.stack(states)
+        values = concurrences(stack)
+        assert values.shape == (len(states),) and (values > 0.0).sum() >= 8
+        for rho, value in zip(stack, values):
+            assert value == concurrences(rho) == concurrences(rho[None])[0]
+        eof = entanglements(stack, 2, 2)
+        for rho, value in zip(stack, eof):
+            assert abs(value - entanglement_oracle(rho, 2, 2)) <= 1e-9
+
 
 class TestIsPpt:
     def test_bell_state_is_npt(self):

@@ -154,6 +154,21 @@ class TestKrausInstrument:
             KrausInstrument(party=party, outcomes=outcomes)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: KrausInstrument(party=("A",), outcomes=(("0", P0), ("1", P1))),
+            lambda: KrausInstrument.projective(("A",), np.eye(2)),
+        ],
+        ids=["kraus", "projective"],
+    )
+    def test_a_tuple_party_is_rejected_not_read_as_parties(self, build):
+        # The checker reads a tuple as one party per instrument; a party
+        # that a caller gives is wrapped, so a tuple is still no party.
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "party must be 'A' or 'B', got ('A',)"
+
     def test_operators_are_read_only_copies(self):
         # The checks ran on these values: a later write to the caller's
         # arrays must not reach them.

@@ -1015,7 +1015,8 @@ class TestCanonicalDump:
 
 
 class TestTypedGenerator:
-    @pytest.mark.parametrize("n_members, depth", [((2, 4), (1, 3)), (1, 0), ((1, 6), (0, 4)), (5, 2)])
+    # (4, 6) shares one stack of up to 63 bases among its rounds.
+    @pytest.mark.parametrize("n_members, depth", [((2, 4), (1, 3)), (1, 0), ((1, 6), (0, 4)), (5, 2), ((1, 3), (4, 6))])
     def test_matches_payload_reference(self, n_members, depth):
         for seed in range(64):
             new = random_scenario(seed, n_members=n_members, protocol_depth=depth)
@@ -1053,6 +1054,23 @@ class TestTypedGenerator:
     def test_bad_range_is_rejected_naming_the_parameter(self, kwargs, message):
         with pytest.raises(ValueError) as excinfo:
             random_scenario(0, **kwargs)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # None would seed numpy from the OS: a new scenario on each call.
+            (None, "seed must be an integer, got None"),
+            (True, "seed must be an integer, got True"),
+            ([1, 2], "seed must be an integer, got [1, 2]"),
+            (2.5, "seed must be an integer, got 2.5"),
+            ("3", "seed must be an integer, got '3'"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_seed_is_rejected_naming_it(self, seed, message):
+        with pytest.raises(ValueError) as excinfo:
+            random_scenario(seed)
         assert str(excinfo.value) == message
 
 
